@@ -22,7 +22,10 @@ in NumPy is *word-batched vectorization*: every per-word quantity (p*,
 its prefix sums) is computed once per word, and every per-token quantity
 is a vector op over all tokens at once.  All searches are
 ``searchsorted`` over prefix sums — bit-identical to the index-tree
-descent (see :mod:`repro.core.tree` and its equivalence tests).
+descent (see :mod:`repro.core.tree` and its equivalence tests).  The
+shared p* is also kept word-major (one contiguous K-row per word), so
+the sum-Kd theta walk of every token reads a single row of it — the
+NumPy form of all samplers of a block reading one shared p* column.
 
 Exclusion adjustment
 --------------------
@@ -36,11 +39,16 @@ shared structures.  This is exactly why the block-shared tree is sound.
 
 Workspace reuse and compute dtype
 ---------------------------------
-Every large temporary of this kernel (the K x Wp shared trees, the
-sum-Kd gather arrays, the per-token vectors) is drawn from a
-:class:`repro.perf.Workspace` when one is passed, so steady-state
-iterations reuse buffers instead of reallocating them — the NumPy
-analogue of the static device buffers a real GPU kernel would use.
+The K x Wp shared trees, the per-token vectors and the sum-Kd position
+walk and prefix sums are drawn from a :class:`repro.perf.Workspace`
+when one is passed, so steady-state iterations reuse buffers instead of
+reallocating them — the NumPy analogue of the static device buffers a
+real GPU kernel would use.  The sum-Kd gathers themselves (p* and theta
+values at each token's theta columns) are fresh, bounds-checked
+``np.take`` results over ``intp`` indices: NumPy converts any other
+index dtype to an ``intp`` copy first, and a checked take into an
+``out=`` buffer is staged through a temporary, so both would cost more
+than the allocation they avoid.
 Chunk-invariant data (present words, token->word-column map) is
 memoised per chunk inside the workspace, mirroring the paper's one-time
 CPU preprocessing.  With ``workspace=None`` (or any float64 workspace)
@@ -63,7 +71,6 @@ from repro.perf import Workspace
 
 #: dtype instances for hot-path Workspace.take calls (no per-call np.dtype())
 _I64 = np.dtype(np.int64)
-_I32 = np.dtype(np.int32)
 _BOOL = np.dtype(np.bool_)
 
 
@@ -79,21 +86,6 @@ def _fill_random(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """``rng.random`` into a preallocated buffer (dtype-matched)."""
     rng.random(out=out, dtype=out.dtype.type)
     return out
-
-
-def index_dtype_for(n: int, num_topics: int, wp: int) -> np.dtype:
-    """Index dtype of the kernel's nnz-sized gather/scatter helpers.
-
-    Token/topic products fit 32-bit arithmetic at any realistic scale;
-    fall back to 64-bit when the largest flattened index the kernel
-    forms — ``n * K`` (the p1 target keys) or ``K * Wp`` (the flattened
-    shared-tree gather) — would overflow int32.  Index bandwidth on the
-    nnz-sized arrays is the kernel's memory bottleneck, hence the
-    aggressive 32-bit default.
-    """
-    if n * num_topics >= 2**31 or num_topics * wp >= 2**31:
-        return _I64
-    return _I32
 
 
 def sample_chunk(
@@ -184,6 +176,9 @@ def sample_chunk(
     p_sub = ws.take("p_sub", (num_topics, wp))
     np.add(phi_g, beta, out=p_sub, casting="same_kind")
     np.divide(p_sub, denom[:, None], out=p_sub)
+    # word-major copy: a token's theta walk reads one contiguous K-row
+    p_wm = ws.take("p_star_wm", (wp, num_topics))
+    np.copyto(p_wm, p_sub.T)
     p_w = ws.take("p_w", wp)  # per-word total P = sum_k p*(k)
     np.sum(p_sub, axis=0, out=p_w)
     cdf_sub = ws.take("cdf_sub", (num_topics, wp))  # K x Wp prefix sums
@@ -227,20 +222,35 @@ def sample_chunk(
     seg_offsets[0] = 0
     np.cumsum(lens, out=seg_offsets[1:])
     total_nnz = int(seg_offsets[-1])
-    idx_t = index_dtype_for(n, num_topics, wp)
-    bnd = seg_offsets[1:-1]  # segment-start slots for tokens 1..n-1
 
-    # Every nnz-sized helper below is piecewise-constant (or piecewise
-    # arithmetic) over the segments, so it is materialised with a
-    # boundary-delta scatter + cumsum — sequential passes, no gathers.
-    # Offsets are strictly increasing because every token's document has
-    # at least one theta non-zero.
-    seg_ids = ws.zeros("seg_ids", total_nnz, idx_t)
-    seg_ids[bnd] = 1
-    np.cumsum(seg_ids, dtype=idx_t, out=seg_ids)
-    # pos[j] walks each segment [starts[i], starts[i]+lens[i]): delta 1
-    # inside a segment, boundary delta rebases to the next row's start.
-    pos = ws.take("gather_pos", total_nnz, idx_t)
+    # Locate each token's own (d, z_old) entry in theta itself (theta-nnz
+    # keys, not sum-Kd ones): columns are sorted within rows, so the
+    # row-major keys d*K + k are sorted.
+    tkeys = np.repeat(
+        np.arange(theta.num_rows, dtype=np.intp) * num_topics,
+        np.diff(theta.indptr),
+    )
+    np.add(tkeys, theta.indices, out=tkeys)
+    targets_z = ws.take("targets_z", n, _I64)
+    np.multiply(docs, num_topics, out=targets_z)
+    np.add(targets_z, z_old, out=targets_z)
+    tpos = np.searchsorted(tkeys, targets_z)
+    if tpos.max(initial=-1) >= tkeys.shape[0] or not np.array_equal(
+        tkeys[tpos], targets_z
+    ):
+        raise AssertionError(
+            "token's current topic missing from its theta row — theta is "
+            "out of sync with the topic assignments"
+        )
+
+    # The sum-Kd gather space: token i's segment holds its theta row.
+    # pos[j] walks each segment [starts[i], starts[i]+lens[i]), built
+    # with a boundary-delta scatter + cumsum (delta 1 inside a segment,
+    # the boundary delta rebases to the next row's start).  Segment
+    # offsets are strictly increasing because the check above proved
+    # every token's row holds at least its own topic.
+    bnd = seg_offsets[1:-1]  # segment-start slots for tokens 1..n-1
+    pos = ws.take("gather_pos", total_nnz, _I64)
     pos[...] = 1
     pos[0] = starts[0]
     db = ws.take("boundary_delta", n - 1, _I64)
@@ -248,46 +258,20 @@ def sample_chunk(
     np.subtract(db, lens[:-1], out=db)
     np.add(db, 1, out=db)
     pos[bnd] = db
-    np.cumsum(pos, dtype=idx_t, out=pos)
-    # wcol_seg[j] = wcol[seg_ids[j]] via the same delta trick.
-    wcol_seg = ws.zeros("wcol_seg", total_nnz, idx_t)
-    wcol_seg[0] = wcol[0]
-    dwc = ws.take("wcol_delta", n - 1, idx_t)
-    np.subtract(wcol[1:], wcol[:-1], out=dwc, casting="same_kind")
-    wcol_seg[bnd] = dwc
-    np.cumsum(wcol_seg, dtype=idx_t, out=wcol_seg)
+    np.cumsum(pos, out=pos)
+    # flat[j] = wcol[i]*K + col: token i's theta columns read from the
+    # word-major p* row of its word (one contiguous K-row per token).
+    # Every nnz-sized index is intp: NumPy converts any other index
+    # dtype to an intp copy before gathering.
+    flat = np.repeat(wcol * num_topics, lens)
+    np.add(flat, np.take(theta.indices, pos), out=flat)
 
-    gcols = ws.take("gcols", total_nnz, theta.indices.dtype)
-    np.take(theta.indices, pos, out=gcols)
-    gvals = ws.take("gvals", total_nnz, theta.data.dtype)
-    np.take(theta.data, pos, out=gvals)
-    # flat gather from p_sub: row-major (k, c) -> k*Wp + c, gathered
-    # straight into w1 and scaled in place (one nnz-sized pass saved).
-    flat_pos = ws.take("flat_pos", total_nnz, idx_t)
-    np.multiply(gcols, idx_t.type(wp), out=flat_pos)
-    np.add(flat_pos, wcol_seg, out=flat_pos)
-    w1 = ws.take("w1", total_nnz)
-    np.take(p_sub.reshape(-1), flat_pos, out=w1)
-    np.multiply(w1, gvals, out=w1)
-
-    # locate each token's own (d, z_old) entry inside its row segment;
-    # columns are sorted within rows, so global keys are sorted.
-    keys = flat_pos  # flat_pos is dead past this point; reuse its buffer
-    np.multiply(seg_ids, idx_t.type(num_topics), out=keys)
-    np.add(keys, gcols, out=keys)
-    targets_z = ws.take("targets_z", n, idx_t)
-    np.multiply(ws.arange(n), num_topics, out=targets_z, casting="same_kind")
-    np.add(targets_z, z_old, out=targets_z, casting="same_kind")
-    pos_z = np.searchsorted(keys, targets_z)
-    if pos_z.max(initial=-1) >= keys.shape[0] or not np.array_equal(
-        keys[pos_z], targets_z
-    ):
-        raise AssertionError(
-            "token's current topic missing from its theta row — theta is "
-            "out of sync with the topic assignments"
-        )
-    gv_z = ws.take("gvals_at_z", n, theta.data.dtype)
-    np.take(gvals, pos_z, out=gv_z)
+    # Bounds-checked gathers without ``out=``: a ``mode='raise'`` take
+    # into an out buffer is staged through a temporary copy.
+    w1 = np.take(p_wm.reshape(-1), flat)
+    np.multiply(w1, np.take(theta.data, pos), out=w1)
+    pos_z = tpos - starts + seg_offsets[:-1]
+    gv_z = np.take(theta.data, tpos)
     adj = ws.take("w1_adj", n)
     np.subtract(gv_z, 1.0, out=adj, casting="same_kind")
     np.multiply(adj, p_z_excl, out=adj)
@@ -330,8 +314,7 @@ def sample_chunk(
     clip_hi = ws.take("clip_hi", n, _I64)
     np.subtract(seg_offsets[1:], 1, out=clip_hi)
     np.clip(pos1, seg_offsets[:-1], clip_hi, out=pos1)
-    z_p1 = ws.take("z_p1", n, theta.indices.dtype)
-    np.take(gcols, pos1, out=z_p1)
+    z_p1 = np.take(theta.indices, np.take(pos, pos1))
 
     # ---- draw from p2: shifted-CDF search in the shared tree -------------
     # The exclusion changes one atom (z_old: p_star_z -> p_z_excl), which

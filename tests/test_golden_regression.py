@@ -12,7 +12,11 @@ the same runs on the current tree and assert the draws are
   the chain);
 - culda's float32 kernel chain (2 GPUs x 2 chunks; pinned on the PR-4
   tree after verifying serial == process), closing the ROADMAP item;
+- culda's kernel with ``workspace=None`` against the pooled capture;
 - plain CGS and exact-mode SparseLDA (hoisted sequential loops);
+- SparseLDA's registry-default batched mode (one whole-corpus
+  ``sample_chunk`` pass per sweep; captured at commit 67cb21b, before
+  the kernel's gather rewrite);
 - LightLDA (batched Vose alias builds);
 - WarpLDA (vectorised MH passes) and SaberLDA (shared CuLDA core on the
   degraded cost levers);
@@ -132,6 +136,37 @@ class TestCuLdaGolden:
                 close()
         assert np.array_equal(z, expected("culda_ws2_float32"))
 
+    def test_workspace_free_kernel_matches_golden(
+        self, golden_corpus, monkeypatch
+    ):
+        """``workspace=None`` (fresh float64 buffers) reproduces the
+        pooled-workspace capture bit-for-bit."""
+        import repro.core.scheduler as scheduler_mod
+        from repro.core.sampler import sample_chunk
+
+        calls = []
+
+        def bare_sample_chunk(*args, workspace=None, **kwargs):
+            calls.append(workspace)
+            return sample_chunk(*args, workspace=None, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "sample_chunk", bare_sample_chunk)
+        m = meta("culda_ws2")
+        trainer = create_trainer(
+            "culda",
+            golden_corpus,
+            topics=m["topics"],
+            seed=m["seed"],
+            gpus=m["gpus"],
+            chunks_per_gpu=m["chunks_per_gpu"],
+        )
+        trainer.fit(m["iterations"], likelihood_every=0)
+        z = np.concatenate(
+            [cs.topics.astype(np.int64) for cs in trainer.state.chunks]
+        )
+        assert calls and all(ws is not None for ws in calls)
+        assert np.array_equal(z, expected("culda_ws2"))
+
     def test_workspace_actually_reused(self, golden_corpus):
         """The golden run must go through the pooled-buffer path."""
         m = meta("culda_ws1")
@@ -153,6 +188,18 @@ class TestSequentialGolden:
         for _ in range(m["sweeps"]):
             s.sweep()
         assert np.array_equal(s.model.z, expected("sparselda_exact"))
+
+    def test_sparselda_batched(self, golden_corpus):
+        """The registry-default mode: one whole-corpus ``sample_chunk``
+        pass per sweep."""
+        m = meta("sparselda_batched")
+        s = create_trainer(
+            "sparselda", golden_corpus, topics=m["topics"], seed=m["seed"]
+        ).inner
+        assert s.batch_words is m["batch_words"] is True
+        for _ in range(m["sweeps"]):
+            s.sweep()
+        assert np.array_equal(s.model.z, expected("sparselda_batched"))
 
     def test_plain_cgs(self, golden_corpus):
         m = meta("plain_cgs")

@@ -9,13 +9,17 @@ dense oracle.
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.core import TrainerConfig
 from repro.core.model import LdaState
 from repro.core.sampler import conditional_distribution, sample_chunk
+from repro.core.sparse import CsrCounts, from_assignments
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.perf import Workspace
 
 
 def make_state(corpus, num_topics=8, seed=0):
@@ -118,6 +122,128 @@ class TestMechanics:
                 state.topic_totals, cfg.effective_alpha, cfg.effective_beta,
                 np.random.default_rng(0),
             )
+
+
+def _draw(cs, state, cfg, topics=None, theta=None, workspace=None, seed=0):
+    return sample_chunk(
+        cs.chunk, cs.topics if topics is None else topics,
+        cs.theta if theta is None else theta, state.phi, state.topic_totals,
+        cfg.effective_alpha, cfg.effective_beta, np.random.default_rng(seed),
+        workspace=workspace,
+    )
+
+
+class TestThetaDesync:
+    """A theta that disagrees with ``topics`` (or with K) raises, never
+    samples from a neighbouring row or word."""
+
+    def test_topic_absent_from_row(self, fixture_state):
+        _, state, cfg = fixture_state
+        cs = state.chunks[0]
+        dense = cs.theta.to_dense()
+        doc = int(cs.chunk.token_docs[0])
+        absent = np.flatnonzero(dense[doc] == 0)
+        assert absent.size  # short rows never cover all 8 topics
+        bad = cs.topics.copy()
+        bad[0] = absent[0]
+        with pytest.raises(AssertionError, match="out of sync"):
+            _draw(cs, state, cfg, topics=bad)
+
+    def test_topic_past_the_last_theta_key(self):
+        """The search target sorts after every key of theta."""
+        corpus = Corpus.from_token_lists([[0, 1], [1]], num_words=2)
+        state, cfg = make_state(corpus, num_topics=4)
+        cs = state.chunks[0]
+        topics = np.zeros_like(cs.topics)  # theta keys: 0, 4 (d*K + 0)
+        theta = from_assignments(
+            cs.chunk.token_docs, topics, cs.chunk.num_local_docs, 4
+        )
+        bad = topics.copy()
+        bad[np.flatnonzero(cs.chunk.token_docs == 1)] = 3  # target key 7
+        with pytest.raises(AssertionError, match="out of sync"):
+            _draw(cs, state, cfg, topics=bad, theta=theta)
+
+    def test_token_document_row_empty(self, fixture_state):
+        """An emptied row must not be read as the next row's entries."""
+        _, state, cfg = fixture_state
+        cs = state.chunks[0]
+        th = cs.theta
+        doc = int(cs.chunk.token_docs[0])
+        lo, hi = int(th.indptr[doc]), int(th.indptr[doc + 1])
+        indptr = th.indptr.copy()
+        indptr[doc + 1:] -= hi - lo
+        emptied = CsrCounts(
+            indptr=indptr,
+            indices=np.delete(th.indices, np.s_[lo:hi]),
+            data=np.delete(th.data, np.s_[lo:hi]),
+            num_cols=th.num_cols,
+        )
+        for ws in (None, Workspace()):
+            with pytest.raises(AssertionError, match="out of sync"):
+                _draw(cs, state, cfg, theta=emptied, workspace=ws)
+
+    def test_theta_column_past_k_fails_the_checked_gather(self):
+        """A stored column >= K that no token claims passes the desync
+        check; the bounds-checked p* gather must still refuse it."""
+        corpus = Corpus.from_token_lists([[0, 0], [0]], num_words=1)
+        state, cfg = make_state(corpus, num_topics=4)
+        cs = state.chunks[0]
+        th = cs.theta
+        corrupt = CsrCounts(
+            indptr=np.append(th.indptr[:-1], th.indptr[-1] + 1),
+            indices=np.append(th.indices, np.array([4], th.indices.dtype)),
+            data=np.append(th.data, np.array([1], th.data.dtype)),
+            num_cols=th.num_cols,
+        )
+        for ws in (None, Workspace()):
+            with pytest.raises(IndexError):
+                _draw(cs, state, cfg, theta=corrupt, workspace=ws)
+
+
+#: Odd chunk shapes: up to 5 documents (possibly empty) of up to 6 tokens
+#: over a vocabulary of 1-4 words, with K from 2 to 40.
+_odd_docs = st.integers(1, 4).flatmap(
+    lambda v: st.tuples(
+        st.just(v),
+        st.lists(
+            st.lists(st.integers(0, v - 1), max_size=6), min_size=1, max_size=5
+        ).filter(lambda docs: any(docs)),
+    )
+)
+
+
+class TestOddShapes:
+    """Degenerate chunk shapes through every workspace flavour."""
+
+    @given(_odd_docs, st.integers(2, 40), st.integers(0, 2**16))
+    @example((1, [[0]]), 2, 0)  # n = 1: no segment boundaries at all
+    @example((3, [[], [2, 0], []]), 5, 1)  # empty documents around a token
+    @example((4, [[3, 1, 1, 0, 2, 2]]), 3, 2)  # one document
+    @example((1, [[0, 0], [0], [0, 0, 0]]), 4, 3)  # V = 1
+    @example((2, [[0, 1], [1]]), 40, 4)  # K larger than the token count
+    def test_valid_and_workspace_invariant(self, vocab_docs, num_topics, seed):
+        num_words, docs = vocab_docs
+        corpus = Corpus.from_token_lists(docs, num_words=num_words)
+        state, cfg = make_state(corpus, num_topics=num_topics, seed=seed)
+        cs = state.chunks[0]
+        n = cs.chunk.num_tokens
+        results = {
+            name: _draw(cs, state, cfg, workspace=ws, seed=seed)
+            for name, ws in (
+                ("float64", Workspace()),
+                ("float32", Workspace("float32")),
+                ("none", None),
+            )
+        }
+        for res in results.values():
+            z = res.new_topics.astype(np.int64)
+            assert z.shape == (n,) and res.new_topics.dtype == cs.topics.dtype
+            assert z.min() >= 0 and z.max() < num_topics
+            assert res.stats.num_p1_draws + res.stats.num_p2_draws == n
+        assert np.array_equal(
+            results["float64"].new_topics, results["none"].new_topics
+        )
+        assert results["float64"].stats == results["none"].stats
 
 
 class TestStatisticalCorrectness:

@@ -1,11 +1,10 @@
-"""The sampling kernel's int32 fast-path overflow guard.
+"""Wide shapes through the sampling kernel.
 
-``sample_chunk`` materialises its nnz-sized gather/scatter helpers with
-int32 indices (index bandwidth is the kernel's bottleneck) and must fall
-back to int64 when the largest flattened index it forms — ``n * K`` for
-the p1 target keys, ``K * Wp`` for the shared-tree gather — would
-overflow.  The decision lives in ``index_dtype_for``; these tests pin
-its boundary exactly and drive a real chunk pass through the int64 path.
+``sample_chunk`` forms every flattened index it gathers with in the
+platform index type (``intp``), so no product of token, topic or word
+counts can wrap.  This guard drives a real chunk pass whose token-topic
+product ``n * K`` lies past the int32 range and checks that it still
+samples valid topics deterministically and conserves counts.
 """
 
 from __future__ import annotations
@@ -16,37 +15,13 @@ import pytest
 from repro.core.config import TrainerConfig
 from repro.core.model import LdaState
 from repro.core.rng import RngPool
-from repro.core.sampler import index_dtype_for, sample_chunk
+from repro.core.sampler import sample_chunk
 from repro.core.updates import apply_phi_update, verify_phi_consistency
 from repro.corpus.synthetic import SyntheticSpec, generate_synthetic_corpus
 
-_I32 = np.dtype(np.int32)
-_I64 = np.dtype(np.int64)
-
-
-class TestBoundary:
-    def test_small_products_take_int32(self):
-        assert index_dtype_for(10_000, 1024, 500) == _I32
-
-    def test_token_topic_product_at_boundary(self):
-        n, k = 2**16, 2**15  # n * k == 2**31 exactly
-        assert index_dtype_for(n - 1, k, 10) == _I32  # just below
-        assert index_dtype_for(n, k, 10) == _I64  # at the boundary
-        assert index_dtype_for(n + 1, k, 10) == _I64  # above
-
-    def test_tree_gather_product_at_boundary(self):
-        k, wp = 2**16, 2**15
-        assert index_dtype_for(100, k, wp - 1) == _I32
-        assert index_dtype_for(100, k, wp) == _I64
-
-    def test_either_condition_suffices(self):
-        # huge n*K, small K*Wp — and vice versa — both force int64
-        assert index_dtype_for(2**26, 2**6, 4) == _I64
-        assert index_dtype_for(64, 2**16, 2**15) == _I64
-
 
 class TestWidePathIntegration:
-    """A real chunk pass where n * K crosses 2**31 (the int64 path)."""
+    """A real chunk pass where n * K crosses 2**31."""
 
     @pytest.fixture(scope="class")
     def wide_run(self):
@@ -61,14 +36,6 @@ class TestWidePathIntegration:
         config = TrainerConfig(num_topics=k, seed=1)
         state = LdaState.initialize(corpus, config)
         return corpus, config, state
-
-    def test_guard_engages(self, wide_run):
-        corpus, config, state = wide_run
-        cs = state.chunks[0]
-        wp = np.count_nonzero(np.diff(cs.chunk.word_offsets))
-        assert index_dtype_for(
-            cs.chunk.num_tokens, config.num_topics, wp
-        ) == _I64
 
     def test_wide_pass_is_consistent_and_deterministic(self, wide_run):
         corpus, config, state = wide_run

@@ -48,6 +48,26 @@ class TestPhiUpdate:
         assert changed == 0
         assert np.array_equal(phi, state.phi)
 
+    def test_accumulators_receive_the_same_delta(self, small_corpus):
+        """The pre-reduced worker delta equals the change applied to phi."""
+        cfg = TrainerConfig(num_topics=8, seed=0)
+        state = LdaState.initialize(small_corpus, cfg)
+        cs = state.chunks[0]
+        z_new = np.random.default_rng(4).integers(
+            0, 8, size=cs.num_tokens
+        ).astype(cs.topics.dtype)
+        phi = state.phi.copy()
+        totals = state.topic_totals.copy()
+        acc_phi = np.full_like(phi, 5)
+        acc_totals = np.full_like(totals, 5)
+        apply_phi_update(
+            phi, totals, cs.chunk.token_words, cs.topics, z_new,
+            accum_phi=acc_phi, accum_totals=acc_totals,
+        )
+        assert np.array_equal(acc_phi - 5, phi - state.phi)
+        assert np.array_equal(acc_totals - 5, totals - state.topic_totals)
+        assert acc_phi.dtype == phi.dtype == state.phi.dtype
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             apply_phi_update(
