@@ -11,6 +11,20 @@ document with one set of vectorised (A, K) operations on pooled
 per-*position* instead of per-token — the same batching win the paper's
 per-warp samplers get from running one document per warp.
 
+Layout of one batch (A documents, longest first, maxL = longest length):
+
+- ``words``, ``uniforms`` and the assignments are position-major
+  ``(maxL, A)``: step i reads the first ``active(i)`` entries of row i,
+  contiguous.  Uniforms are still filled per document, one
+  ``random(n)`` per sweep.
+- An assignment is stored as its flat theta index ``row * K + topic``
+  (``rowoff[row] = row * K``), so removing and re-adding a token are 1-D
+  fancy updates on ``theta.reshape(-1)``.
+- ``cdf``, ``x``, ``below`` and ``new`` are step scratch,
+  taken from the workspace once per batch.  Their leading-``a`` views
+  are rebuilt only when the active count changes, so a step is a fixed
+  run of about ten direct ufunc calls with no workspace lookups.
+
 Determinism contract: each document draws from its own
 ``np.random.default_rng`` stream spawned from the session seed, with
 exactly the consumption order of the sequential sampler (one
@@ -356,64 +370,85 @@ class InferenceSession:
         sweeps: int,
         burn: int,
     ) -> np.ndarray:
-        """Lockstep Gibbs over one batch (docs sorted longest-first)."""
+        """Lockstep Gibbs over one batch (docs sorted longest-first).
+
+        Also the parallel workers' entry point, which skips
+        ``_transform_into``'s vocabulary check: the p* gather stays
+        bounds-checked, so a word id >= V raises ``IndexError``.
+        """
         k = self.num_topics
         ws = self._ws
         a_max = len(docs)
-        lengths = np.array([d.size for d in docs], dtype=np.int64)
-        max_len = int(lengths[0])
-        # Padded per-batch state, (A, maxL).  Uniforms are drawn one
-        # sweep at a time from each document's retained generator —
-        # successive ``random(n)`` calls consume the stream exactly like
-        # the sequential sampler's per-token draws (sweep-major order),
-        # while keeping the buffer at O(A * maxL) instead of
-        # O(A * sweeps * maxL) for long documents.
-        words = ws.zeros("infer.words", (a_max, max_len), dtype=np.int64)
-        z = ws.zeros("infer.z", (a_max, max_len), dtype=np.int64)
-        uniforms = ws.take("infer.uniforms", (a_max, max_len), dtype=np.float64)
-        theta = ws.zeros("infer.theta", (a_max, k), dtype=np.float64)
+        lengths = [d.size for d in docs]
+        max_len = lengths[0]
+        # Position-major state, (maxL, A): step i reads row i, whose
+        # first active(i) entries are the documents still running.
+        # Assignments are flat theta indices ``row * K + topic``.
+        words = ws.take("infer.words", (max_len, a_max), dtype=np.intp)
+        zflat = ws.take("infer.zflat", (max_len, a_max), dtype=np.intp)
+        uniforms = ws.take("infer.uniforms", (max_len, a_max), dtype=np.float64)
+        theta = ws.take("infer.theta", (a_max, k), dtype=np.float64)
         acc = ws.zeros("infer.acc", (a_max, k), dtype=np.float64)
+        rowoff = ws.take("infer.rowoff", a_max, dtype=np.intp)
+        np.multiply(ws.arange(a_max), k, out=rowoff)
+        cdf = ws.take("infer.cdf", (a_max, k), dtype=np.float64)
+        x = ws.take("infer.x", a_max, dtype=np.float64)
+        below = ws.take("infer.below", (a_max, k - 1), dtype=np.bool_)
+        new = ws.take("infer.new", a_max, dtype=np.intp)
         gens: list[np.random.Generator] = []
-        for i, (doc, ss) in enumerate(zip(docs, seeds)):
-            n = doc.size
+        for d, (doc, ss) in enumerate(zip(docs, seeds)):
             rng = np.random.default_rng(ss)
-            words[i, :n] = doc
-            z[i, :n] = rng.integers(0, k, size=n)
-            np.add.at(theta[i], z[i, :n], 1.0)
+            z = rng.integers(0, k, size=doc.size)
+            words[: doc.size, d] = doc
+            theta[d] = np.bincount(z, minlength=k)
+            np.add(z, d * k, out=zflat[: doc.size, d])
             gens.append(rng)
+        theta_flat = theta.reshape(-1)
+        p_star_t = self._p_star_t
+        alpha = self.alpha
         # active document count per token position (docs longest-first).
-        active = np.searchsorted(-lengths, -np.arange(max_len), side="left")
+        active = np.searchsorted(
+            -np.asarray(lengths), -np.arange(max_len), side="left"
+        ).tolist()
+        steps = [
+            (a, zflat[i, :a], words[i, :a], uniforms[i, :a])
+            for i, a in enumerate(active)
+        ]
+        a_views = -1
         for s in range(sweeps):
-            for i, rng in enumerate(gens):
-                uniforms[i, : lengths[i]] = rng.random(int(lengths[i]))
-            for i in range(max_len):
-                a = int(active[i])
-                if a == 0:
-                    break
-                rows = ws.arange(a)
-                w_col = words[:a, i]
-                old = z[:a, i]
-                theta_a = theta[:a]
-                theta_a[rows, old] -= 1.0
-                gather = ws.take("infer.gather", (a, k), dtype=np.float64)
-                np.take(self._p_star_t, w_col, axis=0, out=gather)
-                probs = ws.take("infer.probs", (a, k), dtype=np.float64)
-                np.add(theta_a, self.alpha, out=probs)
-                probs *= gather
-                cdf = ws.take("infer.cdf", (a, k), dtype=np.float64)
-                np.cumsum(probs, axis=1, out=cdf)
-                x = ws.take("infer.x", a, dtype=np.float64)
-                np.multiply(uniforms[:a, i], cdf[:, -1], out=x)
-                below = ws.take("infer.below", (a, k), dtype=np.bool_)
-                np.less_equal(cdf, x[:, None], out=below)
-                new = ws.take("infer.new", a, dtype=np.int64)
-                np.sum(below, axis=1, out=new)
-                np.minimum(new, k - 1, out=new)
-                theta_a[rows, new] += 1.0
-                z[:a, i] = new
+            # One ``random(n)`` per document per sweep consumes each
+            # stream exactly like the sequential sampler's per-token
+            # draws (sweep-major order), and keeps the buffer at
+            # O(A * maxL) instead of O(A * sweeps * maxL).
+            for d, rng in enumerate(gens):
+                uniforms[: lengths[d], d] = rng.random(lengths[d])
+            for a, zrow, wrow, urow in steps:
+                if a != a_views:
+                    # Leading-a views, rebuilt when the active count drops.
+                    th, c = theta[:a], cdf[:a]
+                    c_head, c_last = c[:, : k - 1], c[:, -1]
+                    xa, b, nw = x[:a], below[:a], new[:a]
+                    x_col, ro = xa[:, None], rowoff[:a]
+                    a_views = a
+                theta_flat[zrow] -= 1.0
+                # Checked gather without ``out=``: in mode='raise' NumPy
+                # stages an ``out=`` result through a temporary anyway.
+                g = p_star_t.take(wrow, axis=0)
+                # probs = (theta + alpha) * p*, formed in the fresh
+                # gather block with ``c`` as the addend's scratch.
+                np.add(th, alpha, out=c)
+                np.multiply(g, c, out=g)
+                np.add.accumulate(g, axis=1, out=c)
+                np.multiply(urow, c_last, out=xa)
+                # count(cdf[:K-1] <= x) == min(count(cdf <= x), K-1)
+                # for a non-decreasing cdf: the draw needs no clamp.
+                np.less_equal(c_head, x_col, out=b)
+                np.add.reduce(b, axis=1, dtype=np.intp, out=nw)
+                np.add(ro, nw, out=zrow)
+                theta_flat[zrow] += 1.0
             if s >= burn:
                 acc += theta
-        mix = acc + self.alpha * (sweeps - burn)
+        mix = acc + alpha * (sweeps - burn)
         return mix / mix.sum(axis=1, keepdims=True)
 
     # -- consumption -------------------------------------------------------

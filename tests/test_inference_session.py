@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import create_trainer
 from repro.core.inference import FoldInSampler
@@ -453,3 +455,152 @@ class TestInferencePoolFailure:
         b = session.transform(test, seed=2)  # fresh pool, same bits
         session.close()
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The served contract, pinned independently of FoldInSampler.
+
+_G_K, _G_V = 16, 50
+#: Ragged on purpose: length-1 docs, a repeated length, an empty doc and
+#: one long doc, so the lockstep active set shrinks unevenly.
+_G_LENGTHS = (1, 5, 5, 5, 0, 1, 300, 17, 3, 40, 40, 2)
+#: sha256 of the float64 theta bytes, captured before the position-major
+#: rewrite of ``_fold_in_batch`` (transform, then transform_many blocks).
+_G_TRANSFORM = (
+    "c05779cb0e7b120f3684c24c8f080261be7d6a9c619796d57141b80513f65eae"
+)
+_G_MANY = (
+    "0694c04da10689948829ceff6d06822658ade6c4f0c4f235bc304f02de153494",
+    "f173a5389814484efffdbfeeb35cedd961cf7b48f3e010bd4e8e88e40745bbc4",
+    "efb572dc3e5527d8b1f65d47978bddcaed429bae8d4ce9cca7954b39051a209d",
+)
+
+
+def _golden_model() -> TopicModel:
+    kk, vv = np.meshgrid(np.arange(_G_K), np.arange(_G_V), indexing="ij")
+    phi = ((kk * 7 + vv * 13 + kk * vv) % 11).astype(np.int64)
+    phi[:, ::5] *= 3
+    return TopicModel(phi, phi.sum(axis=1), 0.3, 0.05)
+
+
+def _golden_docs() -> list[np.ndarray]:
+    return [
+        (np.arange(n, dtype=np.int64) * (2 * i + 3) + i * i) % _G_V
+        for i, n in enumerate(_G_LENGTHS)
+    ]
+
+
+def _sha(theta: np.ndarray) -> str:
+    import hashlib
+
+    assert theta.dtype == np.float64
+    return hashlib.sha256(np.ascontiguousarray(theta).tobytes()).hexdigest()
+
+
+class TestServedGolden:
+    @pytest.mark.parametrize("batch_docs", [1, None])
+    def test_transform_pinned(self, batch_docs):
+        kw = {} if batch_docs is None else {"batch_docs": batch_docs}
+        session = InferenceSession(
+            _golden_model(), num_sweeps=8, burn_in=3, **kw
+        )
+        theta = session.transform(_golden_docs(), seed=7)
+        assert theta[6, 0].hex() == "0x1.53fd4ff53fd50p-4"
+        assert _sha(theta) == _G_TRANSFORM
+
+    @pytest.mark.parametrize("batch_docs", [1, None])
+    def test_transform_many_pinned(self, batch_docs):
+        kw = {} if batch_docs is None else {"batch_docs": batch_docs}
+        session = InferenceSession(
+            _golden_model(), num_sweeps=8, burn_in=3, **kw
+        )
+        docs = _golden_docs()
+        blocks = session.transform_many(
+            [(docs[:5], 11), (docs[5:], 2), (docs[3:9], 11)]
+        )
+        assert tuple(_sha(b) for b in blocks) == _G_MANY
+
+
+# ---------------------------------------------------------------------------
+# Property sweep: lockstep batches against the sequential sampler.
+
+_ragged_lengths = st.one_of(
+    st.lists(st.integers(0, 9), min_size=1, max_size=7),
+    st.tuples(st.integers(1, 8), st.integers(1, 6)).map(
+        lambda t: [t[0]] * t[1]
+    ),
+    st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True).map(
+        lambda ls: sorted(ls, reverse=True)
+    ),
+)
+
+
+def _random_case(k: int, lengths: list[int], seed: int):
+    rng = np.random.default_rng(seed)
+    v = 7
+    phi = rng.integers(0, 6, size=(k, v)).astype(np.int64)
+    docs = [rng.integers(0, v, size=n).tolist() for n in lengths]
+    corpus = Corpus.from_token_lists(docs, num_words=v)
+    model = TopicModel(phi, phi.sum(axis=1), 0.2, 0.1)
+    seq = FoldInSampler(phi, phi.sum(axis=1), 0.2, 0.1)
+    return model, seq, corpus
+
+
+class TestLockstepProperties:
+    @settings(max_examples=60)
+    @given(
+        lengths=_ragged_lengths,
+        k=st.sampled_from([1, 2, 3, 16]),
+        batch_docs=st.sampled_from([1, 2, 256]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_fold_in_sampler(
+        self, lengths, k, batch_docs, seed
+    ):
+        model, seq, corpus = _random_case(k, lengths, seed)
+        ref = seq.infer_corpus(corpus, num_sweeps=4, burn_in=1, seed=seed)
+        session = InferenceSession(
+            model, num_sweeps=4, burn_in=1, batch_docs=batch_docs
+        )
+        got = session.transform(corpus, seed=seed)
+        assert np.array_equal(ref, got)
+        # coalesced with a second request, the first block keeps its bits
+        first, _ = session.transform_many(
+            [(corpus, seed), (corpus, seed + 1)]
+        )
+        assert np.array_equal(first, got)
+
+    def test_pooled_bitwise_equal_to_fold_in_sampler(self):
+        model, seq, corpus = _random_case(3, [9, 1, 0, 4, 4, 12, 2], 5)
+        ref = seq.infer_corpus(corpus, num_sweeps=4, burn_in=1, seed=5)
+        with InferenceSession(
+            model, num_sweeps=4, burn_in=1, num_workers=2, batch_docs=2
+        ) as pooled:
+            got = pooled.transform(corpus, seed=5)
+        assert np.array_equal(ref, got)
+
+
+class TestFoldInBatchEdges:
+    def test_word_id_past_vocabulary_raises(self):
+        """The worker entry point skips the vocabulary check; the p*
+        gather itself must stay bounds-checked."""
+        model = _golden_model()
+        session = InferenceSession(model, num_sweeps=3, burn_in=1)
+        docs = [np.array([0, 3, _G_V], dtype=np.int64),
+                np.array([1, 2], dtype=np.int64)]
+        seeds = [np.random.SeedSequence(0, spawn_key=(i,)) for i in range(2)]
+        with pytest.raises(IndexError):
+            session._fold_in_batch(docs, seeds, 3, 1)
+
+    def test_warm_transform_reuses_every_buffer(self):
+        session = InferenceSession(_golden_model(), num_sweeps=4, burn_in=1)
+        docs = _golden_docs()
+        session.transform(docs, seed=0)
+        warm = session.describe()["workspace"]
+        session.transform(docs, seed=1)
+        again = session.describe()["workspace"]
+        assert again["misses"] == warm["misses"]
+        assert again["hits"] > warm["hits"]
+        assert {k: v for k, v in again.items() if k != "hits"} == {
+            k: v for k, v in warm.items() if k != "hits"
+        }
