@@ -26,6 +26,9 @@ descent (see :mod:`repro.core.tree` and its equivalence tests).  The
 shared p* is also kept word-major (one contiguous K-row per word), so
 the sum-Kd theta walk of every token reads a single row of it — the
 NumPy form of all samplers of a block reading one shared p* column.
+That walk is the one per-token step cut into blocks, as the paper cuts a
+chunk's tokens into thread blocks: it runs over token tiles sized so a
+tile's working set stays in cache.
 
 Exclusion adjustment
 --------------------
@@ -39,16 +42,18 @@ shared structures.  This is exactly why the block-shared tree is sound.
 
 Workspace reuse and compute dtype
 ---------------------------------
-The K x Wp shared trees, the per-token vectors and the sum-Kd position
-walk and prefix sums are drawn from a :class:`repro.perf.Workspace`
-when one is passed, so steady-state iterations reuse buffers instead of
-reallocating them — the NumPy analogue of the static device buffers a
-real GPU kernel would use.  The sum-Kd gathers themselves (p* and theta
-values at each token's theta columns) are fresh, bounds-checked
-``np.take`` results over ``intp`` indices: NumPy converts any other
-index dtype to an ``intp`` copy first, and a checked take into an
-``out=`` buffer is staged through a temporary, so both would cost more
-than the allocation they avoid.
+The K x Wp shared trees and the per-token vectors are drawn from a
+:class:`repro.perf.Workspace` when one is passed, so steady-state
+iterations reuse buffers instead of reallocating them — the NumPy
+analogue of the static device buffers a real GPU kernel would use.  The
+sum-Kd theta walk never materialises chunk-wide: it runs over token
+tiles of about ``_TILE`` gather slots (the paper's thread blocks of
+Section 6.1), so the pool holds one tile-sized prefix-sum buffer and
+nothing that scales with sum-Kd.  A tile's positions, p* index and
+gathered values are fresh tile-sized arrays: the gathers are
+bounds-checked ``np.take`` results over ``intp`` indices, because NumPy
+converts any other index dtype to an ``intp`` copy first and stages a
+checked take into an ``out=`` buffer through a temporary.
 Chunk-invariant data (present words, token->word-column map) is
 memoised per chunk inside the workspace, mirroring the paper's one-time
 CPU preprocessing.  With ``workspace=None`` (or any float64 workspace)
@@ -72,6 +77,12 @@ from repro.perf import Workspace
 #: dtype instances for hot-path Workspace.take calls (no per-call np.dtype())
 _I64 = np.dtype(np.int64)
 _BOOL = np.dtype(np.bool_)
+_INTP = np.dtype(np.intp)
+_F64 = np.dtype(np.float64)
+
+#: sum-Kd entries per token tile of the theta walk (chosen by measurement:
+#: a tile's temporaries stay in L2)
+_TILE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -212,7 +223,7 @@ def sample_chunk(
     np.add(den_z, beta_v, out=den_z)
     np.divide(p_z_excl, den_z, out=p_z_excl)
 
-    # ---- compute S: walk each token's theta row (sum Kd work) -----------
+    # ---- each token's theta row: where it starts, how long it is --------
     starts = ws.take("row_starts", n, _I64)
     np.take(theta.indptr, docs, out=starts)
     lens = ws.take("row_lens", n, _I64)
@@ -243,52 +254,6 @@ def sample_chunk(
             "out of sync with the topic assignments"
         )
 
-    # The sum-Kd gather space: token i's segment holds its theta row.
-    # pos[j] walks each segment [starts[i], starts[i]+lens[i]), built
-    # with a boundary-delta scatter + cumsum (delta 1 inside a segment,
-    # the boundary delta rebases to the next row's start).  Segment
-    # offsets are strictly increasing because the check above proved
-    # every token's row holds at least its own topic.
-    bnd = seg_offsets[1:-1]  # segment-start slots for tokens 1..n-1
-    pos = ws.take("gather_pos", total_nnz, _I64)
-    pos[...] = 1
-    pos[0] = starts[0]
-    db = ws.take("boundary_delta", n - 1, _I64)
-    np.subtract(starts[1:], starts[:-1], out=db)
-    np.subtract(db, lens[:-1], out=db)
-    np.add(db, 1, out=db)
-    pos[bnd] = db
-    np.cumsum(pos, out=pos)
-    # flat[j] = wcol[i]*K + col: token i's theta columns read from the
-    # word-major p* row of its word (one contiguous K-row per token).
-    # Every nnz-sized index is intp: NumPy converts any other index
-    # dtype to an intp copy before gathering.
-    flat = np.repeat(wcol * num_topics, lens)
-    np.add(flat, np.take(theta.indices, pos), out=flat)
-
-    # Bounds-checked gathers without ``out=``: a ``mode='raise'`` take
-    # into an out buffer is staged through a temporary copy.
-    w1 = np.take(p_wm.reshape(-1), flat)
-    np.multiply(w1, np.take(theta.data, pos), out=w1)
-    pos_z = tpos - starts + seg_offsets[:-1]
-    gv_z = np.take(theta.data, tpos)
-    adj = ws.take("w1_adj", n)
-    np.subtract(gv_z, 1.0, out=adj, casting="same_kind")
-    np.multiply(adj, p_z_excl, out=adj)
-    w1[pos_z] = adj
-
-    # One cumulative sum serves both the segment totals S and the
-    # bucket-1 prefix-sum search below (the per-warp tree, built once).
-    gcs = ws.take("gcs", total_nnz + 1)
-    gcs[0] = 0.0
-    np.cumsum(w1, out=gcs[1:])
-    s = ws.take("s", n)
-    base = ws.take("s_base", n)
-    np.take(gcs, seg_offsets[1:], out=s)
-    np.take(gcs, seg_offsets[:-1], out=base)
-    np.subtract(s, base, out=s)
-    np.maximum(s, 0.0, out=s)  # guard cancellation noise
-
     # ---- compute Q (shared P with O(1) exclusion fix) --------------------
     pw_tok = ws.take("pw_tok", n)
     np.take(p_w, wcol, out=pw_tok)
@@ -298,29 +263,103 @@ def sample_chunk(
     q = ws.take("q", n)
     np.multiply(w2, alpha, out=q)
 
-    # ---- bucket choice: u < S / (S + Q)  (Algorithm 2 line 6) ------------
+    # The three uniform streams, drawn up front in their stream order.
     u_sel = _fill_random(rng, ws.take("u_sel", n))
+    t1 = _fill_random(rng, ws.take("t1", n))
+    t2 = _fill_random(rng, ws.take("t2", n))
+
+    # ---- compute S and draw from p1, one token tile at a time -----------
+    # The sum-Kd gather space: token i's segment [seg_offsets[i],
+    # seg_offsets[i+1]) holds its theta row, so slot j of it reads theta
+    # entry pos[j] = off[i] + j.  Segment offsets are strictly increasing
+    # because the check above proved every token's row holds at least its
+    # own topic.  The space is walked in tiles of about _TILE slots cut at
+    # token boundaries (the paper's thread blocks), so each tile's
+    # temporaries stay in cache and no array scales with sum-Kd.  Tiling
+    # changes no arithmetic:
+    # - each tile's prefix sums are seeded with the previous tile's last
+    #   one, and ``add.accumulate`` is sequential, so they are the float
+    #   adds of one chunk-wide cumsum in the same order;
+    # - a token's segment lies inside its tile and the prefix sums never
+    #   decrease, so the p1 search clipped to the segment finds what a
+    #   chunk-wide search would.
+    adj = ws.take("w1_adj", n)  # the own entry's p1 term, count excluded
+    np.subtract(np.take(theta.data, tpos), 1.0, out=adj, casting="same_kind")
+    np.multiply(adj, p_z_excl, out=adj)
+    off = ws.take("pos_offset", n, _I64)
+    np.subtract(starts, seg_offsets[:-1], out=off)
+    pos_z = np.subtract(tpos, off, out=tpos)  # slot of the own entry
+    wcol_k = ws.take("wcol_k", n, _I64)
+    np.multiply(wcol, num_topics, out=wcol_k)
+    # theta's entries widened once (theta-nnz work), so the per-tile
+    # ufuncs need no casts.  The multiply promoted the integer counts to
+    # float64 before, so the products do not change.
+    cols = ws.take("theta_cols", theta.nnz, _INTP)
+    np.copyto(cols, theta.indices, casting="safe")
+    vals = ws.take("theta_vals", theta.nnz, _F64)
+    np.copyto(vals, theta.data, casting="safe")
+
+    # Tile t starts at the token whose segment holds slot t*_TILE.
+    cuts = np.searchsorted(
+        seg_offsets, ws.arange(-(-total_nnz // _TILE)) * _TILE, side="right"
+    )
+    cuts = np.append(np.unique(cuts - 1), n)
+    tile_ends = seg_offsets[cuts]
+    ramp = ws.arange(int(np.diff(tile_ends).max()))
+    gcs = ws.take("gcs_tile", ramp.shape[0] + 1)
+    s = ws.take("s", n)
+    base = ws.take("s_base", n)
+    z_p1 = ws.take("z_p1", n, _INTP)
+    p_wm_flat = p_wm.reshape(-1)
+    carry = 0.0
+    for i0, i1, j0, j1 in zip(
+        cuts[:-1].tolist(), cuts[1:].tolist(),
+        tile_ends[:-1].tolist(), tile_ends[1:].tolist(),
+    ):
+        m = j1 - j0
+        lens_t = lens[i0:i1]
+        pos = np.repeat(off[i0:i1] + j0, lens_t)
+        np.add(pos, ramp[:m], out=pos)
+        # flat[j] = wcol[i]*K + col: token i's theta columns read from
+        # the word-major p* row of its word (one contiguous K-row).
+        flat = np.repeat(wcol_k[i0:i1], lens_t)
+        np.add(flat, np.take(cols, pos), out=flat)
+        # Bounds-checked gathers without ``out=``: a ``mode='raise'``
+        # take into an out buffer is staged through a temporary copy.
+        gcs_t = gcs[: m + 1]
+        w1 = gcs_t[1:]
+        np.multiply(np.take(p_wm_flat, flat), np.take(vals, pos), out=w1)
+        w1[pos_z[i0:i1] - j0] = adj[i0:i1]
+        # One prefix sum serves both the segment totals S and the
+        # bucket-1 search below (the per-warp tree, built once).
+        gcs_t[0] = carry
+        np.add.accumulate(gcs_t, out=gcs_t)
+        carry = gcs_t[m]
+
+        seg = seg_offsets[i0:i1 + 1] - j0
+        s_t, base_t, t1_t = s[i0:i1], base[i0:i1], t1[i0:i1]
+        np.take(gcs_t, seg[1:], out=s_t)
+        np.take(gcs_t, seg[:-1], out=base_t)
+        np.subtract(s_t, base_t, out=s_t)
+        np.maximum(s_t, 0.0, out=s_t)  # guard cancellation noise
+        # p1 draw: prefix-sum search in the private (per-warp) tree
+        np.multiply(t1_t, s_t, out=t1_t)
+        np.add(base_t, t1_t, out=t1_t)
+        pos1 = np.searchsorted(w1, t1_t, side="right")
+        np.clip(pos1, seg[:-1], seg[1:] - 1, out=pos1)
+        np.take(cols, np.take(pos, pos1), out=z_p1[i0:i1])
+
+    # ---- bucket choice: u < S / (S + Q)  (Algorithm 2 line 6) ------------
     tmp_n = ws.take("tmp_n", n)
     np.add(s, q, out=tmp_n)
     np.multiply(u_sel, tmp_n, out=tmp_n)
     take_p1 = ws.take("take_p1", n, _BOOL)
     np.less(tmp_n, s, out=take_p1)
 
-    # ---- draw from p1: prefix-sum search in the private (per-warp) tree --
-    t1 = _fill_random(rng, ws.take("t1", n))
-    np.multiply(t1, s, out=t1)
-    np.add(base, t1, out=t1)
-    pos1 = np.searchsorted(gcs[1:], t1, side="right")
-    clip_hi = ws.take("clip_hi", n, _I64)
-    np.subtract(seg_offsets[1:], 1, out=clip_hi)
-    np.clip(pos1, seg_offsets[:-1], clip_hi, out=pos1)
-    z_p1 = np.take(theta.indices, np.take(pos, pos1))
-
     # ---- draw from p2: shifted-CDF search in the shared tree -------------
     # The exclusion changes one atom (z_old: p_star_z -> p_z_excl), which
     # shifts the CDF by delta for all k >= z_old.  Split the target into
     # three cases instead of rebuilding the shared tree per token.
-    t2 = _fill_random(rng, ws.take("t2", n))
     np.multiply(t2, w2, out=t2)
     cbz_idx = tokflat  # tokflat is dead past this point; reuse it
     np.multiply(z_old, wp, out=cbz_idx)

@@ -7,12 +7,15 @@ excluded — :func:`repro.core.sampler.conditional_distribution` is the
 dense oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import repro.core.sampler as sampler_mod
 from repro.core import TrainerConfig
 from repro.core.model import LdaState
 from repro.core.sampler import conditional_distribution, sample_chunk
@@ -213,37 +216,171 @@ _odd_docs = st.integers(1, 4).flatmap(
 
 
 class TestOddShapes:
-    """Degenerate chunk shapes through every workspace flavour."""
+    """Degenerate chunk shapes through every workspace flavour and tile
+    size (``None``: the default tile)."""
 
-    @given(_odd_docs, st.integers(2, 40), st.integers(0, 2**16))
-    @example((1, [[0]]), 2, 0)  # n = 1: no segment boundaries at all
-    @example((3, [[], [2, 0], []]), 5, 1)  # empty documents around a token
-    @example((4, [[3, 1, 1, 0, 2, 2]]), 3, 2)  # one document
-    @example((1, [[0, 0], [0], [0, 0, 0]]), 4, 3)  # V = 1
-    @example((2, [[0, 1], [1]]), 40, 4)  # K larger than the token count
-    def test_valid_and_workspace_invariant(self, vocab_docs, num_topics, seed):
+    @given(
+        _odd_docs, st.integers(2, 40), st.integers(0, 2**16),
+        st.sampled_from([1, 2, 7, None]),
+    )
+    @example((1, [[0]]), 2, 0, 1)  # n = 1: no segment boundaries at all
+    @example((3, [[], [2, 0], []]), 5, 1, 1)  # empty documents around a token
+    @example((4, [[3, 1, 1, 0, 2, 2]]), 3, 2, 2)  # one document
+    @example((1, [[0, 0], [0], [0, 0, 0]]), 4, 3, 7)  # V = 1
+    @example((2, [[0, 1], [1]]), 40, 4, 1)  # K larger than the token count
+    def test_valid_and_workspace_invariant(self, vocab_docs, num_topics, seed,
+                                           tile):
         num_words, docs = vocab_docs
         corpus = Corpus.from_token_lists(docs, num_words=num_words)
         state, cfg = make_state(corpus, num_topics=num_topics, seed=seed)
         cs = state.chunks[0]
         n = cs.chunk.num_tokens
-        results = {
-            name: _draw(cs, state, cfg, workspace=ws, seed=seed)
-            for name, ws in (
-                ("float64", Workspace()),
-                ("float32", Workspace("float32")),
-                ("none", None),
-            )
-        }
-        for res in results.values():
+        flavours = (
+            ("float64", Workspace), ("float32", lambda: Workspace("float32")),
+            ("none", lambda: None),
+        )
+        results = {}
+        with mock.patch.object(
+            sampler_mod, "_TILE", tile or sampler_mod._TILE
+        ):
+            for name, make_ws in flavours:
+                results[name] = _draw(
+                    cs, state, cfg, workspace=make_ws(), seed=seed
+                )
+        for name, make_ws in flavours:
+            res = results[name]
             z = res.new_topics.astype(np.int64)
             assert z.shape == (n,) and res.new_topics.dtype == cs.topics.dtype
             assert z.min() >= 0 and z.max() < num_topics
             assert res.stats.num_p1_draws + res.stats.num_p2_draws == n
+            untiled = _draw(cs, state, cfg, workspace=make_ws(), seed=seed)
+            assert np.array_equal(res.new_topics, untiled.new_topics)
+            assert res.stats == untiled.stats
         assert np.array_equal(
             results["float64"].new_topics, results["none"].new_topics
         )
         assert results["float64"].stats == results["none"].stats
+
+
+def _sum_kd(cs):
+    """Gather slots of a chunk: each token walks its document's theta row."""
+    docs = cs.chunk.token_docs.astype(np.int64)
+    return int(cs.theta.row_lengths()[docs].sum())
+
+
+def _skewed_chunk():
+    """One long document among many short ones, over 12 words.
+
+    Tokens are word-first, so the long document's tokens are spread over
+    the whole chain and its prefix sums dwarf the short documents' row
+    totals; a small alpha sends most draws to the p1 bucket.  Seeding a
+    tile's prefix sum with anything but the carried value changes about
+    a dozen float32 draws here.
+    """
+    gen = np.random.default_rng(11)
+    docs = [gen.integers(0, 12, 900).tolist()]
+    docs += [gen.integers(0, 12, 3).tolist() for _ in range(200)]
+    corpus = Corpus.from_token_lists(docs, num_words=12)
+    cfg = TrainerConfig(num_topics=8, seed=4, alpha=0.01)
+    state = LdaState.initialize(corpus, cfg)
+    return state.chunks[0], state, cfg
+
+
+class TestTiling:
+    """The token-tiled theta walk is one chain, whatever the tile size."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        return _skewed_chunk()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", None])
+    def test_tile_size_never_changes_the_draws(self, skewed, dtype):
+        cs, state, cfg = skewed
+        n = cs.chunk.num_tokens
+        sum_kd = _sum_kd(cs)
+        assert sum_kd > sampler_mod._TILE // 16  # several tiles at 2**12
+        outs = []
+        for tile in (1, 2, 7, sampler_mod._TILE >> 4, sampler_mod._TILE,
+                     sum_kd, 4 * sum_kd):
+            with mock.patch.object(sampler_mod, "_TILE", tile):
+                ws = None if dtype is None else Workspace(dtype)
+                outs.append((tile, _draw(cs, state, cfg, workspace=ws, seed=9)))
+        _, first = outs[0]
+        assert first.new_topics.shape == (n,)
+        for tile, res in outs[1:]:
+            assert np.array_equal(res.new_topics, first.new_topics), tile
+            assert res.stats == first.stats, tile
+
+    def test_desync_raises_before_any_tile(self, fixture_state):
+        """The theta-desync check runs on chunk-wide data only: with the
+        tile walk made to fail on first use, the desync still wins."""
+
+        class _NoTileWalk:  # fails the tile count, the walk's first step
+            def __rfloordiv__(self, other):
+                raise RuntimeError("tile walk reached")
+
+        _, state, cfg = fixture_state
+        cs = state.chunks[0]
+        bad = cs.topics.copy()
+        bad[-1] = (int(bad[-1]) + 1) % cfg.num_topics
+        with mock.patch.object(sampler_mod, "_TILE", _NoTileWalk()):
+            for ws in (None, Workspace(), Workspace("float32")):
+                with pytest.raises(AssertionError, match="out of sync"):
+                    _draw(cs, state, cfg, topics=bad, workspace=ws)
+            with pytest.raises(RuntimeError, match="tile walk reached"):
+                _draw(cs, state, cfg)
+
+    def test_column_past_k_in_the_last_tile_fails_the_checked_gather(self):
+        """A stored column >= K on the chunk's last token (last word, so
+        its p* row is the last one) must raise from the p* gather of the
+        last tile, not wrap into another row."""
+        gen = np.random.default_rng(3)
+        docs = [gen.integers(0, 5, 30).tolist() for _ in range(8)]
+        docs.append([5, 5, 2])  # the only document holding word 5
+        corpus = Corpus.from_token_lists(docs, num_words=6)
+        state, cfg = make_state(corpus, num_topics=4, seed=2)
+        cs = state.chunks[0]
+        th = cs.theta
+        assert int(cs.chunk.token_docs[-1]) == th.num_rows - 1
+        corrupt = CsrCounts(
+            indptr=np.append(th.indptr[:-1], th.indptr[-1] + 1),
+            indices=np.append(th.indices, np.array([4], th.indices.dtype)),
+            data=np.append(th.data, np.array([1], th.data.dtype)),
+            num_cols=th.num_cols,
+        )
+        for tile in (7, sampler_mod._TILE):
+            with mock.patch.object(sampler_mod, "_TILE", tile):
+                for ws in (None, Workspace(), Workspace("float32")):
+                    with pytest.raises(IndexError):
+                        _draw(cs, state, cfg, theta=corrupt, workspace=ws)
+
+
+class TestTiledFootprint:
+    """No pooled buffer scales with sum-Kd."""
+
+    def test_pool_is_linear_in_tokens_trees_and_tile(self):
+        tile = 1 << 11
+        gen = np.random.default_rng(5)
+        docs = [gen.integers(0, 10, 200).tolist() for _ in range(20)]
+        corpus = Corpus.from_token_lists(docs, num_words=10)
+        num_topics = 64
+        state, cfg = make_state(corpus, num_topics=num_topics, seed=1)
+        cs = state.chunks[0]
+        n = cs.chunk.num_tokens
+        sum_kd = _sum_kd(cs)
+        wp = int(np.count_nonzero(np.diff(cs.chunk.word_offsets)))
+        assert sum_kd >= 8 * tile
+        ws = Workspace()
+        with mock.patch.object(sampler_mod, "_TILE", tile):
+            first = _draw(cs, state, cfg, workspace=ws)
+            misses = ws.misses
+            second = _draw(cs, state, cfg, workspace=ws)
+        assert ws.misses == misses  # warm: every buffer came from the pool
+        assert np.array_equal(first.new_topics, second.new_topics)
+        assert max(b.size for b in ws._pool.values()) < sum_kd
+        # ~30 n-sized and 6 K x Wp roles, one tile-sized buffer + ramp
+        bound = 8 * (48 * (n + 1) + 8 * num_topics * wp + 4 * tile)
+        assert ws.nbytes < bound < ws.nbytes + 8 * sum_kd
 
 
 class TestStatisticalCorrectness:
