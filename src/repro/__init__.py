@@ -23,74 +23,56 @@ callback contracts.
 """
 
 import warnings
-from importlib import import_module
 
-from repro.api import (
-    Callback,
-    Checkpointer,
-    EarlyStopping,
-    IterationRecord,
-    LdaTrainer,
-    LikelihoodCadence,
-    ProgressLogger,
-    TrainResult,
-    algorithm_names,
-    create_trainer,
-    register_algorithm,
-)
-from repro.core import LdaState, TrainerConfig, log_likelihood_per_token
-from repro.model import InferenceSession, TopicModel
+from repro._lazy import lazy_exports
 
 __version__ = "1.10.0"
 
-__all__ = [
+#: Public name -> defining module.  Nothing here is imported until first
+#: access, so ``import repro.serving`` does not pay for the training stack.
+_EXPORTS = {
     # unified API
-    "create_trainer",
-    "register_algorithm",
-    "algorithm_names",
-    "LdaTrainer",
-    "TrainResult",
-    "IterationRecord",
-    "Callback",
-    "LikelihoodCadence",
-    "EarlyStopping",
-    "Checkpointer",
-    "ProgressLogger",
+    "create_trainer": "repro.api",
+    "register_algorithm": "repro.api",
+    "algorithm_names": "repro.api",
+    "LdaTrainer": "repro.api",
+    "TrainResult": "repro.api",
+    "IterationRecord": "repro.api",
+    "Callback": "repro.api",
+    "LikelihoodCadence": "repro.api",
+    "EarlyStopping": "repro.api",
+    "Checkpointer": "repro.api",
+    "ProgressLogger": "repro.api",
     # model artifacts + inference
-    "TopicModel",
-    "InferenceSession",
+    "TopicModel": "repro.model",
+    "InferenceSession": "repro.model",
     # core building blocks
-    "TrainerConfig",
-    "LdaState",
-    "log_likelihood_per_token",
-    # legacy (deprecated; resolved lazily with a warning)
-    "CuLdaTrainer",
-    "__version__",
-]
-
-#: Legacy top-level names, kept importable behind a DeprecationWarning.
-_DEPRECATED_ALIASES = {
-    "CuLdaTrainer": (
-        "repro.core.trainer",
-        "CuLdaTrainer",
-        "repro.create_trainer('culda', corpus, ...)",
-    ),
+    "TrainerConfig": "repro.core.config",
+    "LdaState": "repro.core.model",
+    "log_likelihood_per_token": "repro.core.likelihood",
+    # legacy (deprecated; warns on access)
+    "CuLdaTrainer": "repro.core.trainer",
 }
+
+__all__ = [*_EXPORTS, "__version__"]
+
+#: Legacy names in ``_EXPORTS`` that warn (once per name) on access, with
+#: the replacement the warning suggests.
+_DEPRECATED = {"CuLdaTrainer": "repro.create_trainer('culda', corpus, ...)"}
 
 #: Names already warned about this session (warn exactly once per name).
 _warned_aliases: set[str] = set()
 
+_resolve, __dir__ = lazy_exports(__name__, _EXPORTS)
+
 
 def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        module, attr, replacement = _DEPRECATED_ALIASES[name]
-        if name not in _warned_aliases:
-            _warned_aliases.add(name)
-            warnings.warn(
-                f"importing {name!r} from the top-level 'repro' package is "
-                f"deprecated; use {replacement} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return getattr(import_module(module), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    if name in _DEPRECATED and name not in _warned_aliases:
+        _warned_aliases.add(name)
+        warnings.warn(
+            f"importing {name!r} from the top-level 'repro' package is "
+            f"deprecated; use {_DEPRECATED[name]} instead",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    return _resolve(name)

@@ -1,77 +1,46 @@
 """Analysis layer: roofline characterization, metrics, breakdowns, reports."""
 
-from repro.analysis.heldout import HeldOutResult, document_completion, split_documents
-from repro.analysis.replay import (
-    replay_cumulative_seconds,
-    replay_iteration_seconds,
-    replay_kernel_seconds,
-    replay_throughput_series,
-)
-from repro.analysis.topics import (
-    effective_topics,
-    top_words_matrix,
-    topic_diversity,
-    topic_shares,
-    umass_coherence,
-    word_distribution,
-)
-from repro.analysis.breakdown import (
-    TABLE5_KERNELS,
-    full_fractions,
-    sampling_dominates,
-    table5_fractions,
-)
-from repro.analysis.metrics import (
-    ScalingPoint,
-    average_throughput,
-    convergence_series,
-    scaling_table,
-    throughput_series,
-    time_to_quality,
-    warmup_ratio,
-)
-from repro.analysis.roofline import (
-    StepIntensity,
-    attainable_gflops,
-    average_intensity,
-    is_memory_bound,
-    table1_rows,
-    tokens_per_sec_bound,
-)
-from repro.analysis.reporting import render_series, render_sparkline, render_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "table1_rows",
-    "average_intensity",
-    "is_memory_bound",
-    "attainable_gflops",
-    "tokens_per_sec_bound",
-    "StepIntensity",
-    "throughput_series",
-    "convergence_series",
-    "average_throughput",
-    "warmup_ratio",
-    "scaling_table",
-    "ScalingPoint",
-    "time_to_quality",
-    "table5_fractions",
-    "full_fractions",
-    "sampling_dominates",
-    "TABLE5_KERNELS",
-    "render_table",
-    "render_series",
-    "render_sparkline",
-    "HeldOutResult",
-    "document_completion",
-    "split_documents",
-    "replay_iteration_seconds",
-    "replay_throughput_series",
-    "replay_kernel_seconds",
-    "replay_cumulative_seconds",
-    "top_words_matrix",
-    "umass_coherence",
-    "topic_diversity",
-    "topic_shares",
-    "effective_topics",
-    "word_distribution",
-]
+#: Public name -> defining module, imported on first access: the CLI's
+#: tables need :mod:`~repro.analysis.reporting`, not the trainer that the
+#: breakdown and metrics modules import.
+_EXPORTS = {
+    "table1_rows": "repro.analysis.roofline",
+    "average_intensity": "repro.analysis.roofline",
+    "is_memory_bound": "repro.analysis.roofline",
+    "attainable_gflops": "repro.analysis.roofline",
+    "tokens_per_sec_bound": "repro.analysis.roofline",
+    "StepIntensity": "repro.analysis.roofline",
+    "throughput_series": "repro.analysis.metrics",
+    "convergence_series": "repro.analysis.metrics",
+    "average_throughput": "repro.analysis.metrics",
+    "warmup_ratio": "repro.analysis.metrics",
+    "scaling_table": "repro.analysis.metrics",
+    "ScalingPoint": "repro.analysis.metrics",
+    "time_to_quality": "repro.analysis.metrics",
+    "table5_fractions": "repro.analysis.breakdown",
+    "full_fractions": "repro.analysis.breakdown",
+    "sampling_dominates": "repro.analysis.breakdown",
+    "TABLE5_KERNELS": "repro.analysis.breakdown",
+    "render_table": "repro.analysis.reporting",
+    "render_series": "repro.analysis.reporting",
+    "render_sparkline": "repro.analysis.reporting",
+    "HeldOutResult": "repro.analysis.heldout",
+    "document_completion": "repro.analysis.heldout",
+    "split_documents": "repro.analysis.heldout",
+    "replay_iteration_seconds": "repro.analysis.replay",
+    "replay_throughput_series": "repro.analysis.replay",
+    "replay_kernel_seconds": "repro.analysis.replay",
+    "replay_cumulative_seconds": "repro.analysis.replay",
+    "top_words_matrix": "repro.analysis.topics",
+    "umass_coherence": "repro.analysis.topics",
+    "topic_diversity": "repro.analysis.topics",
+    "topic_shares": "repro.analysis.topics",
+    "effective_topics": "repro.analysis.topics",
+    "word_distribution": "repro.analysis.topics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -40,6 +40,7 @@ from repro.gpusim.clock import cpu_kernel_time
 from repro.gpusim.interconnect import ETHERNET_10G, Link
 from repro.gpusim.platform import XEON_E5_2650_V3
 from repro.gpusim.spec import CpuSpec
+from repro.parallel.pool import normalize_affinity
 from repro.perf import Workspace
 
 
@@ -111,8 +112,6 @@ class LdaStarTrainer:
         self.execution = execution
         self.num_processes = num_processes
         self.sync_mode = sync_mode
-        from repro.parallel.worker import normalize_affinity
-
         self.worker_affinity = normalize_affinity(worker_affinity)
         # Reuse the core chunked state: one chunk per worker.
         self.config = TrainerConfig(

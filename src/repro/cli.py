@@ -23,31 +23,23 @@ algorithm name and ``train --output`` exports a
 ``infer``/``evaluate`` serve that artifact through the batched
 :class:`~repro.model.InferenceSession`.  Kept dependency-free beyond the
 library itself; every command prints the same metrics the paper reports.
+
+Module top imports only what :func:`build_parser` needs plus the light
+helpers the handlers share (corpus loading, table rendering).  Each
+handler imports the stack it runs, so ``repro serve`` starts without
+scipy and the trainers, and ``repro train`` without the serving tier.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
-import signal
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.analysis.heldout import document_completion
 from repro.analysis.reporting import render_table
-from repro.api import algorithm_names, create_trainer, get_algorithm
-from repro.core.model import LdaState
-from repro.core.snapshot import (
-    atomic_savez,
-    load_checkpoint_full,
-    run_info,
-    save_checkpoint,
-)
-from repro.corpus.document import Corpus
 from repro.corpus.io import read_uci_bow
 from repro.corpus.stats import corpus_stats
 from repro.corpus.synthetic import (
@@ -56,7 +48,10 @@ from repro.corpus.synthetic import (
     generate_synthetic_corpus,
     small_spec,
 )
-from repro.model import InferenceSession, TopicModel
+
+if TYPE_CHECKING:
+    from repro.corpus.document import Corpus
+    from repro.model import TopicModel
 
 PRESETS = {"nytimes": NYTIMES_LIKE, "pubmed": PUBMED_LIKE}
 
@@ -103,6 +98,8 @@ def _build_trainer(args: argparse.Namespace, corpus: Corpus):
     Returns ``(trainer, kwargs)`` — the kwargs are what a resumable
     checkpoint records so ``--resume`` can rebuild the same trainer.
     """
+    from repro.api import create_trainer, get_algorithm
+
     kwargs: dict = {"topics": args.topics, "seed": args.seed}
     accepted = get_algorithm(args.algo).all_options()
     for flag, default in _ALGO_FLAG_DEFAULTS.items():
@@ -128,6 +125,10 @@ def _close_trainer(trainer) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from repro.api import create_trainer
+    from repro.core.model import LdaState
+    from repro.core.snapshot import load_checkpoint_full, run_info, save_checkpoint
+
     if getattr(args, "corpus_store", None):
         if args.algo != "culda":
             # The store view feeds the chunked culda window loader; dense
@@ -245,6 +246,8 @@ def _load_vocab_terms(path: str | Path, num_words: int) -> list[str]:
 
 
 def cmd_topics(args: argparse.Namespace) -> int:
+    from repro.model import TopicModel
+
     model = TopicModel.load(args.model)
     lineage = model.lineage
     if lineage:
@@ -281,6 +284,9 @@ def _check_model_covers(model: TopicModel, corpus: Corpus) -> None:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    from repro.core.snapshot import atomic_savez
+    from repro.model import InferenceSession, TopicModel
+
     model = TopicModel.load(args.model)
     corpus = _load_corpus(args)
     _check_model_covers(model, corpus)
@@ -314,6 +320,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.analysis.heldout import document_completion
+    from repro.model import InferenceSession, TopicModel
+
     model = TopicModel.load(args.model)
     corpus = _load_corpus(args)
     _check_model_covers(model, corpus)
@@ -352,6 +361,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the async inference server over one model artifact."""
+    import asyncio
+    import signal
+
     from repro.serving import ServingServer
 
     server = ServingServer(
@@ -401,6 +413,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     """One client call against a running ``repro serve``."""
+    import asyncio
+
+    import numpy as np
+
     from repro.serving import ServingClient, ServingError
 
     async def go() -> int:
@@ -550,6 +566,8 @@ def cmd_verify_artifact(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    from repro.api import get_algorithm
+
     corpus = _load_corpus(args)
     trainer, _ = _build_trainer(args, corpus)
     try:
@@ -576,6 +594,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_algorithms(args: argparse.Namespace) -> int:
+    from repro.api import algorithm_names, get_algorithm
+
     rows = []
     for name in algorithm_names():
         spec = get_algorithm(name)
@@ -593,8 +613,6 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    # Imported lazily: the checks framework is tooling, not a runtime
-    # dependency of training/serving.
     from repro.checks import UsageError, known_codes, render_text, run_checks
 
     try:

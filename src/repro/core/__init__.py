@@ -10,45 +10,34 @@ Public surface:
 - :func:`~repro.core.likelihood.log_likelihood_per_token` — Figure 8 metric.
 """
 
-from repro.core.config import TrainerConfig
-from repro.core.inference import FoldInSampler
-from repro.core.likelihood import log_likelihood, log_likelihood_per_token, perplexity
-from repro.core.model import ChunkState, LdaState
-from repro.core.rng import RngPool
-from repro.core.snapshot import (
-    CheckpointBundle,
-    load_checkpoint,
-    load_checkpoint_full,
-    load_model,
-    run_info,
-    save_checkpoint,
-    save_model,
-)
-from repro.core.sampler import SampleResult, conditional_distribution, sample_chunk
-from repro.core.trainer import CuLdaTrainer, IterationRecord
-from repro.core.tree import IndexTree, cdf_sample
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TrainerConfig",
-    "CuLdaTrainer",
-    "IterationRecord",
-    "LdaState",
-    "ChunkState",
-    "RngPool",
-    "FoldInSampler",
-    "save_model",
-    "load_model",
-    "save_checkpoint",
-    "load_checkpoint",
-    "load_checkpoint_full",
-    "CheckpointBundle",
-    "run_info",
-    "IndexTree",
-    "cdf_sample",
-    "sample_chunk",
-    "SampleResult",
-    "conditional_distribution",
-    "log_likelihood",
-    "log_likelihood_per_token",
-    "perplexity",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "TrainerConfig": "repro.core.config",
+    "CuLdaTrainer": "repro.core.trainer",
+    "IterationRecord": "repro.core.trainer",
+    "LdaState": "repro.core.model",
+    "ChunkState": "repro.core.model",
+    "RngPool": "repro.core.rng",
+    "FoldInSampler": "repro.core.inference",
+    "save_model": "repro.core.snapshot",
+    "load_model": "repro.core.snapshot",
+    "save_checkpoint": "repro.core.snapshot",
+    "load_checkpoint": "repro.core.snapshot",
+    "load_checkpoint_full": "repro.core.snapshot",
+    "CheckpointBundle": "repro.core.snapshot",
+    "run_info": "repro.core.snapshot",
+    "IndexTree": "repro.core.tree",
+    "cdf_sample": "repro.core.tree",
+    "sample_chunk": "repro.core.sampler",
+    "SampleResult": "repro.core.sampler",
+    "conditional_distribution": "repro.core.sampler",
+    "log_likelihood": "repro.core.likelihood",
+    "log_likelihood_per_token": "repro.core.likelihood",
+    "perplexity": "repro.core.likelihood",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.parallel.pool import normalize_affinity
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -152,8 +154,6 @@ class TrainerConfig:
                 f"recovery_backoff must be >= 0, got {self.recovery_backoff}"
             )
         if self.worker_affinity is not None:
-            from repro.parallel.worker import normalize_affinity
-
             try:
                 affinity = normalize_affinity(self.worker_affinity)
             except ValueError as exc:

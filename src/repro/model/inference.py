@@ -44,7 +44,8 @@ import numpy as np
 
 from repro.corpus.document import Corpus
 from repro.model.artifact import TopicModel
-from repro.perf import Workspace
+from repro.parallel.pool import normalize_affinity
+from repro.perf.workspace import Workspace
 
 __all__ = ["InferenceSession", "ScoreResult"]
 
@@ -146,8 +147,6 @@ class InferenceSession:
         self.burn_in = int(burn_in)
         self.batch_docs = int(batch_docs)
         self._ws = workspace if workspace is not None else Workspace()
-        from repro.parallel.worker import normalize_affinity
-
         self.num_workers = resolve_inference_workers(num_workers)
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._pool = None

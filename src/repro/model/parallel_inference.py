@@ -38,12 +38,13 @@ import numpy as np
 from repro import faults
 from repro.parallel.pool import (
     WorkerDied,
+    normalize_affinity,
     recv_reply,
+    set_worker_affinity,
     shutdown_pool,
     spawn_workers,
 )
 from repro.parallel.shm import ArenaLayout, ShmArena
-from repro.parallel.worker import normalize_affinity, set_worker_affinity
 
 __all__ = ["InferenceWorkerPool", "resolve_inference_workers"]
 

@@ -12,6 +12,8 @@ reduce/broadcast applied to the replica deltas at iteration barriers.
 Layers:
 
 - :mod:`repro.parallel.shm` — the shared-memory array arena;
+- :mod:`repro.parallel.pool` — pool lifecycle and CPU affinity, shared
+  with the serving pool;
 - :mod:`repro.parallel.worker` — worker process: the functional chunk
   pass (sample -> update-phi -> rebuild-theta) against shared replicas;
 - :mod:`repro.parallel.engine` — master-side orchestration, lifecycle
@@ -32,22 +34,22 @@ asserted against the serial golden captures by
 ``tests/test_parallel_engine.py``.
 """
 
-from repro.parallel.engine import ProcessEngine, resolve_num_workers
-from repro.parallel.shm import ShmArena, pick_context
-from repro.parallel.worker import (
-    ChunkResult,
-    WorkerPlan,
-    set_worker_affinity,
-    worker_main,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProcessEngine",
-    "resolve_num_workers",
-    "ShmArena",
-    "pick_context",
-    "ChunkResult",
-    "WorkerPlan",
-    "set_worker_affinity",
-    "worker_main",
-]
+#: Public name -> defining module, imported on first access: the serving
+#: pool needs :mod:`~repro.parallel.shm` and :mod:`~repro.parallel.pool`,
+#: not the training engine.
+_EXPORTS = {
+    "ProcessEngine": "repro.parallel.engine",
+    "resolve_num_workers": "repro.parallel.engine",
+    "ShmArena": "repro.parallel.shm",
+    "pick_context": "repro.parallel.shm",
+    "ChunkResult": "repro.parallel.worker",
+    "WorkerPlan": "repro.parallel.worker",
+    "set_worker_affinity": "repro.parallel.pool",
+    "worker_main": "repro.parallel.worker",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

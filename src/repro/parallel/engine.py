@@ -59,6 +59,7 @@ from repro.core.model import ChunkState
 from repro.core.sparse import CsrCounts, index_dtype
 from repro.parallel.pool import (
     WorkerDied,
+    normalize_affinity,
     recv_reply,
     shutdown_pool,
     spawn_workers,
@@ -69,7 +70,6 @@ from repro.parallel.worker import (
     ChunkMeta,
     ChunkResult,
     WorkerPlan,
-    normalize_affinity,
     worker_main,
 )
 

@@ -3,22 +3,26 @@
 Two pools live in the repo — the training
 :class:`~repro.parallel.engine.ProcessEngine` and the serving
 :class:`~repro.model.parallel_inference.InferenceWorkerPool` — and both
-need the same machinery around their protocols: spawn one process per
-picklable plan with rollback on failure, receive replies with liveness
-checks so a dead worker surfaces as an error instead of a hang, and an
-idempotent shutdown (stop, join, terminate stragglers, destroy the
-shared segment) that doubles as the finalizer backstop for abandoned
-owners.  This module is that machinery, once.
+need the same machinery around their protocols: validate and apply CPU
+affinity, spawn one process per picklable plan with rollback on
+failure, receive replies with liveness checks so a dead worker surfaces
+as an error instead of a hang, and an idempotent shutdown (stop, join,
+terminate stragglers, destroy the shared segment) that doubles as the
+finalizer backstop for abandoned owners.  This module is that
+machinery, once.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 
 from repro.parallel.shm import ShmArena, pick_context
 
 __all__ = [
     "WorkerDied",
+    "normalize_affinity",
+    "set_worker_affinity",
     "spawn_workers",
     "recv_reply",
     "shutdown_pool",
@@ -38,6 +42,38 @@ class WorkerDied(RuntimeError):
             f"its traceback, if any, went to stderr.  A 'spawn' start "
             f"method requires an importable __main__ (not stdin/REPL)."
         )
+
+
+def normalize_affinity(cpus) -> tuple[int, ...] | None:
+    """Canonical affinity spec: ``None``/empty -> ``None``, else a tuple
+    of validated non-negative CPU ids.  The single definition every
+    affinity-accepting surface (config, engines, sessions) goes through.
+    """
+    if cpus is None or (hasattr(cpus, "__len__") and len(cpus) == 0):
+        return None
+    out = tuple(int(c) for c in cpus)
+    if any(c < 0 for c in out):
+        raise ValueError(
+            f"affinity CPU ids must be non-negative, got {cpus!r}"
+        )
+    return out
+
+
+def set_worker_affinity(worker_index: int, cpus) -> int | None:
+    """Pin the calling process to one CPU of ``cpus`` (round-robin).
+
+    Returns the CPU id actually applied, or ``None`` when pinning is
+    unavailable (non-Linux) or refused by the kernel — affinity is a
+    performance knob, never a correctness requirement.
+    """
+    if not cpus or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = int(cpus[worker_index % len(cpus)])
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # pragma: no cover - kernel refused (bad cpu id)
+        return None
+    return cpu
 
 
 def spawn_workers(arena: ShmArena, plans, target, name_prefix: str):

@@ -21,7 +21,6 @@ groups are mapped to workers.
 
 from __future__ import annotations
 
-import os
 import traceback
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from repro.core.sparse import from_assignments
 from repro.core.updates import apply_phi_update
 from repro.corpus.encoding import BlockPlan, DeviceChunk
 from repro.corpus.partition import ChunkSpec
+from repro.parallel.pool import set_worker_affinity
 from repro.parallel.shm import ArenaLayout, ShmArena
 from repro.perf import Workspace
 
@@ -42,42 +42,8 @@ __all__ = [
     "ChunkMeta",
     "ChunkResult",
     "WorkerPlan",
-    "normalize_affinity",
-    "set_worker_affinity",
     "worker_main",
 ]
-
-
-def normalize_affinity(cpus) -> tuple[int, ...] | None:
-    """Canonical affinity spec: ``None``/empty -> ``None``, else a tuple
-    of validated non-negative CPU ids.  The single definition every
-    affinity-accepting surface (config, engines, sessions) goes through.
-    """
-    if cpus is None or (hasattr(cpus, "__len__") and len(cpus) == 0):
-        return None
-    out = tuple(int(c) for c in cpus)
-    if any(c < 0 for c in out):
-        raise ValueError(
-            f"affinity CPU ids must be non-negative, got {cpus!r}"
-        )
-    return out
-
-
-def set_worker_affinity(worker_index: int, cpus) -> int | None:
-    """Pin the calling process to one CPU of ``cpus`` (round-robin).
-
-    Returns the CPU id actually applied, or ``None`` when pinning is
-    unavailable (non-Linux) or refused by the kernel — affinity is a
-    performance knob, never a correctness requirement.
-    """
-    if not cpus or not hasattr(os, "sched_setaffinity"):
-        return None
-    cpu = int(cpus[worker_index % len(cpus)])
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:  # pragma: no cover - kernel refused (bad cpu id)
-        return None
-    return cpu
 
 
 @dataclass(frozen=True)

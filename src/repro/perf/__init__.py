@@ -15,7 +15,16 @@ workspace produces bit-identical float64 results to the same kernel
 allocating fresh arrays (asserted by tests/test_golden_regression.py).
 """
 
-from repro.perf.tables import counts_of_counts_lngamma, lngamma_table
-from repro.perf.workspace import Workspace
+from repro._lazy import lazy_exports
 
-__all__ = ["Workspace", "counts_of_counts_lngamma", "lngamma_table"]
+#: Public name -> defining module, imported on first access (the tables
+#: need scipy; the workspace does not).
+_EXPORTS = {
+    "Workspace": "repro.perf.workspace",
+    "counts_of_counts_lngamma": "repro.perf.tables",
+    "lngamma_table": "repro.perf.tables",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
