@@ -20,25 +20,44 @@ all samplers of a block on tokens of the *same word* so they share the
 p*(k)/p2 index tree in shared memory.  The SIMD expression of that design
 in NumPy is *word-batched vectorization*: every per-word quantity (p*,
 its prefix sums) is computed once per word, and every per-token quantity
-is a vector op over all tokens at once.  All searches are
-``searchsorted`` over prefix sums — bit-identical to the index-tree
-descent (see :mod:`repro.core.tree` and its equivalence tests).  The
-shared p* is also kept word-major (one contiguous K-row per word), so
-the sum-Kd theta walk of every token reads a single row of it — the
-NumPy form of all samplers of a block reading one shared p* column.
-That walk is the one per-token step cut into blocks, as the paper cuts a
-chunk's tokens into thread blocks: it runs over token tiles sized so a
-tile's working set stays in cache.
+is a vector op over all tokens at once.  All searches are prefix-sum
+searches — ``searchsorted`` for p2, a branchless vectorised binary
+search for p1 — equivalent to the index-tree descent (see
+:mod:`repro.core.tree` and its equivalence tests).  The shared p* is kept
+word-major (one contiguous K-row per word).
+
+The sum-Kd theta walk goes one step further than per-word sharing.  In
+the word-first token order the tokens of one (word, document) **pair**
+are adjacent and see the same theta row and the same p* row, apart from
+their own count.  So the walk runs once per pair, not once per token:
+each pair's row of products theta[d, k] * p*(k) is prefix-summed from 0,
+and every token of the pair reads S and its p1 draw from that one row.
+Pairs are regrouped by document and documents ordered by row length, so
+the walk is a sequence of dense (pairs x Kd) blocks cut into tiles of
+about ``_TILE`` slots — the NumPy form of the paper's thread blocks, each
+tile's working set in cache.  A block reads each document's theta row
+once and broadcasts it over the document's pairs.
 
 Exclusion adjustment
 --------------------
 Excluding token ``j``'s own count changes the snapshot quantities in O(1)
 places: ``phi[z_j, v] -= 1``, ``topic_totals[z_j] -= 1`` and
 ``theta[d_j, z_j] -= 1``.  Each affects only the ``z_j`` entry of p*(k) /
-p1(k), so S, Q and both prefix-sum searches are corrected with
-constant-time per-token adjustments (a shifted-CDF three-case search for
-p2, a single-entry rewrite for p1) — never a per-token rebuild of the
-shared structures.  This is exactly why the block-shared tree is sound.
+p1(k), so nothing shared is ever rebuilt per token:
+
+- S_j = S_pair - theta[d, z]*p*(z) + (theta[d, z] - 1)*p*_excl(z), from
+  the pair's shared total, clamped at 0;
+- Q_j = alpha * (P_w - p*(z) + p*_excl(z)), from the word's shared total;
+- both draws are a three-case shifted-CDF search of the shared prefix
+  sums: a target before the own slot searches them as they are, one that
+  falls in the own slot's reduced atom takes it, and one past it is
+  shifted by the atom's change and searched again.
+
+This is exactly why the block-shared tree is sound.  Each token's S and
+prefix sums come from sums that start at 0 on its own pair, so their
+rounding error is relative to its own row; ``tests/test_sampler.py``
+checks every draw on small instances against exact rational arithmetic
+on the same uniforms.
 
 Workspace reuse and compute dtype
 ---------------------------------
@@ -46,21 +65,19 @@ The K x Wp shared trees and the per-token vectors are drawn from a
 :class:`repro.perf.Workspace` when one is passed, so steady-state
 iterations reuse buffers instead of reallocating them — the NumPy
 analogue of the static device buffers a real GPU kernel would use.  The
-sum-Kd theta walk never materialises chunk-wide: it runs over token
-tiles of about ``_TILE`` gather slots (the paper's thread blocks of
-Section 6.1), so the pool holds one tile-sized prefix-sum buffer and
-nothing that scales with sum-Kd.  A tile's positions, p* index and
-gathered values are fresh tile-sized arrays: the gathers are
-bounds-checked ``np.take`` results over ``intp`` indices, because NumPy
-converts any other index dtype to an ``intp`` copy first and stages a
-checked take into an ``out=`` buffer through a temporary.
-Chunk-invariant data (present words, token->word-column map) is
-memoised per chunk inside the workspace, mirroring the paper's one-time
-CPU preprocessing.  With ``workspace=None`` (or any float64 workspace)
-the arithmetic is **bit-identical** to the historical allocating kernel
-(asserted by tests/test_golden_regression.py).  A float32 workspace
-selects the opt-in reduced-precision path: same algorithm, half the
-bandwidth, a different but statistically equivalent chain.
+pair walk never materialises chunk-wide: a tile's gathers, products and
+prefix sums are fresh tile-sized arrays, and nothing pooled scales with
+sum-Kd.  The gathers are bounds-checked ``np.take`` results over ``intp``
+indices, because NumPy converts any other index dtype to an ``intp``
+copy first and stages a checked take into an ``out=`` buffer through a
+temporary.  Chunk-invariant data (present words, token->word-column map,
+pair boundaries) is memoised per chunk inside the workspace, mirroring
+the paper's one-time CPU preprocessing.  With ``workspace=None`` (or any
+float64 workspace) the arithmetic is identical to the float64 workspace
+kernel (asserted by tests/test_golden_regression.py); the tile size
+never changes a draw.  A float32 workspace selects the opt-in
+reduced-precision path: same algorithm, half the bandwidth, a different
+but statistically equivalent chain.
 """
 
 from __future__ import annotations
@@ -80,7 +97,7 @@ _BOOL = np.dtype(np.bool_)
 _INTP = np.dtype(np.intp)
 _F64 = np.dtype(np.float64)
 
-#: sum-Kd entries per token tile of the theta walk (chosen by measurement:
+#: pair-walk slots per tile of the theta walk (chosen by measurement:
 #: a tile's temporaries stay in L2)
 _TILE = 1 << 16
 
@@ -175,6 +192,28 @@ def sample_chunk(
     )
     wp = present.shape[0]
 
+    def _build_pairs():
+        # A pair is a run of adjacent tokens sharing a word and a document
+        # (the stable word-first sort keeps document order within a word).
+        first = np.ones(n, dtype=bool)
+        np.not_equal(words[1:], words[:-1], out=first[1:])
+        first[1:] |= docs[1:] != docs[:-1]
+        first = np.flatnonzero(first)
+        ntok = np.diff(first, append=n)
+        pdoc = docs[first]
+        by_doc = np.argsort(pdoc, kind="stable")
+        ptr = np.zeros(chunk.num_local_docs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pdoc, minlength=chunk.num_local_docs), out=ptr[1:])
+        out = (first, ntok, pdoc, wcol[first], by_doc, ptr)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    pair_first, pair_ntok, pair_doc, pair_wcol, pairs_by_doc, doc_ptr = ws.memo(
+        ("chunk-pairs", int(chunk.spec.chunk_id)), _build_pairs
+    )
+    num_pairs = pair_first.shape[0]
+
     z_old = ws.take("z_old", n, _I64)
     np.copyto(z_old, topics, casting="safe")
 
@@ -223,32 +262,22 @@ def sample_chunk(
     np.add(den_z, beta_v, out=den_z)
     np.divide(p_z_excl, den_z, out=p_z_excl)
 
-    # ---- each token's theta row: where it starts, how long it is --------
-    starts = ws.take("row_starts", n, _I64)
-    np.take(theta.indptr, docs, out=starts)
-    lens = ws.take("row_lens", n, _I64)
-    np.take(theta.indptr[1:], docs, out=lens)
-    np.subtract(lens, starts, out=lens)
-    seg_offsets = ws.take("seg_offsets", n + 1, _I64)
-    seg_offsets[0] = 0
-    np.cumsum(lens, out=seg_offsets[1:])
-    total_nnz = int(seg_offsets[-1])
-
-    # Locate each token's own (d, z_old) entry in theta itself (theta-nnz
-    # keys, not sum-Kd ones): columns are sorted within rows, so the
-    # row-major keys d*K + k are sorted.
+    # ---- locate each token's own (d, z_old) entry in theta --------------
+    # A dense (local document, topic) -> theta position table: theta-nnz
+    # bounds-checked writes and one n-sized gather, no search.
+    indptr = theta.indptr
     tkeys = np.repeat(
-        np.arange(theta.num_rows, dtype=np.intp) * num_topics,
-        np.diff(theta.indptr),
+        np.arange(theta.num_rows, dtype=np.intp) * num_topics, np.diff(indptr)
     )
     np.add(tkeys, theta.indices, out=tkeys)
+    theta_at = ws.take("theta_at", theta.num_rows * num_topics, _INTP)
+    theta_at.fill(-1)
+    theta_at[tkeys] = ws.arange(theta.nnz)
     targets_z = ws.take("targets_z", n, _I64)
     np.multiply(docs, num_topics, out=targets_z)
     np.add(targets_z, z_old, out=targets_z)
-    tpos = np.searchsorted(tkeys, targets_z)
-    if tpos.max(initial=-1) >= tkeys.shape[0] or not np.array_equal(
-        tkeys[tpos], targets_z
-    ):
+    tpos = np.take(theta_at, targets_z)
+    if tpos.min() < 0:
         raise AssertionError(
             "token's current topic missing from its theta row — theta is "
             "out of sync with the topic assignments"
@@ -268,143 +297,181 @@ def sample_chunk(
     t1 = _fill_random(rng, ws.take("t1", n))
     t2 = _fill_random(rng, ws.take("t2", n))
 
-    # ---- compute S and draw from p1, one token tile at a time -----------
-    # The sum-Kd gather space: token i's segment [seg_offsets[i],
-    # seg_offsets[i+1]) holds its theta row, so slot j of it reads theta
-    # entry pos[j] = off[i] + j.  Segment offsets are strictly increasing
-    # because the check above proved every token's row holds at least its
-    # own topic.  The space is walked in tiles of about _TILE slots cut at
-    # token boundaries (the paper's thread blocks), so each tile's
-    # temporaries stay in cache and no array scales with sum-Kd.  Tiling
-    # changes no arithmetic:
-    # - each tile's prefix sums are seeded with the previous tile's last
-    #   one, and ``add.accumulate`` is sequential, so they are the float
-    #   adds of one chunk-wide cumsum in the same order;
-    # - a token's segment lies inside its tile and the prefix sums never
-    #   decrease, so the p1 search clipped to the segment finds what a
-    #   chunk-wide search would.
-    adj = ws.take("w1_adj", n)  # the own entry's p1 term, count excluded
-    np.subtract(np.take(theta.data, tpos), 1.0, out=adj, casting="same_kind")
-    np.multiply(adj, p_z_excl, out=adj)
-    off = ws.take("pos_offset", n, _I64)
-    np.subtract(starts, seg_offsets[:-1], out=off)
-    pos_z = np.subtract(tpos, off, out=tpos)  # slot of the own entry
-    wcol_k = ws.take("wcol_k", n, _I64)
-    np.multiply(wcol, num_topics, out=wcol_k)
-    # theta's entries widened once (theta-nnz work), so the per-tile
-    # ufuncs need no casts.  The multiply promoted the integer counts to
-    # float64 before, so the products do not change.
+    # ---- the own entry's p1 term, with and without its own count --------
+    # theta's entries widened once (theta-nnz work), so the walk's ufuncs
+    # need no casts.
     cols = ws.take("theta_cols", theta.nnz, _INTP)
     np.copyto(cols, theta.indices, casting="safe")
-    vals = ws.take("theta_vals", theta.nnz, _F64)
-    np.copyto(vals, theta.data, casting="safe")
+    vals = ws.take("theta_vals", theta.nnz)
+    np.copyto(vals, theta.data, casting="same_kind")
+    theta_z = ws.take("theta_z", n)
+    np.take(vals, tpos, out=theta_z)
+    adj = ws.take("p1_own_excl", n)  # (theta[d, z] - 1) * p*_excl(z)
+    np.subtract(theta_z, 1.0, out=adj)
+    np.multiply(adj, p_z_excl, out=adj)
+    # the walk's own term theta[d, z] * p*(z), less its excluded value
+    delta = np.multiply(theta_z, p_star_z, out=theta_z)
+    np.subtract(delta, adj, out=delta)
+    slot = np.subtract(tpos, np.take(indptr, docs), out=tpos)  # own slot
 
-    # Tile t starts at the token whose segment holds slot t*_TILE.
-    cuts = np.searchsorted(
-        seg_offsets, ws.arange(-(-total_nnz // _TILE)) * _TILE, side="right"
-    )
-    cuts = np.append(np.unique(cuts - 1), n)
-    tile_ends = seg_offsets[cuts]
-    ramp = ws.arange(int(np.diff(tile_ends).max()))
-    gcs = ws.take("gcs_tile", ramp.shape[0] + 1)
-    s = ws.take("s", n)
-    base = ws.take("s_base", n)
-    z_p1 = ws.take("z_p1", n, _INTP)
+    # ---- walk each (word, document) pair's theta row once ---------------
+    # Pairs are regrouped by document, documents ordered by row length, so
+    # a tile is a dense block of pair rows: row p holds pair p's theta row
+    # (padded with zero terms to the tile's widest row) times its word's
+    # p* row, and one row-wise prefix sum per pair, started at 0, serves
+    # every token of the pair.  Per-token inputs are permuted into that
+    # order once, so a tile's tokens are one contiguous slice.
+    row_len = np.diff(indptr)
+    doc_npairs = np.diff(doc_ptr)
+    doc_rank = np.argsort(row_len, kind="stable")
+    doc_rank = doc_rank[np.take(doc_npairs, doc_rank) > 0]  # docs with tokens
+    npd = np.take(doc_npairs, doc_rank)
+    ramp = ws.arange(max(n, num_topics))
+    order = np.repeat(np.take(doc_ptr, doc_rank) - (np.cumsum(npd) - npd), npd)
+    np.add(order, ramp[:num_pairs], out=order)
+    np.take(pairs_by_doc, order, out=order)
+    order_len = np.repeat(np.take(row_len, doc_rank), npd)
+    order_doc = np.repeat(ramp[:doc_rank.shape[0]], npd)  # index into doc_rank
+    ntok = np.take(pair_ntok, order)
+    tok_ptr = np.zeros(num_pairs + 1, dtype=np.int64)
+    np.cumsum(ntok, out=tok_ptr[1:])
+    tok_order = np.repeat(np.take(pair_first, order) - tok_ptr[:-1], ntok)
+    np.add(tok_order, ramp[:n], out=tok_order)
+    tok_row = np.repeat(ramp[:num_pairs], ntok)  # the token's pair row
+    kd_o = np.repeat(order_len, ntok)
+    delta_o, adj_o = np.take(delta, tok_order), np.take(adj, tok_order)
+    q_o, u_o = np.take(q, tok_order), np.take(u_sel, tok_order)
+    t1_o, slot_o = np.take(t1, tok_order), np.take(slot, tok_order)
+    take_o = np.empty(n, dtype=bool)
+    z_o = np.empty(n, dtype=np.intp)
+
+    # Tile t ends at the pair whose row holds slot t*_TILE of the
+    # (unpadded) pair-walk space.
+    walk_ends = np.cumsum(order_len)
+    num_tiles = -(-int(walk_ends[-1]) // _TILE)
+    cuts = np.searchsorted(walk_ends, np.arange(1, num_tiles) * _TILE) + 1
+    cuts = np.unique(np.concatenate(([0], cuts, [num_pairs]))).tolist()
+    pair_wk = np.multiply(np.take(pair_wcol, order), num_topics)
     p_wm_flat = p_wm.reshape(-1)
-    carry = 0.0
-    for i0, i1, j0, j1 in zip(
-        cuts[:-1].tolist(), cuts[1:].tolist(),
-        tile_ends[:-1].tolist(), tile_ends[1:].tolist(),
-    ):
-        m = j1 - j0
-        lens_t = lens[i0:i1]
-        pos = np.repeat(off[i0:i1] + j0, lens_t)
-        np.add(pos, ramp[:m], out=pos)
-        # flat[j] = wcol[i]*K + col: token i's theta columns read from
-        # the word-major p* row of its word (one contiguous K-row).
-        flat = np.repeat(wcol_k[i0:i1], lens_t)
-        np.add(flat, np.take(cols, pos), out=flat)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        rows = b - a
+        width = int(order_len[b - 1])
+        span = width + 1
+        # the tile's documents: each one's theta row once, padded to the
+        # tile width with its last entry and a zero count
+        d0, d1 = int(order_doc[a]), int(order_doc[b - 1]) + 1
+        rdoc = order_doc[a:b] - d0
+        udoc = doc_rank[d0:d1]
+        rs = np.take(indptr, udoc)
+        kd_doc = np.take(row_len, udoc)
+        pos = np.minimum(
+            np.add.outer(rs, ramp[:width]), (rs + kd_doc - 1)[:, None]
+        )
+        dvals = np.take(vals, pos)
+        dvals[np.less_equal(kd_doc[:, None], ramp[:width])] = 0.0
+        flat = np.take(np.take(cols, pos), rdoc, axis=0)
+        np.add(flat, pair_wk[a:b, None], out=flat)
         # Bounds-checked gathers without ``out=``: a ``mode='raise'``
         # take into an out buffer is staged through a temporary copy.
-        gcs_t = gcs[: m + 1]
-        w1 = gcs_t[1:]
-        np.multiply(np.take(p_wm_flat, flat), np.take(vals, pos), out=w1)
-        w1[pos_z[i0:i1] - j0] = adj[i0:i1]
-        # One prefix sum serves both the segment totals S and the
-        # bucket-1 search below (the per-warp tree, built once).
-        gcs_t[0] = carry
-        np.add.accumulate(gcs_t, out=gcs_t)
-        carry = gcs_t[m]
+        r = np.take(p_wm_flat, flat)
+        np.multiply(r, np.take(dvals, rdoc, axis=0), out=r)
+        # c[p, j]: pair p's prefix sum before slot j (c[p, 0] = 0)
+        c = np.empty((rows, span), r.dtype)
+        c[:, 0] = 0.0
+        np.cumsum(r, axis=1, out=c[:, 1:])
+        c_flat = c.reshape(-1)
 
-        seg = seg_offsets[i0:i1 + 1] - j0
-        s_t, base_t, t1_t = s[i0:i1], base[i0:i1], t1[i0:i1]
-        np.take(gcs_t, seg[1:], out=s_t)
-        np.take(gcs_t, seg[:-1], out=base_t)
-        np.subtract(s_t, base_t, out=s_t)
+        # Each token's S: its pair's total with the own term swapped for
+        # its count-excluded value.
+        ta, tb = int(tok_ptr[a]), int(tok_ptr[b])
+        trow = np.multiply(tok_row[ta:tb] - a, span)
+        s_t = np.take(c_flat, trow + width)
+        np.subtract(s_t, delta_o[ta:tb], out=s_t)
         np.maximum(s_t, 0.0, out=s_t)  # guard cancellation noise
-        # p1 draw: prefix-sum search in the private (per-warp) tree
-        np.multiply(t1_t, s_t, out=t1_t)
-        np.add(base_t, t1_t, out=t1_t)
-        pos1 = np.searchsorted(w1, t1_t, side="right")
-        np.clip(pos1, seg[:-1], seg[1:] - 1, out=pos1)
-        np.take(cols, np.take(pos, pos1), out=z_p1[i0:i1])
+        # bucket choice: u < S / (S + Q)  (Algorithm 2 line 6)
+        sel = np.add(s_t, q_o[ta:tb])
+        np.multiply(sel, u_o[ta:tb], out=sel)
+        take_t = np.less(sel, s_t, out=take_o[ta:tb])
 
-    # ---- bucket choice: u < S / (S + Q)  (Algorithm 2 line 6) ------------
-    tmp_n = ws.take("tmp_n", n)
-    np.add(s, q, out=tmp_n)
-    np.multiply(u_sel, tmp_n, out=tmp_n)
+        # p1 draw, for the tokens that take the p1 bucket: the same
+        # three-case shifted-CDF search as the p2 draw, over the pair's
+        # prefix sums.
+        k = np.flatnonzero(take_t)
+        kbase = np.take(trow, k)
+        kslot = np.take(slot_o[ta:tb], k)
+        target = np.take(t1_o[ta:tb], k)
+        np.multiply(target, np.take(s_t, k), out=target)
+        cbz = np.take(c_flat, kbase + kslot)
+        case_a = np.less(target, cbz)
+        np.add(cbz, np.take(adj_o[ta:tb], k), out=cbz)
+        case_b = np.less(target, cbz)
+        shifted = np.add(target, np.take(delta_o[ta:tb], k))
+        np.copyto(shifted, target, where=case_a)
+        # branchless search of the row: how many of c[p, 1..width] are
+        # <= the target
+        found = kbase.copy()
+        last = kbase + width
+        step = 1 << (width.bit_length() - 1)
+        while step:
+            cand = np.minimum(found + step, last)
+            np.copyto(found, cand, where=np.take(c_flat, cand) <= shifted)
+            step >>= 1
+        np.subtract(found, kbase, out=found)
+        np.minimum(found, np.take(kd_o[ta:tb], k) - 1, out=found)
+        np.copyto(found, kslot, where=case_b & ~case_a)
+        np.add(found, np.take(rs, np.take(rdoc, kbase // span)), out=found)
+        z_o[ta + k] = np.take(cols, found)
+
     take_p1 = ws.take("take_p1", n, _BOOL)
-    np.less(tmp_n, s, out=take_p1)
+    take_p1[tok_order] = take_o
+    z_new = np.empty(n, dtype=topics.dtype)  # fresh: this is the output
+    z_new[tok_order] = z_o
+    sum_kd = int(kd_o.sum())
+    sum_kd_p1 = int(kd_o[take_o].sum())
 
-    # ---- draw from p2: shifted-CDF search in the shared tree -------------
+    # ---- draw from p2, for the p2 tokens: shifted-CDF search -------------
     # The exclusion changes one atom (z_old: p_star_z -> p_z_excl), which
     # shifts the CDF by delta for all k >= z_old.  Split the target into
     # three cases instead of rebuilding the shared tree per token.
-    np.multiply(t2, w2, out=t2)
-    cbz_idx = tokflat  # tokflat is dead past this point; reuse it
-    np.multiply(z_old, wp, out=cbz_idx)
-    np.add(cbz_idx, wcol, out=cbz_idx)
-    cbz = ws.take("cdf_before_z", n)
-    np.take(cdf_sub.reshape(-1), cbz_idx, out=cbz)
-    np.subtract(cbz, p_star_z, out=cbz)
-    case_a = ws.take("case_a", n, _BOOL)
-    np.less(t2, cbz, out=case_a)
-    np.add(cbz, p_z_excl, out=tmp_n)
-    case_b = ws.take("case_b", n, _BOOL)
-    np.less(t2, tmp_n, out=case_b)
-    not_a = ws.take("not_a", n, _BOOL)
-    np.logical_not(case_a, out=not_a)
-    np.logical_and(case_b, not_a, out=case_b)
-    target = ws.take("p2_target", n)
-    np.subtract(t2, p_z_excl, out=target)
-    np.add(target, p_star_z, out=target)
-    np.copyto(target, t2, where=case_a)
-    # guard: keep targets strictly inside (0, P) for the normalised search
-    np.nextafter(pw_tok, 0.0, out=tmp_n)
-    np.minimum(target, tmp_n, out=target)
-    np.maximum(target, 0.0, out=target)
-    np.divide(target, pw_tok, out=target)
-    np.add(target, wcol, out=target, casting="same_kind")
-    pos2 = np.searchsorted(flat_cdf, target, side="right")
-    base2 = ws.take("p2_base", n, _I64)
-    np.multiply(wcol, num_topics, out=base2)
-    np.subtract(pos2, base2, out=pos2)
-    np.clip(pos2, 0, num_topics - 1, out=pos2)
-    np.copyto(pos2, z_old, where=case_b)
+    p2 = np.flatnonzero(~take_p1)
+    if p2.shape[0]:
+        z2, wc2 = np.take(z_old, p2), np.take(wcol, p2)
+        psz, pze = np.take(p_star_z, p2), np.take(p_z_excl, p2)
+        pw2 = np.take(pw_tok, p2)
+        t2s = np.take(t2, p2)
+        np.multiply(t2s, np.take(w2, p2), out=t2s)
+        cbz = np.take(cdf_sub.reshape(-1), z2 * wp + wc2)
+        np.subtract(cbz, psz, out=cbz)
+        case_a = np.less(t2s, cbz)
+        np.add(cbz, pze, out=cbz)
+        case_b = np.less(t2s, cbz)
+        np.logical_and(case_b, ~case_a, out=case_b)
+        target = np.subtract(t2s, pze)
+        np.add(target, psz, out=target)
+        np.copyto(target, t2s, where=case_a)
+        # guard: keep targets strictly inside (0, P) for the normalised search
+        np.minimum(target, np.nextafter(pw2, 0.0), out=target)
+        np.maximum(target, 0.0, out=target)
+        np.divide(target, pw2, out=target)
+        np.add(target, wc2, out=target, casting="same_kind")
+        pos2 = np.searchsorted(flat_cdf, target, side="right")
+        np.subtract(pos2, wc2 * num_topics, out=pos2)
+        np.clip(pos2, 0, num_topics - 1, out=pos2)
+        np.copyto(pos2, z2, where=case_b)
+        z_new[p2] = pos2
 
-    z_new = np.where(take_p1, z_p1, pos2)  # fresh: this is the output
-
+    num_p1 = int(take_p1.sum())
     stats = SamplingStats(
         num_tokens=n,
-        sum_kd=int(lens.sum()),
-        sum_kd_p1=int(lens[take_p1].sum()),
-        num_p1_draws=int(take_p1.sum()),
-        num_p2_draws=int(n - take_p1.sum()),
+        sum_kd=sum_kd,
+        sum_kd_p1=sum_kd_p1,
+        num_p1_draws=num_p1,
+        num_p2_draws=n - num_p1,
         num_blocks=chunk.block_plan.num_blocks,
         num_topics=num_topics,
         tree_depth=tree_depth_for(num_topics),
     )
-    return SampleResult(new_topics=z_new.astype(topics.dtype), stats=stats)
+    return SampleResult(new_topics=z_new, stats=stats)
 
 
 def conditional_distribution(

@@ -157,8 +157,20 @@ def synchronize(
     Broadcasts the reconciled model back into every ``device_phis[g]`` /
     ``device_totals[g]`` array in place (they are the replicas the next
     iteration samples against) and returns ``(phi_new, totals_new)``.
+    With one replica the reconciled model *is* that replica (integer
+    arithmetic), so it is checked and returned without a copy, a
+    difference or a broadcast.
     """
     faults.raise_if("merge_fail", sync="barrier")
+    if len(device_phis) == 1:
+        phi_new = device_phis[0]
+        if phi_new.shape != phi_ref.shape:
+            raise ValueError("replica shape mismatch")
+        if np.any(phi_new < 0):
+            raise AssertionError("negative count after reconciliation")
+        totals_new = phi_new.sum(axis=1, dtype=np.int64)
+        device_totals[0][...] = totals_new
+        return phi_new, totals_new
     phi_new = reconcile_phi(phi_ref, device_phis)
     totals_new = phi_new.sum(axis=1, dtype=np.int64)
     for g in range(len(device_phis)):

@@ -52,6 +52,23 @@ def expected(case: str) -> np.ndarray:
     return np.asarray(GOLDEN["cases"][case]["z"], dtype=np.int64)
 
 
+def assert_golden(z: np.ndarray, case: str) -> None:
+    """Exact equality with the capture of ``case``; a mismatch names the
+    case, how many draws differ and the first differing index."""
+    want = expected(case)
+    z = np.asarray(z, dtype=np.int64)
+    if z.shape != want.shape:
+        detail = f"shape {z.shape} != captured {want.shape}"
+    else:
+        diff = np.flatnonzero(z != want)
+        detail = (
+            f"{diff.size} of {want.size} draws differ"
+            + (f", first at index {diff[0]} (got {z[diff[0]]}, captured "
+               f"{want[diff[0]]})" if diff.size else "")
+        )
+    assert np.array_equal(z, want), f"golden {case!r}: {detail}"
+
+
 def meta(case: str) -> dict:
     return GOLDEN["cases"][case]["meta"]
 
@@ -79,7 +96,7 @@ class TestCuLdaGolden:
         z = np.concatenate(
             [cs.topics.astype(np.int64) for cs in trainer.state.chunks]
         )
-        assert np.array_equal(z, expected(case))
+        assert_golden(z, case)
 
     @pytest.mark.parametrize(
         "sync_mode", ["barrier", "prereduce", "overlap"]
@@ -110,7 +127,7 @@ class TestCuLdaGolden:
             )
         finally:
             trainer.close()
-        assert np.array_equal(z, expected(case))
+        assert_golden(z, case)
 
     @pytest.mark.parametrize("execution", ["serial", "process"])
     def test_float32_chain_pinned(self, golden_corpus, execution):
@@ -134,7 +151,7 @@ class TestCuLdaGolden:
             close = getattr(trainer, "close", None)
             if callable(close):
                 close()
-        assert np.array_equal(z, expected("culda_ws2_float32"))
+        assert_golden(z, "culda_ws2_float32")
 
     def test_workspace_free_kernel_matches_golden(
         self, golden_corpus, monkeypatch
@@ -165,7 +182,7 @@ class TestCuLdaGolden:
             [cs.topics.astype(np.int64) for cs in trainer.state.chunks]
         )
         assert calls and all(ws is not None for ws in calls)
-        assert np.array_equal(z, expected("culda_ws2"))
+        assert_golden(z, "culda_ws2")
 
     def test_workspace_actually_reused(self, golden_corpus):
         """The golden run must go through the pooled-buffer path."""
@@ -187,7 +204,7 @@ class TestSequentialGolden:
         assert s.batch_words is False  # the golden pins the exact mode
         for _ in range(m["sweeps"]):
             s.sweep()
-        assert np.array_equal(s.model.z, expected("sparselda_exact"))
+        assert_golden(s.model.z, "sparselda_exact")
 
     def test_sparselda_batched(self, golden_corpus):
         """The registry-default mode: one whole-corpus ``sample_chunk``
@@ -199,20 +216,20 @@ class TestSequentialGolden:
         assert s.batch_words is m["batch_words"] is True
         for _ in range(m["sweeps"]):
             s.sweep()
-        assert np.array_equal(s.model.z, expected("sparselda_batched"))
+        assert_golden(s.model.z, "sparselda_batched")
 
     def test_plain_cgs(self, golden_corpus):
         m = meta("plain_cgs")
         p = PlainCgsSampler(golden_corpus, num_topics=m["topics"], seed=m["seed"])
         for _ in range(m["sweeps"]):
             p.sweep()
-        assert np.array_equal(p.model.z, expected("plain_cgs"))
+        assert_golden(p.model.z, "plain_cgs")
 
     def test_lightlda(self, golden_corpus):
         m = meta("lightlda")
         t = LightLdaTrainer(golden_corpus, num_topics=m["topics"], seed=m["seed"])
         t.train(m["iterations"], compute_likelihood_every=0)
-        assert np.array_equal(t.model.z, expected("lightlda"))
+        assert_golden(t.model.z, "lightlda")
 
     def test_warplda(self, golden_corpus):
         m = meta("warplda")
@@ -223,14 +240,14 @@ class TestSequentialGolden:
             ),
         )
         t.train(m["iterations"], compute_likelihood_every=0)
-        assert np.array_equal(t.model.z.astype(np.int64), expected("warplda"))
+        assert_golden(t.model.z.astype(np.int64), "warplda")
 
     def test_saberlda(self, golden_corpus):
         m = meta("saberlda")
         t = SaberLdaTrainer(golden_corpus, num_topics=m["topics"], seed=m["seed"])
         t.train(m["iterations"], compute_likelihood_every=0)
         z = np.concatenate([cs.topics.astype(np.int64) for cs in t.state.chunks])
-        assert np.array_equal(z, expected("saberlda"))
+        assert_golden(z, "saberlda")
 
     @pytest.mark.parametrize(
         "execution,sync_mode",
@@ -252,4 +269,4 @@ class TestSequentialGolden:
             )
         finally:
             t.close()
-        assert np.array_equal(z, expected("ldastar"))
+        assert_golden(z, "ldastar")

@@ -7,6 +7,9 @@ excluded — :func:`repro.core.sampler.conditional_distribution` is the
 dense oracle.
 """
 
+from copy import deepcopy
+from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -272,10 +275,12 @@ def _skewed_chunk():
     """One long document among many short ones, over 12 words.
 
     Tokens are word-first, so the long document's tokens are spread over
-    the whole chain and its prefix sums dwarf the short documents' row
-    totals; a small alpha sends most draws to the p1 bucket.  Seeding a
-    tile's prefix sum with anything but the carried value changes about
-    a dozen float32 draws here.
+    the whole chain and its row totals dwarf the short documents'; a
+    small alpha sends most draws to the p1 bucket.  The pair walk carries
+    no running sum from one pair to the next (each pair's prefix sum
+    starts at 0), so no tile size can change a draw here; a walk that
+    carried one sum across the chunk changed about a dozen float32 draws
+    when each tile's sum was seeded at 0 instead of the carry.
     """
     gen = np.random.default_rng(11)
     docs = [gen.integers(0, 12, 900).tolist()]
@@ -427,6 +432,16 @@ class TestStatisticalCorrectness:
         p = self._marginal_matches(corpus, num_topics=5, token_idx=0)
         assert p > 1e-3
 
+    def test_token_inside_repeated_pair(self):
+        """The middle token of a (word, document) run of three reads its
+        pair's shared prefix sums with its own count swapped out."""
+        docs = [[0, 1, 1, 1, 2, 0], [1, 2, 2, 0], [2, 1, 0, 0, 1]]
+        corpus = Corpus.from_token_lists(docs, num_words=3)
+        cs = make_state(corpus, num_topics=5)[0].chunks[0]
+        start, _ = next((a, b) for a, b in _pairs_of(cs) if b - a >= 3)
+        p = self._marginal_matches(corpus, num_topics=5, token_idx=start + 1)
+        assert p > 1e-3
+
     def test_token_of_heavily_assigned_topic(self):
         """Stress the shifted-CDF exclusion path: skewed initial topics."""
         corpus = Corpus.from_token_lists(
@@ -478,3 +493,213 @@ class TestConditionalOracle:
                 np.array([0, 1]), np.array([1, 1]), np.array([1, 1]),
                 0, 0.5, 0.01, 5,
             )
+
+
+# ---------------------------------------------------------------------------
+# Exact-arithmetic draw oracle
+# ---------------------------------------------------------------------------
+
+#: a token whose exact target lies closer than this (relative to the
+#: bucket's total) to a boundary is a knife edge: float rounding may
+#: legitimately move its draw
+_KNIFE_EDGE = 1e-9
+
+
+def _exact_replay(cs, phi, topic_totals, alpha, beta, rng, stream_dtype=np.float64):
+    """Replay one ``sample_chunk`` call in exact rational arithmetic.
+
+    The three uniform streams are redrawn from a deep copy of ``rng``
+    exactly as the kernel draws them (``u_sel``, ``t1``, ``t2``, in
+    ``stream_dtype``); every uniform is then an exact rational, and each
+    token's S, Q, bucket and draw follow Eq. 1 with its own count
+    excluded, in :class:`fractions.Fraction` arithmetic.  Returns the
+    exact topics and, per token, the smallest distance of its exact
+    targets from a boundary, relative to the total they split.
+    """
+    gen = deepcopy(rng)
+    n = cs.chunk.num_tokens
+    u_sel, t1, t2 = (gen.random(n, dtype=stream_dtype) for _ in range(3))
+    num_topics, num_words = phi.shape
+    a, b = Fraction(alpha), Fraction(beta)
+    b_v = b * num_words
+
+    def p_star(k, v, own=0):
+        return (int(phi[k, v]) - own + b) / (int(topic_totals[k]) - own + b_v)
+
+    def first_above(prefix, target):
+        return next(
+            (j for j, c in enumerate(prefix) if c > target), len(prefix) - 1
+        )
+
+    def margin(prefix, target, total):
+        return min(abs(target - c) for c in prefix) / total
+
+    indptr, cols, counts = cs.theta.indptr, cs.theta.indices, cs.theta.data
+    z_exact = np.empty(n, dtype=np.int64)
+    margins = np.empty(n)
+    for i in range(n):
+        d, v = int(cs.chunk.token_docs[i]), int(cs.chunk.token_words[i])
+        z = int(cs.topics[i])
+        p_excl = p_star(z, v, own=1)
+        row = range(int(indptr[d]), int(indptr[d + 1]))
+        terms = [
+            (int(counts[j]) - 1) * p_excl if int(cols[j]) == z
+            else int(counts[j]) * p_star(int(cols[j]), v)
+            for j in row
+        ]
+        p2_terms = [p_excl if k == z else p_star(k, v) for k in range(num_topics)]
+        s, w = sum(terms), sum(p2_terms)
+        u = Fraction(float(u_sel[i]))
+        take_p1 = u * (s + a * w) < s
+        edge = abs(u * (s + a * w) - s) / (s + a * w)
+        if take_p1:
+            prefix = list(accumulate(terms))
+            target = Fraction(float(t1[i])) * s
+            z_exact[i] = int(cols[row[first_above(prefix, target)]])
+            edge = min(edge, margin(prefix, target, s))
+        else:
+            prefix = list(accumulate(p2_terms))
+            target = Fraction(float(t2[i])) * w
+            z_exact[i] = first_above(prefix, target)
+            edge = min(edge, margin(prefix, target, w))
+        margins[i] = float(edge)
+    return z_exact, margins
+
+
+def _pairs_of(cs):
+    """(start, stop) of every run of tokens sharing a word and a document."""
+    w = cs.chunk.token_words.astype(np.int64)
+    d = cs.chunk.token_docs.astype(np.int64)
+    new = np.flatnonzero((w[1:] != w[:-1]) | (d[1:] != d[:-1])) + 1
+    bounds = np.concatenate(([0], new, [w.shape[0]]))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def _oracle_fixture():
+    """Repeated pairs with mixed own topics, single-token documents, own
+    topics in the first and last slot of their row, and p2 draws."""
+    gen = np.random.default_rng(21)
+    docs = [[int(x) for x in gen.integers(0, 6, 14)] * 2 for _ in range(6)]
+    docs += [[3], [5], [0]]  # single-token documents
+    docs += [gen.integers(0, 9, 5).tolist() for _ in range(8)]
+    corpus = Corpus.from_token_lists(docs, num_words=9)
+    cfg = TrainerConfig(num_topics=7, seed=8, alpha=0.3)
+    return LdaState.initialize(corpus, cfg), cfg
+
+
+def _rare_word_fixture():
+    """A long single-word document ahead of short documents of a rare word.
+
+    The long document's 3000 tokens form one (word, document) pair with
+    row totals near 3000.  The rare word (the last word id, so its tokens
+    come last) is assigned topic 0 only, and its short documents' other
+    topics carry p* = beta / totals, so each rare token's S is a few
+    times 1e-10.  A running prefix sum carried past the long document
+    reaches about 9e6, whose float64 spacing is a large part of those S:
+    their differences lose their digits, and draws go wrong.
+    """
+    num_topics = 8
+    docs = [[0] * 3000] + [[9, 1, 2, 3] for _ in range(12)]
+    corpus = Corpus.from_token_lists(docs, num_words=10)
+    cfg = TrainerConfig(num_topics=num_topics, seed=0, alpha=1e-9, beta=1e-7)
+    state = LdaState.initialize(corpus, cfg)
+    cs = state.chunks[0]
+    w = cs.chunk.token_words.astype(np.int64)
+    ramp = np.arange(w.shape[0])
+    z = np.where(w == 0, ramp % num_topics, 1 + ramp % (num_topics - 1))
+    z[w == 9] = 0
+    cs.topics = z.astype(cs.topics.dtype)
+    cs.rebuild_theta(num_topics)
+    state.phi[...] = 0
+    np.add.at(state.phi, (z, w), 1)
+    state.topic_totals[...] = state.phi.sum(axis=1, dtype=np.int64)
+    return state, cfg
+
+
+class TestExactOracle:
+    """Every float64 draw equals the draw of exact rational arithmetic on
+    the same uniforms (POPACheck-style exact checking on small finite
+    instances), and no token of these fixtures sits on a knife edge."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        return _oracle_fixture()
+
+    def _check(self, state, cfg, seed, tile=None, workspace=Workspace):
+        cs = state.chunks[0]
+        rng = np.random.default_rng(seed)
+        z_exact, margins = _exact_replay(
+            cs, state.phi, state.topic_totals, cfg.effective_alpha,
+            cfg.effective_beta, rng,
+        )
+        with mock.patch.object(sampler_mod, "_TILE", tile or sampler_mod._TILE):
+            res = sample_chunk(
+                cs.chunk, cs.topics, cs.theta, state.phi, state.topic_totals,
+                cfg.effective_alpha, cfg.effective_beta, rng,
+                workspace=workspace(),
+            )
+        assert int(np.count_nonzero(margins < _KNIFE_EDGE)) == 0
+        diff = np.flatnonzero(res.new_topics.astype(np.int64) != z_exact)
+        assert diff.size == 0, (
+            f"{diff.size} draws differ from exact arithmetic, first at "
+            f"token {diff[0]}"
+        )
+        return res
+
+    def test_fixture_covers_the_cases(self, mixed):
+        state, _ = mixed
+        cs = state.chunks[0]
+        runs = [(a, b) for a, b in _pairs_of(cs) if b - a >= 3]
+        assert any(len(set(cs.topics[a:b].tolist())) > 1 for a, b in runs)
+        docs = cs.chunk.token_docs.astype(np.int64)
+        lens = cs.theta.row_lengths()
+        assert np.any(np.bincount(docs) == 1)  # single-token documents
+        dense = cs.theta.to_dense()
+        z = cs.topics.astype(np.int64)
+        assert np.any(dense[docs, z] == 1)  # theta_dz = 1
+        slot = np.array([
+            np.searchsorted(cs.theta.indices[cs.theta.indptr[d]:cs.theta.indptr[d + 1]], k)
+            for d, k in zip(docs, z)
+        ])
+        assert np.any(slot == 0) and np.any((slot == lens[docs] - 1) & (lens[docs] > 1))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_fixture(self, mixed, seed):
+        state, cfg = mixed
+        res = self._check(state, cfg, seed)
+        assert res.stats.num_p1_draws > 0 and res.stats.num_p2_draws > 0
+
+    @pytest.mark.parametrize("tile", [1, 7, 64])
+    def test_several_tiles(self, mixed, tile):
+        state, cfg = mixed
+        assert _sum_kd(state.chunks[0]) > 4 * tile
+        self._check(state, cfg, seed=11, tile=tile)
+
+    def test_workspace_free_kernel(self, mixed):
+        state, cfg = mixed
+        self._check(state, cfg, seed=3, workspace=lambda: None)
+
+    def test_long_document_ahead_of_a_rare_word(self):
+        """The fixture a chunk-wide running prefix sum gets wrong."""
+        state, cfg = _rare_word_fixture()
+        res = self._check(state, cfg, seed=0)
+        assert res.stats.num_p1_draws > 0
+
+    def test_float32_streams_replay(self, mixed):
+        """The oracle replays the float32 streams too; the float32 kernel
+        agrees with exact arithmetic away from float32 knife edges."""
+        state, cfg = mixed
+        cs = state.chunks[0]
+        rng = np.random.default_rng(4)
+        z_exact, margins = _exact_replay(
+            cs, state.phi, state.topic_totals, cfg.effective_alpha,
+            cfg.effective_beta, rng, stream_dtype=np.float32,
+        )
+        res = sample_chunk(
+            cs.chunk, cs.topics, cs.theta, state.phi, state.topic_totals,
+            cfg.effective_alpha, cfg.effective_beta, rng,
+            workspace=Workspace("float32"),
+        )
+        safe = margins > 1e-4
+        assert safe.mean() > 0.9
+        assert np.array_equal(res.new_topics[safe].astype(np.int64), z_exact[safe])

@@ -110,3 +110,29 @@ class TestSynchronize:
         assert np.array_equal(phis[0], phi_new)
         assert np.array_equal(totals[0], phi_new.sum(axis=1))
         assert np.array_equal(totals_new, phi_new.sum(axis=1))
+
+    def test_single_replica_is_the_reconciled_model(self):
+        """One replica: the result equals the general path's, the replica
+        is returned as is and its totals are refreshed."""
+        ref = np.full((2, 3), 4, dtype=np.int32)
+        rep = ref.copy(); rep[0, 0] += 2; rep[1, 2] -= 2
+        totals = [np.zeros(2, dtype=np.int64)]
+        phi_new, totals_new = synchronize(ref, [rep], totals)
+        assert phi_new is rep
+        assert np.array_equal(phi_new, reconcile_phi(ref, [rep.copy()]))
+        assert np.array_equal(totals[0], rep.sum(axis=1))
+        assert np.array_equal(totals_new, rep.sum(axis=1))
+
+    def test_single_replica_keeps_its_checks(self):
+        from repro import faults
+
+        ref = np.full((2, 2), 1, dtype=np.int32)
+        bad = ref.copy(); bad[0, 0] = -1
+        with pytest.raises(AssertionError, match="negative count"):
+            synchronize(ref, [bad], [np.zeros(2, dtype=np.int64)])
+        faults.install("merge_fail")
+        try:
+            with pytest.raises(faults.FaultInjected):
+                synchronize(ref, [ref.copy()], [np.zeros(2, dtype=np.int64)])
+        finally:
+            faults.reset()
