@@ -41,8 +41,9 @@ class TrainerConfig:
     tokens_per_block:
         Upper bound on tokens per thread block (Figure 6 splitting).
     compute_dtype:
-        Floating dtype of the sampling kernel: ``"float64"`` (default,
-        bit-identical to the historical kernel under a fixed seed) or
+        Floating dtype of the sampling kernel: ``"float64"`` (default;
+        its draws agree with exact arithmetic away from knife edges, and
+        the float64 goldens pin the chain under a fixed seed) or
         ``"float32"`` (half the bandwidth; a different but statistically
         equivalent chain — see docs/PERFORMANCE.md).
     execution:

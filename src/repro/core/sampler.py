@@ -329,7 +329,7 @@ def sample_chunk(
     ramp = ws.arange(max(n, num_topics))
     order = np.repeat(np.take(doc_ptr, doc_rank) - (np.cumsum(npd) - npd), npd)
     np.add(order, ramp[:num_pairs], out=order)
-    np.take(pairs_by_doc, order, out=order)
+    order = np.take(pairs_by_doc, order)
     order_len = np.repeat(np.take(row_len, doc_rank), npd)
     order_doc = np.repeat(ramp[:doc_rank.shape[0]], npd)  # index into doc_rank
     ntok = np.take(pair_ntok, order)
