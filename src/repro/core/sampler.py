@@ -195,21 +195,23 @@ def sample_chunk(
     def _build_pairs():
         # A pair is a run of adjacent tokens sharing a word and a document
         # (the stable word-first sort keeps document order within a word).
+        # Pairs are listed grouped by document; doc_ptr is a CSR over them.
         first = np.ones(n, dtype=bool)
         np.not_equal(words[1:], words[:-1], out=first[1:])
         first[1:] |= docs[1:] != docs[:-1]
         first = np.flatnonzero(first)
         ntok = np.diff(first, append=n)
-        pdoc = docs[first]
-        by_doc = np.argsort(pdoc, kind="stable")
+        by_doc = np.argsort(docs[first], kind="stable")
         ptr = np.zeros(chunk.num_local_docs + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pdoc, minlength=chunk.num_local_docs), out=ptr[1:])
-        out = (first, ntok, pdoc, wcol[first], by_doc, ptr)
+        np.cumsum(
+            np.bincount(docs[first], minlength=chunk.num_local_docs), out=ptr[1:]
+        )
+        out = (first[by_doc], ntok[by_doc], wcol[first][by_doc], ptr)
         for a in out:
             a.setflags(write=False)
         return out
 
-    pair_first, pair_ntok, pair_doc, pair_wcol, pairs_by_doc, doc_ptr = ws.memo(
+    pair_first, pair_ntok, pair_wcol, doc_ptr = ws.memo(
         ("chunk-pairs", int(chunk.spec.chunk_id)), _build_pairs
     )
     num_pairs = pair_first.shape[0]
@@ -315,8 +317,8 @@ def sample_chunk(
     slot = np.subtract(tpos, np.take(indptr, docs), out=tpos)  # own slot
 
     # ---- walk each (word, document) pair's theta row once ---------------
-    # Pairs are regrouped by document, documents ordered by row length, so
-    # a tile is a dense block of pair rows: row p holds pair p's theta row
+    # Pairs are walked document by document, documents ordered by row
+    # length, so a tile is a dense block of pair rows: row p holds pair p's theta row
     # (padded with zero terms to the tile's widest row) times its word's
     # p* row, and one row-wise prefix sum per pair, started at 0, serves
     # every token of the pair.  Per-token inputs are permuted into that
@@ -329,7 +331,6 @@ def sample_chunk(
     ramp = ws.arange(max(n, num_topics))
     order = np.repeat(np.take(doc_ptr, doc_rank) - (np.cumsum(npd) - npd), npd)
     np.add(order, ramp[:num_pairs], out=order)
-    order = np.take(pairs_by_doc, order)
     order_len = np.repeat(np.take(row_len, doc_rank), npd)
     order_doc = np.repeat(ramp[:doc_rank.shape[0]], npd)  # index into doc_rank
     ntok = np.take(pair_ntok, order)
