@@ -113,3 +113,59 @@ class TestScheduleEquivalence:
         for g in (1, 2, 4):
             t = train(medium_corpus, iters=2, num_gpus=g)
             assert int(t.state.phi.sum(dtype=np.int64)) == medium_corpus.num_tokens
+
+
+#: Per-iteration simulated seconds (``float.hex``) of three iterations on
+#: the ``small_corpus`` fixture, K=12, seed 3, Pascal.  These pin the
+#: clock itself: the serial-vs-process identity tests only show that two
+#: executors agree with each other, not that either charges what it did.
+CLOCK_PINS = [
+    (
+        dict(num_gpus=1, chunks_per_gpu=1),
+        ["0x1.2b8418bb45e20p-16", "0x1.2c334a93f36e2p-16", "0x1.2b9971bef929cp-16"],
+    ),
+    (
+        dict(num_gpus=1, chunks_per_gpu=1, use_l1_for_indices=False),
+        ["0x1.3544fd2fdb348p-16", "0x1.3634331a61ae6p-16", "0x1.3565c975220a8p-16"],
+    ),
+    (
+        dict(num_gpus=2, chunks_per_gpu=1),
+        ["0x1.64215f4cb4e21p-15", "0x1.6447df630f67cp-15", "0x1.64204f53d16bep-15"],
+    ),
+    (
+        dict(num_gpus=1, chunks_per_gpu=2),
+        ["0x1.d446195142e40p-15", "0x1.d4895595c34aap-15", "0x1.d466780b2e1b8p-15"],
+    ),
+    (
+        dict(num_gpus=1, chunks_per_gpu=2, overlap_transfers=False),
+        ["0x1.4a7fbb21bd8a0p-14", "0x1.4a9ceb64ebe35p-14", "0x1.4a816ba4a7450p-14"],
+    ),
+    (
+        dict(num_gpus=2, chunks_per_gpu=2),
+        ["0x1.4b62eae8c94e8p-14", "0x1.4b6c88e5ad019p-14", "0x1.4b6d3202130e8p-14"],
+    ),
+    (
+        dict(num_gpus=2, chunks_per_gpu=4, overlap_transfers=False),
+        ["0x1.667fa4be76a07p-13", "0x1.6677159a37e99p-13", "0x1.66806c4abffaep-13"],
+    ),
+    (
+        dict(num_gpus=2, chunks_per_gpu=4, use_l1_for_indices=False),
+        ["0x1.de91893784343p-14", "0x1.de8408dfc93f8p-14", "0x1.de923467c597ep-14"],
+    ),
+]
+
+
+class TestSimulatedClockPin:
+    @pytest.mark.parametrize(
+        "cfg_kwargs, expected", CLOCK_PINS,
+        ids=[
+            "ws1-1gpu", "ws1-1gpu-no-l1", "ws1-2gpu", "ws2-overlap",
+            "ws2-no-overlap", "ws2-2gpu-overlap", "ws2-2gpu-m4-no-overlap",
+            "ws2-2gpu-m4-no-l1",
+        ],
+    )
+    def test_sim_seconds_pinned(self, small_corpus, cfg_kwargs, expected):
+        cfg = TrainerConfig(num_topics=12, seed=3, **cfg_kwargs)
+        t = CuLdaTrainer(small_corpus, cfg, platform=PASCAL_PLATFORM)
+        t.train(3, compute_likelihood_every=0)
+        assert [r.sim_seconds.hex() for r in t.history] == expected
