@@ -4,9 +4,10 @@ The functional trajectory of a CuLDA run — every topic draw, every theta
 row length, every bucket decision — depends only on (corpus, config,
 seed).  The device spec enters *only* through the clock.  So the Figure 7
 / Table 4 benches train once, keep the per-chunk
-:class:`~repro.core.scheduler.ChunkRecord`s, and re-price them on each
-Table 2 platform with the exact same cost formulas the trainer itself
-uses.  ``tests/test_replay.py`` proves replay equals a direct run.
+:class:`~repro.core.scheduler.ChunkResult` records, and re-price them on
+each Table 2 platform through the same cost helper the trainer's clock
+uses (:func:`~repro.core.scheduler.chunk_kernel_costs`).
+``tests/test_replay.py`` proves replay equals a direct run.
 
 Replay covers the single-GPU, M=1 configuration (what Figures 7/8 and
 Table 4 measure); multi-GPU timing involves cross-device overlap, so the
@@ -18,14 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import TrainerConfig
-from repro.core.costs import (
-    int_bytes,
-    sampling_cost,
-    update_phi_cost,
-    update_theta_cost,
-)
-from repro.core.scheduler import IterationOutcome
-from repro.gpusim.cache import gpu_l1_index_factor
+from repro.core.scheduler import IterationOutcome, chunk_kernel_costs
 from repro.gpusim.clock import gpu_kernel_time
 from repro.gpusim.spec import DeviceSpec
 
@@ -37,41 +31,12 @@ def replay_iteration_seconds(
 ) -> float:
     """Simulated duration of one recorded iteration on ``spec``.
 
-    Mirrors :func:`repro.core.scheduler.run_chunk_kernels` kernel-for-
-    kernel: sampling, update-phi, update-theta, serialized on one device.
+    The sum of the iteration's kernel seconds: on one device with one
+    resident chunk the three kernels run back to back.
     """
-    if config.num_gpus != 1 or config.chunks_per_gpu != 1:
-        raise ValueError(
-            "replay covers the single-GPU resident configuration; "
-            "run the real scheduler for multi-GPU or streamed runs"
-        )
     if not outcome.chunk_records:
         raise ValueError("outcome has no chunk records to replay")
-    total = 0.0
-    for rec in outcome.chunk_records:
-        if config.use_l1_for_indices:
-            index_ws = rec.theta_nnz_pre * int_bytes(config.compress) / spec.num_sms
-            l1f = gpu_l1_index_factor(spec, index_ws)
-        else:
-            l1f = 1.0
-        total += gpu_kernel_time(
-            spec,
-            sampling_cost(rec.stats, config.compress, config.share_p2_tree, l1f),
-        )
-        total += gpu_kernel_time(
-            spec, update_phi_cost(rec.stats.num_tokens, config.compress)
-        )
-        total += gpu_kernel_time(
-            spec,
-            update_theta_cost(
-                rec.stats.num_tokens,
-                rec.num_local_docs,
-                config.num_topics,
-                rec.theta_nnz_post,
-                config.compress,
-            ),
-        )
-    return total
+    return sum(replay_kernel_seconds([outcome], config, spec).values())
 
 
 def replay_throughput_series(
@@ -96,34 +61,15 @@ def replay_kernel_seconds(
 ) -> dict[str, float]:
     """Per-kernel simulated seconds of a recorded run on ``spec`` (Table 5)."""
     if config.num_gpus != 1 or config.chunks_per_gpu != 1:
-        raise ValueError("replay covers the single-GPU resident configuration")
+        raise ValueError(
+            "replay covers the single-GPU resident configuration; "
+            "run the real scheduler for multi-GPU or streamed runs"
+        )
     out = {"sampling": 0.0, "update_phi": 0.0, "update_theta": 0.0}
     for oc in outcomes:
         for rec in oc.chunk_records:
-            if config.use_l1_for_indices:
-                index_ws = (
-                    rec.theta_nnz_pre * int_bytes(config.compress) / spec.num_sms
-                )
-                l1f = gpu_l1_index_factor(spec, index_ws)
-            else:
-                l1f = 1.0
-            out["sampling"] += gpu_kernel_time(
-                spec,
-                sampling_cost(rec.stats, config.compress, config.share_p2_tree, l1f),
-            )
-            out["update_phi"] += gpu_kernel_time(
-                spec, update_phi_cost(rec.stats.num_tokens, config.compress)
-            )
-            out["update_theta"] += gpu_kernel_time(
-                spec,
-                update_theta_cost(
-                    rec.stats.num_tokens,
-                    rec.num_local_docs,
-                    config.num_topics,
-                    rec.theta_nnz_post,
-                    config.compress,
-                ),
-            )
+            for kernel, cost in chunk_kernel_costs(rec, config, spec):
+                out[kernel] += gpu_kernel_time(spec, cost)
     return out
 
 

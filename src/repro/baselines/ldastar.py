@@ -30,9 +30,8 @@ from repro.core.likelihood import (
 )
 from repro.core.model import LdaState
 from repro.core.rng import RngPool
-from repro.core.sampler import sample_chunk
+from repro.core.scheduler import chunk_pass
 from repro.core.trainer import IterationRecord
-from repro.core.updates import apply_phi_update
 from repro.corpus.document import Corpus
 from repro.corpus.partition import partition_by_tokens
 from repro.gpusim.cache import cpu_cache_bandwidth_factor
@@ -273,28 +272,25 @@ class LdaStarTrainer:
         deltas, dtot = self._deltas, self._delta_totals
         deltas[...] = 0
         dtot[...] = 0
-        worker_times = []
-        changed_total = 0
-        sum_kd = 0
-        for w, cs in enumerate(self.state.chunks):
-            rng = self.pool.chunk_stream(it, w)
-            result = sample_chunk(
-                cs.chunk, cs.topics, cs.theta,
-                self.state.phi, self.state.topic_totals,
-                self.config.effective_alpha, self.config.effective_beta, rng,
-                workspace=self._workspace,
+        results = [
+            chunk_pass(
+                cs, self.state.phi, self.state.topic_totals, it, self.pool,
+                self.config.num_topics, self.config.effective_alpha,
+                self.config.effective_beta, compress=False,
+                workspace=self._workspace, update_phi=deltas, update_totals=dtot,
             )
-            changed = apply_phi_update(
-                deltas, dtot, cs.chunk.token_words, cs.topics,
-                result.new_topics,
-            )
-            cs.topics = result.new_topics
-            cs.rebuild_theta(self.config.num_topics, compress=False)
-            worker_times.append(self._worker_seconds(result.stats))
-            changed_total += changed
-            sum_kd += result.stats.sum_kd
+            for cs in self.state.chunks
+        ]
         np.add(self.state.phi, deltas, out=self.state.phi, casting="unsafe")
         self.state.topic_totals += dtot
+        return self._fold_results(results)
+
+    def _fold_results(self, results) -> tuple[list, int, int]:
+        """Per-worker simulated seconds, changed tokens and sum-Kd of one
+        iteration's chunk results, in worker order."""
+        worker_times = [self._worker_seconds(r.stats) for r in results]
+        changed_total = sum(r.changed for r in results)
+        sum_kd = sum(r.stats.sum_kd for r in results)
         return worker_times, changed_total, sum_kd
 
     def _dispatch_process(self, engine, it: int, want_ll: bool) -> None:
@@ -308,15 +304,7 @@ class LdaStarTrainer:
         for dphi, dtot in engine.worker_deltas():
             np.add(self.state.phi, dphi, out=self.state.phi, casting="unsafe")
             self.state.topic_totals += dtot
-        worker_times = []
-        changed_total = 0
-        sum_kd = 0
-        for w in range(self.num_workers):
-            r = results[w]
-            worker_times.append(self._worker_seconds(r.stats))
-            changed_total += r.changed
-            sum_kd += r.stats.sum_kd
-        return worker_times, changed_total, sum_kd
+        return self._fold_results([results[w] for w in range(self.num_workers)])
 
     def _assemble_likelihood(self, results) -> float:
         """Joint likelihood from worker-evaluated doc terms (see

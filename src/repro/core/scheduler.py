@@ -1,7 +1,18 @@
-"""Workload scheduling: Algorithm 1 (WorkSchedule1 / WorkSchedule2).
+"""One chunk pass and the Algorithm 1 schedules that charge its clock.
+
+Within one chunk the kernel order is: sampling, update-phi, update-theta
+— phi first so the iteration-end phi synchronization can start while
+theta updates still run (Section 6.2, last paragraph).
+:func:`chunk_pass` is that sequence, and every executor runs it: the
+serial scheduler here, the OS workers of :mod:`repro.parallel.worker`
+and both LDA* executors.  It touches only arrays.  The simulated clock
+is charged afterwards from the returned chunk results by
+:func:`replay_parallel_accounting`, the one accounting walk for serial
+and process execution alike.
 
 ``C = M * G`` chunks are assigned round-robin (chunk ``i`` to GPU
-``i % G``, smaller ids first).  Two schedules:
+``i % G``, smaller ids first).  The accounting follows one of two
+schedules:
 
 - **WorkSchedule1** (``M = 1``): every GPU holds its chunk (and theta
   replica) resident for the whole run; data moves host<->device only at
@@ -12,10 +23,6 @@
   compute on separate streams — the paper's stream-interface overlap.
   Device memory must hold **two** chunks in this mode (Section 5.1), and
   the allocator enforces it.
-
-Within one chunk the kernel order is: sampling, update-phi, update-theta
-— phi first so the iteration-end phi synchronization can start while
-theta updates still run (Section 6.2, last paragraph).
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 
 from repro.core.config import TrainerConfig
 from repro.core.costs import (
+    int_bytes,
     sampling_cost,
     theta_replica_bytes,
     update_phi_cost,
@@ -36,7 +44,9 @@ from repro.core.rng import RngPool
 from repro.core.sampler import sample_chunk
 from repro.core.updates import apply_phi_update
 from repro.gpusim.cache import gpu_l1_index_factor
+from repro.gpusim.clock import KernelCost
 from repro.gpusim.device import SimulatedGPU
+from repro.gpusim.spec import DeviceSpec
 from repro.gpusim.stream import Stream, barrier
 from repro.perf import Workspace
 
@@ -59,20 +69,28 @@ class DeviceState:
 
 
 @dataclass(frozen=True)
-class ChunkRecord:
-    """Everything needed to re-derive one chunk pass's kernel costs.
+class ChunkResult:
+    """What one chunk pass reports: its statistics and kernel-cost inputs.
 
     The functional trajectory of a run depends only on (corpus, config,
-    seed) — never on the device spec — so recording these per chunk lets
-    :mod:`repro.analysis.replay` price the same run on a *different*
-    platform without re-running the sampler (used by the Figure 7 /
-    Table 4 benches).
+    seed) — never on the device spec — so these records are all the
+    accounting needs: the master prices them on its simulated devices,
+    and :mod:`repro.analysis.replay` re-prices them on a *different*
+    platform without re-running the sampler (the Figure 7 / Table 4
+    benches).
     """
 
+    chunk_id: int
     stats: object  # SamplingStats (kept loose to avoid import cycle)
-    num_local_docs: int
+    changed: int
     theta_nnz_pre: int  # nnz when the sampling kernel ran (L1 model input)
-    theta_nnz_post: int  # nnz after update-theta (its compaction cost)
+    theta_nnz: int  # nnz after update-theta (its compaction cost)
+    num_local_docs: int
+    #: document-side likelihood terms of this chunk's fresh theta —
+    #: ``(plus, minus)`` per :func:`repro.core.likelihood.chunk_doc_terms`
+    #: — filled in by a process worker when the master requested
+    #: likelihood this iteration, else ``None``.
+    ll_terms: tuple[float, float] | None = None
 
 
 @dataclass
@@ -84,165 +102,101 @@ class IterationOutcome:
     num_p1_draws: int = 0
     num_p2_draws: int = 0
     changed_tokens: int = 0
-    chunk_records: list[ChunkRecord] = field(default_factory=list)
+    chunk_records: list[ChunkResult] = field(default_factory=list)
+
+
+def chunk_pass(
+    cs: ChunkState,
+    phi: np.ndarray,
+    totals: np.ndarray,
+    iteration: int,
+    pool: RngPool,
+    num_topics: int,
+    alpha: float,
+    beta: float,
+    compress: bool,
+    workspace: Workspace | None = None,
+    update_phi: np.ndarray | None = None,
+    update_totals: np.ndarray | None = None,
+    accum_phi: np.ndarray | None = None,
+    accum_totals: np.ndarray | None = None,
+) -> ChunkResult:
+    """Sampling + update-phi + update-theta for one chunk (no clock).
+
+    Samples ``cs`` against ``phi``/``totals`` on the chunk's
+    ``(seed, iteration, chunk_id)`` stream, applies the count updates,
+    writes the new topics into ``cs.topics`` in place (so a shared-memory
+    view publishes them) and rebuilds ``cs.theta``.
+    ``update_phi``/``update_totals`` redirect the count updates away from
+    the sampled-against arrays (the LDA* delta push); by default they
+    land on ``phi``/``totals`` themselves.  ``accum_phi``/``accum_totals``
+    additionally receive the same signed update (the replica-mode
+    pre-reduce).
+    """
+    chunk_id = cs.chunk.spec.chunk_id
+    theta_nnz_pre = cs.theta.nnz
+    result = sample_chunk(
+        cs.chunk, cs.topics, cs.theta, phi, totals,
+        alpha=alpha, beta=beta, rng=pool.chunk_stream(iteration, chunk_id),
+        workspace=workspace,
+    )
+    changed = apply_phi_update(
+        phi if update_phi is None else update_phi,
+        totals if update_totals is None else update_totals,
+        cs.chunk.token_words, cs.topics, result.new_topics,
+        accum_phi=accum_phi, accum_totals=accum_totals,
+    )
+    np.copyto(cs.topics, result.new_topics, casting="same_kind")
+    cs.rebuild_theta(num_topics, compress)
+    return ChunkResult(
+        chunk_id=chunk_id,
+        stats=result.stats,
+        changed=changed,
+        theta_nnz_pre=theta_nnz_pre,
+        theta_nnz=cs.theta.nnz,
+        num_local_docs=cs.chunk.num_local_docs,
+    )
+
+
+def chunk_kernel_costs(
+    r: ChunkResult, config: TrainerConfig, spec: DeviceSpec
+) -> tuple[tuple[str, KernelCost], ...]:
+    """The ``(kernel, cost)`` triple of one chunk pass on ``spec``.
+
+    The single source of the three Table-1-derived kernel costs: the
+    device clock (:func:`charge_chunk_costs`) and the cross-platform
+    replay both price a chunk through it.
+    """
+    if config.use_l1_for_indices:
+        index_ws = r.theta_nnz_pre * int_bytes(config.compress) / spec.num_sms
+        l1f = gpu_l1_index_factor(spec, index_ws)
+    else:
+        l1f = 1.0
+    return (
+        ("sampling",
+         sampling_cost(r.stats, config.compress, config.share_p2_tree, l1f)),
+        ("update_phi", update_phi_cost(r.stats.num_tokens, config.compress)),
+        ("update_theta",
+         update_theta_cost(
+             r.stats.num_tokens, r.num_local_docs, config.num_topics,
+             r.theta_nnz, config.compress,
+         )),
+    )
 
 
 def charge_chunk_costs(
     dev: DeviceState,
     config: TrainerConfig,
-    stats,
-    theta_nnz_pre: int,
-    theta_nnz_post: int,
-    num_local_docs: int,
+    r: ChunkResult,
     stream: Stream | None = None,
 ) -> None:
     """Charge one chunk pass's three kernel launches on the device clock.
 
     Pure accounting — touches only the simulated timeline, never the
-    arrays — so serial execution calls it inline while process execution
-    calls it on the master with worker-reported statistics.
+    arrays.
     """
-    if config.use_l1_for_indices:
-        from repro.core.costs import int_bytes
-
-        index_ws = theta_nnz_pre * int_bytes(config.compress) / dev.gpu.spec.num_sms
-        l1f = gpu_l1_index_factor(dev.gpu.spec, index_ws)
-    else:
-        l1f = 1.0
-    dev.gpu.launch(
-        "sampling",
-        sampling_cost(stats, config.compress, config.share_p2_tree, l1f),
-        stream,
-    )
-    dev.gpu.launch(
-        "update_phi", update_phi_cost(stats.num_tokens, config.compress), stream
-    )
-    dev.gpu.launch(
-        "update_theta",
-        update_theta_cost(
-            stats.num_tokens,
-            num_local_docs,
-            config.num_topics,
-            theta_nnz_post,
-            config.compress,
-        ),
-        stream,
-    )
-
-
-def record_chunk_outcome(
-    outcome: IterationOutcome,
-    stats,
-    changed: int,
-    num_local_docs: int,
-    theta_nnz_pre: int,
-    theta_nnz_post: int,
-) -> None:
-    """Fold one chunk pass's statistics into the iteration outcome."""
-    outcome.sum_kd += stats.sum_kd
-    outcome.num_p1_draws += stats.num_p1_draws
-    outcome.num_p2_draws += stats.num_p2_draws
-    outcome.changed_tokens += changed
-    outcome.chunk_records.append(
-        ChunkRecord(
-            stats=stats,
-            num_local_docs=num_local_docs,
-            theta_nnz_pre=theta_nnz_pre,
-            theta_nnz_post=theta_nnz_post,
-        )
-    )
-
-
-def run_chunk_kernels(
-    dev: DeviceState,
-    cs: ChunkState,
-    iteration: int,
-    pool: RngPool,
-    config: TrainerConfig,
-    outcome: IterationOutcome,
-    stream: Stream | None = None,
-) -> None:
-    """Sampling + update-phi + update-theta for one chunk on one device.
-
-    Functional effects: ``cs.topics``/``cs.theta`` are replaced and the
-    device replica ``dev.phi``/``dev.totals`` updated in place.  Timeline
-    effects: three kernel launches charged with Table-1-derived costs.
-    """
-    rng = pool.chunk_stream(iteration, cs.chunk.spec.chunk_id)
-    theta_nnz_pre = cs.theta.nnz
-    result = sample_chunk(
-        cs.chunk, cs.topics, cs.theta, dev.phi, dev.totals,
-        alpha=config.effective_alpha, beta=config.effective_beta, rng=rng,
-        workspace=dev.workspace,
-    )
-    stats = result.stats
-
-    changed = apply_phi_update(
-        dev.phi, dev.totals, cs.chunk.token_words, cs.topics, result.new_topics
-    )
-    cs.topics = result.new_topics
-    cs.rebuild_theta(config.num_topics, config.compress)
-    charge_chunk_costs(
-        dev, config, stats, theta_nnz_pre, cs.theta.nnz,
-        cs.chunk.num_local_docs, stream,
-    )
-    record_chunk_outcome(
-        outcome, stats, changed, cs.chunk.num_local_docs,
-        theta_nnz_pre, cs.theta.nnz,
-    )
-
-
-def work_schedule_1(
-    devices: list[DeviceState],
-    state: LdaState,
-    config: TrainerConfig,
-    iteration: int,
-    pool: RngPool,
-) -> IterationOutcome:
-    """One iteration with resident chunks (Algorithm 1, lines 6-21)."""
-    outcome = IterationOutcome(iteration)
-    for dev in devices:
-        for cid in dev.chunk_ids:
-            run_chunk_kernels(dev, state.chunks[cid], iteration, pool, config, outcome)
-    barrier([d.gpu.timeline for d in devices])
-    return outcome
-
-
-def work_schedule_2(
-    devices: list[DeviceState],
-    state: LdaState,
-    config: TrainerConfig,
-    iteration: int,
-    pool: RngPool,
-) -> IterationOutcome:
-    """One iteration with streamed chunks (Algorithm 1, lines 22-36).
-
-    Per chunk: H2D of the chunk's token arrays and theta, the three
-    kernels, then D2H of the updated theta.  With ``overlap_transfers``
-    two streams alternate so chunk ``m+1``'s copy rides under chunk
-    ``m``'s compute (pipelined loop of Section 5.1).
-    """
-    outcome = IterationOutcome(iteration)
-    for dev in devices:
-        if config.overlap_transfers:
-            streams = [dev.gpu.create_stream(), dev.gpu.create_stream()]
-        else:
-            streams = [dev.gpu.default_stream]
-        for slot, cid in enumerate(dev.chunk_ids):
-            cs = state.chunks[cid]
-            stream = streams[slot % len(streams)]
-            chunk_bytes = cs.chunk.nbytes()
-            theta_bytes = theta_replica_bytes(
-                cs.theta.nnz, cs.chunk.num_local_docs, config.compress
-            )
-            dev.gpu.h2d("transfer", chunk_bytes + theta_bytes, stream)
-            run_chunk_kernels(dev, cs, iteration, pool, config, outcome, stream)
-            theta_bytes = theta_replica_bytes(
-                cs.theta.nnz, cs.chunk.num_local_docs, config.compress
-            )
-            dev.gpu.d2h("transfer", theta_bytes, stream)
-    barrier([d.gpu.timeline for d in devices])
-    return outcome
+    for kernel, cost in chunk_kernel_costs(r, config, dev.gpu.spec):
+        dev.gpu.launch(kernel, cost, stream)
 
 
 def run_iteration(
@@ -252,10 +206,21 @@ def run_iteration(
     iteration: int,
     pool: RngPool,
 ) -> IterationOutcome:
-    """Dispatch on M, mirroring Algorithm 1's top-level branch."""
-    if config.chunks_per_gpu == 1:
-        return work_schedule_1(devices, state, config, iteration, pool)
-    return work_schedule_2(devices, state, config, iteration, pool)
+    """One serial iteration: every device's chunk passes, then the clock.
+
+    Each device's chunks run in schedule order against its own replica;
+    the matching schedule's accounting is then charged from the results,
+    exactly as the master charges a process iteration.
+    """
+    results = {}
+    for dev in devices:
+        for cid in dev.chunk_ids:
+            results[cid] = chunk_pass(
+                state.chunks[cid], dev.phi, dev.totals, iteration, pool,
+                config.num_topics, config.effective_alpha,
+                config.effective_beta, config.compress, dev.workspace,
+            )
+    return replay_parallel_accounting(devices, state, config, iteration, results)
 
 
 def replay_parallel_accounting(
@@ -265,15 +230,16 @@ def replay_parallel_accounting(
     iteration: int,
     results,
 ) -> IterationOutcome:
-    """Master-side accounting of one engine iteration.
+    """Charge one iteration's schedule on the simulated clocks.
 
-    The workers mutate the shared replicas/topics/theta in
-    serial-schedule order per device; this master-side pass then replays
-    the *accounting* of the matching schedule — kernel launches from the
-    worker-reported statistics, plus WorkSchedule2's per-chunk transfers
-    — so the simulated clocks are identical to serial execution.  Pure
-    in ``results``: it never reads the shared arrays, so it is safe to
-    run while the workers already sample the next iteration.
+    Walks Algorithm 1 over ``results`` (chunk id -> :class:`ChunkResult`):
+    per device, in chunk order, the three kernel launches from the
+    reported statistics, plus WorkSchedule2's per-chunk H2D of the chunk
+    and its theta and D2H of the updated theta.  Serial execution calls
+    it right after its chunk passes and process execution on the master
+    with worker-reported results, so the two clocks are the same code.
+    Pure in ``results``: it never reads the shared arrays, so it is safe
+    to run while the workers already sample the next iteration.
     """
     outcome = IterationOutcome(iteration)
     streamed = config.chunks_per_gpu > 1
@@ -283,34 +249,30 @@ def replay_parallel_accounting(
         else:
             streams = [dev.gpu.default_stream]
         for slot, cid in enumerate(dev.chunk_ids):
-            cs = state.chunks[cid]
             r = results[cid]
             stream = streams[slot % len(streams)] if streamed else None
             if streamed:
-                chunk_bytes = cs.chunk.nbytes()
                 dev.gpu.h2d(
                     "transfer",
-                    chunk_bytes
+                    state.chunks[cid].chunk.nbytes()
                     + theta_replica_bytes(
-                        r.theta_nnz_pre, cs.chunk.num_local_docs, config.compress
+                        r.theta_nnz_pre, r.num_local_docs, config.compress
                     ),
                     stream,
                 )
-            charge_chunk_costs(
-                dev, config, r.stats, r.theta_nnz_pre, r.theta_nnz,
-                cs.chunk.num_local_docs, stream,
-            )
+            charge_chunk_costs(dev, config, r, stream)
             if streamed:
                 dev.gpu.d2h(
                     "transfer",
                     theta_replica_bytes(
-                        r.theta_nnz, cs.chunk.num_local_docs, config.compress
+                        r.theta_nnz, r.num_local_docs, config.compress
                     ),
                     stream,
                 )
-            record_chunk_outcome(
-                outcome, r.stats, r.changed, cs.chunk.num_local_docs,
-                r.theta_nnz_pre, r.theta_nnz,
-            )
+            outcome.sum_kd += r.stats.sum_kd
+            outcome.num_p1_draws += r.stats.num_p1_draws
+            outcome.num_p2_draws += r.stats.num_p2_draws
+            outcome.changed_tokens += r.changed
+            outcome.chunk_records.append(r)
     barrier([d.gpu.timeline for d in devices])
     return outcome

@@ -129,7 +129,7 @@ class CuLdaTrainer:
         self._allocate_device_memory()
         self._initial_transfers()
         self.history: list[IterationRecord] = []
-        #: per-iteration ChunkRecords, consumed by repro.analysis.replay
+        #: per-iteration IterationOutcomes, consumed by repro.analysis.replay
         self.outcomes: list = []
         self._iterations_done = 0
         #: lazy ProcessEngine for config.execution == "process"

@@ -13,7 +13,7 @@ sync with the new assignments:
   place.  The paper scatters each document's topics into a dense row
   (using the precomputed document-word map), then compacts the dense row
   back to CSR with a prefix sum.  The vectorised equivalent is a keyed
-  histogram + CSR rebuild (:func:`repro.core.sparse.from_assignments`).
+  histogram + CSR rebuild (:meth:`repro.core.model.ChunkState.rebuild_theta`).
 
 Updating phi *first* lets the multi-GPU phi synchronization start while
 theta updates are still running — the scheduler exploits that ordering.
@@ -22,9 +22,6 @@ theta updates are still running — the scheduler exploits that ordering.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.core.model import ChunkState
-from repro.core.sparse import CsrCounts
 
 
 def apply_phi_update(
@@ -78,17 +75,6 @@ def apply_phi_update(
         accum_totals -= dec.astype(accum_totals.dtype)
         accum_totals += inc.astype(accum_totals.dtype)
     return int(changed.sum())
-
-
-def update_theta(
-    chunk_state: ChunkState, num_topics: int, compress: bool = True
-) -> CsrCounts:
-    """Rebuild the chunk's theta from its current assignments.
-
-    Functional equivalent of the dense-scatter + prefix-sum-compaction
-    kernel; returns the new CSR (also stored on the chunk state).
-    """
-    return chunk_state.rebuild_theta(num_topics, compress)
 
 
 def verify_phi_consistency(

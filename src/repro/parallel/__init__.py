@@ -14,8 +14,8 @@ Layers:
 - :mod:`repro.parallel.shm` — the shared-memory array arena;
 - :mod:`repro.parallel.pool` — pool lifecycle and CPU affinity, shared
   with the serving pool;
-- :mod:`repro.parallel.worker` — worker process: the functional chunk
-  pass (sample -> update-phi -> rebuild-theta) against shared replicas;
+- :mod:`repro.parallel.worker` — worker process: the core chunk pass
+  (sample -> update-phi -> rebuild-theta) against shared replicas;
 - :mod:`repro.parallel.engine` — master-side orchestration, lifecycle
   and the iteration barrier.
 
@@ -44,7 +44,6 @@ _EXPORTS = {
     "resolve_num_workers": "repro.parallel.engine",
     "ShmArena": "repro.parallel.shm",
     "pick_context": "repro.parallel.shm",
-    "ChunkResult": "repro.parallel.worker",
     "WorkerPlan": "repro.parallel.worker",
     "set_worker_affinity": "repro.parallel.pool",
     "worker_main": "repro.parallel.worker",

@@ -56,6 +56,7 @@ import numpy as np
 
 from repro import faults
 from repro.core.model import ChunkState
+from repro.core.scheduler import ChunkResult
 from repro.core.sparse import CsrCounts, index_dtype
 from repro.parallel.pool import (
     WorkerDied,
@@ -66,12 +67,7 @@ from repro.parallel.pool import (
     stop_workers,
 )
 from repro.parallel.shm import ShmArena
-from repro.parallel.worker import (
-    ChunkMeta,
-    ChunkResult,
-    WorkerPlan,
-    worker_main,
-)
+from repro.parallel.worker import ChunkMeta, WorkerPlan, worker_main
 
 __all__ = ["ProcessEngine", "RecoveryFailed", "resolve_num_workers"]
 

@@ -3,14 +3,15 @@
 Each OS worker owns a fixed subset of *replica groups* — for CuLDA a
 group is one simulated device (its phi/totals replica plus its chunk
 list), for the LDA* baseline a group is one parameter-server worker.
-Per iteration barrier the worker runs, for every chunk of every owned
-group in order:
-
-    sample_chunk  ->  apply_phi_update  ->  theta rebuild
-
-against the group's shared-memory phi/totals replica, writing new topic
-assignments and the rebuilt theta CSR straight into the shared block.
-Only the small per-chunk statistics travel back over the pipe.
+Per iteration barrier the worker runs the core chunk pass,
+:func:`repro.core.scheduler.chunk_pass` (sample -> update-phi ->
+update-theta, the same code serial execution runs), for every chunk of
+every owned group in order, against the group's shared-memory phi/totals
+replica.  The pass writes the new topic assignments straight into the
+shared block; the worker then publishes the rebuilt theta CSR there too.
+Only the small per-chunk :class:`~repro.core.scheduler.ChunkResult`
+travels back over the pipe, and the master charges the simulated clock
+from it.
 
 Determinism: the RNG stream of a chunk pass is keyed by
 ``(seed, iteration, chunk_id)`` (see :class:`repro.core.rng.RngPool`),
@@ -22,16 +23,15 @@ groups are mapped to workers.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import faults
 from repro.core.likelihood import chunk_doc_terms
+from repro.core.model import ChunkState
 from repro.core.rng import RngPool
-from repro.core.sampler import sample_chunk
-from repro.core.sparse import from_assignments
-from repro.core.updates import apply_phi_update
+from repro.core.scheduler import ChunkResult, chunk_pass
 from repro.corpus.encoding import BlockPlan, DeviceChunk
 from repro.corpus.partition import ChunkSpec
 from repro.parallel.pool import set_worker_affinity
@@ -40,7 +40,6 @@ from repro.perf import Workspace
 
 __all__ = [
     "ChunkMeta",
-    "ChunkResult",
     "WorkerPlan",
     "worker_main",
 ]
@@ -54,22 +53,6 @@ class ChunkMeta:
     spec: ChunkSpec
     num_words: int
     block_plan: BlockPlan  # small arrays; picklable
-
-
-@dataclass(frozen=True)
-class ChunkResult:
-    """Per-chunk statistics returned to the master each iteration."""
-
-    chunk_id: int
-    stats: object  # SamplingStats
-    changed: int
-    theta_nnz_pre: int
-    theta_nnz: int  # after the rebuild
-    #: document-side likelihood terms of this chunk's fresh theta —
-    #: ``(plus, minus)`` per :func:`repro.core.likelihood.chunk_doc_terms`
-    #: — computed worker-side when the master requested likelihood this
-    #: iteration, else ``None``.
-    ll_terms: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -117,13 +100,13 @@ class WorkerPlan:
 
 
 class _LocalChunk:
-    """A worker's live handle on one chunk: shm views + private theta."""
+    """A worker's live handle on one chunk: a :class:`ChunkState` over the
+    shared token arrays and topics, with a private theta it publishes."""
 
     def __init__(self, meta: ChunkMeta, arena: ShmArena, num_topics: int,
                  compress: bool):
         cid = meta.chunk_id
-        self.meta = meta
-        self.chunk = DeviceChunk(
+        chunk = DeviceChunk(
             spec=meta.spec,
             num_words=meta.num_words,
             token_words=arena.view(f"chunk{cid}/token_words"),
@@ -133,26 +116,23 @@ class _LocalChunk:
             doc_offsets=arena.view(f"chunk{cid}/doc_offsets"),
             block_plan=meta.block_plan,
         )
-        self.topics = arena.view(f"chunk{cid}/topics")
+        self.cs = ChunkState(
+            chunk=chunk, topics=arena.view(f"chunk{cid}/topics"), theta=None
+        )
+        # Private theta: rebuilt from the shared assignments, identical to
+        # the master's (from_assignments is deterministic).
+        self.cs.rebuild_theta(num_topics, compress)
         self.theta_indptr = arena.view(f"chunk{cid}/theta_indptr")
         self.theta_indices = arena.view(f"chunk{cid}/theta_indices")
         self.theta_data = arena.view(f"chunk{cid}/theta_data")
-        # Private theta: rebuilt from the shared assignments, identical to
-        # the master's (from_assignments is deterministic).
-        self.theta = from_assignments(
-            self.chunk.token_docs,
-            self.topics.astype(np.int64),
-            num_rows=self.chunk.num_local_docs,
-            num_cols=num_topics,
-            compress=compress,
-        )
 
     def publish_theta(self) -> None:
         """Copy the rebuilt CSR into the shared slots (capacity = tokens)."""
-        nnz = self.theta.nnz
-        self.theta_indptr[...] = self.theta.indptr
-        np.copyto(self.theta_indices[:nnz], self.theta.indices, casting="same_kind")
-        np.copyto(self.theta_data[:nnz], self.theta.data, casting="same_kind")
+        theta = self.cs.theta
+        nnz = theta.nnz
+        self.theta_indptr[...] = theta.indptr
+        np.copyto(self.theta_indices[:nnz], theta.indices, casting="same_kind")
+        np.copyto(self.theta_data[:nnz], theta.data, casting="same_kind")
 
 
 def run_chunk_pass(
@@ -172,52 +152,29 @@ def run_chunk_pass(
     accum_totals: np.ndarray | None = None,
     want_ll: bool = False,
 ) -> ChunkResult:
-    """The functional half of one chunk pass (no simulated-clock charges).
+    """One chunk pass in a worker: the core pass, then publish.
 
-    Mirrors :func:`repro.core.scheduler.run_chunk_kernels` minus the
-    ``gpu.launch`` accounting, which stays on the master where the
-    simulated devices live.  ``update_phi``/``update_totals`` redirect
-    the count updates away from the sampled-against arrays (delta mode);
-    by default the updates land on ``phi``/``totals`` themselves.
-    ``accum_phi``/``accum_totals`` additionally receive the same signed
-    update (the replica-mode pre-reduce).  ``want_ll`` evaluates the
-    chunk's document-side likelihood terms from the fresh theta before
-    replying, so the master never has to scan shared theta between
-    barriers.
+    Runs :func:`repro.core.scheduler.chunk_pass` (its topics land in the
+    shared view directly), copies the rebuilt theta into the shared
+    slots and, with ``want_ll``, evaluates the chunk's document-side
+    likelihood terms from the fresh theta, so the master never has to
+    scan shared theta between barriers.  The clock is charged on the
+    master, where the simulated devices live.
     """
-    rng = pool.chunk_stream(iteration, lc.meta.chunk_id)
-    theta_nnz_pre = lc.theta.nnz
-    result = sample_chunk(
-        lc.chunk, lc.topics, lc.theta, phi, totals,
-        alpha=alpha, beta=beta, rng=rng, workspace=workspace,
-    )
-    changed = apply_phi_update(
-        phi if update_phi is None else update_phi,
-        totals if update_totals is None else update_totals,
-        lc.chunk.token_words, lc.topics, result.new_topics,
+    r = chunk_pass(
+        lc.cs, phi, totals, iteration, pool, num_topics, alpha, beta,
+        compress, workspace,
+        update_phi=update_phi, update_totals=update_totals,
         accum_phi=accum_phi, accum_totals=accum_totals,
     )
-    np.copyto(lc.topics, result.new_topics, casting="same_kind")
-    lc.theta = from_assignments(
-        lc.chunk.token_docs,
-        lc.topics.astype(np.int64),
-        num_rows=lc.chunk.num_local_docs,
-        num_cols=num_topics,
-        compress=compress,
-    )
     lc.publish_theta()
-    ll_terms = None
-    if want_ll:
-        ll_terms = chunk_doc_terms(
-            lc.theta.data, lc.chunk.doc_offsets, num_topics, alpha
-        )
-    return ChunkResult(
-        chunk_id=lc.meta.chunk_id,
-        stats=result.stats,
-        changed=changed,
-        theta_nnz_pre=theta_nnz_pre,
-        theta_nnz=lc.theta.nnz,
-        ll_terms=ll_terms,
+    if not want_ll:
+        return r
+    return replace(
+        r,
+        ll_terms=chunk_doc_terms(
+            lc.cs.theta.data, lc.cs.chunk.doc_offsets, num_topics, alpha
+        ),
     )
 
 
@@ -318,7 +275,7 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                 for lc in chunks:
                     faults.crash_if(
                         "worker_crash", phase="sample", iteration=iteration,
-                        chunk=lc.meta.chunk_id, worker=plan.worker_index,
+                        chunk=lc.cs.chunk.spec.chunk_id, worker=plan.worker_index,
                         attempt=plan.attempt,
                     )
                     results.append(

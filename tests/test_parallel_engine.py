@@ -284,12 +284,12 @@ class TestSyncModes:
         if pick_context().get_start_method() != "fork":
             pytest.skip("fault injection needs fork inheritance")
         before = set(_glob.glob("/dev/shm/psm_*"))
-        import repro.parallel.worker as worker_mod
+        import repro.core.scheduler as scheduler_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(worker_mod, "sample_chunk", boom)
+        monkeypatch.setattr(scheduler_mod, "sample_chunk", boom)
         cfg = TrainerConfig(num_topics=12, num_gpus=2, seed=5,
                             execution="process", num_workers=2,
                             sync_mode="overlap")

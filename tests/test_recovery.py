@@ -221,12 +221,12 @@ class TestCuldaCrashRecovery:
     def test_worker_exception_is_not_recovered(self, corpus, monkeypatch):
         """A Python bug in the worker must propagate, not be replayed:
         recovery is for process deaths only."""
-        import repro.parallel.worker as worker_mod
+        import repro.core.scheduler as scheduler_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(worker_mod, "sample_chunk", boom)
+        monkeypatch.setattr(scheduler_mod, "sample_chunk", boom)
         cfg = TrainerConfig(
             num_topics=12, seed=5, execution="process", num_workers=2,
         )

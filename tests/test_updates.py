@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import TrainerConfig
 from repro.core.model import LdaState
-from repro.core.updates import apply_phi_update, update_theta, verify_phi_consistency
+from repro.core.updates import apply_phi_update, verify_phi_consistency
 
 
 class TestPhiUpdate:
@@ -99,7 +99,7 @@ class TestThetaUpdate:
         cs = state.chunks[0]
         rng = np.random.default_rng(2)
         cs.topics = rng.integers(0, 8, size=cs.num_tokens).astype(cs.topics.dtype)
-        theta = update_theta(cs, 8)
+        theta = cs.rebuild_theta(8)
         dense = theta.to_dense()
         expect = np.zeros_like(dense)
         np.add.at(
