@@ -65,9 +65,14 @@ The K x Wp shared trees and the per-token vectors are drawn from a
 :class:`repro.perf.Workspace` when one is passed, so steady-state
 iterations reuse buffers instead of reallocating them — the NumPy
 analogue of the static device buffers a real GPU kernel would use.  The
-pair walk never materialises chunk-wide: a tile's gathers, products and
-prefix sums are fresh tile-sized arrays, and nothing pooled scales with
-sum-Kd.  The gathers are bounds-checked ``np.take`` results over ``intp``
+trees take three K x Wp float buffers besides the gathered phi columns:
+``cdf_sub`` holds p* and then, in place, its prefix sums over k (its
+last row is P_w); ``p_star_wm`` is the word-major copy of p*; and
+``flat_cdf`` is the transposed CDF normalised by P_w.  The row-by-row
+prefix adds are the same float operations as ``np.cumsum`` over axis 0.
+The pair walk never materialises chunk-wide: a tile's gathers, products
+and prefix sums are fresh tile-sized arrays, and nothing pooled scales
+with sum-Kd.  The gathers are bounds-checked ``np.take`` results over ``intp``
 indices, because NumPy converts any other index dtype to an ``intp``
 copy first and stages a checked take into an ``out=`` buffer through a
 temporary.  Chunk-invariant data (present words, token->word-column map,
@@ -224,23 +229,23 @@ def sample_chunk(
     np.add(topic_totals, beta_v, out=denom, casting="same_kind")  # K
     phi_g = ws.take("phi_gather", (num_topics, wp), phi.dtype)
     np.take(phi, present, axis=1, out=phi_g)
-    # p_sub[k, c] = p*(k) for present word c; one column per word.
-    p_sub = ws.take("p_sub", (num_topics, wp))
-    np.add(phi_g, beta, out=p_sub, casting="same_kind")
-    np.divide(p_sub, denom[:, None], out=p_sub)
+    # cdf_sub[k, c] = p*(k) for present word c; one column per word.
+    cdf_sub = ws.take("cdf_sub", (num_topics, wp))
+    np.add(phi_g, beta, out=cdf_sub, casting="same_kind")
+    np.divide(cdf_sub, denom[:, None], out=cdf_sub)
     # word-major copy: a token's theta walk reads one contiguous K-row
     p_wm = ws.take("p_star_wm", (wp, num_topics))
-    np.copyto(p_wm, p_sub.T)
-    p_w = ws.take("p_w", wp)  # per-word total P = sum_k p*(k)
-    np.sum(p_sub, axis=0, out=p_w)
-    cdf_sub = ws.take("cdf_sub", (num_topics, wp))  # K x Wp prefix sums
-    np.cumsum(p_sub, axis=0, out=cdf_sub)
+    np.copyto(p_wm, cdf_sub.T)
+    # K x Wp prefix sums over k, in place: the same row-by-row adds as
+    # np.cumsum(axis=0); the last row is the per-word total
+    # P = sum_k p*(k).
+    for k in range(1, num_topics):
+        np.add(cdf_sub[k - 1], cdf_sub[k], out=cdf_sub[k])
+    p_w = cdf_sub[num_topics - 1]
     # Column-major flattened, per-column normalised CDF for one-shot
     # vectorised per-column searches (the SIMD index-tree descent).
-    norm = ws.take("norm_cdf", (num_topics, wp))
-    np.divide(cdf_sub, p_w[None, :], out=norm)
     flat2d = ws.take("flat_cdf", (wp, num_topics))
-    np.copyto(flat2d, norm.T)
+    np.divide(cdf_sub.T, p_w[:, None], out=flat2d)
     np.add(flat2d, ws.arange(wp)[:, None], out=flat2d, casting="same_kind")
     flat_cdf = flat2d.reshape(-1)
 

@@ -55,10 +55,12 @@ from repro.perf import Workspace
 class DeviceState:
     """One GPU's replica and its round-robin chunk assignment.
 
-    ``workspace`` is the device's reusable kernel arena: the sampling
-    kernel draws every large temporary from it, so after the first pass
-    over the device's chunks the steady state allocates (almost)
-    nothing — the NumPy analogue of static device buffers.
+    ``workspace`` is the reusable kernel arena the device's chunk passes
+    draw every large temporary from, so after the first pass the steady
+    state allocates (almost) nothing — the NumPy analogue of static
+    device buffers.  It belongs to the executor process, not the device:
+    every device of one process shares it, because they run one after
+    another.
     """
 
     gpu: SimulatedGPU

@@ -115,6 +115,9 @@ class CuLdaTrainer:
         self.state = LdaState.initialize(corpus, config, chunk_specs)
         per_gpu = assign_round_robin(chunk_specs, config.num_gpus)
 
+        # One kernel arena for every device: the devices of one process
+        # run one after another, so no buffer is live across devices.
+        workspace = Workspace(config.compute_dtype)
         self.devices: list[DeviceState] = []
         for g in range(config.num_gpus):
             gpu = SimulatedGPU(g, spec)
@@ -123,7 +126,7 @@ class CuLdaTrainer:
                 phi=self.state.phi.copy(),
                 totals=self.state.topic_totals.copy(),
                 chunk_ids=[c.chunk_id for c in per_gpu[g]],
-                workspace=Workspace(config.compute_dtype),
+                workspace=workspace,
             )
             self.devices.append(dev)
         self._allocate_device_memory()
@@ -560,24 +563,27 @@ class CuLdaTrainer:
         }
 
     def workspace_stats(self) -> list[dict]:
-        """Per-device kernel-arena occupancy (see docs/PERFORMANCE.md).
+        """Kernel-arena occupancy, one entry per arena (see
+        docs/PERFORMANCE.md).
 
-        Entries are in device order and carry a ``group`` index.  In
-        process mode the arenas live in the worker processes and their
-        stats are gathered over the control pipes — only while the
-        engine is running; after :meth:`close` this returns ``[]``
-        (the master-side pools never ran a kernel in process mode, so
-        reporting them would present zero counters as the run's
-        occupancy).
+        Each entry lists the device ``groups`` its arena serves.  Serial
+        execution runs every device in one arena, so it reports one
+        entry.  In process mode each worker process holds one arena for
+        the devices it owns; the stats are gathered over the control
+        pipes — only while the engine is running; after :meth:`close`
+        this returns ``[]`` (the master-side pool never ran a kernel in
+        process mode, so reporting it would present zero counters as the
+        run's occupancy).
         """
         if self._engine is not None and self._engine.started:
             return self._engine.workspace_stats()
         if self.config.execution == "process":
             return []
         return [
-            {"group": g, **dev.workspace.describe()}
-            for g, dev in enumerate(self.devices)
-            if dev.workspace is not None
+            {
+                "groups": list(range(len(self.devices))),
+                **self.devices[0].workspace.describe(),
+            }
         ]
 
     def kernel_breakdown(self) -> dict[str, float]:

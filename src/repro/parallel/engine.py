@@ -29,8 +29,9 @@ Crash recovery
 A worker process dying mid-iteration (OOM kill, injected crash, bug) no
 longer aborts the run.  Every :meth:`dispatch_iteration` first captures
 a **recovery snapshot** of the shared state the workers are about to
-mutate (chunk topic assignments, theta CSR slots, phi/totals replicas);
-when :meth:`collect_iteration` sees :class:`~repro.parallel.pool.WorkerDied`,
+mutate (chunk topic assignments, theta CSR slots, and the phi/totals
+replicas unless the kick-off refreshes them from ``model/*``); when
+:meth:`collect_iteration` sees :class:`~repro.parallel.pool.WorkerDied`,
 the engine terminates the remaining workers *without* unlinking the
 arena, restores the snapshot in place, respawns the pool and replays the
 same ``(iteration, want_ll, refresh)`` kick-off.  Because the RNG stream
@@ -429,7 +430,7 @@ class ProcessEngine:
                 f"iteration {self._inflight} is already in flight; "
                 f"collect it before dispatching another"
             )
-        self._capture_snapshot()
+        self._capture_snapshot(refresh_replicas)
         self._inflight_args = (iteration, want_ll, refresh_replicas)
         self._inflight = iteration
         for conn in self._conns:
@@ -529,12 +530,11 @@ class ProcessEngine:
             return None
 
     def workspace_stats(self) -> list[dict]:
-        """Per-group kernel-arena occupancy, gathered from the workers.
+        """Kernel-arena occupancy, gathered from the workers.
 
-        Returned in group (device) order regardless of which worker owns
-        which group; each entry carries its ``group`` index.  In delta
-        mode the groups of one worker share an arena, so the same stats
-        appear under each of that worker's groups.
+        One entry per worker process, in worker order: each worker runs
+        every group it owns in one arena, and its entry lists those
+        ``groups`` and the CPU it pinned itself to (``affinity``).
         """
         if not self.started:
             return []
@@ -546,26 +546,28 @@ class ProcessEngine:
             )
         for conn in self._conns:
             conn.send(("stats",))
-        out: list[tuple[int, dict]] = []
+        out: list[dict] = []
         for w, conn in enumerate(self._conns):
             kind, payload = self._recv(w, conn)
             if kind != "stats":  # pragma: no cover - protocol misuse
                 raise RuntimeError(f"unexpected worker reply {kind!r}")
-            out.extend(payload)
-        out.sort(key=lambda pair: pair[0])
-        return [{"group": gi, **stats} for gi, stats in out]
+            out.append(payload)
+        return out
 
     # -- crash recovery ----------------------------------------------------
 
-    def _capture_snapshot(self) -> None:
+    def _capture_snapshot(self, refresh_replicas: bool) -> None:
         """Copy the shared state workers are about to mutate.
 
         Chunk topic assignments plus theta CSR contents always; the
-        per-group phi/totals replicas in replica mode (delta mode's
-        ``model/*`` is master-written only, and both modes' per-worker
-        accumulators are zeroed worker-side at iteration start, so
-        neither needs rollback).  Disabled when ``recovery_retries`` is
-        0 — then a crash is terminal and the copies would be waste.
+        per-group phi/totals replicas in replica mode, unless the
+        dispatch refreshes them — its replay copies ``model/*`` over
+        every replica before sampling, so their old contents are never
+        read.  Delta mode's ``model/*`` is master-written only, and both
+        modes' per-worker accumulators are zeroed worker-side at
+        iteration start, so neither needs rollback.  Disabled when
+        ``recovery_retries`` is 0 — then a crash is terminal and the
+        copies would be waste.
         """
         if self.recovery_retries <= 0:
             return
@@ -581,7 +583,7 @@ class ProcessEngine:
                 nnz,
             )
         replicas = []
-        if self.mode == "replica":
+        if self.mode == "replica" and not refresh_replicas:
             for g in range(len(self._groups)):
                 replicas.append(
                     (

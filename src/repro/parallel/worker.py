@@ -187,8 +187,9 @@ def worker_main(conn, plan: WorkerPlan) -> None:
     copies the shared ``model/*`` buffers into its owned replicas (the
     overlap-mode broadcast, performed in parallel across workers), and
     with ``want_ll`` each result carries its chunk's document-side
-    likelihood terms; ``("stats",)`` answers ``("stats", [workspace
-    descriptions])``; ``("stop",)`` exits.  Any exception answers
+    likelihood terms; ``("stats",)`` answers ``("stats", description)``
+    with the worker's kernel arena, the groups it serves and the applied
+    CPU; ``("stop",)`` exits.  Any exception answers
     ``("error", traceback)`` and exits.
     """
     arena = None
@@ -200,53 +201,51 @@ def worker_main(conn, plan: WorkerPlan) -> None:
         applied_cpu = set_worker_affinity(plan.worker_index, plan.affinity)
         arena = ShmArena.attach(plan.layout)
         pool = RngPool(plan.seed)
+        # One kernel arena for every owned group: the groups run one
+        # after another, so no buffer is live across groups.
+        workspace = Workspace(plan.compute_dtype)
         delta = plan.mode == "delta"
         prereduce = not delta and plan.sync_mode in ("prereduce", "overlap")
         delta_phi = delta_totals = None
         accum_phi = accum_totals = None
         model_phi = model_totals = None
-        if delta:
-            # One snapshot, one per-worker delta pair, one workspace —
-            # mirrors the serial LDA* loop's shared-arena structure.
-            shared_ws = Workspace(plan.compute_dtype)
+        if delta or plan.sync_mode == "overlap":
+            # delta: the one snapshot every chunk samples against;
+            # overlap: the broadcast buffer a refresh copies from.
             model_phi = arena.view("model/phi")
             model_totals = arena.view("model/totals")
+        if delta:
             delta_phi = arena.view(f"wdelta{plan.worker_index}/phi")
             delta_totals = arena.view(f"wdelta{plan.worker_index}/totals")
         if prereduce:
             accum_phi = arena.view(f"wacc{plan.worker_index}/phi")
             accum_totals = arena.view(f"wacc{plan.worker_index}/totals")
-        if not delta and plan.sync_mode == "overlap":
-            model_phi = arena.view("model/phi")
-            model_totals = arena.view("model/totals")
         groups = []
         for group_idx, metas in plan.groups:
             if delta:
-                phi, totals, ws = model_phi, model_totals, shared_ws
+                phi, totals = model_phi, model_totals
             else:
                 phi = arena.view(f"rep{group_idx}/phi")
                 totals = arena.view(f"rep{group_idx}/totals")
-                ws = Workspace(plan.compute_dtype)
             chunks = [
                 _LocalChunk(m, arena, plan.num_topics, plan.compress)
                 for m in metas
             ]
-            groups.append((group_idx, phi, totals, chunks, ws))
+            groups.append((phi, totals, chunks))
         while True:
             msg = conn.recv()
             cmd = msg[0]
             if cmd == "stop":
                 break
             if cmd == "stats":
-                conn.send(
-                    (
-                        "stats",
-                        [
-                            (gi, {**ws.describe(), "affinity": applied_cpu})
-                            for gi, _, _, _, ws in groups
-                        ],
-                    )
-                )
+                conn.send((
+                    "stats",
+                    {
+                        "groups": [g for g, _ in plan.groups],
+                        "affinity": applied_cpu,
+                        **workspace.describe(),
+                    },
+                ))
                 continue
             if cmd != "iter":  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown worker command {cmd!r}")
@@ -261,7 +260,7 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                 # The overlap broadcast: each worker copies the freshly
                 # reconciled model into its own replicas, so the master
                 # never pays the O(G*K*V) write.
-                for _, phi, totals, _, _ in groups:
+                for phi, totals, _ in groups:
                     phi[...] = model_phi
                     totals[...] = model_totals
             if delta:
@@ -271,7 +270,7 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                 accum_phi[...] = 0
                 accum_totals[...] = 0
             results = []
-            for _, phi, totals, chunks, workspace in groups:
+            for phi, totals, chunks in groups:
                 for lc in chunks:
                     faults.crash_if(
                         "worker_crash", phase="sample", iteration=iteration,

@@ -1,11 +1,14 @@
 """Reusable buffer pool for the sampling kernels.
 
-One :class:`Workspace` lives per simulated device (see
-``repro.core.scheduler.DeviceState``) and hands out preallocated arrays
-keyed by a *role* string.  Buffers grow geometrically and are never
-shrunk, so after the first iteration over a device's chunks every
-``take`` is a slice of an existing allocation — the steady state the
-paper's GPU kernels get from static device buffers.
+One :class:`Workspace` lives per executor process: every simulated
+device a process runs (see ``repro.core.scheduler.DeviceState``) draws
+from it, because those devices run one after another and no buffer is
+live from one chunk pass to the next.  It hands out preallocated arrays
+keyed by a *role* string.  A buffer that must grow is reallocated at
+exactly the size asked for and is never shrunk, so after the first
+iteration over the process's chunks every ``take`` is a slice of an
+existing allocation that fits the largest chunk — the paper's static
+device buffers, sized once.
 
 Contract
 --------
@@ -29,9 +32,6 @@ from typing import Any
 import numpy as np
 
 __all__ = ["Workspace"]
-
-#: Growth factor when a role needs a bigger buffer (amortises resizes).
-_GROWTH = 1.5
 
 _ALLOWED_COMPUTE = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -91,8 +91,7 @@ class Workspace:
         key = (role, dt)
         buf = self._pool.get(key)
         if buf is None or buf.size < n:
-            cap = n if buf is None else max(n, int(buf.size * _GROWTH))
-            buf = np.empty(cap, dtype=dt)
+            buf = np.empty(n, dtype=dt)
             self._pool[key] = buf
             self.misses += 1
         else:
@@ -117,8 +116,7 @@ class Workspace:
         """Read-only ``int64`` ramp ``[0, n)`` (shared, grown on demand)."""
         n = int(n)
         if self._arange.shape[0] < n:
-            ramp = np.arange(max(n, int(self._arange.shape[0] * _GROWTH)),
-                             dtype=np.int64)
+            ramp = np.arange(n, dtype=np.int64)
             ramp.setflags(write=False)
             self._arange = ramp
         return self._arange[:n]

@@ -19,6 +19,7 @@ from repro.baselines.ldastar import LdaStarTrainer
 from repro.core.config import TrainerConfig
 from repro.core.trainer import CuLdaTrainer
 from repro.corpus.synthetic import SyntheticSpec, generate_synthetic_corpus
+from repro.gpusim import PASCAL_PLATFORM
 from repro.parallel import ShmArena, resolve_num_workers
 
 SPEC = SyntheticSpec(
@@ -151,6 +152,22 @@ class TestCuLdaProcessExecution:
             assert all(s["hits"] > 0 for s in stats)
         finally:
             t.close()
+
+    def test_one_arena_per_worker_process(self, corpus):
+        def arenas(num_workers):
+            cfg = TrainerConfig(num_topics=12, num_gpus=4, seed=5,
+                                execution="process", num_workers=num_workers)
+            t = CuLdaTrainer(corpus, cfg, platform=PASCAL_PLATFORM)
+            try:
+                t.train(2, compute_likelihood_every=0)
+                return t.workspace_stats()
+            finally:
+                t.close()
+
+        shared = arenas(2)
+        assert [s["groups"] for s in shared] == [[0, 2], [1, 3]]
+        largest_single = max(s["nbytes"] for s in arenas(4))
+        assert all(s["nbytes"] < 1.3 * largest_single for s in shared)
 
     def test_describe_reports_execution(self, corpus):
         cfg = TrainerConfig(num_topics=12, seed=5, execution="process",

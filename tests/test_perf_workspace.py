@@ -11,6 +11,7 @@ from repro.core.model import LdaState
 from repro.core.sampler import sample_chunk
 from repro.core.trainer import CuLdaTrainer
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.gpusim import PASCAL_PLATFORM
 from repro.perf import Workspace, counts_of_counts_lngamma, lngamma_table
 
 
@@ -36,6 +37,13 @@ class TestWorkspace:
         big = ws.take("x", 1000)
         assert big.shape == (1000,)
         assert ws.misses == 2
+
+    def test_growth_fits_the_take_exactly(self):
+        ws = Workspace()
+        ws.take("x", 100)
+        ws.take("x", 101)
+        ws.arange(7)
+        assert ws.nbytes == (101 + 7) * 8 and ws.misses == 2
 
     def test_roles_and_dtypes_do_not_alias(self):
         ws = Workspace()
@@ -191,6 +199,18 @@ class TestComputeDtypeConfig:
         trainer.state.validate()
         assert trainer.devices[0].workspace.compute_dtype == np.float32
         assert trainer.describe()["compute_dtype"] == "float32"
+
+
+class TestSerialArena:
+    def test_every_device_shares_one_arena(self, perf_corpus):
+        config = TrainerConfig(num_topics=8, num_gpus=4, seed=2)
+        trainer = CuLdaTrainer(perf_corpus, config, platform=PASCAL_PLATFORM)
+        trainer.train(2, compute_likelihood_every=0)
+        arena = trainer.devices[0].workspace
+        assert all(d.workspace is arena for d in trainer.devices)
+        stats = trainer.workspace_stats()
+        assert len(stats) == 1 and stats[0]["groups"] == [0, 1, 2, 3]
+        assert stats[0]["nbytes"] == arena.nbytes
 
 
 class TestZeroDurationThroughput:

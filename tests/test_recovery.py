@@ -28,7 +28,7 @@ from repro.baselines.ldastar import LdaStarTrainer
 from repro.core.config import TrainerConfig
 from repro.core.trainer import CuLdaTrainer
 from repro.corpus.synthetic import SyntheticSpec, generate_synthetic_corpus
-from repro.parallel.engine import RecoveryFailed
+from repro.parallel.engine import ProcessEngine, RecoveryFailed
 from repro.parallel.pool import WorkerDied
 from repro.parallel.shm import pick_context
 
@@ -237,6 +237,39 @@ class TestCuldaCrashRecovery:
             assert t.recovery_events == []
         finally:
             t.close()
+
+
+class TestRecoverySnapshot:
+    """A refresh dispatch's replay rewrites every replica from
+    ``model/*`` before sampling, so its snapshot skips them."""
+
+    @pytest.mark.parametrize(
+        "sync_mode, expected",
+        [
+            ("barrier", [(False, 2)] * 3),
+            ("prereduce", [(False, 2)] * 3),
+            # the overlap pipeline refreshes from the second dispatch on
+            ("overlap", [(False, 2), (True, 0), (True, 0)]),
+        ],
+    )
+    def test_replica_copies_only_without_refresh(
+        self, corpus, monkeypatch, sync_mode, expected
+    ):
+        seen = []
+        capture = ProcessEngine._capture_snapshot
+
+        def spy(engine, refresh_replicas):
+            capture(engine, refresh_replicas)
+            seen.append(
+                (refresh_replicas, len(engine._snapshot["replicas"]))
+            )
+
+        monkeypatch.setattr(ProcessEngine, "_capture_snapshot", spy)
+        run_culda(
+            corpus, num_gpus=2, execution="process", num_workers=2,
+            sync_mode=sync_mode,
+        )
+        assert seen == expected
 
 
 class TestMergeFaults:

@@ -383,9 +383,28 @@ class TestTiledFootprint:
         assert ws.misses == misses  # warm: every buffer came from the pool
         assert np.array_equal(first.new_topics, second.new_topics)
         assert max(b.size for b in ws._pool.values()) < sum_kd
-        # ~30 n-sized and 6 K x Wp roles, one tile-sized buffer + ramp
-        bound = 8 * (48 * (n + 1) + 8 * num_topics * wp + 4 * tile)
+        # ~30 n-sized and 4 K x Wp roles, one tile-sized buffer + ramp
+        bound = 8 * (48 * (n + 1) + 4 * num_topics * wp + 4 * tile)
         assert ws.nbytes < bound < ws.nbytes + 8 * sum_kd
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_trees_take_three_float_buffers_and_the_gather(self, dtype):
+        # K * Wp dwarfs every token-sized buffer: 10 documents of 40
+        # distinct words each, all 400 words present.
+        num_topics, wp = 256, 400
+        docs = [list(range(40 * i, 40 * i + 40)) for i in range(10)]
+        corpus = Corpus.from_token_lists(docs, num_words=wp)
+        state, cfg = make_state(corpus, num_topics=num_topics, seed=2)
+        cs = state.chunks[0]
+        assert np.count_nonzero(np.diff(cs.chunk.word_offsets)) == wp
+        assert 50 * cs.chunk.num_tokens < num_topics * wp
+        ws = Workspace(dtype)
+        _draw(cs, state, cfg, workspace=ws)
+        trees = [b for b in ws._pool.values() if b.size >= num_topics * wp]
+        float_bytes = np.dtype(dtype).itemsize
+        assert state.phi.dtype == np.int32
+        assert (sum(b.nbytes for b in trees)
+                <= (3 * float_bytes + 4) * num_topics * wp)
 
 
 class TestStatisticalCorrectness:
@@ -678,6 +697,18 @@ class TestExactOracle:
     def test_workspace_free_kernel(self, mixed):
         state, cfg = mixed
         self._check(state, cfg, seed=3, workspace=lambda: None)
+
+    def test_single_present_word(self):
+        """Wp = 1, K >= 8: the one shape where NumPy's axis-0 sum is a
+        pairwise reduction; P_w is the prefix's last row instead."""
+        gen = np.random.default_rng(2)
+        docs = [[0] * int(m) for m in gen.integers(1, 12, 10)]
+        corpus = Corpus.from_token_lists(docs, num_words=1)
+        cfg = TrainerConfig(num_topics=12, seed=3, alpha=0.4)
+        state = LdaState.initialize(corpus, cfg)
+        for seed in range(4):
+            res = self._check(state, cfg, seed)
+        assert res.stats.num_p2_draws > 0
 
     def test_long_document_ahead_of_a_rare_word(self):
         """The fixture a chunk-wide running prefix sum gets wrong."""
