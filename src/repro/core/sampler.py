@@ -72,10 +72,10 @@ last row is P_w); ``p_star_wm`` is the word-major copy of p*; and
 prefix adds are the same float operations as ``np.cumsum`` over axis 0.
 The pair walk never materialises chunk-wide: a tile's gathers, products
 and prefix sums are fresh tile-sized arrays, and nothing pooled scales
-with sum-Kd.  The gathers are bounds-checked ``np.take`` results over ``intp``
-indices, because NumPy converts any other index dtype to an ``intp``
-copy first and stages a checked take into an ``out=`` buffer through a
-temporary.  Chunk-invariant data (present words, token->word-column map,
+with sum-Kd.  The gathers are bounds-checked ``np.take`` results over
+``intp`` indices, because NumPy converts any other index dtype to an
+``intp`` copy first and stages a checked take into an ``out=`` buffer
+through a temporary.  Chunk-invariant data (present words, token->word-column map,
 pair boundaries) is memoised per chunk inside the workspace, mirroring
 the paper's one-time CPU preprocessing.  With ``workspace=None`` (or any
 float64 workspace) the arithmetic is identical to the float64 workspace
