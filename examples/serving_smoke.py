@@ -10,9 +10,11 @@ harness:
    line,
 3. run 8 concurrent clients, each verifying its responses are
    **bit-identical** to in-process inference on the served generation,
-4. hot-swap to the second model while traffic flows (zero drops
+4. send one wide request, which the server splits over its worker pool
+   when the host has more than one CPU, and check it the same way,
+5. hot-swap to the second model while traffic flows (zero drops
    asserted),
-5. shut the server down over the protocol and assert a clean exit.
+6. shut the server down over the protocol and assert a clean exit.
 
 Exit code 0 means every step held.  CI runs this as the non-gating
 serve-smoke job; locally::
@@ -38,6 +40,9 @@ from repro.serving import ServingClient
 
 NUM_CLIENTS = 8
 REQUESTS_PER_CLIENT = 4
+#: Documents in the wide request: two shares of the session's minimum,
+#: so a server with two or more workers folds it on the pool.
+WIDE_DOCS = 64
 SWEEPS, BURN = 8, 3
 READY = re.compile(r"generation=(\S+) on (\S+):(\d+)")
 
@@ -89,6 +94,21 @@ async def drive(host: str, port: int, m1: Path, m2: Path) -> None:
 
     # concurrent clients against generation 1
     await asyncio.gather(*[client(c, "pre") for c in range(NUM_CLIENTS)])
+
+    # one wide request, split over the worker pool on a multi-CPU host
+    wide = [rng.integers(0, 200, size=n) for n in
+            rng.integers(5, 40, size=WIDE_DOCS)]
+    async with await ServingClient.connect(host, port) as c:
+        r = await c.infer([d.tolist() for d in wide], seed=7)
+        assert np.array_equal(r.theta, ref1.transform(wide, seed=7)), (
+            "wide request: served theta diverged from in-process inference"
+        )
+        stats = await c.stats()
+    routed = stats["inference"]["routed"]
+    if stats["num_workers"] > 1:
+        assert routed["pool"] >= 1, "the wide request did not reach the pool"
+    print(f"wide request of {WIDE_DOCS} documents bit-identical "
+          f"({stats['num_workers']} workers, routed {routed})")
 
     # hot swap while a fresh wave of traffic flows
     async with await ServingClient.connect(host, port) as admin:

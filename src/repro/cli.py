@@ -806,7 +806,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default=256)
     p_serve.add_argument("--num-workers", dest="num_workers", type=int,
                          default=None,
-                         help="inference worker processes per generation")
+                         help="inference worker processes per generation "
+                              "(default: the CPUs this process may run "
+                              "on; 1 serves in-process). Requests too "
+                              "small to split fold in-process either way")
     p_serve.add_argument("--affinity", dest="worker_affinity", default=None,
                          help="comma-separated CPU ids for inference workers")
     p_serve.add_argument("--max-pending", dest="max_pending", type=int,

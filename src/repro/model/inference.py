@@ -53,6 +53,13 @@ __all__ = ["InferenceSession", "ScoreResult"]
 #: ``batch_docs * max_doc_len`` (uniforms are drawn one sweep at a time).
 DEFAULT_BATCH_DOCS = 256
 
+#: Fewest documents worth one worker's share of a call.  A call folds
+#: in ``min(num_workers, docs // _MIN_SHARE_DOCS)`` shares and stays
+#: in-process below two, so 4-document serving requests never pay a
+#: pool round trip.  Measured on a 2-CPU host at K=256, V=2400 and 20
+#: sweeps: docs/PERFORMANCE.md "Serving on every core".
+_MIN_SHARE_DOCS = 24
+
 
 @dataclass(frozen=True)
 class ScoreResult:
@@ -93,11 +100,13 @@ class InferenceSession:
         Optional shared :class:`~repro.perf.Workspace`; by default the
         session owns one and reuses its buffers across calls.
     num_workers:
-        Fan batches out over this many persistent OS worker processes
-        sharing one read-only model arena (phi is frozen, so serving
-        needs **no** synchronization — see
+        Fan batches out over up to this many persistent OS worker
+        processes sharing one read-only model arena (phi is frozen, so
+        serving needs **no** synchronization — see
         :mod:`repro.model.parallel_inference`).  ``None``/1 stays
-        in-process.  Results are bit-identical for any worker count.
+        in-process, and so does any call too small for two shares of
+        ``_MIN_SHARE_DOCS`` documents.  Results are bit-identical for
+        any worker count.
     worker_affinity:
         Optional CPU ids to pin inference workers to (round-robin).
     """
@@ -150,6 +159,8 @@ class InferenceSession:
         self.num_workers = resolve_inference_workers(num_workers)
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._pool = None
+        #: Calls folded in-process vs. sent to the pool (see describe()).
+        self._routed = {"in_process": 0, "pool": 0}
 
     @classmethod
     def from_fold_in(
@@ -327,29 +338,33 @@ class InferenceSession:
         # per-position active set shrinks smoothly instead of raggedly.
         order = np.argsort(-lengths, kind="stable")
         order = order[lengths[order] > 0]
-        if self.num_workers > 1 and order.shape[0] > 0:
+        n = order.shape[0]
+        shares = min(self.num_workers, n // _MIN_SHARE_DOCS)
+        if shares >= 2:
             # Frozen phi: batches are independent, so scatter them over
             # the worker pool.  Workers derive each document's stream
-            # from its spec, so the result is bit-identical to the
-            # in-process path below — including under the narrower batch
-            # split here, which caps batches at ceil(docs / workers) so
-            # a request smaller than batch_docs * workers still keeps
-            # every worker busy.
-            per = min(
-                self.batch_docs,
-                -(-order.shape[0] // self.num_workers),
-            )
-            batches = [
-                (
-                    order[lo: lo + per],
-                    [arrays[i] for i in order[lo: lo + per]],
-                    [specs[i] for i in order[lo: lo + per]],
-                )
-                for lo in range(0, order.shape[0], per)
-            ]
+            # from its spec, so any split is bit-identical to the
+            # in-process path below.  Batches hold at most
+            # ceil(docs / shares) documents, so every share's worker is
+            # busy even below batch_docs * shares.  A lockstep batch
+            # costs its longest document's positions plus its tokens,
+            # so each round of ``shares`` batches deals its span of the
+            # longest-first order out in turn and its batches match on
+            # both.  Smaller calls stay in-process, where a pool's round
+            # trip costs more than the second core earns.
+            self._routed["pool"] += 1
+            span = shares * min(self.batch_docs, -(-n // shares))
+            batches = []
+            for lo in range(0, n, span):
+                for s in range(min(shares, n - lo)):
+                    idx = order[lo + s: lo + span: shares]
+                    batches.append(
+                        (idx, [arrays[i] for i in idx], [specs[i] for i in idx])
+                    )
             self._ensure_pool().transform_batches(batches, sweeps, burn, out)
             return
-        for lo in range(0, order.shape[0], self.batch_docs):
+        self._routed["in_process"] += 1
+        for lo in range(0, n, self.batch_docs):
             batch = order[lo: lo + self.batch_docs]
             seeds = [
                 np.random.SeedSequence(
@@ -533,6 +548,18 @@ class InferenceSession:
 
     # -- introspection -----------------------------------------------------
 
+    def pool_stats(self) -> dict[str, Any]:
+        """Calls routed in-process vs. to the pool, and the pool's state.
+
+        Reads only counters and one pool snapshot, so the serving tier's
+        ``stats`` op may call it while a dispatch is running.
+        """
+        pool = self._pool
+        return {
+            "routed": dict(self._routed),
+            "pool": pool.describe() if pool is not None else None,
+        }
+
     def describe(self) -> dict[str, Any]:
         return {
             "num_topics": self.num_topics,
@@ -542,6 +569,6 @@ class InferenceSession:
             "batch_docs": self.batch_docs,
             "num_workers": self.num_workers,
             "worker_affinity": self.worker_affinity,
-            "pool": self._pool.describe() if self._pool is not None else None,
+            **self.pool_stats(),
             "workspace": self._ws.describe(),
         }

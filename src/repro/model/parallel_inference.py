@@ -6,8 +6,9 @@ against a **frozen** model, so documents are embarrassingly parallel.
 :class:`InferenceWorkerPool` exploits that: the session's precomputed
 ``p* = (phi + beta) / (N_k + beta V)`` transpose is published once into
 a read-only :class:`~repro.parallel.shm.ShmArena`, persistent OS workers
-map it, and every ``transform`` call round-robins its lockstep batches
-over the workers.  No count matrices travel per request — only the
+map it, and every ``transform`` call wide enough to split (the session
+routes narrower ones in-process) round-robins its lockstep batches over
+the workers.  No count matrices travel per request — only the
 request documents and the resulting ``(docs, K)`` theta blocks cross the
 pipes — so serving throughput scales with cores (near-linear until the
 pipes saturate).
@@ -29,6 +30,7 @@ segments or worker processes.
 
 from __future__ import annotations
 
+import os
 import traceback
 import weakref
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ from repro.parallel.pool import (
 )
 from repro.parallel.shm import ArenaLayout, ShmArena
 
-__all__ = ["InferenceWorkerPool", "resolve_inference_workers"]
+__all__ = ["InferenceWorkerPool", "resolve_inference_workers", "usable_cpus"]
 
 
 def resolve_inference_workers(requested: int | None) -> int:
@@ -56,6 +58,26 @@ def resolve_inference_workers(requested: int | None) -> int:
     if requested < 1:
         raise ValueError(f"num_workers must be >= 1, got {requested}")
     return int(requested)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _peak_rss_mb(pid: int) -> float | None:
+    """Peak resident set (``VmHWM``) of ``pid`` in MB, ``None`` if unknown."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -213,11 +235,18 @@ class InferenceWorkerPool:
         return recv_reply("inference", w, self._procs[w], conn)
 
     def describe(self) -> dict:
+        """Pool state; ``worker_peak_rss_mb`` is each live worker's VmHWM.
+
+        Safe to call from another thread while a dispatch runs: it reads
+        one snapshot of the arena and process list.
+        """
+        arena, procs = self._arena, self._procs
         return {
             "num_workers": self.num_workers,
             "worker_affinity": self.worker_affinity,
-            "started": self.started,
-            "arena_bytes": self._arena.nbytes if self.started else 0,
+            "started": arena is not None,
+            "arena_bytes": arena.nbytes if arena is not None else 0,
+            "worker_peak_rss_mb": [_peak_rss_mb(p.pid) for p in procs],
         }
 
 

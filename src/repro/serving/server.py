@@ -53,6 +53,7 @@ import numpy as np
 
 from repro import faults
 from repro.model import InferenceSession, TopicModel
+from repro.model.parallel_inference import usable_cpus
 from repro.serving.breaker import (
     DEFAULT_FAILURE_THRESHOLD,
     DEFAULT_RESET_TIMEOUT_S,
@@ -126,7 +127,10 @@ class ServingServer:
         :attr:`address` after :meth:`start`).
     num_sweeps / burn_in / batch_docs / num_workers / worker_affinity:
         Forwarded to every generation's
-        :class:`~repro.model.InferenceSession`.
+        :class:`~repro.model.InferenceSession`.  ``num_workers=None``
+        sizes the inference pool to the CPUs this process may run on
+        (one CPU stays in-process); the session still folds calls too
+        small to split in-process.
     max_pending:
         Admission-control depth: queued (not yet dispatched) requests
         beyond which ``infer`` answers ``busy``.
@@ -162,7 +166,9 @@ class ServingServer:
         self._session_kwargs: dict[str, Any] = {
             "num_sweeps": num_sweeps,
             "burn_in": burn_in,
-            "num_workers": num_workers,
+            "num_workers": (
+                usable_cpus() if num_workers is None else num_workers
+            ),
             "worker_affinity": worker_affinity,
         }
         if batch_docs is not None:
@@ -384,6 +390,7 @@ class ServingServer:
                 "num_sweeps": self._session_kwargs["num_sweeps"],
                 "burn_in": self._session_kwargs["burn_in"],
                 "num_workers": self._gen.session.num_workers,
+                "inference": self._gen.session.pool_stats(),
                 "latency": self._stats.snapshot(),
                 "breaker": self._breaker.snapshot(),
             })

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,6 +21,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def pool_routed():
+    """Send every call of two or more documents down the pool path.
+
+    ``InferenceSession`` folds calls below two shares of
+    ``_MIN_SHARE_DOCS`` documents in-process; shrinking the constant to
+    1, the way tests/test_sampler.py shrinks ``_TILE``, lets small
+    fixtures drive the worker pool.  ``mock.patch`` rather than
+    ``monkeypatch``, so a test's own ``monkeypatch.undo()`` keeps it.
+    """
+    from repro.model import inference
+
+    with mock.patch.object(inference, "_MIN_SHARE_DOCS", 1):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from repro.core.inference import FoldInSampler
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import InferenceSession, ScoreResult, TopicModel
+from repro.model.inference import _MIN_SHARE_DOCS, _as_doc_arrays
 from repro.perf import Workspace
 
 
@@ -231,6 +232,7 @@ def test_large_doc_exceeding_batch_layout():
     assert np.array_equal(ref, got)
 
 
+@pytest.mark.usefixtures("pool_routed")
 class TestParallelInference:
     """Process-parallel serving: frozen phi, zero sync, identical bits."""
 
@@ -293,9 +295,11 @@ class TestParallelInference:
             model, num_sweeps=6, burn_in=1, num_workers=2
         ) as session:
             theta = session.transform(
-                [np.array([], dtype=np.int64), np.array([1, 2, 3])], seed=0
+                [np.array([], dtype=np.int64), np.array([1, 2, 3]),
+                 np.array([4])],
+                seed=0,
             )
-            assert theta.shape == (2, model.num_topics)
+            assert theta.shape == (3, model.num_topics)
             assert np.allclose(theta[0], 1.0 / model.num_topics)
 
     def test_describe_reports_pool(self, model):
@@ -305,7 +309,7 @@ class TestParallelInference:
             desc = session.describe()
             assert desc["num_workers"] == 2
             assert desc["pool"] is None  # lazy: no transform yet
-            session.transform([np.array([0, 1])], seed=0)
+            session.transform([np.array([0, 1]), np.array([2])], seed=0)
             assert session.describe()["pool"]["started"] is True
 
     def test_rejects_bad_worker_count(self, model):
@@ -341,6 +345,75 @@ class TestParallelInference:
         assert np.array_equal(ref, got)
 
 
+class TestRouting:
+    """Calls below two shares of ``_MIN_SHARE_DOCS`` fold in-process."""
+
+    @staticmethod
+    def _docs(test, n):
+        docs = _as_doc_arrays(test)
+        return (docs * (-(-n // len(docs))))[:n]
+
+    def test_below_threshold_leaves_pool_unstarted(self, trained, model):
+        _, test = trained
+        with InferenceSession(
+            model, num_sweeps=6, burn_in=1, num_workers=2
+        ) as session:
+            session.transform(self._docs(test, 2 * _MIN_SHARE_DOCS - 1))
+            desc = session.describe()
+        assert desc["pool"] is None
+        assert desc["routed"] == {"in_process": 1, "pool": 0}
+
+    def test_at_threshold_starts_pool(self, trained, model):
+        _, test = trained
+        with InferenceSession(
+            model, num_sweeps=6, burn_in=1, num_workers=2
+        ) as session:
+            session.transform(self._docs(test, 2 * _MIN_SHARE_DOCS))
+            desc = session.describe()
+        assert desc["pool"]["started"] is True
+        assert desc["routed"] == {"in_process": 0, "pool": 1}
+        assert len(desc["pool"]["worker_peak_rss_mb"]) == 2
+
+    def test_both_sides_of_threshold_bit_identical(self, trained, model):
+        _, test = trained
+        docs = self._docs(test, 2 * _MIN_SHARE_DOCS)
+        with InferenceSession(
+            model, num_sweeps=6, burn_in=1, num_workers=2
+        ) as session:
+            wide = session.transform(docs, seed=5)
+            narrow = session.transform(docs[:-1], seed=5)
+            assert session.describe()["routed"] == {
+                "in_process": 1, "pool": 1,
+            }
+        assert np.array_equal(wide[:-1], narrow)
+        ref = InferenceSession(model, num_sweeps=6, burn_in=1).transform(
+            docs, seed=5
+        )
+        assert np.array_equal(wide, ref)
+
+    @pytest.mark.usefixtures("pool_routed")
+    @pytest.mark.parametrize("num_docs", [7, 40])
+    def test_ragged_rounds_bit_identical(self, trained, model, num_docs):
+        """Rounds of 3 batches of 2 documents; the last round is short."""
+        _, test = trained
+        docs = self._docs(test, num_docs)
+        ref = InferenceSession(model, num_sweeps=6, burn_in=1).transform(
+            docs, seed=2
+        )
+        with InferenceSession(
+            model, num_sweeps=6, burn_in=1, num_workers=3, batch_docs=2
+        ) as session:
+            got = session.transform(docs, seed=2)
+            assert session.describe()["routed"]["pool"] == 1
+        assert np.array_equal(ref, got)
+
+    def test_one_worker_never_starts_a_pool(self, trained, model):
+        _, test = trained
+        session = InferenceSession(model, num_sweeps=6, burn_in=1)
+        session.transform(self._docs(test, 4 * _MIN_SHARE_DOCS))
+        assert session.describe()["pool"] is None
+
+
 class TestTransformMany:
     """Coalesced multi-request inference: the serving tier's contract."""
 
@@ -366,6 +439,7 @@ class TestTransformMany:
                 theta, session.transform(docs, seed=seed)
             ), "coalescing changed a request's draws"
 
+    @pytest.mark.usefixtures("pool_routed")
     def test_pooled_matches_in_process(self, trained, model):
         _, test = trained
         requests = [
@@ -401,6 +475,7 @@ class TestTransformMany:
             )
 
 
+@pytest.mark.usefixtures("pool_routed")
 class TestInferencePoolFailure:
     """Crash injection through the serving pool (PR-5 idiom extended)."""
 
@@ -570,6 +645,7 @@ class TestLockstepProperties:
         )
         assert np.array_equal(first, got)
 
+    @pytest.mark.usefixtures("pool_routed")
     def test_pooled_bitwise_equal_to_fold_in_sampler(self):
         model, seq, corpus = _random_case(3, [9, 1, 0, 4, 4, 12, 2], 5)
         ref = seq.infer_corpus(corpus, num_sweeps=4, burn_in=1, seed=5)

@@ -539,6 +539,7 @@ class TestServing:
 
         run(scenario())
 
+    @pytest.mark.usefixtures("pool_routed")
     def test_stop_is_idempotent_and_releases_sessions(self, stack):
         import glob
 
@@ -560,10 +561,55 @@ class TestServing:
         run(scenario())
         assert set(glob.glob("/dev/shm/psm_*")) <= before
 
+    def test_default_pool_size_follows_cpu_affinity(self, stack, monkeypatch):
+        import os
+
+        from repro.model.inference import _MIN_SHARE_DOCS
+
+        wide = (stack["docs"] * 4)[: 4 * _MIN_SHARE_DOCS]
+
+        def pool_size(**kwargs):
+            session = make_server(stack, **kwargs)._gen.session
+            session.transform(wide)
+            started = session.describe()["pool"] is not None
+            session.close()
+            return session.num_workers, started
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert pool_size() == (1, False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert pool_size() == (2, True)
+        assert pool_size(num_workers=1) == (1, False)
+
+    def test_stats_report_routing_and_worker_memory(self, stack):
+        from repro.model.inference import _MIN_SHARE_DOCS
+
+        wide = (stack["docs"] * 2)[: 2 * _MIN_SHARE_DOCS]
+
+        async def scenario():
+            async with make_server(stack, num_workers=2) as server:
+                host, port = server.address
+                async with await ServingClient.connect(host, port) as c:
+                    await c.infer(stack["docs"][:4], seed=0)
+                    r = await c.infer(wide, seed=1)
+                    assert np.array_equal(
+                        r.theta, stack["ref1"].transform(wide, seed=1)
+                    )
+                    return (await c.stats())["inference"]
+
+        inference = run(scenario())
+        assert inference["routed"] == {"in_process": 1, "pool": 1}
+        rss = inference["pool"]["worker_peak_rss_mb"]
+        assert len(rss) == 2
+        assert all(mb is None or mb > 0 for mb in rss)
+
 
 class TestServerWorkerFailure:
     """The PR-5 crash-injection idiom, extended through the server."""
 
+    @pytest.mark.usefixtures("pool_routed")
     def test_worker_failure_mid_request_surfaces_and_recovers(
         self, stack, monkeypatch
     ):
