@@ -69,8 +69,8 @@ class FoldInSampler:
     ) -> np.ndarray:
         """Posterior mean topic mixture of one document.
 
-        Runs ``num_sweeps`` Gibbs sweeps over the document's assignments
-        (phi frozen), averaging theta over the post-burn-in sweeps.
+        Runs ``num_sweeps`` theta-explicit Gibbs sweeps (phi frozen),
+        averaging the topic counts over the post-burn-in sweeps.
         Returns a length-K probability vector.
         """
         if num_sweeps <= burn_in:
@@ -84,21 +84,18 @@ class FoldInSampler:
         rng = rng or np.random.default_rng(0)
         k = self.num_topics
         z = rng.integers(0, k, size=w.size)
-        theta = np.bincount(z, minlength=k).astype(np.float64)
+        counts = np.bincount(z, minlength=k)
         acc = np.zeros(k, dtype=np.float64)
-        p_star_cols = self._p_star[:, w]  # K x L gather, reused all sweeps
+        p_star_rows = self._p_star[:, w].T  # L x K gather, reused all sweeps
         for sweep in range(num_sweeps):
-            for i in range(w.size):
-                theta[z[i]] -= 1.0
-                p = (theta + self.alpha) * p_star_cols[:, i]
-                cdf = np.cumsum(p)
-                z[i] = min(
-                    int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")),
-                    k - 1,
-                )
-                theta[z[i]] += 1.0
+            theta = rng.standard_gamma(self.alpha + counts)
+            u = rng.random(w.size)
+            cdf = np.cumsum(p_star_rows * theta, axis=1)
+            # Count of cdf[:K-1] <= u * total: the draw needs no clamp.
+            z = (cdf[:, :-1] <= (u * cdf[:, -1])[:, None]).sum(axis=1)
+            counts = np.bincount(z, minlength=k)
             if sweep >= burn_in:
-                acc += theta
+                acc += counts
         mix = acc + self.alpha * (num_sweeps - burn_in)
         return mix / mix.sum()
 

@@ -1,37 +1,39 @@
 """Batched fold-in inference over a frozen :class:`TopicModel`.
 
-The sequential :class:`~repro.core.inference.FoldInSampler` walks one
-document at a time, paying Python-loop overhead per *token*.  Because
-phi is frozen during fold-in, documents are independent — so an
-:class:`InferenceSession` runs many documents per sweep in lockstep:
-documents are sorted by length into batches, and each (sweep, position)
-step removes/redraws/re-adds the i-th token of every still-active
-document with one set of vectorised (A, K) operations on pooled
-:class:`~repro.perf.Workspace` buffers.  Python-loop overhead drops to
-per-*position* instead of per-token — the same batching win the paper's
-per-warp samplers get from running one document per warp.
+Fold-in holds phi fixed, so documents are independent and the
+per-document topic mixture theta_d can be sampled explicitly instead of
+being collapsed out.  Each sweep of an :class:`InferenceSession` batch
+does two things:
 
-Layout of one batch (A documents, longest first, maxL = longest length):
+- every document draws ``theta_d ~ Gamma(alpha + n_d)`` (a Dirichlet
+  draw up to scale, which the next step ignores) and its sweep's
+  uniforms, both from its own RNG stream;
+- given theta, every token of the batch draws
+  ``z ∝ theta_d[k] * p*[k, w]`` at once, in ``(tokens x K)`` tiles of at
+  most ``_TILE`` slots, and one bincount gives the new counts n_d.
 
-- ``words``, ``uniforms`` and the assignments are position-major
-  ``(maxL, A)``: step i reads the first ``active(i)`` entries of row i,
-  contiguous.  Uniforms are still filled per document, one
-  ``random(n)`` per sweep.
-- An assignment is stored as its flat theta index ``row * K + topic``
-  (``rowoff[row] = row * K``), so removing and re-adding a token are 1-D
-  fancy updates on ``theta.reshape(-1)``.
-- ``cdf``, ``x``, ``below`` and ``new`` are step scratch,
-  taken from the workspace once per batch.  Their leading-``a`` views
-  are rebuilt only when the active count changes, so a step is a fixed
-  run of about ten direct ufunc calls with no workspace lookups.
+The chain over (theta, z) has the exact fold-in posterior as its
+z-marginal: the partially collapsed move of Magnusson et al. (JCGS
+2018), not a stale-count approximation.  tests/test_exact_posterior.py
+checks it against the enumerated posterior.  There is no loop over token
+positions, so a request costs its tokens, not its longest document's
+length times a Python step.  The estimator averages the post-burn-in
+counts plus alpha.
+
+Layout of one batch: document d's tokens are one contiguous run of the
+token-major buffers (``words``, ``uniforms``, the assignments), and an
+assignment is stored as its flat theta index ``row * K + topic``.  The
+frozen p* gather is taken once per batch when the batch fits one tile.
 
 Determinism contract: each document draws from its own
 ``np.random.default_rng`` stream spawned from the session seed, with
 exactly the consumption order of the sequential sampler (one
-``integers`` init, then one uniform per token per sweep).  The batched
+``integers`` init, then one ``standard_gamma(K)`` and one ``random(n)``
+per sweep), and every draw's arithmetic is row-wise.  The batched
 results are therefore **bit-identical per document** to
-``FoldInSampler.infer_corpus`` under the same seed — asserted by
-tests/test_inference_session.py — and independent of batch size.
+``FoldInSampler.infer_corpus`` under the same seed (asserted by
+tests/test_inference_session.py), and independent of batch size, tiling
+and worker count.
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ from repro.perf.workspace import Workspace
 
 __all__ = ["InferenceSession", "ScoreResult"]
 
-#: Default documents per lockstep batch; per-batch buffers scale with
-#: ``batch_docs * max_doc_len`` (uniforms are drawn one sweep at a time).
+#: Default documents per fold-in batch; per-batch buffers scale with
+#: the batch's tokens (uniforms are drawn one sweep at a time).
 DEFAULT_BATCH_DOCS = 256
+
+#: Most (token, topic) slots in one tile of the fold-in draw, so a
+#: tile's scratch stays about 1 MB per buffer whatever the batch width.
+_TILE = 1 << 17
 
 #: Fewest documents worth one worker's share of a call.  A call folds
 #: in ``min(num_workers, docs // _MIN_SHARE_DOCS)`` shares and stays
@@ -94,7 +100,7 @@ class InferenceSession:
         Default Gibbs schedule per :meth:`transform` call; the mixture
         averages theta over the post-burn-in sweeps.
     batch_docs:
-        Documents processed per lockstep batch (memory/speed knob; does
+        Documents processed per fold-in batch (memory/speed knob; does
         not change results).
     workspace:
         Optional shared :class:`~repro.perf.Workspace`; by default the
@@ -291,7 +297,7 @@ class InferenceSession:
         """Coalesced inference for many independent ``(docs, seed)`` requests.
 
         All documents across all requests fold in together — one set of
-        lockstep batches sized for the worker pool, so a burst of small
+        batches sized for the worker pool, so a burst of small
         requests keeps every worker as busy as one large request would.
         Each document's RNG stream is keyed by its **own request's** seed
         and its index *within that request*, so every returned theta
@@ -334,8 +340,8 @@ class InferenceSession:
                 raise ValueError("word id out of the trained vocabulary")
         lengths = np.array([w.size for w in arrays], dtype=np.int64)
         out[lengths == 0] = 1.0 / k
-        # Longest-first order groups similar lengths into a batch, so the
-        # per-position active set shrinks smoothly instead of raggedly.
+        # Longest-first order, so the pool path below can deal documents
+        # out in turn and give every share nearly the same tokens.
         order = np.argsort(-lengths, kind="stable")
         order = order[lengths[order] > 0]
         n = order.shape[0]
@@ -346,12 +352,11 @@ class InferenceSession:
             # from its spec, so any split is bit-identical to the
             # in-process path below.  Batches hold at most
             # ceil(docs / shares) documents, so every share's worker is
-            # busy even below batch_docs * shares.  A lockstep batch
-            # costs its longest document's positions plus its tokens,
-            # so each round of ``shares`` batches deals its span of the
-            # longest-first order out in turn and its batches match on
-            # both.  Smaller calls stay in-process, where a pool's round
-            # trip costs more than the second core earns.
+            # busy even below batch_docs * shares.  A batch costs its
+            # tokens, so each round of ``shares`` batches deals its span
+            # of the longest-first order out in turn and its batches
+            # match in tokens.  Smaller calls stay in-process, where a
+            # pool's round trip costs more than the second core earns.
             self._routed["pool"] += 1
             span = shares * min(self.batch_docs, -(-n // shares))
             batches = []
@@ -384,7 +389,7 @@ class InferenceSession:
         sweeps: int,
         burn: int,
     ) -> np.ndarray:
-        """Lockstep Gibbs over one batch (docs sorted longest-first).
+        """Theta-explicit Gibbs over one batch of non-empty documents.
 
         Also the parallel workers' entry point, which skips
         ``_transform_into``'s vocabulary check: the p* gather stays
@@ -392,76 +397,72 @@ class InferenceSession:
         """
         k = self.num_topics
         ws = self._ws
-        a_max = len(docs)
-        lengths = [d.size for d in docs]
-        max_len = lengths[0]
-        # Position-major state, (maxL, A): step i reads row i, whose
-        # first active(i) entries are the documents still running.
-        # Assignments are flat theta indices ``row * K + topic``.
-        words = ws.take("infer.words", (max_len, a_max), dtype=np.intp)
-        zflat = ws.take("infer.zflat", (max_len, a_max), dtype=np.intp)
-        uniforms = ws.take("infer.uniforms", (max_len, a_max), dtype=np.float64)
-        theta = ws.take("infer.theta", (a_max, k), dtype=np.float64)
-        acc = ws.zeros("infer.acc", (a_max, k), dtype=np.float64)
-        rowoff = ws.take("infer.rowoff", a_max, dtype=np.intp)
-        np.multiply(ws.arange(a_max), k, out=rowoff)
-        cdf = ws.take("infer.cdf", (a_max, k), dtype=np.float64)
-        x = ws.take("infer.x", a_max, dtype=np.float64)
-        below = ws.take("infer.below", (a_max, k - 1), dtype=np.bool_)
-        new = ws.take("infer.new", a_max, dtype=np.intp)
-        gens: list[np.random.Generator] = []
+        a = len(docs)
+        total = sum(d.size for d in docs)
+        # Token-major state: document d's tokens are one contiguous run.
+        # An assignment is its flat theta index ``row * K + topic``, so
+        # one bincount gives every document's topic counts.
+        words = ws.take("infer.words", total, dtype=np.intp)
+        rows = ws.take("infer.rows", total, dtype=np.intp)
+        zflat = ws.take("infer.zflat", total, dtype=np.intp)
+        uniforms = ws.take("infer.uniforms", total, dtype=np.float64)
+        shape = ws.take("infer.shape", (a, k), dtype=np.float64)
+        theta = ws.take("infer.theta", (a, k), dtype=np.float64)
+        acc = ws.zeros("infer.acc", (a, k), dtype=np.float64)
+        draws = []
+        lo = 0
         for d, (doc, ss) in enumerate(zip(docs, seeds)):
+            hi = lo + doc.size
             rng = np.random.default_rng(ss)
-            z = rng.integers(0, k, size=doc.size)
-            words[: doc.size, d] = doc
-            theta[d] = np.bincount(z, minlength=k)
-            np.add(z, d * k, out=zflat[: doc.size, d])
-            gens.append(rng)
-        theta_flat = theta.reshape(-1)
+            words[lo:hi] = doc
+            rows[lo:hi] = d
+            zflat[lo:hi] = rng.integers(0, k, size=doc.size) + d * k
+            draws.append((rng, shape[d], theta[d], uniforms[lo:hi]))
+            lo = hi
+        # Tile scratch: at most _TILE (token, topic) slots per buffer.
+        step = max(1, _TILE // k)
+        span = min(step, total)
+        prods = ws.take("infer.prods", (span, k), dtype=np.float64)
+        cdf = ws.take("infer.cdf", (span, k), dtype=np.float64)
+        x = ws.take("infer.x", span, dtype=np.float64)
+        below = ws.take("infer.below", (span, k - 1), dtype=np.bool_)
+        new = ws.take("infer.new", span, dtype=np.intp)
         p_star_t = self._p_star_t
+        # Checked gather without ``out=``: in mode='raise' NumPy stages
+        # an ``out=`` result through a temporary anyway.  phi is frozen,
+        # so a batch that fits one tile gathers its p* rows once.
+        hoisted = p_star_t.take(words, axis=0) if total <= step else None
         alpha = self.alpha
-        # active document count per token position (docs longest-first).
-        active = np.searchsorted(
-            -np.asarray(lengths), -np.arange(max_len), side="left"
-        ).tolist()
-        steps = [
-            (a, zflat[i, :a], words[i, :a], uniforms[i, :a])
-            for i, a in enumerate(active)
-        ]
-        a_views = -1
+        counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
         for s in range(sweeps):
-            # One ``random(n)`` per document per sweep consumes each
-            # stream exactly like the sequential sampler's per-token
-            # draws (sweep-major order), and keeps the buffer at
-            # O(A * maxL) instead of O(A * sweeps * maxL).
-            for d, rng in enumerate(gens):
-                uniforms[: lengths[d], d] = rng.random(lengths[d])
-            for a, zrow, wrow, urow in steps:
-                if a != a_views:
-                    # Leading-a views, rebuilt when the active count drops.
-                    th, c = theta[:a], cdf[:a]
-                    c_head, c_last = c[:, : k - 1], c[:, -1]
-                    xa, b, nw = x[:a], below[:a], new[:a]
-                    x_col, ro = xa[:, None], rowoff[:a]
-                    a_views = a
-                theta_flat[zrow] -= 1.0
-                # Checked gather without ``out=``: in mode='raise' NumPy
-                # stages an ``out=`` result through a temporary anyway.
-                g = p_star_t.take(wrow, axis=0)
-                # probs = (theta + alpha) * p*, formed in the fresh
-                # gather block with ``c`` as the addend's scratch.
-                np.add(th, alpha, out=c)
-                np.multiply(g, c, out=g)
-                np.add.accumulate(g, axis=1, out=c)
-                np.multiply(urow, c_last, out=xa)
+            # theta_d ~ Gamma(alpha + n_d), then the sweep's uniforms,
+            # each from document d's own stream.
+            np.add(counts, alpha, out=shape)
+            for rng, sh, th, u in draws:
+                rng.standard_gamma(sh, out=th)
+                rng.random(out=u)
+            # Given theta the tokens are independent: every token draws
+            # z ∝ theta_d[k] * p*[k, w] at once.  The arithmetic is
+            # row-wise, so tiling and batch composition never change a
+            # draw.
+            for lo in range(0, total, step):
+                hi = min(lo + step, total)
+                n = hi - lo
+                g = p_star_t.take(words[lo:hi], axis=0) if hoisted is None else hoisted
+                p, c, xt, nw, z = prods[:n], cdf[:n], x[:n], new[:n], zflat[lo:hi]
+                theta.take(rows[lo:hi], axis=0, out=p, mode="clip")
+                np.multiply(g, p, out=p)
+                np.add.accumulate(p, axis=1, out=c)
+                np.multiply(uniforms[lo:hi], c[:, -1], out=xt)
                 # count(cdf[:K-1] <= x) == min(count(cdf <= x), K-1)
                 # for a non-decreasing cdf: the draw needs no clamp.
-                np.less_equal(c_head, x_col, out=b)
-                np.add.reduce(b, axis=1, dtype=np.intp, out=nw)
-                np.add(ro, nw, out=zrow)
-                theta_flat[zrow] += 1.0
+                np.less_equal(c[:, : k - 1], xt[:, None], out=below[:n])
+                np.add.reduce(below[:n], axis=1, dtype=np.intp, out=nw)
+                np.multiply(rows[lo:hi], k, out=z)
+                z += nw
+            counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
             if s >= burn:
-                acc += theta
+                acc += counts
         mix = acc + alpha * (sweeps - burn)
         return mix / mix.sum(axis=1, keepdims=True)
 

@@ -9,6 +9,8 @@ document under the same seed, for any batch size.  Everything else
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.core.inference import FoldInSampler
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import InferenceSession, ScoreResult, TopicModel
+from repro.model import inference
 from repro.model.inference import _MIN_SHARE_DOCS, _as_doc_arrays
 from repro.perf import Workspace
 
@@ -667,6 +670,15 @@ class TestFoldInBatchEdges:
         seeds = [np.random.SeedSequence(0, spawn_key=(i,)) for i in range(2)]
         with pytest.raises(IndexError):
             session._fold_in_batch(docs, seeds, 3, 1)
+
+    @pytest.mark.parametrize("tile", [1, 16, 100])
+    def test_tiling_never_changes_a_draw(self, tile):
+        """One tile with the p* gather hoisted, or many small ones."""
+        session = InferenceSession(_golden_model(), num_sweeps=4, burn_in=1)
+        docs = _golden_docs()
+        base = session.transform(docs, seed=3)
+        with mock.patch.object(inference, "_TILE", tile):
+            assert np.array_equal(session.transform(docs, seed=3), base)
 
     def test_warm_transform_reuses_every_buffer(self):
         session = InferenceSession(_golden_model(), num_sweeps=4, burn_in=1)
