@@ -693,3 +693,50 @@ class TestFoldInBatchEdges:
         assert {k: v for k, v in again.items() if k != "hits"} == {
             k: v for k, v in warm.items() if k != "hits"
         }
+
+
+# ---------------------------------------------------------------------------
+# Edge shapes: tiny alpha (gamma draws underflow to 0.0), K=1, K larger
+# than the token count, length-1, empty and zero documents.
+
+_edge_requests = st.lists(
+    st.lists(st.integers(0, 6), max_size=5), max_size=3
+)
+
+
+class TestEdgeShapes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 3, 50]),
+        alpha=st.sampled_from([1e-3, 0.1, 2.0]),
+        requests=_edge_requests,
+        batch_docs=st.sampled_from([1, 256]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rows_are_probability_vectors(
+        self, k, alpha, requests, batch_docs, seed
+    ):
+        rng = np.random.default_rng(seed)
+        v = 5
+        phi = rng.integers(0, 4, size=(k, v)).astype(np.int64)
+        model = TopicModel(phi, phi.sum(axis=1), alpha, 0.05)
+        session = InferenceSession(
+            model, num_sweeps=4, burn_in=1, batch_docs=batch_docs
+        )
+        reqs = [
+            ([rng.integers(0, v, size=n) for n in lengths], seed + i)
+            for i, lengths in enumerate(requests)
+        ]
+        blocks = session.transform_many(reqs)
+        for (docs, s), block in zip(reqs, blocks):
+            theta = session.transform(docs, seed=s)
+            assert theta.shape == (len(docs), k)
+            assert np.all(np.isfinite(theta)) and np.all(theta >= 0)
+            assert np.allclose(theta.sum(axis=1), 1.0)
+            assert np.array_equal(block, theta)
+        oov = [rng.integers(0, v, size=2), np.array([0, v])]
+        with pytest.raises(ValueError, match="vocabulary"):
+            session.transform(oov, seed=seed)
+        streams = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(2)]
+        with pytest.raises(IndexError):
+            session._fold_in_batch(oov, streams, 4, 1)
