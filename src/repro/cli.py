@@ -774,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="documents to print (all are inferred)")
     p_infer.add_argument("--batch-docs", dest="batch_docs", type=int,
                          default=256,
-                         help="documents per lockstep batch (memory knob; "
+                         help="documents per fold-in batch (memory knob; "
                               "results are identical for any value)")
     p_infer.set_defaults(func=cmd_infer)
 

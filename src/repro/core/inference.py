@@ -2,13 +2,15 @@
 
 The trained artifact is the topic-word matrix phi; downstream use
 (search, recommendation, the "online service" scenario of the paper's
-abstract) needs theta for *new* documents.  The standard estimator is
-fold-in Gibbs sampling: hold phi fixed and run CGS over only the new
-document's assignments,
+abstract) needs theta for *new* documents.  The estimator is fold-in
+Gibbs sampling with phi held fixed, which lets the document's mixture
+be sampled explicitly; each sweep alternates
 
-    p(k) ~ (theta_d[k] + alpha) * (phi[k, v] + beta) / (N_k + beta * V)
+    theta_d ~ Dirichlet(alpha + n_d)
+    z_i     ~ theta_d[k] * (phi[k, v_i] + beta) / (N_k + beta * V)
 
-then average the theta counts over the last sweeps.  Because phi is
+and the z-marginal of this chain is the exact fold-in posterior.  The
+topic counts n_d are averaged over the last sweeps.  Because phi is
 frozen, each document folds in independently — embarrassingly parallel,
 exactly the workload CuLDA's per-warp samplers would run in deployment.
 """

@@ -5,9 +5,9 @@ Training produces a :class:`TopicModel`: a frozen, validated artifact
 that every registered algorithm can export
 (:meth:`repro.api.LdaTrainer.export_model`) and that persists in a
 versioned ``.npz`` format (:mod:`repro.model.serialize`).  Serving that
-artifact is :class:`InferenceSession`: batched fold-in Gibbs sampling
-over many documents per sweep, deterministic under a seed and
-per-document identical to the sequential
+artifact is :class:`InferenceSession`: batched theta-explicit fold-in
+Gibbs sampling, every token of many documents drawn at once per sweep,
+deterministic under a seed and per-document identical to the sequential
 :class:`~repro.core.inference.FoldInSampler`.  Because phi is frozen
 during serving, ``InferenceSession(num_workers=N)`` additionally fans
 batches out over persistent OS workers sharing one read-only model

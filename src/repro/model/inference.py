@@ -9,8 +9,8 @@ does two things:
   draw up to scale, which the next step ignores) and its sweep's
   uniforms, both from its own RNG stream;
 - given theta, every token of the batch draws
-  ``z ∝ theta_d[k] * p*[k, w]`` at once, in ``(tokens x K)`` tiles of at
-  most ``_TILE`` slots, and one bincount gives the new counts n_d.
+  ``z ∝ theta_d[k] * p*[k, w]`` at once, in ``(tokens x K)`` tiles of
+  ``_TILE`` slots, and one bincount gives the new counts n_d.
 
 The chain over (theta, z) has the exact fold-in posterior as its
 z-marginal: the partially collapsed move of Magnusson et al. (JCGS
@@ -19,11 +19,6 @@ checks it against the enumerated posterior.  There is no loop over token
 positions, so a request costs its tokens, not its longest document's
 length times a Python step.  The estimator averages the post-burn-in
 counts plus alpha.
-
-Layout of one batch: document d's tokens are one contiguous run of the
-token-major buffers (``words``, ``uniforms``, the assignments), and an
-assignment is stored as its flat theta index ``row * K + topic``.  The
-frozen p* gather is taken once per batch when the batch fits one tile.
 
 Determinism contract: each document draws from its own
 ``np.random.default_rng`` stream spawned from the session seed, with
@@ -55,8 +50,8 @@ __all__ = ["InferenceSession", "ScoreResult"]
 #: the batch's tokens (uniforms are drawn one sweep at a time).
 DEFAULT_BATCH_DOCS = 256
 
-#: Most (token, topic) slots in one tile of the fold-in draw, so a
-#: tile's scratch stays about 1 MB per buffer whatever the batch width.
+#: (token, topic) slots in one tile of the fold-in draw: about 1 MB per
+#: float64 scratch buffer whatever the batch width.
 _TILE = 1 << 17
 
 #: Fewest documents worth one worker's share of a call.  A call folds
@@ -392,8 +387,8 @@ class InferenceSession:
         """Theta-explicit Gibbs over one batch of non-empty documents.
 
         Also the parallel workers' entry point, which skips
-        ``_transform_into``'s vocabulary check: the p* gather stays
-        bounds-checked, so a word id >= V raises ``IndexError``.
+        ``_transform_into``'s vocabulary check, so a word id outside the
+        vocabulary raises ``IndexError`` here, before any gather.
         """
         k = self.num_topics
         ws = self._ws
@@ -419,19 +414,23 @@ class InferenceSession:
             zflat[lo:hi] = rng.integers(0, k, size=doc.size) + d * k
             draws.append((rng, shape[d], theta[d], uniforms[lo:hi]))
             lo = hi
-        # Tile scratch: at most _TILE (token, topic) slots per buffer.
+        if words.min() < 0 or words.max() >= self.num_words:
+            raise IndexError("word id out of the trained vocabulary")
+        # Tile scratch of _TILE (token, topic) slots, taken at full size
+        # so the workspace sizes it once instead of regrowing it request
+        # by request.  The ids are checked above, so the gathers may
+        # write ``out=`` unchecked (a checked one stages a temporary).
         step = max(1, _TILE // k)
-        span = min(step, total)
-        prods = ws.take("infer.prods", (span, k), dtype=np.float64)
-        cdf = ws.take("infer.cdf", (span, k), dtype=np.float64)
-        x = ws.take("infer.x", span, dtype=np.float64)
-        below = ws.take("infer.below", (span, k - 1), dtype=np.bool_)
-        new = ws.take("infer.new", span, dtype=np.intp)
+        pstar = ws.take("infer.pstar", (step, k), dtype=np.float64)
+        cdf = ws.take("infer.cdf", (step, k), dtype=np.float64)
+        x = ws.take("infer.x", step, dtype=np.float64)
+        below = ws.take("infer.below", (step, k - 1), dtype=np.bool_)
+        new = ws.take("infer.new", step, dtype=np.intp)
         p_star_t = self._p_star_t
-        # Checked gather without ``out=``: in mode='raise' NumPy stages
-        # an ``out=`` result through a temporary anyway.  phi is frozen,
-        # so a batch that fits one tile gathers its p* rows once.
-        hoisted = p_star_t.take(words, axis=0) if total <= step else None
+        # phi is frozen, so a batch that fits one tile gathers once.
+        hoisted = total <= step
+        if hoisted:
+            p_star_t.take(words, axis=0, out=pstar[:total], mode="clip")
         alpha = self.alpha
         counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
         for s in range(sweeps):
@@ -448,11 +447,12 @@ class InferenceSession:
             for lo in range(0, total, step):
                 hi = min(lo + step, total)
                 n = hi - lo
-                g = p_star_t.take(words[lo:hi], axis=0) if hoisted is None else hoisted
-                p, c, xt, nw, z = prods[:n], cdf[:n], x[:n], new[:n], zflat[lo:hi]
-                theta.take(rows[lo:hi], axis=0, out=p, mode="clip")
-                np.multiply(g, p, out=p)
-                np.add.accumulate(p, axis=1, out=c)
+                g, c, xt, nw, z = pstar[:n], cdf[:n], x[:n], new[:n], zflat[lo:hi]
+                if not hoisted:
+                    p_star_t.take(words[lo:hi], axis=0, out=g, mode="clip")
+                theta.take(rows[lo:hi], axis=0, out=c, mode="clip")
+                np.multiply(g, c, out=c)
+                np.add.accumulate(c, axis=1, out=c)
                 np.multiply(uniforms[lo:hi], c[:, -1], out=xt)
                 # count(cdf[:K-1] <= x) == min(count(cdf <= x), K-1)
                 # for a non-decreasing cdf: the draw needs no clamp.

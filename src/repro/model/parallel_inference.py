@@ -7,7 +7,7 @@ against a **frozen** model, so documents are embarrassingly parallel.
 ``p* = (phi + beta) / (N_k + beta V)`` transpose is published once into
 a read-only :class:`~repro.parallel.shm.ShmArena`, persistent OS workers
 map it, and every ``transform`` call wide enough to split (the session
-routes narrower ones in-process) round-robins its lockstep batches over
+routes narrower ones in-process) round-robins its fold-in batches over
 the workers.  No count matrices travel per request — only the
 request documents and the resulting ``(docs, K)`` theta blocks cross the
 pipes — so serving throughput scales with cores (near-linear until the
@@ -192,10 +192,9 @@ class InferenceWorkerPool:
         """Scatter ``batches`` over the workers; gather theta into ``out``.
 
         ``batches`` are ``(original-index array, [token arrays],
-        [seed specs])`` triples, each already sorted longest-first (the
-        lockstep kernel's contract); every document carries its own
-        ``(entropy, spawn_index)`` stream key, so batch-to-worker
-        assignment cannot move a draw.
+        [seed specs])`` triples of non-empty documents; every document
+        carries its own ``(entropy, spawn_index)`` stream key, so
+        batch-to-worker assignment cannot move a draw.
         """
         self.start()
         assigned = [[] for _ in range(self.num_workers)]

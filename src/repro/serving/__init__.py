@@ -4,7 +4,7 @@ Layers (each importable on its own):
 
 - :mod:`repro.serving.protocol` — length-prefixed JSON frames (the wire);
 - :mod:`repro.serving.coalescer` — admission-controlled queue that folds
-  pending requests into lockstep dispatches;
+  pending requests into one dispatch;
 - :mod:`repro.serving.stats` — per-request latency accounting (queue
   wait vs service, windowed p50/p99);
 - :mod:`repro.serving.breaker` — the circuit breaker that turns

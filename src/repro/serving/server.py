@@ -6,8 +6,8 @@ protocol of :mod:`repro.serving.protocol`:
 
 - concurrent clients submit ``infer`` requests; a
   :class:`~repro.serving.coalescer.BatchCoalescer` folds everything
-  pending into one ``transform_many`` call (lockstep batches sized for
-  the worker pool), so serving throughput under concurrency matches one
+  pending into one ``transform_many`` call (batches sized for the
+  worker pool), so serving throughput under concurrency matches one
   big batched request — and every response is **bit-identical** to the
   client calling ``InferenceSession.transform`` itself, because each
   request's documents keep their own seed streams through coalescing;
@@ -76,7 +76,7 @@ from repro.serving.stats import LatencyStats
 __all__ = ["ModelGeneration", "ServingServer"]
 
 #: Fold-in schedule a server uses unless configured otherwise.  Fixed
-#: per server (not per request): coalesced requests share one lockstep
+#: per server (not per request): coalesced requests share one fold-in
 #: call, so the Gibbs schedule is a deployment knob, like the model.
 DEFAULT_SERVE_SWEEPS = 20
 DEFAULT_SERVE_BURN_IN = 8
