@@ -601,7 +601,7 @@ class TestServedGolden:
 
 
 # ---------------------------------------------------------------------------
-# Property sweep: lockstep batches against the sequential sampler.
+# Property sweep: batched fold-in against the sequential sampler.
 
 _ragged_lengths = st.one_of(
     st.lists(st.integers(0, 9), min_size=1, max_size=7),
