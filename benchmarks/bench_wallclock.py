@@ -368,18 +368,16 @@ def run_inference_bench(
     scale: float = 1.0,
     num_workers: int | None = None,
 ) -> dict:
-    """Fold-in inference throughput: sequential sampler vs batched session.
+    """Fold-in inference throughput: one document per batch vs batched.
 
     Trains a quick culda model on the **medium** preset, splits off
     ``num_docs`` unseen documents, and times topic-mixture inference for
-    them twice: one document at a time
-    (:class:`repro.core.inference.FoldInSampler.infer_corpus`) and
-    batched (:class:`repro.model.InferenceSession.transform`).  The two
-    produce bit-identical mixtures (asserted here), so the ratio is pure
-    batching speedup — the serving-path analogue of the training
-    trajectory above.
+    them twice with :class:`repro.model.InferenceSession.transform`: one
+    document per batch (``batch_docs=1``, the "sequential" arm) and the
+    default batch width.  The two produce bit-identical mixtures
+    (asserted here), so the ratio is pure batching speedup — the
+    serving-path analogue of the training trajectory above.
     """
-    from repro.core.inference import FoldInSampler
     from repro.model import InferenceSession
 
     corpus, spec = make_corpus(scale, preset="medium")
@@ -389,11 +387,12 @@ def run_inference_bench(
     trainer.fit(train_iterations, likelihood_every=0)
     model = trainer.export_model()
 
-    sampler = FoldInSampler.from_state(trainer.state)
-    t0 = time.perf_counter()
-    ref = sampler.infer_corpus(
-        test, num_sweeps=num_sweeps, burn_in=burn_in, seed=7
+    sequential = InferenceSession(
+        model, num_sweeps=num_sweeps, burn_in=burn_in, batch_docs=1
     )
+    sequential.transform(test.subset(0, min(8, test.num_docs)), seed=7)  # warmup
+    t0 = time.perf_counter()
+    ref = sequential.transform(test, seed=7)
     sequential_s = time.perf_counter() - t0
 
     session = InferenceSession(model, num_sweeps=num_sweeps, burn_in=burn_in)
@@ -404,7 +403,7 @@ def run_inference_bench(
 
     if not np.array_equal(ref, theta):
         raise AssertionError(
-            "batched inference diverged from the sequential sampler"
+            "batched inference diverged from one-document batches"
         )
 
     parallel = None
@@ -421,7 +420,7 @@ def run_inference_bench(
             parallel_s = time.perf_counter() - t0
         if not np.array_equal(ref, theta_p):
             raise AssertionError(
-                "pooled inference diverged from the sequential sampler"
+                "pooled inference diverged from one-document batches"
             )
         parallel = {
             "num_workers": num_workers,

@@ -22,11 +22,9 @@ their options.  See docs/API.md for the protocol, registry, and
 callback contracts.
 """
 
-import warnings
-
 from repro._lazy import lazy_exports
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 #: Public name -> defining module.  Nothing here is imported until first
 #: access, so ``import repro.serving`` does not pay for the training stack.
@@ -50,29 +48,8 @@ _EXPORTS = {
     "TrainerConfig": "repro.core.config",
     "LdaState": "repro.core.model",
     "log_likelihood_per_token": "repro.core.likelihood",
-    # legacy (deprecated; warns on access)
-    "CuLdaTrainer": "repro.core.trainer",
 }
 
 __all__ = [*_EXPORTS, "__version__"]
 
-#: Legacy names in ``_EXPORTS`` that warn (once per name) on access, with
-#: the replacement the warning suggests.
-_DEPRECATED = {"CuLdaTrainer": "repro.create_trainer('culda', corpus, ...)"}
-
-#: Names already warned about this session (warn exactly once per name).
-_warned_aliases: set[str] = set()
-
-_resolve, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED and name not in _warned_aliases:
-        _warned_aliases.add(name)
-        warnings.warn(
-            f"importing {name!r} from the top-level 'repro' package is "
-            f"deprecated; use {_DEPRECATED[name]} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _resolve(name)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,7 +26,6 @@ _EXPORTS = {
     "render_table": "repro.analysis.reporting",
     "render_series": "repro.analysis.reporting",
     "render_sparkline": "repro.analysis.reporting",
-    "HeldOutResult": "repro.analysis.heldout",
     "document_completion": "repro.analysis.heldout",
     "split_documents": "repro.analysis.heldout",
     "replay_iteration_seconds": "repro.analysis.replay",

@@ -7,33 +7,17 @@ mixture on the observed half (phi frozen), then score the held-out half
 under that mixture.  Reported as per-token log predictive probability
 and its perplexity.
 
-Inference runs on the batched
-:class:`~repro.model.InferenceSession` (many documents per sweep);
-:func:`document_completion` accepts a :class:`~repro.model.TopicModel`,
-a ready session, or — for backward compatibility — a sequential
-:class:`~repro.core.inference.FoldInSampler`, whose per-document
-results the batched path reproduces bit-for-bit.
+Inference runs on the batched :class:`~repro.model.InferenceSession`
+(many documents per sweep); :func:`document_completion` accepts a
+:class:`~repro.model.TopicModel` or a ready session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.inference import FoldInSampler
 from repro.corpus.document import Corpus
-from repro.model import InferenceSession, TopicModel
-
-
-@dataclass(frozen=True)
-class HeldOutResult:
-    """Aggregate document-completion scores."""
-
-    log_predictive_per_token: float
-    perplexity: float
-    num_documents: int
-    num_scored_tokens: int
+from repro.model import InferenceSession, ScoreResult, TopicModel
 
 
 def split_documents(
@@ -58,68 +42,43 @@ def split_documents(
     return observed, heldout
 
 
-def _as_session(
-    model: TopicModel | InferenceSession | FoldInSampler,
-    num_sweeps: int,
-    burn_in: int,
-) -> InferenceSession:
-    if isinstance(model, InferenceSession):
-        return model
-    if isinstance(model, TopicModel):
-        return InferenceSession(model, num_sweeps=num_sweeps, burn_in=burn_in)
-    if isinstance(model, FoldInSampler):
-        return InferenceSession.from_fold_in(
-            model, num_sweeps=num_sweeps, burn_in=burn_in
-        )
-    raise TypeError(
-        f"expected TopicModel, InferenceSession or FoldInSampler, "
-        f"got {type(model).__name__}"
-    )
-
-
 def document_completion(
-    model: TopicModel | InferenceSession | FoldInSampler,
+    model: TopicModel | InferenceSession,
     corpus: Corpus,
     observed_fraction: float = 0.5,
     num_sweeps: int | None = None,
     burn_in: int | None = None,
     seed: int = 0,
-) -> HeldOutResult:
+) -> ScoreResult:
     """Document-completion evaluation of a trained model on ``corpus``.
 
     ``corpus`` should be *test* documents (not used in training); using
     training documents measures memorisation instead of generalisation.
     The observed halves fold in as one batched pass; each document's
     draws use its own seeded stream, so results do not depend on batch
-    size and match the sequential per-document protocol.
+    size.
 
     ``num_sweeps``/``burn_in`` default to the session's own schedule
     when ``model`` is an :class:`InferenceSession` (they override it
     when given), and to 25/10 otherwise.
     """
     if isinstance(model, InferenceSession):
+        session = model
         num_sweeps = model.num_sweeps if num_sweeps is None else num_sweeps
         burn_in = model.burn_in if burn_in is None else burn_in
-    else:
+    elif isinstance(model, TopicModel):
         num_sweeps = 25 if num_sweeps is None else num_sweeps
         burn_in = 10 if burn_in is None else burn_in
-    session = _as_session(model, num_sweeps, burn_in)
+        session = InferenceSession(model, num_sweeps=num_sweeps, burn_in=burn_in)
+    else:
+        raise TypeError(
+            f"expected TopicModel or InferenceSession, got {type(model).__name__}"
+        )
     observed, heldout = split_documents(corpus, observed_fraction, seed)
     if not observed:
         raise ValueError("no documents with >= 2 tokens to evaluate")
     mixtures = session.transform(
         observed, seed=seed + 1, num_sweeps=num_sweeps, burn_in=burn_in
     )
-    total_lp = 0.0
-    total_tokens = 0
-    for i, held in enumerate(heldout):
-        lp = session.log_predictive(held, mixtures[i])
-        total_lp += lp * held.shape[0]
-        total_tokens += held.shape[0]
-    per_token = total_lp / total_tokens
-    return HeldOutResult(
-        log_predictive_per_token=per_token,
-        perplexity=float(np.exp(-per_token)),
-        num_documents=len(observed),
-        num_scored_tokens=total_tokens,
-    )
+    # Held-out halves are never empty, so every document is scored.
+    return session.score(heldout, theta=mixtures)

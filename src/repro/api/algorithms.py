@@ -155,7 +155,8 @@ def _make_saberlda(
     "ldastar",
     summary=LdaStarTrainer.DESCRIPTION,
     options={
-        "workers": "cluster machines behind the parameter server (default 20)",
+        "workers": "cluster machines behind the parameter server "
+                   "(default min(20, documents))",
         "cpu": "worker CpuSpec (default Xeon E5-2650 v3)",
         "network": "shared Link to the parameter server (default 10 GbE)",
         "execution": "cluster-worker executor: serial (default) or process "
@@ -177,7 +178,7 @@ def _make_ldastar(
     alpha: float | None = None,
     beta: float | None = None,
     seed: int = 0,
-    workers: int = 20,
+    workers: int | None = None,
     cpu=None,
     network=None,
     execution: str = "serial",
@@ -187,6 +188,8 @@ def _make_ldastar(
     recovery_retries: int = 2,
     recovery_backoff: float = 0.05,
 ):
+    if workers is None:
+        workers = min(20, corpus.num_docs)
     kwargs = {
         "num_workers": workers, "alpha": alpha, "beta": beta, "seed": seed,
         "execution": execution, "num_processes": num_workers,

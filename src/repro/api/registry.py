@@ -153,8 +153,8 @@ def create_trainer(name: str, corpus, **kwargs) -> LdaTrainer:
     Raises
     ------
     ValueError
-        Unknown algorithm, or a keyword the algorithm does not accept
-        (the error lists the accepted set).
+        Unknown algorithm, a keyword the algorithm does not accept
+        (the error lists the accepted set), or a corpus with no tokens.
     """
     spec = get_algorithm(name)
     accepted = spec.all_options()
@@ -165,6 +165,8 @@ def create_trainer(name: str, corpus, **kwargs) -> LdaTrainer:
             f"{', '.join(unknown)}; accepted options: "
             f"{', '.join(sorted(accepted))}"
         )
+    if corpus.num_tokens == 0:
+        raise ValueError(f"cannot train {spec.name!r} on a corpus with no tokens")
     trainer = spec.factory(corpus, **kwargs)
     if not isinstance(trainer, LdaTrainer):
         raise TypeError(

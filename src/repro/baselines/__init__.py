@@ -7,61 +7,13 @@
 - :mod:`~repro.baselines.saberlda` — SaberLDA-style GPU baseline;
 - :mod:`~repro.baselines.ldastar` — LDA*-style distributed baseline.
 
-Constructing trainers from this package directly is deprecated: the
-unified registry (``repro.create_trainer("warplda", corpus, ...)``)
-normalizes every baseline behind one keyword surface.  The legacy names
-remain importable here behind a one-time ``DeprecationWarning``; the
-implementation modules themselves (``repro.baselines.warplda`` etc.)
-stay warning-free for internal use.
+Construct a baseline through the unified registry
+(``repro.create_trainer("warplda", corpus, ...)``), which normalizes
+every system behind one keyword surface; the trainer classes themselves
+live in their implementation modules.
 """
-
-import warnings
-from importlib import import_module
 
 from repro.baselines.alias import AliasTable, build_alias_columns
 from repro.baselines.plain_cgs import PlainCgsModel
 
-__all__ = [
-    "AliasTable",
-    "build_alias_columns",
-    "PlainCgsSampler",
-    "PlainCgsModel",
-    "SparseLdaSampler",
-    "WarpLdaTrainer",
-    "WarpLdaConfig",
-    "SaberLdaTrainer",
-    "saberlda_config",
-    "LdaStarTrainer",
-    "LightLdaTrainer",
-]
-
-#: Deprecated package-level constructor aliases -> (module, registry name).
-_DEPRECATED_ALIASES = {
-    "PlainCgsSampler": ("repro.baselines.plain_cgs", "plain_cgs"),
-    "SparseLdaSampler": ("repro.baselines.sparselda", "sparselda"),
-    "WarpLdaTrainer": ("repro.baselines.warplda", "warplda"),
-    "WarpLdaConfig": ("repro.baselines.warplda", "warplda"),
-    "SaberLdaTrainer": ("repro.baselines.saberlda", "saberlda"),
-    "saberlda_config": ("repro.baselines.saberlda", "saberlda"),
-    "LdaStarTrainer": ("repro.baselines.ldastar", "ldastar"),
-    "LightLdaTrainer": ("repro.baselines.lightlda", "lightlda"),
-}
-
-#: Names already warned about this session (warn exactly once per name).
-_warned_aliases: set[str] = set()
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        module, algo = _DEPRECATED_ALIASES[name]
-        if name not in _warned_aliases:
-            _warned_aliases.add(name)
-            warnings.warn(
-                f"importing {name!r} from 'repro.baselines' is deprecated; "
-                f"use repro.create_trainer({algo!r}, corpus, ...) or import "
-                f"from {module} directly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return getattr(import_module(module), name)
-    raise AttributeError(f"module 'repro.baselines' has no attribute {name!r}")
+__all__ = ["AliasTable", "build_alias_columns", "PlainCgsModel"]

@@ -20,9 +20,6 @@ _EXPORTS = {
     "LdaState": "repro.core.model",
     "ChunkState": "repro.core.model",
     "RngPool": "repro.core.rng",
-    "FoldInSampler": "repro.core.inference",
-    "save_model": "repro.core.snapshot",
-    "load_model": "repro.core.snapshot",
     "save_checkpoint": "repro.core.snapshot",
     "load_checkpoint": "repro.core.snapshot",
     "load_checkpoint_full": "repro.core.snapshot",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,57 +48,6 @@ from repro.corpus.vocab import Vocabulary
 #: a model file handed to ``load_checkpoint`` reports "not a
 #: checkpoint", not a version error.
 FORMAT_VERSION = 2
-
-
-def save_model(state: LdaState, path: str | Path) -> None:
-    """Deprecated: persist the trained model to ``path``.
-
-    Shim over the :class:`~repro.model.TopicModel` artifact (writes the
-    current schema-v2 format).  Use ``trainer.export_model().save(path)``
-    instead.
-    """
-    warnings.warn(
-        "repro.core.snapshot.save_model is deprecated; use "
-        "trainer.export_model().save(path) (repro.model.TopicModel)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.model import TopicModel
-
-    TopicModel.from_state(state).save(path)
-
-
-def load_model(path: str | Path) -> dict:
-    """Deprecated: load a model artifact as a dict of arrays and scalars.
-
-    Shim over :meth:`repro.model.TopicModel.load` (reads schema v1 and
-    v2); returns the legacy key-checked dict.  Use ``TopicModel.load``
-    directly for the typed artifact.
-
-    Raises
-    ------
-    ValueError
-        On version mismatch, wrong artifact kind, or violated invariants.
-    """
-    warnings.warn(
-        "repro.core.snapshot.load_model is deprecated; use "
-        "repro.model.TopicModel.load(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.model import TopicModel
-
-    m = TopicModel.load(path)
-    # Writable copies: the artifact's arrays are frozen, but this legacy
-    # surface always handed out arrays the caller could mutate.
-    return {
-        "phi": np.array(m.phi),
-        "topic_totals": np.array(m.topic_totals),
-        "alpha": m.alpha,
-        "beta": m.beta,
-        "num_topics": m.num_topics,
-        "num_words": m.num_words,
-    }
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ paper reports: **tokens/sec** (Eq. 2, against *simulated* time) and
 
 Typical use::
 
-    from repro import CuLdaTrainer, TrainerConfig
+    from repro.core import CuLdaTrainer, TrainerConfig
     from repro.corpus.synthetic import small_spec, generate_synthetic_corpus
     from repro.gpusim import VOLTA_PLATFORM
 

@@ -7,11 +7,11 @@ that every registered algorithm can export
 versioned ``.npz`` format (:mod:`repro.model.serialize`).  Serving that
 artifact is :class:`InferenceSession`: batched theta-explicit fold-in
 Gibbs sampling, every token of many documents drawn at once per sweep,
-deterministic under a seed and per-document identical to the sequential
-:class:`~repro.core.inference.FoldInSampler`.  Because phi is frozen
-during serving, ``InferenceSession(num_workers=N)`` additionally fans
-batches out over persistent OS workers sharing one read-only model
-arena (:mod:`repro.model.parallel_inference`) — no synchronization,
+deterministic under a seed and per-document independent of how the
+documents are batched.  Because phi is frozen during serving,
+``InferenceSession(num_workers=N)`` additionally fans batches out over
+persistent OS workers sharing one read-only model arena
+(:mod:`repro.model.parallel_inference`) — no synchronization,
 bit-identical results for any worker count.
 
 ::

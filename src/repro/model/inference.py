@@ -21,12 +21,12 @@ length times a Python step.  The estimator averages the post-burn-in
 counts plus alpha.
 
 Determinism contract: each document draws from its own
-``np.random.default_rng`` stream spawned from the session seed, with
-exactly the consumption order of the sequential sampler (one
-``integers`` init, then one ``standard_gamma(K)`` and one ``random(n)``
-per sweep), and every draw's arithmetic is row-wise.  The batched
-results are therefore **bit-identical per document** to
-``FoldInSampler.infer_corpus`` under the same seed (asserted by
+``np.random.default_rng`` stream spawned from the session seed, in a
+fixed consumption order (one ``integers`` init, then one
+``standard_gamma(K)`` and one ``random(n)`` per sweep), and every draw's
+arithmetic is row-wise.  The batched results are therefore
+**bit-identical per document** to a one-document-at-a-time loop under
+the same seed (tests/fold_in_oracle.py, asserted by
 tests/test_inference_session.py), and independent of batch size, tiling
 and worker count.
 """
@@ -144,7 +144,7 @@ class InferenceSession:
         num_workers: int | None = None,
         worker_affinity=None,
     ) -> None:
-        """Validated scalar setup shared by ``__init__`` and ``from_fold_in``."""
+        """Validated scalar setup shared by ``__init__`` and ``_from_matrix``."""
         from repro.model.parallel_inference import resolve_inference_workers
 
         if num_sweeps <= burn_in:
@@ -162,30 +162,6 @@ class InferenceSession:
         self._pool = None
         #: Calls folded in-process vs. sent to the pool (see describe()).
         self._routed = {"in_process": 0, "pool": 0}
-
-    @classmethod
-    def from_fold_in(
-        cls,
-        sampler: Any,
-        num_sweeps: int = 30,
-        burn_in: int = 10,
-        batch_docs: int = DEFAULT_BATCH_DOCS,
-    ) -> InferenceSession:
-        """Adopt a sequential :class:`~repro.core.inference.FoldInSampler`.
-
-        Compat path for callers holding a sampler instead of a
-        :class:`TopicModel`: reuses the sampler's precomputed ``p*``
-        matrix verbatim, so batched results stay bit-identical to the
-        sampler's own per-document loop.
-        """
-        obj = cls.__new__(cls)
-        obj.model = None
-        obj._configure(num_sweeps, burn_in, batch_docs, None)
-        obj.alpha = float(sampler.alpha)
-        obj.num_topics = int(sampler.num_topics)
-        obj.num_words = int(sampler.num_words)
-        obj._p_star_t = np.ascontiguousarray(sampler._p_star.T)
-        return obj
 
     @classmethod
     def _from_matrix(
@@ -493,9 +469,8 @@ class InferenceSession:
     ) -> float:
         """Mean ``log p(w | mixture, phi)`` of one token sequence.
 
-        Same definition as the sequential sampler's: held-out evaluation
-        scores the unseen half of a document under the mixture inferred
-        from the observed half.
+        Held-out evaluation scores the unseen half of a document under
+        the mixture inferred from the observed half.
         """
         w = np.asarray(word_ids, dtype=np.int64)
         if w.size == 0:

@@ -13,6 +13,7 @@ from repro.api import (
     unregister_algorithm,
 )
 from repro.api.registry import COMMON_OPTIONS
+from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 
 EXPECTED_BUILTINS = {
@@ -91,6 +92,24 @@ class TestCreateTrainer:
     def test_bad_platform_name(self, corpus):
         with pytest.raises(KeyError, match="unknown platform"):
             create_trainer("culda", corpus, topics=6, platform="turing")
+
+
+    @pytest.mark.parametrize("algo", algorithm_names())
+    def test_zero_token_corpus_is_a_typed_error(self, algo):
+        empty = Corpus.from_token_lists([[], []], num_words=3)
+        with pytest.raises(ValueError, match="no tokens"):
+            create_trainer(algo, empty, topics=2)
+
+    def test_ldastar_default_workers_fit_a_small_corpus(self):
+        small = Corpus.from_token_lists([[0, 1], [2], [1, 1, 0]], num_words=3)
+        trainer = create_trainer("ldastar", small, topics=2)
+        assert trainer._options["workers"] == 3
+        assert len(trainer.partial_fit(2)) == 2
+
+    def test_ldastar_explicit_workers_above_documents_raise(self):
+        small = Corpus.from_token_lists([[0, 1], [2], [1, 1, 0]], num_words=3)
+        with pytest.raises(ValueError, match="cannot make 5 chunks"):
+            create_trainer("ldastar", small, topics=2, workers=5)
 
 
 class TestRegistration:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.heldout import HeldOutResult, document_completion, split_documents
+from repro.analysis.heldout import document_completion, split_documents
 from repro.core import CuLdaTrainer, TrainerConfig
-from repro.core.inference import FoldInSampler
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.model import ScoreResult, TopicModel
 
 
 class TestSplit:
@@ -123,13 +123,12 @@ class TestDocumentCompletion:
         cfg = TrainerConfig(num_topics=12, seed=0)
         t = CuLdaTrainer(train, cfg)
         t.train(20, compute_likelihood_every=0)
-        return t, test
+        return TopicModel.from_state(t.state), test
 
     def test_result_shape(self, trained):
-        t, test = trained
-        sampler = FoldInSampler.from_state(t.state)
-        res = document_completion(sampler, test, num_sweeps=15, burn_in=5)
-        assert isinstance(res, HeldOutResult)
+        model, test = trained
+        res = document_completion(model, test, num_sweeps=15, burn_in=5)
+        assert isinstance(res, ScoreResult)
         assert res.num_documents == test.num_docs
         assert res.num_scored_tokens > 0
         assert res.log_predictive_per_token < 0
@@ -139,22 +138,24 @@ class TestDocumentCompletion:
 
     def test_trained_beats_untrained(self, trained):
         """Training must improve held-out predictive probability."""
-        t, test = trained
-        trained_sampler = FoldInSampler.from_state(t.state)
-        k, v = t.state.num_topics, t.state.num_words
+        model, test = trained
         rng = np.random.default_rng(0)
-        random_phi = rng.integers(0, 3, size=(k, v)).astype(np.int64)
-        random_sampler = FoldInSampler(
-            random_phi, random_phi.sum(axis=1), t.state.alpha, t.state.beta
+        random_phi = rng.integers(0, 3, size=(model.num_topics, model.num_words))
+        random_model = TopicModel(
+            random_phi, random_phi.sum(axis=1), model.alpha, model.beta
         )
-        good = document_completion(trained_sampler, test, num_sweeps=12, burn_in=4)
-        bad = document_completion(random_sampler, test, num_sweeps=12, burn_in=4)
+        good = document_completion(model, test, num_sweeps=12, burn_in=4)
+        bad = document_completion(random_model, test, num_sweeps=12, burn_in=4)
         assert good.log_predictive_per_token > bad.log_predictive_per_token
         assert good.perplexity < bad.perplexity
 
     def test_empty_corpus_rejected(self, trained):
-        t, _ = trained
-        sampler = FoldInSampler.from_state(t.state)
-        single = Corpus.from_token_lists([[0]], num_words=t.state.num_words)
+        model, _ = trained
+        single = Corpus.from_token_lists([[0]], num_words=model.num_words)
         with pytest.raises(ValueError, match="no documents"):
-            document_completion(sampler, single)
+            document_completion(model, single)
+
+    def test_rejects_other_model_types(self, trained):
+        _, test = trained
+        with pytest.raises(TypeError, match="TopicModel or InferenceSession"):
+            document_completion(object(), test)

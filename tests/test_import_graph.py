@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import repro
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules the serving process and the CLI's parser must never load.
@@ -102,12 +100,13 @@ class TestTrainingImportsUpFront:
 
 
 class TestLazyNamespaces:
-    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    @pytest.mark.parametrize("package", (*LAZY_PACKAGES, "repro.baselines"))
     def test_every_export_resolves(self, package):
+        """No listed name is missing or still a deprecation shim."""
         module = importlib.import_module(package)
         listed = dir(module)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             for name in module.__all__:
                 value = getattr(module, name)
                 scope: dict = {}
@@ -120,15 +119,3 @@ class TestLazyNamespaces:
         module = importlib.import_module(package)
         with pytest.raises(AttributeError, match=rf"'{package}'.*'no_such_name'"):
             _ = module.no_such_name
-
-    def test_deprecated_alias_warns_once_across_access_styles(self):
-        repro._warned_aliases.discard("CuLdaTrainer")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro import CuLdaTrainer as first
-            second = repro.CuLdaTrainer
-        from repro.core.trainer import CuLdaTrainer
-
-        assert first is CuLdaTrainer and second is CuLdaTrainer
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1

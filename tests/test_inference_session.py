@@ -1,9 +1,9 @@
 """Tests for the batched InferenceSession.
 
 The load-bearing property is the determinism contract: batched
-``transform`` must reproduce the sequential
-:class:`~repro.core.inference.FoldInSampler` **bit-for-bit** per
-document under the same seed, for any batch size.  Everything else
+``transform`` must reproduce the sequential one-document-at-a-time
+chain of tests/fold_in_oracle.py **bit-for-bit** per document under the
+same seed, for any batch size, tiling and worker count.  Everything else
 (top_topics, score, validation) builds on that.
 """
 
@@ -13,11 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from fold_in_oracle import fold_in
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import create_trainer
-from repro.core.inference import FoldInSampler
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import InferenceSession, ScoreResult, TopicModel
@@ -46,9 +46,8 @@ def model(trained):
 
 class TestEquivalence:
     def test_matches_sequential_sampler_bitwise(self, trained, model):
-        trainer, test = trained
-        seq = FoldInSampler.from_state(trainer.state)
-        ref = seq.infer_corpus(test, num_sweeps=9, burn_in=3, seed=5)
+        _, test = trained
+        ref = fold_in(model, test, num_sweeps=9, burn_in=3, seed=5)
         got = InferenceSession(model, num_sweeps=9, burn_in=3).transform(
             test, seed=5
         )
@@ -90,15 +89,6 @@ class TestEquivalence:
         assert np.allclose(theta[0], 1.0 / model.num_topics)
         # the non-empty neighbour still folds in normally
         assert theta[1].max() > 1.0 / model.num_topics
-
-    def test_from_fold_in_matches_sampler(self, trained):
-        trainer, test = trained
-        seq = FoldInSampler.from_state(trainer.state)
-        ref = seq.infer_corpus(test, num_sweeps=8, burn_in=3, seed=2)
-        got = InferenceSession.from_fold_in(
-            seq, num_sweeps=8, burn_in=3
-        ).transform(test, seed=2)
-        assert np.array_equal(ref, got)
 
     def test_float32_workspace_does_not_poison_results(self, trained, model):
         """An externally shared float32 workspace must not change draws."""
@@ -179,14 +169,6 @@ class TestValidation:
         with pytest.raises(TypeError, match="TopicModel"):
             InferenceSession(object())
 
-    def test_from_fold_in_validates_too(self, trained):
-        """The compat constructor enforces the same invariants as __init__."""
-        seq = FoldInSampler.from_state(trained[0].state)
-        with pytest.raises(ValueError, match="exceed"):
-            InferenceSession.from_fold_in(seq, num_sweeps=5, burn_in=5)
-        with pytest.raises(ValueError, match="batch_docs"):
-            InferenceSession.from_fold_in(seq, batch_docs=0)
-
     def test_document_completion_honours_session_schedule(self, trained, model):
         """A passed session's num_sweeps/burn_in are used, not the 25/10
         defaults (explicit arguments still override)."""
@@ -204,20 +186,21 @@ class TestValidation:
                 != default.log_predictive_per_token)
 
     def test_heldout_document_completion_on_topic_model(self, trained, model):
-        """document_completion accepts the artifact directly and agrees
-        with the sampler path bit-for-bit."""
-        from repro.analysis.heldout import document_completion
+        """document_completion accepts the artifact directly and scores
+        the held-out halves under the oracle's mixtures, bit for bit."""
+        from repro.analysis.heldout import document_completion, split_documents
 
-        trainer, test = trained
-        via_model = document_completion(model, test, num_sweeps=8, burn_in=3)
-        via_sampler = document_completion(
-            FoldInSampler.from_state(trainer.state), test,
-            num_sweeps=8, burn_in=3,
-        )
-        assert via_model.log_predictive_per_token == pytest.approx(
-            via_sampler.log_predictive_per_token, rel=1e-12
-        )
-        assert via_model.num_documents == via_sampler.num_documents
+        _, test = trained
+        got = document_completion(model, test, num_sweeps=8, burn_in=3, seed=6)
+        observed, heldout = split_documents(test, seed=6)
+        mixtures = fold_in(model, observed, num_sweeps=8, burn_in=3, seed=7)
+        p_star_t = model.word_given_topic().T
+        lp = [np.log(p_star_t[h] @ m).mean() * h.size
+              for m, h in zip(mixtures, heldout)]
+        tokens = sum(h.size for h in heldout)
+        assert got.log_predictive_per_token == sum(lp) / tokens
+        assert got.num_documents == len(heldout)
+        assert got.num_scored_tokens == tokens
 
 
 def test_large_doc_exceeding_batch_layout():
@@ -227,8 +210,7 @@ def test_large_doc_exceeding_batch_layout():
     rng = np.random.default_rng(0)
     docs = [rng.integers(0, 30, size=n) for n in (1, 200, 3, 57, 9)]
     corpus = Corpus.from_token_lists([d.tolist() for d in docs], num_words=30)
-    seq = FoldInSampler(phi, phi.sum(axis=1), 0.5, 0.1)
-    ref = seq.infer_corpus(corpus, num_sweeps=6, burn_in=2, seed=3)
+    ref = fold_in(model, corpus, num_sweeps=6, burn_in=2, seed=3)
     got = InferenceSession(model, num_sweeps=6, burn_in=2, batch_docs=2).transform(
         corpus, seed=3
     )
@@ -536,7 +518,7 @@ class TestInferencePoolFailure:
 
 
 # ---------------------------------------------------------------------------
-# The served contract, pinned independently of FoldInSampler.
+# The served contract, pinned independently of the oracle.
 
 _G_K, _G_V = 16, 50
 #: Ragged on purpose: length-1 docs, a repeated length, an empty doc and
@@ -601,7 +583,7 @@ class TestServedGolden:
 
 
 # ---------------------------------------------------------------------------
-# Property sweep: batched fold-in against the sequential sampler.
+# Property sweep: batched fold-in against the sequential oracle.
 
 _ragged_lengths = st.one_of(
     st.lists(st.integers(0, 9), min_size=1, max_size=7),
@@ -620,12 +602,10 @@ def _random_case(k: int, lengths: list[int], seed: int):
     phi = rng.integers(0, 6, size=(k, v)).astype(np.int64)
     docs = [rng.integers(0, v, size=n).tolist() for n in lengths]
     corpus = Corpus.from_token_lists(docs, num_words=v)
-    model = TopicModel(phi, phi.sum(axis=1), 0.2, 0.1)
-    seq = FoldInSampler(phi, phi.sum(axis=1), 0.2, 0.1)
-    return model, seq, corpus
+    return TopicModel(phi, phi.sum(axis=1), 0.2, 0.1), corpus
 
 
-class TestLockstepProperties:
+class TestOracleProperties:
     @settings(max_examples=60)
     @given(
         lengths=_ragged_lengths,
@@ -633,11 +613,9 @@ class TestLockstepProperties:
         batch_docs=st.sampled_from([1, 2, 256]),
         seed=st.integers(0, 2**16),
     )
-    def test_bitwise_equal_to_fold_in_sampler(
-        self, lengths, k, batch_docs, seed
-    ):
-        model, seq, corpus = _random_case(k, lengths, seed)
-        ref = seq.infer_corpus(corpus, num_sweeps=4, burn_in=1, seed=seed)
+    def test_bitwise_equal_to_oracle(self, lengths, k, batch_docs, seed):
+        model, corpus = _random_case(k, lengths, seed)
+        ref = fold_in(model, corpus, num_sweeps=4, burn_in=1, seed=seed)
         session = InferenceSession(
             model, num_sweeps=4, burn_in=1, batch_docs=batch_docs
         )
@@ -650,9 +628,9 @@ class TestLockstepProperties:
         assert np.array_equal(first, got)
 
     @pytest.mark.usefixtures("pool_routed")
-    def test_pooled_bitwise_equal_to_fold_in_sampler(self):
-        model, seq, corpus = _random_case(3, [9, 1, 0, 4, 4, 12, 2], 5)
-        ref = seq.infer_corpus(corpus, num_sweeps=4, burn_in=1, seed=5)
+    def test_pooled_bitwise_equal_to_oracle(self):
+        model, corpus = _random_case(3, [9, 1, 0, 4, 4, 12, 2], 5)
+        ref = fold_in(model, corpus, num_sweeps=4, burn_in=1, seed=5)
         with InferenceSession(
             model, num_sweeps=4, burn_in=1, num_workers=2, batch_docs=2
         ) as pooled:

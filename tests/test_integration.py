@@ -92,14 +92,13 @@ class TestPublicSurface:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "2.0.0"
 
 
 class TestDeterminismAcrossFeatures:
     def test_full_pipeline_reproducible(self, tmp_path):
-        """Train -> snapshot -> reload -> fold-in is seed-deterministic."""
-        from repro.core.inference import FoldInSampler
-        from repro.core.snapshot import load_model, save_model
+        """Train -> save -> reload -> fold-in is seed-deterministic."""
+        from repro.model import InferenceSession, TopicModel
 
         spec = small_spec(num_docs=100, num_words=150, mean_doc_len=25)
         corpus, _ = generate_labelled_corpus(spec, seed=5)
@@ -108,11 +107,8 @@ class TestDeterminismAcrossFeatures:
             t = CuLdaTrainer(corpus, TrainerConfig(num_topics=8, seed=4))
             t.train(5, compute_likelihood_every=0)
             p = tmp_path / "m.npz"
-            save_model(t.state, p)
-            m = load_model(p)
-            s = FoldInSampler(m["phi"], m["topic_totals"], m["alpha"], m["beta"])
-            return s.infer_document(
-                corpus.document(0).word_ids, rng=np.random.default_rng(1)
-            )
+            TopicModel.from_state(t.state).save(p)
+            session = InferenceSession(TopicModel.load(p))
+            return session.transform([corpus.document(0).word_ids], seed=1)
 
         assert np.array_equal(run(), run())

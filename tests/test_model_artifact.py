@@ -147,7 +147,7 @@ class TestPersistence:
         """A pre-redesign `repro train --output` file loads via compat."""
         m = tiny_model()
         path = tmp_path / "v1.npz"
-        # the exact layout the seed-era save_model wrote
+        # the exact layout the seed-era model writer produced
         np.savez_compressed(
             path, version=1, kind="model",
             phi=m.phi.astype(np.int32), topic_totals=m.topic_totals,
@@ -211,25 +211,6 @@ class TestPersistence:
         np.savez(path, version=2, kind="model", num_words=3)
         with pytest.raises(ValueError, match="phi"):
             TopicModel.load(path)
-
-
-class TestDeprecatedDictShims:
-    def test_save_load_warn_and_round_trip(self, tmp_path, corpus):
-        from repro.core.snapshot import load_model, save_model
-
-        trainer = create_trainer("culda", corpus, topics=4, seed=0)
-        trainer.fit(1, likelihood_every=0)
-        path = tmp_path / "m.npz"
-        with pytest.warns(DeprecationWarning, match="export_model"):
-            save_model(trainer.state, path)
-        with pytest.warns(DeprecationWarning, match="TopicModel.load"):
-            d = load_model(path)
-        assert np.array_equal(d["phi"], trainer.state.phi)
-        assert d["num_topics"] == 4
-        # the shim now writes the current schema (v2, empty metadata —
-        # a bare state carries no provenance; export_model() does)
-        with np.load(path, allow_pickle=False) as z:
-            assert int(z["version"]) == 2
 
 
 class TestTopWordIndex:

@@ -1,16 +1,12 @@
-"""Tests for model/checkpoint persistence."""
+"""Tests for checkpoint persistence."""
 
 import numpy as np
 import pytest
 
 from repro.core import CuLdaTrainer, TrainerConfig
-from repro.core.snapshot import (
-    load_checkpoint,
-    load_model,
-    save_checkpoint,
-    save_model,
-)
+from repro.core.snapshot import load_checkpoint, save_checkpoint
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.model import TopicModel
 
 
 @pytest.fixture(scope="module")
@@ -22,53 +18,6 @@ def trained(request):
     t = CuLdaTrainer(corpus, cfg)
     t.train(5, compute_likelihood_every=0)
     return corpus, cfg, t
-
-
-class TestModelArtifact:
-    def test_round_trip(self, trained, tmp_path):
-        _, _, t = trained
-        path = tmp_path / "model.npz"
-        save_model(t.state, path)
-        m = load_model(path)
-        assert np.array_equal(m["phi"], t.state.phi)
-        assert np.array_equal(m["topic_totals"], t.state.topic_totals)
-        assert m["alpha"] == t.state.alpha
-        assert m["num_topics"] == 12
-
-    def test_rejects_checkpoint_kind(self, trained, tmp_path):
-        _, _, t = trained
-        path = tmp_path / "ck.npz"
-        save_checkpoint(t.state, path)
-        with pytest.raises(ValueError, match="not a model artifact"):
-            load_model(path)
-
-    def test_detects_corruption(self, trained, tmp_path):
-        _, _, t = trained
-        path = tmp_path / "model.npz"
-        save_model(t.state, path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        data["topic_totals"] = data["topic_totals"] + 1
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match="corrupted"):
-            load_model(path)
-
-    def test_rejects_non_snapshot(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, a=np.zeros(3))
-        with pytest.raises(ValueError, match="no version"):
-            load_model(path)
-
-    def test_rejects_future_version(self, trained, tmp_path):
-        _, _, t = trained
-        path = tmp_path / "model.npz"
-        save_model(t.state, path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        data["version"] = np.int64(99)
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match="version 99"):
-            load_model(path)
 
 
 class TestCheckpoint:
@@ -105,7 +54,7 @@ class TestCheckpoint:
     def test_rejects_model_kind(self, trained, tmp_path):
         corpus, _, t = trained
         path = tmp_path / "m.npz"
-        save_model(t.state, path)
+        TopicModel.from_state(t.state).save(path)
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path, corpus)
 
