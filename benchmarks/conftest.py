@@ -2,9 +2,9 @@
 
 The paper evaluates on NYTimes (T=99.5M) and PubMed (T=737.9M); the bench
 corpora are LDA-generative stand-ins with the same D:V:length shape at
-~0.3% scale (see DESIGN.md section 2).  Because the *functional*
-trajectory of a run is platform-independent, each dataset is trained once
-(session scope) and re-priced per platform via ``repro.analysis.replay``
+~0.3% scale.  Because the *functional* trajectory of a run is
+platform-independent, each dataset is trained once (session scope) and
+re-priced per platform via ``repro.analysis.replay``
 — tests/test_replay.py proves that equals a direct run.
 
 Full-scale working-set sizes are passed to the CPU baseline's cache model

@@ -19,8 +19,9 @@ The sparsity-aware S/Q decomposition the paper's own sampler builds on
   are applied at sweep granularity (chunk-snapshot semantics, exactly
   like one CuLDA iteration on one chunk), so the chain differs from the
   sequential mode draw-for-draw while targeting the same posterior.
-  This is the mode the algorithm registry exposes by default — orders
-  of magnitude faster in wall-clock (see BENCH_wallclock.json).
+  This is the mode the algorithm registry exposes by default — about
+  an order of magnitude faster in wall-clock (see docs/PERFORMANCE.md
+  "Vectorised baseline samplers").
 """
 
 from __future__ import annotations

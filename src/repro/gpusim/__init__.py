@@ -1,11 +1,10 @@
 """Simulated GPU substrate.
 
 The reproduction substitutes the paper's physical GPUs with a functional +
-analytical simulator (see DESIGN.md section 2 for the substitution
-argument).  Kernels execute real NumPy math; this package accounts for
-their simulated time with a roofline clock, byte-accurate device memory,
-stream/engine timelines with genuine copy/compute overlap, and
-latency+bandwidth interconnect models.
+analytical simulator.  Kernels execute real NumPy math; this package
+accounts for their simulated time with a roofline clock, byte-accurate
+device memory, stream/engine timelines with genuine copy/compute
+overlap, and latency+bandwidth interconnect models.
 """
 
 from repro.gpusim.clock import CostLedger, KernelCost, ZERO_COST, cpu_kernel_time, gpu_kernel_time

@@ -5,7 +5,7 @@ to dispatch — how long the coalescer held it) and ``service`` (dispatch
 to completion — the inference call it rode in).  :class:`LatencyStats`
 keeps a bounded window of recent samples plus lifetime counters, and
 snapshots p50/p99/mean/max per component — the numbers the ``stats``
-protocol op and the open-loop load benchmark report.
+protocol op reports.
 """
 
 from __future__ import annotations

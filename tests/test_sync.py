@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.sync import reconcile_phi, simulate_phi_sync, synchronize
+from repro.core.sync import (
+    reconcile_phi,
+    reconcile_prereduced,
+    simulate_phi_sync,
+    synchronize,
+)
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.platform import TITAN_XP_PASCAL
 
@@ -66,6 +71,36 @@ class TestReconcile:
         out = reconcile_phi(ref, reps)
         assert int(out.sum()) == n
         assert np.all(out >= 0)
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=9999),
+    )
+    def test_prereduced_matches_replica_merge(self, w, owners, seed):
+        """Per-worker summed deltas merge to the same bits as the replicas,
+        however the G replicas are assigned to the W workers."""
+        rng = np.random.default_rng(seed)
+        k, v, n = 4, 6, 60
+        z = rng.integers(0, k, size=n)
+        words = rng.integers(0, v, size=n)
+        ref = np.zeros((k, v), dtype=np.int32)
+        np.add.at(ref, (z, words), 1)
+        # each replica reassigns a disjoint slice of tokens
+        bounds = np.linspace(0, n, len(owners) + 1).astype(int)
+        per_worker = [np.zeros((k, v), dtype=np.int64) for _ in range(w)]
+        replicas = []
+        for g, owner in enumerate(owners):
+            rep = ref.copy()
+            sl = slice(bounds[g], bounds[g + 1])
+            np.subtract.at(rep, (z[sl], words[sl]), 1)
+            np.add.at(rep, (rng.integers(0, k, size=sl.stop - sl.start), words[sl]), 1)
+            replicas.append(rep)
+            per_worker[owner % w] += rep.astype(np.int64) - ref
+        out = reconcile_prereduced(ref, per_worker)
+        expected = reconcile_phi(ref, replicas)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
 
 
 class TestSimulatedSync:
