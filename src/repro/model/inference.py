@@ -10,7 +10,11 @@ does two things:
   uniforms, both from its own RNG stream;
 - given theta, every token of the batch draws
   ``z ∝ theta_d[k] * p*[k, w]`` at once, in ``(tokens x K)`` tiles of
-  ``_TILE`` slots, and one bincount gives the new counts n_d.
+  ``_TILE`` slots, and one bincount gives the new counts n_d.  The draw
+  is two levels deep, like the paper's Figure 5 index tree (Section
+  6.1.2): block totals of ``_BLOCK`` topics pick the block, and only that
+  block's prefix sums pick the topic (:class:`_BlockDraw`), so no token
+  walks a K-long prefix sum.
 
 The chain over (theta, z) has the exact fold-in posterior as its
 z-marginal: the partially collapsed move of Magnusson et al. (JCGS
@@ -54,6 +58,11 @@ DEFAULT_BATCH_DOCS = 256
 #: float64 scratch buffer whatever the batch width.
 _TILE = 1 << 17
 
+#: Topics per block of the two-level draw (K=256: 16 blocks of 16).
+#: Measured against 8 and 32: docs/PERFORMANCE.md "The theta-explicit
+#: kernel".
+_BLOCK = 16
+
 #: Fewest documents worth one worker's share of a call.  A call folds
 #: in ``min(num_workers, docs // _MIN_SHARE_DOCS)`` shares and stays
 #: in-process below two, so 4-document serving requests never pay a
@@ -70,6 +79,81 @@ class ScoreResult:
     perplexity: float
     num_documents: int
     num_scored_tokens: int
+
+
+class _BlockDraw:
+    """Inverse-CDF topic draws over a tile, one block of topics deep.
+
+    Callers write each token's weights ``theta_d[k] * p*[k, w]`` into
+    ``prod[:n, :K]``; the rest of every row is zero padding up to ``nb``
+    whole blocks of ``b = min(_BLOCK, K)`` topics.  A call sums each
+    block left to right, finds the block holding ``u * total`` from the
+    ``nb`` block prefix sums, then the topic from that block's own ``b``
+    prefix sums.  No token walks a K-long chain of additions.  Every
+    operation is row-wise, so a token's draw depends only on its own
+    products and uniform.
+
+    Both targets are clamped strictly below the total they split, so a
+    zero-mass topic (an underflowed theta, or padding) is never drawn.
+    """
+
+    def __init__(self, ws: Workspace, step: int, k: int):
+        b = min(_BLOCK, k)
+        nb = -(-k // b)
+        self.b, self.nb = b, nb
+        f, i = np.float64, np.intp
+        self.prod = ws.take("infer.prod", (step, nb * b), dtype=f)
+        self.prod[:, k:] = 0.0
+        self._tot = ws.take("infer.blocktot", (step, nb), dtype=f)
+        # cum[:, j] is the mass before block j, so column 0 stays 0.
+        self._cum = ws.take("infer.blockcum", (step, nb + 1), dtype=f)
+        self._cum[:, 0] = 0.0
+        self._pick = ws.take("infer.pick", (step, b), dtype=f)
+        self._x = ws.take("infer.x", step, dtype=f)
+        self._lim = ws.take("infer.lim", step, dtype=f)
+        self._j = ws.take("infer.block", step, dtype=i)
+        self._at = ws.take("infer.at", step, dtype=i)
+        self._past_blocks = ws.take("infer.pastblocks", (step, nb - 1), dtype=np.bool_)
+        self._past = ws.take("infer.past", (step, b - 1), dtype=np.bool_)
+        ramp = ws.arange(step)
+        self._row_cum = ramp * (nb + 1)
+        self._row_tot = ramp * nb
+
+    def __call__(self, n: int, u: np.ndarray, topic: np.ndarray) -> None:
+        """Draw ``topic[i]`` for the first ``n`` rows of ``prod``."""
+        b, nb = self.b, self.nb
+        prod = self.prod[:n]
+        blocks = prod.reshape(n, nb, b)
+        tot, cum, pick = self._tot[:n], self._cum[:n], self._pick[:n]
+        x, lim, j, at = self._x[:n], self._lim[:n], self._j[:n], self._at[:n]
+        np.copyto(tot, blocks[:, :, 0])
+        for c in range(1, b):
+            tot += blocks[:, :, c]
+        np.add.accumulate(tot, axis=1, out=cum[:, 1:])
+        # x = u * total lands on the total itself only when that is
+        # subnormal; below it, a zero-mass last block is never picked.
+        np.multiply(u, cum[:, nb], out=x)
+        np.nextafter(cum[:, nb], 0.0, out=lim)
+        np.minimum(x, lim, out=x)
+        # count(cum[1:nb] <= x) is the block j with cum[j] <= x < cum[j+1].
+        np.less_equal(cum[:, 1:nb], x[:, None], out=self._past_blocks[:n])
+        np.add.reduce(self._past_blocks[:n], axis=1, dtype=np.intp, out=j)
+        # The residual x - cum[j] can round up to the block's total, so
+        # it too is clamped below it: the count then stops at a topic of
+        # mass, not on the block's zero tail.
+        np.add(self._row_cum[:n], j, out=at)
+        cum.reshape(-1).take(at, out=lim, mode="clip")
+        np.subtract(x, lim, out=x)
+        np.add(self._row_tot[:n], j, out=at)
+        tot.reshape(-1).take(at, out=lim, mode="clip")
+        np.nextafter(lim, 0.0, out=lim)
+        np.minimum(x, lim, out=x)
+        prod.reshape(n * nb, b).take(at, axis=0, out=pick, mode="clip")
+        np.add.accumulate(pick, axis=1, out=pick)
+        np.less_equal(pick[:, : b - 1], x[:, None], out=self._past[:n])
+        np.add.reduce(self._past[:n], axis=1, dtype=np.intp, out=topic)
+        np.multiply(j, b, out=j)
+        topic += j
 
 
 def _as_doc_arrays(docs: Corpus | Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -374,34 +458,39 @@ class InferenceSession:
         # An assignment is its flat theta index ``row * K + topic``, so
         # one bincount gives every document's topic counts.
         words = ws.take("infer.words", total, dtype=np.intp)
-        rows = ws.take("infer.rows", total, dtype=np.intp)
+        rowk = ws.take("infer.rowk", total, dtype=np.intp)
         zflat = ws.take("infer.zflat", total, dtype=np.intp)
         uniforms = ws.take("infer.uniforms", total, dtype=np.float64)
         shape = ws.take("infer.shape", (a, k), dtype=np.float64)
         theta = ws.take("infer.theta", (a, k), dtype=np.float64)
         acc = ws.zeros("infer.acc", (a, k), dtype=np.float64)
+        step = max(1, _TILE // k)
         draws = []
+        # (document, start, stop) runs of each tile, tile-relative: a
+        # document's theta row multiplies its whole run at once.
+        runs: list[list[tuple[int, int, int]]] = [[] for _ in range(0, total, step)]
         lo = 0
         for d, (doc, ss) in enumerate(zip(docs, seeds)):
             hi = lo + doc.size
             rng = np.random.default_rng(ss)
             words[lo:hi] = doc
-            rows[lo:hi] = d
+            rowk[lo:hi] = d * k
             zflat[lo:hi] = rng.integers(0, k, size=doc.size) + d * k
             draws.append((rng, shape[d], theta[d], uniforms[lo:hi]))
+            for t in range(lo // step, (hi - 1) // step + 1):
+                base = t * step
+                runs[t].append((d, max(lo, base) - base, min(hi, base + step) - base))
             lo = hi
         if words.min() < 0 or words.max() >= self.num_words:
             raise IndexError("word id out of the trained vocabulary")
         # Tile scratch of _TILE (token, topic) slots, taken at full size
         # so the workspace sizes it once instead of regrowing it request
-        # by request.  The ids are checked above, so the gathers may
+        # by request.  The ids are checked above, so the gather may
         # write ``out=`` unchecked (a checked one stages a temporary).
-        step = max(1, _TILE // k)
         pstar = ws.take("infer.pstar", (step, k), dtype=np.float64)
-        cdf = ws.take("infer.cdf", (step, k), dtype=np.float64)
-        x = ws.take("infer.x", step, dtype=np.float64)
-        below = ws.take("infer.below", (step, k - 1), dtype=np.bool_)
-        new = ws.take("infer.new", step, dtype=np.intp)
+        topic = ws.take("infer.topic", step, dtype=np.intp)
+        draw = _BlockDraw(ws, step, k)
+        prod = draw.prod[:, :k]
         p_star_t = self._p_star_t
         # phi is frozen, so a batch that fits one tile gathers once.
         hoisted = total <= step
@@ -420,22 +509,15 @@ class InferenceSession:
             # z ∝ theta_d[k] * p*[k, w] at once.  The arithmetic is
             # row-wise, so tiling and batch composition never change a
             # draw.
-            for lo in range(0, total, step):
+            for t, lo in enumerate(range(0, total, step)):
                 hi = min(lo + step, total)
                 n = hi - lo
-                g, c, xt, nw, z = pstar[:n], cdf[:n], x[:n], new[:n], zflat[lo:hi]
                 if not hoisted:
-                    p_star_t.take(words[lo:hi], axis=0, out=g, mode="clip")
-                theta.take(rows[lo:hi], axis=0, out=c, mode="clip")
-                np.multiply(g, c, out=c)
-                np.add.accumulate(c, axis=1, out=c)
-                np.multiply(uniforms[lo:hi], c[:, -1], out=xt)
-                # count(cdf[:K-1] <= x) == min(count(cdf <= x), K-1)
-                # for a non-decreasing cdf: the draw needs no clamp.
-                np.less_equal(c[:, : k - 1], xt[:, None], out=below[:n])
-                np.add.reduce(below[:n], axis=1, dtype=np.intp, out=nw)
-                np.multiply(rows[lo:hi], k, out=z)
-                z += nw
+                    p_star_t.take(words[lo:hi], axis=0, out=pstar[:n], mode="clip")
+                for d, i, j in runs[t]:
+                    np.multiply(pstar[i:j], theta[d], out=prod[i:j])
+                draw(n, uniforms[lo:hi], topic[:n])
+                np.add(rowk[lo:hi], topic[:n], out=zflat[lo:hi])
             counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
             if s >= burn:
                 acc += counts

@@ -3,10 +3,14 @@
 One document at a time, one sweep at a time, with the draws taken from
 document d's stream ``SeedSequence(seed).spawn(D)[d]`` in the order the
 session keeps: one ``integers`` init, then one ``standard_gamma(K)`` and
-one ``random(n)`` per sweep.  ``InferenceSession.transform`` must return
-these mixtures bit for bit, whatever its batch size, tiling or worker
-count.  The chain itself is checked against the enumerated posterior in
-tests/test_exact_posterior.py.
+one ``random(n)`` per sweep.  Each token's topic comes from the
+two-level inverse-CDF draw of ``two_level_draw``, written with plain
+``cumsum`` and fancy indexing rather than the session's buffers.
+``InferenceSession.transform`` must return these mixtures bit for bit,
+whatever its batch size, tiling or worker count.  The chain itself is
+checked against the enumerated posterior in
+tests/test_exact_posterior.py, and the draw against exact arithmetic in
+tests/test_inference_session.py.
 """
 
 from __future__ import annotations
@@ -14,6 +18,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.corpus.document import Corpus
+from repro.model.inference import _BLOCK
+
+
+def two_level_draw(weights, u):
+    """Topic of each row of ``weights`` (n, K) at target ``u * total``.
+
+    Topics form blocks of ``B = min(_BLOCK, K)``, the last one zero
+    padded.  Block totals are in-block sums left to right; the block is
+    the first whose running total exceeds the target, and the topic the
+    first in that block whose in-block prefix sum exceeds what is left.
+    Both targets stay strictly below the total they split.
+    """
+    n, k = weights.shape
+    b = min(_BLOCK, k)
+    nb = -(-k // b)
+    padded = np.zeros((n, nb * b))
+    padded[:, :k] = weights
+    inner = np.cumsum(padded.reshape(n, nb, b), axis=2)
+    block_total = inner[..., -1]
+    running = np.cumsum(block_total, axis=1)
+    total = running[:, -1]
+    x = np.minimum(u * total, np.nextafter(total, 0.0))
+    j = (running[:, :-1] <= x[:, None]).sum(axis=1)
+    ar = np.arange(n)
+    before = np.where(j > 0, running[ar, j - 1], 0.0)
+    rest = np.minimum(x - before, np.nextafter(block_total[ar, j], 0.0))
+    return j * b + (inner[ar, j, :-1] <= rest[:, None]).sum(axis=1)
 
 
 def fold_in(model, docs, num_sweeps, burn_in, seed):
@@ -42,10 +73,7 @@ def fold_in(model, docs, num_sweeps, burn_in, seed):
         for sweep in range(num_sweeps):
             theta = rng.standard_gamma(alpha + counts)
             u = rng.random(w.size)
-            cdf = np.cumsum(rows * theta, axis=1)
-            # Count of cdf[:K-1] <= u * total: the draw needs no clamp.
-            z = (cdf[:, :-1] <= (u * cdf[:, -1])[:, None]).sum(axis=1)
-            counts = np.bincount(z, minlength=k)
+            counts = np.bincount(two_level_draw(rows * theta, u), minlength=k)
             if sweep >= burn_in:
                 acc += counts
         mix = acc + alpha * (num_sweeps - burn_in)

@@ -20,6 +20,14 @@ most 1/M, so McDiarmid's inequality puts the TV above that mean plus
 stationary law is not the posterior, or that has not mixed, sits above
 the bound; ``test_rejects_a_wrong_target`` shows that a target 0.06 away
 in TV is caught at this sample size.
+
+Two instances.  K=3, N=5 checks the whole count histogram.  K=20 spans
+two blocks of the session's two-level draw (topics 16-19 sit in a zero
+padded second block), but its 1,540 count vectors make a histogram too
+fine for 20,000 chains; it checks the per-token marginal instead, the
+topic occupancy ``q_k = E[n_k] / N``.  The same argument bounds that
+statistic's TV, with each topic's standard error taken from the exact
+variance of ``n_k / N``.
 """
 
 from __future__ import annotations
@@ -31,57 +39,76 @@ import numpy as np
 import pytest
 
 from repro.model import InferenceSession, TopicModel
+from repro.model.inference import _BLOCK
 
-_K, _N, _V, _ALPHA, _BETA = 3, 5, 4, 0.3, 0.01
+_V, _ALPHA, _BETA = 4, 0.3, 0.01
+_K, _N = 3, 5
 _DOC = np.array([0, 1, 2, 3, 1], dtype=np.int64)
+_WIDE_K = 20
+_WIDE_DOC = np.array([1, 2, 3], dtype=np.int64)
 _CHAINS = 20_000
 _SWEEPS = 20
 
 
-@pytest.fixture(scope="module")
-def model() -> TopicModel:
+def _model(k: int) -> TopicModel:
     # p* rows drawn from Dirichlet(0.5), carried by integer counts.
     rng = np.random.default_rng(2024)
-    phi = np.rint(rng.dirichlet(np.full(_V, 0.5), size=_K) * 1000)
+    phi = np.rint(rng.dirichlet(np.full(_V, 0.5), size=k) * 1000)
     return TopicModel(phi.astype(np.int64), phi.sum(axis=1).astype(np.int64),
                       _ALPHA, _BETA)
 
 
-def _exact_counts_posterior(p_star: np.ndarray, alpha: float) -> dict:
+def _exact_counts_posterior(p_star: np.ndarray, alpha: float, doc) -> dict:
     """Posterior over topic-count vectors, from all K^N assignments."""
+    k = p_star.shape[0]
     post: dict[tuple[int, ...], float] = {}
-    for z in itertools.product(range(_K), repeat=_N):
-        n = tuple(np.bincount(z, minlength=_K).tolist())
+    for z in itertools.product(range(k), repeat=len(doc)):
+        n = tuple(np.bincount(z, minlength=k).tolist())
         lp = sum(lgamma(alpha + c) for c in n)
-        lp += sum(log(p_star[k, w]) for k, w in zip(z, _DOC))
+        lp += sum(log(p_star[t, w]) for t, w in zip(z, doc))
         post[n] = post.get(n, 0.0) + np.exp(lp)
     total = sum(post.values())
     return {n: p / total for n, p in post.items()}
+
+
+def _final_counts(model: TopicModel, doc) -> np.ndarray:
+    """Final topic counts of ``_CHAINS`` independent chains, ``(M, K)``."""
+    k, n = model.num_topics, len(doc)
+    session = InferenceSession(model, num_sweeps=_SWEEPS, burn_in=_SWEEPS - 1)
+    theta = session.transform([doc] * _CHAINS, seed=1)
+    counts = np.rint(theta * (n + k * _ALPHA) - _ALPHA).astype(np.int64)
+    assert np.all(counts.sum(axis=1) == n)
+    return counts
 
 
 def _tv(counts: dict, target: dict, m: int) -> float:
     return 0.5 * sum(abs(counts.get(n, 0) / m - p) for n, p in target.items())
 
 
+def _mc_slack(m: int) -> float:
+    return np.sqrt(np.log(1e6) / (2 * m))
+
+
 def _bound(target: dict, m: int) -> float:
     mc_mean = sum(np.sqrt(p * (1 - p) / (2 * np.pi * m)) for p in target.values())
-    return mc_mean + np.sqrt(np.log(1e6) / (2 * m))
+    return mc_mean + _mc_slack(m)
+
+
+@pytest.fixture(scope="module")
+def model() -> TopicModel:
+    return _model(_K)
 
 
 @pytest.fixture(scope="module")
 def final_counts(model) -> dict:
-    session = InferenceSession(model, num_sweeps=_SWEEPS, burn_in=_SWEEPS - 1)
-    theta = session.transform([_DOC] * _CHAINS, seed=1)
-    counts = np.rint(theta * (_N + _K * _ALPHA) - _ALPHA).astype(np.int64)
-    assert np.all(counts.sum(axis=1) == _N)
     hist: dict[tuple[int, ...], int] = {}
-    for row in map(tuple, counts.tolist()):
+    for row in map(tuple, _final_counts(model, _DOC).tolist()):
         hist[row] = hist.get(row, 0) + 1
     return hist
 
 
 def test_fold_in_matches_exact_posterior(model, final_counts):
-    target = _exact_counts_posterior(model.word_given_topic(), _ALPHA)
+    target = _exact_counts_posterior(model.word_given_topic(), _ALPHA, _DOC)
     assert len(target) == 21  # compositions of 5 into 3 parts
     assert set(final_counts) <= set(target)
     assert _tv(final_counts, target, _CHAINS) < _bound(target, _CHAINS)
@@ -89,7 +116,66 @@ def test_fold_in_matches_exact_posterior(model, final_counts):
 
 def test_rejects_a_wrong_target(model, final_counts):
     p_star = model.word_given_topic()
-    target = _exact_counts_posterior(p_star, _ALPHA)
-    wrong = _exact_counts_posterior(p_star, 0.4)
+    target = _exact_counts_posterior(p_star, _ALPHA, _DOC)
+    wrong = _exact_counts_posterior(p_star, 0.4, _DOC)
     assert 0.5 * sum(abs(wrong[n] - target[n]) for n in target) < 0.07
     assert _tv(final_counts, wrong, _CHAINS) > _bound(wrong, _CHAINS)
+
+
+# ---------------------------------------------------------------------------
+# Across blocks: K=20, N=3, the per-token marginal.
+
+
+def _occupancy(post: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of ``n / N`` under a count posterior."""
+    keys = np.array(list(post), dtype=np.float64)
+    keys /= keys[0].sum()
+    p = np.array(list(post.values()))
+    mean = p @ keys
+    return mean, p @ (keys * keys) - mean * mean
+
+
+def _occupancy_tv(counts: np.ndarray, mean: np.ndarray) -> float:
+    observed = counts.sum(axis=0) / counts.sum()
+    return 0.5 * float(np.abs(observed - mean).sum())
+
+
+def _occupancy_bound(var: np.ndarray, m: int) -> float:
+    return float(np.sqrt(var / m).sum() / np.sqrt(2 * np.pi)) + _mc_slack(m)
+
+
+@pytest.fixture(scope="module")
+def wide_model() -> TopicModel:
+    return _model(_WIDE_K)
+
+
+@pytest.fixture(scope="module")
+def wide_counts(wide_model) -> np.ndarray:
+    return _final_counts(wide_model, _WIDE_DOC)
+
+
+def test_instance_spans_blocks(wide_model):
+    """The second block holds a good share of the posterior mass."""
+    assert _BLOCK < _WIDE_K < 2 * _BLOCK
+    post = _exact_counts_posterior(
+        wide_model.word_given_topic(), _ALPHA, _WIDE_DOC
+    )
+    mean, _ = _occupancy(post)
+    assert mean[_BLOCK:].sum() > 0.2
+
+
+def test_occupancy_across_blocks_matches_exact(wide_model, wide_counts):
+    post = _exact_counts_posterior(
+        wide_model.word_given_topic(), _ALPHA, _WIDE_DOC
+    )
+    assert len(post) == 1540  # compositions of 3 into 20 parts
+    mean, var = _occupancy(post)
+    assert _occupancy_tv(wide_counts, mean) < _occupancy_bound(var, _CHAINS)
+
+
+def test_occupancy_rejects_a_wrong_target(wide_model, wide_counts):
+    p_star = wide_model.word_given_topic()
+    mean, _ = _occupancy(_exact_counts_posterior(p_star, _ALPHA, _WIDE_DOC))
+    wrong, var = _occupancy(_exact_counts_posterior(p_star, 0.1, _WIDE_DOC))
+    assert 0.5 * np.abs(wrong - mean).sum() < 0.06
+    assert _occupancy_tv(wide_counts, wrong) > _occupancy_bound(var, _CHAINS)

@@ -9,11 +9,13 @@ same seed, for any batch size, tiling and worker count.  Everything else
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from fold_in_oracle import fold_in
+from fold_in_oracle import fold_in, two_level_draw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,7 @@ from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import InferenceSession, ScoreResult, TopicModel
 from repro.model import inference
-from repro.model.inference import _MIN_SHARE_DOCS, _as_doc_arrays
+from repro.model.inference import _BLOCK, _MIN_SHARE_DOCS, _as_doc_arrays
 from repro.perf import Workspace
 
 
@@ -537,8 +539,8 @@ _G_MANY = (
 )
 
 
-def _golden_model() -> TopicModel:
-    kk, vv = np.meshgrid(np.arange(_G_K), np.arange(_G_V), indexing="ij")
+def _golden_model(k: int = _G_K) -> TopicModel:
+    kk, vv = np.meshgrid(np.arange(k), np.arange(_G_V), indexing="ij")
     phi = ((kk * 7 + vv * 13 + kk * vv) % 11).astype(np.int64)
     phi[:, ::5] *= 3
     return TopicModel(phi, phi.sum(axis=1), 0.3, 0.05)
@@ -609,7 +611,7 @@ class TestOracleProperties:
     @settings(max_examples=60)
     @given(
         lengths=_ragged_lengths,
-        k=st.sampled_from([1, 2, 3, 16]),
+        k=st.sampled_from([1, 2, 3, 16, 17, 33, 40]),
         batch_docs=st.sampled_from([1, 2, 256]),
         seed=st.integers(0, 2**16),
     )
@@ -650,27 +652,127 @@ class TestFoldInBatchEdges:
         with pytest.raises(IndexError):
             session._fold_in_batch(docs, seeds, 3, 1)
 
-    @pytest.mark.parametrize("tile", [1, 16, 100])
+    @pytest.mark.parametrize("tile", [1, 16, 100, 1000])
     def test_tiling_never_changes_a_draw(self, tile):
-        """One tile with the p* gather hoisted, or many small ones."""
-        session = InferenceSession(_golden_model(), num_sweeps=4, burn_in=1)
+        """One tile with the p* gather hoisted, or many small ones, with
+        one block of topics (K=16) or three (K=40)."""
         docs = _golden_docs()
-        base = session.transform(docs, seed=3)
-        with mock.patch.object(inference, "_TILE", tile):
-            assert np.array_equal(session.transform(docs, seed=3), base)
+        for k in (_G_K, 40):
+            session = InferenceSession(_golden_model(k), num_sweeps=4, burn_in=1)
+            base = session.transform(docs, seed=3)
+            with mock.patch.object(inference, "_TILE", tile):
+                assert np.array_equal(session.transform(docs, seed=3), base), k
 
     def test_warm_transform_reuses_every_buffer(self):
-        session = InferenceSession(_golden_model(), num_sweeps=4, burn_in=1)
         docs = _golden_docs()
-        session.transform(docs, seed=0)
-        warm = session.describe()["workspace"]
-        session.transform(docs, seed=1)
-        again = session.describe()["workspace"]
-        assert again["misses"] == warm["misses"]
-        assert again["hits"] > warm["hits"]
-        assert {k: v for k, v in again.items() if k != "hits"} == {
-            k: v for k, v in warm.items() if k != "hits"
-        }
+        for k in (_G_K, 40):
+            session = InferenceSession(_golden_model(k), num_sweeps=4, burn_in=1)
+            session.transform(docs, seed=0)
+            warm = session.describe()["workspace"]
+            session.transform(docs, seed=1)
+            again = session.describe()["workspace"]
+            assert again["misses"] == warm["misses"]
+            assert again["hits"] > warm["hits"]
+            assert {key: v for key, v in again.items() if key != "hits"} == {
+                key: v for key, v in warm.items() if key != "hits"
+            }
+
+
+# ---------------------------------------------------------------------------
+# The tile draw against exact arithmetic (the single-draw form of the
+# exact checks; tests/test_sampler.py::TestExactOracle does the same for
+# the training kernel).
+
+_KNIFE_EDGE = 1e-9
+
+
+def _draw_products(k: int, n: int, rng) -> np.ndarray:
+    """Token weights theta_d[k] * p*[k, w] with the awkward cases mixed in.
+
+    Rows cycle through gamma draws at alpha = 1e-3 (most weights
+    underflow to exactly 0.0, some rows keep one topic), at alpha = 0.5,
+    and rows of tied weights (one value repeated, or equal blocks).
+    """
+    p_star = rng.dirichlet(np.full(k, 0.5), size=n) + 1e-3
+    theta = rng.standard_gamma(np.full((n, k), 1e-3))
+    theta[1::4] = rng.standard_gamma(np.full((n, k), 0.5))[1::4]
+    prod = theta * p_star
+    prod[2::4] = 0.25
+    prod[3::4] = np.resize(np.arange(1, _BLOCK + 1) / 8, k)
+    dead = ~prod.any(axis=1)
+    prod[dead, rng.integers(0, k, size=int(dead.sum()))] = 1.0
+    return prod
+
+
+def _exact_inverse_cdf(row: np.ndarray, u: float) -> tuple[int, float]:
+    """First topic whose exact prefix sum exceeds ``u * total``, and the
+    target's distance from the nearest prefix, relative to the total."""
+    prefix = list(itertools.accumulate(Fraction(float(p)) for p in row))
+    target = Fraction(float(u)) * prefix[-1]
+    topic = next(i for i, c in enumerate(prefix) if c > target)
+    return topic, float(min(abs(target - c) for c in prefix) / prefix[-1])
+
+
+class TestBlockDrawExact:
+    @pytest.mark.parametrize("k", [2, 3, 15, 16, 17, 33, 256])
+    def test_matches_exact_inverse_cdf(self, k):
+        n = 512 if k < 256 else 160
+        rng = np.random.default_rng(k)
+        prod = _draw_products(k, n, rng)
+        u = rng.random(n)
+        u[:3] = [0.0, 0.5, 1.0 - 2.0**-53]  # both ends of [0, 1)
+        draw = inference._BlockDraw(Workspace(), n, k)
+        draw.prod[:, :k] = prod
+        topic = np.empty(n, dtype=np.intp)
+        draw(n, u, topic)
+        assert np.all(topic < k)
+        assert np.all(prod[np.arange(n), topic] > 0.0)  # never zero mass
+        checked = 0
+        for i in range(n):
+            exact, margin = _exact_inverse_cdf(prod[i], u[i])
+            if margin > _KNIFE_EDGE:
+                assert topic[i] == exact, f"token {i}: {topic[i]} != {exact}"
+                checked += 1
+        assert checked > 0.7 * n
+        assert np.any(prod == 0.0)
+
+    @pytest.mark.parametrize("weights", [
+        # x = u * total rounds to the total itself when it is subnormal
+        (3 * 5e-324, 0.0),
+        # x - (mass before the block) rounds up to the block's total
+        (0.06989350580634457, 3.598241648459089),
+    ])
+    def test_rounding_never_reaches_a_zero_mass_tail(self, weights):
+        """Both edges would count past the last topic of mass into the
+        zero tail (here padding) without the clamps."""
+        k = _BLOCK + 1
+        prod = np.zeros((1, k))
+        prod[0, 0], prod[0, _BLOCK] = weights
+        u = np.array([1.0 - 2.0**-53])
+        total = prod[0, 0] + prod[0, _BLOCK]
+        x = u[0] * total
+        assert x == total or x - prod[0, 0] == prod[0, _BLOCK]
+        draw = inference._BlockDraw(Workspace(), 1, k)
+        draw.prod[:, :k] = prod
+        topic = np.empty(1, dtype=np.intp)
+        draw(1, u, topic)
+        want = 0 if weights[1] == 0.0 else _BLOCK
+        assert topic[0] == want == two_level_draw(prod, u)[0]
+
+    def test_partial_tile_and_stale_scratch(self):
+        """Rows past ``n`` and leftovers of a wider call change nothing."""
+        k, n = 40, 64
+        rng = np.random.default_rng(1)
+        prod, u = _draw_products(k, n, rng), rng.random(n)
+        ws = Workspace()
+        wide = inference._BlockDraw(ws, 2 * n, k)
+        wide.prod[:, :k] = rng.random((2 * n, k))
+        wide(2 * n, rng.random(2 * n), np.empty(2 * n, dtype=np.intp))
+        draw = inference._BlockDraw(ws, 2 * n, k)
+        draw.prod[:n, :k] = prod
+        got = np.empty(n, dtype=np.intp)
+        draw(n, u, got)
+        assert np.array_equal(got, two_level_draw(prod, u))
 
 
 # ---------------------------------------------------------------------------
