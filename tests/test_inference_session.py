@@ -526,17 +526,33 @@ _G_K, _G_V = 16, 50
 #: Ragged on purpose: length-1 docs, a repeated length, an empty doc and
 #: one long doc.
 _G_LENGTHS = (1, 5, 5, 5, 0, 1, 300, 17, 3, 40, 40, 2)
-#: sha256 of the float64 theta bytes (transform, then transform_many
-#: blocks), recaptured when fold-in became theta-explicit; that chain was
-#: first checked against the exact posterior (tests/test_exact_posterior.py).
-_G_TRANSFORM = (
-    "69c761895745a70b332accbddbdf04d4c6fcb1043eacbe8174549a83a9c158c6"
-)
-_G_MANY = (
-    "bd2fc5612303efa3f10c2f42d2f74a1f50a1cee152b068957ebbb7394376c04a",
-    "2f28e08d347330b11e7410d47c2eaf4d23582cc60e01438508e6d9b0897215b7",
-    "a5ce08385614c8d60a78b2d181183cc1038b2b55b23827b00b4637dd3ebb5849",
-)
+#: Per K: one theta entry of the long document (hex), then sha256 of the
+#: float64 theta bytes of transform and of the three transform_many
+#: blocks.  K=16 is one block of the two-level draw; K=40 is three, the
+#: last one padded.  K=16 was recaptured when fold-in became
+#: theta-explicit, and kept its bits when the draw became two-level;
+#: K=40 was captured for the two-level draw.  Each chain was first
+#: checked against the exact posterior (tests/test_exact_posterior.py).
+_G_PINS = {
+    16: (
+        (0, "0x1.4e9d3a74e9d3ap-4"),
+        "69c761895745a70b332accbddbdf04d4c6fcb1043eacbe8174549a83a9c158c6",
+        (
+            "bd2fc5612303efa3f10c2f42d2f74a1f50a1cee152b068957ebbb7394376c04a",
+            "2f28e08d347330b11e7410d47c2eaf4d23582cc60e01438508e6d9b0897215b7",
+            "a5ce08385614c8d60a78b2d181183cc1038b2b55b23827b00b4637dd3ebb5849",
+        ),
+    ),
+    40: (
+        (39, "0x1.8f18f18f18f19p-8"),
+        "e9c5419677a50a7fa4831f9390538e45515a57f8bb8a27ffd050006fc72dc8bd",
+        (
+            "e4ab70bf9876379cea8e3314cb38b1067fa741c86b1167c1e1ec7ba0a9120b85",
+            "0fd1aec54801d8ec4f41e77ee8415f720aff7d5ef8018b3ed673bfdbbedb6e87",
+            "212ff40c7fed06b40b05353a5c6b84b05d3264c4747b48a48d359d5e70c146fa",
+        ),
+    ),
+}
 
 
 def _golden_model(k: int = _G_K) -> TopicModel:
@@ -564,24 +580,26 @@ class TestServedGolden:
     @pytest.mark.parametrize("batch_docs", [1, None])
     def test_transform_pinned(self, batch_docs):
         kw = {} if batch_docs is None else {"batch_docs": batch_docs}
-        session = InferenceSession(
-            _golden_model(), num_sweeps=8, burn_in=3, **kw
-        )
-        theta = session.transform(_golden_docs(), seed=7)
-        assert theta[6, 0].hex() == "0x1.4e9d3a74e9d3ap-4"
-        assert _sha(theta) == _G_TRANSFORM
+        for k, ((topic, value), digest, _) in _G_PINS.items():
+            session = InferenceSession(
+                _golden_model(k), num_sweeps=8, burn_in=3, **kw
+            )
+            theta = session.transform(_golden_docs(), seed=7)
+            assert theta[6, topic].hex() == value, k
+            assert _sha(theta) == digest, k
 
     @pytest.mark.parametrize("batch_docs", [1, None])
     def test_transform_many_pinned(self, batch_docs):
         kw = {} if batch_docs is None else {"batch_docs": batch_docs}
-        session = InferenceSession(
-            _golden_model(), num_sweeps=8, burn_in=3, **kw
-        )
         docs = _golden_docs()
-        blocks = session.transform_many(
-            [(docs[:5], 11), (docs[5:], 2), (docs[3:9], 11)]
-        )
-        assert tuple(_sha(b) for b in blocks) == _G_MANY
+        for k, (_, _, digests) in _G_PINS.items():
+            session = InferenceSession(
+                _golden_model(k), num_sweeps=8, burn_in=3, **kw
+            )
+            blocks = session.transform_many(
+                [(docs[:5], 11), (docs[5:], 2), (docs[3:9], 11)]
+            )
+            assert tuple(_sha(b) for b in blocks) == digests, k
 
 
 # ---------------------------------------------------------------------------
