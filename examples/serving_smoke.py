@@ -48,16 +48,18 @@ READY = re.compile(r"generation=(\S+) on (\S+):(\d+)")
 
 
 def train_models(tmp: Path) -> tuple[Path, Path]:
+    # K=40 and K=24: every fold-in draw crosses blocks of 16 topics, and
+    # both models end in a zero-padded block.
     corpus = generate_synthetic_corpus(
         small_spec(num_docs=150, num_words=200, mean_doc_len=30,
                    num_topics=6),
         seed=11,
     )
-    t1 = repro.create_trainer("culda", corpus, topics=8, seed=1)
+    t1 = repro.create_trainer("culda", corpus, topics=40, seed=1)
     t1.fit(3, likelihood_every=0)
     m1 = t1.export_model()
     m1.save(tmp / "gen1.npz")
-    t2 = repro.create_trainer("culda", corpus, topics=8, seed=2)
+    t2 = repro.create_trainer("culda", corpus, topics=24, seed=2)
     t2.fit(3, likelihood_every=0)
     t2.export_model(parent=m1.generation).save(tmp / "gen2.npz")
     return tmp / "gen1.npz", tmp / "gen2.npz"
