@@ -454,43 +454,40 @@ class InferenceSession:
         ws = self._ws
         a = len(docs)
         total = sum(d.size for d in docs)
+        step = max(1, _TILE // k)
+        # Tile scratch of _TILE (token, topic) slots, taken at full size
+        # so the workspace sizes it once instead of regrowing it request
+        # by request.
+        draw = _BlockDraw(ws, step, k)
         # Token-major state: document d's tokens are one contiguous run.
         # An assignment is its flat theta index ``row * K + topic``, so
         # one bincount gives every document's topic counts.
         words = ws.take("infer.words", total, dtype=np.intp)
-        rowk = ws.take("infer.rowk", total, dtype=np.intp)
+        rows = ws.take("infer.rows", total, dtype=np.intp)
         zflat = ws.take("infer.zflat", total, dtype=np.intp)
         uniforms = ws.take("infer.uniforms", total, dtype=np.float64)
         shape = ws.take("infer.shape", (a, k), dtype=np.float64)
-        theta = ws.take("infer.theta", (a, k), dtype=np.float64)
+        # theta rows carry the draw's zero padding, so one gather fills
+        # whole rows of the product tile.
+        theta = ws.take("infer.theta", (a, draw.prod.shape[1]), dtype=np.float64)
+        theta[:, k:] = 0.0
         acc = ws.zeros("infer.acc", (a, k), dtype=np.float64)
-        step = max(1, _TILE // k)
         draws = []
-        # (document, start, stop) runs of each tile, tile-relative: a
-        # document's theta row multiplies its whole run at once.
-        runs: list[list[tuple[int, int, int]]] = [[] for _ in range(0, total, step)]
         lo = 0
         for d, (doc, ss) in enumerate(zip(docs, seeds)):
             hi = lo + doc.size
             rng = np.random.default_rng(ss)
             words[lo:hi] = doc
-            rowk[lo:hi] = d * k
+            rows[lo:hi] = d
             zflat[lo:hi] = rng.integers(0, k, size=doc.size) + d * k
-            draws.append((rng, shape[d], theta[d], uniforms[lo:hi]))
-            for t in range(lo // step, (hi - 1) // step + 1):
-                base = t * step
-                runs[t].append((d, max(lo, base) - base, min(hi, base + step) - base))
+            draws.append((rng, shape[d], theta[d, :k], uniforms[lo:hi]))
             lo = hi
         if words.min() < 0 or words.max() >= self.num_words:
             raise IndexError("word id out of the trained vocabulary")
-        # Tile scratch of _TILE (token, topic) slots, taken at full size
-        # so the workspace sizes it once instead of regrowing it request
-        # by request.  The ids are checked above, so the gather may
-        # write ``out=`` unchecked (a checked one stages a temporary).
+        # The ids are checked above, so the gathers may write ``out=``
+        # unchecked (a checked one stages a temporary).
         pstar = ws.take("infer.pstar", (step, k), dtype=np.float64)
         topic = ws.take("infer.topic", step, dtype=np.intp)
-        draw = _BlockDraw(ws, step, k)
-        prod = draw.prod[:, :k]
         p_star_t = self._p_star_t
         # phi is frozen, so a batch that fits one tile gathers once.
         hoisted = total <= step
@@ -509,15 +506,17 @@ class InferenceSession:
             # z ∝ theta_d[k] * p*[k, w] at once.  The arithmetic is
             # row-wise, so tiling and batch composition never change a
             # draw.
-            for t, lo in enumerate(range(0, total, step)):
+            for lo in range(0, total, step):
                 hi = min(lo + step, total)
                 n = hi - lo
+                g, prod, t, z = pstar[:n], draw.prod[:n], topic[:n], zflat[lo:hi]
                 if not hoisted:
-                    p_star_t.take(words[lo:hi], axis=0, out=pstar[:n], mode="clip")
-                for d, i, j in runs[t]:
-                    np.multiply(pstar[i:j], theta[d], out=prod[i:j])
-                draw(n, uniforms[lo:hi], topic[:n])
-                np.add(rowk[lo:hi], topic[:n], out=zflat[lo:hi])
+                    p_star_t.take(words[lo:hi], axis=0, out=g, mode="clip")
+                theta.take(rows[lo:hi], axis=0, out=prod, mode="clip")
+                np.multiply(prod[:, :k], g, out=prod[:, :k])
+                draw(n, uniforms[lo:hi], t)
+                np.multiply(rows[lo:hi], k, out=z)
+                z += t
             counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
             if s >= burn:
                 acc += counts
