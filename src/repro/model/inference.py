@@ -59,8 +59,7 @@ DEFAULT_BATCH_DOCS = 256
 _TILE = 1 << 17
 
 #: Topics per block of the two-level draw (K=256: 16 blocks of 16).
-#: Measured against 8 and 32: docs/PERFORMANCE.md "The theta-explicit
-#: kernel".
+#: Measured against 8 and 32: docs/PERFORMANCE.md "The two-level draw".
 _BLOCK = 16
 
 #: Fewest documents worth one worker's share of a call.  A call folds
