@@ -67,13 +67,6 @@ class AliasTable:
         coins = rng.random(size)
         return np.where(coins < self.prob[slots], slots, self.alias[slots])
 
-    def sample_with(self, slots: np.ndarray, coins: np.ndarray) -> np.ndarray:
-        """Resolve pre-drawn (slot, coin) pairs — used for batched MH."""
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size and (slots.min() < 0 or slots.max() >= self._n):
-            raise ValueError("slot index out of range")
-        return np.where(np.asarray(coins) < self.prob[slots], slots, self.alias[slots])
-
 
 def build_alias_columns(matrix: np.ndarray, offset: float) -> list[AliasTable]:
     """One alias table per column of ``matrix + offset`` (per-word tables)."""

@@ -12,7 +12,6 @@
     python -m repro corpus verify corpus_store/ --quarantine
     python -m repro train --algo culda --corpus-store corpus_store/
     python -m repro verify-artifact model.npz checkpoint.npz store/manifest.json
-    python -m repro benchmark --algo lightlda --topics 256
     python -m repro algorithms
     python -m repro check src benchmarks examples
 
@@ -125,6 +124,7 @@ def _close_trainer(trainer) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from repro.analysis.breakdown import full_fractions
     from repro.api import create_trainer
     from repro.core.model import LdaState
     from repro.core.snapshot import load_checkpoint_full, run_info, save_checkpoint
@@ -200,6 +200,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"{trainer.average_tokens_per_sec() / 1e6:.1f}M tokens/s "
             f"(simulated), LL/token {result.final_log_likelihood}"
         )
+        if callable(getattr(trainer, "kernel_breakdown", None)):
+            shares = full_fractions(trainer).items()
+            rows = [[k, f"{100 * v:.1f}%"] for k, v in shares]
+            print(render_table(["kernel", "share"], rows))
         recoveries = getattr(trainer, "recovery_events", ())
         if recoveries:
             print(
@@ -565,34 +569,6 @@ def cmd_verify_artifact(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    from repro.api import get_algorithm
-
-    corpus = _load_corpus(args)
-    trainer, _ = _build_trainer(args, corpus)
-    try:
-        trainer.fit(args.iterations, likelihood_every=0)
-    finally:
-        _close_trainer(trainer)
-    where = (
-        f" on {args.platform}"
-        if "platform" in get_algorithm(args.algo).all_options()
-        else ""
-    )
-    print(
-        f"{args.algo}{where}: "
-        f"{trainer.average_tokens_per_sec() / 1e6:.1f}M tokens/s "
-        f"(simulated, {args.iterations} iterations)"
-    )
-    breakdown = getattr(trainer, "kernel_breakdown", None)
-    if callable(breakdown):
-        shares = breakdown()
-        total = sum(shares.values())
-        rows = [[k, f"{100 * v / total:.1f}%"] for k, v in sorted(shares.items())]
-        print(render_table(["kernel", "share"], rows))
-    return 0
-
-
 def cmd_algorithms(args: argparse.Namespace) -> int:
     from repro.api import algorithm_names, get_algorithm
 
@@ -921,43 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
              "manifest.json (exit 1 if any is corrupt)",
     )
     p_verify.set_defaults(func=cmd_verify_artifact)
-
-    p_bench = sub.add_parser("benchmark", help="quick throughput check")
-    add_corpus_args(p_bench)
-    add_algo_arg(p_bench)
-    p_bench.add_argument("--topics", type=int, default=256)
-    p_bench.add_argument("--iterations", type=int, default=10)
-    p_bench.add_argument("--gpus", type=int,
-                         default=_ALGO_FLAG_DEFAULTS["gpus"])
-    p_bench.add_argument("--platform", default=_ALGO_FLAG_DEFAULTS["platform"])
-    p_bench.add_argument(
-        "--compute-dtype", dest="compute_dtype",
-        choices=("float64", "float32"),
-        default=_ALGO_FLAG_DEFAULTS["compute_dtype"],
-        help="sampling-kernel float dtype",
-    )
-    p_bench.add_argument(
-        "--execution", choices=("serial", "process"),
-        default=_ALGO_FLAG_DEFAULTS["execution"],
-        help="device-loop executor (process = OS workers over shared memory)",
-    )
-    p_bench.add_argument(
-        "--num-workers", dest="num_workers", type=int,
-        default=_ALGO_FLAG_DEFAULTS["num_workers"],
-        help="OS worker processes for --execution process",
-    )
-    p_bench.add_argument(
-        "--sync-mode", dest="sync_mode",
-        choices=("barrier", "prereduce", "overlap"),
-        default=_ALGO_FLAG_DEFAULTS["sync_mode"],
-        help="process-mode phi sync (see 'train --help')",
-    )
-    p_bench.add_argument(
-        "--affinity", dest="worker_affinity",
-        default=_ALGO_FLAG_DEFAULTS["worker_affinity"],
-        help="comma-separated CPU ids to pin OS workers to",
-    )
-    p_bench.set_defaults(func=cmd_benchmark)
 
     p_algos = sub.add_parser(
         "algorithms", help="list registered algorithms and their options"

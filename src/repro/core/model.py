@@ -178,16 +178,3 @@ class LdaState:
             theta_sum += int(cs.theta.data.sum(dtype=np.int64))
         if theta_sum != total:
             raise AssertionError(f"theta total {theta_sum} != T {total}")
-
-    def theta_density(self) -> float:
-        """Mean Kd / K over documents — the sparsity Figure 7 tracks."""
-        nnz = sum(cs.theta.nnz for cs in self.chunks)
-        docs = sum(cs.chunk.num_local_docs for cs in self.chunks)
-        if docs == 0:
-            return 0.0
-        return nnz / docs / self.num_topics
-
-    def check_compression_safe(self) -> bool:
-        """True if every phi count fits in 16 bits (the paper's assumption
-        "we also use short integer which is accurate enough")."""
-        return bool(self.phi.max(initial=0) <= np.iinfo(np.uint16).max)

@@ -44,10 +44,3 @@ class RngPool:
         """Generator for the random topic initialisation."""
         ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(0,))
         return np.random.default_rng(ss)
-
-    def named_stream(self, *key: int) -> np.random.Generator:
-        """Generator for any other purpose, keyed by integers."""
-        if any(k < 0 for k in key):
-            raise ValueError("stream key components must be non-negative")
-        ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(2, *key))
-        return np.random.default_rng(ss)

@@ -133,21 +133,6 @@ class IndexTree:
         return self.batch_search(u)
 
 
-def linear_search_reference(weights: np.ndarray, target: float) -> int:
-    """O(n) reference: smallest k with ``cumsum(weights)[k] > target``.
-
-    Used by property tests to prove :meth:`IndexTree.batch_search`
-    equivalence.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    acc = 0.0
-    for k in range(w.size):
-        acc += w[k]
-        if target < acc:
-            return k
-    raise ValueError("target beyond total weight")
-
-
 def cdf_sample(
     weights: np.ndarray, u: np.ndarray
 ) -> np.ndarray:

@@ -174,10 +174,6 @@ class Corpus:
         offsets = self.doc_offsets[doc_lo : doc_hi + 1] - lo
         return Corpus(offsets.copy(), self.word_ids[lo:hi].copy(), self.num_words, self.vocabulary)
 
-    def word_frequencies(self) -> np.ndarray:
-        """``int64[V]``: corpus-wide occurrence count of every word."""
-        return np.bincount(self.word_ids, minlength=self.num_words).astype(np.int64)
-
     def _check_doc(self, doc_id: int) -> None:
         if not (0 <= doc_id < self.num_docs):
             raise IndexError(f"doc_id {doc_id} out of range [0, {self.num_docs})")

@@ -48,9 +48,6 @@ class BlockPlan:
     def num_blocks(self) -> int:
         return int(self.words.shape[0])
 
-    def tokens_in_block(self, i: int) -> int:
-        return int(self.ends[i] - self.starts[i])
-
 
 @dataclass(frozen=True)
 class DeviceChunk:
@@ -76,12 +73,6 @@ class DeviceChunk:
     @property
     def num_local_docs(self) -> int:
         return int(self.doc_offsets.shape[0] - 1)
-
-    @property
-    def present_words(self) -> np.ndarray:
-        """Word ids that actually occur in this chunk."""
-        spans = np.diff(self.word_offsets)
-        return np.nonzero(spans)[0].astype(np.int32)
 
     def nbytes(self, topic_dtype: np.dtype = np.dtype(np.uint16)) -> int:
         """Device-memory footprint of this chunk including its topic array.

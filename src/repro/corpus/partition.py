@@ -105,22 +105,6 @@ def partition_by_tokens(corpus: Corpus, num_chunks: int) -> list[ChunkSpec]:
     return chunks
 
 
-def partition_imbalance(chunks: list[ChunkSpec]) -> float:
-    """Relative imbalance: ``max_tokens / mean_tokens - 1`` (0 = perfect).
-
-    Used by tests and the scaling bench to verify that the token-balanced
-    policy keeps GPU loads even (the premise of the paper's near-linear
-    Figure 9 scaling).
-    """
-    if not chunks:
-        raise ValueError("no chunks")
-    sizes = np.array([c.num_tokens for c in chunks], dtype=np.float64)
-    mean = sizes.mean()
-    if mean == 0:
-        return 0.0
-    return float(sizes.max() / mean - 1.0)
-
-
 def assign_round_robin(chunks: list[ChunkSpec], num_gpus: int) -> list[list[ChunkSpec]]:
     """Round-robin chunk -> GPU assignment (Section 5.1).
 

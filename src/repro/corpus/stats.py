@@ -27,25 +27,6 @@ class CorpusStats:
     num_empty_docs: int
     distinct_doc_word_pairs: int
 
-    @property
-    def theta_density_bound(self) -> float:
-        """Upper bound on the density of the doc-topic matrix rows.
-
-        A document of length ``L`` touches at most ``min(L, K)`` topics, so
-        the mean document length bounds mean ``Kd`` (the per-document
-        non-zero count that drives the sparsity-aware sampler's cost).
-        """
-        return self.mean_doc_len
-
-    def as_table_row(self) -> dict[str, int | float]:
-        """Columns in the order of Table 3."""
-        return {
-            "#Tokens(T)": self.num_tokens,
-            "#Documents(D)": self.num_docs,
-            "#Words(V)": self.num_words,
-            "MeanDocLen": round(self.mean_doc_len, 1),
-        }
-
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
     """Compute :class:`CorpusStats` for ``corpus`` in one pass."""

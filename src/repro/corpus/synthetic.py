@@ -149,6 +149,24 @@ def generate_synthetic_corpus(
     with_vocabulary:
         Attach a synthetic :class:`Vocabulary` (``w0..w{V-1}``).
     """
+    return _generate(spec, seed, with_vocabulary)[0]
+
+
+def generate_labelled_corpus(
+    spec: SyntheticSpec, seed: int | None = 0
+) -> tuple[Corpus, np.ndarray]:
+    """Like :func:`generate_synthetic_corpus` but also return true topics.
+
+    Used by tests that check a trainer can *recover* planted structure.
+    The returned array is ``int64[T]`` of generative topic assignments.
+    """
+    return _generate(spec, seed, with_vocabulary=False)
+
+
+def _generate(
+    spec: SyntheticSpec, seed: int | None, with_vocabulary: bool
+) -> tuple[Corpus, np.ndarray]:
+    """The generative process behind both public generators: ``(corpus, z)``."""
     rng = np.random.default_rng(seed)
     lengths = _draw_doc_lengths(spec, rng)
     total = int(lengths.sum())
@@ -186,42 +204,7 @@ def generate_synthetic_corpus(
     w = np.clip(w, 0, spec.num_words - 1).astype(np.int32)
 
     vocab = Vocabulary.synthetic(spec.num_words) if with_vocabulary else None
-    return Corpus(offsets, w, spec.num_words, vocab)
-
-
-def generate_labelled_corpus(
-    spec: SyntheticSpec, seed: int | None = 0
-) -> tuple[Corpus, np.ndarray]:
-    """Like :func:`generate_synthetic_corpus` but also return true topics.
-
-    Used by tests that check a trainer can *recover* planted structure.
-    The returned array is ``int64[T]`` of generative topic assignments.
-    """
-    rng = np.random.default_rng(seed)
-    lengths = _draw_doc_lengths(spec, rng)
-    total = int(lengths.sum())
-    offsets = np.zeros(spec.num_docs + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    topic_word = rng.dirichlet(
-        np.full(spec.num_words, spec.word_beta), size=spec.num_topics
-    )
-    topic_cdf = np.cumsum(topic_word, axis=1)
-    topic_cdf[:, -1] = 1.0
-    doc_topic = rng.dirichlet(
-        np.full(spec.num_topics, spec.topic_alpha), size=spec.num_docs
-    )
-    doc_topic_cdf = np.cumsum(doc_topic, axis=1)
-    doc_topic_cdf[:, -1] = 1.0
-    token_docs = np.repeat(np.arange(spec.num_docs, dtype=np.int64), lengths)
-    u = rng.random(total)
-    flat_cdf = (doc_topic_cdf + np.arange(spec.num_docs)[:, None]).ravel()
-    z = np.searchsorted(flat_cdf, u + token_docs, side="right") - token_docs * spec.num_topics
-    z = np.clip(z, 0, spec.num_topics - 1).astype(np.int64)
-    flat_word_cdf = (topic_cdf + np.arange(spec.num_topics)[:, None]).ravel()
-    u2 = rng.random(total)
-    w = np.searchsorted(flat_word_cdf, u2 + z, side="right") - z * spec.num_words
-    w = np.clip(w, 0, spec.num_words - 1).astype(np.int32)
-    return Corpus(offsets, w, spec.num_words), z
+    return Corpus(offsets, w, spec.num_words, vocab), z
 
 
 def small_spec(

@@ -66,18 +66,8 @@ class Vocabulary:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Vocabulary(V={len(self)})"
 
-    def id_of(self, term: str) -> int:
-        """Return the id of ``term``.
-
-        Raises
-        ------
-        KeyError
-            If the term is not in the vocabulary.
-        """
-        return self._index[term]
-
     def ids_of(self, terms: Iterable[str]) -> list[int]:
-        """Vectorised :meth:`id_of` over an iterable of terms."""
+        """Ids of ``terms``; ``KeyError`` if a term is not in the vocabulary."""
         return [self._index[t] for t in terms]
 
     def terms_of(self, ids: Iterable[int]) -> list[str]:

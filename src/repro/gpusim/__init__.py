@@ -36,7 +36,7 @@ from repro.gpusim.platform import (
     platform_by_name,
 )
 from repro.gpusim.spec import CpuSpec, DeviceSpec
-from repro.gpusim.stream import Event, Stream, Timeline, barrier
+from repro.gpusim.stream import Stream, Timeline, barrier
 
 __all__ = [
     "KernelCost",
@@ -60,7 +60,6 @@ __all__ = [
     "reduce_steps",
     "tree_reduce_pairs",
     "broadcast_pairs",
-    "Event",
     "Stream",
     "Timeline",
     "barrier",

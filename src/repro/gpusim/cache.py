@@ -13,9 +13,6 @@ Both models are deliberately simple, monotone and documented: they decide
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.gpusim.spec import CpuSpec, DeviceSpec
 
 
@@ -70,64 +67,3 @@ def gpu_l1_index_factor(spec: DeviceSpec, index_bytes_per_sm: float) -> float:
     # Smooth degradation: hit rate ~ l1 / ws.
     hit = l1 / index_bytes_per_sm
     return 1.0 - 0.75 * hit
-
-
-@dataclass(frozen=True)
-class SharedMemoryBudget:
-    """Checks that the per-block trees of Section 6.1 fit in shared memory.
-
-    One thread block holds: the shared p2(k)/p*(k) index tree (K floats +
-    the 32-way internal nodes) and 32 per-warp p1 trees over at most
-    ``max_kd`` non-zeros each.  The constructor computes the footprint;
-    :meth:`fits` compares to the device's per-SM shared memory.
-    """
-
-    num_topics: int
-    max_kd: int
-    warps_per_block: int = 32
-    float_bytes: int = 4
-
-    def __post_init__(self) -> None:
-        if self.num_topics < 1 or self.max_kd < 0 or self.warps_per_block < 1:
-            raise ValueError("invalid shared-memory budget parameters")
-
-    @staticmethod
-    def tree_nodes(leaves: int, fanout: int = 32) -> int:
-        """Internal + leaf node count of a ``fanout``-ary index tree."""
-        if leaves <= 0:
-            return 0
-        nodes = leaves
-        level = leaves
-        while level > 1:
-            level = math.ceil(level / fanout)
-            nodes += level
-        return nodes
-
-    @property
-    def p2_tree_bytes(self) -> int:
-        """One shared tree over all K topics (p*(k) values + prefix nodes)."""
-        return self.tree_nodes(self.num_topics) * self.float_bytes
-
-    @property
-    def p1_trees_bytes(self) -> int:
-        """Per-warp private trees over the document's Kd non-zeros."""
-        return (
-            self.warps_per_block
-            * self.tree_nodes(self.max_kd)
-            * self.float_bytes
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        return self.p2_tree_bytes + self.p1_trees_bytes
-
-    def fits(self, spec: DeviceSpec) -> bool:
-        return self.total_bytes <= spec.shared_mem_per_sm_kb * 1024
-
-    def max_tree_topics(self, spec: DeviceSpec) -> int:
-        """Largest K whose shared p2 tree alone fits the device (diagnostic)."""
-        budget = spec.shared_mem_per_sm_kb * 1024
-        k = 1
-        while self.tree_nodes(k * 2) * self.float_bytes <= budget:
-            k *= 2
-        return k

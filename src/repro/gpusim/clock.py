@@ -117,17 +117,6 @@ class CostLedger:
         self.costs[name] = self.costs.get(name, ZERO_COST) + cost
         self.launches[name] = self.launches.get(name, 0) + 1
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    def fractions(self) -> dict[str, float]:
-        """Share of total time per kernel (the Table 5 percentages)."""
-        total = self.total_seconds
-        if total == 0:
-            return {k: 0.0 for k in self.seconds}
-        return {k: v / total for k, v in self.seconds.items()}
-
     def merge(self, other: CostLedger) -> None:
         for k in other.seconds:
             self.charge(k, other.costs[k], other.seconds[k])

@@ -23,7 +23,7 @@ from repro.gpusim.clock import CostLedger, KernelCost, gpu_kernel_time
 from repro.gpusim.interconnect import HostLinkTopology, PCIE_TOPOLOGY
 from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.spec import DeviceSpec
-from repro.gpusim.stream import COMPUTE, COPY_D2H, COPY_H2D, Event, Stream, Timeline
+from repro.gpusim.stream import COMPUTE, COPY_D2H, COPY_H2D, Stream, Timeline
 from repro.gpusim.trace import TraceEvent
 
 
@@ -48,14 +48,11 @@ class SimulatedGPU:
         self.default_stream = self.timeline.create_stream()
         self.trace = []
 
-    # -- streams & events -------------------------------------------------
+    # -- streams ----------------------------------------------------------
 
     def create_stream(self) -> Stream:
         """New asynchronous stream starting at the current device time."""
         return self.timeline.create_stream(at=0.0)
-
-    def record_event(self, stream: Stream | None = None) -> Event:
-        return (stream or self.default_stream).record_event()
 
     # -- memory -----------------------------------------------------------
 

@@ -82,23 +82,3 @@ class DeviceMemory:
     def has(self, name: str) -> bool:
         return name in self._allocs
 
-    def resize(self, name: str, nbytes: int) -> None:
-        """Grow or shrink an existing allocation in place."""
-        if name not in self._allocs:
-            raise KeyError(f"no allocation named {name!r}")
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        delta = nbytes - self._allocs[name].nbytes
-        if delta > self.free_bytes:
-            raise DeviceOutOfMemoryError(
-                f"resizing {name!r} to {nbytes / 1e9:.3f} GB exceeds capacity"
-            )
-        self._allocs[name].nbytes = nbytes
-
-    def reset(self) -> None:
-        """Free everything (device teardown between experiments)."""
-        self._allocs.clear()
-
-    def allocations(self) -> dict[str, int]:
-        """Snapshot of name -> bytes, for diagnostics."""
-        return {name: a.nbytes for name, a in self._allocs.items()}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-GIB = 1024**3
 GB = 10**9
 
 

@@ -1,4 +1,4 @@
-"""Streams, events and engine timelines (Section 5.1 overlap machinery).
+"""Streams and engine timelines (Section 5.1 overlap machinery).
 
 ``WorkSchedule2`` pipelines chunk ``m+1``'s transfer with chunk ``m``'s
 computation using CUDA streams.  The simulator reproduces the semantics
@@ -9,8 +9,7 @@ with a discrete timeline per device:
   serialize (one DMA engine per direction, one kernel at a time, matching
   "By default, a GPU executes one kernel at a time");
 - a **stream** serializes the operations submitted to it regardless of
-  engine — exactly CUDA stream ordering;
-- **events** capture a stream's cursor and let other streams wait on it.
+  engine — exactly CUDA stream ordering.
 
 All cursors live in one shared simulated time domain (seconds), so
 cross-device coordination (peer copies, host barriers) is just max().
@@ -29,26 +28,11 @@ ENGINES = (COMPUTE, COPY_H2D, COPY_D2H)
 
 
 @dataclass
-class Event:
-    """A recorded point in simulated time (cf. ``cudaEvent_t``)."""
-
-    time: float = 0.0
-
-
-@dataclass
 class Stream:
     """An ordered submission queue (cf. ``cudaStream_t``)."""
 
     stream_id: int
     cursor: float = 0.0
-
-    def wait_event(self, event: Event) -> None:
-        """Subsequent work on this stream starts no earlier than the event."""
-        self.cursor = max(self.cursor, event.time)
-
-    def record_event(self) -> Event:
-        """Capture the completion time of all work submitted so far."""
-        return Event(self.cursor)
 
 
 @dataclass

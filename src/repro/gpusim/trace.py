@@ -29,10 +29,6 @@ class TraceEvent:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: TraceEvent) -> bool:
-        """True if the two events share any wall-clock interval."""
-        return self.start < other.end and other.start < self.end
-
 
 def busy_time(events: list[TraceEvent], engine: str | None = None) -> float:
     """Union length of the events' intervals (per engine if given).

@@ -161,13 +161,6 @@ class TopicModel:
         denom = self.topic_totals.astype(np.float64) + self.beta * self.num_words
         return (self.phi.astype(np.float64) + self.beta) / denom[:, None]
 
-    def topic_shares(self) -> np.ndarray:
-        """``float64[K]`` fraction of the corpus each topic absorbed."""
-        total = self.topic_totals.sum(dtype=np.int64)
-        if total == 0:
-            return np.full(self.num_topics, 1.0 / self.num_topics)
-        return self.topic_totals / float(total)
-
     # -- topic inspection ---------------------------------------------------
 
     def top_word_index(self, width: int = DEFAULT_TOP_INDEX_WIDTH) -> np.ndarray:

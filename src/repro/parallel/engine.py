@@ -9,7 +9,8 @@ shared-memory block.  The master keeps everything else: the simulated
 GPU clocks, cost charging, phi synchronization (``core/sync.py`` tree
 reduce at the iteration barrier), likelihood, callbacks.
 
-Execution model per ``run_iteration``:
+Execution model per iteration (:meth:`dispatch_iteration`, then
+:meth:`collect_iteration`):
 
 1. master broadcasts ``("iter", i)`` to every worker (replicas already
    hold the synchronized model — the master writes into the shared
@@ -504,13 +505,6 @@ class ProcessEngine:
                 self._arena, cid, r.theta_nnz
             )
         return results
-
-    def run_iteration(
-        self, iteration: int, want_ll: bool = False
-    ) -> dict[int, ChunkResult]:
-        """One parallel pass over every group; returns results by chunk id."""
-        self.dispatch_iteration(iteration, want_ll=want_ll)
-        return self.collect_iteration()
 
     def drain(self) -> dict[int, ChunkResult] | None:
         """Collect a pipelined in-flight iteration, if any.

@@ -61,8 +61,3 @@ def counts_of_counts_lngamma(hist: np.ndarray, offset: float) -> float:
     table = lngamma_table(offset, hist.shape[0])
     contrib = table[1 : hist.shape[0]] - table[0]
     return float(np.dot(hist[1:].astype(np.float64), contrib))
-
-
-def _cache_info() -> dict[float, int]:
-    """Cached table sizes per offset (test/diagnostic hook)."""
-    return {k: int(v.shape[0]) for k, v in _TABLES.items()}

@@ -75,16 +75,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             AliasTable(np.ones(3)).sample(np.random.default_rng(0), size=-1)
 
-    def test_sample_with_resolves(self):
-        t = AliasTable(np.array([1.0, 1.0]))
-        out = t.sample_with(np.array([0, 1]), np.array([0.0, 0.0]))
-        assert out.shape == (2,)
-
-    def test_sample_with_bad_slot(self):
-        t = AliasTable(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            t.sample_with(np.array([5]), np.array([0.5]))
-
     def test_deterministic_single_atom(self):
         t = AliasTable(np.array([0.0, 2.0, 0.0]))
         draws = t.sample(np.random.default_rng(0), size=100)

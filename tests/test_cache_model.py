@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.gpusim.cache import (
-    SharedMemoryBudget,
-    cpu_cache_bandwidth_factor,
-    gpu_l1_index_factor,
-)
+from repro.gpusim.cache import cpu_cache_bandwidth_factor, gpu_l1_index_factor
 from repro.gpusim.platform import TITAN_X_MAXWELL, V100_VOLTA, XEON_E5_2690_V4
 
 
@@ -53,32 +49,3 @@ class TestGpuL1:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             gpu_l1_index_factor(V100_VOLTA, -1)
-
-
-class TestSharedMemoryBudget:
-    def test_tree_node_count(self):
-        # 1024 leaves, fanout 32: 1024 + 32 + 1 nodes
-        assert SharedMemoryBudget.tree_nodes(1024) == 1057
-        assert SharedMemoryBudget.tree_nodes(1) == 1
-        assert SharedMemoryBudget.tree_nodes(0) == 0
-        assert SharedMemoryBudget.tree_nodes(33) == 33 + 2 + 1
-
-    def test_paper_configuration_fits(self):
-        """K=1024, Kd<=64, 32 warps/block must fit every Table 2 GPU."""
-        budget = SharedMemoryBudget(num_topics=1024, max_kd=64)
-        for spec in (TITAN_X_MAXWELL, V100_VOLTA):
-            assert budget.fits(spec)
-
-    def test_huge_k_does_not_fit(self):
-        budget = SharedMemoryBudget(num_topics=1 << 16, max_kd=1024)
-        assert not budget.fits(TITAN_X_MAXWELL)
-
-    def test_footprint_components(self):
-        b = SharedMemoryBudget(num_topics=64, max_kd=8, warps_per_block=2)
-        assert b.total_bytes == b.p2_tree_bytes + b.p1_trees_bytes
-        assert b.p2_tree_bytes == (64 + 2 + 1) * 4
-        assert b.p1_trees_bytes == 2 * (8 + 1) * 4
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            SharedMemoryBudget(num_topics=0, max_kd=1)

@@ -292,15 +292,17 @@ class TestInferEvaluate:
 
 
 class TestBenchmark:
+    """``train`` prints the simulated kernel shares after its throughput."""
+
     def test_benchmark_runs(self, capsys):
-        rc = main(["benchmark", "--topics", "8", "--iterations", "2"])
+        rc = main(["train", "--topics", "8", "--iterations", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "tokens/s" in out
         assert "sampling" in out
 
     def test_benchmark_with_algo(self, capsys):
-        rc = main(["benchmark", "--algo", "lightlda", "--topics", "8",
+        rc = main(["train", "--algo", "lightlda", "--topics", "8",
                    "--iterations", "2"])
         assert rc == 0
         out = capsys.readouterr().out

@@ -84,11 +84,6 @@ class TestAccessors:
         assert ids.shape[0] == tiny_corpus.num_tokens
         assert list(np.bincount(ids)) == [5, 4, 5, 4]
 
-    def test_word_frequencies(self, tiny_corpus):
-        freq = tiny_corpus.word_frequencies()
-        assert freq.sum() == tiny_corpus.num_tokens
-        assert freq[3] == 4  # word 3 appears 4 times
-
     def test_subset(self, tiny_corpus):
         sub = tiny_corpus.subset(1, 3)
         assert sub.num_docs == 2

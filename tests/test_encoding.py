@@ -49,11 +49,6 @@ class TestEncoding:
         lengths = np.diff(c.doc_offsets[spec.doc_lo : spec.doc_hi + 1])
         assert np.array_equal(np.diff(dc.doc_offsets), lengths)
 
-    def test_present_words(self, encoded):
-        c, spec, dc = encoded
-        expect = np.unique(c.word_ids[spec.token_lo : spec.token_hi])
-        assert np.array_equal(dc.present_words, expect)
-
     def test_nbytes_counts_topics(self, encoded):
         _, _, dc = encoded
         d16 = dc.nbytes(np.dtype(np.uint16))
@@ -103,7 +98,7 @@ class TestBlockPlan:
         """Figure 6: largest spans get the smallest block ids."""
         word_offsets = np.array([0, 100, 103, 110], dtype=np.int64)
         plan = build_block_plan(word_offsets, tokens_per_block=1024)
-        sizes = [plan.tokens_in_block(i) for i in range(plan.num_blocks)]
+        sizes = list(plan.ends - plan.starts)
         assert sizes == sorted(sizes, reverse=True)
 
     def test_bad_tokens_per_block(self):

@@ -6,10 +6,13 @@ The serving process must start without scipy and the training stack, so
 their heavy dependencies at module top, so nothing is imported inside a
 timed training iteration.  Each import-graph case runs in a fresh
 interpreter: the test process itself has long since imported everything.
+The last case parses the tree instead: every module must have an
+importer outside ``tests/``.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -20,6 +23,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Trees whose imports keep a ``repro`` module alive; ``tests/`` is not one.
+PROGRAM_TREES = ("src", "benchmarks", "perfbench", "examples")
+
+#: Modules that run as entry points instead of being imported.
+ENTRY_POINTS = ("repro.__main__", "repro.cli")
 
 #: Modules the serving process and the CLI's parser must never load.
 TRAINING_ONLY = (
@@ -119,3 +128,45 @@ class TestLazyNamespaces:
         module = importlib.import_module(package)
         with pytest.raises(AttributeError, match=rf"'{package}'.*'no_such_name'"):
             _ = module.no_such_name
+
+
+def _module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Dotted names ``path`` imports, counting ``_EXPORTS`` table values."""
+    package = _module_name(path).rpartition(".")[0] if SRC in path.parents else ""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            base = ".".join(filter(None, (base, node.module)))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            names.update(v.value for v in node.value.values if isinstance(v, ast.Constant))
+    return names
+
+
+class TestNoTestOnlyModules:
+    def test_every_module_is_imported_outside_the_tests(self):
+        """A module only ``tests/`` imports is dead weight: delete it, or
+        move it into ``tests/`` if it is a reference the tests compare to."""
+        root = SRC.parent
+        imported: set[str] = set()
+        for tree in PROGRAM_TREES:
+            for path in (root / tree).rglob("*.py"):
+                imported |= _imported_names(path)
+        modules = {
+            _module_name(path)
+            for path in (SRC / "repro").rglob("*.py")
+            if path.stem != "__init__"
+        }
+        assert sorted(modules - imported - set(ENTRY_POINTS)) == []

@@ -63,14 +63,6 @@ class TestCompressionSafety:
         arr = np.array([0, 65535], dtype=dt)
         assert int(arr[1]) == 65535
 
-    def test_compression_check_flags_large_counts(self, small_corpus):
-        from repro.core.model import LdaState
-
-        state = LdaState.initialize(small_corpus, TrainerConfig(num_topics=8, seed=0))
-        assert state.check_compression_safe()
-        state.phi[0, 0] = 70_000  # beyond uint16
-        assert not state.check_compression_safe()
-
 
 class TestPublicSurface:
     def test_top_level_exports(self):

@@ -49,35 +49,6 @@ class TestAllocator:
         with pytest.raises(ValueError):
             DeviceMemory(0)
 
-    def test_resize_grow_and_shrink(self):
-        mem = DeviceMemory(100)
-        mem.alloc("a", 10)
-        mem.resize("a", 50)
-        assert mem.used_bytes == 50
-        mem.resize("a", 5)
-        assert mem.used_bytes == 5
-
-    def test_resize_over_capacity(self):
-        mem = DeviceMemory(100)
-        mem.alloc("a", 10)
-        mem.alloc("b", 80)
-        with pytest.raises(DeviceOutOfMemoryError):
-            mem.resize("a", 30)
-
-    def test_reset(self):
-        mem = DeviceMemory(100)
-        mem.alloc("a", 10)
-        mem.alloc("b", 20)
-        mem.reset()
-        assert mem.used_bytes == 0
-        mem.alloc("a", 100)  # names reusable after reset
-
-    def test_allocations_snapshot(self):
-        mem = DeviceMemory(100)
-        mem.alloc("phi", 30)
-        mem.alloc("chunk", 20)
-        assert mem.allocations() == {"phi": 30, "chunk": 20}
-
     def test_has(self):
         mem = DeviceMemory(100)
         mem.alloc("x", 1)

@@ -66,13 +66,6 @@ class TestAccessors:
         assert m.shape == (small_corpus.num_docs, 10)
         assert np.array_equal(m.sum(axis=1), small_corpus.doc_lengths())
 
-    def test_theta_density_in_unit_range(self, state):
-        d = state.theta_density()
-        assert 0 < d <= 1
-
-    def test_compression_safety_check(self, state):
-        assert state.check_compression_safe()  # small corpus: tiny counts
-
 
 class TestValidateCatchesCorruption:
     def test_phi_corruption(self, small_corpus):

@@ -188,7 +188,7 @@ class TestCuLdaProcessExecution:
         engine = t._engine
         t.close()
         with pytest.raises(RuntimeError, match="closed"):
-            engine.run_iteration(1)
+            engine.start()
         t.train(1, compute_likelihood_every=0)  # trainer path: fresh engine
         assert t._engine is not engine
         t.close()

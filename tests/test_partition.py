@@ -1,15 +1,12 @@
 """Unit and property tests for token-balanced partitioning (Section 4)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.corpus.document import Corpus
-from repro.corpus.partition import (
-    assign_round_robin,
-    partition_by_tokens,
-    partition_imbalance,
-)
+from repro.corpus.partition import assign_round_robin, partition_by_tokens
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 
 
@@ -52,11 +49,8 @@ class TestPartition:
 
     def test_imbalance_metric(self, medium_corpus):
         chunks = partition_by_tokens(medium_corpus, 4)
-        assert partition_imbalance(chunks) < 0.15
-
-    def test_imbalance_empty(self):
-        with pytest.raises(ValueError):
-            partition_imbalance([])
+        sizes = np.array([ch.num_tokens for ch in chunks])
+        assert sizes.max() / sizes.mean() - 1 < 0.15
 
 
 class TestRoundRobin:
@@ -98,4 +92,5 @@ class TestProperties:
         )
         chunks = partition_by_tokens(c, num_chunks)
         # Mean doc len 30 => boundaries can miss targets by ~one doc.
-        assert partition_imbalance(chunks) < 0.25
+        sizes = np.array([ch.num_tokens for ch in chunks])
+        assert sizes.max() / sizes.mean() - 1 < 0.25

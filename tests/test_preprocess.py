@@ -68,8 +68,7 @@ class TestBuildCorpus:
         # first term must have max document frequency
         v = corpus.vocabulary
         freqs = []
-        for term in list(v)[:3]:
-            tid = v.id_of(term)
+        for tid in v.ids_of(list(v)[:3]):
             docs_with = sum(
                 1 for d in range(corpus.num_docs)
                 if tid in set(corpus.document(d).word_ids.tolist())

@@ -80,12 +80,6 @@ class TestWarp64:
         t.state.validate()
         assert hist[-1].tokens_per_sec > 0
 
-    def test_geometry_with_warp64(self):
-        from repro.gpusim.kernel import LaunchGeometry
-
-        g = LaunchGeometry(num_blocks=8, warps_per_block=16, warp_size=64)
-        assert g.threads_per_block == 1024
-
     def test_tree_fanout64(self):
         from repro.core.tree import IndexTree
 

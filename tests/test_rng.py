@@ -44,19 +44,10 @@ class TestRngPool:
         b = RngPool(2).chunk_stream(0, 0).random(8)
         assert not np.array_equal(a, b)
 
-    def test_named_stream(self):
-        a = RngPool(0).named_stream(5, 6).random(4)
-        b = RngPool(0).named_stream(5, 6).random(4)
-        c = RngPool(0).named_stream(5, 7).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
     def test_negative_keys_rejected(self):
         pool = RngPool(0)
         with pytest.raises(ValueError):
             pool.chunk_stream(-1, 0)
-        with pytest.raises(ValueError):
-            pool.named_stream(-5)
 
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):

@@ -61,9 +61,9 @@ class TestWorkSchedule2:
 
     def test_staging_allocations(self, medium_corpus):
         t = train(medium_corpus, iters=1, chunks_per_gpu=2)
-        allocs = t.devices[0].gpu.memory.allocations()
-        assert "staging[0]" in allocs and "staging[1]" in allocs
-        assert "phi_replica" in allocs
+        memory = t.devices[0].gpu.memory
+        assert memory.has("staging[0]") and memory.has("staging[1]")
+        assert memory.has("phi_replica")
 
 
 class TestMemoryEnforcement:

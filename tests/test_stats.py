@@ -27,14 +27,6 @@ class TestStats:
         st = corpus_stats(c)
         assert st.distinct_doc_word_pairs == 3  # (0,0),(0,1),(1,1)
 
-    def test_table_row_keys(self, tiny_corpus):
-        row = corpus_stats(tiny_corpus).as_table_row()
-        assert set(row) == {"#Tokens(T)", "#Documents(D)", "#Words(V)", "MeanDocLen"}
-
-    def test_theta_density_bound(self, tiny_corpus):
-        st = corpus_stats(tiny_corpus)
-        assert st.theta_density_bound == st.mean_doc_len
-
     def test_no_documents_raises(self):
         c = Corpus(doc_offsets=[0], word_ids=[], num_words=1)
         with pytest.raises(ValueError, match="no documents"):

@@ -61,25 +61,6 @@ class TestTimeline:
         assert tl.engines[COMPUTE] == pytest.approx(5.0)
 
 
-class TestEvents:
-    def test_event_wait_orders_streams(self):
-        tl = Timeline()
-        s1, s2 = tl.create_stream(), tl.create_stream()
-        tl.schedule(s1, COPY_H2D, 2.0)
-        ev = s1.record_event()
-        s2.wait_event(ev)
-        start, _ = tl.schedule(s2, COMPUTE, 1.0)
-        assert start == pytest.approx(2.0)
-
-    def test_event_no_effect_when_past(self):
-        tl = Timeline()
-        s1, s2 = tl.create_stream(), tl.create_stream()
-        ev = s1.record_event()  # time 0
-        tl.schedule(s2, COMPUTE, 1.0)
-        s2.wait_event(ev)
-        assert s2.cursor == pytest.approx(1.0)
-
-
 class TestBarrier:
     def test_barrier_aligns_devices(self):
         t1, t2 = Timeline(), Timeline()

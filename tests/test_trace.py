@@ -67,13 +67,6 @@ class TestIntervalMath:
         ]
         assert overlap_time(evs, COMPUTE, COPY_H2D) == pytest.approx(2.0)
 
-    def test_overlaps_predicate(self):
-        a = TraceEvent(0, "x", COMPUTE, 0.0, 1.0)
-        b = TraceEvent(0, "y", COMPUTE, 0.5, 2.0)
-        c = TraceEvent(0, "z", COMPUTE, 1.0, 2.0)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)  # half-open touch
-
 
 class TestSchedule2Overlap:
     def test_pipeline_overlap_visible_in_trace(self, medium_corpus):

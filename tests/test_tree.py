@@ -7,13 +7,27 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from repro.core.tree import IndexTree, cdf_sample, linear_search_reference
+from repro.core.tree import IndexTree, cdf_sample
 
 weights_strategy = hnp.arrays(
     dtype=np.float64,
     shape=st.integers(min_value=1, max_value=200),
     elements=st.floats(min_value=0.0, max_value=100.0),
 ).filter(lambda w: w.sum() > 1e-9)
+
+
+def linear_search_reference(weights: np.ndarray, target: float) -> int:
+    """O(n) reference: smallest k with ``cumsum(weights)[k] > target``.
+
+    The property tests compare :meth:`IndexTree.batch_search` against it.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    acc = 0.0
+    for k in range(w.size):
+        acc += w[k]
+        if target < acc:
+            return k
+    raise ValueError("target beyond total weight")
 
 
 def assert_search_equivalent(w, target, got, want):

@@ -42,12 +42,12 @@ class TestConstruction:
 class TestLookup:
     def test_id_of(self):
         v = Vocabulary(["x", "y"])
-        assert v.id_of("y") == 1
+        assert v.ids_of(["y"]) == [1]
 
     def test_id_of_missing_raises(self):
         v = Vocabulary(["x"])
         with pytest.raises(KeyError):
-            v.id_of("zzz")
+            v.ids_of(["zzz"])
 
     def test_round_trip(self):
         terms = ["alpha", "beta", "gamma"]
