@@ -48,9 +48,8 @@ def _resolve_platform(platform):
                      "(real OS workers over shared memory; same draws)",
         "num_workers": "OS worker processes for execution=process "
                        "(default min(gpus, cpu_count))",
-        "sync_mode": "process-mode phi reconciliation: barrier (default), "
-                     "prereduce (per-worker pre-reduced deltas) or overlap "
-                     "(pre-reduce + pipelined sync; same draws)",
+        "sync_mode": "process-mode sync: barrier (default) or overlap "
+                     "(pipelined against the next iteration; same draws)",
         "worker_affinity": "CPU ids to pin OS workers to (round-robin)",
         "recovery_retries": "process-mode crash-recovery respawn budget "
                             "per incident (default 2; 0 disables)",

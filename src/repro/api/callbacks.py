@@ -234,15 +234,9 @@ class ProgressLogger(Callback):
     def _out(self) -> TextIO:
         return self.stream if self.stream is not None else sys.stdout
 
-    @staticmethod
-    def _tag(trainer: Any) -> str:
-        # Registry adapters carry .name; bare trainers (the native
-        # CuLdaTrainer.train(callbacks=...) path) fall back to the class.
-        return getattr(trainer, "name", None) or type(trainer).__name__
-
     def on_train_begin(self, trainer: Any, num_iterations: int) -> None:
         print(
-            f"[{self._tag(trainer)}] training for up to "
+            f"[{trainer.name}] training for up to "
             f"{num_iterations} iterations",
             file=self._out(),
         )
@@ -253,7 +247,7 @@ class ProgressLogger(Callback):
         ll = record.log_likelihood_per_token
         ll_txt = f" LL/token={ll:.4f}" if ll is not None else ""
         print(
-            f"[{self._tag(trainer)}] iter {record.iteration + 1}: "
+            f"[{trainer.name}] iter {record.iteration + 1}: "
             f"{record.tokens_per_sec / 1e6:.1f}M tokens/s{ll_txt}",
             file=self._out(),
         )
@@ -262,7 +256,7 @@ class ProgressLogger(Callback):
     def on_train_end(self, trainer: Any, result: TrainResult) -> None:
         tail = " (early stop)" if result.early_stopped else ""
         print(
-            f"[{self._tag(trainer)}] done: "
+            f"[{trainer.name}] done: "
             f"{result.num_iterations} iterations{tail}",
             file=self._out(),
         )

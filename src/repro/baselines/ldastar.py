@@ -77,14 +77,14 @@ class LdaStarTrainer:
         on ``num_processes`` real OS workers over shared memory (see
         :mod:`repro.parallel`); draws are bit-identical to serial.
 
-        ``sync_mode="overlap"`` pipelines the master's delta merge (the
-        parameter-server push/pull) against the next iteration's
-        sampling kick-off and evaluates the document-side likelihood on
-        the workers — same draws, likelihoods and simulated clocks, less
-        host wall-clock.  LDA*'s process engine already pre-reduces (one
-        delta pair per OS worker), so there is no separate "prereduce"
-        mode here.  ``worker_affinity`` pins OS workers to the given CPU
-        ids round-robin.  ``recovery_retries``/``recovery_backoff``
+        ``sync_mode`` means what it means for culda: the process engine
+        always pre-reduces (one delta pair per OS worker); ``"barrier"``
+        (default) merges then dispatches, ``"overlap"`` pipelines the
+        master's delta merge (the parameter-server push/pull) against
+        the next iteration's sampling kick-off — same draws,
+        likelihoods and simulated clocks, less host wall-clock.
+        ``worker_affinity`` pins OS workers to the given CPU ids
+        round-robin.  ``recovery_retries``/``recovery_backoff``
         bound process-mode crash recovery (see docs/ROBUSTNESS.md).
         """
         if num_workers < 1:
@@ -206,12 +206,14 @@ class LdaStarTrainer:
             if self._engine.started and self._engine.drain() is not None:
                 # Separate frame: the delta views must be dead before
                 # engine.close() unmaps the arena.
-                self._merge_pending_deltas()
+                self._apply_deltas(self._engine.worker_deltas())
             self._engine.close()
             self._engine = None
 
-    def _merge_pending_deltas(self) -> None:
-        for dphi, dtot in self._engine.worker_deltas():
+    def _apply_deltas(self, deltas) -> None:
+        """The parameter-server merge: add ``(delta_phi, delta_totals)``
+        pushes into the master model in place."""
+        for dphi, dtot in deltas:
             np.add(self.state.phi, dphi, out=self.state.phi,
                    casting="unsafe")
             self.state.topic_totals += dtot
@@ -281,8 +283,7 @@ class LdaStarTrainer:
             )
             for cs in self.state.chunks
         ]
-        np.add(self.state.phi, deltas, out=self.state.phi, casting="unsafe")
-        self.state.topic_totals += dtot
+        self._apply_deltas([(deltas, dtot)])
         return self._fold_results(results)
 
     def _fold_results(self, results) -> tuple[list, int, int]:
@@ -298,13 +299,6 @@ class LdaStarTrainer:
         engine.model_phi()[...] = self.state.phi
         engine.model_totals()[...] = self.state.topic_totals
         engine.dispatch_iteration(it, want_ll=want_ll)
-
-    def _merge_process(self, engine, results) -> tuple[list, int, int]:
-        """Merge the per-OS-worker delta pushes; fold worker statistics."""
-        for dphi, dtot in engine.worker_deltas():
-            np.add(self.state.phi, dphi, out=self.state.phi, casting="unsafe")
-            self.state.topic_totals += dtot
-        return self._fold_results([results[w] for w in range(self.num_workers)])
 
     def _assemble_likelihood(self, results) -> float:
         """Joint likelihood from worker-evaluated doc terms (see
@@ -349,8 +343,9 @@ class LdaStarTrainer:
                     self._dispatch_process(engine, it, need_ll)
                 results = engine.collect_iteration()
                 inflight = None
-                worker_times, changed_total, sum_kd = self._merge_process(
-                    engine, results
+                self._apply_deltas(engine.worker_deltas())
+                worker_times, changed_total, sum_kd = self._fold_results(
+                    [results[w] for w in range(self.num_workers)]
                 )
                 if pipeline and n + 1 < num_iterations:
                     self._dispatch_process(engine, it + 1, needs_ll(it + 1))

@@ -195,10 +195,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         result = trainer.fit(
             args.iterations, likelihood_every=likelihood_every
         )
+        ll = result.final_log_likelihood
+        ll_txt = (
+            f"LL/token {ll}" if ll is not None else
+            f"LL/token not computed (--likelihood-every {likelihood_every})"
+        )
         print(
             f"done: {result.num_iterations} iterations of {args.algo}, "
             f"{trainer.average_tokens_per_sec() / 1e6:.1f}M tokens/s "
-            f"(simulated), LL/token {result.final_log_likelihood}"
+            f"(simulated), {ll_txt}"
         )
         if callable(getattr(trainer, "kernel_breakdown", None)):
             shares = full_fractions(trainer).items()
@@ -675,11 +680,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument(
         "--sync-mode", dest="sync_mode",
-        choices=("barrier", "prereduce", "overlap"),
+        choices=("barrier", "overlap"),
         default=_ALGO_FLAG_DEFAULTS["sync_mode"],
-        help="process-mode phi sync: prereduce = per-worker pre-reduced "
-             "deltas, overlap = pre-reduce + sync pipelined against the "
-             "next iteration (bit-identical draws in every mode)",
+        help="process-mode phi sync: barrier = merge then broadcast, "
+             "overlap = merge and broadcast pipelined against the next "
+             "iteration (bit-identical draws in both modes)",
     )
     p_train.add_argument(
         "--affinity", dest="worker_affinity",

@@ -26,10 +26,8 @@ _EXPORTS = {
     "CheckpointBundle": "repro.core.snapshot",
     "run_info": "repro.core.snapshot",
     "IndexTree": "repro.core.tree",
-    "cdf_sample": "repro.core.tree",
     "sample_chunk": "repro.core.sampler",
     "SampleResult": "repro.core.sampler",
-    "conditional_distribution": "repro.core.sampler",
     "log_likelihood": "repro.core.likelihood",
     "log_likelihood_per_token": "repro.core.likelihood",
     "perplexity": "repro.core.likelihood",

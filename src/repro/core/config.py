@@ -55,20 +55,20 @@ class TrainerConfig:
         OS worker processes for ``execution="process"``; ``None`` uses
         ``min(num_gpus, os.cpu_count())``.  Ignored in serial mode.
     sync_mode:
-        How process execution reconciles phi at the iteration barrier
-        (requires ``execution="process"`` for the non-default values):
+        How process execution hands the reconciled phi back to the
+        devices (requires ``execution="process"`` for ``"overlap"``).
+        Either way every OS worker pre-reduces its own devices' phi
+        updates into one shared int64 accumulator and the master merges
+        the ``W`` accumulators (O(W*K*V)):
 
-        - ``"barrier"`` (default) — the master differences every device
-          replica against the reference model (O(G*K*V) merge);
-        - ``"prereduce"`` — each worker pre-reduces its own devices' phi
-          deltas into a per-worker shared accumulator before the
-          barrier, cutting the master's merge to O(W*K*V);
-        - ``"overlap"`` — pre-reduce plus the paper's Section 6.2 "phi
-          first" trick at the process level: the master's merge result
-          is broadcast *by the workers* at the next iteration's kick-off
-          and the master's accounting/likelihood runs while they sample.
+        - ``"barrier"`` (default) — the master merges, then broadcasts
+          the model into every device replica before the next kick-off;
+        - ``"overlap"`` — the paper's Section 6.2 "phi first" trick at
+          the process level: the workers copy the merged model into
+          their own replicas at the next iteration's kick-off, and the
+          master's accounting/likelihood runs while they sample.
 
-        All three modes produce bit-identical draws, models, likelihood
+        Both modes produce bit-identical draws, models, likelihood
         trajectories and simulated clocks (goldens assert it); only host
         wall-clock moves.
     worker_affinity:
@@ -136,9 +136,9 @@ class TrainerConfig:
             raise ValueError(
                 f"num_workers must be >= 1 (or None), got {self.num_workers}"
             )
-        if self.sync_mode not in ("barrier", "prereduce", "overlap"):
+        if self.sync_mode not in ("barrier", "overlap"):
             raise ValueError(
-                f"sync_mode must be 'barrier', 'prereduce' or 'overlap', "
+                f"sync_mode must be 'barrier' or 'overlap', "
                 f"got {self.sync_mode!r}"
             )
         if self.sync_mode != "barrier" and self.execution != "process":

@@ -479,32 +479,3 @@ def sample_chunk(
     )
     return SampleResult(new_topics=z_new, stats=stats)
 
-
-def conditional_distribution(
-    doc_theta_row: np.ndarray,
-    phi_col: np.ndarray,
-    topic_totals: np.ndarray,
-    z_current: int,
-    alpha: float,
-    beta: float,
-    num_words: int,
-) -> np.ndarray:
-    """Exact CGS conditional p(k) for one token (Eq. 1), normalised.
-
-    Dense reference used by statistical tests to validate the vectorised
-    sampler: exclude the token's own count, then
-    ``p(k) ~ (theta[d,k] + alpha) * (phi[k,v] + beta) / (totals[k] + beta*V)``.
-    """
-    theta = doc_theta_row.astype(np.float64).copy()
-    phi_v = phi_col.astype(np.float64).copy()
-    totals = topic_totals.astype(np.float64).copy()
-    if theta[z_current] < 1 or phi_v[z_current] < 1 or totals[z_current] < 1:
-        raise ValueError("current topic not represented in the counts")
-    theta[z_current] -= 1.0
-    phi_v[z_current] -= 1.0
-    totals[z_current] -= 1.0
-    p = (theta + alpha) * (phi_v + beta) / (totals + beta * num_words)
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("degenerate conditional distribution")
-    return p / total

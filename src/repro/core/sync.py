@@ -61,7 +61,7 @@ def reconcile_prereduced(
     ``phi_ref + sum_g (phi_g - phi_ref)`` regardless of how groups were
     assigned to workers — bit-identical to :func:`reconcile_phi`, but
     the master adds ``W`` matrices instead of differencing ``G`` replicas
-    (the O(G*K*V) -> O(W*K*V) merge reduction of the overlap sync path).
+    (the O(G*K*V) -> O(W*K*V) merge reduction of process execution).
     """
     if not worker_delta_phis:
         raise ValueError("need at least one worker delta")
@@ -81,19 +81,17 @@ def synchronize_prereduced(
     worker_deltas: list[tuple[np.ndarray, np.ndarray]],
     device_phis: list[np.ndarray] | None = None,
     device_totals: list[np.ndarray] | None = None,
-    gpus: list[SimulatedGPU] | None = None,
-    phi_bytes: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full sync from per-worker ``(delta_phi, delta_totals)`` pairs.
+    """Functional sync from per-worker ``(delta_phi, delta_totals)`` pairs.
 
     Functionally identical to :func:`synchronize` (integer arithmetic —
     same ``phi_new``/``totals_new`` to the bit) with the master-side
     merge cut to one add per OS worker.  ``device_phis``/``device_totals``
-    are broadcast into when given; pass ``None`` in overlap mode, where
-    the workers copy the reconciled model into their own replicas at the
-    next kick-off instead.  The simulated Figure 4 tree reduce is charged
-    unchanged: overlap is a *host* wall-clock optimisation and must not
-    move the simulated clocks.
+    are broadcast into when given; pass ``None`` when the workers copy
+    the reconciled model into their own replicas at the next kick-off
+    instead (the overlap pipeline).  No simulated clock is charged here:
+    the caller charges the Figure 4 tree reduce with
+    :func:`simulate_phi_sync`, identically in every mode.
     """
     # Before any mutation or clock charge, so a caller-side retry after
     # an injected transient failure replays the sync cleanly.
@@ -106,10 +104,6 @@ def synchronize_prereduced(
         for g in range(len(device_phis)):
             device_phis[g][...] = phi_new
             device_totals[g][...] = totals_new
-    if gpus is not None and len(gpus) > 1:
-        if phi_bytes is None:
-            phi_bytes = int(phi_new.nbytes)
-        simulate_phi_sync(gpus, phi_bytes)
     return phi_new, totals_new
 
 

@@ -209,7 +209,6 @@ class CuLdaTrainer:
                 compute_dtype=self.config.compute_dtype,
                 seed=self.config.seed,
                 num_workers=self.config.num_workers,
-                sync_mode=self.config.sync_mode,
                 worker_affinity=self.config.worker_affinity,
                 recovery_retries=self.config.recovery_retries,
                 recovery_backoff=self.config.recovery_backoff,
@@ -228,11 +227,12 @@ class CuLdaTrainer:
         to private arrays, and a later ``train`` in process mode builds a
         fresh engine from the current state.  No-op in serial mode.
 
-        If an exception unwound out of an overlapped ``train`` while the
-        next iteration was in flight, that iteration is drained and its
-        pre-reduced deltas merged first, so the copied-back model is
-        internally consistent (phi == sum of assignments) rather than a
-        torn snapshot of buffers the workers were still writing.
+        If an exception left an iteration in flight (an overlapped
+        ``train`` had already dispatched the next one), that iteration
+        is drained and its pre-reduced deltas merged first, so the
+        copied-back model is internally consistent (phi == sum of
+        assignments) rather than a torn snapshot of buffers the workers
+        were still writing.
         """
         if self._engine is not None:
             if self._engine.started:
@@ -252,23 +252,15 @@ class CuLdaTrainer:
         The interrupted iteration's sampling is in the shared topics
         already; completing its phi merge keeps token conservation (it
         is simply the last, unrecorded iteration of the interrupted
-        train).  Barrier mode has no pre-reduce accumulators — its
-        updates live in the replicas, so difference them instead.
+        train).
         """
-        device_phis = [d.phi for d in self.devices]
-        device_totals = [d.totals for d in self.devices]
-        if self.config.sync_mode == "barrier":
-            phi_new, totals_new = synchronize(
-                self.state.phi, device_phis, device_totals
-            )
-        else:
-            phi_new, totals_new = synchronize_prereduced(
-                self.state.phi,
-                self.state.topic_totals,
-                self._engine.worker_accumulators(),
-                device_phis,
-                device_totals,
-            )
+        phi_new, totals_new = synchronize_prereduced(
+            self.state.phi,
+            self.state.topic_totals,
+            self._engine.worker_deltas(),
+            [d.phi for d in self.devices],
+            [d.totals for d in self.devices],
+        )
         self.state.phi[...] = phi_new
         self.state.topic_totals[...] = totals_new
 
@@ -368,43 +360,29 @@ class CuLdaTrainer:
         self,
         num_iterations: int,
         compute_likelihood_every: int = 1,
-        callbacks=(),
     ) -> list[IterationRecord]:
         """Run ``num_iterations`` Gibbs iterations; returns their records.
 
-        ``callbacks`` takes :class:`repro.api.callbacks.Callback`
-        instances: they decide the likelihood cadence (superseding
-        ``compute_likelihood_every`` when a cadence callback is present)
-        and may stop training early from ``on_iteration_end``.  The
-        full-featured loop (``on_train_begin``/``end`` hooks, a
-        :class:`~repro.api.protocol.TrainResult`) is
-        ``repro.create_trainer("culda", ...).fit(...)``.
+        Callbacks (likelihood cadence, early stopping, checkpoints) run
+        in ``repro.create_trainer("culda", ...).fit(...)``, which drives
+        this loop.
         """
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
         if compute_likelihood_every < 0:
             raise ValueError("compute_likelihood_every must be non-negative")
-        callbacks = list(callbacks)
-        if callbacks:
-            from repro.api.callbacks import likelihood_needed
         total_tokens = self.state.num_tokens
         engine = (
             self._ensure_engine() if self.config.execution == "process" else None
         )
-        sync_mode = self.config.sync_mode if engine is not None else "barrier"
-        prereduced = sync_mode in ("prereduce", "overlap")
         # The overlap pipeline dispatches iteration i+1 before charging
-        # and scoring iteration i; callbacks may stop training between
-        # iterations, so pipelining is only engaged without them (the
-        # pre-reduced merge and worker-side likelihood still apply).
-        pipeline = sync_mode == "overlap" and not callbacks
+        # and scoring iteration i.
+        pipeline = self.config.sync_mode == "overlap"
         phi_bytes = phi_replica_bytes(
             self.config.num_topics, self.corpus.num_words, self.config.compress
         )
 
         def needs_ll(it: int) -> bool:
-            if callbacks:
-                return likelihood_needed(callbacks, it, compute_likelihood_every)
             return likelihood_due(it, compute_likelihood_every)
 
         inflight: int | None = None
@@ -421,15 +399,10 @@ class CuLdaTrainer:
             validate_due = bool(
                 self.validate_every and (it + 1) % self.validate_every == 0
             )
-            if not prereduced:
-                if engine is None:
-                    outcome = run_iteration(
-                        self.devices, self.state, self.config, it, self.pool
-                    )
-                else:
-                    outcome = replay_parallel_accounting(
-                        self.devices, self.state, self.config, it, results
-                    )
+            if engine is None:
+                outcome = run_iteration(
+                    self.devices, self.state, self.config, it, self.pool
+                )
                 phi_new, totals_new = self._sync_with_retry(
                     synchronize,
                     self.state.phi,
@@ -442,17 +415,26 @@ class CuLdaTrainer:
                 self.state.topic_totals[...] = totals_new
             else:
                 # Pre-reduced functional merge first — O(W*K*V), and it
-                # unblocks the next iteration's kick-off...
+                # unblocks the next iteration's kick-off.  Unless the
+                # pipeline continues (overlap, not the last iteration,
+                # no validation due), the master broadcasts the model
+                # into the replicas while the workers idle.
+                pipelined = (
+                    pipeline and n + 1 < num_iterations and not validate_due
+                )
+                broadcast_to = [] if pipelined else self.devices
                 phi_new, totals_new = self._sync_with_retry(
                     synchronize_prereduced,
                     self.state.phi,
                     self.state.topic_totals,
-                    engine.worker_accumulators(),
+                    engine.worker_deltas(),
+                    [d.phi for d in broadcast_to],
+                    [d.totals for d in broadcast_to],
                 )
                 self.state.phi[...] = phi_new
                 self.state.topic_totals[...] = totals_new
-                if pipeline and n + 1 < num_iterations and not validate_due:
-                    # ...the paper's "phi first" at the process level:
+                if pipelined:
+                    # The paper's "phi first" at the process level:
                     # workers broadcast the reconciled model into their
                     # own replicas and start sampling iteration i+1 while
                     # the master replays clocks and scores likelihood.
@@ -464,13 +446,6 @@ class CuLdaTrainer:
                         refresh_replicas=True,
                     )
                     inflight = it + 1
-                else:
-                    # Pipeline drained (last iteration, validation due,
-                    # callbacks present, or plain prereduce): the master
-                    # broadcasts while the workers idle.
-                    for dev in self.devices:
-                        dev.phi[...] = phi_new
-                        dev.totals[...] = totals_new
                 outcome = replay_parallel_accounting(
                     self.devices, self.state, self.config, it, results
                 )
@@ -512,11 +487,6 @@ class CuLdaTrainer:
                 )
             )
             self._iterations_done += 1
-            if callbacks:
-                # Every callback observes every record (no short-circuit).
-                stops = [cb.on_iteration_end(self, self.history[-1]) for cb in callbacks]
-                if any(stops):
-                    break
         return self.history
 
     def _assemble_likelihood(self, results) -> float:

@@ -132,19 +132,3 @@ class IndexTree:
         u = rng.random(size) * self.total
         return self.batch_search(u)
 
-
-def cdf_sample(
-    weights: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Flat prefix-sum sampling (no tree): ``searchsorted(cumsum, u*total)``.
-
-    This is the memory-hungry variant the index tree replaces; kept as an
-    oracle and for the tree-vs-flat ablation.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    cdf = np.cumsum(w)
-    total = cdf[-1]
-    if total <= 0:
-        raise ValueError("cannot sample from an all-zero weight vector")
-    idx = np.searchsorted(cdf, np.asarray(u) * total, side="right")
-    return np.clip(idx, 0, w.size - 1)

@@ -6,8 +6,10 @@ hardware.  ``TrainerConfig(execution="process", num_workers=N)`` (CLI:
 ``--execution process --num-workers N``) runs each simulated device's
 per-iteration work — sampling, phi/theta updates — on persistent OS
 worker processes over ``multiprocessing.shared_memory``-backed count
-matrices and token arrays, with the existing Figure-4 tree
-reduce/broadcast applied to the replica deltas at iteration barriers.
+matrices and token arrays.  Each worker pre-reduces its devices' phi
+updates into one shared int64 accumulator; at the iteration barrier the
+master merges the accumulators (O(W*K*V)) and charges the Figure-4 tree
+reduce/broadcast on the simulated clocks.
 
 Layers:
 
@@ -19,13 +21,12 @@ Layers:
 - :mod:`repro.parallel.engine` — master-side orchestration, lifecycle
   and the iteration barrier.
 
-``TrainerConfig(sync_mode=...)`` controls how much of the barrier's
-communication is hidden: ``"prereduce"`` accumulates per-OS-worker phi
-deltas during sampling (master merge O(G*K*V) -> O(W*K*V));
-``"overlap"`` additionally pipelines the merge/broadcast and the
-master's accounting + likelihood against the next iteration's sampling
-— the paper's Section 6.2 "phi first" trick at the process level.
-Both are bit-identical to ``"barrier"`` (and to serial execution).
+``TrainerConfig(sync_mode=...)`` controls whether that communication is
+hidden: ``"barrier"`` (default) merges and broadcasts while the workers
+idle; ``"overlap"`` pipelines the broadcast and the master's accounting
++ likelihood against the next iteration's sampling — the paper's
+Section 6.2 "phi first" trick at the process level.  Both are
+bit-identical to serial execution.
 
 Determinism: RNG streams are keyed by (seed, iteration, chunk), and
 chunks within a device run in serial-schedule order, so process

@@ -6,8 +6,8 @@ workers for LDA*) on persistent OS worker processes, with all bulk state
 — token arrays, topic assignments, theta CSR buffers, per-replica
 phi/totals count matrices — in one :class:`~repro.parallel.shm.ShmArena`
 shared-memory block.  The master keeps everything else: the simulated
-GPU clocks, cost charging, phi synchronization (``core/sync.py`` tree
-reduce at the iteration barrier), likelihood, callbacks.
+GPU clocks, cost charging, the phi merge of the workers' pre-reduced
+deltas at the iteration barrier (``core/sync.py``), likelihood.
 
 Execution model per iteration (:meth:`dispatch_iteration`, then
 :meth:`collect_iteration`):
@@ -16,7 +16,8 @@ Execution model per iteration (:meth:`dispatch_iteration`, then
    hold the synchronized model — the master writes into the shared
    views, so no copy crosses a process boundary);
 2. each worker samples its groups' chunks in serial-schedule order and
-   publishes topics/theta/phi-replica updates into the shared block;
+   publishes topics/theta/phi-replica updates, plus its summed phi
+   delta, into the shared block;
 3. master collects the per-chunk statistics, refreshes its theta views
    and hands the results to the caller for cost accounting and sync.
 
@@ -109,13 +110,20 @@ class ProcessEngine:
         Ordered chunk-id lists, one per group.
     replicas:
         ``mode="replica"``: initial ``(phi, totals)`` contents, one per
-        group; group ``g`` samples against replica ``g`` *cumulatively*,
-        in list order — exactly the serial schedule's semantics.
+        group, all equal to the model; group ``g`` samples against
+        replica ``g`` *cumulatively*, in list order — exactly the serial
+        schedule's semantics.
         ``mode="delta"``: a single ``[(phi, totals)]`` snapshot shared
-        read-only by every group; each chunk's updates are scattered
-        into per-OS-worker int64 delta accumulators instead (the
-        parameter-server push — one delta pair per worker, not a model
-        replica per group, so memory scales with ``num_workers``).
+        read-only by every group (the parameter-server pull).
+
+    Both modes allocate one shared ``model/*`` pair and one int64
+    ``wdelta{w}/*`` accumulator pair per OS worker: every chunk's signed
+    update lands there too (in delta mode *only* there — the push), so
+    the master's merge is one add per worker
+    (:func:`repro.core.sync.synchronize_prereduced`) and memory for it
+    scales with ``num_workers``.  ``model/*`` is the delta-mode
+    snapshot and the replica-mode broadcast buffer that a
+    ``refresh_replicas`` dispatch copies from.
     """
 
     def __init__(
@@ -132,7 +140,6 @@ class ProcessEngine:
         seed: int = 0,
         num_workers: int | None = None,
         mode: str = "replica",
-        sync_mode: str = "barrier",
         worker_affinity=None,
         recovery_retries: int = 2,
         recovery_backoff: float = 0.05,
@@ -140,11 +147,6 @@ class ProcessEngine:
     ):
         if mode not in ("replica", "delta"):
             raise ValueError(f"mode must be 'replica' or 'delta', got {mode!r}")
-        if sync_mode not in ("barrier", "prereduce", "overlap"):
-            raise ValueError(
-                f"sync_mode must be 'barrier', 'prereduce' or 'overlap', "
-                f"got {sync_mode!r}"
-            )
         if len(replicas) != (1 if mode == "delta" else len(groups)):
             raise ValueError(
                 "need one replica per group (replica mode) or exactly one "
@@ -161,7 +163,6 @@ class ProcessEngine:
                 f"recovery_backoff must be >= 0, got {recovery_backoff}"
             )
         self.mode = mode
-        self.sync_mode = sync_mode
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._chunks = chunks
         self._groups = [list(g) for g in groups]
@@ -230,32 +231,18 @@ class ProcessEngine:
             specs[f"chunk{cid}/theta_indptr"] = ((d + 1,), np.dtype(np.int64))
             specs[f"chunk{cid}/theta_indices"] = ((n,), idx_dt)
             specs[f"chunk{cid}/theta_data"] = ((n,), np.dtype(np.int32))
-        if self.mode == "delta":
-            phi, totals = self._init_replicas[0]
-            specs["model/phi"] = (phi.shape, phi.dtype)
-            specs["model/totals"] = (totals.shape, totals.dtype)
-            for w in range(self.num_workers):
-                specs[f"wdelta{w}/phi"] = (phi.shape, np.dtype(np.int64))
-                specs[f"wdelta{w}/totals"] = (totals.shape, np.dtype(np.int64))
-        else:
+        # Replica mode's replicas start synchronized, so replica 0 is
+        # the model in both modes.
+        phi0, totals0 = self._init_replicas[0]
+        specs["model/phi"] = (phi0.shape, phi0.dtype)
+        specs["model/totals"] = (totals0.shape, totals0.dtype)
+        for w in range(self.num_workers):
+            specs[f"wdelta{w}/phi"] = (phi0.shape, np.dtype(np.int64))
+            specs[f"wdelta{w}/totals"] = (totals0.shape, np.dtype(np.int64))
+        if self.mode == "replica":
             for g, (phi, totals) in enumerate(self._init_replicas):
                 specs[f"rep{g}/phi"] = (phi.shape, phi.dtype)
                 specs[f"rep{g}/totals"] = (totals.shape, totals.dtype)
-            phi0, totals0 = self._init_replicas[0]
-            if self.sync_mode in ("prereduce", "overlap"):
-                # One pre-reduced signed accumulator per OS worker: the
-                # master's merge reads W of these instead of differencing
-                # G replicas.
-                for w in range(self.num_workers):
-                    specs[f"wacc{w}/phi"] = (phi0.shape, np.dtype(np.int64))
-                    specs[f"wacc{w}/totals"] = (
-                        totals0.shape, np.dtype(np.int64)
-                    )
-            if self.sync_mode == "overlap":
-                # Broadcast buffer: master writes the reconciled model
-                # once; workers copy it into their replicas at kick-off.
-                specs["model/phi"] = (phi0.shape, phi0.dtype)
-                specs["model/totals"] = (totals0.shape, totals0.dtype)
 
         arena = ShmArena.create(specs)
         for cid, cs in self._chunks.items():
@@ -273,18 +260,12 @@ class ProcessEngine:
             # Master now reads topics/theta through the shared pages.
             cs.topics = arena.view(f"chunk{cid}/topics")
             cs.theta = self._theta_view(arena, cid, nnz)
-        if self.mode == "delta":
-            phi, totals = self._init_replicas[0]
-            arena.view("model/phi")[...] = phi
-            arena.view("model/totals")[...] = totals
-        else:
+        arena.view("model/phi")[...] = phi0
+        arena.view("model/totals")[...] = totals0
+        if self.mode == "replica":
             for g, (phi, totals) in enumerate(self._init_replicas):
                 arena.view(f"rep{g}/phi")[...] = phi
                 arena.view(f"rep{g}/totals")[...] = totals
-            if self.sync_mode == "overlap":
-                # Replicas start synchronized, so replica 0 is the model.
-                arena.view("model/phi")[...] = self._init_replicas[0][0]
-                arena.view("model/totals")[...] = self._init_replicas[0][1]
 
         plans = self._build_plans(arena, attempt=0)
         procs, conns = spawn_workers(arena, plans, worker_main, "repro-exec")
@@ -321,7 +302,6 @@ class ProcessEngine:
                     seed=self._seed,
                     mode=self.mode,
                     worker_index=w,
-                    sync_mode=self.sync_mode,
                     affinity=self.worker_affinity,
                     faults=faults.active_spec(),
                     attempt=attempt,
@@ -374,34 +354,24 @@ class ProcessEngine:
 
     def model_phi(self) -> np.ndarray:
         """The shared model buffer: in delta mode the snapshot every
-        chunk samples against, in replica overlap mode the broadcast
-        staging area workers copy into their replicas at kick-off."""
+        chunk samples against, in replica mode the broadcast staging
+        area a refresh kick-off copies into the replicas."""
         return self._arena.view("model/phi")
 
     def model_totals(self) -> np.ndarray:
         return self._arena.view("model/totals")
 
     def worker_deltas(self):
-        """Delta mode: the per-OS-worker int64 update accumulators."""
+        """The per-OS-worker int64 update accumulators.
+
+        Entry ``w`` holds the summed signed update of every group worker
+        ``w`` owns; ``model + sum_w`` is the merged model (see
+        :func:`repro.core.sync.synchronize_prereduced`).
+        """
         return [
             (
                 self._arena.view(f"wdelta{w}/phi"),
                 self._arena.view(f"wdelta{w}/totals"),
-            )
-            for w in range(self.num_workers)
-        ]
-
-    def worker_accumulators(self):
-        """Replica pre-reduce: the per-OS-worker int64 delta accumulators.
-
-        Entry ``w`` holds the summed signed update of every replica
-        worker ``w`` owns; ``phi_ref + sum_w`` is the reconciled model
-        (see :func:`repro.core.sync.synchronize_prereduced`).
-        """
-        return [
-            (
-                self._arena.view(f"wacc{w}/phi"),
-                self._arena.view(f"wacc{w}/totals"),
             )
             for w in range(self.num_workers)
         ]
@@ -419,8 +389,8 @@ class ProcessEngine:
 
         ``want_ll`` asks the workers to evaluate their chunks'
         document-side likelihood terms before replying;
-        ``refresh_replicas`` (overlap mode) has each worker copy the
-        shared ``model/*`` buffers into its replicas first — the
+        ``refresh_replicas`` (the overlap pipeline) has each worker
+        copy the shared ``model/*`` buffers into its replicas first — the
         broadcast half of the sync, off the master's critical path.
         The caller must pair every dispatch with one
         :meth:`collect_iteration`; only one iteration may be in flight.
@@ -557,9 +527,9 @@ class ProcessEngine:
         per-group phi/totals replicas in replica mode, unless the
         dispatch refreshes them — its replay copies ``model/*`` over
         every replica before sampling, so their old contents are never
-        read.  Delta mode's ``model/*`` is master-written only, and both
-        modes' per-worker accumulators are zeroed worker-side at
-        iteration start, so neither needs rollback.  Disabled when
+        read.  ``model/*`` is master-written only, and the per-worker
+        accumulators are zeroed worker-side at iteration start, so
+        neither needs rollback.  Disabled when
         ``recovery_retries`` is 0 — then a crash is terminal and the
         copies would be waste.
         """

@@ -7,8 +7,10 @@ Per iteration barrier the worker runs the core chunk pass,
 :func:`repro.core.scheduler.chunk_pass` (sample -> update-phi ->
 update-theta, the same code serial execution runs), for every chunk of
 every owned group in order, against the group's shared-memory phi/totals
-replica.  The pass writes the new topic assignments straight into the
-shared block; the worker then publishes the rebuilt theta CSR there too.
+replica, and sums every pass's phi update into its own shared
+accumulator (the pre-reduced delta the master merges).  The pass writes
+the new topic assignments straight into the shared block; the worker
+then publishes the rebuilt theta CSR there too.
 Only the small per-chunk :class:`~repro.core.scheduler.ChunkResult`
 travels back over the pipe, and the master charges the simulated clock
 from it.
@@ -63,11 +65,13 @@ class WorkerPlan:
 
     - ``"replica"`` (CuLDA): group ``g`` samples against replica ``g``
       *cumulatively* — each chunk pass applies its updates to the
-      replica before the next chunk of the group samples;
+      replica before the next chunk of the group samples — and also
+      scatters them into this worker's ``wdelta{w}/*`` accumulators,
+      the pre-reduced delta the master merges;
     - ``"delta"`` (LDA*): every chunk samples against the single shared
       ``model/*`` snapshot (read-only within an iteration) and scatters
-      its updates into this worker's ``wdelta{w}/*`` accumulators —
-      the parameter-server push, one delta matrix per OS worker instead
+      its updates into the ``wdelta{w}/*`` accumulators only — the
+      parameter-server push, one delta matrix per OS worker instead
       of a full model replica per simulated cluster worker.
     """
 
@@ -81,12 +85,6 @@ class WorkerPlan:
     seed: int
     mode: str = "replica"
     worker_index: int = 0
-    #: replica-mode sync path: "barrier" leaves reconciliation entirely
-    #: to the master; "prereduce"/"overlap" additionally scatter every
-    #: update into this worker's shared ``wacc{w}/*`` accumulator, and
-    #: "overlap" also honours refresh kick-offs (copy ``model/*`` into
-    #: the owned replicas before sampling).
-    sync_mode: str = "barrier"
     #: optional CPU ids; this worker pins itself to
     #: ``affinity[worker_index % len(affinity)]`` at start-up.
     affinity: tuple[int, ...] | None = None
@@ -205,21 +203,19 @@ def worker_main(conn, plan: WorkerPlan) -> None:
         # after another, so no buffer is live across groups.
         workspace = Workspace(plan.compute_dtype)
         delta = plan.mode == "delta"
-        prereduce = not delta and plan.sync_mode in ("prereduce", "overlap")
-        delta_phi = delta_totals = None
-        accum_phi = accum_totals = None
-        model_phi = model_totals = None
-        if delta or plan.sync_mode == "overlap":
-            # delta: the one snapshot every chunk samples against;
-            # overlap: the broadcast buffer a refresh copies from.
-            model_phi = arena.view("model/phi")
-            model_totals = arena.view("model/totals")
-        if delta:
-            delta_phi = arena.view(f"wdelta{plan.worker_index}/phi")
-            delta_totals = arena.view(f"wdelta{plan.worker_index}/totals")
-        if prereduce:
-            accum_phi = arena.view(f"wacc{plan.worker_index}/phi")
-            accum_totals = arena.view(f"wacc{plan.worker_index}/totals")
+        # delta: the one snapshot every chunk samples against;
+        # replica: the broadcast buffer a refresh copies from.
+        model_phi = arena.view("model/phi")
+        model_totals = arena.view("model/totals")
+        delta_phi = arena.view(f"wdelta{plan.worker_index}/phi")
+        delta_totals = arena.view(f"wdelta{plan.worker_index}/totals")
+        # delta: updates go to the accumulators only; replica: they land
+        # on the replica and are accumulated too.
+        targets = (
+            {"update_phi": delta_phi, "update_totals": delta_totals}
+            if delta
+            else {"accum_phi": delta_phi, "accum_totals": delta_totals}
+        )
         groups = []
         for group_idx, metas in plan.groups:
             if delta:
@@ -251,8 +247,6 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                 raise ValueError(f"unknown worker command {cmd!r}")
             _, iteration, want_ll, refresh = msg
             if refresh:
-                if model_phi is None:  # pragma: no cover - protocol misuse
-                    raise ValueError("refresh kick-off without a model buffer")
                 faults.crash_if(
                     "worker_crash", phase="broadcast", iteration=iteration,
                     worker=plan.worker_index, attempt=plan.attempt,
@@ -263,12 +257,8 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                 for phi, totals, _ in groups:
                     phi[...] = model_phi
                     totals[...] = model_totals
-            if delta:
-                delta_phi[...] = 0
-                delta_totals[...] = 0
-            if prereduce:
-                accum_phi[...] = 0
-                accum_totals[...] = 0
+            delta_phi[...] = 0
+            delta_totals[...] = 0
             results = []
             for phi, totals, chunks in groups:
                 for lc in chunks:
@@ -282,11 +272,7 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                             lc, phi, totals, iteration, pool,
                             plan.num_topics, plan.alpha, plan.beta,
                             plan.compress, workspace,
-                            update_phi=delta_phi,
-                            update_totals=delta_totals,
-                            accum_phi=accum_phi,
-                            accum_totals=accum_totals,
-                            want_ll=want_ll,
+                            want_ll=want_ll, **targets,
                         )
                     )
             # "merge" phase: sampling done and published, reply not yet

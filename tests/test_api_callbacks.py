@@ -85,6 +85,19 @@ class TestEarlyStopping:
             r.log_likelihood_per_token is not None for r in result.records
         )
 
+    def test_all_callbacks_observe_records(self, corpus):
+        seen: list[int] = []
+
+        class Recorder(Callback):
+            def on_iteration_end(self, trainer, record):
+                seen.append(record.iteration)
+                return None
+
+        stopper = EarlyStopping(patience=1, min_delta=1e9)
+        # Recorder placed *after* the stopper must still see every record.
+        culda(corpus).fit(10, callbacks=[stopper, Recorder()])
+        assert seen == [0, 1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EarlyStopping(patience=0)
@@ -174,36 +187,3 @@ class TestProgressLogger:
         assert "iter 2:" in out and "iter 4:" in out
         assert "iter 1:" not in out and "iter 3:" not in out
 
-
-class TestNativeTrainerCallbacks:
-    """CuLdaTrainer.train itself accepts the callback objects."""
-
-    def test_early_stop_through_native_loop(self, corpus):
-        trainer = culda(corpus).inner
-        history = trainer.train(
-            20, callbacks=[EarlyStopping(patience=1, min_delta=1e9)]
-        )
-        assert len(history) == 2  # best at 0, stale at 1 -> stop
-
-    def test_cadence_through_native_loop(self, corpus):
-        trainer = culda(corpus).inner
-        history = trainer.train(
-            4, compute_likelihood_every=1, callbacks=[LikelihoodCadence(2)]
-        )
-        lls = [r.log_likelihood_per_token for r in history]
-        assert lls == [None, lls[1], None, lls[3]]
-        assert lls[1] is not None
-
-    def test_all_callbacks_observe_records(self, corpus):
-        seen: list[int] = []
-
-        class Recorder(Callback):
-            def on_iteration_end(self, trainer, record):
-                seen.append(record.iteration)
-                return None
-
-        stopper = EarlyStopping(patience=1, min_delta=1e9)
-        trainer = culda(corpus).inner
-        # Recorder placed *after* the stopper must still see every record.
-        trainer.train(10, callbacks=[stopper, Recorder()])
-        assert seen == [0, 1]

@@ -293,6 +293,34 @@ class TestCliResume:
         # The resumed run inherited the checkpoint's cadence.
         assert r.run["likelihood_every"] == 1
 
+    def test_cli_resume_rejects_removed_sync_mode(self, tmp_path, capsys):
+        """A v2 checkpoint whose run records the removed
+        ``sync_mode="prereduce"`` fails cleanly: exit 2 and one error
+        line naming the value, no alias."""
+        import json
+
+        from repro.cli import main
+
+        ck = tmp_path / "prereduce.npz"
+        rc = main([
+            "train", "--topics", "8", "--gpus", "2", "--iterations", "1",
+            "--execution", "process", "--num-workers", "2",
+            "--likelihood-every", "0", "--checkpoint", str(ck),
+        ])
+        assert rc == 0
+        with np.load(ck, allow_pickle=False) as z:
+            data = {k: z[k] for k in z.files}
+        meta = json.loads(str(data["metadata_json"]))
+        meta["run"]["trainer_kwargs"]["sync_mode"] = "prereduce"
+        data["metadata_json"] = json.dumps(meta)
+        np.savez_compressed(ck, **data)
+        capsys.readouterr()
+        rc = main(["train", "--resume", str(ck), "--iterations", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "'prereduce'" in err[0]
+
     def test_cli_resume_v1_state_only(self, tmp_path, capsys):
         from repro.cli import _load_corpus, build_parser, main
 

@@ -50,6 +50,15 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "corpus:" in out and "done:" in out
 
+    def test_uncomputed_likelihood_is_named_not_none(self, capsys):
+        """Two iterations never reach the default cadence of 5: the
+        summary says so instead of printing ``None``."""
+        rc = main(["train", "--topics", "8", "--iterations", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "None" not in out
+        assert "LL/token not computed (--likelihood-every 5)" in out
+
     def test_train_writes_model(self, tmp_path, capsys):
         model = tmp_path / "m.npz"
         rc = main([

@@ -7,9 +7,8 @@ the same runs on the current tree and assert the draws are
 **bit-identical** on the default float64 paths:
 
 - culda under both work schedules (workspace-backed kernel), in serial
-  and process execution — the latter under every phi sync mode
-  (barrier / prereduce / overlap: communication hiding must not touch
-  the chain);
+  and process execution — the latter under both phi sync modes
+  (barrier / overlap: communication hiding must not touch the chain);
 - culda's float32 kernel chain (2 GPUs x 2 chunks; pinned on the PR-4
   tree after verifying serial == process), closing the ROADMAP item;
 - culda's kernel with ``workspace=None`` against the pooled capture;
@@ -98,15 +97,13 @@ class TestCuLdaGolden:
         )
         assert_golden(z, case)
 
-    @pytest.mark.parametrize(
-        "sync_mode", ["barrier", "prereduce", "overlap"]
-    )
+    @pytest.mark.parametrize("sync_mode", ["barrier", "overlap"])
     @pytest.mark.parametrize("case", ["culda_ws1", "culda_ws2"])
     def test_process_execution_matches_serial_goldens(
         self, golden_corpus, case, sync_mode
     ):
         """OS-worker execution must reproduce the serial captures
-        bit-for-bit — under every phi-sync mode, including the overlapped
+        bit-for-bit — under both phi-sync modes, including the overlapped
         pipeline (communication hiding must not touch the chain)."""
         m = meta(case)
         trainer = create_trainer(

@@ -204,9 +204,9 @@ class TestCuLdaProcessExecution:
 
 
 class TestSyncModes:
-    """Pre-reduced and overlapped sync: bit-identical, leak-free, pinned."""
+    """Overlapped sync: bit-identical, leak-free, pinned."""
 
-    @pytest.mark.parametrize("sync_mode", ["prereduce", "overlap"])
+    @pytest.mark.parametrize("sync_mode", ["overlap"])
     @pytest.mark.parametrize("gpus,m", [(2, 1), (2, 2)])
     def test_bit_identical_to_serial(self, corpus, sync_mode, gpus, m):
         serial = _run_culda(
@@ -222,8 +222,9 @@ class TestSyncModes:
         assert serial[3] == proc[3]  # likelihood trajectory
 
     def test_overlap_with_callbacks_drains_pipeline(self, corpus):
-        """Callbacks may stop training, so overlap must not speculate —
-        and the chain must still match serial exactly."""
+        """Callbacks may stop training, so ``fit`` runs one iteration per
+        call and overlap never speculates past it — and the chain must
+        still match serial exactly."""
         from repro.api.callbacks import EarlyStopping
 
         ref = CuLdaTrainer(
@@ -231,17 +232,16 @@ class TestSyncModes:
         )
         ref.train(3, compute_likelihood_every=1)
 
-        cfg = TrainerConfig(
-            num_topics=12, num_gpus=2, seed=5, execution="process",
+        t = create_trainer(
+            "culda", corpus, topics=12, gpus=2, seed=5, execution="process",
             num_workers=2, sync_mode="overlap",
         )
-        t = CuLdaTrainer(corpus, cfg)
         try:
             # patience large enough to never trigger: exercises the
             # callback path without changing the schedule
-            t.train(3, callbacks=[EarlyStopping(patience=100)])
+            result = t.fit(3, callbacks=[EarlyStopping(patience=100)])
             assert np.array_equal(t.state.phi, ref.state.phi)
-            assert [r.log_likelihood_per_token for r in t.history] == [
+            assert [r.log_likelihood_per_token for r in result.records] == [
                 r.log_likelihood_per_token for r in ref.history
             ]
         finally:
@@ -355,13 +355,13 @@ class TestSyncModes:
         t.state.validate()  # phi == sum of assignments, non-negative
         assert t.state.phi.sum() == corpus.num_tokens
 
-    @pytest.mark.parametrize("sync_mode", ["barrier", "prereduce", "overlap"])
+    @pytest.mark.parametrize("sync_mode", ["barrier", "overlap"])
     def test_close_with_dispatched_uncollected_iteration(
         self, corpus, sync_mode
     ):
         """An interrupt between dispatch and collect leaves an iteration
-        in flight in ANY process mode; close() must drain it and merge
-        with the mode-appropriate reconciliation."""
+        in flight in either process mode; close() must drain it and
+        merge the workers' pre-reduced deltas."""
         cfg = TrainerConfig(num_topics=12, num_gpus=2, seed=5,
                             execution="process", num_workers=2,
                             sync_mode=sync_mode)
@@ -396,7 +396,7 @@ class TestSyncModes:
     def test_worker_affinity_applied_and_reported(self, corpus):
         cfg = TrainerConfig(num_topics=12, num_gpus=2, seed=5,
                             execution="process", num_workers=2,
-                            sync_mode="prereduce", worker_affinity=(0,))
+                            worker_affinity=(0,))
         t = CuLdaTrainer(corpus, cfg)
         try:
             assert t.describe()["worker_affinity"] == (0,)
@@ -496,6 +496,27 @@ class TestConfigAndRegistrySurface:
             [cs.topics.astype(np.int64) for cs in ref_t.state.chunks]
         )
         assert np.array_equal(z, z_ref)
+
+    @pytest.mark.parametrize("entry", ["config", "create_trainer", "cli"])
+    def test_rejects_prereduce(self, corpus, entry, capsys):
+        """``sync_mode="prereduce"`` is gone (process execution always
+        pre-reduces): every culda entry point refuses it, no alias."""
+        if entry == "cli":
+            from repro.cli import main
+
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--execution", "process",
+                      "--sync-mode", "prereduce"])
+            assert exc.value.code == 2
+            assert "prereduce" in capsys.readouterr().err
+            return
+        with pytest.raises(ValueError, match="'prereduce'"):
+            if entry == "config":
+                TrainerConfig(num_topics=8, execution="process",
+                              sync_mode="prereduce")
+            else:
+                create_trainer("culda", corpus, topics=8,
+                               execution="process", sync_mode="prereduce")
 
     def test_create_trainer_forwards_ldastar_execution(self, corpus):
         t = create_trainer(

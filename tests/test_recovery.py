@@ -115,7 +115,7 @@ def run_ldastar(corpus, spec=None, iterations=3, **kwargs):
 class TestCuldaCrashRecovery:
     """Worker deaths at every phase of every sync mode replay exactly."""
 
-    @pytest.mark.parametrize("sync_mode", ["barrier", "prereduce", "overlap"])
+    @pytest.mark.parametrize("sync_mode", ["barrier", "overlap"])
     @pytest.mark.parametrize("phase", ["sample", "merge"])
     def test_crash_recovers_bit_identically(self, corpus, sync_mode, phase):
         before = shm_segments()
@@ -163,7 +163,6 @@ class TestCuldaCrashRecovery:
             corpus,
             spec="worker_crash@phase=sample,iteration=0,worker=1",
             num_gpus=2, execution="process", num_workers=2,
-            sync_mode="prereduce",
         )
         assert np.array_equal(serial[0], hurt[0])
         assert serial[2] == hurt[2]
@@ -247,7 +246,6 @@ class TestRecoverySnapshot:
         "sync_mode, expected",
         [
             ("barrier", [(False, 2)] * 3),
-            ("prereduce", [(False, 2)] * 3),
             # the overlap pipeline refreshes from the second dispatch on
             ("overlap", [(False, 2), (True, 0), (True, 0)]),
         ],
@@ -275,21 +273,21 @@ class TestRecoverySnapshot:
 class TestMergeFaults:
     """Transient master-side sync failures are retried deterministically."""
 
-    @pytest.mark.parametrize("sync_mode,point_ctx", [
-        ("barrier", "sync=barrier"),
-        ("prereduce", "sync=prereduce"),
+    @pytest.mark.parametrize("execution,point_ctx", [
+        # serial execution keeps the replica-differencing merge; process
+        # execution always merges the workers' pre-reduced deltas
+        ("serial", "sync=barrier"),
+        ("process", "sync=prereduce"),
     ])
     def test_merge_fail_retried_bit_identically(
-        self, corpus, sync_mode, point_ctx
+        self, corpus, execution, point_ctx
     ):
         golden = run_culda(
-            corpus, num_gpus=2, execution="process", num_workers=2,
-            sync_mode=sync_mode,
+            corpus, num_gpus=2, execution=execution, num_workers=2,
         )
         hurt = run_culda(
             corpus, spec=f"merge_fail@{point_ctx}",
-            num_gpus=2, execution="process", num_workers=2,
-            sync_mode=sync_mode,
+            num_gpus=2, execution=execution, num_workers=2,
         )
         assert len(hurt[4]) == 1
         assert hurt[4][0]["error"].startswith("injected fault")

@@ -3,8 +3,7 @@
 The heavy lifting is statistical: for any token, the *marginal* of its
 new topic over repeated chunk passes (fresh RNG, same snapshot) must
 match the exact CGS conditional of Eq. 1 with the token's own count
-excluded — :func:`repro.core.sampler.conditional_distribution` is the
-dense oracle.
+excluded — :func:`conditional_distribution` below is the dense oracle.
 """
 
 from copy import deepcopy
@@ -21,11 +20,41 @@ from scipy import stats as sps
 import repro.core.sampler as sampler_mod
 from repro.core import TrainerConfig
 from repro.core.model import LdaState
-from repro.core.sampler import conditional_distribution, sample_chunk
+from repro.core.sampler import sample_chunk
 from repro.core.sparse import CsrCounts, from_assignments
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.perf import Workspace
+
+
+def conditional_distribution(
+    doc_theta_row: np.ndarray,
+    phi_col: np.ndarray,
+    topic_totals: np.ndarray,
+    z_current: int,
+    alpha: float,
+    beta: float,
+    num_words: int,
+) -> np.ndarray:
+    """Exact CGS conditional p(k) for one token (Eq. 1), normalised.
+
+    Dense reference the statistical tests validate the vectorised
+    sampler against: exclude the token's own count, then
+    ``p(k) ~ (theta[d,k] + alpha) * (phi[k,v] + beta) / (totals[k] + beta*V)``.
+    """
+    theta = doc_theta_row.astype(np.float64).copy()
+    phi_v = phi_col.astype(np.float64).copy()
+    totals = topic_totals.astype(np.float64).copy()
+    if theta[z_current] < 1 or phi_v[z_current] < 1 or totals[z_current] < 1:
+        raise ValueError("current topic not represented in the counts")
+    theta[z_current] -= 1.0
+    phi_v[z_current] -= 1.0
+    totals[z_current] -= 1.0
+    p = (theta + alpha) * (phi_v + beta) / (totals + beta * num_words)
+    total = p.sum()
+    if total <= 0:
+        raise ValueError("degenerate conditional distribution")
+    return p / total
 
 
 def make_state(corpus, num_topics=8, seed=0):

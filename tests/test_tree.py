@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from repro.core.tree import IndexTree, cdf_sample
+from repro.core.tree import IndexTree
 
 weights_strategy = hnp.arrays(
     dtype=np.float64,
@@ -28,6 +28,23 @@ def linear_search_reference(weights: np.ndarray, target: float) -> int:
         if target < acc:
             return k
     raise ValueError("target beyond total weight")
+
+
+def cdf_sample(
+    weights: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Flat prefix-sum sampling (no tree): ``searchsorted(cumsum, u*total)``.
+
+    The memory-hungry variant the index tree replaces; the statistical
+    tests use it as an oracle.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    cdf = np.cumsum(w)
+    total = cdf[-1]
+    if total <= 0:
+        raise ValueError("cannot sample from an all-zero weight vector")
+    idx = np.searchsorted(cdf, np.asarray(u) * total, side="right")
+    return np.clip(idx, 0, w.size - 1)
 
 
 def assert_search_equivalent(w, target, got, want):
