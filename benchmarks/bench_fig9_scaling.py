@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.metrics import scaling_table
 from repro.analysis.reporting import render_series, render_table
 from repro.core import CuLdaTrainer, TrainerConfig
+from repro.core.trainer import mean_tokens_per_sec
 from repro.corpus.synthetic import SyntheticSpec, generate_synthetic_corpus
 from repro.gpusim.platform import PASCAL_PLATFORM
 
@@ -80,7 +81,7 @@ def test_fig9a_throughput_curves(benchmark, capsys, scaling_runs):
 
 def test_fig9b_speedup(benchmark, capsys, scaling_runs):
     def run():
-        tps = {g: t.average_tokens_per_sec() for g, t in scaling_runs.items()}
+        tps = {g: mean_tokens_per_sec(t.history) for g, t in scaling_runs.items()}
         return scaling_table(tps)
 
     points = benchmark.pedantic(run, rounds=1, iterations=1)

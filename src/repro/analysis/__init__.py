@@ -9,19 +9,14 @@ _EXPORTS = {
     "table1_rows": "repro.analysis.roofline",
     "average_intensity": "repro.analysis.roofline",
     "is_memory_bound": "repro.analysis.roofline",
-    "attainable_gflops": "repro.analysis.roofline",
-    "tokens_per_sec_bound": "repro.analysis.roofline",
     "StepIntensity": "repro.analysis.roofline",
     "throughput_series": "repro.analysis.metrics",
     "convergence_series": "repro.analysis.metrics",
-    "average_throughput": "repro.analysis.metrics",
     "warmup_ratio": "repro.analysis.metrics",
     "scaling_table": "repro.analysis.metrics",
     "ScalingPoint": "repro.analysis.metrics",
-    "time_to_quality": "repro.analysis.metrics",
     "table5_fractions": "repro.analysis.breakdown",
     "full_fractions": "repro.analysis.breakdown",
-    "sampling_dominates": "repro.analysis.breakdown",
     "TABLE5_KERNELS": "repro.analysis.breakdown",
     "render_table": "repro.analysis.reporting",
     "render_series": "repro.analysis.reporting",
@@ -37,7 +32,6 @@ _EXPORTS = {
     "topic_diversity": "repro.analysis.topics",
     "topic_shares": "repro.analysis.topics",
     "effective_topics": "repro.analysis.topics",
-    "word_distribution": "repro.analysis.topics",
 }
 
 __all__ = list(_EXPORTS)

@@ -32,10 +32,3 @@ def full_fractions(trainer: CuLdaTrainer) -> dict[str, float]:
     if total <= 0:
         raise ValueError("trainer has no recorded time yet")
     return {k: v / total for k, v in sorted(merged.items())}
-
-
-def sampling_dominates(trainer: CuLdaTrainer, threshold: float = 0.5) -> bool:
-    """The paper's Table 5 claim: sampling is the dominant kernel."""
-    if not (0 < threshold < 1):
-        raise ValueError("threshold must be in (0, 1)")
-    return table5_fractions(trainer)["sampling"] >= threshold

@@ -39,13 +39,6 @@ def convergence_series(
     return np.asarray(t, dtype=np.float64), np.asarray(ll, dtype=np.float64)
 
 
-def average_throughput(history: list[IterationRecord], first_n: int = 100) -> float:
-    """Table 4 aggregate: mean tokens/sec of the first ``first_n`` iterations."""
-    if not history:
-        raise ValueError("empty history")
-    return float(throughput_series(history)[:first_n].mean())
-
-
 def warmup_ratio(history: list[IterationRecord], head: int = 5) -> float:
     """Steady-state / initial throughput ratio.
 
@@ -86,16 +79,3 @@ def scaling_table(
         )
         for g, tp in sorted(throughputs.items())
     ]
-
-
-def time_to_quality(
-    history: list[IterationRecord], target_ll: float
-) -> float | None:
-    """Simulated seconds until log-likelihood/token first reaches target.
-
-    The Figure 8 comparison in one number; None if never reached.
-    """
-    for r in history:
-        if r.log_likelihood_per_token is not None and r.log_likelihood_per_token >= target_ll:
-            return r.cumulative_seconds
-    return None

@@ -92,32 +92,3 @@ def is_memory_bound(
     if intensity < 0:
         raise ValueError("intensity must be non-negative")
     return intensity < processor.machine_balance
-
-
-def attainable_gflops(
-    processor: CpuSpec | DeviceSpec, intensity: float | None = None
-) -> float:
-    """Roofline attainable performance: min(peak, intensity * BW)."""
-    if intensity is None:
-        intensity = average_intensity()
-    return min(
-        processor.peak_gflops,
-        intensity * processor.mem_bandwidth_gbps,
-    )
-
-
-def tokens_per_sec_bound(
-    processor: CpuSpec | DeviceSpec,
-    bytes_per_token: float,
-    efficiency: float = 1.0,
-) -> float:
-    """Bandwidth-limited throughput ceiling for a given per-token traffic.
-
-    The first-order predictor behind every performance number in the
-    reproduction: ``BW * eff / bytes_per_token``.
-    """
-    if bytes_per_token <= 0:
-        raise ValueError("bytes_per_token must be positive")
-    if not (0 < efficiency <= 1):
-        raise ValueError("efficiency must be in (0, 1]")
-    return processor.mem_bandwidth_gbps * 1e9 * efficiency / bytes_per_token

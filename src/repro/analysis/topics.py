@@ -91,11 +91,3 @@ def effective_topics(state: LdaState) -> float:
     p = topic_shares(state)
     nz = p[p > 0]
     return float(np.exp(-(nz * np.log(nz)).sum()))
-
-
-def word_distribution(state: LdaState, topic: int) -> np.ndarray:
-    """Smoothed p(w | topic) (the phi row normalised with beta)."""
-    if not (0 <= topic < state.num_topics):
-        raise IndexError(f"topic {topic} out of range")
-    row = state.phi[topic].astype(np.float64) + state.beta
-    return row / row.sum()

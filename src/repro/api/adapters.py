@@ -1,14 +1,10 @@
-"""Adapters translating each concrete trainer onto the unified protocol.
+"""The adapter translating every concrete trainer onto the unified protocol.
 
-Two shapes cover all seven algorithms:
-
-- :class:`HistoryTrainerAdapter` — for trainers that already expose
-  ``train(n, compute_likelihood_every=...)`` and a ``history`` of
-  :class:`~repro.core.trainer.IterationRecord` on a simulated clock
-  (CuLDA, SaberLDA, WarpLDA, LightLDA, LDA*);
-- :class:`SweepTrainerAdapter` — for the sequential samplers that only
-  expose ``sweep()`` (plain CGS, SparseLDA); their records are built
-  here, timed on the wall clock (they have no simulated one).
+All seven trainers share one native surface: ``train(n,
+compute_likelihood_every=...)`` appends one
+:class:`~repro.core.trainer.IterationRecord` per iteration to their
+``history`` list, and ``state`` is the model.  :class:`HistoryTrainerAdapter`
+turns that surface into an :class:`~repro.api.protocol.LdaTrainer`.
 
 Unknown attributes delegate to the wrapped trainer, so
 algorithm-specific surfaces (``outcomes``, ``kernel_breakdown``,
@@ -17,20 +13,16 @@ algorithm-specific surfaces (``outcomes``, ``kernel_breakdown``,
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from typing import Any
 
-import numpy as np
-
 from repro.api.protocol import IterationRecord, LdaTrainer
-from repro.core.likelihood import ensure_finite
 
-__all__ = ["HistoryTrainerAdapter", "SweepTrainerAdapter"]
+__all__ = ["HistoryTrainerAdapter"]
 
 
-class _DelegatingAdapter(LdaTrainer):
-    """Shared plumbing: identity, option echo, attribute delegation."""
+class HistoryTrainerAdapter(LdaTrainer):
+    """Wrap a trainer with a native ``train``/``history`` surface."""
 
     def __init__(
         self,
@@ -45,20 +37,17 @@ class _DelegatingAdapter(LdaTrainer):
         self._options = dict(options)
 
     def describe(self) -> dict[str, Any]:
-        info = {
+        return {
             "name": self.name,
             "description": self.description,
             "options": dict(self._options),
             "implementation": type(self.inner).__name__,
+            "native": self.inner.describe(),
         }
-        native = getattr(self.inner, "describe", None)
-        if callable(native):
-            info["native"] = native()
-        return info
 
     def _export_metadata(self) -> dict[str, Any]:
         # The shared export_model default does the artifact work; the
-        # adapters only add their normalized construction options.
+        # adapter only adds the normalized construction options.
         meta = super()._export_metadata()
         meta["options"] = dict(self._options)
         return meta
@@ -66,21 +55,6 @@ class _DelegatingAdapter(LdaTrainer):
     def __getattr__(self, attr: str) -> Any:
         # Only called for attributes not found on the adapter itself.
         return getattr(self.inner, attr)
-
-
-class HistoryTrainerAdapter(_DelegatingAdapter):
-    """Wrap a trainer with a native ``train``/``history`` surface."""
-
-    def __init__(
-        self,
-        inner: Any,
-        name: str,
-        description: str,
-        options: Mapping[str, Any],
-        state_attr: str = "state",
-    ):
-        super().__init__(inner, name, description, options)
-        self._state_attr = state_attr
 
     @property
     def history(self) -> list[IterationRecord]:
@@ -94,7 +68,7 @@ class HistoryTrainerAdapter(_DelegatingAdapter):
 
     @property
     def state(self) -> Any:
-        return getattr(self.inner, self._state_attr)
+        return self.inner.state
 
     @property
     def num_tokens(self) -> int:
@@ -105,12 +79,7 @@ class HistoryTrainerAdapter(_DelegatingAdapter):
     ) -> list[IterationRecord]:
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
-        before = len(self.inner.history)
-        self.inner.train(
-            num_iterations,
-            compute_likelihood_every=1 if compute_likelihood else 0,
-        )
-        return list(self.inner.history[before:])
+        return self._fit_span(num_iterations, 1 if compute_likelihood else 0)
 
     def _fit_span(
         self, num_iterations: int, likelihood_every: int
@@ -123,75 +92,3 @@ class HistoryTrainerAdapter(_DelegatingAdapter):
             num_iterations, compute_likelihood_every=likelihood_every
         )
         return list(self.inner.history[before:])
-
-
-class SweepTrainerAdapter(_DelegatingAdapter):
-    """Wrap a sequential sampler exposing ``sweep()`` and ``model``.
-
-    Builds the unified records itself: throughput against wall-clock
-    time, LL/token from the model, theta density and (when the sampler
-    tracks it) the sparse-bucket fraction.
-    """
-
-    @property
-    def history(self) -> list[IterationRecord]:
-        return self._records
-
-    @property
-    def state(self) -> Any:
-        return self.inner.model
-
-    @property
-    def num_tokens(self) -> int:
-        return int(self.inner.corpus.num_tokens)
-
-    def __init__(self, inner, name, description, options):
-        super().__init__(inner, name, description, options)
-        self._records: list[IterationRecord] = []
-        self._elapsed = 0.0
-
-    def partial_fit(
-        self, num_iterations: int = 1, compute_likelihood: bool = True
-    ) -> list[IterationRecord]:
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        model = self.inner.model
-        total = self.num_tokens
-        new: list[IterationRecord] = []
-        for _ in range(num_iterations):
-            z_before = model.z.copy()
-            t0 = time.perf_counter()
-            self.inner.sweep()
-            dur = max(time.perf_counter() - t0, 1e-9)
-            self._elapsed += dur
-            ll = (
-                ensure_finite(
-                    model.log_likelihood_per_token(),
-                    iteration=len(self._records),
-                )
-                if compute_likelihood
-                else None
-            )
-            theta = model.theta
-            mean_kd = (
-                float(np.count_nonzero(theta) / theta.shape[0])
-                if theta.shape[0]
-                else 0.0
-            )
-            rec = IterationRecord(
-                iteration=len(self._records),
-                sim_seconds=dur,
-                cumulative_seconds=self._elapsed,
-                tokens_per_sec=total / dur if total else 0.0,
-                log_likelihood_per_token=ll,
-                mean_kd=mean_kd,
-                p1_fraction=float(getattr(self.inner, "last_p1_fraction", 0.0)),
-                changed_fraction=(
-                    float(np.count_nonzero(model.z != z_before)) / total
-                    if total
-                    else 0.0
-                ),
-            )
-            self._records.append(rec)
-            new.append(rec)
-        return new

@@ -2,13 +2,13 @@
 
 Each factory normalizes the unified keyword surface (``topics``,
 ``alpha``, ``beta``, ``seed`` plus per-algorithm extras) into the
-concrete trainer's native config and wraps it in the matching adapter.
+concrete trainer's native config and wraps it in the one adapter.
 Imported lazily by :mod:`repro.api.registry` on first lookup.
 """
 
 from __future__ import annotations
 
-from repro.api.adapters import HistoryTrainerAdapter, SweepTrainerAdapter
+from repro.api.adapters import HistoryTrainerAdapter
 from repro.api.registry import register_algorithm
 from repro.baselines.ldastar import LdaStarTrainer
 from repro.baselines.lightlda import LightLdaTrainer
@@ -118,7 +118,6 @@ def _make_culda(
         options={"topics": topics, "gpus": gpus, "chunks_per_gpu": chunks_per_gpu,
                  "execution": execution, "num_workers": num_workers,
                  "sync_mode": sync_mode, "seed": seed},
-        state_attr="state",
     )
 
 
@@ -146,7 +145,6 @@ def _make_saberlda(
         name="saberlda",
         description=SaberLdaTrainer.DESCRIPTION,
         options={"topics": topics, "seed": seed},
-        state_attr="state",
     )
 
 
@@ -208,7 +206,6 @@ def _make_ldastar(
         options={"topics": topics, "workers": workers,
                  "execution": execution, "num_workers": num_workers,
                  "sync_mode": sync_mode, "seed": seed},
-        state_attr="state",
     )
 
 
@@ -243,7 +240,6 @@ def _make_warplda(
         name="warplda",
         description=WarpLdaTrainer.DESCRIPTION,
         options={"topics": topics, "mh_rounds": mh_rounds, "seed": seed},
-        state_attr="model",
     )
 
 
@@ -271,7 +267,6 @@ def _make_lightlda(
         name="lightlda",
         description=LightLdaTrainer.DESCRIPTION,
         options={"topics": topics, "seed": seed},
-        state_attr="model",
     )
 
 
@@ -289,7 +284,7 @@ def _make_plain_cgs(
     inner = PlainCgsSampler(
         corpus, num_topics=topics, alpha=alpha, beta=beta, seed=seed
     )
-    return SweepTrainerAdapter(
+    return HistoryTrainerAdapter(
         inner,
         name="plain_cgs",
         description=PlainCgsSampler.DESCRIPTION,
@@ -320,7 +315,7 @@ def _make_sparselda(
         corpus, num_topics=topics, alpha=alpha, beta=beta, seed=seed,
         batch_words=batch_words,
     )
-    return SweepTrainerAdapter(
+    return HistoryTrainerAdapter(
         inner,
         name="sparselda",
         description=SparseLdaSampler.DESCRIPTION,

@@ -1,10 +1,9 @@
 """The unified trainer protocol: one surface for every LDA system.
 
-The seed grew seven trainers with seven surfaces: ``CuLdaTrainer.train``
-returns ``list[IterationRecord]``, the sequential samplers return bare
-``list[float]`` likelihood curves, and each baseline carries a bespoke
-constructor.  This module defines the single contract they all now
-implement:
+Every concrete trainer appends one
+:class:`~repro.core.trainer.IterationRecord` per iteration to its
+``history`` from ``train``, but each carries its own constructor.  This
+module defines the single contract the registry puts in front of them:
 
 - :class:`LdaTrainer` — the abstract trainer: ``fit`` / ``partial_fit`` /
   ``state`` / ``describe``;
@@ -12,7 +11,7 @@ implement:
   per-iteration :class:`~repro.core.trainer.IterationRecord` list
   (throughput, LL/token, sparsity) plus summary helpers.
 
-Concrete wrappers over the existing trainers live in
+The one wrapper over the concrete trainers lives in
 :mod:`repro.api.adapters`; construction by name goes through
 :mod:`repro.api.registry`.
 """
@@ -24,10 +23,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.api.callbacks import Callback, likelihood_needed
-from repro.core.trainer import IterationRecord
+from repro.core.trainer import IterationRecord, mean_tokens_per_sec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model import TopicModel
@@ -72,10 +69,7 @@ class TrainResult:
         return float(sum(r.sim_seconds for r in self.records))
 
     def average_tokens_per_sec(self, first_n: int | None = None) -> float:
-        records = self.records if first_n is None else self.records[:first_n]
-        if not records:
-            raise ValueError("no iterations recorded")
-        return float(np.mean([r.tokens_per_sec for r in records]))
+        return mean_tokens_per_sec(self.records, first_n)
 
     def summary(self) -> dict[str, Any]:
         """Scalar digest used by the CLI and reports."""
@@ -145,10 +139,7 @@ class LdaTrainer(abc.ABC):
 
     def average_tokens_per_sec(self, first_n: int | None = None) -> float:
         """Mean per-iteration throughput over the full history."""
-        records = self.history if first_n is None else self.history[:first_n]
-        if not records:
-            raise ValueError("no iterations recorded yet")
-        return float(np.mean([r.tokens_per_sec for r in records]))
+        return mean_tokens_per_sec(self.history, first_n)
 
     def _export_metadata(self) -> dict[str, Any]:
         """Provenance recorded in :meth:`export_model` artifacts.

@@ -13,7 +13,7 @@ every system behind one keyword surface; the trainer classes themselves
 live in their implementation modules.
 """
 
-from repro.baselines.alias import AliasTable, build_alias_columns
+from repro.baselines.alias import AliasTable
 from repro.baselines.plain_cgs import PlainCgsModel
 
-__all__ = ["AliasTable", "build_alias_columns", "PlainCgsModel"]
+__all__ = ["AliasTable", "PlainCgsModel"]

@@ -68,15 +68,6 @@ class AliasTable:
         return np.where(coins < self.prob[slots], slots, self.alias[slots])
 
 
-def build_alias_columns(matrix: np.ndarray, offset: float) -> list[AliasTable]:
-    """One alias table per column of ``matrix + offset`` (per-word tables)."""
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    return [AliasTable(matrix[:, j].astype(np.float64) + offset) for j in range(matrix.shape[1])]
-
-
 def build_alias_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Vose build: one alias table per **row** of ``weights``.
 

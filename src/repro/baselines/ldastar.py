@@ -19,19 +19,21 @@ charges per iteration:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.config import TrainerConfig
 from repro.core.costs import SamplingStats, int_bytes, sampling_cost, tree_depth_for
 from repro.core.likelihood import (
-    ensure_finite,
     likelihood_due,
+    log_likelihood_from_terms,
     log_likelihood_per_token,
 )
 from repro.core.model import LdaState
 from repro.core.rng import RngPool
 from repro.core.scheduler import chunk_pass
-from repro.core.trainer import IterationRecord
+from repro.core.trainer import IterationRecord, iteration_record
 from repro.corpus.document import Corpus
 from repro.corpus.partition import partition_by_tokens
 from repro.gpusim.cache import cpu_cache_bandwidth_factor
@@ -301,17 +303,15 @@ class LdaStarTrainer:
         engine.dispatch_iteration(it, want_ll=want_ll)
 
     def _assemble_likelihood(self, results) -> float:
-        """Joint likelihood from worker-evaluated doc terms (see
+        """Joint likelihood per token from worker-evaluated doc terms (see
         :func:`repro.core.likelihood.log_likelihood_from_terms`)."""
-        from repro.core.likelihood import log_likelihood_from_terms
-
         terms = [results[w].ll_terms for w in range(self.num_workers)]
         if any(t is None for t in terms):  # pragma: no cover - mismatch
             raise RuntimeError(
                 "likelihood requested but the workers were not asked "
                 "for doc terms this iteration"
             )
-        return log_likelihood_from_terms(self.state, terms)
+        return log_likelihood_from_terms(self.state, terms) / self.state.num_tokens
 
     def train(
         self, num_iterations: int, compute_likelihood_every: int = 1
@@ -350,46 +350,26 @@ class LdaStarTrainer:
                 if pipeline and n + 1 < num_iterations:
                     self._dispatch_process(engine, it + 1, needs_ll(it + 1))
                     inflight = it + 1
-                ll = (
-                    ensure_finite(
-                        self._assemble_likelihood(results) / total_tokens,
-                        iteration=it,
-                    )
-                    if need_ll else None
-                )
+                likelihood = partial(self._assemble_likelihood, results)
             else:
                 worker_times, changed_total, sum_kd = (
                     self._sample_workers_serial(it)
                 )
-                ll = (
-                    ensure_finite(
-                        log_likelihood_per_token(self.state), iteration=it
-                    )
-                    if need_ll else None
-                )
+                likelihood = partial(log_likelihood_per_token, self.state)
 
             dur = max(worker_times) + self._network_seconds(changed_total)
             self._sim_time += dur
             self.history.append(
-                IterationRecord(
-                    iteration=it,
-                    sim_seconds=dur,
-                    cumulative_seconds=self._sim_time,
-                    tokens_per_sec=total_tokens / dur,
-                    log_likelihood_per_token=ll,
-                    mean_kd=sum_kd / total_tokens if total_tokens else 0.0,
-                    p1_fraction=0.0,
-                    changed_fraction=changed_total / total_tokens if total_tokens else 0.0,
+                iteration_record(
+                    it, dur, self._sim_time, total_tokens,
+                    likelihood=likelihood,
+                    likelihood_every=compute_likelihood_every,
+                    sum_kd=sum_kd,
+                    changed_tokens=changed_total,
                 )
             )
             self._iterations_done += 1
         return self.history
-
-    def average_tokens_per_sec(self, first_n: int | None = None) -> float:
-        records = self.history if first_n is None else self.history[:first_n]
-        if not records:
-            raise ValueError("no iterations recorded yet")
-        return float(np.mean([r.tokens_per_sec for r in records]))
 
     def describe(self) -> dict:
         """Identity and effective configuration (unified API contract)."""

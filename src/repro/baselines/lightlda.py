@@ -21,16 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.alias import build_alias_tables
-from repro.baselines.plain_cgs import PlainCgsModel
+from repro.baselines.warplda import CycleProposalTrainer
 from repro.corpus.document import Corpus
-from repro.core.trainer import IterationRecord
 from repro.gpusim.cache import cpu_cache_bandwidth_factor
 from repro.gpusim.clock import KernelCost, cpu_kernel_time
 from repro.gpusim.platform import XEON_E5_2650_V3
 from repro.gpusim.spec import CpuSpec
 
 
-class LightLdaTrainer:
+class LightLdaTrainer(CycleProposalTrainer):
     """Alias-MH LDA trainer with a simulated CPU clock."""
 
     DESCRIPTION = "LightLDA-style alias-table MH baseline (O(1) word proposals)"
@@ -44,31 +43,7 @@ class LightLdaTrainer:
         seed: int = 0,
         cpu: CpuSpec = XEON_E5_2650_V3,
     ):
-        if num_topics < 2:
-            raise ValueError("num_topics must be >= 2")
-        self.corpus = corpus
-        self.k = num_topics
-        self.alpha = alpha if alpha is not None else 50.0 / num_topics
-        self.beta = beta if beta is not None else 0.01
-        self.cpu = cpu
-        self.rng = np.random.default_rng(seed)
-        t = corpus.num_tokens
-        self.doc_ids = corpus.token_doc_ids().astype(np.int64)
-        self.word_ids = corpus.word_ids.astype(np.int64)
-        self.doc_offsets = corpus.doc_offsets
-        self.doc_lengths = corpus.doc_lengths().astype(np.int64)
-        z = self.rng.integers(0, num_topics, size=t)
-        theta = np.zeros((corpus.num_docs, num_topics), dtype=np.int64)
-        phi = np.zeros((num_topics, corpus.num_words), dtype=np.int64)
-        np.add.at(theta, (self.doc_ids, z), 1)
-        np.add.at(phi, (z, self.word_ids), 1)
-        self.model = PlainCgsModel(
-            z=z, theta=theta, phi=phi, topic_totals=phi.sum(axis=1),
-            alpha=self.alpha, beta=self.beta,
-        )
-        self.history: list[IterationRecord] = []
-        self._sim_time = 0.0
-        self._iterations_done = 0
+        super().__init__(corpus, num_topics, alpha, beta, seed, cpu)
         # word-sorted token index, fixed for the whole run
         self._order = np.argsort(self.word_ids, kind="stable")
         self._bounds = np.searchsorted(
@@ -126,48 +101,6 @@ class LightLdaTrainer:
         accept = self.rng.random(m.z.shape[0]) * den < num
         self._apply(np.where(accept, proposal, m.z))
 
-    def _doc_proposal_pass(self) -> None:
-        """Cycle partner: the doc proposal (as in the WarpLDA module)."""
-        m = self.model
-        t = m.z.shape[0]
-        beta_v = self.beta * self.corpus.num_words
-        l_d = self.doc_lengths[self.doc_ids]
-        smooth = self.rng.random(t) * (self.alpha * self.k + l_d) < (
-            self.alpha * self.k
-        )
-        rand_pos = self.doc_offsets[self.doc_ids] + (
-            self.rng.random(t) * l_d
-        ).astype(np.int64)
-        proposal = np.where(
-            smooth,
-            self.rng.integers(0, self.k, size=t),
-            m.z[np.minimum(rand_pos, self.doc_offsets[self.doc_ids + 1] - 1)],
-        )
-        num = (m.phi[proposal, self.word_ids] + self.beta) * (
-            m.topic_totals[m.z] + beta_v
-        )
-        den = (m.phi[m.z, self.word_ids] + self.beta) * (
-            m.topic_totals[proposal] + beta_v
-        )
-        accept = self.rng.random(t) * den < num
-        self._apply(np.where(accept, proposal, m.z))
-
-    def _apply(self, z_new: np.ndarray) -> None:
-        m = self.model
-        changed = z_new != m.z
-        if np.any(changed):
-            d = self.doc_ids[changed]
-            v = self.word_ids[changed]
-            zo = m.z[changed]
-            zn = z_new[changed]
-            np.subtract.at(m.theta, (d, zo), 1)
-            np.add.at(m.theta, (d, zn), 1)
-            np.subtract.at(m.phi, (zo, v), 1)
-            np.add.at(m.phi, (zn, v), 1)
-            m.topic_totals -= np.bincount(zo, minlength=self.k)
-            m.topic_totals += np.bincount(zn, minlength=self.k)
-        m.z = z_new.copy()
-
     def _iteration_seconds(self) -> float:
         """O(1)-per-token MH + O(V*K) alias rebuild, CPU roofline."""
         t = self.corpus.num_tokens
@@ -182,50 +115,7 @@ class LightLdaTrainer:
         )
         return cpu_kernel_time(self.cpu, cost.scaled(1.0 / min(factor, 8.0)))
 
-    def train(
-        self, num_iterations: int, compute_likelihood_every: int = 1
-    ) -> list[IterationRecord]:
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        t = self.corpus.num_tokens
-        for _ in range(num_iterations):
-            it = self._iterations_done
-            self._doc_proposal_pass()
-            self._word_alias_pass()
-            dur = self._iteration_seconds()
-            self._sim_time += dur
-            ll = None
-            if compute_likelihood_every and (it + 1) % compute_likelihood_every == 0:
-                ll = self.model.log_likelihood_per_token()
-            self.history.append(
-                IterationRecord(
-                    iteration=it,
-                    sim_seconds=dur,
-                    cumulative_seconds=self._sim_time,
-                    tokens_per_sec=t / dur,
-                    log_likelihood_per_token=ll,
-                    mean_kd=float(
-                        np.count_nonzero(self.model.theta) / self.model.theta.shape[0]
-                    ),
-                    p1_fraction=0.0,
-                    changed_fraction=0.0,
-                )
-            )
-            self._iterations_done += 1
-        return self.history
-
-    def average_tokens_per_sec(self, first_n: int | None = None) -> float:
-        records = self.history if first_n is None else self.history[:first_n]
-        if not records:
-            raise ValueError("no iterations recorded yet")
-        return float(np.mean([r.tokens_per_sec for r in records]))
-
-    def describe(self) -> dict:
-        """Identity and effective configuration (unified API contract)."""
-        return {
-            "description": self.DESCRIPTION,
-            "num_topics": self.k,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "cpu": self.cpu.name,
-        }
+    def _iterate(self) -> float:
+        self._doc_proposal_pass()
+        self._word_alias_pass()
+        return self._iteration_seconds()

@@ -11,11 +11,13 @@ Intentionally simple and slow; use only on small corpora.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core.trainer import IterationRecord, iteration_record
 from repro.corpus.document import Corpus
 from repro.perf import counts_of_counts_lngamma
 
@@ -58,14 +60,14 @@ class PlainCgsModel:
         return (word + doc) / self.z.shape[0]
 
 
-class PlainCgsSampler:
-    """Exact sequential CGS trainer.
+class DenseStateTrainer:
+    """The shared surface of the trainers on a dense :class:`PlainCgsModel`.
 
-    Parameters mirror :class:`~repro.core.config.TrainerConfig` defaults
-    (``alpha = 50/K``, ``beta = 0.01``).
+    Builds the random initial state (one uniform topic per token, counts
+    scattered from it), keeps ``history`` and runs the ``train`` loop.
+    Plain CGS, SparseLDA, WarpLDA and LightLDA differ only in
+    :meth:`_iterate`.
     """
-
-    DESCRIPTION = "Exact sequential collapsed Gibbs sampling (correctness oracle)"
 
     def __init__(
         self,
@@ -82,22 +84,96 @@ class PlainCgsSampler:
         self.alpha = alpha if alpha is not None else 50.0 / num_topics
         self.beta = beta if beta is not None else 0.01
         self.rng = np.random.default_rng(seed)
-        t = corpus.num_tokens
         self.doc_ids = corpus.token_doc_ids().astype(np.int64)
         self.word_ids = corpus.word_ids.astype(np.int64)
-        z = self.rng.integers(0, num_topics, size=t)
+        z = self.rng.integers(0, num_topics, size=corpus.num_tokens)
         theta = np.zeros((corpus.num_docs, num_topics), dtype=np.int64)
         phi = np.zeros((num_topics, corpus.num_words), dtype=np.int64)
         np.add.at(theta, (self.doc_ids, z), 1)
         np.add.at(phi, (z, self.word_ids), 1)
         self.model = PlainCgsModel(
-            z=z,
-            theta=theta,
-            phi=phi,
-            topic_totals=phi.sum(axis=1),
-            alpha=self.alpha,
-            beta=self.beta,
+            z=z, theta=theta, phi=phi, topic_totals=phi.sum(axis=1),
+            alpha=self.alpha, beta=self.beta,
         )
+        self.history: list[IterationRecord] = []
+        self._clock = 0.0
+        #: draws of the last sweep resolved in the sparse bucket
+        self._p1_draws = 0
+
+    @property
+    def state(self) -> PlainCgsModel:
+        return self.model
+
+    def _iterate(self) -> float:
+        """One iteration; returns its duration in seconds.
+
+        The sequential samplers have no simulated clock, so by default
+        one :meth:`sweep` is timed on the wall clock.
+        """
+        t0 = time.perf_counter()  # repro: noqa[RPR103] no simulated clock
+        self.sweep()
+        t1 = time.perf_counter()  # repro: noqa[RPR103] no simulated clock
+        return max(t1 - t0, 1e-9)
+
+    def train(
+        self, num_iterations: int, compute_likelihood_every: int = 1
+    ) -> list[IterationRecord]:
+        """Run iterations; returns the whole history."""
+        if num_iterations < 0:
+            raise ValueError("num_iterations must be non-negative")
+        m = self.model
+        for _ in range(num_iterations):
+            z_before = m.z.copy()
+            seconds = self._iterate()
+            self._clock += seconds
+            self.history.append(
+                iteration_record(
+                    len(self.history), seconds, self._clock,
+                    self.corpus.num_tokens,
+                    likelihood=m.log_likelihood_per_token,
+                    likelihood_every=compute_likelihood_every,
+                    sum_kd=int(np.count_nonzero(m.theta)),
+                    kd_rows=m.theta.shape[0],
+                    p1_draws=self._p1_draws,
+                    changed_tokens=int(np.count_nonzero(m.z != z_before)),
+                )
+            )
+        return self.history
+
+    def describe(self) -> dict:
+        """Identity and effective configuration (unified API contract)."""
+        return {
+            "description": self.DESCRIPTION,
+            "num_topics": self.k,
+            "alpha": self.alpha,
+            "beta": self.beta,
+        }
+
+    def validate(self) -> None:
+        """Invariant check: counts consistent with assignments."""
+        m = self.model
+        theta = np.zeros_like(m.theta)
+        phi = np.zeros_like(m.phi)
+        np.add.at(theta, (self.doc_ids, m.z), 1)
+        np.add.at(phi, (m.z, self.word_ids), 1)
+        if not (
+            np.array_equal(theta, m.theta)
+            and np.array_equal(phi, m.phi)
+            and np.array_equal(phi.sum(axis=1), m.topic_totals)
+        ):
+            raise AssertionError(
+                f"{type(self).__name__} counts out of sync with assignments"
+            )
+
+
+class PlainCgsSampler(DenseStateTrainer):
+    """Exact sequential CGS trainer.
+
+    Parameters mirror :class:`~repro.core.config.TrainerConfig` defaults
+    (``alpha = 50/K``, ``beta = 0.01``).
+    """
+
+    DESCRIPTION = "Exact sequential collapsed Gibbs sampling (correctness oracle)"
 
     def sweep(self) -> None:
         """One full CGS iteration: every token resampled, exactly.
@@ -163,36 +239,3 @@ class PlainCgsSampler:
             m.z[lo:hi] = z
         m.phi[...] = phi_t.T
         m.topic_totals[...] = totals
-
-    def train(self, num_iterations: int) -> list[float]:
-        """Run sweeps; returns log-likelihood per token after each."""
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        out = []
-        for _ in range(num_iterations):
-            self.sweep()
-            out.append(self.model.log_likelihood_per_token())
-        return out
-
-    def describe(self) -> dict:
-        """Identity and effective configuration (unified API contract)."""
-        return {
-            "description": self.DESCRIPTION,
-            "num_topics": self.k,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-
-    def validate(self) -> None:
-        """Invariant check: counts consistent with assignments."""
-        m = self.model
-        theta = np.zeros_like(m.theta)
-        phi = np.zeros_like(m.phi)
-        np.add.at(theta, (self.doc_ids, m.z), 1)
-        np.add.at(phi, (m.z, self.word_ids), 1)
-        if not (
-            np.array_equal(theta, m.theta)
-            and np.array_equal(phi, m.phi)
-            and np.array_equal(phi.sum(axis=1), m.topic_totals)
-        ):
-            raise AssertionError("plain CGS counts out of sync with assignments")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.plain_cgs import _SWEEP_BLOCK, PlainCgsModel
+from repro.baselines.plain_cgs import _SWEEP_BLOCK, DenseStateTrainer
 from repro.core.sampler import sample_chunk
 from repro.core.sparse import from_assignments
 from repro.corpus.document import Corpus
@@ -37,7 +37,7 @@ from repro.corpus.partition import ChunkSpec
 from repro.perf import Workspace
 
 
-class SparseLdaSampler:
+class SparseLdaSampler(DenseStateTrainer):
     """S/Q bucket sampler: sequential-exact or word-batched sweeps."""
 
     DESCRIPTION = "SparseLDA-style S/Q bucket sampler (Yao et al.)"
@@ -51,32 +51,18 @@ class SparseLdaSampler:
         seed: int = 0,
         batch_words: bool = False,
     ):
-        if num_topics < 2:
-            raise ValueError("num_topics must be >= 2")
-        self.corpus = corpus
-        self.k = num_topics
-        self.alpha = alpha if alpha is not None else 50.0 / num_topics
-        self.beta = beta if beta is not None else 0.01
+        super().__init__(corpus, num_topics, alpha, beta, seed)
         self.batch_words = bool(batch_words)
-        self.rng = np.random.default_rng(seed)
-        t = corpus.num_tokens
-        self.doc_ids = corpus.token_doc_ids().astype(np.int64)
-        self.word_ids = corpus.word_ids.astype(np.int64)
-        z = self.rng.integers(0, num_topics, size=t)
-        theta = np.zeros((corpus.num_docs, num_topics), dtype=np.int64)
-        phi = np.zeros((num_topics, corpus.num_words), dtype=np.int64)
-        np.add.at(theta, (self.doc_ids, z), 1)
-        np.add.at(phi, (z, self.word_ids), 1)
-        self.model = PlainCgsModel(
-            z=z, theta=theta, phi=phi, topic_totals=phi.sum(axis=1),
-            alpha=self.alpha, beta=self.beta,
-        )
-        #: per-sweep tally of draws resolved in the sparse bucket.
-        self.last_p1_fraction = 0.0
         # word-batched substrate, built on first batched sweep
         self._chunk = None
         self._order = None
         self._workspace: Workspace | None = None
+
+    @property
+    def last_p1_fraction(self) -> float:
+        """Share of the last sweep's draws resolved in the sparse bucket."""
+        t = self.corpus.num_tokens
+        return self._p1_draws / t if t else 0.0
 
     def sweep(self) -> None:
         """One iteration over every token (mode set by ``batch_words``)."""
@@ -150,7 +136,7 @@ class SparseLdaSampler:
             m.z[lo:hi] = z
         m.phi[...] = phi_t.T
         m.topic_totals[...] = totals
-        self.last_p1_fraction = p1_draws / max(1, t)
+        self._p1_draws = p1_draws
 
     # -- word-batched mode -------------------------------------------------
 
@@ -202,41 +188,8 @@ class SparseLdaSampler:
         m.theta[...] = np.bincount(
             self.doc_ids * k + m.z, minlength=self.corpus.num_docs * k
         ).reshape(self.corpus.num_docs, k)
-        stats = result.stats
-        self.last_p1_fraction = (
-            stats.num_p1_draws / stats.num_tokens if stats.num_tokens else 0.0
-        )
-
-    def train(self, num_iterations: int) -> list[float]:
-        """Run sweeps; returns log-likelihood per token after each."""
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        out = []
-        for _ in range(num_iterations):
-            self.sweep()
-            out.append(self.model.log_likelihood_per_token())
-        return out
+        self._p1_draws = result.stats.num_p1_draws
 
     def describe(self) -> dict:
         """Identity and effective configuration (unified API contract)."""
-        return {
-            "description": self.DESCRIPTION,
-            "num_topics": self.k,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "batch_words": self.batch_words,
-        }
-
-    def validate(self) -> None:
-        """Invariant check: counts consistent with assignments."""
-        m = self.model
-        theta = np.zeros_like(m.theta)
-        phi = np.zeros_like(m.phi)
-        np.add.at(theta, (self.doc_ids, m.z), 1)
-        np.add.at(phi, (m.z, self.word_ids), 1)
-        if not (
-            np.array_equal(theta, m.theta)
-            and np.array_equal(phi, m.phi)
-            and np.array_equal(phi.sum(axis=1), m.topic_totals)
-        ):
-            raise AssertionError("SparseLDA counts out of sync with assignments")
+        return {**super().describe(), "batch_words": self.batch_words}

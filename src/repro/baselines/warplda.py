@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.plain_cgs import PlainCgsModel
+from repro.baselines.plain_cgs import DenseStateTrainer
 from repro.corpus.document import Corpus
-from repro.core.trainer import IterationRecord
 from repro.gpusim.cache import cpu_cache_bandwidth_factor
 from repro.gpusim.clock import KernelCost, cpu_kernel_time
 from repro.gpusim.platform import XEON_E5_2690_V4
@@ -62,7 +61,81 @@ class WarpLdaConfig:
         return self.beta if self.beta is not None else 0.01
 
 
-class WarpLdaTrainer:
+class CycleProposalTrainer(DenseStateTrainer):
+    """The doc-proposal MH pass and delayed count update that WarpLDA and
+    LightLDA share; each adds its own word proposal and CPU clock."""
+
+    def __init__(
+        self,
+        corpus: Corpus,
+        num_topics: int,
+        alpha: float | None,
+        beta: float | None,
+        seed: int,
+        cpu: CpuSpec,
+    ):
+        super().__init__(corpus, num_topics, alpha, beta, seed)
+        self.cpu = cpu
+        self.doc_offsets = corpus.doc_offsets
+        self.doc_lengths = corpus.doc_lengths().astype(np.int64)
+
+    def _doc_proposal_pass(self) -> None:
+        """Propose from q(k) ~ theta[d,k] + alpha for every token at once.
+
+        Drawing from theta+alpha without materialising it: with prob
+        ``alpha*K / (alpha*K + L_d)`` a uniform topic, otherwise the topic
+        of a uniformly chosen token of the same document (whose topics
+        *are* the theta counts).  Acceptance keeps only the phi/totals
+        ratio — the theta terms cancel against the proposal.
+        """
+        m = self.model
+        t = m.z.shape[0]
+        beta_v = self.beta * self.corpus.num_words
+        # proposal draw
+        l_d = self.doc_lengths[self.doc_ids]
+        smooth = self.rng.random(t) * (self.alpha * self.k + l_d) < (
+            self.alpha * self.k
+        )
+        rand_pos = self.doc_offsets[self.doc_ids] + (
+            self.rng.random(t) * l_d
+        ).astype(np.int64)
+        proposal = np.where(
+            smooth,
+            self.rng.integers(0, self.k, size=t),
+            m.z[np.minimum(rand_pos, self.doc_offsets[self.doc_ids + 1] - 1)],
+        )
+        # acceptance ratio: [(phi[z',v]+b)(N_z+bV)] / [(phi[z,v]+b)(N_z'+bV)]
+        num = (m.phi[proposal, self.word_ids] + self.beta) * (
+            m.topic_totals[m.z] + beta_v
+        )
+        den = (m.phi[m.z, self.word_ids] + self.beta) * (
+            m.topic_totals[proposal] + beta_v
+        )
+        accept = self.rng.random(t) * den < num
+        self._apply(np.where(accept, proposal, m.z))
+
+    def _apply(self, z_new: np.ndarray) -> None:
+        """Delayed update: reconcile counts with the new assignments."""
+        m = self.model
+        changed = z_new != m.z
+        if np.any(changed):
+            d = self.doc_ids[changed]
+            v = self.word_ids[changed]
+            zo = m.z[changed]
+            zn = z_new[changed]
+            np.subtract.at(m.theta, (d, zo), 1)
+            np.add.at(m.theta, (d, zn), 1)
+            np.subtract.at(m.phi, (zo, v), 1)
+            np.add.at(m.phi, (zn, v), 1)
+            m.topic_totals -= np.bincount(zo, minlength=self.k)
+            m.topic_totals += np.bincount(zn, minlength=self.k)
+        m.z = z_new.copy()
+
+    def describe(self) -> dict:
+        return {**super().describe(), "cpu": self.cpu.name}
+
+
+class WarpLdaTrainer(CycleProposalTrainer):
     """MH-based CPU LDA trainer with a simulated CPU clock."""
 
     DESCRIPTION = "WarpLDA-style CPU Metropolis-Hastings baseline (cycle proposals)"
@@ -81,68 +154,13 @@ class WarpLdaTrainer:
         unrealistically fast — the exact effect Section 3.2 describes)."""
         if working_set_override is not None and working_set_override <= 0:
             raise ValueError("working_set_override must be positive")
-        self.corpus = corpus
-        self.config = config
-        self.cpu = cpu
-        self.working_set_override = working_set_override
-        self.rng = np.random.default_rng(config.seed)
-        k = config.num_topics
-        t = corpus.num_tokens
-        self.doc_ids = corpus.token_doc_ids().astype(np.int64)
-        self.word_ids = corpus.word_ids.astype(np.int64)
-        self.doc_offsets = corpus.doc_offsets
-        self.doc_lengths = corpus.doc_lengths().astype(np.int64)
-        z = self.rng.integers(0, k, size=t)
-        theta = np.zeros((corpus.num_docs, k), dtype=np.int64)
-        phi = np.zeros((k, corpus.num_words), dtype=np.int64)
-        np.add.at(theta, (self.doc_ids, z), 1)
-        np.add.at(phi, (z, self.word_ids), 1)
-        self.model = PlainCgsModel(
-            z=z, theta=theta, phi=phi, topic_totals=phi.sum(axis=1),
-            alpha=config.effective_alpha, beta=config.effective_beta,
+        super().__init__(
+            corpus, config.num_topics, config.alpha, config.beta, config.seed, cpu
         )
-        self.history: list[IterationRecord] = []
-        self._sim_time = 0.0
-        self._iterations_done = 0
+        self.config = config
+        self.working_set_override = working_set_override
 
     # -- MH passes (vectorised, delayed updates) ----------------------------
-
-    def _doc_proposal_pass(self) -> None:
-        """Propose from q(k) ~ theta[d,k] + alpha for every token at once.
-
-        Drawing from theta+alpha without materialising it: with prob
-        ``alpha*K / (alpha*K + L_d)`` a uniform topic, otherwise the topic
-        of a uniformly chosen token of the same document (whose topics
-        *are* the theta counts).  Acceptance keeps only the phi/totals
-        ratio — the theta terms cancel against the proposal.
-        """
-        m = self.model
-        cfg = self.config
-        t = m.z.shape[0]
-        beta_v = cfg.effective_beta * self.corpus.num_words
-        k = cfg.num_topics
-        # proposal draw
-        l_d = self.doc_lengths[self.doc_ids]
-        smooth = self.rng.random(t) * (cfg.effective_alpha * k + l_d) < (
-            cfg.effective_alpha * k
-        )
-        rand_pos = self.doc_offsets[self.doc_ids] + (
-            self.rng.random(t) * l_d
-        ).astype(np.int64)
-        proposal = np.where(
-            smooth,
-            self.rng.integers(0, k, size=t),
-            m.z[np.minimum(rand_pos, self.doc_offsets[self.doc_ids + 1] - 1)],
-        )
-        # acceptance ratio: [(phi[z',v]+b)(N_z+bV)] / [(phi[z,v]+b)(N_z'+bV)]
-        num = (m.phi[proposal, self.word_ids] + cfg.effective_beta) * (
-            m.topic_totals[m.z] + beta_v
-        )
-        den = (m.phi[m.z, self.word_ids] + cfg.effective_beta) * (
-            m.topic_totals[proposal] + beta_v
-        )
-        accept = self.rng.random(t) * den < num
-        self._apply(np.where(accept, proposal, m.z))
 
     def _word_proposal_pass(self) -> None:
         """Propose from q(k) ~ phi[k,v] + beta for every token at once.
@@ -179,24 +197,6 @@ class WarpLdaTrainer:
         accept = self.rng.random(t) * den < num
         self._apply(np.where(accept, proposal, m.z))
 
-    def _apply(self, z_new: np.ndarray) -> None:
-        """Delayed update: reconcile counts with the new assignments."""
-        m = self.model
-        changed = z_new != m.z
-        if np.any(changed):
-            d = self.doc_ids[changed]
-            v = self.word_ids[changed]
-            zo = m.z[changed]
-            zn = z_new[changed]
-            np.subtract.at(m.theta, (d, zo), 1)
-            np.add.at(m.theta, (d, zn), 1)
-            np.subtract.at(m.phi, (zo, v), 1)
-            np.add.at(m.phi, (zn, v), 1)
-            k = self.config.num_topics
-            m.topic_totals -= np.bincount(zo, minlength=k)
-            m.topic_totals += np.bincount(zn, minlength=k)
-        m.z = z_new.copy()
-
     # -- simulated clock ------------------------------------------------------
 
     def _iteration_seconds(self) -> float:
@@ -218,53 +218,11 @@ class WarpLdaTrainer:
         # factor > 1 when the set fits in cache; clamp into the clock's domain.
         return cpu_kernel_time(self.cpu, cost.scaled(1.0 / min(factor, 8.0)))
 
-    # -- public API -------------------------------------------------------------
-
-    def train(
-        self, num_iterations: int, compute_likelihood_every: int = 1
-    ) -> list[IterationRecord]:
-        """Run iterations; records use the simulated CPU clock."""
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        t = self.corpus.num_tokens
-        for _ in range(num_iterations):
-            it = self._iterations_done
-            for _r in range(self.config.mh_rounds):
-                self._doc_proposal_pass()
-                self._word_proposal_pass()
-            dur = self._iteration_seconds()
-            self._sim_time += dur
-            ll = None
-            if compute_likelihood_every and (it + 1) % compute_likelihood_every == 0:
-                ll = self.model.log_likelihood_per_token()
-            self.history.append(
-                IterationRecord(
-                    iteration=it,
-                    sim_seconds=dur,
-                    cumulative_seconds=self._sim_time,
-                    tokens_per_sec=t / dur,
-                    log_likelihood_per_token=ll,
-                    mean_kd=float(np.count_nonzero(self.model.theta) / self.model.theta.shape[0]),
-                    p1_fraction=0.0,
-                    changed_fraction=0.0,
-                )
-            )
-            self._iterations_done += 1
-        return self.history
-
-    def average_tokens_per_sec(self, first_n: int | None = None) -> float:
-        records = self.history if first_n is None else self.history[:first_n]
-        if not records:
-            raise ValueError("no iterations recorded yet")
-        return float(np.mean([r.tokens_per_sec for r in records]))
+    def _iterate(self) -> float:
+        for _r in range(self.config.mh_rounds):
+            self._doc_proposal_pass()
+            self._word_proposal_pass()
+        return self._iteration_seconds()
 
     def describe(self) -> dict:
-        """Identity and effective configuration (unified API contract)."""
-        return {
-            "description": self.DESCRIPTION,
-            "num_topics": self.config.num_topics,
-            "mh_rounds": self.config.mh_rounds,
-            "alpha": self.config.effective_alpha,
-            "beta": self.config.effective_beta,
-            "cpu": self.cpu.name,
-        }
+        return {**super().describe(), "mh_rounds": self.config.mh_rounds}

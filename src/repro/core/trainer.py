@@ -22,7 +22,9 @@ Typical use::
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -66,6 +68,55 @@ class IterationRecord:
     mean_kd: float  # average theta-row density (sparsity tracker)
     p1_fraction: float  # share of draws taking the sparse bucket
     changed_fraction: float  # share of tokens whose topic changed
+
+
+def iteration_record(
+    iteration: int,
+    seconds: float,
+    cumulative_seconds: float,
+    num_tokens: int,
+    *,
+    likelihood: Callable[[], float],
+    likelihood_every: int,
+    sum_kd: float,
+    kd_rows: int | None = None,
+    p1_draws: float = 0,
+    changed_tokens: int = 0,
+) -> IterationRecord:
+    """The one constructor of :class:`IterationRecord` for every trainer.
+
+    ``likelihood`` is called only when :func:`likelihood_due` says the
+    iteration is scored, and its value must be finite.  ``sum_kd`` is the
+    theta-row density summed over ``kd_rows`` rows: tokens (the default)
+    for the chunked trainers, documents for the dense-state ones.  A
+    zero duration or an empty corpus reads 0, not a division error.
+    """
+    ll = (
+        ensure_finite(likelihood(), iteration=iteration)
+        if likelihood_due(iteration, likelihood_every)
+        else None
+    )
+    rows = num_tokens if kd_rows is None else kd_rows
+    return IterationRecord(
+        iteration=iteration,
+        sim_seconds=seconds,
+        cumulative_seconds=cumulative_seconds,
+        tokens_per_sec=num_tokens / seconds if seconds > 0 else 0.0,
+        log_likelihood_per_token=ll,
+        mean_kd=sum_kd / rows if rows else 0.0,
+        p1_fraction=p1_draws / num_tokens if num_tokens else 0.0,
+        changed_fraction=changed_tokens / num_tokens if num_tokens else 0.0,
+    )
+
+
+def mean_tokens_per_sec(
+    records: list[IterationRecord], first_n: int | None = None
+) -> float:
+    """Mean per-iteration throughput (Table 4 aggregates the first 100)."""
+    records = records if first_n is None else records[:first_n]
+    if not records:
+        raise ValueError("no iterations recorded")
+    return float(np.mean([r.tokens_per_sec for r in records]))
 
 
 class CuLdaTrainer:
@@ -461,36 +512,25 @@ class CuLdaTrainer:
                 for d in self.devices:
                     verify_phi_consistency(d.phi, d.totals, total_tokens)
 
-            if need_ll:
-                if engine is not None:
-                    ll = self._assemble_likelihood(results) / total_tokens
-                else:
-                    ll = log_likelihood_per_token(self.state)
-                ll = ensure_finite(ll, iteration=it)
+            if engine is not None:
+                likelihood = partial(self._assemble_likelihood, results)
             else:
-                ll = None
-            dur = t1 - t0
+                likelihood = partial(log_likelihood_per_token, self.state)
             self.history.append(
-                IterationRecord(
-                    iteration=it,
-                    sim_seconds=dur,
-                    cumulative_seconds=t1,
-                    tokens_per_sec=total_tokens / dur if dur > 0 else 0.0,
-                    log_likelihood_per_token=ll,
-                    mean_kd=outcome.sum_kd / total_tokens if total_tokens else 0.0,
-                    p1_fraction=(
-                        outcome.num_p1_draws / total_tokens if total_tokens else 0.0
-                    ),
-                    changed_fraction=(
-                        outcome.changed_tokens / total_tokens if total_tokens else 0.0
-                    ),
+                iteration_record(
+                    it, t1 - t0, t1, total_tokens,
+                    likelihood=likelihood,
+                    likelihood_every=compute_likelihood_every,
+                    sum_kd=outcome.sum_kd,
+                    p1_draws=outcome.num_p1_draws,
+                    changed_tokens=outcome.changed_tokens,
                 )
             )
             self._iterations_done += 1
         return self.history
 
     def _assemble_likelihood(self, results) -> float:
-        """Joint log-likelihood from worker-evaluated doc terms.
+        """Joint log-likelihood per token from worker-evaluated doc terms.
 
         Process modes never scan theta on the master: the word side comes
         from the reconciled master model, the document side is replayed
@@ -508,7 +548,7 @@ class CuLdaTrainer:
                     "for doc terms this iteration"
                 )
             terms.append(r.ll_terms)
-        return log_likelihood_from_terms(self.state, terms)
+        return log_likelihood_from_terms(self.state, terms) / self.state.num_tokens
 
     # -- reporting --------------------------------------------------------------
 
@@ -568,10 +608,3 @@ class CuLdaTrainer:
             for name, secs in dev.gpu.ledger.seconds.items():
                 merged[name] = merged.get(name, 0.0) + secs
         return merged
-
-    def average_tokens_per_sec(self, first_n: int | None = None) -> float:
-        """Mean per-iteration throughput (Table 4 aggregates first 100)."""
-        records = self.history if first_n is None else self.history[:first_n]
-        if not records:
-            raise ValueError("no iterations recorded yet")
-        return float(np.mean([r.tokens_per_sec for r in records]))

@@ -18,13 +18,11 @@ from repro.gpusim.interconnect import (
     PCIE_3,
     PCIE_TOPOLOGY,
     broadcast_pairs,
-    reduce_steps,
     tree_reduce_pairs,
 )
 from repro.gpusim.memory import DeviceMemory, DeviceOutOfMemoryError
 from repro.gpusim.platform import (
     ALL_PLATFORMS,
-    AMD_MI50_GCN,
     GTX_1080_PASCAL,
     MAXWELL_PLATFORM,
     PASCAL_PLATFORM,
@@ -57,7 +55,6 @@ __all__ = [
     "HostLinkTopology",
     "PCIE_TOPOLOGY",
     "NVLINK_TOPOLOGY",
-    "reduce_steps",
     "tree_reduce_pairs",
     "broadcast_pairs",
     "Stream",
@@ -72,6 +69,5 @@ __all__ = [
     "TITAN_XP_PASCAL",
     "V100_VOLTA",
     "GTX_1080_PASCAL",
-    "AMD_MI50_GCN",
     "platform_by_name",
 ]

@@ -67,22 +67,6 @@ PCIE_TOPOLOGY = HostLinkTopology(PCIE_3, PCIE_3)
 NVLINK_TOPOLOGY = HostLinkTopology(PCIE_3, NVLINK)
 
 
-def reduce_steps(num_devices: int) -> int:
-    """Number of parallel steps in the binary-tree reduce of Figure 4.
-
-    ``ceil(log2(G))`` — reductions within one step run in parallel, so the
-    paper notes "the computation complexity of reduction is log G".
-    """
-    if num_devices < 1:
-        raise ValueError(f"num_devices must be >= 1, got {num_devices}")
-    steps = 0
-    span = 1
-    while span < num_devices:
-        span *= 2
-        steps += 1
-    return steps
-
-
 def tree_reduce_pairs(num_devices: int) -> list[list[tuple[int, int]]]:
     """The (src, dst) transfer pairs of each reduce step (Figure 4).
 

@@ -81,23 +81,6 @@ GTX_1080_PASCAL = DeviceSpec(
     atomic_gops=20.0,
 )
 
-#: An AMD-class device (Section 2.2: warps are "64 on AMD GPUs").  Not a
-#: Table 2 platform; exists to exercise the warp-size generality of the
-#: kernel geometry and index-tree fanout (MI50-class numbers).
-AMD_MI50_GCN = DeviceSpec(
-    name="MI50",
-    arch="GCN",
-    mem_bandwidth_gbps=1024.0,
-    peak_gflops=13_300.0,
-    num_sms=60,
-    shared_mem_per_sm_kb=64,
-    l1_kb_per_sm=16,
-    memory_gb=16.0,
-    mem_efficiency=0.55,
-    compute_efficiency=0.35,
-    atomic_gops=24.0,
-    warp_size=64,
-)
 
 # --- Host CPUs (Table 2) --------------------------------------------------
 

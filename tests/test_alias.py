@@ -7,13 +7,26 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from repro.baselines.alias import AliasTable, build_alias_columns
+from repro.baselines.alias import AliasTable, build_alias_tables
 
 weights_strategy = hnp.arrays(
     dtype=np.float64,
     shape=st.integers(min_value=1, max_value=50),
     elements=st.floats(min_value=0.0, max_value=10.0),
 ).filter(lambda w: w.sum() > 1e-9)
+
+
+def build_alias_columns(matrix: np.ndarray, offset: float) -> list[AliasTable]:
+    """Reference: one scalar-built alias table per column of
+    ``matrix + offset`` (LightLDA's historical per-word tables)."""
+    if matrix.ndim != 2:
+        raise ValueError("matrix must be 2-D")
+    if offset < 0:
+        raise ValueError("offset must be non-negative")
+    return [
+        AliasTable(matrix[:, j].astype(np.float64) + offset)
+        for j in range(matrix.shape[1])
+    ]
 
 
 class TestConstruction:
@@ -88,6 +101,11 @@ class TestColumns:
         assert len(tables) == 2
         assert tables[0].total == pytest.approx(4.0)
         assert tables[1].total == pytest.approx(4.0)
+        # the batched build over the transposed matrix replays them
+        prob, alias = build_alias_tables(m.T + 0.5)
+        for j, t in enumerate(tables):
+            assert np.array_equal(t.prob, prob[j])
+            assert np.array_equal(t.alias, alias[j])
 
     def test_rejects_negative_offset(self):
         with pytest.raises(ValueError):
@@ -109,8 +127,6 @@ class TestBatchedBuild:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_scalar_build(self, seed):
-        from repro.baselines.alias import build_alias_tables
-
         w = self._random_rows(seed)
         prob, alias = build_alias_tables(w)
         for r in range(w.shape[0]):
@@ -119,23 +135,17 @@ class TestBatchedBuild:
             assert np.array_equal(t.alias, alias[r])
 
     def test_uniform_rows(self):
-        from repro.baselines.alias import build_alias_tables
-
         w = np.ones((3, 8))
         prob, alias = build_alias_tables(w)
         assert np.array_equal(prob, np.ones((3, 8)))
         assert np.array_equal(alias, np.tile(np.arange(8), (3, 1)))
 
     def test_single_column(self):
-        from repro.baselines.alias import build_alias_tables
-
         prob, alias = build_alias_tables(np.array([[3.0], [1.0]]))
         assert np.array_equal(prob, np.ones((2, 1)))
         assert np.array_equal(alias, np.zeros((2, 1), dtype=np.int64))
 
     def test_rejects_bad_input(self):
-        from repro.baselines.alias import build_alias_tables
-
         with pytest.raises(ValueError):
             build_alias_tables(np.ones(4))  # 1-D
         with pytest.raises(ValueError):
@@ -145,8 +155,6 @@ class TestBatchedBuild:
 
     @given(weights_strategy)
     def test_matches_scalar_on_hypothesis_rows(self, w):
-        from repro.baselines.alias import build_alias_tables
-
         prob, alias = build_alias_tables(w[None, :])
         t = AliasTable(w)
         assert np.array_equal(t.prob, prob[0])

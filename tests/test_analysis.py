@@ -3,22 +3,18 @@
 import pytest
 
 from repro.analysis.metrics import (
-    average_throughput,
     convergence_series,
     scaling_table,
     throughput_series,
-    time_to_quality,
     warmup_ratio,
 )
 from repro.analysis.reporting import render_series, render_sparkline, render_table
 from repro.analysis.roofline import (
-    attainable_gflops,
     average_intensity,
     is_memory_bound,
     table1_rows,
-    tokens_per_sec_bound,
 )
-from repro.core.trainer import IterationRecord
+from repro.core.trainer import IterationRecord, mean_tokens_per_sec
 from repro.gpusim.platform import (
     TITAN_X_MAXWELL,
     V100_VOLTA,
@@ -65,21 +61,6 @@ class TestRoofline:
         for proc in (XEON_E5_2690_V4, TITAN_X_MAXWELL, V100_VOLTA):
             assert is_memory_bound(proc)
 
-    def test_attainable_is_bandwidth_limited(self):
-        g = attainable_gflops(V100_VOLTA)
-        assert g == pytest.approx(0.27 * 900, rel=0.05)
-        assert g < V100_VOLTA.peak_gflops
-
-    def test_tokens_bound(self):
-        tps = tokens_per_sec_bound(TITAN_X_MAXWELL, bytes_per_token=2000)
-        assert tps == pytest.approx(336e9 / 2000)
-
-    def test_tokens_bound_validation(self):
-        with pytest.raises(ValueError):
-            tokens_per_sec_bound(V100_VOLTA, bytes_per_token=0)
-        with pytest.raises(ValueError):
-            tokens_per_sec_bound(V100_VOLTA, 10, efficiency=2.0)
-
     def test_invalid_rows(self):
         with pytest.raises(ValueError):
             table1_rows(num_topics=0)
@@ -107,7 +88,10 @@ class TestMetrics:
 
     def test_average_throughput_first_n(self):
         h = [rec(i, 1.0, tps=100.0) for i in range(5)] + [rec(5, 1.0, tps=999.0)]
-        assert average_throughput(h, first_n=5) == pytest.approx(100.0)
+        assert mean_tokens_per_sec(h, first_n=5) == pytest.approx(100.0)
+        assert mean_tokens_per_sec(h) == pytest.approx((500.0 + 999.0) / 6)
+        with pytest.raises(ValueError):
+            mean_tokens_per_sec([])
 
     def test_warmup_ratio(self):
         h = [rec(i, 1.0, tps=100.0) for i in range(5)]
@@ -127,11 +111,6 @@ class TestMetrics:
     def test_scaling_requires_baseline(self):
         with pytest.raises(ValueError):
             scaling_table({2: 10.0})
-
-    def test_time_to_quality(self):
-        h = [rec(0, 1.0, ll=-9.0), rec(1, 1.0, ll=-7.0), rec(2, 1.0, ll=-6.0)]
-        assert time_to_quality(h, target_ll=-7.5) == pytest.approx(2.0)
-        assert time_to_quality(h, target_ll=-1.0) is None
 
 
 class TestReporting:

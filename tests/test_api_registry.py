@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -15,6 +18,8 @@ from repro.api import (
 from repro.api.registry import COMMON_OPTIONS
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+
+API_DOC = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 
 EXPECTED_BUILTINS = {
     "culda",
@@ -51,6 +56,18 @@ class TestLookup:
             get_algorithm("nope")
         with pytest.raises(ValueError, match="culda"):
             get_algorithm("nope")
+
+    def test_docs_registry_table_lists_each_option(self):
+        """docs/API.md's registry table names exactly each algorithm's
+        own options, in registration order."""
+        rows = {}
+        for line in API_DOC.read_text(encoding="utf-8").splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].strip("`") in EXPECTED_BUILTINS:
+                rows[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[2])
+        assert rows == {
+            name: list(get_algorithm(name).options) for name in EXPECTED_BUILTINS
+        }
 
     def test_specs_have_summaries_and_options(self):
         for name in EXPECTED_BUILTINS:

@@ -19,7 +19,7 @@ def oracle_corpus():
 class TestPlainCgs:
     def test_converges(self, oracle_corpus):
         s = PlainCgsSampler(oracle_corpus, num_topics=10, seed=0)
-        lls = s.train(8)
+        lls = [r.log_likelihood_per_token for r in s.train(8)]
         assert lls[-1] > lls[0]
         s.validate()
 
@@ -56,7 +56,7 @@ class TestPlainCgs:
 class TestSparseLda:
     def test_converges(self, oracle_corpus):
         s = SparseLdaSampler(oracle_corpus, num_topics=10, seed=0)
-        lls = s.train(8)
+        lls = [r.log_likelihood_per_token for r in s.train(8)]
         assert lls[-1] > lls[0]
 
     def test_p1_fraction_grows_with_convergence(self, oracle_corpus):
@@ -89,6 +89,6 @@ class TestOracleAgreement:
         """Both exact samplers reach the same likelihood plateau."""
         dense = PlainCgsSampler(oracle_corpus, num_topics=8, seed=0)
         sparse = SparseLdaSampler(oracle_corpus, num_topics=8, seed=0)
-        ll_dense = dense.train(12)[-1]
-        ll_sparse = sparse.train(12)[-1]
+        ll_dense = dense.train(12)[-1].log_likelihood_per_token
+        ll_sparse = sparse.train(12)[-1].log_likelihood_per_token
         assert ll_dense == pytest.approx(ll_sparse, abs=0.15)

@@ -7,6 +7,7 @@ from repro.baselines.ldastar import LdaStarTrainer
 from repro.baselines.saberlda import SaberLdaTrainer, saberlda_config
 from repro.baselines.warplda import WarpLdaConfig, WarpLdaTrainer
 from repro.core import CuLdaTrainer, TrainerConfig
+from repro.core.trainer import mean_tokens_per_sec
 from repro.gpusim.platform import TITAN_X_MAXWELL
 
 
@@ -36,7 +37,7 @@ class TestWarpLda:
         """WarpLDA sits in the ~100M tokens/s band (Table 4: 93.5-108M)."""
         t = WarpLdaTrainer(medium_corpus, WarpLdaConfig(num_topics=16, seed=0))
         t.train(3, compute_likelihood_every=0)
-        tps = t.average_tokens_per_sec()
+        tps = mean_tokens_per_sec(t.history)
         assert 3e7 < tps < 1e9  # loose band at test scale (cache resident)
 
     def test_deterministic(self, medium_corpus):
@@ -75,7 +76,7 @@ class TestSaberLda:
             device_spec=TITAN_X_MAXWELL,
         )
         culda.train(3, compute_likelihood_every=0)
-        assert culda.average_tokens_per_sec() > saber.average_tokens_per_sec()
+        assert mean_tokens_per_sec(culda.history) > mean_tokens_per_sec(saber.history)
 
 
 class TestLdaStar:
@@ -99,7 +100,7 @@ class TestLdaStar:
             device_spec=TITAN_X_MAXWELL,
         )
         culda.train(2, compute_likelihood_every=0)
-        assert culda.average_tokens_per_sec() > 3 * star.average_tokens_per_sec()
+        assert mean_tokens_per_sec(culda.history) > 3 * mean_tokens_per_sec(star.history)
 
     def test_invalid_workers(self, medium_corpus):
         with pytest.raises(ValueError):

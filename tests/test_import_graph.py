@@ -6,8 +6,8 @@ The serving process must start without scipy and the training stack, so
 their heavy dependencies at module top, so nothing is imported inside a
 timed training iteration.  Each import-graph case runs in a fresh
 interpreter: the test process itself has long since imported everything.
-The last case parses the tree instead: every module must have an
-importer outside ``tests/``.
+The last two cases parse the tree instead: every module must have an
+importer outside ``tests/``, and every exported name a user there.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -170,3 +171,72 @@ class TestNoTestOnlyModules:
             if path.stem != "__init__"
         }
         assert sorted(modules - imported - set(ENTRY_POINTS)) == []
+
+
+def _export_table(tree: ast.Module) -> list[ast.Assign]:
+    """The module's top-level ``_EXPORTS``/``__all__`` assignments."""
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) in ("_EXPORTS", "__all__") for t in node.targets)
+    ]
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in _export_table(tree):
+        keys = node.value.keys if isinstance(node.value, ast.Dict) else getattr(
+            node.value, "elts", []
+        )
+        names.update(k.value for k in keys if isinstance(k, ast.Constant))
+    return names
+
+
+def _program_lines() -> list[str]:
+    """Every line outside ``tests/`` that can reach a public name.
+
+    Export tables are declarations, not uses, and so are a package
+    ``__init__``'s own (re-export) imports; both are left out.
+    """
+    lines: list[str] = []
+    for tree in PROGRAM_TREES:
+        for path in (SRC.parent / tree).rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            module = ast.parse(text)
+            skipped = set(_export_table(module))
+            if path.stem == "__init__":
+                skipped.update(
+                    n for n in module.body if isinstance(n, (ast.Import, ast.ImportFrom))
+                )
+            spans = {i for n in skipped for i in range(n.lineno, n.end_lineno + 1)}
+            lines += [s for i, s in enumerate(text.splitlines(), 1) if i not in spans]
+    return lines
+
+
+class TestNoTestOnlyExports:
+    def test_every_export_is_reached_outside_the_tests(self):
+        """A name in a package export table that only ``tests/`` uses is
+        dead weight: delete it, move it into the test that uses it as a
+        reference, or document it in docs/API.md (a mention there, outside
+        the "Removed" tables, counts as reaching it)."""
+        exported: set[str] = set()
+        for init in (SRC / "repro").rglob("__init__.py"):
+            exported |= _exported_names(ast.parse(init.read_text(encoding="utf-8")))
+        lines = _program_lines()
+        # The "Removed ..." tables name what is gone, not what is public.
+        api_doc = re.sub(
+            r"^## Removed.*?(?=^## |\Z)", "",
+            (SRC.parent / "docs" / "API.md").read_text(encoding="utf-8"),
+            flags=re.M | re.S,
+        )
+
+        def reached(name: str) -> bool:
+            use = re.compile(rf"\b{re.escape(name)}\b")
+            definition = re.compile(
+                rf"^\s*(def|class)\s+{re.escape(name)}\b|^{re.escape(name)}\s*[:=]"
+            )
+            return bool(use.search(api_doc)) or any(
+                use.search(line) and not definition.search(line) for line in lines
+            )
+
+        assert sorted(n for n in exported if not reached(n)) == []

@@ -10,7 +10,6 @@ from repro.gpusim.interconnect import (
     NVLINK,
     PCIE_3,
     broadcast_pairs,
-    reduce_steps,
     tree_reduce_pairs,
 )
 
@@ -56,11 +55,9 @@ class TestReduceTree:
 
     def test_single_device(self):
         assert tree_reduce_pairs(1) == []
-        assert reduce_steps(1) == 0
 
     def test_two_devices(self):
         assert tree_reduce_pairs(2) == [[(1, 0)]]
-        assert reduce_steps(2) == 1
 
     def test_non_power_of_two(self):
         steps = tree_reduce_pairs(3)
@@ -68,15 +65,13 @@ class TestReduceTree:
 
     def test_log_steps(self):
         """Section 5.2: 'the computation complexity of reduction is log G'."""
-        assert reduce_steps(4) == 2
-        assert reduce_steps(8) == 3
-        assert reduce_steps(5) == 3
+        assert len(tree_reduce_pairs(4)) == 2
+        assert len(tree_reduce_pairs(8)) == 3
+        assert len(tree_reduce_pairs(5)) == 3
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             tree_reduce_pairs(0)
-        with pytest.raises(ValueError):
-            reduce_steps(0)
 
     @given(st.integers(min_value=1, max_value=32))
     def test_every_device_contributes_once(self, g):

@@ -67,5 +67,5 @@ class TestLightLda:
         light = LightLdaTrainer(lda_corpus, num_topics=8, seed=0)
         light_ll = light.train(25)[-1].log_likelihood_per_token
         exact = PlainCgsSampler(lda_corpus, num_topics=8, seed=0)
-        exact_ll = exact.train(15)[-1]
+        exact_ll = exact.train(15)[-1].log_likelihood_per_token
         assert light_ll > exact_ll - 0.4

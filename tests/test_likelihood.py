@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from repro.api import algorithm_names
 from repro.core import CuLdaTrainer, TrainerConfig
 from repro.core.likelihood import log_likelihood, log_likelihood_per_token, perplexity
 from repro.core.model import LdaState
@@ -112,19 +113,25 @@ class TestNumericalGuard:
 
         assert issubclass(NumericalError, ArithmeticError)
 
+    @pytest.mark.parametrize("algorithm", algorithm_names())
     def test_trainer_surface_raises_on_poisoned_state(
-        self, small_corpus, monkeypatch
+        self, small_corpus, monkeypatch, algorithm
     ):
         """End to end: a trainer whose LL comes out non-finite raises
         the typed error naming the iteration instead of recording nan."""
-        import repro.core.trainer as trainer_mod
         from repro.api import create_trainer
         from repro.core.likelihood import NumericalError
 
-        trainer = create_trainer("culda", small_corpus, topics=4, seed=0)
-        monkeypatch.setattr(
-            trainer_mod, "log_likelihood_per_token",
-            lambda state: float("nan"),
+        # where each trainer computes its serial LL/token
+        target = {
+            "culda": "repro.core.trainer.log_likelihood_per_token",
+            "saberlda": "repro.core.trainer.log_likelihood_per_token",
+            "ldastar": "repro.baselines.ldastar.log_likelihood_per_token",
+        }.get(
+            algorithm,
+            "repro.baselines.plain_cgs.PlainCgsModel.log_likelihood_per_token",
         )
+        trainer = create_trainer(algorithm, small_corpus, topics=4, seed=0)
+        monkeypatch.setattr(target, lambda state: float("nan"))
         with pytest.raises(NumericalError, match="at iteration 0"):
             trainer.fit(1, likelihood_every=1)

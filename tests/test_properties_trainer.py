@@ -12,7 +12,26 @@ from hypothesis import strategies as st
 
 from repro.core import CuLdaTrainer, TrainerConfig
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
-from repro.gpusim.platform import AMD_MI50_GCN, TITAN_XP_PASCAL
+from repro.gpusim.platform import TITAN_XP_PASCAL
+from repro.gpusim.spec import DeviceSpec
+
+#: An AMD-class device (Section 2.2: warps are "64 on AMD GPUs"), not a
+#: Table 2 platform: it exercises the warp-size generality of the kernel
+#: geometry and the index-tree fanout (MI50-class numbers).
+AMD_MI50_GCN = DeviceSpec(
+    name="MI50",
+    arch="GCN",
+    mem_bandwidth_gbps=1024.0,
+    peak_gflops=13_300.0,
+    num_sms=60,
+    shared_mem_per_sm_kb=64,
+    l1_kb_per_sm=16,
+    memory_gb=16.0,
+    mem_efficiency=0.55,
+    compute_efficiency=0.35,
+    atomic_gops=24.0,
+    warp_size=64,
+)
 
 CORPUS = generate_synthetic_corpus(
     small_spec(num_docs=90, num_words=120, mean_doc_len=20, num_topics=6),

@@ -27,7 +27,7 @@ class TestBatchedSweep:
 
     def test_converges(self, corpus):
         s = SparseLdaSampler(corpus, num_topics=10, seed=0, batch_words=True)
-        lls = s.train(8)
+        lls = [r.log_likelihood_per_token for r in s.train(8)]
         assert lls[-1] > lls[0]
 
     def test_deterministic(self, corpus):
@@ -47,8 +47,8 @@ class TestBatchedSweep:
         """
         exact = SparseLdaSampler(corpus, num_topics=8, seed=0)
         batched = SparseLdaSampler(corpus, num_topics=8, seed=0, batch_words=True)
-        ll_exact = exact.train(10)[-1]
-        ll_batched = batched.train(60)[-1]
+        ll_exact = exact.train(10)[-1].log_likelihood_per_token
+        ll_batched = batched.train(60)[-1].log_likelihood_per_token
         assert ll_exact == pytest.approx(ll_batched, abs=0.2)
 
     def test_p1_fraction_tracked(self, corpus):

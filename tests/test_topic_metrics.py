@@ -9,11 +9,11 @@ from repro.analysis.topics import (
     topic_diversity,
     topic_shares,
     umass_coherence,
-    word_distribution,
 )
 from repro.core import CuLdaTrainer, TrainerConfig
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.model import TopicModel
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +101,8 @@ class TestDiversityAndShares:
         assert 1.0 <= eff <= state.num_topics
 
     def test_word_distribution(self, trained_state):
+        """Each topic's smoothed p(w | k), read from the model artifact."""
         _, state = trained_state
-        p = word_distribution(state, 0)
-        assert p.sum() == pytest.approx(1.0)
+        p = TopicModel.from_state(state).word_given_topic()
+        assert p.sum(axis=1) == pytest.approx(np.ones(state.num_topics))
         assert np.all(p > 0)  # beta smoothing
-        with pytest.raises(IndexError):
-            word_distribution(state, 99)
