@@ -184,17 +184,11 @@ def load_entry_points(group: str = ENTRY_POINT_GROUP) -> int:
     Returns the number of entry points loaded.  Absent or partial
     packaging metadata is tolerated (returns what could be loaded).
     """
+    from importlib.metadata import entry_points
+
     _ensure_builtins()
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py<3.8 not supported anyway
-        return 0
     loaded = 0
-    try:
-        eps = entry_points(group=group)
-    except TypeError:  # pragma: no cover - legacy select API
-        eps = entry_points().get(group, [])
-    for ep in eps:
+    for ep in entry_points(group=group):
         try:
             hook = ep.load()
             hook()

@@ -122,8 +122,12 @@ class DenseStateTrainer:
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
         m = self.model
+        doc_lengths = self.corpus.doc_lengths()
         for _ in range(num_iterations):
             z_before = m.z.copy()
+            # theta as this iteration samples from it, like the chunked
+            # trainers' per-token Kd
+            sum_kd = int(np.count_nonzero(m.theta, axis=1) @ doc_lengths)
             seconds = self._iterate()
             self._clock += seconds
             self.history.append(
@@ -132,8 +136,7 @@ class DenseStateTrainer:
                     self.corpus.num_tokens,
                     likelihood=m.log_likelihood_per_token,
                     likelihood_every=compute_likelihood_every,
-                    sum_kd=int(np.count_nonzero(m.theta)),
-                    kd_rows=m.theta.shape[0],
+                    sum_kd=sum_kd,
                     p1_draws=self._p1_draws,
                     changed_tokens=int(np.count_nonzero(m.z != z_before)),
                 )

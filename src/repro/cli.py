@@ -157,8 +157,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         bundle = load_checkpoint_full(args.resume, corpus)
         run = bundle.run
         if run is not None:
-            # A v2 resumable checkpoint rebuilds the recorded trainer;
-            # the CLI algorithm/flags are ignored (the run's own
+            # A checkpoint with a run record rebuilds the recorded
+            # trainer; the CLI algorithm/flags are ignored (the run's own
             # configuration wins — it must, for bit-identity).
             trainer = create_trainer(
                 run["algorithm"], corpus, **run["trainer_kwargs"]
@@ -173,8 +173,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"iteration {run.get('iterations_done', 0)}"
             )
         else:
-            # v1 (or metadata-less) checkpoint: state only, trainer
-            # rebuilt from the CLI flags.
+            # Saved without a run record (save_checkpoint(run=None)):
+            # state only, trainer rebuilt from the CLI flags.
             trainer, kwargs = _build_trainer(args, corpus)
             trainer.restore(bundle.state)
             print(f"resumed {args.algo} from {args.resume} (state only)")
@@ -708,9 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--checkpoint", help="write resumable checkpoint here")
     p_train.add_argument(
         "--resume",
-        help="continue from a checkpoint; a v2 checkpoint rebuilds the "
-             "recorded trainer and continues bit-identically (v1 restores "
-             "state only, trainer comes from the flags)",
+        help="continue from a checkpoint; one with a run record rebuilds "
+             "the recorded trainer and continues bit-identically (one "
+             "saved without it restores state only, trainer comes from "
+             "the flags)",
     )
     p_train.set_defaults(func=cmd_train)
 

@@ -6,22 +6,21 @@ Algorithm 1 ends by collecting the trained model from the devices (lines
 the full chunked training state so a run can be resumed exactly (topic
 assignments, chunk boundaries).
 
-Schema v2 additionally makes the checkpoint *self-describing*: the
-vocabulary, a lineage record (generation/parent/created_at, same shape
-as v2 model artifacts) and a **run record** — algorithm name, trainer
-kwargs, seed, iterations done, simulated-clock position and likelihood
-cadence — everything ``repro train --resume`` needs to rebuild the
-trainer and continue **bit-identically** (RNG streams are keyed by
-``(seed, iteration, chunk)``, so the iteration counter is the entire RNG
-cursor).  v1 files still load; their bundle simply has no
-vocabulary/lineage/run.
+The checkpoint is *self-describing*: the vocabulary, a lineage record
+(generation/parent/created_at, same shape as model artifacts) and a
+**run record** — algorithm name, trainer kwargs, seed, iterations done,
+simulated-clock position and likelihood cadence — everything
+``repro train --resume`` needs to rebuild the trainer and continue
+**bit-identically** (RNG streams are keyed by ``(seed, iteration,
+chunk)``, so the iteration counter is the entire RNG cursor).
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-save can
 never leave a torn checkpoint behind, and ``metadata_json`` carries a
 sha256 digest over the payload arrays (:mod:`repro.integrity`) that
-loaders recompute and compare — a bit-flipped checkpoint is a typed
-``ValueError``, never a silently corrupted resume.  The file format is
-versioned; loaders reject unknown versions and corrupted invariants
+loaders recompute and compare — a truncated or bit-flipped checkpoint is
+a typed ``ValueError``, never a silently corrupted resume.  The file
+format is versioned; loaders read version 2 only and reject other
+versions, files without a matching digest and corrupted invariants
 rather than silently mis-training.
 """
 
@@ -35,41 +34,36 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.model import ChunkState, LdaState
-from repro.integrity import integrity_record, verify_payload
+from repro.integrity import integrity_record, read_npz, verify_payload
 from repro.corpus.document import Corpus
 from repro.corpus.encoding import encode_chunk
 from repro.corpus.partition import ChunkSpec
 from repro.corpus.vocab import Vocabulary
 
-#: Version written for checkpoint artifacts.  v2 adds the optional
-#: ``vocab`` array and ``metadata_json`` (lineage + run record) on top
-#: of the unchanged v1 array layout.  Model artifacts are owned by
-#: :mod:`repro.model.serialize`; its READABLE_VERSIONS is shared here so
-#: a model file handed to ``load_checkpoint`` reports "not a
-#: checkpoint", not a version error.
+#: The checkpoint version written and read: the state arrays plus the
+#: optional ``vocab`` array and ``metadata_json`` (lineage, run record,
+#: integrity digest).  Model artifacts are owned by
+#: :mod:`repro.model.serialize`.
 FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class CheckpointBundle:
-    """Everything a v2 checkpoint carries.
+    """Everything a checkpoint carries.
 
-    ``state`` is always present; ``vocabulary``, ``lineage`` and ``run``
-    are ``None`` for v1 files (and for v2 files saved without them).
-    ``run`` is the resumable-run record: ``algorithm``,
-    ``trainer_kwargs``, ``seed``, ``iterations_done``, ``sim_time`` and
-    ``likelihood_every``.
+    ``state`` is always present; ``vocabulary`` and ``run`` are ``None``
+    for files saved without them.  ``run`` is the resumable-run record:
+    ``algorithm``, ``trainer_kwargs``, ``seed``, ``iterations_done``,
+    ``sim_time`` and ``likelihood_every``.
     """
 
     state: LdaState
     vocabulary: Vocabulary | None
     lineage: dict | None
     run: dict | None
-    version: int
-    #: Digest-verification outcome: ``{"status": "verified", ...}`` when
-    #: the recorded sha256 matched, ``{"status": "unverified"}`` for
-    #: files written before digests existed (corrupted files raise).
-    integrity: dict | None = None
+    #: The verified digest record (``status: "verified"``); a file whose
+    #: digest is missing or does not match raises instead of loading.
+    integrity: dict
 
 
 def run_info(
@@ -213,7 +207,7 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path, corpus: Corpus) -> LdaState:
     """Rebuild a resumable :class:`LdaState` from a checkpoint + corpus.
 
-    Reads v1 and v2 files; for the v2 metadata use
+    For the vocabulary, lineage and run record use
     :func:`load_checkpoint_full`.  The corpus must be the one the
     checkpoint was trained on (token counts per chunk are verified).
     """
@@ -221,17 +215,23 @@ def load_checkpoint(path: str | Path, corpus: Corpus) -> LdaState:
 
 
 def load_checkpoint_full(path: str | Path, corpus: Corpus) -> CheckpointBundle:
-    """Load a checkpoint with its v2 metadata (vocabulary/lineage/run)."""
-    with np.load(Path(path), allow_pickle=False) as z:
-        data = {k: z[k] for k in z.files}
-    _check_version(data)
-    if str(data["kind"]) != "checkpoint":
-        raise ValueError(f"not a checkpoint artifact: kind={data['kind']}")
-    meta: dict = {}
-    if "metadata_json" in data:
-        meta = json.loads(str(data["metadata_json"]))
+    """Load a checkpoint with its metadata (vocabulary/lineage/run)."""
+    data = read_npz(path)
+    if "version" not in data:
+        raise ValueError("not a repro snapshot (no version field)")
+    if str(data.get("kind")) != "checkpoint":
+        raise ValueError(
+            f"not a checkpoint artifact: kind={data.get('kind')}"
+        )
+    version = int(data["version"])
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint format version {version} not supported (this "
+            f"build reads version {FORMAT_VERSION}; re-save older files "
+            f"with repro 2.0.0)"
+        )
     try:
-        integrity = verify_payload(data, meta)
+        meta = verify_payload(data)
     except ValueError as exc:
         raise ValueError(f"checkpoint corrupted: {exc}") from exc
     if int(data["num_words"]) != corpus.num_words:
@@ -273,19 +273,6 @@ def load_checkpoint_full(path: str | Path, corpus: Corpus) -> CheckpointBundle:
         vocabulary=vocabulary,
         lineage=meta.get("lineage"),
         run=meta.get("run"),
-        version=int(data["version"]),
-        integrity=integrity,
+        integrity=meta["integrity"],
     )
 
-
-def _check_version(data: dict) -> None:
-    from repro.model.serialize import READABLE_VERSIONS
-
-    if "version" not in data:
-        raise ValueError("not a repro snapshot (no version field)")
-    v = int(data["version"])
-    if v not in READABLE_VERSIONS:
-        raise ValueError(
-            f"snapshot format version {v} not supported (this build reads "
-            f"versions {', '.join(map(str, READABLE_VERSIONS))})"
-        )

@@ -65,7 +65,7 @@ class IterationRecord:
     cumulative_seconds: float  # simulated time since training start
     tokens_per_sec: float  # Eq. 2 for this iteration
     log_likelihood_per_token: float | None
-    mean_kd: float  # average theta-row density (sparsity tracker)
+    mean_kd: float  # theta-row density sampled from, per token
     p1_fraction: float  # share of draws taking the sparse bucket
     changed_fraction: float  # share of tokens whose topic changed
 
@@ -79,31 +79,29 @@ def iteration_record(
     likelihood: Callable[[], float],
     likelihood_every: int,
     sum_kd: float,
-    kd_rows: int | None = None,
     p1_draws: float = 0,
     changed_tokens: int = 0,
 ) -> IterationRecord:
     """The one constructor of :class:`IterationRecord` for every trainer.
 
     ``likelihood`` is called only when :func:`likelihood_due` says the
-    iteration is scored, and its value must be finite.  ``sum_kd`` is the
-    theta-row density summed over ``kd_rows`` rows: tokens (the default)
-    for the chunked trainers, documents for the dense-state ones.  A
-    zero duration or an empty corpus reads 0, not a division error.
+    iteration is scored, and its value must be finite.  ``sum_kd`` is,
+    summed over tokens, the number of nonzero entries in the theta row
+    of the token's document as the iteration sampled it.  A zero
+    duration or an empty corpus reads 0, not a division error.
     """
     ll = (
         ensure_finite(likelihood(), iteration=iteration)
         if likelihood_due(iteration, likelihood_every)
         else None
     )
-    rows = num_tokens if kd_rows is None else kd_rows
     return IterationRecord(
         iteration=iteration,
         sim_seconds=seconds,
         cumulative_seconds=cumulative_seconds,
         tokens_per_sec=num_tokens / seconds if seconds > 0 else 0.0,
         log_likelihood_per_token=ll,
-        mean_kd=sum_kd / rows if rows else 0.0,
+        mean_kd=sum_kd / num_tokens if num_tokens else 0.0,
         p1_fraction=p1_draws / num_tokens if num_tokens else 0.0,
         changed_fraction=changed_tokens / num_tokens if num_tokens else 0.0,
     )

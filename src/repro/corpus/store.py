@@ -48,8 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zipfile
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 
@@ -59,7 +57,12 @@ from repro import faults
 from repro.corpus.document import Corpus
 from repro.corpus.io import corpus_from_triples, iter_uci_bow
 from repro.corpus.vocab import Vocabulary
-from repro.integrity import digest_arrays, integrity_record, verify_payload
+from repro.integrity import (
+    digest_arrays,
+    integrity_record,
+    read_npz,
+    verify_payload,
+)
 
 __all__ = [
     "DEFAULT_DOCS_PER_SHARD",
@@ -266,19 +269,12 @@ def _read_shard(
     path = root / name
     try:
         faults.raise_if("shard_read_error", shard=name, op="load")
-        with np.load(path, allow_pickle=False) as z:
-            data = {k: z[k] for k in z.files}
+        data = read_npz(path)
     except FileNotFoundError:
         raise ShardCorrupt(name, "missing from the store directory") from None
-    except (
-        OSError,
-        ValueError,
-        # A flipped byte often trips the npz container's own zip CRC or
-        # deflate stream before our digest gets a chance.
-        zipfile.BadZipFile,
-        zlib.error,
-        faults.FaultInjected,
-    ) as exc:
+    except ValueError as exc:
+        raise ShardCorrupt(name, str(exc)) from exc
+    except faults.FaultInjected as exc:
         raise ShardCorrupt(name, f"unreadable: {exc}") from exc
     if faults.check("shard_corrupt", shard=name, op="load") is not None:
         # Deterministic stand-in for real bit rot: flip one token id
@@ -292,16 +288,11 @@ def _read_shard(
             data["doc_offsets"][0] += 1
     if str(data.get("kind")) != "corpus-shard":
         raise ShardCorrupt(name, f"not a corpus shard: kind={data.get('kind')}")
-    meta: dict = {}
-    if "metadata_json" in data:
-        meta = json.loads(str(data["metadata_json"]))
     try:
-        outcome = verify_payload(data, meta)
+        digest = verify_payload(data)["integrity"]["digest"]
     except ValueError as exc:
         raise ShardCorrupt(name, str(exc)) from exc
-    if outcome.get("status") != "verified":
-        raise ShardCorrupt(name, "no integrity digest recorded")
-    if expect is not None and outcome.get("digest") != expect.get("sha256"):
+    if expect is not None and digest != expect.get("sha256"):
         raise ShardCorrupt(
             name,
             "digest does not match the manifest entry — shard and "

@@ -1,14 +1,16 @@
-"""Artifact integrity: content digests for models and checkpoints.
+"""Artifact integrity: the one reader of every durable ``.npz``.
 
 Durability comes from verifying data at every hand-off, not from
 assuming writes succeeded.  Every ``.npz`` the repo writes (model
 artifacts, :mod:`repro.model.serialize`; checkpoints,
-:mod:`repro.core.snapshot`) embeds a sha256 digest over its payload
-arrays inside ``metadata_json``; loaders recompute and compare, so a
+:mod:`repro.core.snapshot`; corpus-store shards,
+:mod:`repro.corpus.store`) embeds a sha256 digest over its payload
+arrays inside ``metadata_json``.  Every loader reads the file with
+:func:`read_npz` and checks it with :func:`verify_payload`, so a
 truncated or bit-flipped file is a typed ``ValueError`` at load time,
-never a silently mis-served model.  Files written before digests existed
-still load — their metadata records ``{"status": "unverified"}`` so the
-gap is visible, not papered over.
+never a traceback and never a silently mis-served model.  A file
+without a digest record is rejected the same way: an unverifiable file
+cannot be told apart from a tampered one.
 
 The digest is canonical and load-stable: arrays are hashed in sorted key
 order, each as ``name NUL dtype NUL shape-bytes data-bytes`` with the
@@ -36,6 +38,7 @@ __all__ = [
     "DIGEST_ALGORITHM",
     "digest_arrays",
     "integrity_record",
+    "read_npz",
     "verify_payload",
     "verify_artifact",
 ]
@@ -68,22 +71,56 @@ def integrity_record(arrays: Mapping[str, object]) -> dict:
     return {"algorithm": DIGEST_ALGORITHM, "digest": digest_arrays(arrays)}
 
 
-def verify_payload(arrays: Mapping[str, object], metadata: dict) -> dict:
-    """Check a loaded payload against the digest its metadata records.
+def read_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """Every array of the ``.npz`` at ``path``, read eagerly.
 
-    Returns the integrity record to carry forward in the loaded
-    object's metadata: the stored record plus ``status: "verified"``,
-    or ``{"status": "unverified"}`` for pre-digest files.
-
-    Raises
-    ------
-    ValueError
-        Digest mismatch — the file's bytes are not the bytes that were
-        written ("corrupted").
+    A file that exists but is no readable ``.npz`` (truncated,
+    byte-flipped, another format) raises ``ValueError("unreadable:
+    ...")``; a missing one raises ``FileNotFoundError``.
     """
+    try:
+        loaded = np.load(Path(path), allow_pickle=False)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with loaded as z:
+            return {k: z[k] for k in z.files}
+    except FileNotFoundError:
+        raise
+    except (
+        OSError,
+        ValueError,
+        # A flipped byte often trips the zip container (its CRC, its
+        # deflate stream, its header fields) before the payload digest
+        # gets a chance; a file cut short can end mid-stream.
+        zipfile.BadZipFile,
+        zlib.error,
+        EOFError,
+        NotImplementedError,
+        RuntimeError,
+    ) as exc:
+        raise ValueError(f"unreadable: {path}: {exc}") from exc
+
+
+def verify_payload(arrays: Mapping[str, object]) -> dict:
+    """Check a payload against the digest its ``metadata_json`` records.
+
+    Returns the parsed metadata, its ``integrity`` record marked
+    ``status: "verified"``.  Unparseable metadata, no sha256 record or a
+    digest mismatch raises ``ValueError``.
+    """
+    try:
+        metadata = json.loads(str(arrays["metadata_json"]))
+    except KeyError:
+        raise ValueError("no integrity digest recorded") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad metadata: {exc}") from exc
     stored = metadata.get("integrity") if isinstance(metadata, dict) else None
-    if not isinstance(stored, dict) or "digest" not in stored:
-        return {"status": "unverified"}
+    if (
+        not isinstance(stored, dict)
+        or stored.get("algorithm") != DIGEST_ALGORITHM
+        or "digest" not in stored
+    ):
+        raise ValueError("no integrity digest recorded")
     recomputed = digest_arrays(arrays)
     if recomputed != stored["digest"]:
         raise ValueError(
@@ -91,7 +128,8 @@ def verify_payload(arrays: Mapping[str, object], metadata: dict) -> dict:
             f"{stored['digest'][:12]}..., recomputed {recomputed[:12]}... "
             f"— the artifact is corrupted"
         )
-    return {**stored, "status": "verified"}
+    metadata["integrity"] = {**stored, "status": "verified"}
+    return metadata
 
 
 def verify_artifact(path: str | Path) -> dict:
@@ -104,11 +142,11 @@ def verify_artifact(path: str | Path) -> dict:
         {"path", "kind", "version", "status", "digest",
          "stored_digest", "detail"}
 
-    ``status`` is ``"verified"`` (digests match), ``"unverified"``
-    (pre-digest file, nothing to compare) or ``"corrupt"`` (mismatch, or
-    the file is not a readable repro artifact at all).
+    ``status`` is ``"verified"`` (digests match) or ``"corrupt"``
+    (mismatch, no digest recorded, or the file is not a readable repro
+    artifact at all).
 
-    Covers every durable file the repo writes: model artifacts, v1/v2
+    Covers every durable file the repo writes: model artifacts,
     checkpoints and corpus-store shards all go through the npz payload
     digest; a ``.json`` path is treated as a corpus-store manifest and
     checked against its own ``manifest_sha256``.
@@ -118,39 +156,25 @@ def verify_artifact(path: str | Path) -> dict:
     if path.suffix == ".json":
         return _verify_manifest(path, report)
     try:
-        with np.load(path, allow_pickle=False) as z:
-            data = {k: z[k] for k in z.files}
-    except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        # BadZipFile/zlib.error: a flipped byte often trips the npz
-        # container's own CRC or deflate stream before the payload
-        # digest gets a chance.
-        report.update(status="corrupt", detail=f"unreadable: {exc}")
+        data = read_npz(path)
+    except (FileNotFoundError, ValueError) as exc:
+        report.update(status="corrupt", detail=str(exc))
         return report
     if "version" in data:
         report["version"] = int(data["version"])
     if "kind" in data:
         report["kind"] = str(data["kind"])
-    metadata: dict = {}
-    if "metadata_json" in data:
-        try:
-            metadata = json.loads(str(data["metadata_json"]))
-        except json.JSONDecodeError as exc:
-            report.update(status="corrupt", detail=f"bad metadata: {exc}")
-            return report
-    report["digest"] = digest_arrays(data)
-    stored = metadata.get("integrity") if isinstance(metadata, dict) else None
-    if not isinstance(stored, dict) or "digest" not in stored:
+    try:
+        digest = verify_payload(data)["integrity"]["digest"]
+    except ValueError as exc:
         report.update(
-            status="unverified",
-            stored_digest=None,
-            detail="no digest recorded (written before integrity existed)",
+            status="corrupt", digest=digest_arrays(data), detail=str(exc)
         )
         return report
-    report["stored_digest"] = stored["digest"]
-    if report["digest"] != stored["digest"]:
-        report.update(status="corrupt", detail="payload digest mismatch")
-    else:
-        report.update(status="verified", detail="payload digest matches")
+    report.update(
+        status="verified", digest=digest, stored_digest=digest,
+        detail="payload digest matches",
+    )
     return report
 
 

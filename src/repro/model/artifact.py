@@ -274,8 +274,8 @@ class TopicModel:
     @property
     def lineage(self) -> dict[str, Any] | None:
         """The model-generation record (``generation``/``parent``/
-        ``created_at``), or None for artifacts exported before lineage
-        existed (v1 files, hand-built models)."""
+        ``created_at``), or None for a model built without one (by hand,
+        not through ``export_model``)."""
         lin = self.metadata.get("lineage")
         return dict(lin) if isinstance(lin, Mapping) else None
 
@@ -295,8 +295,11 @@ class TopicModel:
 
     @classmethod
     def load(cls, path: str | Path) -> TopicModel:
-        """Read a saved artifact; v1 (``repro train --output`` before the
-        model redesign) and v2 files both load."""
+        """Read a saved schema-v2 artifact, digest-verified.
+
+        A file that is unreadable, of another version or kind, or whose
+        digest is missing or does not match raises ``ValueError``.
+        """
         from repro.model.serialize import load_topic_model
 
         return load_topic_model(path)

@@ -3,31 +3,23 @@
 One ``.npz`` per model, self-describing via two scalar fields:
 
 ========  =======================================================
-version   schema version (see table below)
+version   schema version, 2 (the only one this build reads)
 kind      ``"model"`` (checkpoints use ``"checkpoint"``; see
           :mod:`repro.core.snapshot`)
 ========  =======================================================
 
-Schema history:
-
-- **v1** — the pre-redesign ``repro train --output`` artifact: ``phi``,
-  ``topic_totals``, ``alpha``, ``beta``, ``num_topics``, ``num_words``.
-  Still loads (compat path); never written anymore.
-- **v2** (current) — v1 fields plus optional ``vocab`` (one term per
-  word id), ``metadata_json`` (JSON provenance: algorithm, iterations,
-  options, the ``lineage`` model-generation record —
-  generation/parent/created_at — that hot swap and rollback key on, and
-  the ``integrity`` record: a sha256 digest over the payload arrays,
-  recomputed and compared on load; see :mod:`repro.integrity`.  Files
-  written before digests existed load with ``status: "unverified"``) and
-  ``top_word_index`` (the precomputed per-topic top-word-id serving
-  index; files written before it existed simply lack the array and the
-  index is rebuilt lazily — no version bump needed, the layout of the
-  existing fields is unchanged).
+A v2 file holds ``phi``, ``topic_totals``, ``alpha``, ``beta``,
+``num_topics``, ``num_words``, the precomputed per-topic top-word-id
+serving index ``top_word_index``, an optional ``vocab`` (one term per
+word id) and ``metadata_json``: JSON provenance (algorithm, iterations,
+options, the ``lineage`` model-generation record —
+generation/parent/created_at — that hot swap and rollback key on) and
+the ``integrity`` record, a sha256 digest over the payload arrays that
+every load recomputes and compares (see :mod:`repro.integrity`).
 
 Loaders validate invariants (shapes, non-negative counts, totals
-matching phi) and reject unknown versions and wrong kinds rather than
-silently mis-serving.
+matching phi) and reject other versions, wrong kinds and files without
+a matching digest rather than silently mis-serving.
 """
 
 from __future__ import annotations
@@ -40,23 +32,24 @@ import numpy as np
 from repro import faults
 from repro.core.snapshot import atomic_savez
 from repro.corpus.vocab import Vocabulary
-from repro.integrity import integrity_record, verify_payload
+from repro.integrity import integrity_record, read_npz, verify_payload
 from repro.model.artifact import TopicModel
 
 __all__ = [
     "SCHEMA_VERSION",
-    "READABLE_VERSIONS",
     "save_topic_model",
     "load_topic_model",
 ]
 
-#: Current schema version written by :func:`save_topic_model`.
+#: The schema version :func:`save_topic_model` writes and
+#: :func:`load_topic_model` reads.
 SCHEMA_VERSION = 2
 
-#: Versions :func:`load_topic_model` understands.  The checkpoint loader
-#: (:mod:`repro.core.snapshot`) shares this so an artifact of the wrong
-#: *kind* reports the kind mismatch, not a version error.
-READABLE_VERSIONS = (1, 2)
+#: Fields every model artifact carries (``vocab`` is optional).
+_REQUIRED_FIELDS = (
+    "phi", "topic_totals", "alpha", "beta", "num_topics", "num_words",
+    "top_word_index",
+)
 
 
 def save_topic_model(model: TopicModel, path: str | Path) -> None:
@@ -92,16 +85,18 @@ def save_topic_model(model: TopicModel, path: str | Path) -> None:
 
 
 def load_topic_model(path: str | Path) -> TopicModel:
-    """Read a model artifact (schema v1 or v2) into a :class:`TopicModel`.
+    """Read a schema-v2 model artifact into a :class:`TopicModel`.
 
     Raises
     ------
+    FileNotFoundError
+        Nothing at ``path``.
     ValueError
-        Missing/unsupported version, wrong kind, missing fields, or
-        violated invariants ("corrupted").
+        Unreadable file, missing/unsupported version, wrong kind,
+        missing fields, no or mismatching digest, or violated
+        invariants ("corrupted").
     """
-    with np.load(Path(path), allow_pickle=False) as z:
-        data = {k: z[k] for k in z.files}
+    data = read_npz(path)
     # Chaos hook (no-op unless armed): flip one phi count after the read
     # so the *real* digest verification below catches the corruption —
     # exactly what a bit-rotted or torn file would look like.
@@ -112,38 +107,30 @@ def load_topic_model(path: str | Path) -> TopicModel:
         data["phi"].flat[0] += 1
     if "version" not in data:
         raise ValueError("not a repro snapshot (no version field)")
+    if str(data.get("kind")) != "model":
+        raise ValueError(f"not a model artifact: kind={data.get('kind')}")
     version = int(data["version"])
-    if version not in READABLE_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise ValueError(
             f"model format version {version} not supported (this build "
-            f"reads versions {', '.join(map(str, READABLE_VERSIONS))})"
+            f"reads version {SCHEMA_VERSION}; re-save older files with "
+            f"repro 2.0.0)"
         )
-    if str(data["kind"]) != "model":
-        raise ValueError(f"not a model artifact: kind={data['kind']}")
-    for key in ("phi", "topic_totals", "alpha", "beta", "num_topics",
-                "num_words"):
+    for key in _REQUIRED_FIELDS:
         if key not in data:
             raise ValueError(f"model artifact is missing field {key!r}")
+    try:
+        metadata = verify_payload(data)
+    except ValueError as exc:
+        raise ValueError(f"model artifact corrupted: {exc}") from exc
     phi = data["phi"]
     if phi.ndim != 2 or phi.shape[0] != int(data["num_topics"]) or (
         phi.shape[1] != int(data["num_words"])
     ):
         raise ValueError("model artifact corrupted: inconsistent phi shape")
     vocabulary = None
-    if version >= 2 and "vocab" in data:
+    if "vocab" in data:
         vocabulary = Vocabulary([str(t) for t in data["vocab"]])
-    if version >= 2:
-        metadata = (
-            json.loads(str(data["metadata_json"]))
-            if "metadata_json" in data
-            else {}
-        )
-    else:
-        metadata = {"schema_version": 1}
-    try:
-        metadata["integrity"] = verify_payload(data, metadata)
-    except ValueError as exc:
-        raise ValueError(f"model artifact corrupted: {exc}") from exc
     try:
         model = TopicModel(
             phi=phi,
@@ -153,8 +140,7 @@ def load_topic_model(path: str | Path) -> TopicModel:
             vocabulary=vocabulary,
             metadata=metadata,
         )
-        if version >= 2 and "top_word_index" in data:
-            model._adopt_top_word_index(data["top_word_index"])
+        model._adopt_top_word_index(data["top_word_index"])
         return model
     except ValueError as exc:
         raise ValueError(f"model artifact corrupted: {exc}") from exc

@@ -116,6 +116,30 @@ class TestConformance:
         )
 
 
+class TestMeanKd:
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_mean_kd_is_sampled_theta_density_per_token(
+        self, name, api_corpus
+    ):
+        """``mean_kd`` is, per token, the nonzero count of its document's
+        theta row as the iteration sampled it: iteration 1 reads the
+        state iteration 0 left behind."""
+        trainer = make(name, api_corpus)
+        trainer.fit(1, likelihood_every=0)
+        state = trainer.state
+        theta = (
+            state.doc_topic_matrix()
+            if hasattr(state, "doc_topic_matrix")
+            else state.theta
+        )
+        per_doc = np.count_nonzero(theta, axis=1)
+        expected = float(per_doc @ api_corpus.doc_lengths()) / (
+            api_corpus.num_tokens
+        )
+        result = trainer.fit(1, likelihood_every=0)
+        assert result.records[-1].mean_kd == pytest.approx(expected)
+
+
 class TestIncrementalFit:
     @pytest.mark.parametrize("name", algorithm_names())
     def test_partial_fit_resumes(self, name, api_corpus):

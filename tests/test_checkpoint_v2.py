@@ -3,7 +3,7 @@
 The checkpoint half of the robustness PR:
 
 - v2 files carry vocabulary, lineage and the resumable-run record; v1
-  files (no metadata) still load;
+  files are a typed rejection naming the version;
 - writes are atomic — a failed save can neither tear the previous
   checkpoint nor leave temp litter;
 - a run resumed from a checkpoint continues **bit-identically**: same
@@ -29,6 +29,7 @@ from repro.core.snapshot import (
     save_checkpoint,
 )
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.integrity import verify_artifact
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,8 @@ class TestV2Schema:
             parent="abcdef123456",
         )
         bundle = load_checkpoint_full(path, corpus)
-        assert bundle.version == FORMAT_VERSION == 2
+        assert verify_artifact(path)["version"] == FORMAT_VERSION == 2
+        assert bundle.integrity["status"] == "verified"
         assert list(bundle.vocabulary) == list(vocab)
         assert bundle.lineage["parent"] == "abcdef123456"
         assert len(bundle.lineage["generation"]) == 12
@@ -130,7 +132,7 @@ class TestV2Schema:
         assert bundle.run is None
         assert bundle.lineage is not None  # lineage is always stamped
 
-    def test_v1_checkpoint_still_loads(self, corpus, tmp_path):
+    def test_v1_checkpoint_rejected(self, corpus, tmp_path):
         t = create_trainer("culda", corpus, topics=8, seed=1)
         t.fit(1, likelihood_every=0)
         path = save_checkpoint(t.state, tmp_path / "v1.npz")
@@ -140,13 +142,8 @@ class TestV2Schema:
         del data["metadata_json"]
         data["version"] = 1
         np.savez_compressed(path, **data)
-        state = load_checkpoint(path, corpus)
-        assert np.array_equal(state.phi, t.state.phi)
-        bundle = load_checkpoint_full(path, corpus)
-        assert bundle.version == 1
-        assert bundle.vocabulary is None
-        assert bundle.lineage is None
-        assert bundle.run is None
+        with pytest.raises(ValueError, match="version 1 not supported"):
+            load_checkpoint(path, corpus)
 
     def test_run_info_none_for_non_resumable(self, corpus):
         t = create_trainer("plain_cgs", corpus, topics=8, seed=1)
@@ -322,19 +319,21 @@ class TestCliResume:
         assert err[0].startswith("error:") and "'prereduce'" in err[0]
 
     def test_cli_resume_v1_state_only(self, tmp_path, capsys):
+        """A checkpoint saved without a run record resumes state only,
+        onto a trainer built from the flags."""
         from repro.cli import _load_corpus, build_parser, main
 
-        ck = tmp_path / "v1.npz"
+        ck = tmp_path / "norun.npz"
         rc = main([
             "train", "--topics", "8", "--iterations", "2",
             "--likelihood-every", "0", "--checkpoint", str(ck),
         ])
         assert rc == 0
-        with np.load(ck, allow_pickle=False) as z:
-            data = {k: z[k] for k in z.files}
-        del data["metadata_json"]
-        data["version"] = 1
-        np.savez_compressed(ck, **data)
+        args = build_parser().parse_args(["train", "--topics", "8"])
+        corpus = _load_corpus(args)
+        bundle = load_checkpoint_full(ck, corpus)
+        save_checkpoint(bundle.state, ck, run=None)
+        assert load_checkpoint_full(ck, corpus).run is None
         rc = main([
             "train", "--resume", str(ck), "--topics", "8",
             "--iterations", "1", "--likelihood-every", "0",

@@ -173,7 +173,7 @@ class TestTopics:
     def test_topics_missing_model_keys(self, tmp_path, capsys):
         """An npz lacking required keys gets a clear error, not a KeyError."""
         bad = tmp_path / "bad.npz"
-        np.savez(bad, version=1, kind="model",
+        np.savez(bad, version=2, kind="model",
                  topic_totals=np.array([1, 2]), num_words=3)
         rc = main(["topics", "--model", str(bad)])
         assert rc == 2
@@ -279,8 +279,8 @@ class TestInferEvaluate:
         out = capsys.readouterr().out
         assert "perplexity" in out and "log predictive" in out
 
-    def test_evaluate_works_on_v1_artifact(self, tmp_path, capsys):
-        """End-to-end compat: a seed-era v1 file drives the new commands."""
+    def test_evaluate_rejects_v1_artifact(self, tmp_path, capsys):
+        """A seed-era v1 file is a clean error naming the version."""
         from repro.model import TopicModel
 
         model_path = tmp_path / "m.npz"
@@ -296,8 +296,9 @@ class TestInferEvaluate:
         capsys.readouterr()
         rc = main(["evaluate", "--model", str(v1), "--sweeps", "5",
                    "--burn-in", "1"])
-        assert rc == 0
-        assert "perplexity" in capsys.readouterr().out
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "version 1" in err
 
 
 class TestBenchmark:

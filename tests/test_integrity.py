@@ -6,11 +6,11 @@ The integrity half of the self-healing serving PR:
   sha256 digest over its payload arrays; loaders recompute and compare;
 - the round trip export -> save -> load -> verified holds for **all
   seven** registry algorithms;
-- a bit-flipped file is a typed ``ValueError`` at load time and a
-  ``corrupt`` report from the offline checker — never a silently
-  mis-served model;
-- files written before digests existed still load, flagged
-  ``unverified``;
+- an edited payload, a truncated or a byte-flipped file is a typed
+  ``ValueError`` at load time (exit 2 from the CLI) and a ``corrupt``
+  report from the offline checker — never a silently mis-served model;
+- a file without a digest record is rejected like a corrupted one, so
+  stripping the digest cannot smuggle an edited payload past the check;
 - the ``artifact_corrupt`` chaos hook drives the same detection path
   without touching the file on disk.
 """
@@ -18,12 +18,15 @@ The integrity half of the self-healing serving PR:
 from __future__ import annotations
 
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro import faults
 from repro.api import algorithm_names, create_trainer
+from repro.cli import main
 from repro.core.snapshot import load_checkpoint_full, save_checkpoint
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.integrity import (
@@ -58,6 +61,39 @@ def _rewrite(path, mutate):
     np.savez_compressed(path, **data)
 
 
+def _truncate(path):
+    """Cut the file to half its length, as a torn copy would."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+def _flip_byte(path, member="phi.npy"):
+    """Flip one byte in the middle of ``member``'s compressed bytes."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    raw = bytearray(path.read_bytes())
+    # local file header: 30 fixed bytes, then the name and extra fields
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    raw[start + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _tamper_without_digest(src, dst):
+    """Write ``src`` to ``dst`` with one phi count added, every invariant
+    kept (totals, top-word index), and no ``metadata_json`` — so only
+    the missing digest gives the edit away."""
+    m = TopicModel.load(src)
+    phi = m.phi.copy()
+    phi[0, 0] += 1
+    TopicModel(
+        phi=phi, topic_totals=phi.sum(axis=1), alpha=m.alpha, beta=m.beta,
+        vocabulary=m.vocabulary,
+    ).save(dst)
+    _rewrite(dst, lambda data: data.pop("metadata_json"))
+    return dst
+
+
 class TestDigest:
     def test_deterministic_and_order_insensitive(self):
         a = {"x": np.arange(6), "y": np.ones((2, 3))}
@@ -88,21 +124,28 @@ class TestDigest:
         arrays = {"x": np.arange(4)}
         rec = integrity_record(arrays)
         assert rec["algorithm"] == DIGEST_ALGORITHM
-        out = verify_payload(arrays, {"integrity": rec})
-        assert out["status"] == "verified"
-        assert out["digest"] == rec["digest"]
+        arrays["metadata_json"] = json.dumps({"integrity": rec, "k": 1})
+        out = verify_payload(arrays)
+        assert out["k"] == 1
+        assert out["integrity"]["status"] == "verified"
+        assert out["integrity"]["digest"] == rec["digest"]
 
     def test_verify_payload_unverified_without_record(self):
-        assert verify_payload({"x": np.arange(4)}, {}) == {
-            "status": "unverified"
-        }
+        """No metadata, or metadata without a sha256 record, is refused."""
+        with pytest.raises(ValueError, match="no integrity digest"):
+            verify_payload({"x": np.arange(4)})
+        with pytest.raises(ValueError, match="no integrity digest"):
+            verify_payload({"x": np.arange(4), "metadata_json": "{}"})
+        with pytest.raises(ValueError, match="bad metadata"):
+            verify_payload({"x": np.arange(4), "metadata_json": "{nope"})
 
     def test_verify_payload_mismatch_raises(self):
         arrays = {"x": np.arange(4)}
         rec = integrity_record(arrays)
+        arrays["metadata_json"] = json.dumps({"integrity": rec})
         arrays["x"] = np.arange(4) + 1
         with pytest.raises(ValueError, match="digest mismatch"):
-            verify_payload(arrays, {"integrity": rec})
+            verify_payload(arrays)
 
 
 class TestModelArtifactIntegrity:
@@ -160,7 +203,7 @@ class TestModelArtifactIntegrity:
         assert report["status"] == "corrupt"
         assert "unreadable" in report["detail"]
 
-    def test_pre_digest_file_reports_unverified(self, tmp_path):
+    def test_pre_digest_file_reports_corrupt(self, tmp_path):
         path = tmp_path / "old.npz"
         np.savez_compressed(
             path, version=1, kind="model", phi=np.ones((2, 3), np.int64),
@@ -168,8 +211,9 @@ class TestModelArtifactIntegrity:
             num_topics=2, num_words=3,
         )
         report = verify_artifact(path)
-        assert report["status"] == "unverified"
-        assert report["stored_digest"] is None
+        assert report["status"] == "corrupt"
+        assert "no integrity digest" in report["detail"]
+        assert main(["verify-artifact", str(path)]) == 1
 
     def test_garbage_metadata_reports_corrupt(self, corpus, tmp_path):
         trainer = create_trainer("culda", corpus, topics=6, seed=3)
@@ -243,3 +287,74 @@ class TestCheckpointIntegrity:
 
         _rewrite(written, flip)
         assert verify_artifact(written)["status"] == "corrupt"
+
+
+class TestUnreadableAndUndigestedFiles:
+    """Torn, byte-flipped and digest-stripped files are typed rejections
+    at every reader: the library loaders, the CLI and the offline check."""
+
+    @pytest.fixture()
+    def model_path(self, corpus, tmp_path):
+        trainer = create_trainer("culda", corpus, topics=6, seed=3)
+        trainer.fit(1, likelihood_every=0)
+        path = tmp_path / "m.npz"
+        trainer.export_model().save(path)
+        return path
+
+    @pytest.fixture()
+    def checkpoint_path(self, corpus, tmp_path):
+        trainer = create_trainer("culda", corpus, topics=6, seed=5)
+        trainer.fit(1, likelihood_every=0)
+        return save_checkpoint(trainer.state, tmp_path / "ck.npz")
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_byte])
+    def test_damaged_model_raises_value_error(self, model_path, damage):
+        damage(model_path)
+        with pytest.raises(ValueError, match="unreadable"):
+            TopicModel.load(model_path)
+        assert verify_artifact(model_path)["status"] == "corrupt"
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_byte])
+    def test_damaged_checkpoint_raises_value_error(
+        self, corpus, checkpoint_path, damage
+    ):
+        damage(checkpoint_path)
+        with pytest.raises(ValueError, match="unreadable"):
+            load_checkpoint_full(checkpoint_path, corpus)
+        assert verify_artifact(checkpoint_path)["status"] == "corrupt"
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            TopicModel.load(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_byte])
+    @pytest.mark.parametrize("command", ["topics", "infer"])
+    def test_cli_exits_two_on_damaged_model(
+        self, model_path, damage, command, capsys
+    ):
+        damage(model_path)
+        argv = [command, "--model", str(model_path)]
+        if command == "infer":
+            argv += ["--sweeps", "2", "--burn-in", "1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_stripped_digest_model_is_rejected(
+        self, model_path, tmp_path, capsys
+    ):
+        bad = _tamper_without_digest(model_path, tmp_path / "bad.npz")
+        with pytest.raises(ValueError, match="no integrity digest"):
+            TopicModel.load(bad)
+        capsys.readouterr()
+        assert main(["verify-artifact", str(bad)]) == 1
+        assert "corrupt" in capsys.readouterr().out
+
+    def test_stripped_digest_checkpoint_is_rejected(
+        self, corpus, checkpoint_path
+    ):
+        _rewrite(checkpoint_path, lambda data: data.pop("metadata_json"))
+        with pytest.raises(ValueError, match="no integrity digest"):
+            load_checkpoint_full(checkpoint_path, corpus)

@@ -4,7 +4,7 @@ Covers the acceptance criteria of the model redesign:
 
 - ``export_model()`` works for **all seven** registry algorithms;
 - a **v1** npz (written by the pre-redesign ``repro train --output``)
-  loads into a :class:`TopicModel` via the compat path;
+  is a typed rejection naming the version;
 - the v2 round trip preserves arrays, hyper-parameters, vocabulary and
   metadata; corrupted/unknown files are rejected.
 """
@@ -143,8 +143,9 @@ class TestPersistence:
         assert back.metadata.pop("integrity")["status"] == "verified"
         assert back.metadata == {}
 
-    def test_v1_artifact_loads(self, tmp_path):
-        """A pre-redesign `repro train --output` file loads via compat."""
+    def test_v1_artifact_rejected(self, tmp_path):
+        """A pre-redesign `repro train --output` file is refused by
+        version, before any field is read."""
         m = tiny_model()
         path = tmp_path / "v1.npz"
         # the exact layout the seed-era model writer produced
@@ -154,14 +155,8 @@ class TestPersistence:
             alpha=m.alpha, beta=m.beta,
             num_topics=m.num_topics, num_words=m.num_words,
         )
-        back = TopicModel.load(path)
-        assert np.array_equal(back.phi, m.phi)
-        assert back.phi.dtype == np.int64  # normalized on load
-        assert back.alpha == m.alpha
-        assert back.vocabulary is None
-        # pre-digest file: loads, but flagged unverified
-        assert back.metadata.pop("integrity") == {"status": "unverified"}
-        assert back.metadata == {"schema_version": 1}
+        with pytest.raises(ValueError, match="version 1 not supported"):
+            TopicModel.load(path)
 
     def test_current_writer_emits_v2(self, tmp_path):
         path = tmp_path / "m.npz"
@@ -251,18 +246,30 @@ class TestTopWordIndex:
             loaded._top_word_index, m.top_word_index()
         )
 
-    def test_v1_artifact_builds_index_lazily(self, tmp_path):
-        """Old files lack the array; top_words still works (slow path)."""
+    def test_v1_artifact_builds_index_lazily(self):
+        """Loaded files always carry the index; a model built in memory
+        has none until asked, and top_words works without it."""
         m = tiny_model(vocab_size=6)
-        path = tmp_path / "v1.npz"
-        np.savez_compressed(
-            path, version=1, kind="model", phi=m.phi,
-            topic_totals=m.topic_totals, alpha=m.alpha, beta=m.beta,
-            num_topics=m.num_topics, num_words=m.num_words,
-        )
-        loaded = TopicModel.load(path)
-        assert loaded._top_word_index is None
-        assert loaded.top_words(0, 2).tolist() == [0, 2]
+        assert m._top_word_index is None
+        assert m.top_words(0, 2).tolist() == [0, 2]
+        assert m._top_word_index is None  # the slow path builds nothing
+        m.top_word_index()
+        assert m._top_word_index is not None
+        assert m.top_words(0, 2).tolist() == [0, 2]
+
+    def test_file_without_index_rejected(self, tmp_path):
+        """Every writer that records a digest also writes the index, so
+        a digested file without one is malformed, not old."""
+        path = tmp_path / "m.npz"
+        tiny_model().save(path)
+        with np.load(path) as z:
+            data = {k: z[k] for k in z.files if k != "top_word_index"}
+        meta = json.loads(str(data.pop("metadata_json")))
+        meta["integrity"] = integrity_record(data)
+        data["metadata_json"] = json.dumps(meta)
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match="top_word_index"):
+            TopicModel.load(path)
 
     def test_corrupted_index_rejected(self, tmp_path):
         m = tiny_model()

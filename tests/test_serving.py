@@ -1297,6 +1297,40 @@ class TestSwapIntegrity:
 
         run(scenario())
 
+    def test_digest_stripped_artifact_is_rejected(self, stack, tmp_path):
+        """An edited payload whose digest record was deleted is no
+        more servable than one whose digest mismatches."""
+        from repro.model import TopicModel
+
+        good = TopicModel.load(stack["m2_path"])
+        phi = good.phi.copy()
+        phi[0, 0] += 1  # totals and top-word index stay consistent
+        bad = tmp_path / "bad.npz"
+        TopicModel(
+            phi=phi, topic_totals=phi.sum(axis=1), alpha=good.alpha,
+            beta=good.beta, vocabulary=good.vocabulary,
+        ).save(bad)
+        with np.load(bad, allow_pickle=False) as z:
+            data = {k: z[k] for k in z.files if k != "metadata_json"}
+        np.savez_compressed(bad, **data)
+
+        async def scenario():
+            async with make_server(stack) as server:
+                host, port = server.address
+                async with await ServingClient.connect(host, port) as c:
+                    with pytest.raises(
+                        ServingError, match="swap_rejected"
+                    ):
+                        await c.swap(str(bad))
+                    r = await c.infer(stack["docs"][:1], seed=9)
+                    assert r.generation == stack["m1"].generation
+                    assert np.array_equal(
+                        r.theta,
+                        stack["ref1"].transform(stack["docs"][:1], seed=9),
+                    )
+
+        run(scenario())
+
     def test_successful_swap_reports_verified_integrity(self, stack):
         async def scenario():
             async with make_server(stack) as server:
