@@ -47,7 +47,7 @@ def _resolve_platform(platform):
         "execution": "device-loop executor: serial (default) or process "
                      "(real OS workers over shared memory; same draws)",
         "num_workers": "OS worker processes for execution=process "
-                       "(default min(gpus, cpu_count))",
+                       "(default min(gpus, usable CPUs))",
         "sync_mode": "process-mode sync: barrier (default) or overlap "
                      "(pipelined against the next iteration; same draws)",
         "worker_affinity": "CPU ids to pin OS workers to (round-robin)",
@@ -159,7 +159,7 @@ def _make_saberlda(
         "execution": "cluster-worker executor: serial (default) or process "
                      "(real OS workers over shared memory; same draws)",
         "num_workers": "OS worker processes for execution=process "
-                       "(default min(workers, cpu_count))",
+                       "(default min(workers, usable CPUs))",
         "sync_mode": "process-mode sync: barrier (default) or overlap "
                      "(pipelined PS merge + worker likelihood; same draws)",
         "worker_affinity": "CPU ids to pin OS workers to (round-robin)",

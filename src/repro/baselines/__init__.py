@@ -13,7 +13,6 @@ every system behind one keyword surface; the trainer classes themselves
 live in their implementation modules.
 """
 
-from repro.baselines.alias import AliasTable
 from repro.baselines.plain_cgs import PlainCgsModel
 
-__all__ = ["AliasTable", "PlainCgsModel"]
+__all__ = ["PlainCgsModel"]

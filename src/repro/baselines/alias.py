@@ -11,69 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 
-class AliasTable:
-    """Walker/Vose alias table over non-negative weights.
-
-    Build is fully vectorised (two-pointer partition over the normalised
-    weights); sampling draws ``(slot, coin)`` pairs and resolves each in
-    O(1).
-    """
-
-    __slots__ = ("prob", "alias", "_n", "total")
-
-    def __init__(self, weights: np.ndarray):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-D array")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and non-negative")
-        total = float(w.sum())
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
-        self._n = n = w.size
-        self.total = total
-        scaled = w * (n / total)
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            if scaled[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
-        # Leftovers are 1.0 up to floating error.
-        for i in small + large:
-            prob[i] = 1.0
-            alias[i] = i
-        self.prob = prob
-        self.alias = alias
-
-    @property
-    def size(self) -> int:
-        return self._n
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` indices with probability proportional to weight."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        slots = rng.integers(0, self._n, size=size)
-        coins = rng.random(size)
-        return np.where(coins < self.prob[slots], slots, self.alias[slots])
-
-
 def build_alias_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Vose build: one alias table per **row** of ``weights``.
 
     Returns ``(prob, alias)`` arrays of shape ``(W, n)`` such that row
-    ``w`` is **bit-identical** to ``AliasTable(weights[w]).prob`` /
-    ``.alias`` (asserted by tests/test_alias.py).  That holds because the
+    ``w`` is **bit-identical** to the scalar Vose build of ``weights[w]``
+    (the reference in tests/test_alias.py).  That holds because the
     scalar build is replayed exactly, just for all rows in lockstep:
 
     - per-row totals are pairwise sums over the contiguous last axis —

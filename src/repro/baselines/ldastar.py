@@ -41,7 +41,6 @@ from repro.gpusim.clock import cpu_kernel_time
 from repro.gpusim.interconnect import ETHERNET_10G, Link
 from repro.gpusim.platform import XEON_E5_2650_V3
 from repro.gpusim.spec import CpuSpec
-from repro.parallel.pool import normalize_affinity
 from repro.perf import Workspace
 
 
@@ -91,29 +90,10 @@ class LdaStarTrainer:
         """
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if execution not in ("serial", "process"):
-            raise ValueError(
-                f"execution must be 'serial' or 'process', got {execution!r}"
-            )
-        if num_processes is not None and num_processes < 1:
-            raise ValueError("num_processes must be >= 1 (or None)")
-        if sync_mode not in ("barrier", "overlap"):
-            raise ValueError(
-                f"sync_mode must be 'barrier' or 'overlap' for LDA* "
-                f"(its engine always pre-reduces), got {sync_mode!r}"
-            )
-        if sync_mode == "overlap" and execution != "process":
-            raise ValueError(
-                "sync_mode='overlap' requires execution='process'"
-            )
         self.corpus = corpus
         self.num_workers = num_workers
         self.cpu = cpu
         self.network = network
-        self.execution = execution
-        self.num_processes = num_processes
-        self.sync_mode = sync_mode
-        self.worker_affinity = normalize_affinity(worker_affinity)
         # Reuse the core chunked state: one chunk per worker.
         self.config = TrainerConfig(
             num_topics=num_topics,
@@ -122,6 +102,12 @@ class LdaStarTrainer:
             num_gpus=num_workers,  # worker count plays the role of G
             chunks_per_gpu=1,
             compress=False,  # workers use plain 32-bit data
+            execution=execution,
+            num_workers=num_processes,
+            sync_mode=sync_mode,
+            worker_affinity=worker_affinity,
+            recovery_retries=recovery_retries,
+            recovery_backoff=recovery_backoff,
             seed=seed,
         )
         specs = partition_by_tokens(corpus, num_workers)
@@ -132,16 +118,18 @@ class LdaStarTrainer:
         self._iterations_done = 0
         # shared kernel arena for all simulated workers' chunk passes
         self._workspace = Workspace()
-        #: reused int64 delta accumulators (avoid per-iteration allocs)
-        self._deltas = np.zeros_like(self.state.phi, dtype=np.int64)
-        self._delta_totals = np.zeros_like(self.state.topic_totals)
+        if self.config.execution == "serial":
+            #: the replica and int64 delta accumulator, reused across
+            #: iterations as an OS worker reuses its own
+            self._replica = (
+                np.empty_like(self.state.phi),
+                np.empty_like(self.state.topic_totals),
+            )
+            self._deltas = (
+                np.zeros_like(self.state.phi, dtype=np.int64),
+                np.zeros_like(self.state.topic_totals),
+            )
         self._engine = None
-        if recovery_retries < 0:
-            raise ValueError("recovery_retries must be >= 0")
-        if recovery_backoff < 0:
-            raise ValueError("recovery_backoff must be >= 0")
-        self.recovery_retries = int(recovery_retries)
-        self.recovery_backoff = float(recovery_backoff)
         self._recovery_log: list[dict] = []
 
     def _worker_seconds(self, stats: SamplingStats) -> float:
@@ -169,10 +157,11 @@ class LdaStarTrainer:
     # -- parallel execution ---------------------------------------------------
 
     def _ensure_engine(self):
-        """Delta-mode engine: one group per cluster worker, all sampling
-        against the single shared model snapshot (the parameter-server
-        pull), updates scattered into per-OS-worker delta accumulators
-        (the push) — memory scales with OS workers, not cluster size."""
+        """The engine culda builds, with one group per cluster worker:
+        each samples against a replica refreshed from the published model
+        (the parameter-server pull) and its updates land in its OS
+        worker's delta accumulator (the push) — memory scales with OS
+        workers, not cluster size."""
         if self._engine is None:
             from repro.parallel import ProcessEngine
 
@@ -181,17 +170,17 @@ class LdaStarTrainer:
                     cs.chunk.spec.chunk_id: cs for cs in self.state.chunks
                 },
                 groups=[[w] for w in range(self.num_workers)],
-                replicas=[(self.state.phi, self.state.topic_totals)],
+                model=(self.state.phi, self.state.topic_totals),
                 num_topics=self.config.num_topics,
                 alpha=self.config.effective_alpha,
                 beta=self.config.effective_beta,
-                compress=False,
+                compress=self.config.compress,
+                compute_dtype=self.config.compute_dtype,
                 seed=self.config.seed,
-                num_workers=self.num_processes,
-                mode="delta",
-                worker_affinity=self.worker_affinity,
-                recovery_retries=self.recovery_retries,
-                recovery_backoff=self.recovery_backoff,
+                num_workers=self.config.num_workers,
+                worker_affinity=self.config.worker_affinity,
+                recovery_retries=self.config.recovery_retries,
+                recovery_backoff=self.config.recovery_backoff,
                 recovery_log=self._recovery_log,
             )
             self._engine.start()
@@ -265,27 +254,26 @@ class LdaStarTrainer:
         self.history = []
 
     def _sample_workers_serial(self, it: int) -> tuple[list, int, int]:
-        """All workers' chunk passes in-process against the iteration-start
-        snapshot, scattering updates into the reused delta accumulators.
-
-        ``self.state.phi``/``topic_totals`` are *read-only* during the
-        loop (every worker samples against the same pulled model), so no
-        per-worker replica copies are needed — the deltas alone carry the
-        push half of the PS exchange.
+        """All workers' chunk passes in-process, as one OS worker runs
+        them: each worker's chunk samples against the replica refreshed
+        from the iteration-start model (the pull), and its updates are
+        summed into the delta accumulator (the push), merged at the end.
         """
-        deltas, dtot = self._deltas, self._delta_totals
-        deltas[...] = 0
+        phi, totals = self._replica
+        dphi, dtot = self._deltas
+        dphi[...] = 0
         dtot[...] = 0
-        results = [
-            chunk_pass(
-                cs, self.state.phi, self.state.topic_totals, it, self.pool,
-                self.config.num_topics, self.config.effective_alpha,
-                self.config.effective_beta, compress=False,
-                workspace=self._workspace, update_phi=deltas, update_totals=dtot,
-            )
-            for cs in self.state.chunks
-        ]
-        self._apply_deltas([(deltas, dtot)])
+        results = []
+        for cs in self.state.chunks:
+            phi[...] = self.state.phi
+            totals[...] = self.state.topic_totals
+            results.append(chunk_pass(
+                cs, phi, totals, it, self.pool, self.config.num_topics,
+                self.config.effective_alpha, self.config.effective_beta,
+                self.config.compress, self._workspace,
+                accum_phi=dphi, accum_totals=dtot,
+            ))
+        self._apply_deltas([self._deltas])
         return self._fold_results(results)
 
     def _fold_results(self, results) -> tuple[list, int, int]:
@@ -298,8 +286,7 @@ class LdaStarTrainer:
 
     def _dispatch_process(self, engine, it: int, want_ll: bool) -> None:
         """The PS pull + kick-off: publish the merged model, start ``it``."""
-        engine.model_phi()[...] = self.state.phi
-        engine.model_totals()[...] = self.state.topic_totals
+        engine.publish_model(self.state.phi, self.state.topic_totals)
         engine.dispatch_iteration(it, want_ll=want_ll)
 
     def _assemble_likelihood(self, results) -> float:
@@ -327,8 +314,8 @@ class LdaStarTrainer:
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
         total_tokens = self.state.num_tokens
-        process = self.execution == "process"
-        pipeline = process and self.sync_mode == "overlap"
+        process = self.config.execution == "process"
+        pipeline = self.config.sync_mode == "overlap"
         engine = self._ensure_engine() if process else None
 
         def needs_ll(it: int) -> bool:
@@ -380,10 +367,10 @@ class LdaStarTrainer:
             "alpha": self.config.effective_alpha,
             "beta": self.config.effective_beta,
             "network": self.network.name,
-            "execution": self.execution,
-            "num_processes": self.num_processes,
-            "sync_mode": self.sync_mode,
-            "worker_affinity": self.worker_affinity,
+            "execution": self.config.execution,
+            "num_processes": self.config.num_workers,
+            "sync_mode": self.config.sync_mode,
+            "worker_affinity": self.config.worker_affinity,
         }
 
     @property

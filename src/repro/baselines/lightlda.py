@@ -11,9 +11,8 @@ tables — unlike the WarpLDA module (which draws the same distribution
 via vectorised CDF search), so the alias substrate is exercised
 end-to-end.  All present words' tables are built in one batched Vose
 construction (:func:`repro.baselines.alias.build_alias_tables`), which
-is bit-identical to building a per-word
-:class:`~repro.baselines.alias.AliasTable` in a Python loop but removes
-the O(V * K) interpreter work from the iteration hot path.
+is bit-identical to a scalar Vose build per word in a Python loop but
+removes the O(V * K) interpreter work from the iteration hot path.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class LightLdaTrainer(CycleProposalTrainer):
         present words at once (batched Vose, amortising the O(K) build),
         then each word's tokens draw from its table in O(1).  The RNG
         draw order (slots then coins, word by ascending id) matches the
-        historical per-word ``AliasTable.sample`` loop exactly, so fixed
+        historical per-word alias-table sample loop exactly, so fixed
         seeds reproduce the same chain.
         """
         m = self.model
@@ -77,7 +76,7 @@ class LightLdaTrainer(CycleProposalTrainer):
             weights += self.beta
             prob, alias = build_alias_tables(weights)
             # Draw (slot, coin) pairs word by ascending id — the same RNG
-            # stream as the historical per-word AliasTable.sample loop —
+            # stream as the historical per-word alias-table sample loop —
             # then resolve every token against its word's table at once.
             t = m.z.shape[0]
             slots = np.empty(t, dtype=np.int64)

@@ -676,15 +676,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--num-workers", dest="num_workers", type=int,
         default=_ALGO_FLAG_DEFAULTS["num_workers"],
         help="OS worker processes for --execution process "
-             "(default: min(devices, cpu_count))",
+             "(default: min(devices, CPUs this process may run on))",
     )
     p_train.add_argument(
         "--sync-mode", dest="sync_mode",
         choices=("barrier", "overlap"),
         default=_ALGO_FLAG_DEFAULTS["sync_mode"],
-        help="process-mode phi sync: barrier = merge then broadcast, "
-             "overlap = merge and broadcast pipelined against the next "
-             "iteration (bit-identical draws in both modes)",
+        help="process-mode phi sync; either way the master merges the "
+             "workers' deltas and each worker copies the merged model into "
+             "its replica: barrier = the next iteration starts after the "
+             "master's accounting and likelihood, overlap = it starts "
+             "right after the merge (bit-identical draws in both modes)",
     )
     p_train.add_argument(
         "--affinity", dest="worker_affinity",

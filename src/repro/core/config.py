@@ -53,20 +53,22 @@ class TrainerConfig:
         Both modes produce bit-identical draws for the same seed.
     num_workers:
         OS worker processes for ``execution="process"``; ``None`` uses
-        ``min(num_gpus, os.cpu_count())``.  Ignored in serial mode.
+        ``min(num_gpus, usable CPUs)``, where usable CPUs are those this
+        process's affinity mask allows.  Ignored in serial mode.
     sync_mode:
-        How process execution hands the reconciled phi back to the
-        devices (requires ``execution="process"`` for ``"overlap"``).
-        Either way every OS worker pre-reduces its own devices' phi
-        updates into one shared int64 accumulator and the master merges
-        the ``W`` accumulators (O(W*K*V)):
+        When process execution starts the next iteration (requires
+        ``execution="process"`` for ``"overlap"``).  Either way every OS
+        worker pre-reduces its own devices' phi updates into one shared
+        int64 accumulator, the master merges the ``W`` accumulators
+        (O(W*K*V)) and writes the model once, and each worker copies it
+        into its private replica before each device it owns:
 
-        - ``"barrier"`` (default) — the master merges, then broadcasts
-          the model into every device replica before the next kick-off;
+        - ``"barrier"`` (default) — the next iteration starts after the
+          master's accounting and likelihood;
         - ``"overlap"`` — the paper's Section 6.2 "phi first" trick at
-          the process level: the workers copy the merged model into
-          their own replicas at the next iteration's kick-off, and the
-          master's accounting/likelihood runs while they sample.
+          the process level: the next iteration starts right after the
+          merge, and the master's accounting/likelihood runs while the
+          workers sample.
 
         Both modes produce bit-identical draws, models, likelihood
         trajectories and simulated clocks (goldens assert it); only host

@@ -55,7 +55,9 @@ from repro.perf import Workspace
 class DeviceState:
     """One GPU's replica and its round-robin chunk assignment.
 
-    ``workspace`` is the reusable kernel arena the device's chunk passes
+    Only serial execution keeps the replica on the master (``phi`` and
+    ``totals`` are ``None`` under process execution, whose OS workers
+    hold their own).  ``workspace`` is the reusable kernel arena the device's chunk passes
     draw every large temporary from, so after the first pass the steady
     state allocates (almost) nothing — the NumPy analogue of static
     device buffers.  It belongs to the executor process, not the device:
@@ -64,8 +66,8 @@ class DeviceState:
     """
 
     gpu: SimulatedGPU
-    phi: np.ndarray  # int32[K, V] replica
-    totals: np.ndarray  # int64[K] replica
+    phi: np.ndarray | None  # int32[K, V] replica
+    totals: np.ndarray | None  # int64[K] replica
     chunk_ids: list[int] = field(default_factory=list)
     workspace: Workspace | None = None
 
@@ -118,8 +120,6 @@ def chunk_pass(
     beta: float,
     compress: bool,
     workspace: Workspace | None = None,
-    update_phi: np.ndarray | None = None,
-    update_totals: np.ndarray | None = None,
     accum_phi: np.ndarray | None = None,
     accum_totals: np.ndarray | None = None,
 ) -> ChunkResult:
@@ -128,12 +128,10 @@ def chunk_pass(
     Samples ``cs`` against ``phi``/``totals`` on the chunk's
     ``(seed, iteration, chunk_id)`` stream, applies the count updates,
     writes the new topics into ``cs.topics`` in place (so a shared-memory
-    view publishes them) and rebuilds ``cs.theta``.
-    ``update_phi``/``update_totals`` redirect the count updates away from
-    the sampled-against arrays (the LDA* delta push); by default they
-    land on ``phi``/``totals`` themselves.  ``accum_phi``/``accum_totals``
-    additionally receive the same signed update (the replica-mode
-    pre-reduce).
+    view publishes them) and rebuilds ``cs.theta``.  The count updates
+    land on ``phi``/``totals``; ``accum_phi``/``accum_totals``
+    additionally receive the same signed update (a process worker's
+    pre-reduced delta).
     """
     chunk_id = cs.chunk.spec.chunk_id
     theta_nnz_pre = cs.theta.nnz
@@ -143,9 +141,7 @@ def chunk_pass(
         workspace=workspace,
     )
     changed = apply_phi_update(
-        phi if update_phi is None else update_phi,
-        totals if update_totals is None else update_totals,
-        cs.chunk.token_words, cs.topics, result.new_topics,
+        phi, totals, cs.chunk.token_words, cs.topics, result.new_topics,
         accum_phi=accum_phi, accum_totals=accum_totals,
     )
     np.copyto(cs.topics, result.new_topics, casting="same_kind")

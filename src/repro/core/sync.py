@@ -79,17 +79,14 @@ def synchronize_prereduced(
     phi_ref: np.ndarray,
     totals_ref: np.ndarray,
     worker_deltas: list[tuple[np.ndarray, np.ndarray]],
-    device_phis: list[np.ndarray] | None = None,
-    device_totals: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Functional sync from per-worker ``(delta_phi, delta_totals)`` pairs.
 
     Functionally identical to :func:`synchronize` (integer arithmetic —
     same ``phi_new``/``totals_new`` to the bit) with the master-side
-    merge cut to one add per OS worker.  ``device_phis``/``device_totals``
-    are broadcast into when given; pass ``None`` when the workers copy
-    the reconciled model into their own replicas at the next kick-off
-    instead (the overlap pipeline).  No simulated clock is charged here:
+    merge cut to one add per OS worker.  Nothing is broadcast here: the
+    workers copy the reconciled model into their own replicas at the
+    next kick-off.  No simulated clock is charged here:
     the caller charges the Figure 4 tree reduce with
     :func:`simulate_phi_sync`, identically in every mode.
     """
@@ -100,10 +97,6 @@ def synchronize_prereduced(
     totals_new = totals_ref.astype(np.int64)  # astype always copies here
     for _, dtot in worker_deltas:
         totals_new += dtot
-    if device_phis is not None:
-        for g in range(len(device_phis)):
-            device_phis[g][...] = phi_new
-            device_totals[g][...] = totals_new
     return phi_new, totals_new
 
 

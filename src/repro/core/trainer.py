@@ -172,12 +172,13 @@ class CuLdaTrainer:
             gpu = SimulatedGPU(g, spec)
             dev = DeviceState(
                 gpu=gpu,
-                phi=self.state.phi.copy(),
-                totals=self.state.topic_totals.copy(),
+                phi=None,
+                totals=None,
                 chunk_ids=[c.chunk_id for c in per_gpu[g]],
                 workspace=workspace,
             )
             self.devices.append(dev)
+        self._reset_replicas()
         self._allocate_device_memory()
         self._initial_transfers()
         self.history: list[IterationRecord] = []
@@ -237,11 +238,21 @@ class CuLdaTrainer:
                     dev.gpu.h2d("transfer", self.state.chunks[cid].chunk.nbytes(tdtype))
         barrier([d.gpu.timeline for d in self.devices])
 
+    def _reset_replicas(self) -> None:
+        """Copy the model into every device replica (serial execution).
+
+        Process execution keeps no replica on the master: its OS workers
+        refresh private ones from the engine's published model.
+        """
+        serial = self.config.execution == "serial"
+        for dev in self.devices:
+            dev.phi = self.state.phi.copy() if serial else None
+            dev.totals = self.state.topic_totals.copy() if serial else None
+
     # -- parallel execution ---------------------------------------------------
 
     def _ensure_engine(self):
-        """Build/start the process engine and point the device replicas at
-        its shared-memory views (values preserved)."""
+        """Build and start the process engine from the current state."""
         if self._engine is None:
             from repro.parallel import ProcessEngine
 
@@ -250,7 +261,7 @@ class CuLdaTrainer:
                     cs.chunk.spec.chunk_id: cs for cs in self.state.chunks
                 },
                 groups=[list(dev.chunk_ids) for dev in self.devices],
-                replicas=[(dev.phi, dev.totals) for dev in self.devices],
+                model=(self.state.phi, self.state.topic_totals),
                 num_topics=self.config.num_topics,
                 alpha=self.config.effective_alpha,
                 beta=self.config.effective_beta,
@@ -264,9 +275,6 @@ class CuLdaTrainer:
                 recovery_log=self._recovery_log,
             )
             self._engine.start()
-            for g, dev in enumerate(self.devices):
-                dev.phi = self._engine.phi(g)
-                dev.totals = self._engine.totals(g)
         return self._engine
 
     def close(self) -> None:
@@ -284,14 +292,10 @@ class CuLdaTrainer:
         were still writing.
         """
         if self._engine is not None:
-            if self._engine.started:
-                if self._engine.drain() is not None:
-                    # Separate frame: its replica/accumulator views must
-                    # be dead before engine.close() unmaps the arena.
-                    self._merge_pending_sync()
-                for dev in self.devices:
-                    dev.phi = np.array(dev.phi)
-                    dev.totals = np.array(dev.totals)
+            if self._engine.started and self._engine.drain() is not None:
+                # Separate frame: its accumulator views must be dead
+                # before engine.close() unmaps the arena.
+                self._merge_pending_sync()
             self._engine.close()
             self._engine = None
 
@@ -307,8 +311,6 @@ class CuLdaTrainer:
             self.state.phi,
             self.state.topic_totals,
             self._engine.worker_deltas(),
-            [d.phi for d in self.devices],
-            [d.totals for d in self.devices],
         )
         self.state.phi[...] = phi_new
         self.state.topic_totals[...] = totals_new
@@ -390,9 +392,7 @@ class CuLdaTrainer:
             )
         self.close()
         self.state = state
-        for dev in self.devices:
-            dev.phi = state.phi.copy()
-            dev.totals = state.topic_totals.copy()
+        self._reset_replicas()
         run = run or {}
         self._iterations_done = int(run.get("iterations_done", 0))
         sim_time = float(run.get("sim_time", 0.0))
@@ -463,37 +463,22 @@ class CuLdaTrainer:
                 self.state.phi[...] = phi_new
                 self.state.topic_totals[...] = totals_new
             else:
-                # Pre-reduced functional merge first — O(W*K*V), and it
-                # unblocks the next iteration's kick-off.  Unless the
-                # pipeline continues (overlap, not the last iteration,
-                # no validation due), the master broadcasts the model
-                # into the replicas while the workers idle.
-                pipelined = (
-                    pipeline and n + 1 < num_iterations and not validate_due
-                )
-                broadcast_to = [] if pipelined else self.devices
+                # Pre-reduced functional merge first — O(W*K*V) — then
+                # one write of the model the workers refresh from.
                 phi_new, totals_new = self._sync_with_retry(
                     synchronize_prereduced,
                     self.state.phi,
                     self.state.topic_totals,
                     engine.worker_deltas(),
-                    [d.phi for d in broadcast_to],
-                    [d.totals for d in broadcast_to],
                 )
                 self.state.phi[...] = phi_new
                 self.state.topic_totals[...] = totals_new
-                if pipelined:
-                    # The paper's "phi first" at the process level:
-                    # workers broadcast the reconciled model into their
-                    # own replicas and start sampling iteration i+1 while
-                    # the master replays clocks and scores likelihood.
-                    engine.model_phi()[...] = phi_new
-                    engine.model_totals()[...] = totals_new
-                    engine.dispatch_iteration(
-                        it + 1,
-                        want_ll=needs_ll(it + 1),
-                        refresh_replicas=True,
-                    )
+                engine.publish_model(phi_new, totals_new)
+                if pipeline and n + 1 < num_iterations and not validate_due:
+                    # The paper's "phi first" at the process level: the
+                    # workers start sampling iteration i+1 while the
+                    # master replays clocks and scores likelihood.
+                    engine.dispatch_iteration(it + 1, want_ll=needs_ll(it + 1))
                     inflight = it + 1
                 outcome = replay_parallel_accounting(
                     self.devices, self.state, self.config, it, results
@@ -507,8 +492,9 @@ class CuLdaTrainer:
 
             if validate_due:
                 self.state.validate()
-                for d in self.devices:
-                    verify_phi_consistency(d.phi, d.totals, total_tokens)
+                if engine is None:
+                    for d in self.devices:
+                        verify_phi_consistency(d.phi, d.totals, total_tokens)
 
             if engine is not None:
                 likelihood = partial(self._assemble_likelihood, results)

@@ -48,8 +48,8 @@ Points currently wired (see docs/ROBUSTNESS.md):
 ==================  ====================================================
 ``worker_crash``    training worker ``os._exit`` at ``phase=sample``
                     (before a chunk pass), ``merge`` (after sampling,
-                    before replying) or ``broadcast`` (during the
-                    overlap model refresh)
+                    before replying) or ``broadcast`` (at every
+                    kick-off, before the replica refreshes)
 ``shm_attach``      worker dies before attaching the shared arena
                     (training and inference pools)
 ``merge_fail``      transient exception at the top of the master's phi

@@ -30,7 +30,6 @@ segments or worker processes.
 
 from __future__ import annotations
 
-import os
 import traceback
 import weakref
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ from repro.parallel.pool import (
 )
 from repro.parallel.shm import ArenaLayout, ShmArena
 
-__all__ = ["InferenceWorkerPool", "resolve_inference_workers", "usable_cpus"]
+__all__ = ["InferenceWorkerPool", "resolve_inference_workers"]
 
 
 def resolve_inference_workers(requested: int | None) -> int:
@@ -58,14 +57,6 @@ def resolve_inference_workers(requested: int | None) -> int:
     if requested < 1:
         raise ValueError(f"num_workers must be >= 1, got {requested}")
     return int(requested)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the host's."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _peak_rss_mb(pid: int) -> float | None:

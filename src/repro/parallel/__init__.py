@@ -5,11 +5,13 @@ the reproduction's simulated-device loop actually scale on real
 hardware.  ``TrainerConfig(execution="process", num_workers=N)`` (CLI:
 ``--execution process --num-workers N``) runs each simulated device's
 per-iteration work — sampling, phi/theta updates — on persistent OS
-worker processes over ``multiprocessing.shared_memory``-backed count
-matrices and token arrays.  Each worker pre-reduces its devices' phi
-updates into one shared int64 accumulator; at the iteration barrier the
-master merges the accumulators (O(W*K*V)) and charges the Figure-4 tree
-reduce/broadcast on the simulated clocks.
+worker processes over ``multiprocessing.shared_memory``-backed token
+arrays, topic state and count matrices.  Each worker holds one private
+phi replica, copies the published model into it before each device it
+owns, and pre-reduces its devices' phi updates into one shared int64
+accumulator; at the iteration barrier the master merges the
+accumulators (O(W*K*V)), publishes the model once and charges the
+Figure-4 tree reduce/broadcast on the simulated clocks.
 
 Layers:
 
@@ -17,16 +19,16 @@ Layers:
 - :mod:`repro.parallel.pool` — pool lifecycle and CPU affinity, shared
   with the serving pool;
 - :mod:`repro.parallel.worker` — worker process: the core chunk pass
-  (sample -> update-phi -> rebuild-theta) against shared replicas;
+  (sample -> update-phi -> rebuild-theta) against its private replica;
 - :mod:`repro.parallel.engine` — master-side orchestration, lifecycle
   and the iteration barrier.
 
 ``TrainerConfig(sync_mode=...)`` controls whether that communication is
-hidden: ``"barrier"`` (default) merges and broadcasts while the workers
-idle; ``"overlap"`` pipelines the broadcast and the master's accounting
-+ likelihood against the next iteration's sampling — the paper's
-Section 6.2 "phi first" trick at the process level.  Both are
-bit-identical to serial execution.
+hidden: ``"barrier"`` (default) starts the next iteration after the
+master's accounting + likelihood; ``"overlap"`` starts it right after
+the merge, pipelining that work against the next iteration's sampling —
+the paper's Section 6.2 "phi first" trick at the process level.  Both
+are bit-identical to serial execution.
 
 Determinism: RNG streams are keyed by (seed, iteration, chunk), and
 chunks within a device run in serial-schedule order, so process

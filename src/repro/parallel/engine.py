@@ -3,21 +3,23 @@
 :class:`ProcessEngine` runs the per-iteration functional work of a set
 of *replica groups* (simulated devices for CuLDA, parameter-server
 workers for LDA*) on persistent OS worker processes, with all bulk state
-— token arrays, topic assignments, theta CSR buffers, per-replica
-phi/totals count matrices — in one :class:`~repro.parallel.shm.ShmArena`
-shared-memory block.  The master keeps everything else: the simulated
-GPU clocks, cost charging, the phi merge of the workers' pre-reduced
-deltas at the iteration barrier (``core/sync.py``), likelihood.
+— token arrays, topic assignments, theta CSR buffers, the published
+model and one phi delta accumulator per OS worker — in one
+:class:`~repro.parallel.shm.ShmArena` shared-memory block.  The master
+keeps everything else: the simulated GPU clocks, cost charging, the phi
+merge of the workers' pre-reduced deltas at the iteration barrier
+(``core/sync.py``), likelihood.
 
-Execution model per iteration (:meth:`dispatch_iteration`, then
-:meth:`collect_iteration`):
+Execution model per iteration (:meth:`publish_model`,
+:meth:`dispatch_iteration`, then :meth:`collect_iteration`):
 
-1. master broadcasts ``("iter", i)`` to every worker (replicas already
-   hold the synchronized model — the master writes into the shared
-   views, so no copy crosses a process boundary);
-2. each worker samples its groups' chunks in serial-schedule order and
-   publishes topics/theta/phi-replica updates, plus its summed phi
-   delta, into the shared block;
+1. master writes the merged model into ``model/*`` and sends
+   ``("iter", i)`` to every worker;
+2. each worker, before each group it owns, copies ``model/*`` into its
+   one private phi/totals replica, samples the group's chunks against
+   it in serial-schedule order, and sums every chunk's phi update into
+   its ``wdelta{w}/*`` accumulator; topics and theta land in the
+   shared block;
 3. master collects the per-chunk statistics, refreshes its theta views
    and hands the results to the caller for cost accounting and sync.
 
@@ -31,12 +33,12 @@ Crash recovery
 A worker process dying mid-iteration (OOM kill, injected crash, bug) no
 longer aborts the run.  Every :meth:`dispatch_iteration` first captures
 a **recovery snapshot** of the shared state the workers are about to
-mutate (chunk topic assignments, theta CSR slots, and the phi/totals
-replicas unless the kick-off refreshes them from ``model/*``); when
+mutate (chunk topic assignments and theta CSR slots; a replay re-reads
+``model/*``, which only the master writes); when
 :meth:`collect_iteration` sees :class:`~repro.parallel.pool.WorkerDied`,
 the engine terminates the remaining workers *without* unlinking the
 arena, restores the snapshot in place, respawns the pool and replays the
-same ``(iteration, want_ll, refresh)`` kick-off.  Because the RNG stream
+same ``(iteration, want_ll)`` kick-off.  Because the RNG stream
 of a chunk pass is keyed purely by ``(seed, iteration, chunk_id)`` and a
 fresh worker rebuilds its private theta deterministically from the
 restored shared assignments, the replay reproduces the lost iteration
@@ -51,7 +53,6 @@ bug would fail identically, so it surfaces immediately.
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 
@@ -68,6 +69,7 @@ from repro.parallel.pool import (
     shutdown_pool,
     spawn_workers,
     stop_workers,
+    usable_cpus,
 )
 from repro.parallel.shm import ShmArena
 from repro.parallel.worker import ChunkMeta, WorkerPlan, worker_main
@@ -88,9 +90,10 @@ class RecoveryFailed(RuntimeError):
 
 
 def resolve_num_workers(requested: int | None, num_groups: int) -> int:
-    """Effective worker count: requested (or all cores), capped by groups."""
+    """Effective worker count: requested (or every usable CPU), capped by
+    groups."""
     if requested is None:
-        requested = os.cpu_count() or 1
+        requested = usable_cpus()
     if requested < 1:
         raise ValueError(f"num_workers must be >= 1, got {requested}")
     return max(1, min(requested, num_groups))
@@ -107,30 +110,27 @@ class ProcessEngine:
         preserved) and its ``theta`` is refreshed from the shared CSR
         buffers after every iteration.
     groups:
-        Ordered chunk-id lists, one per group.
-    replicas:
-        ``mode="replica"``: initial ``(phi, totals)`` contents, one per
-        group, all equal to the model; group ``g`` samples against
-        replica ``g`` *cumulatively*, in list order — exactly the serial
+        Ordered chunk-id lists, one per group.  Each group samples
+        *cumulatively*, in list order, against a replica refreshed from
+        the model at the start of the iteration — exactly the serial
         schedule's semantics.
-        ``mode="delta"``: a single ``[(phi, totals)]`` snapshot shared
-        read-only by every group (the parameter-server pull).
+    model:
+        The initial ``(phi, totals)`` contents of the shared ``model/*``
+        pair; :meth:`publish_model` overwrites them between iterations.
 
-    Both modes allocate one shared ``model/*`` pair and one int64
-    ``wdelta{w}/*`` accumulator pair per OS worker: every chunk's signed
-    update lands there too (in delta mode *only* there — the push), so
-    the master's merge is one add per worker
+    Besides ``model/*`` the arena holds one int64 ``wdelta{w}/*``
+    accumulator pair per OS worker, into which every chunk's signed
+    update lands, so the master's merge is one add per worker
     (:func:`repro.core.sync.synchronize_prereduced`) and memory for it
-    scales with ``num_workers``.  ``model/*`` is the delta-mode
-    snapshot and the replica-mode broadcast buffer that a
-    ``refresh_replicas`` dispatch copies from.
+    scales with ``num_workers``.  Replicas are private to the workers:
+    each holds one, refreshed per owned group.
     """
 
     def __init__(
         self,
         chunks: dict[int, ChunkState],
         groups: list[list[int]],
-        replicas: list[tuple[np.ndarray, np.ndarray]],
+        model: tuple[np.ndarray, np.ndarray],
         *,
         num_topics: int,
         alpha: float,
@@ -139,19 +139,11 @@ class ProcessEngine:
         compute_dtype: str = "float64",
         seed: int = 0,
         num_workers: int | None = None,
-        mode: str = "replica",
         worker_affinity=None,
         recovery_retries: int = 2,
         recovery_backoff: float = 0.05,
         recovery_log: list | None = None,
     ):
-        if mode not in ("replica", "delta"):
-            raise ValueError(f"mode must be 'replica' or 'delta', got {mode!r}")
-        if len(replicas) != (1 if mode == "delta" else len(groups)):
-            raise ValueError(
-                "need one replica per group (replica mode) or exactly one "
-                "shared snapshot (delta mode)"
-            )
         if not groups:
             raise ValueError("need at least one group")
         if recovery_retries < 0:
@@ -162,11 +154,10 @@ class ProcessEngine:
             raise ValueError(
                 f"recovery_backoff must be >= 0, got {recovery_backoff}"
             )
-        self.mode = mode
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._chunks = chunks
         self._groups = [list(g) for g in groups]
-        self._init_replicas = replicas
+        self._init_model = model
         self._num_topics = num_topics
         self._alpha = alpha
         self._beta = beta
@@ -208,7 +199,7 @@ class ProcessEngine:
         if self.started:
             return
         if self._closed:
-            # The initial replica contents captured at construction are
+            # The initial model contents captured at construction are
             # stale by now (training mutated the arena, not them), so a
             # restart would silently pair old counts with new topics.
             raise RuntimeError(
@@ -231,18 +222,12 @@ class ProcessEngine:
             specs[f"chunk{cid}/theta_indptr"] = ((d + 1,), np.dtype(np.int64))
             specs[f"chunk{cid}/theta_indices"] = ((n,), idx_dt)
             specs[f"chunk{cid}/theta_data"] = ((n,), np.dtype(np.int32))
-        # Replica mode's replicas start synchronized, so replica 0 is
-        # the model in both modes.
-        phi0, totals0 = self._init_replicas[0]
+        phi0, totals0 = self._init_model
         specs["model/phi"] = (phi0.shape, phi0.dtype)
         specs["model/totals"] = (totals0.shape, totals0.dtype)
         for w in range(self.num_workers):
             specs[f"wdelta{w}/phi"] = (phi0.shape, np.dtype(np.int64))
             specs[f"wdelta{w}/totals"] = (totals0.shape, np.dtype(np.int64))
-        if self.mode == "replica":
-            for g, (phi, totals) in enumerate(self._init_replicas):
-                specs[f"rep{g}/phi"] = (phi.shape, phi.dtype)
-                specs[f"rep{g}/totals"] = (totals.shape, totals.dtype)
 
         arena = ShmArena.create(specs)
         for cid, cs in self._chunks.items():
@@ -262,10 +247,6 @@ class ProcessEngine:
             cs.theta = self._theta_view(arena, cid, nnz)
         arena.view("model/phi")[...] = phi0
         arena.view("model/totals")[...] = totals0
-        if self.mode == "replica":
-            for g, (phi, totals) in enumerate(self._init_replicas):
-                arena.view(f"rep{g}/phi")[...] = phi
-                arena.view(f"rep{g}/totals")[...] = totals
 
         plans = self._build_plans(arena, attempt=0)
         procs, conns = spawn_workers(arena, plans, worker_main, "repro-exec")
@@ -300,7 +281,6 @@ class ProcessEngine:
                     compress=self._compress,
                     compute_dtype=self._compute_dtype,
                     seed=self._seed,
-                    mode=self.mode,
                     worker_index=w,
                     affinity=self.worker_affinity,
                     faults=faults.active_spec(),
@@ -315,7 +295,7 @@ class ProcessEngine:
         After close the master's chunk states hold ordinary arrays again,
         so the owning trainer remains fully usable — by constructing a
         *new* engine from that state; a closed engine refuses to restart
-        (its construction-time replica snapshot is stale).
+        (its construction-time model is stale).
         """
         self._closed = True
         if not self.started:
@@ -346,20 +326,11 @@ class ProcessEngine:
 
     # -- shared views the master writes between iterations ----------------
 
-    def phi(self, group: int) -> np.ndarray:
-        return self._arena.view(f"rep{group}/phi")
-
-    def totals(self, group: int) -> np.ndarray:
-        return self._arena.view(f"rep{group}/totals")
-
-    def model_phi(self) -> np.ndarray:
-        """The shared model buffer: in delta mode the snapshot every
-        chunk samples against, in replica mode the broadcast staging
-        area a refresh kick-off copies into the replicas."""
-        return self._arena.view("model/phi")
-
-    def model_totals(self) -> np.ndarray:
-        return self._arena.view("model/totals")
+    def publish_model(self, phi: np.ndarray, totals: np.ndarray) -> None:
+        """Write the merged model into ``model/*``, the buffer every
+        worker refreshes its replica from at the next kick-off."""
+        self._arena.view("model/phi")[...] = phi
+        self._arena.view("model/totals")[...] = totals
 
     def worker_deltas(self):
         """The per-OS-worker int64 update accumulators.
@@ -378,20 +349,12 @@ class ProcessEngine:
 
     # -- iteration barrier -------------------------------------------------
 
-    def dispatch_iteration(
-        self,
-        iteration: int,
-        *,
-        want_ll: bool = False,
-        refresh_replicas: bool = False,
-    ) -> None:
+    def dispatch_iteration(self, iteration: int, *, want_ll: bool = False) -> None:
         """Kick one parallel pass off without waiting for it.
 
-        ``want_ll`` asks the workers to evaluate their chunks'
-        document-side likelihood terms before replying;
-        ``refresh_replicas`` (the overlap pipeline) has each worker
-        copy the shared ``model/*`` buffers into its replicas first — the
-        broadcast half of the sync, off the master's critical path.
+        The workers sample against the current ``model/*`` contents;
+        ``want_ll`` asks them to evaluate their chunks' document-side
+        likelihood terms before replying.
         The caller must pair every dispatch with one
         :meth:`collect_iteration`; only one iteration may be in flight.
         """
@@ -401,12 +364,12 @@ class ProcessEngine:
                 f"iteration {self._inflight} is already in flight; "
                 f"collect it before dispatching another"
             )
-        self._capture_snapshot(refresh_replicas)
-        self._inflight_args = (iteration, want_ll, refresh_replicas)
+        self._capture_snapshot()
+        self._inflight_args = (iteration, want_ll)
         self._inflight = iteration
         for conn in self._conns:
             try:
-                conn.send(("iter", iteration, want_ll, refresh_replicas))
+                conn.send(("iter", iteration, want_ll))
             except (BrokenPipeError, ConnectionError, OSError):
                 # A worker already died; collect_iteration will see the
                 # death (WorkerDied) and run recovery from the snapshot.
@@ -520,56 +483,40 @@ class ProcessEngine:
 
     # -- crash recovery ----------------------------------------------------
 
-    def _capture_snapshot(self, refresh_replicas: bool) -> None:
+    def _capture_snapshot(self) -> None:
         """Copy the shared state workers are about to mutate.
 
-        Chunk topic assignments plus theta CSR contents always; the
-        per-group phi/totals replicas in replica mode, unless the
-        dispatch refreshes them — its replay copies ``model/*`` over
-        every replica before sampling, so their old contents are never
-        read.  ``model/*`` is master-written only, and the per-worker
-        accumulators are zeroed worker-side at iteration start, so
-        neither needs rollback.  Disabled when
+        Chunk topic assignments plus theta CSR contents, keyed by chunk
+        id.  Nothing else: ``model/*`` is master-written only (a replay
+        refreshes every replica from it again), and the per-worker
+        accumulators are zeroed worker-side at iteration start.  Disabled
+        when
         ``recovery_retries`` is 0 — then a crash is terminal and the
         copies would be waste.
         """
         if self.recovery_retries <= 0:
             return
         arena = self._arena
-        chunks = {}
+        self._snapshot = {}
         for cid, cs in self._chunks.items():
             nnz = cs.theta.nnz
-            chunks[cid] = (
+            self._snapshot[cid] = (
                 np.array(arena.view(f"chunk{cid}/topics")),
                 np.array(arena.view(f"chunk{cid}/theta_indptr")),
                 np.array(arena.view(f"chunk{cid}/theta_indices")[:nnz]),
                 np.array(arena.view(f"chunk{cid}/theta_data")[:nnz]),
                 nnz,
             )
-        replicas = []
-        if self.mode == "replica" and not refresh_replicas:
-            for g in range(len(self._groups)):
-                replicas.append(
-                    (
-                        np.array(arena.view(f"rep{g}/phi")),
-                        np.array(arena.view(f"rep{g}/totals")),
-                    )
-                )
-        self._snapshot = {"chunks": chunks, "replicas": replicas}
 
     def _restore_snapshot(self) -> None:
         """Write the recovery snapshot back into the arena in place."""
         arena = self._arena
-        snap = self._snapshot
-        for cid, (topics, indptr, indices, data, nnz) in snap["chunks"].items():
+        for cid, (topics, indptr, indices, data, nnz) in self._snapshot.items():
             arena.view(f"chunk{cid}/topics")[...] = topics
             arena.view(f"chunk{cid}/theta_indptr")[...] = indptr
             arena.view(f"chunk{cid}/theta_indices")[:nnz] = indices
             arena.view(f"chunk{cid}/theta_data")[:nnz] = data
             self._chunks[cid].theta = self._theta_view(arena, cid, nnz)
-        for g, (phi, totals) in enumerate(snap["replicas"]):
-            arena.view(f"rep{g}/phi")[...] = phi
-            arena.view(f"rep{g}/totals")[...] = totals
 
     def _respawn(self, attempt: int) -> None:
         """Tear down the dead pool, roll back, respawn, replay the dispatch.
@@ -592,10 +539,9 @@ class ProcessEngine:
         self._finalizer = weakref.finalize(
             self, shutdown_pool, arena, procs, list(conns)
         )
-        iteration, want_ll, refresh = self._inflight_args
         for w, conn in enumerate(self._conns):
             try:
-                conn.send(("iter", iteration, want_ll, refresh))
+                conn.send(("iter", *self._inflight_args))
             except (BrokenPipeError, ConnectionError, OSError) as exc:
                 # Count an immediately-dead replacement against the
                 # retry budget like any other death.

@@ -27,6 +27,7 @@ __all__ = [
     "recv_reply",
     "shutdown_pool",
     "stop_workers",
+    "usable_cpus",
 ]
 
 #: Seconds between liveness checks while waiting on a worker reply.
@@ -42,6 +43,18 @@ class WorkerDied(RuntimeError):
             f"its traceback, if any, went to stderr.  A 'spawn' start "
             f"method requires an importable __main__ (not stdin/REPL)."
         )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host's.
+
+    The default size of both pools, so neither oversubscribes a process
+    restricted to fewer CPUs than the host has.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def normalize_affinity(cpus) -> tuple[int, ...] | None:

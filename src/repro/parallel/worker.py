@@ -1,16 +1,17 @@
 """Worker-process side of the parallel execution engine.
 
 Each OS worker owns a fixed subset of *replica groups* — for CuLDA a
-group is one simulated device (its phi/totals replica plus its chunk
-list), for the LDA* baseline a group is one parameter-server worker.
-Per iteration barrier the worker runs the core chunk pass,
-:func:`repro.core.scheduler.chunk_pass` (sample -> update-phi ->
-update-theta, the same code serial execution runs), for every chunk of
-every owned group in order, against the group's shared-memory phi/totals
-replica, and sums every pass's phi update into its own shared
-accumulator (the pre-reduced delta the master merges).  The pass writes
-the new topic assignments straight into the shared block; the worker
-then publishes the rebuilt theta CSR there too.
+group is one simulated device's chunk list, for the LDA* baseline one
+parameter-server worker's chunk.  The worker holds one private
+phi/totals replica.  Per iteration barrier, before each owned group, it
+copies the shared ``model/*`` into that replica, then runs the core
+chunk pass, :func:`repro.core.scheduler.chunk_pass` (sample ->
+update-phi -> update-theta, the same code serial execution runs), for
+every chunk of the group in order against the replica, and sums every
+pass's phi update into its own shared accumulator (the pre-reduced
+delta the master merges).  The pass writes the new topic assignments
+straight into the shared block; the worker then publishes the rebuilt
+theta CSR there too.
 Only the small per-chunk :class:`~repro.core.scheduler.ChunkResult`
 travels back over the pipe, and the master charges the simulated clock
 from it.
@@ -61,18 +62,11 @@ class ChunkMeta:
 class WorkerPlan:
     """Picklable start-up bundle for one worker process.
 
-    ``mode`` selects the update contract:
-
-    - ``"replica"`` (CuLDA): group ``g`` samples against replica ``g``
-      *cumulatively* — each chunk pass applies its updates to the
-      replica before the next chunk of the group samples — and also
-      scatters them into this worker's ``wdelta{w}/*`` accumulators,
-      the pre-reduced delta the master merges;
-    - ``"delta"`` (LDA*): every chunk samples against the single shared
-      ``model/*`` snapshot (read-only within an iteration) and scatters
-      its updates into the ``wdelta{w}/*`` accumulators only — the
-      parameter-server push, one delta matrix per OS worker instead
-      of a full model replica per simulated cluster worker.
+    Each group samples *cumulatively* against the worker's replica,
+    refreshed from ``model/*`` before the group: each chunk pass applies
+    its updates to the replica before the next chunk of the group
+    samples, and also scatters them into this worker's ``wdelta{w}/*``
+    accumulators, the pre-reduced delta the master merges.
     """
 
     layout: ArenaLayout
@@ -83,7 +77,6 @@ class WorkerPlan:
     compress: bool
     compute_dtype: str
     seed: int
-    mode: str = "replica"
     worker_index: int = 0
     #: optional CPU ids; this worker pins itself to
     #: ``affinity[worker_index % len(affinity)]`` at start-up.
@@ -144,10 +137,8 @@ def run_chunk_pass(
     beta: float,
     compress: bool,
     workspace: Workspace,
-    update_phi: np.ndarray | None = None,
-    update_totals: np.ndarray | None = None,
-    accum_phi: np.ndarray | None = None,
-    accum_totals: np.ndarray | None = None,
+    accum_phi: np.ndarray,
+    accum_totals: np.ndarray,
     want_ll: bool = False,
 ) -> ChunkResult:
     """One chunk pass in a worker: the core pass, then publish.
@@ -161,9 +152,7 @@ def run_chunk_pass(
     """
     r = chunk_pass(
         lc.cs, phi, totals, iteration, pool, num_topics, alpha, beta,
-        compress, workspace,
-        update_phi=update_phi, update_totals=update_totals,
-        accum_phi=accum_phi, accum_totals=accum_totals,
+        compress, workspace, accum_phi=accum_phi, accum_totals=accum_totals,
     )
     lc.publish_theta()
     if not want_ll:
@@ -179,11 +168,9 @@ def run_chunk_pass(
 def worker_main(conn, plan: WorkerPlan) -> None:
     """Entry point of one worker process: attach, loop on the pipe.
 
-    Protocol (master -> worker): ``("iter", i, want_ll, refresh)`` runs
-    iteration ``i`` over every owned group and answers
-    ``("done", [ChunkResult...])`` — with ``refresh`` the worker first
-    copies the shared ``model/*`` buffers into its owned replicas (the
-    overlap-mode broadcast, performed in parallel across workers), and
+    Protocol (master -> worker): ``("iter", i, want_ll)`` runs iteration
+    ``i`` over every owned group, each against the replica freshly
+    copied from ``model/*``, and answers ``("done", [ChunkResult...])``;
     with ``want_ll`` each result carries its chunk's document-side
     likelihood terms; ``("stats",)`` answers ``("stats", description)``
     with the worker's kernel arena, the groups it serves and the applied
@@ -202,32 +189,17 @@ def worker_main(conn, plan: WorkerPlan) -> None:
         # One kernel arena for every owned group: the groups run one
         # after another, so no buffer is live across groups.
         workspace = Workspace(plan.compute_dtype)
-        delta = plan.mode == "delta"
-        # delta: the one snapshot every chunk samples against;
-        # replica: the broadcast buffer a refresh copies from.
         model_phi = arena.view("model/phi")
         model_totals = arena.view("model/totals")
+        # The worker's one replica, refreshed from the model per group.
+        phi = np.empty_like(model_phi)
+        totals = np.empty_like(model_totals)
         delta_phi = arena.view(f"wdelta{plan.worker_index}/phi")
         delta_totals = arena.view(f"wdelta{plan.worker_index}/totals")
-        # delta: updates go to the accumulators only; replica: they land
-        # on the replica and are accumulated too.
-        targets = (
-            {"update_phi": delta_phi, "update_totals": delta_totals}
-            if delta
-            else {"accum_phi": delta_phi, "accum_totals": delta_totals}
-        )
-        groups = []
-        for group_idx, metas in plan.groups:
-            if delta:
-                phi, totals = model_phi, model_totals
-            else:
-                phi = arena.view(f"rep{group_idx}/phi")
-                totals = arena.view(f"rep{group_idx}/totals")
-            chunks = [
-                _LocalChunk(m, arena, plan.num_topics, plan.compress)
-                for m in metas
-            ]
-            groups.append((phi, totals, chunks))
+        groups = [
+            [_LocalChunk(m, arena, plan.num_topics, plan.compress) for m in metas]
+            for _, metas in plan.groups
+        ]
         while True:
             msg = conn.recv()
             cmd = msg[0]
@@ -245,22 +217,19 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                 continue
             if cmd != "iter":  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown worker command {cmd!r}")
-            _, iteration, want_ll, refresh = msg
-            if refresh:
-                faults.crash_if(
-                    "worker_crash", phase="broadcast", iteration=iteration,
-                    worker=plan.worker_index, attempt=plan.attempt,
-                )
-                # The overlap broadcast: each worker copies the freshly
-                # reconciled model into its own replicas, so the master
-                # never pays the O(G*K*V) write.
-                for phi, totals, _ in groups:
-                    phi[...] = model_phi
-                    totals[...] = model_totals
+            _, iteration, want_ll = msg
+            faults.crash_if(
+                "worker_crash", phase="broadcast", iteration=iteration,
+                worker=plan.worker_index, attempt=plan.attempt,
+            )
             delta_phi[...] = 0
             delta_totals[...] = 0
             results = []
-            for phi, totals, chunks in groups:
+            for chunks in groups:
+                # The broadcast: each worker copies the merged model
+                # itself, so the master writes it once, not per group.
+                phi[...] = model_phi
+                totals[...] = model_totals
                 for lc in chunks:
                     faults.crash_if(
                         "worker_crash", phase="sample", iteration=iteration,
@@ -271,8 +240,8 @@ def worker_main(conn, plan: WorkerPlan) -> None:
                         run_chunk_pass(
                             lc, phi, totals, iteration, pool,
                             plan.num_topics, plan.alpha, plan.beta,
-                            plan.compress, workspace,
-                            want_ll=want_ll, **targets,
+                            plan.compress, workspace, delta_phi, delta_totals,
+                            want_ll=want_ll,
                         )
                     )
             # "merge" phase: sampling done and published, reply not yet

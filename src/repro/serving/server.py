@@ -53,7 +53,7 @@ import numpy as np
 
 from repro import faults
 from repro.model import InferenceSession, TopicModel
-from repro.model.parallel_inference import usable_cpus
+from repro.parallel.pool import usable_cpus
 from repro.serving.breaker import (
     DEFAULT_FAILURE_THRESHOLD,
     DEFAULT_RESET_TIMEOUT_S,

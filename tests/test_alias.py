@@ -7,13 +7,70 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from repro.baselines.alias import AliasTable, build_alias_tables
+from repro.baselines.alias import build_alias_tables
 
 weights_strategy = hnp.arrays(
     dtype=np.float64,
     shape=st.integers(min_value=1, max_value=50),
     elements=st.floats(min_value=0.0, max_value=10.0),
 ).filter(lambda w: w.sum() > 1e-9)
+
+
+class AliasTable:
+    """Reference: the scalar Walker/Vose alias table over non-negative
+    weights, which ``build_alias_tables`` replays row by row.
+
+    Build is a two-pointer partition over the normalised weights;
+    sampling draws ``(slot, coin)`` pairs and resolves each in O(1).
+    """
+
+    __slots__ = ("prob", "alias", "_n", "total")
+
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a non-empty 1-D array")
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite and non-negative")
+        total = float(w.sum())
+        if total <= 0:
+            raise ValueError("weights must not all be zero")
+        self._n = n = w.size
+        self.total = total
+        scaled = w * (n / total)
+        prob = np.ones(n, dtype=np.float64)
+        alias = np.arange(n, dtype=np.int64)
+        small = [i for i in range(n) if scaled[i] < 1.0]
+        large = [i for i in range(n) if scaled[i] >= 1.0]
+        scaled = scaled.copy()
+        while small and large:
+            s = small.pop()
+            l = large.pop()
+            prob[s] = scaled[s]
+            alias[s] = l
+            scaled[l] = scaled[l] - (1.0 - scaled[s])
+            if scaled[l] < 1.0:
+                small.append(l)
+            else:
+                large.append(l)
+        # Leftovers are 1.0 up to floating error.
+        for i in small + large:
+            prob[i] = 1.0
+            alias[i] = i
+        self.prob = prob
+        self.alias = alias
+
+    @property
+    def size(self) -> int:
+        return self._n
+
+    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        """Draw ``size`` indices with probability proportional to weight."""
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        slots = rng.integers(0, self._n, size=size)
+        coins = rng.random(size)
+        return np.where(coins < self.prob[slots], slots, self.alias[slots])
 
 
 def build_alias_columns(matrix: np.ndarray, offset: float) -> list[AliasTable]:

@@ -7,7 +7,8 @@ their heavy dependencies at module top, so nothing is imported inside a
 timed training iteration.  Each import-graph case runs in a fresh
 interpreter: the test process itself has long since imported everything.
 The last two cases parse the tree instead: every module must have an
-importer outside ``tests/``, and every exported name a user there.
+importer outside ``tests/``, and every exported name a use there (in
+code, not in a comment or docstring).
 """
 
 from __future__ import annotations
@@ -192,25 +193,40 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _program_lines() -> list[str]:
-    """Every line outside ``tests/`` that can reach a public name.
+def _walk(node: ast.AST, skipped: set):
+    """``ast.walk`` in source order, without the subtrees in ``skipped``."""
+    if node in skipped:
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _walk(child, skipped)
 
-    Export tables are declarations, not uses, and so are a package
-    ``__init__``'s own (re-export) imports; both are left out.
+
+def _program_uses() -> set[str]:
+    """Every name the code outside ``tests/`` uses.
+
+    A use is a loaded name, a loaded attribute or an imported name;
+    comments, docstrings and other strings are not uses.  Export tables
+    are declarations, and so are a package ``__init__``'s own
+    (re-export) imports; both are left out.
     """
-    lines: list[str] = []
+    used: set[str] = set()
     for tree in PROGRAM_TREES:
         for path in (SRC.parent / tree).rglob("*.py"):
-            text = path.read_text(encoding="utf-8")
-            module = ast.parse(text)
+            module = ast.parse(path.read_text(encoding="utf-8"))
             skipped = set(_export_table(module))
             if path.stem == "__init__":
                 skipped.update(
                     n for n in module.body if isinstance(n, (ast.Import, ast.ImportFrom))
                 )
-            spans = {i for n in skipped for i in range(n.lineno, n.end_lineno + 1)}
-            lines += [s for i, s in enumerate(text.splitlines(), 1) if i not in spans]
-    return lines
+            for node in _walk(module, skipped):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+    return used
 
 
 class TestNoTestOnlyExports:
@@ -222,7 +238,7 @@ class TestNoTestOnlyExports:
         exported: set[str] = set()
         for init in (SRC / "repro").rglob("__init__.py"):
             exported |= _exported_names(ast.parse(init.read_text(encoding="utf-8")))
-        lines = _program_lines()
+        used = _program_uses()
         # The "Removed ..." tables name what is gone, not what is public.
         api_doc = re.sub(
             r"^## Removed.*?(?=^## |\Z)", "",
@@ -231,12 +247,8 @@ class TestNoTestOnlyExports:
         )
 
         def reached(name: str) -> bool:
-            use = re.compile(rf"\b{re.escape(name)}\b")
-            definition = re.compile(
-                rf"^\s*(def|class)\s+{re.escape(name)}\b|^{re.escape(name)}\s*[:=]"
-            )
-            return bool(use.search(api_doc)) or any(
-                use.search(line) and not definition.search(line) for line in lines
+            return name in used or bool(
+                re.search(rf"\b{re.escape(name)}\b", api_doc)
             )
 
         assert sorted(n for n in exported if not reached(n)) == []

@@ -93,13 +93,68 @@ class TestResolveNumWorkers:
         assert resolve_num_workers(8, 3) == 3
 
     def test_default_is_cpu_bound(self):
+        from repro.parallel.pool import usable_cpus
+
+        assert resolve_num_workers(None, 64) == min(64, usable_cpus())
+
+    def test_default_honours_affinity_mask(self, corpus, monkeypatch):
+        """A process allowed one CPU of many runs one worker, not one
+        per host CPU."""
         import os
 
-        assert resolve_num_workers(None, 64) == min(64, os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        t = create_trainer("culda", corpus, topics=12, gpus=4, seed=5,
+                           platform="Pascal", execution="process")
+        try:
+            t.partial_fit(1, compute_likelihood=False)
+            assert t.describe()["native"]["num_workers"] == 1
+        finally:
+            t.close()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_num_workers(0, 4)
+
+
+def _arena_regions(trainer) -> tuple[set[str], set[str]]:
+    """Train one iteration; the arena's chunk prefixes and other regions."""
+    try:
+        trainer.train(1, compute_likelihood_every=0)
+        names = [spec.name for spec in trainer._engine._arena.layout.arrays]
+    finally:
+        trainer.close()
+    chunks = {n.split("/")[0] for n in names if n.startswith("chunk")}
+    return chunks, {n for n in names if not n.startswith("chunk")}
+
+
+class TestArenaRegions:
+    """One replica contract: the arena holds the chunks, the published
+    model and one delta accumulator pair per OS worker — no per-group
+    (per-device or per-cluster-worker) region."""
+
+    SHARED = {
+        "model/phi", "model/totals",
+        "wdelta0/phi", "wdelta0/totals", "wdelta1/phi", "wdelta1/totals",
+    }
+
+    def test_culda(self, corpus):
+        cfg = TrainerConfig(num_topics=12, num_gpus=4, seed=5,
+                            execution="process", num_workers=2)
+        chunks, shared = _arena_regions(
+            CuLdaTrainer(corpus, cfg, platform=PASCAL_PLATFORM)
+        )
+        assert chunks == {f"chunk{c}" for c in range(4)}
+        assert shared == self.SHARED
+
+    def test_ldastar(self, corpus):
+        chunks, shared = _arena_regions(LdaStarTrainer(
+            corpus, num_topics=10, num_workers=8, seed=9,
+            execution="process", num_processes=2,
+        ))
+        assert chunks == {f"chunk{c}" for c in range(8)}
+        assert shared == self.SHARED
 
 
 class TestCuLdaProcessExecution:
@@ -457,8 +512,10 @@ class TestLdaStarProcessExecution:
             LdaStarTrainer(corpus, num_topics=10, execution="threads")
 
     def test_rejects_prereduce(self, corpus):
-        """LDA*'s engine always pre-reduces; only overlap is a real mode."""
-        with pytest.raises(ValueError, match="pre-reduces"):
+        """LDA* validates its sync mode through ``TrainerConfig``."""
+        with pytest.raises(
+            ValueError, match="sync_mode must be 'barrier' or 'overlap'"
+        ):
             LdaStarTrainer(corpus, num_topics=10, execution="process",
                            sync_mode="prereduce")
 

@@ -239,35 +239,37 @@ class TestCuldaCrashRecovery:
 
 
 class TestRecoverySnapshot:
-    """A refresh dispatch's replay rewrites every replica from
-    ``model/*`` before sampling, so its snapshot skips them."""
+    """Every replay re-reads ``model/*``, which only the master writes, so
+    a recovery snapshot holds chunk state and nothing else."""
 
-    @pytest.mark.parametrize(
-        "sync_mode, expected",
-        [
-            ("barrier", [(False, 2)] * 3),
-            # the overlap pipeline refreshes from the second dispatch on
-            ("overlap", [(False, 2), (True, 0), (True, 0)]),
-        ],
-    )
-    def test_replica_copies_only_without_refresh(
-        self, corpus, monkeypatch, sync_mode, expected
+    @pytest.mark.parametrize("sync_mode", ["barrier", "overlap"])
+    @pytest.mark.parametrize("trainer", ["culda", "ldastar"])
+    def test_holds_chunk_state_only(
+        self, corpus, monkeypatch, trainer, sync_mode
     ):
         seen = []
         capture = ProcessEngine._capture_snapshot
 
-        def spy(engine, refresh_replicas):
-            capture(engine, refresh_replicas)
-            seen.append(
-                (refresh_replicas, len(engine._snapshot["replicas"]))
-            )
+        def spy(engine):
+            capture(engine)
+            seen.append(engine._snapshot)
 
         monkeypatch.setattr(ProcessEngine, "_capture_snapshot", spy)
-        run_culda(
-            corpus, num_gpus=2, execution="process", num_workers=2,
-            sync_mode=sync_mode,
-        )
-        assert seen == expected
+        if trainer == "culda":
+            run_culda(
+                corpus, num_gpus=2, execution="process", num_workers=2,
+                sync_mode=sync_mode,
+            )
+        else:
+            run_ldastar(
+                corpus, execution="process", num_processes=2,
+                sync_mode=sync_mode,
+            )
+        assert len(seen) == 3  # one per dispatched iteration
+        for snapshot in seen:
+            assert sorted(snapshot) == [0, 1]  # chunk ids, no replica
+            for _topics, _indptr, indices, data, nnz in snapshot.values():
+                assert len(indices) == len(data) == nnz
 
 
 class TestMergeFaults:
