@@ -523,6 +523,12 @@ class TestLdaStarProcessExecution:
         with pytest.raises(ValueError, match="overlap"):
             LdaStarTrainer(corpus, num_topics=10, sync_mode="overlap")
 
+    def test_rejects_empty_affinity(self, corpus):
+        """An empty affinity raises, as it does for culda."""
+        with pytest.raises(ValueError, match="non-empty"):
+            LdaStarTrainer(corpus, num_topics=10, execution="process",
+                           worker_affinity=[])
+
 
 class TestConfigAndRegistrySurface:
     def test_config_rejects_bad_execution(self):
