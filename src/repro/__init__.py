@@ -17,7 +17,7 @@ Quick start — every algorithm in the repo trains through one surface::
     print(result.summary())
 
 ``repro.algorithm_names()`` lists the registered systems (CuLDA_CGS and
-the six comparison baselines); ``python -m repro algorithms`` prints
+the four comparison baselines); ``python -m repro algorithms`` prints
 their options.  See docs/API.md for the protocol, registry, and
 callback contracts.
 """

@@ -1,6 +1,6 @@
 """The adapter translating every concrete trainer onto the unified protocol.
 
-All seven trainers share one native surface: ``train(n,
+All five trainers share one native surface: ``train(n,
 compute_likelihood_every=...)`` appends one
 :class:`~repro.core.trainer.IterationRecord` per iteration to their
 ``history`` list, and ``state`` is the model.  :class:`HistoryTrainerAdapter`

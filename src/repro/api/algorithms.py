@@ -1,4 +1,4 @@
-"""Built-in algorithm registrations: the seven systems, one surface.
+"""Built-in algorithm registrations: the five systems, one surface.
 
 Each factory normalizes the unified keyword surface (``topics``,
 ``alpha``, ``beta``, ``seed`` plus per-algorithm extras) into the
@@ -11,10 +11,8 @@ from __future__ import annotations
 from repro.api.adapters import HistoryTrainerAdapter
 from repro.api.registry import register_algorithm
 from repro.baselines.ldastar import LdaStarTrainer
-from repro.baselines.lightlda import LightLdaTrainer
 from repro.baselines.plain_cgs import PlainCgsSampler
 from repro.baselines.saberlda import SaberLdaTrainer
-from repro.baselines.sparselda import SparseLdaSampler
 from repro.baselines.warplda import WarpLdaConfig, WarpLdaTrainer
 from repro.core.config import TrainerConfig
 from repro.core.trainer import CuLdaTrainer
@@ -244,33 +242,6 @@ def _make_warplda(
 
 
 @register_algorithm(
-    "lightlda",
-    summary=LightLdaTrainer.DESCRIPTION,
-    options={
-        "cpu": "CpuSpec for the simulated clock (default Xeon E5-2650 v3)",
-    },
-)
-def _make_lightlda(
-    corpus,
-    topics: int = DEFAULT_TOPICS,
-    alpha: float | None = None,
-    beta: float | None = None,
-    seed: int = 0,
-    cpu=None,
-):
-    kwargs = {"alpha": alpha, "beta": beta, "seed": seed}
-    if cpu is not None:
-        kwargs["cpu"] = cpu
-    inner = LightLdaTrainer(corpus, num_topics=topics, **kwargs)
-    return HistoryTrainerAdapter(
-        inner,
-        name="lightlda",
-        description=LightLdaTrainer.DESCRIPTION,
-        options={"topics": topics, "seed": seed},
-    )
-
-
-@register_algorithm(
     "plain_cgs",
     summary=PlainCgsSampler.DESCRIPTION,
 )
@@ -291,33 +262,3 @@ def _make_plain_cgs(
         options={"topics": topics, "seed": seed},
     )
 
-
-@register_algorithm(
-    "sparselda",
-    summary=SparseLdaSampler.DESCRIPTION,
-    options={
-        "batch_words": (
-            "True (default): vectorised word-batched sweeps (chunk-"
-            "snapshot updates, fast); False: exact sequential sweeps "
-            "(per-token updates, the oracle)"
-        ),
-    },
-)
-def _make_sparselda(
-    corpus,
-    topics: int = DEFAULT_TOPICS,
-    alpha: float | None = None,
-    beta: float | None = None,
-    seed: int = 0,
-    batch_words: bool = True,
-):
-    inner = SparseLdaSampler(
-        corpus, num_topics=topics, alpha=alpha, beta=beta, seed=seed,
-        batch_words=batch_words,
-    )
-    return HistoryTrainerAdapter(
-        inner,
-        name="sparselda",
-        description=SparseLdaSampler.DESCRIPTION,
-        options={"topics": topics, "seed": seed, "batch_words": batch_words},
-    )

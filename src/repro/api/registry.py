@@ -1,4 +1,4 @@
-"""String-keyed algorithm registry: one constructor for seven systems.
+"""String-keyed algorithm registry: one constructor for five systems.
 
 Every LDA system in the repo registers a factory under a short name and
 declares its accepted keyword options, so callers — the CLI, the
@@ -33,7 +33,7 @@ __all__ = [
 
 ENTRY_POINT_GROUP = "repro.algorithms"
 
-#: Options every algorithm accepts (normalized across the seven configs).
+#: Options every algorithm accepts (normalized across the five configs).
 COMMON_OPTIONS: dict[str, str] = {
     "topics": "number of topics K (default 128)",
     "alpha": "Dirichlet doc-topic prior; default 50/K",

@@ -1,8 +1,6 @@
 """Baseline LDA systems the paper compares against (Section 7.2).
 
 - :mod:`~repro.baselines.plain_cgs` — exact sequential CGS (oracle);
-- :mod:`~repro.baselines.sparselda` — Yao et al. S/Q sequential sampler;
-- :mod:`~repro.baselines.alias` — Vose alias tables (MH substrate);
 - :mod:`~repro.baselines.warplda` — WarpLDA-style CPU MH baseline;
 - :mod:`~repro.baselines.saberlda` — SaberLDA-style GPU baseline;
 - :mod:`~repro.baselines.ldastar` — LDA*-style distributed baseline.

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core.config import check_num_topics
 from repro.core.trainer import IterationRecord, iteration_record
 from repro.corpus.document import Corpus
 from repro.perf import counts_of_counts_lngamma
 
 #: Tokens per block when materialising per-token Python lists in the
-#: sequential sweeps — bounds transient memory at O(block), not O(T).
+#: sequential sweep — bounds transient memory at O(block), not O(T).
 _SWEEP_BLOCK = 1 << 20
 
 
@@ -65,8 +66,8 @@ class DenseStateTrainer:
 
     Builds the random initial state (one uniform topic per token, counts
     scattered from it), keeps ``history`` and runs the ``train`` loop.
-    Plain CGS, SparseLDA, WarpLDA and LightLDA differ only in
-    :meth:`_iterate`.
+    Plain CGS and WarpLDA differ only in :meth:`_iterate`, which runs one
+    iteration and returns its duration in seconds.
     """
 
     def __init__(
@@ -77,8 +78,7 @@ class DenseStateTrainer:
         beta: float | None = None,
         seed: int = 0,
     ):
-        if num_topics < 2:
-            raise ValueError("num_topics must be >= 2")
+        check_num_topics(num_topics)
         self.corpus = corpus
         self.k = num_topics
         self.alpha = alpha if alpha is not None else 50.0 / num_topics
@@ -97,23 +97,10 @@ class DenseStateTrainer:
         )
         self.history: list[IterationRecord] = []
         self._clock = 0.0
-        #: draws of the last sweep resolved in the sparse bucket
-        self._p1_draws = 0
 
     @property
     def state(self) -> PlainCgsModel:
         return self.model
-
-    def _iterate(self) -> float:
-        """One iteration; returns its duration in seconds.
-
-        The sequential samplers have no simulated clock, so by default
-        one :meth:`sweep` is timed on the wall clock.
-        """
-        t0 = time.perf_counter()  # repro: noqa[RPR103] no simulated clock
-        self.sweep()
-        t1 = time.perf_counter()  # repro: noqa[RPR103] no simulated clock
-        return max(t1 - t0, 1e-9)
 
     def train(
         self, num_iterations: int, compute_likelihood_every: int = 1
@@ -137,7 +124,6 @@ class DenseStateTrainer:
                     likelihood=m.log_likelihood_per_token,
                     likelihood_every=compute_likelihood_every,
                     sum_kd=sum_kd,
-                    p1_draws=self._p1_draws,
                     changed_tokens=int(np.count_nonzero(m.z != z_before)),
                 )
             )
@@ -177,6 +163,14 @@ class PlainCgsSampler(DenseStateTrainer):
     """
 
     DESCRIPTION = "Exact sequential collapsed Gibbs sampling (correctness oracle)"
+
+    def _iterate(self) -> float:
+        """One :meth:`sweep`, timed on the wall clock: plain CGS has no
+        simulated clock."""
+        t0 = time.perf_counter()  # repro: noqa[RPR103] no simulated clock
+        self.sweep()
+        t1 = time.perf_counter()  # repro: noqa[RPR103] no simulated clock
+        return max(t1 - t0, 1e-9)
 
     def sweep(self) -> None:
         """One full CGS iteration: every token resampled, exactly.

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.plain_cgs import DenseStateTrainer
+from repro.core.config import check_num_topics
 from repro.corpus.document import Corpus
 from repro.gpusim.cache import cpu_cache_bandwidth_factor
 from repro.gpusim.clock import KernelCost, cpu_kernel_time
@@ -47,8 +48,7 @@ class WarpLdaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_topics < 2:
-            raise ValueError("num_topics must be >= 2")
+        check_num_topics(self.num_topics)
         if self.mh_rounds < 1:
             raise ValueError("mh_rounds must be >= 1")
 
@@ -61,23 +61,35 @@ class WarpLdaConfig:
         return self.beta if self.beta is not None else 0.01
 
 
-class CycleProposalTrainer(DenseStateTrainer):
-    """The doc-proposal MH pass and delayed count update that WarpLDA and
-    LightLDA share; each adds its own word proposal and CPU clock."""
+class WarpLdaTrainer(DenseStateTrainer):
+    """MH-based CPU LDA trainer with a simulated CPU clock."""
+
+    DESCRIPTION = "WarpLDA-style CPU Metropolis-Hastings baseline (cycle proposals)"
 
     def __init__(
         self,
         corpus: Corpus,
-        num_topics: int,
-        alpha: float | None,
-        beta: float | None,
-        seed: int,
-        cpu: CpuSpec,
+        config: WarpLdaConfig,
+        cpu: CpuSpec = XEON_E5_2690_V4,
+        working_set_override: float | None = None,
     ):
-        super().__init__(corpus, num_topics, alpha, beta, seed)
+        """``working_set_override`` (bytes) prices the cache model as if
+        the corpus were that large.  Benches use it so a scaled-down
+        stand-in corpus is timed like the full-scale dataset it mimics
+        (at small scale everything fits the LLC and the CPU would look
+        unrealistically fast — the exact effect Section 3.2 describes)."""
+        if working_set_override is not None and working_set_override <= 0:
+            raise ValueError("working_set_override must be positive")
+        super().__init__(
+            corpus, config.num_topics, config.alpha, config.beta, config.seed
+        )
         self.cpu = cpu
         self.doc_offsets = corpus.doc_offsets
         self.doc_lengths = corpus.doc_lengths().astype(np.int64)
+        self.config = config
+        self.working_set_override = working_set_override
+
+    # -- MH passes (vectorised, delayed updates) ----------------------------
 
     def _doc_proposal_pass(self) -> None:
         """Propose from q(k) ~ theta[d,k] + alpha for every token at once.
@@ -131,37 +143,6 @@ class CycleProposalTrainer(DenseStateTrainer):
             m.topic_totals += np.bincount(zn, minlength=self.k)
         m.z = z_new.copy()
 
-    def describe(self) -> dict:
-        return {**super().describe(), "cpu": self.cpu.name}
-
-
-class WarpLdaTrainer(CycleProposalTrainer):
-    """MH-based CPU LDA trainer with a simulated CPU clock."""
-
-    DESCRIPTION = "WarpLDA-style CPU Metropolis-Hastings baseline (cycle proposals)"
-
-    def __init__(
-        self,
-        corpus: Corpus,
-        config: WarpLdaConfig,
-        cpu: CpuSpec = XEON_E5_2690_V4,
-        working_set_override: float | None = None,
-    ):
-        """``working_set_override`` (bytes) prices the cache model as if
-        the corpus were that large.  Benches use it so a scaled-down
-        stand-in corpus is timed like the full-scale dataset it mimics
-        (at small scale everything fits the LLC and the CPU would look
-        unrealistically fast — the exact effect Section 3.2 describes)."""
-        if working_set_override is not None and working_set_override <= 0:
-            raise ValueError("working_set_override must be positive")
-        super().__init__(
-            corpus, config.num_topics, config.alpha, config.beta, config.seed, cpu
-        )
-        self.config = config
-        self.working_set_override = working_set_override
-
-    # -- MH passes (vectorised, delayed updates) ----------------------------
-
     def _word_proposal_pass(self) -> None:
         """Propose from q(k) ~ phi[k,v] + beta for every token at once.
 
@@ -169,9 +150,8 @@ class WarpLdaTrainer(CycleProposalTrainer):
         pass (delayed update).  The simulation draws from the *same
         distribution* with one vectorised search over per-word CDFs —
         O(1) alias lookups and CDF searches are interchangeable
-        functionally (the alias substrate itself is tested in
-        :mod:`repro.baselines.alias`); only the cost model speaks for the
-        alias structure.  Acceptance keeps the theta/totals ratio.
+        functionally; only the cost model speaks for the alias structure.
+        Acceptance keeps the theta/totals ratio.
         """
         m = self.model
         cfg = self.config
@@ -225,4 +205,8 @@ class WarpLdaTrainer(CycleProposalTrainer):
         return self._iteration_seconds()
 
     def describe(self) -> dict:
-        return {**super().describe(), "mh_rounds": self.config.mh_rounds}
+        return {
+            **super().describe(),
+            "cpu": self.cpu.name,
+            "mh_rounds": self.config.mh_rounds,
+        }

@@ -11,6 +11,12 @@ from dataclasses import dataclass
 from repro.parallel.pool import normalize_affinity
 
 
+def check_num_topics(num_topics: int) -> None:
+    """The one K >= 2 rule every trainer's constructor applies."""
+    if num_topics < 2:
+        raise ValueError(f"num_topics must be >= 2, got {num_topics}")
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Configuration of a CuLDA_CGS training run.
@@ -112,8 +118,7 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_topics < 2:
-            raise ValueError(f"num_topics must be >= 2, got {self.num_topics}")
+        check_num_topics(self.num_topics)
         if self.num_gpus < 1:
             raise ValueError(f"num_gpus must be >= 1, got {self.num_gpus}")
         if self.chunks_per_gpu < 1:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.corpus.document import Corpus
 from repro.corpus.encoding import DeviceChunk, encode_chunk, topic_dtype_for
 from repro.corpus.partition import ChunkSpec, partition_by_tokens
-from repro.core.config import TrainerConfig
+from repro.core.config import TrainerConfig, check_num_topics
 from repro.core.rng import RngPool
 from repro.core.sparse import CsrCounts, from_assignments
 
@@ -73,8 +73,7 @@ class LdaState:
     topic_totals: np.ndarray = field(init=False)  # int64[K]
 
     def __post_init__(self) -> None:
-        if self.num_topics < 2:
-            raise ValueError("num_topics must be >= 2")
+        check_num_topics(self.num_topics)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("hyper-parameters must be positive")
         self.phi = np.zeros((self.num_topics, self.num_words), dtype=np.int32)

@@ -6,7 +6,7 @@ for every algorithm in the repo: the topic-word count matrix ``phi``,
 its row sums, the Dirichlet hyper-parameters, and (optionally) the
 vocabulary that maps word ids back to terms.  :class:`TopicModel` is
 that contract — immutable, invariant-checked at construction, and
-independent of which of the seven trainers produced it.
+independent of which of the five trainers produced it.
 
 Persistence lives in :mod:`repro.model.serialize` (versioned ``.npz``);
 batched fold-in inference over the artifact lives in

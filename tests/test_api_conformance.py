@@ -201,9 +201,9 @@ class TestFitSpan:
         loop = make(name, api_corpus)
         for it in range(4):
             loop.partial_fit(1, compute_likelihood=likelihood_due(it, 2))
-        # plain_cgs and sparselda time their records on the wall clock
+        # plain_cgs times its records on the wall clock
         wall = {"sim_seconds", "cumulative_seconds", "tokens_per_sec"}
-        ignored = wall if name in ("plain_cgs", "sparselda") else set()
+        ignored = wall if name == "plain_cgs" else set()
 
         def fields(records):
             return [

@@ -21,15 +21,7 @@ from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 
 API_DOC = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 
-EXPECTED_BUILTINS = {
-    "culda",
-    "plain_cgs",
-    "sparselda",
-    "warplda",
-    "lightlda",
-    "saberlda",
-    "ldastar",
-}
+EXPECTED_BUILTINS = {"culda", "ldastar", "plain_cgs", "saberlda", "warplda"}
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +33,8 @@ def corpus():
 
 
 class TestLookup:
-    def test_all_seven_builtins_registered(self):
-        assert EXPECTED_BUILTINS <= set(algorithm_names())
+    def test_builtins_are_exactly_the_five_systems(self):
+        assert set(algorithm_names()) == EXPECTED_BUILTINS
 
     def test_names_sorted(self):
         names = algorithm_names()
@@ -79,9 +71,25 @@ class TestLookup:
 
 class TestCreateTrainer:
     def test_returns_protocol_instance(self, corpus):
-        trainer = create_trainer("sparselda", corpus, topics=6)
+        trainer = create_trainer("plain_cgs", corpus, topics=6)
         assert isinstance(trainer, LdaTrainer)
-        assert trainer.name == "sparselda"
+        assert trainer.name == "plain_cgs"
+
+    @pytest.mark.parametrize("name", ["lightlda", "sparselda"])
+    def test_retired_baselines_are_unknown(self, corpus, name):
+        message = (
+            f"unknown algorithm '{name}'; registered: "
+            "culda, ldastar, plain_cgs, saberlda, warplda"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            create_trainer(name, corpus, topics=6)
+
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_one_topic_is_rejected(self, corpus, name):
+        with pytest.raises(
+            ValueError, match=r"^num_topics must be >= 2, got 1$"
+        ):
+            create_trainer(name, corpus, topics=1)
 
     def test_unknown_kwarg_lists_accepted(self, corpus):
         with pytest.raises(ValueError, match="does not accept"):

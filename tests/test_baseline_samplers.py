@@ -1,10 +1,9 @@
-"""Tests for the sequential oracle samplers (plain CGS, SparseLDA)."""
+"""Tests for the sequential oracle sampler (plain CGS)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.plain_cgs import PlainCgsSampler
-from repro.baselines.sparselda import SparseLdaSampler
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 
 
@@ -52,43 +51,3 @@ class TestPlainCgs:
         b.sweep()
         assert np.array_equal(a.model.z, b.model.z)
 
-
-class TestSparseLda:
-    def test_converges(self, oracle_corpus):
-        s = SparseLdaSampler(oracle_corpus, num_topics=10, seed=0)
-        lls = [r.log_likelihood_per_token for r in s.train(8)]
-        assert lls[-1] > lls[0]
-
-    def test_p1_fraction_grows_with_convergence(self, oracle_corpus):
-        """Sparsity-aware claim: most draws resolve in the sparse bucket."""
-        s = SparseLdaSampler(oracle_corpus, num_topics=10, seed=0)
-        s.sweep()
-        early = s.last_p1_fraction
-        s.train(8)
-        late = s.last_p1_fraction
-        assert late >= early
-        assert late > 0.5
-
-    def test_counts_consistent(self, oracle_corpus):
-        s = SparseLdaSampler(oracle_corpus, num_topics=6, seed=1)
-        s.sweep()
-        theta = np.zeros_like(s.model.theta)
-        phi = np.zeros_like(s.model.phi)
-        np.add.at(theta, (s.doc_ids, s.model.z), 1)
-        np.add.at(phi, (s.model.z, s.word_ids), 1)
-        assert np.array_equal(theta, s.model.theta)
-        assert np.array_equal(phi, s.model.phi)
-
-    def test_invalid_topics(self, oracle_corpus):
-        with pytest.raises(ValueError):
-            SparseLdaSampler(oracle_corpus, num_topics=0)
-
-
-class TestOracleAgreement:
-    def test_same_stationary_quality(self, oracle_corpus):
-        """Both exact samplers reach the same likelihood plateau."""
-        dense = PlainCgsSampler(oracle_corpus, num_topics=8, seed=0)
-        sparse = SparseLdaSampler(oracle_corpus, num_topics=8, seed=0)
-        ll_dense = dense.train(12)[-1].log_likelihood_per_token
-        ll_sparse = sparse.train(12)[-1].log_likelihood_per_token
-        assert ll_dense == pytest.approx(ll_sparse, abs=0.15)

@@ -114,6 +114,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown algorithm" in err and "culda" in err
 
+    def test_retired_algo_is_unknown(self, capsys):
+        rc = main(["train", "--algo", "sparselda", "--iterations", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown algorithm 'sparselda'" in err
+
     def test_model_output_works_for_dense_algorithms(self, tmp_path, capsys):
         """--output exports a TopicModel for every algorithm, not just culda."""
         from repro.model import TopicModel
@@ -312,11 +318,11 @@ class TestBenchmark:
         assert "sampling" in out
 
     def test_benchmark_with_algo(self, capsys):
-        rc = main(["train", "--algo", "lightlda", "--topics", "8",
+        rc = main(["train", "--algo", "warplda", "--topics", "8",
                    "--iterations", "2"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "lightlda" in out and "tokens/s" in out
+        assert "warplda" in out and "tokens/s" in out
         # No kernel breakdown for CPU baselines.
         assert "sampling" not in out
 

@@ -12,11 +12,7 @@ the same runs on the current tree and assert the draws are
 - culda's float32 kernel chain (2 GPUs x 2 chunks; pinned on the PR-4
   tree after verifying serial == process), closing the ROADMAP item;
 - culda's kernel with ``workspace=None`` against the pooled capture;
-- plain CGS and exact-mode SparseLDA (hoisted sequential loops);
-- SparseLDA's registry-default batched mode (one whole-corpus
-  ``sample_chunk`` pass per sweep; captured at commit 67cb21b, before
-  the kernel's gather rewrite);
-- LightLDA (batched Vose alias builds);
+- plain CGS (hoisted sequential loop);
 - WarpLDA (vectorised MH passes) and SaberLDA (shared CuLDA core on the
   degraded cost levers);
 - LDA* (delta-accumulation worker loop — verified bit-identical to the
@@ -35,10 +31,8 @@ import numpy as np
 import pytest
 
 from repro.api import create_trainer
-from repro.baselines.lightlda import LightLdaTrainer
 from repro.baselines.plain_cgs import PlainCgsSampler
 from repro.baselines.saberlda import SaberLdaTrainer
-from repro.baselines.sparselda import SparseLdaSampler
 from repro.baselines.warplda import WarpLdaConfig, WarpLdaTrainer
 from repro.corpus.synthetic import SyntheticSpec, generate_synthetic_corpus
 
@@ -193,40 +187,12 @@ class TestCuLdaGolden:
 
 
 class TestSequentialGolden:
-    def test_sparselda_exact(self, golden_corpus):
-        m = meta("sparselda_exact")
-        s = SparseLdaSampler(
-            golden_corpus, num_topics=m["topics"], seed=m["seed"]
-        )
-        assert s.batch_words is False  # the golden pins the exact mode
-        for _ in range(m["sweeps"]):
-            s.sweep()
-        assert_golden(s.model.z, "sparselda_exact")
-
-    def test_sparselda_batched(self, golden_corpus):
-        """The registry-default mode: one whole-corpus ``sample_chunk``
-        pass per sweep."""
-        m = meta("sparselda_batched")
-        s = create_trainer(
-            "sparselda", golden_corpus, topics=m["topics"], seed=m["seed"]
-        ).inner
-        assert s.batch_words is m["batch_words"] is True
-        for _ in range(m["sweeps"]):
-            s.sweep()
-        assert_golden(s.model.z, "sparselda_batched")
-
     def test_plain_cgs(self, golden_corpus):
         m = meta("plain_cgs")
         p = PlainCgsSampler(golden_corpus, num_topics=m["topics"], seed=m["seed"])
         for _ in range(m["sweeps"]):
             p.sweep()
         assert_golden(p.model.z, "plain_cgs")
-
-    def test_lightlda(self, golden_corpus):
-        m = meta("lightlda")
-        t = LightLdaTrainer(golden_corpus, num_topics=m["topics"], seed=m["seed"])
-        t.train(m["iterations"], compute_likelihood_every=0)
-        assert_golden(t.model.z, "lightlda")
 
     def test_warplda(self, golden_corpus):
         m = meta("warplda")

@@ -5,7 +5,7 @@ The integrity half of the self-healing serving PR:
 - every artifact the repo writes (model npz, checkpoint npz) embeds a
   sha256 digest over its payload arrays; loaders recompute and compare;
 - the round trip export -> save -> load -> verified holds for **all
-  seven** registry algorithms;
+  five** registry algorithms;
 - an edited payload, a truncated or a byte-flipped file is a typed
   ``ValueError`` at load time (exit 2 from the CLI) and a ``corrupt``
   report from the offline checker — never a silently mis-served model;
@@ -153,7 +153,7 @@ class TestModelArtifactIntegrity:
     def test_digest_round_trips_for_every_algorithm(
         self, corpus, tmp_path, name
     ):
-        """Acceptance: export -> save -> load -> verify, all seven."""
+        """Acceptance: export -> save -> load -> verify, all five."""
         trainer = create_trainer(name, corpus, topics=6, seed=3)
         trainer.fit(1, likelihood_every=0)
         path = tmp_path / f"{name}.npz"

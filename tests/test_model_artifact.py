@@ -2,7 +2,7 @@
 
 Covers the acceptance criteria of the model redesign:
 
-- ``export_model()`` works for **all seven** registry algorithms;
+- ``export_model()`` works for **all five** registry algorithms;
 - a **v1** npz (written by the pre-redesign ``repro train --output``)
   is a typed rejection naming the version;
 - the v2 round trip preserves arrays, hyper-parameters, vocabulary and
@@ -90,7 +90,7 @@ class TestConstruction:
 class TestExportModel:
     @pytest.mark.parametrize("name", sorted(algorithm_names()))
     def test_every_algorithm_exports(self, corpus, name):
-        """The culda-only restriction is gone: all seven export."""
+        """The culda-only restriction is gone: all five export."""
         trainer = create_trainer(name, corpus, topics=8, seed=2,
                                  **({"workers": 3} if name == "ldastar" else {}))
         try:
