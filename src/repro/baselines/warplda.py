@@ -52,14 +52,6 @@ class WarpLdaConfig:
         if self.mh_rounds < 1:
             raise ValueError("mh_rounds must be >= 1")
 
-    @property
-    def effective_alpha(self) -> float:
-        return self.alpha if self.alpha is not None else 50.0 / self.num_topics
-
-    @property
-    def effective_beta(self) -> float:
-        return self.beta if self.beta is not None else 0.01
-
 
 class WarpLdaTrainer(DenseStateTrainer):
     """MH-based CPU LDA trainer with a simulated CPU clock."""
@@ -154,11 +146,10 @@ class WarpLdaTrainer(DenseStateTrainer):
         Acceptance keeps the theta/totals ratio.
         """
         m = self.model
-        cfg = self.config
         t = m.z.shape[0]
-        k = cfg.num_topics
-        beta_v = cfg.effective_beta * self.corpus.num_words
-        weights = m.phi.astype(np.float64) + cfg.effective_beta  # K x V
+        k = self.k
+        beta_v = self.beta * self.corpus.num_words
+        weights = m.phi.astype(np.float64) + self.beta  # K x V
         cdf = np.cumsum(weights, axis=0)
         flat = (cdf / cdf[-1, :][None, :]).T.ravel()
         flat += np.repeat(np.arange(self.corpus.num_words, dtype=np.float64), k)
@@ -168,10 +159,10 @@ class WarpLdaTrainer(DenseStateTrainer):
             - self.word_ids * k
         )
         proposal = np.clip(proposal, 0, k - 1)
-        num = (m.theta[self.doc_ids, proposal] + cfg.effective_alpha) * (
+        num = (m.theta[self.doc_ids, proposal] + self.alpha) * (
             m.topic_totals[m.z] + beta_v
         )
-        den = (m.theta[self.doc_ids, m.z] + cfg.effective_alpha) * (
+        den = (m.theta[self.doc_ids, m.z] + self.alpha) * (
             m.topic_totals[proposal] + beta_v
         )
         accept = self.rng.random(t) * den < num

@@ -628,12 +628,41 @@ def _find_checks_config() -> Path:
     return packaged
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that may fetch some defaults when it first parses.
+
+    ``lazy_defaults`` returns ``set_defaults`` keywords.  It runs only
+    for the subcommand being parsed, so a default whose one spelling
+    lives in a heavy module costs the other subcommands nothing.
+    """
+
+    lazy_defaults = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.lazy_defaults is not None:
+            self.set_defaults(**self.lazy_defaults())
+            self.lazy_defaults = None
+        return super().parse_known_args(args, namespace)
+
+
+def _serve_defaults() -> dict:
+    from repro.model.inference import DEFAULT_BATCH_DOCS
+    from repro.serving.server import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
+
+    return {
+        "sweeps": DEFAULT_SERVE_SWEEPS,
+        "burn_in": DEFAULT_SERVE_BURN_IN,
+        "batch_docs": DEFAULT_BATCH_DOCS,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CuLDA_CGS reproduction: LDA training on simulated GPUs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     def add_corpus_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--docword", help="UCI bag-of-words file")
@@ -782,12 +811,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0,
                          help="0 picks a free port (printed on the ready line)")
-    p_serve.add_argument("--sweeps", type=int, default=20,
+    p_serve.add_argument("--sweeps", type=int,
                          help="fold-in Gibbs sweeps (fixed per server: "
-                              "coalesced requests share one schedule)")
-    p_serve.add_argument("--burn-in", dest="burn_in", type=int, default=8)
+                              "coalesced requests share one schedule; "
+                              "default %(default)s)")
+    p_serve.add_argument("--burn-in", dest="burn_in", type=int,
+                         help="default %(default)s")
     p_serve.add_argument("--batch-docs", dest="batch_docs", type=int,
-                         default=256)
+                         help="default %(default)s")
+    p_serve.lazy_defaults = _serve_defaults
     p_serve.add_argument("--num-workers", dest="num_workers", type=int,
                          default=None,
                          help="inference worker processes per generation "

@@ -6,11 +6,12 @@ being collapsed out.  Each sweep of an :class:`InferenceSession` batch
 does two things:
 
 - every document draws ``theta_d ~ Gamma(alpha + n_d)`` (a Dirichlet
-  draw up to scale, which the next step ignores) and its sweep's
-  uniforms, both from its own RNG stream;
+  draw up to scale, which the next step ignores) from randomness its own
+  RNG stream drew up front, one block of sweeps at a time;
 - given theta, every token of the batch draws
   ``z ∝ theta_d[k] * p*[k, w]`` at once, in ``(tokens x K)`` tiles of
-  ``_TILE`` slots, and one bincount gives the new counts n_d.  The draw
+  ``_TILE`` slots, and the new assignments index theta's flat rows, so
+  one bincount over them forms the next sweep's theta.  The draw
   is two levels deep, like the paper's Figure 5 index tree (Section
   6.1.2): block totals of ``_BLOCK`` topics pick the block, and only that
   block's prefix sums pick the topic (:class:`_BlockDraw`), so no token
@@ -26,9 +27,15 @@ counts plus alpha.
 
 Determinism contract: each document draws from its own
 ``np.random.default_rng`` stream spawned from the session seed, in a
-fixed consumption order (one ``integers`` init, then one
-``standard_gamma(K)`` and one ``random(n)`` per sweep), and every draw's
-arithmetic is row-wise.  The batched results are therefore
+fixed consumption order: one ``integers`` init, then for each block of
+``b = min(_SWEEP_BLOCK, sweeps left)`` sweeps one
+``standard_gamma(alpha, (b, K))``, one ``standard_exponential((b, n))``
+and one ``random((b, n))``.  The block length is a module constant, not
+a function of the batch, so the order depends on the document and the
+schedule alone.  A sweep's theta is its Gamma(alpha) row plus one
+Exp(1) per token in each topic, which is Gamma(alpha + n_d) exactly,
+summed by one bincount in token order; every other draw's arithmetic
+is row-wise.  The batched results are therefore
 **bit-identical per document** to a one-document-at-a-time loop under
 the same seed (tests/fold_in_oracle.py, asserted by
 tests/test_inference_session.py), and independent of batch size, tiling
@@ -51,7 +58,7 @@ from repro.perf.workspace import Workspace
 __all__ = ["InferenceSession", "ScoreResult"]
 
 #: Default documents per fold-in batch; per-batch buffers scale with
-#: the batch's tokens (uniforms are drawn one sweep at a time).
+#: the batch's tokens and topics times ``_SWEEP_BLOCK``.
 DEFAULT_BATCH_DOCS = 256
 
 #: (token, topic) slots in one tile of the fold-in draw: about 1 MB per
@@ -68,6 +75,16 @@ _BLOCK = 16
 #: pool round trip.  Measured on a 2-CPU host at K=256, V=2400 and 20
 #: sweeps: docs/PERFORMANCE.md "Serving on every core".
 _MIN_SHARE_DOCS = 24
+
+#: Sweeps of randomness a document draws per RNG call, so a schedule
+#: of S sweeps costs ``1 + 3 * ceil(S / _SWEEP_BLOCK)`` calls per
+#: document and scratch stays ``_SWEEP_BLOCK * (K + 2 n) * 8`` bytes per
+#: document of n tokens, however long the schedule.  A constant, never
+#: derived from the batch: a stream's consumption order must depend on
+#: the document and the schedule alone.  20 covers the serving schedule
+#: in one block; 10 measured the same and 5 slower (docs/PERFORMANCE.md
+#: "The theta-explicit kernel").
+_SWEEP_BLOCK = 20
 
 
 @dataclass(frozen=True)
@@ -454,6 +471,7 @@ class InferenceSession:
         a = len(docs)
         total = sum(d.size for d in docs)
         step = max(1, _TILE // k)
+        block = min(_SWEEP_BLOCK, sweeps)
         # Tile scratch of _TILE (token, topic) slots, taken at full size
         # so the workspace sizes it once instead of regrowing it request
         # by request.
@@ -464,14 +482,17 @@ class InferenceSession:
         words = ws.take("infer.words", total, dtype=np.intp)
         rows = ws.take("infer.rows", total, dtype=np.intp)
         zflat = ws.take("infer.zflat", total, dtype=np.intp)
-        uniforms = ws.take("infer.uniforms", total, dtype=np.float64)
-        shape = ws.take("infer.shape", (a, k), dtype=np.float64)
+        # One sweep block of every document's randomness: Gamma(alpha)
+        # per topic, and Exp(1) and a uniform per token.
+        gammas = ws.take("infer.gammas", (a, block, k), dtype=np.float64)
+        exps = ws.take("infer.exps", (block, total), dtype=np.float64)
+        uniforms = ws.take("infer.uniforms", (block, total), dtype=np.float64)
         # theta rows carry the draw's zero padding, so one gather fills
         # whole rows of the product tile.
         theta = ws.take("infer.theta", (a, draw.prod.shape[1]), dtype=np.float64)
         theta[:, k:] = 0.0
         acc = ws.zeros("infer.acc", (a, k), dtype=np.float64)
-        draws = []
+        streams = []
         lo = 0
         for d, (doc, ss) in enumerate(zip(docs, seeds)):
             hi = lo + doc.size
@@ -479,7 +500,7 @@ class InferenceSession:
             words[lo:hi] = doc
             rows[lo:hi] = d
             zflat[lo:hi] = rng.integers(0, k, size=doc.size) + d * k
-            draws.append((rng, shape[d], theta[d, :k], uniforms[lo:hi]))
+            streams.append((rng, gammas[d], lo, hi))
             lo = hi
         if words.min() < 0 or words.max() >= self.num_words:
             raise IndexError("word id out of the trained vocabulary")
@@ -493,14 +514,23 @@ class InferenceSession:
         if hoisted:
             p_star_t.take(words, axis=0, out=pstar[:total], mode="clip")
         alpha = self.alpha
-        counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
         for s in range(sweeps):
-            # theta_d ~ Gamma(alpha + n_d), then the sweep's uniforms,
-            # each from document d's own stream.
-            np.add(counts, alpha, out=shape)
-            for rng, sh, th, u in draws:
-                rng.standard_gamma(sh, out=th)
-                rng.random(out=u)
+            j = s % block
+            if j == 0:
+                # The next block of sweeps, three calls per document on
+                # its own stream.  The block length depends on the
+                # schedule alone, never on the batch.
+                sb = min(block, sweeps - s)
+                for rng, gamma, lo, hi in streams:
+                    rng.standard_gamma(alpha, out=gamma[:sb])
+                    exps[:sb, lo:hi] = rng.standard_exponential((sb, hi - lo))
+                    uniforms[:sb, lo:hi] = rng.random((sb, hi - lo))
+            # theta_d ~ Gamma(alpha + n_d), as Gamma(alpha) plus one Exp(1)
+            # per token in each topic.  bincount adds each document's
+            # exponentials in token order, whatever else is in the batch.
+            weights = np.bincount(zflat, weights=exps[j], minlength=a * k)
+            np.add(gammas[:, j], weights.reshape(a, k), out=theta[:, :k])
+            u = uniforms[j]
             # Given theta the tokens are independent: every token draws
             # z ∝ theta_d[k] * p*[k, w] at once.  The arithmetic is
             # row-wise, so tiling and batch composition never change a
@@ -513,12 +543,11 @@ class InferenceSession:
                     p_star_t.take(words[lo:hi], axis=0, out=g, mode="clip")
                 theta.take(rows[lo:hi], axis=0, out=prod, mode="clip")
                 np.multiply(prod[:, :k], g, out=prod[:, :k])
-                draw(n, uniforms[lo:hi], t)
+                draw(n, u[lo:hi], t)
                 np.multiply(rows[lo:hi], k, out=z)
                 z += t
-            counts = np.bincount(zflat, minlength=a * k).reshape(a, k)
             if s >= burn:
-                acc += counts
+                acc += np.bincount(zflat, minlength=a * k).reshape(a, k)
         mix = acc + alpha * (sweeps - burn)
         return mix / mix.sum(axis=1, keepdims=True)
 

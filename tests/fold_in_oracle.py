@@ -2,8 +2,14 @@
 
 One document at a time, one sweep at a time, with the draws taken from
 document d's stream ``SeedSequence(seed).spawn(D)[d]`` in the order the
-session keeps: one ``integers`` init, then one ``standard_gamma(K)`` and
-one ``random(n)`` per sweep.  Each token's topic comes from the
+session keeps: one ``integers`` init, then, for each block of
+``b = min(_SWEEP_BLOCK, sweeps left)`` sweeps, one
+``standard_gamma(alpha, (b, K))``, one ``standard_exponential((b, n))``
+and one ``random((b, n))``.  ``_SWEEP_BLOCK`` is a constant, so this
+order depends on the document and the schedule only, never on which
+documents share a batch.  Each sweep's theta is ``Gamma(alpha + n_k)``
+written as Gamma(alpha) plus the n_k exponentials of the tokens in topic
+k, summed in token order.  Each token's topic comes from the
 two-level inverse-CDF draw of ``two_level_draw``, written with plain
 ``cumsum`` and fancy indexing rather than the session's buffers.
 ``InferenceSession.transform`` must return these mixtures bit for bit,
@@ -18,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.corpus.document import Corpus
-from repro.model.inference import _BLOCK
+from repro.model.inference import _BLOCK, _SWEEP_BLOCK
 
 
 def two_level_draw(weights, u):
@@ -67,15 +73,21 @@ def fold_in(model, docs, num_sweeps, burn_in, seed):
             out[d] = 1.0 / k  # no evidence: the prior mean
             continue
         rng = np.random.default_rng(ss)
-        counts = np.bincount(rng.integers(0, k, size=w.size), minlength=k)
+        z = rng.integers(0, k, size=w.size)
         acc = np.zeros(k, dtype=np.float64)
         rows = p_star[:, w].T  # (n, K), reused every sweep
         for sweep in range(num_sweeps):
-            theta = rng.standard_gamma(alpha + counts)
-            u = rng.random(w.size)
-            counts = np.bincount(two_level_draw(rows * theta, u), minlength=k)
+            j = sweep % _SWEEP_BLOCK
+            if j == 0:
+                block = min(_SWEEP_BLOCK, num_sweeps - sweep)
+                gammas = rng.standard_gamma(alpha, size=(block, k))
+                exps = rng.standard_exponential((block, w.size))
+                uniforms = rng.random((block, w.size))
+            # Gamma(alpha + n_k) as Gamma(alpha) plus n_k draws of Exp(1).
+            theta = gammas[j] + np.bincount(z, weights=exps[j], minlength=k)
+            z = two_level_draw(rows * theta, uniforms[j])
             if sweep >= burn_in:
-                acc += counts
+                acc += np.bincount(z, minlength=k)
         mix = acc + alpha * (num_sweeps - burn_in)
         out[d] = mix / mix.sum()
     return out

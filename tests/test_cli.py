@@ -411,6 +411,21 @@ class TestServeQuery:
         assert args.max_pending == 64
         assert args.sweeps == 20 and args.burn_in == 8
 
+    def test_serve_defaults_are_the_serving_constants(self):
+        from repro.model.inference import DEFAULT_BATCH_DOCS
+        from repro.serving import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
+
+        args = build_parser().parse_args(["serve", "--model", "m.npz"])
+        assert (args.sweeps, args.burn_in, args.batch_docs) == (
+            DEFAULT_SERVE_SWEEPS, DEFAULT_SERVE_BURN_IN, DEFAULT_BATCH_DOCS,
+        )
+        args = build_parser().parse_args(
+            ["serve", "--model", "m.npz", "--sweeps", "9", "--batch-docs", "3"]
+        )
+        assert (args.sweeps, args.burn_in, args.batch_docs) == (
+            9, DEFAULT_SERVE_BURN_IN, 3,
+        )
+
     def test_query_parser_defaults(self):
         args = build_parser().parse_args(["query", "--port", "7"])
         assert args.op == "infer"

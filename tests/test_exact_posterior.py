@@ -28,6 +28,9 @@ fine for 20,000 chains; it checks the per-token marginal instead, the
 topic occupancy ``q_k = E[n_k] / N``.  The same argument bounds that
 statistic's TV, with each topic's standard error taken from the exact
 variance of ``n_k / N``.
+
+The K=3 instance runs a second time at alpha = 0.02, where the chain
+needs far more sweeps to mix, with its own wrong-target companion.
 """
 
 from __future__ import annotations
@@ -50,12 +53,12 @@ _CHAINS = 20_000
 _SWEEPS = 20
 
 
-def _model(k: int) -> TopicModel:
+def _model(k: int, alpha: float = _ALPHA) -> TopicModel:
     # p* rows drawn from Dirichlet(0.5), carried by integer counts.
     rng = np.random.default_rng(2024)
     phi = np.rint(rng.dirichlet(np.full(_V, 0.5), size=k) * 1000)
     return TopicModel(phi.astype(np.int64), phi.sum(axis=1).astype(np.int64),
-                      _ALPHA, _BETA)
+                      alpha, _BETA)
 
 
 def _exact_counts_posterior(p_star: np.ndarray, alpha: float, doc) -> dict:
@@ -71,12 +74,12 @@ def _exact_counts_posterior(p_star: np.ndarray, alpha: float, doc) -> dict:
     return {n: p / total for n, p in post.items()}
 
 
-def _final_counts(model: TopicModel, doc) -> np.ndarray:
+def _final_counts(model: TopicModel, doc, sweeps: int = _SWEEPS) -> np.ndarray:
     """Final topic counts of ``_CHAINS`` independent chains, ``(M, K)``."""
-    k, n = model.num_topics, len(doc)
-    session = InferenceSession(model, num_sweeps=_SWEEPS, burn_in=_SWEEPS - 1)
+    k, n, alpha = model.num_topics, len(doc), model.alpha
+    session = InferenceSession(model, num_sweeps=sweeps, burn_in=sweeps - 1)
     theta = session.transform([doc] * _CHAINS, seed=1)
-    counts = np.rint(theta * (n + k * _ALPHA) - _ALPHA).astype(np.int64)
+    counts = np.rint(theta * (n + k * alpha) - alpha).astype(np.int64)
     assert np.all(counts.sum(axis=1) == n)
     return counts
 
@@ -99,12 +102,16 @@ def model() -> TopicModel:
     return _model(_K)
 
 
-@pytest.fixture(scope="module")
-def final_counts(model) -> dict:
+def _histogram(counts: np.ndarray) -> dict:
     hist: dict[tuple[int, ...], int] = {}
-    for row in map(tuple, _final_counts(model, _DOC).tolist()):
+    for row in map(tuple, counts.tolist()):
         hist[row] = hist.get(row, 0) + 1
     return hist
+
+
+@pytest.fixture(scope="module")
+def final_counts(model) -> dict:
+    return _histogram(_final_counts(model, _DOC))
 
 
 def test_fold_in_matches_exact_posterior(model, final_counts):
@@ -179,3 +186,43 @@ def test_occupancy_rejects_a_wrong_target(wide_model, wide_counts):
     wrong, var = _occupancy(_exact_counts_posterior(p_star, 0.1, _WIDE_DOC))
     assert 0.5 * np.abs(wrong - mean).sum() < 0.06
     assert _occupancy_tv(wide_counts, wrong) > _occupancy_bound(var, _CHAINS)
+
+
+# ---------------------------------------------------------------------------
+# Small alpha: serve models use alpha = 50/K, 0.195 at K=256 and less at
+# larger K.  At alpha = 0.02 the chain mixes slowly: on the K=3
+# instance its TV to the posterior read 0.065 after 20 sweeps, 0.043
+# after 50, 0.019 after 100 and 0.014 after 200.  The chain is not
+# biased, so this case runs long enough to mix, under the same bound.
+
+_SMALL_ALPHA = 0.02
+_SMALL_ALPHA_SWEEPS = 200
+
+
+@pytest.fixture(scope="module")
+def small_alpha_model() -> TopicModel:
+    return _model(_K, _SMALL_ALPHA)
+
+
+@pytest.fixture(scope="module")
+def small_alpha_counts(small_alpha_model) -> dict:
+    return _histogram(
+        _final_counts(small_alpha_model, _DOC, _SMALL_ALPHA_SWEEPS)
+    )
+
+
+def test_small_alpha_matches_exact_posterior(small_alpha_model, small_alpha_counts):
+    target = _exact_counts_posterior(
+        small_alpha_model.word_given_topic(), _SMALL_ALPHA, _DOC
+    )
+    assert set(small_alpha_counts) <= set(target)
+    assert _tv(small_alpha_counts, target, _CHAINS) < _bound(target, _CHAINS)
+
+
+def test_small_alpha_rejects_a_wrong_target(small_alpha_model, small_alpha_counts):
+    """At alpha = 0.02 a step of 0.005 in alpha is already 0.057 in TV."""
+    p_star = small_alpha_model.word_given_topic()
+    target = _exact_counts_posterior(p_star, _SMALL_ALPHA, _DOC)
+    wrong = _exact_counts_posterior(p_star, 0.025, _DOC)
+    assert 0.5 * sum(abs(wrong[n] - target[n]) for n in target) < 0.07
+    assert _tv(small_alpha_counts, wrong, _CHAINS) > _bound(wrong, _CHAINS)

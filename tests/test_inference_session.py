@@ -24,7 +24,12 @@ from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import InferenceSession, ScoreResult, TopicModel
 from repro.model import inference
-from repro.model.inference import _BLOCK, _MIN_SHARE_DOCS, _as_doc_arrays
+from repro.model.inference import (
+    _BLOCK,
+    _MIN_SHARE_DOCS,
+    _SWEEP_BLOCK,
+    _as_doc_arrays,
+)
 from repro.perf import Workspace
 
 
@@ -687,6 +692,7 @@ class TestFoldInBatchEdges:
             session = InferenceSession(_golden_model(k), num_sweeps=4, burn_in=1)
             session.transform(docs, seed=0)
             warm = session.describe()["workspace"]
+            buffers = dict(session._ws._pool)
             session.transform(docs, seed=1)
             again = session.describe()["workspace"]
             assert again["misses"] == warm["misses"]
@@ -694,6 +700,26 @@ class TestFoldInBatchEdges:
             assert {key: v for key, v in again.items() if key != "hits"} == {
                 key: v for key, v in warm.items() if key != "hits"
             }
+            # The up-front randomness lands in the same arrays again.
+            roles = {role for role, _ in buffers}
+            assert {"infer.gammas", "infer.exps", "infer.uniforms"} <= roles
+            assert all(session._ws._pool[key] is buf for key, buf in buffers.items())
+
+    def test_long_schedule_keeps_scratch_to_one_sweep_block(self):
+        """Scratch grows by ``_SWEEP_BLOCK * (K + 2 n) * 8`` bytes per
+        document at most, however many sweeps a call runs."""
+        docs = _golden_docs()
+        tokens = sum(d.size for d in docs)
+        per_sweep = (sum(d.size > 0 for d in docs) * _G_K + 2 * tokens) * 8
+
+        def nbytes(sweeps: int) -> int:
+            session = InferenceSession(
+                _golden_model(), num_sweeps=sweeps, burn_in=1
+            )
+            session.transform(docs, seed=0)
+            return session.describe()["workspace"]["nbytes"]
+
+        assert nbytes(1000) - nbytes(2) <= (_SWEEP_BLOCK - 2) * per_sweep
 
 
 # ---------------------------------------------------------------------------
