@@ -534,27 +534,28 @@ _G_LENGTHS = (1, 5, 5, 5, 0, 1, 300, 17, 3, 40, 40, 2)
 #: Per K: one theta entry of the long document (hex), then sha256 of the
 #: float64 theta bytes of transform and of the three transform_many
 #: blocks.  K=16 is one block of the two-level draw; K=40 is three, the
-#: last one padded.  K=16 was recaptured when fold-in became
-#: theta-explicit, and kept its bits when the draw became two-level;
-#: K=40 was captured for the two-level draw.  Each chain was first
-#: checked against the exact posterior (tests/test_exact_posterior.py).
+#: last one padded.  Both were recaptured when each document began to
+#: draw its randomness a block of sweeps at a time (Gamma(alpha) rows,
+#: exponentials and uniforms up front), which changed every stream's
+#: consumption order.  Each chain was first checked against the exact
+#: posterior (tests/test_exact_posterior.py).
 _G_PINS = {
     16: (
-        (0, "0x1.4e9d3a74e9d3ap-4"),
-        "69c761895745a70b332accbddbdf04d4c6fcb1043eacbe8174549a83a9c158c6",
+        (0, "0x1.697da5f697da6p-4"),
+        "faaf06bb2facacf962902f5c8dd684275a54a7fdf52ee8deab8d09fcd7b6b14a",
         (
-            "bd2fc5612303efa3f10c2f42d2f74a1f50a1cee152b068957ebbb7394376c04a",
-            "2f28e08d347330b11e7410d47c2eaf4d23582cc60e01438508e6d9b0897215b7",
-            "a5ce08385614c8d60a78b2d181183cc1038b2b55b23827b00b4637dd3ebb5849",
+            "45d5590c9cd9ebdd2bfdacaa8a83f59a9609671984b4991813de21866f97a6a5",
+            "6c429a763a6312f92318d82d04fcdf7560f3c4eb5fdd11ddd6b5c9bdcc30f3b9",
+            "13529287b04dfb2d67e4da164cf2863052366903b687e880063f7f6dce7a4748",
         ),
     ),
     40: (
         (39, "0x1.8f18f18f18f19p-8"),
-        "e9c5419677a50a7fa4831f9390538e45515a57f8bb8a27ffd050006fc72dc8bd",
+        "c8caec2fe4d55d21402508f4d877a7c3d7b555d36329dc4801d4a421c674feef",
         (
-            "e4ab70bf9876379cea8e3314cb38b1067fa741c86b1167c1e1ec7ba0a9120b85",
-            "0fd1aec54801d8ec4f41e77ee8415f720aff7d5ef8018b3ed673bfdbbedb6e87",
-            "212ff40c7fed06b40b05353a5c6b84b05d3264c4747b48a48d359d5e70c146fa",
+            "b4479846747f877356ba3035911f1e49fe87c1add31165a695ae877c811233c1",
+            "2c2206fdd2b1ed13fdd5eb06256c7d28ab95fedda00c7cc80909daa115a98def",
+            "37eaed1781c57db1cd94970b93d9ae8660741203c9764122f4257f261c36e216",
         ),
     ),
 }
