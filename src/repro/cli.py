@@ -645,14 +645,19 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _serve_defaults() -> dict:
+def _infer_defaults() -> dict:
     from repro.model.inference import DEFAULT_BATCH_DOCS
+
+    return {"batch_docs": DEFAULT_BATCH_DOCS}
+
+
+def _serve_defaults() -> dict:
     from repro.serving.server import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
 
     return {
         "sweeps": DEFAULT_SERVE_SWEEPS,
         "burn_in": DEFAULT_SERVE_BURN_IN,
-        "batch_docs": DEFAULT_BATCH_DOCS,
+        **_infer_defaults(),
     }
 
 
@@ -786,9 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--show-docs", dest="show_docs", type=int, default=10,
                          help="documents to print (all are inferred)")
     p_infer.add_argument("--batch-docs", dest="batch_docs", type=int,
-                         default=256,
                          help="documents per fold-in batch (memory knob; "
-                              "results are identical for any value)")
+                              "results are identical for any value; "
+                              "default %(default)s)")
+    p_infer.lazy_defaults = _infer_defaults
     p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser(

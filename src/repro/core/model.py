@@ -76,13 +76,16 @@ class LdaState:
         check_num_topics(self.num_topics)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("hyper-parameters must be positive")
-        self.phi = np.zeros((self.num_topics, self.num_words), dtype=np.int32)
-        for cs in self.chunks:
-            np.add.at(
-                self.phi,
-                (cs.topics.astype(np.int64), cs.chunk.token_words.astype(np.int64)),
-                1,
-            )
+        # One bincount over every token's flat cell ``topic * V + word``.
+        k, v = self.num_topics, self.num_words
+        cells = np.concatenate([
+            np.empty(0, dtype=np.int64),
+            *(cs.topics.astype(np.int64) * v + cs.chunk.token_words
+              for cs in self.chunks),
+        ])
+        self.phi = (
+            np.bincount(cells, minlength=k * v).astype(np.int32).reshape(k, v)
+        )
         self.topic_totals = self.phi.sum(axis=1, dtype=np.int64)
 
     # -- construction ------------------------------------------------------

@@ -25,6 +25,23 @@ positions, so a request costs its tokens, not its longest document's
 length times a Python step.  The estimator averages the post-burn-in
 counts plus alpha.
 
+Precision: the tile is float32, the only dtype it has, because the draw
+is bound by the bytes it moves.  The session holds one ``p*``
+transpose, in float32, which the pool arena shares as is; each theta row
+is summed in float64 and rounded once into float32.  A weight thus
+carries at most three float32 roundings (p*, theta, the product), and
+the block totals, block prefix sums and in-block prefix sums add a few
+dozen more along a draw's path, so every CDF boundary the draw compares
+against lies within a few times 1e-6 of the row total from where exact
+arithmetic puts it (about 1e-14 in float64).  A Gamma(alpha) draw below
+float32's range becomes 0 (12.6% of draws at alpha = 0.02, none in 2M at
+alpha = 0.195); such a topic's true weight is below 1e-45, and every
+topic holding a token carries at least one Exp(1) draw.  The randomness
+stays float64 and the returned mixtures are float64 count averages.
+Scoring (:meth:`InferenceSession.log_predictive`, :meth:`score`) reads
+a float64 ``p*`` built from the model on first use, so a server, which
+never scores, never holds it.
+
 Determinism contract: each document draws from its own
 ``np.random.default_rng`` stream spawned from the session seed, in a
 fixed consumption order: one ``integers`` init, then for each block of
@@ -61,8 +78,8 @@ __all__ = ["InferenceSession", "ScoreResult"]
 #: the batch's tokens and topics times ``_SWEEP_BLOCK``.
 DEFAULT_BATCH_DOCS = 256
 
-#: (token, topic) slots in one tile of the fold-in draw: about 1 MB per
-#: float64 scratch buffer whatever the batch width.
+#: (token, topic) slots in one tile of the fold-in draw: 512 KB per
+#: float32 scratch buffer whatever the batch width.
 _TILE = 1 << 17
 
 #: Topics per block of the two-level draw (K=256: 16 blocks of 16).
@@ -100,14 +117,15 @@ class ScoreResult:
 class _BlockDraw:
     """Inverse-CDF topic draws over a tile, one block of topics deep.
 
-    Callers write each token's weights ``theta_d[k] * p*[k, w]`` into
-    ``prod[:n, :K]``; the rest of every row is zero padding up to ``nb``
-    whole blocks of ``b = min(_BLOCK, K)`` topics.  A call sums each
+    Callers write each token's float32 weights ``theta_d[k] * p*[k, w]``
+    into ``prod[:n, :K]``; the rest of every row is zero padding up to
+    ``nb`` whole blocks of ``b = min(_BLOCK, K)`` topics.  A call sums each
     block left to right, finds the block holding ``u * total`` from the
     ``nb`` block prefix sums, then the topic from that block's own ``b``
     prefix sums.  No token walks a K-long chain of additions.  Every
     operation is row-wise, so a token's draw depends only on its own
-    products and uniform.
+    products and uniform.  Every sum and both targets are float32; the
+    float64 uniforms are rounded only through ``u * total``.
 
     Both targets are clamped strictly below the total they split, so a
     zero-mass topic (an underflowed theta, or padding) is never drawn.
@@ -117,7 +135,7 @@ class _BlockDraw:
         b = min(_BLOCK, k)
         nb = -(-k // b)
         self.b, self.nb = b, nb
-        f, i = np.float64, np.intp
+        f, i = np.float32, np.intp
         self.prod = ws.take("infer.prod", (step, nb * b), dtype=f)
         self.prod[:, k:] = 0.0
         self._tot = ws.take("infer.blocktot", (step, nb), dtype=f)
@@ -146,8 +164,9 @@ class _BlockDraw:
         for c in range(1, b):
             tot += blocks[:, :, c]
         np.add.accumulate(tot, axis=1, out=cum[:, 1:])
-        # x = u * total lands on the total itself only when that is
-        # subnormal; below it, a zero-mass last block is never picked.
+        # x = u * total, formed at u's float64 and rounded once, lands on
+        # the total itself for u within about 2**-25 of 1; below it, a
+        # zero-mass last block is never picked.
         np.multiply(u, cum[:, nb], out=x)
         np.nextafter(cum[:, nb], 0.0, out=lim)
         np.minimum(x, lim, out=x)
@@ -190,7 +209,8 @@ class InferenceSession:
     ----------
     model:
         The trained artifact; its ``p* = (phi + beta) / (N_k + beta V)``
-        matrix is precomputed once per session.
+        matrix is precomputed once per session, in float32 for the
+        fold-in tiles (scoring builds a float64 copy on first use).
     num_sweeps / burn_in:
         Default Gibbs schedule per :meth:`transform` call; the mixture
         averages theta over the post-burn-in sweeps.
@@ -232,8 +252,11 @@ class InferenceSession:
         self.alpha = model.alpha
         self.num_topics = model.num_topics
         self.num_words = model.num_words
-        # (V, K) transpose: token gathers become contiguous row reads.
-        self._p_star_t = np.ascontiguousarray(model.word_given_topic().T)
+        # (V, K) float32 transpose: token gathers become contiguous row
+        # reads of half the bytes.
+        self._p_star_t = np.ascontiguousarray(
+            model.word_given_topic().T, dtype=np.float32
+        )
 
     def _configure(
         self,
@@ -260,6 +283,7 @@ class InferenceSession:
         self.num_workers = resolve_inference_workers(num_workers)
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._pool = None
+        self._p_star_t64: np.ndarray | None = None
         #: Calls folded in-process vs. sent to the pool (see describe()).
         self._routed = {"in_process": 0, "pool": 0}
 
@@ -274,10 +298,12 @@ class InferenceSession:
         burn_in: int = 10,
         batch_docs: int = DEFAULT_BATCH_DOCS,
     ) -> InferenceSession:
-        """Session over an externally owned ``p*`` transpose (no copy).
+        """Session over an externally owned float32 ``p*`` transpose
+        (no copy).
 
         Used by the parallel-inference workers, whose matrix is a view
-        of the pool's shared read-only arena.
+        of the pool's shared read-only arena.  Such a session has no
+        model, so it folds in but cannot score.
         """
         obj = cls.__new__(cls)
         obj.model = None
@@ -489,7 +515,7 @@ class InferenceSession:
         uniforms = ws.take("infer.uniforms", (block, total), dtype=np.float64)
         # theta rows carry the draw's zero padding, so one gather fills
         # whole rows of the product tile.
-        theta = ws.take("infer.theta", (a, draw.prod.shape[1]), dtype=np.float64)
+        theta = ws.take("infer.theta", (a, draw.prod.shape[1]), dtype=np.float32)
         theta[:, k:] = 0.0
         acc = ws.zeros("infer.acc", (a, k), dtype=np.float64)
         streams = []
@@ -506,7 +532,7 @@ class InferenceSession:
             raise IndexError("word id out of the trained vocabulary")
         # The ids are checked above, so the gathers may write ``out=``
         # unchecked (a checked one stages a temporary).
-        pstar = ws.take("infer.pstar", (step, k), dtype=np.float64)
+        pstar = ws.take("infer.pstar", (step, k), dtype=np.float32)
         topic = ws.take("infer.topic", step, dtype=np.intp)
         p_star_t = self._p_star_t
         # phi is frozen, so a batch that fits one tile gathers once.
@@ -527,7 +553,8 @@ class InferenceSession:
                     uniforms[:sb, lo:hi] = rng.random((sb, hi - lo))
             # theta_d ~ Gamma(alpha + n_d), as Gamma(alpha) plus one Exp(1)
             # per token in each topic.  bincount adds each document's
-            # exponentials in token order, whatever else is in the batch.
+            # exponentials in token order, whatever else is in the batch;
+            # the float64 sum is rounded once into the float32 row.
             weights = np.bincount(zflat, weights=exps[j], minlength=a * k)
             np.add(gammas[:, j], weights.reshape(a, k), out=theta[:, :k])
             u = uniforms[j]
@@ -590,8 +617,17 @@ class InferenceSession:
             raise ValueError("mixture must be a length-K vector")
         if not np.isclose(mixture.sum(), 1.0, atol=1e-6) or np.any(mixture < 0):
             raise ValueError("mixture must be a probability vector")
-        token_probs = self._p_star_t[w] @ mixture
+        token_probs = self._scoring_p_star_t()[w] @ mixture
         return float(np.log(np.maximum(token_probs, 1e-300)).mean())
+
+    def _scoring_p_star_t(self) -> np.ndarray:
+        """The float64 (V, K) ``p*`` transpose scoring reads, built from
+        the model on first use and cached."""
+        if self._p_star_t64 is None:
+            self._p_star_t64 = np.ascontiguousarray(
+                self.model.word_given_topic().T
+            )
+        return self._p_star_t64
 
     def score(
         self,

@@ -4,9 +4,10 @@ Training needs phi synchronization; serving does not — an
 :class:`~repro.model.inference.InferenceSession` folds documents in
 against a **frozen** model, so documents are embarrassingly parallel.
 :class:`InferenceWorkerPool` exploits that: the session's precomputed
-``p* = (phi + beta) / (N_k + beta V)`` transpose is published once into
-a read-only :class:`~repro.parallel.shm.ShmArena`, persistent OS workers
-map it, and every ``transform`` call wide enough to split (the session
+float32 ``p* = (phi + beta) / (N_k + beta V)`` transpose, the one matrix
+its fold-in tiles read, is published once into a read-only
+:class:`~repro.parallel.shm.ShmArena` (``V * K * 4`` bytes), persistent
+OS workers map it, and every ``transform`` call wide enough to split (the session
 routes narrower ones in-process) round-robins its fold-in batches over
 the workers.  No count matrices travel per request — only the
 request documents and the resulting ``(docs, K)`` theta blocks cross the
@@ -298,9 +299,10 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
             pass
     finally:
         if session is not None:
-            # Drop the arena view before unmapping, so the mmap close
-            # does not see exported buffer pointers (keeps worker exit
-            # silent instead of leaving a BufferError for __del__).
+            # Drop the arena view (the session's only one: a worker
+            # never scores) before unmapping, so the mmap close does not
+            # see exported buffer pointers (keeps worker exit silent
+            # instead of leaving a BufferError for __del__).
             session._p_star_t = None
         if arena is not None:
             arena.close()

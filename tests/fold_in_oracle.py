@@ -12,6 +12,10 @@ written as Gamma(alpha) plus the n_k exponentials of the tokens in topic
 k, summed in token order.  Each token's topic comes from the
 two-level inverse-CDF draw of ``two_level_draw``, written with plain
 ``cumsum`` and fancy indexing rather than the session's buffers.
+The tile arithmetic is the session's float32: p* and each sweep's theta
+(summed in float64) are rounded once to float32, their products are
+float32, and so is every sum the draw compares.  The randomness stays
+float64, and the mixtures are float64 count averages.
 ``InferenceSession.transform`` must return these mixtures bit for bit,
 whatever its batch size, tiling or worker count.  The chain itself is
 checked against the enumerated posterior in
@@ -34,22 +38,26 @@ def two_level_draw(weights, u):
     padded.  Block totals are in-block sums left to right; the block is
     the first whose running total exceeds the target, and the topic the
     first in that block whose in-block prefix sum exceeds what is left.
-    Both targets stay strictly below the total they split.
+    Every sum, the target and what is left are in the weights' dtype
+    (float32 for the session's tile); the target is ``u * total`` at
+    ``u``'s float64, rounded once.  Both targets stay strictly below the
+    total they split.
     """
     n, k = weights.shape
     b = min(_BLOCK, k)
     nb = -(-k // b)
-    padded = np.zeros((n, nb * b))
+    padded = np.zeros((n, nb * b), dtype=weights.dtype)
     padded[:, :k] = weights
     inner = np.cumsum(padded.reshape(n, nb, b), axis=2)
     block_total = inner[..., -1]
     running = np.cumsum(block_total, axis=1)
     total = running[:, -1]
-    x = np.minimum(u * total, np.nextafter(total, 0.0))
+    zero = weights.dtype.type(0)
+    x = np.minimum((u * total).astype(weights.dtype), np.nextafter(total, zero))
     j = (running[:, :-1] <= x[:, None]).sum(axis=1)
     ar = np.arange(n)
-    before = np.where(j > 0, running[ar, j - 1], 0.0)
-    rest = np.minimum(x - before, np.nextafter(block_total[ar, j], 0.0))
+    before = np.where(j > 0, running[ar, j - 1], zero)
+    rest = np.minimum(x - before, np.nextafter(block_total[ar, j], zero))
     return j * b + (inner[ar, j, :-1] <= rest[:, None]).sum(axis=1)
 
 
@@ -65,6 +73,7 @@ def fold_in(model, docs, num_sweeps, burn_in, seed):
     alpha = model.alpha
     denom = model.topic_totals.astype(np.float64) + model.beta * v
     p_star = (model.phi.astype(np.float64) + model.beta) / denom[:, None]
+    p_star = p_star.astype(np.float32)
     streams = np.random.SeedSequence(seed).spawn(len(docs))
     out = np.empty((len(docs), k), dtype=np.float64)
     for d, (doc, ss) in enumerate(zip(docs, streams)):
@@ -75,7 +84,7 @@ def fold_in(model, docs, num_sweeps, burn_in, seed):
         rng = np.random.default_rng(ss)
         z = rng.integers(0, k, size=w.size)
         acc = np.zeros(k, dtype=np.float64)
-        rows = p_star[:, w].T  # (n, K), reused every sweep
+        rows = p_star[:, w].T  # (n, K) float32, reused every sweep
         for sweep in range(num_sweeps):
             j = sweep % _SWEEP_BLOCK
             if j == 0:
@@ -85,7 +94,8 @@ def fold_in(model, docs, num_sweeps, burn_in, seed):
                 uniforms = rng.random((block, w.size))
             # Gamma(alpha + n_k) as Gamma(alpha) plus n_k draws of Exp(1).
             theta = gammas[j] + np.bincount(z, weights=exps[j], minlength=k)
-            z = two_level_draw(rows * theta, uniforms[j])
+            # One rounding into float32, then float32 products.
+            z = two_level_draw(rows * theta.astype(np.float32), uniforms[j])
             if sweep >= burn_in:
                 acc += np.bincount(z, minlength=k)
         mix = acc + alpha * (num_sweeps - burn_in)

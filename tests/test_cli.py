@@ -426,6 +426,20 @@ class TestServeQuery:
             9, DEFAULT_SERVE_BURN_IN, 3,
         )
 
+    def test_infer_batch_docs_default_is_the_session_constant(self, capsys):
+        from repro.model.inference import DEFAULT_BATCH_DOCS
+
+        args = build_parser().parse_args(["infer", "--model", "m.npz"])
+        assert args.batch_docs == DEFAULT_BATCH_DOCS
+        args = build_parser().parse_args(
+            ["infer", "--model", "m.npz", "--batch-docs", "3"]
+        )
+        assert args.batch_docs == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["infer", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"default {DEFAULT_BATCH_DOCS})" in help_text
+
     def test_query_parser_defaults(self):
         args = build_parser().parse_args(["query", "--port", "7"])
         assert args.op == "infer"

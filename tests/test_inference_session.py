@@ -145,6 +145,36 @@ class TestConsumption:
         bad = InferenceSession(flat, num_sweeps=8, burn_in=3).score(test)
         assert good.perplexity < bad.perplexity
 
+    def test_scoring_reads_the_float64_formula(self, trained, model):
+        """Fold-in tiles are float32; scoring stays bit-identical to the
+        float64 ``(phi + beta) / (N_k + beta * V)``."""
+        _, test = trained
+        sess = InferenceSession(model, num_sweeps=6, burn_in=2)
+        theta = sess.transform(test, seed=4)
+        denom = model.topic_totals.astype(np.float64) + model.beta * model.num_words
+        p_star = (model.phi.astype(np.float64) + model.beta) / denom[:, None]
+        p_star_t = np.ascontiguousarray(p_star.T)
+        total, tokens = 0.0, 0
+        for d, w in enumerate(_as_doc_arrays(test)):
+            lp = float(np.log(np.maximum(p_star_t[w] @ theta[d], 1e-300)).mean())
+            assert sess.log_predictive(w, theta[d]) == lp
+            total += lp * w.size
+            tokens += w.size
+        score = sess.score(test, theta=theta).log_predictive_per_token
+        assert score == total / tokens
+
+    def test_transform_alone_never_builds_the_float64_matrix(
+        self, trained, model
+    ):
+        _, test = trained
+        sess = InferenceSession(model, num_sweeps=6, burn_in=2)
+        assert sess._p_star_t.dtype == np.float32
+        theta = sess.transform(test, seed=0)
+        sess.top_topics(test, theta=theta)
+        assert sess._p_star_t64 is None
+        sess.score(test, theta=theta)
+        assert sess._p_star_t64.dtype == np.float64
+
     def test_log_predictive_validation(self, model):
         sess = InferenceSession(model, num_sweeps=6, burn_in=2)
         mix = np.full(model.num_topics, 1.0 / model.num_topics)
@@ -303,6 +333,18 @@ class TestParallelInference:
             assert desc["pool"] is None  # lazy: no transform yet
             session.transform([np.array([0, 1]), np.array([2])], seed=0)
             assert session.describe()["pool"]["started"] is True
+
+    def test_arena_holds_the_one_float32_matrix(self, model):
+        with InferenceSession(
+            model, num_sweeps=6, burn_in=1, num_workers=2
+        ) as session:
+            session.transform([np.array([0, 1]), np.array([2])], seed=0)
+            view = session._pool._arena.view("pstar")
+            assert view.dtype == np.float32
+            assert np.array_equal(view, session._p_star_t)
+            del view  # closing unmaps the arena
+            arena_bytes = session.describe()["pool"]["arena_bytes"]
+            assert arena_bytes == model.num_words * model.num_topics * 4
 
     def test_rejects_bad_worker_count(self, model):
         with pytest.raises(ValueError, match="num_workers"):
@@ -728,11 +770,17 @@ class TestFoldInBatchEdges:
 # exact checks; tests/test_sampler.py::TestExactOracle does the same for
 # the training kernel).
 
-_KNIFE_EDGE = 1e-9
+#: How close (relative to the row total) a target may sit to an exact
+#: prefix sum and still have the draw pick the other side of it.  Along a
+#: draw's path float32 rounds at most 2B + K/B times (block totals, block
+#: prefix sums, the target, the residual, in-block prefix sums), 48 at
+#: K=256, each by at most 2**-24 of the row total; 64 of them bound that.
+_KNIFE_EDGE = 64 * 2.0**-24
 
 
 def _draw_products(k: int, n: int, rng) -> np.ndarray:
-    """Token weights theta_d[k] * p*[k, w] with the awkward cases mixed in.
+    """Float32 token weights theta_d[k] * p*[k, w], formed as the tile
+    forms them, with the awkward cases mixed in.
 
     Rows cycle through gamma draws at alpha = 1e-3 (most weights
     underflow to exactly 0.0, some rows keep one topic), at alpha = 0.5,
@@ -741,7 +789,7 @@ def _draw_products(k: int, n: int, rng) -> np.ndarray:
     p_star = rng.dirichlet(np.full(k, 0.5), size=n) + 1e-3
     theta = rng.standard_gamma(np.full((n, k), 1e-3))
     theta[1::4] = rng.standard_gamma(np.full((n, k), 0.5))[1::4]
-    prod = theta * p_star
+    prod = theta.astype(np.float32) * p_star.astype(np.float32)
     prod[2::4] = 0.25
     prod[3::4] = np.resize(np.arange(1, _BLOCK + 1) / 8, k)
     dead = ~prod.any(axis=1)
@@ -764,7 +812,7 @@ class TestBlockDrawExact:
         n = 512 if k < 256 else 160
         rng = np.random.default_rng(k)
         prod = _draw_products(k, n, rng)
-        u = rng.random(n)
+        u = rng.random(n)  # uniforms stay float64
         u[:3] = [0.0, 0.5, 1.0 - 2.0**-53]  # both ends of [0, 1)
         draw = inference._BlockDraw(Workspace(), n, k)
         draw.prod[:, :k] = prod
@@ -782,21 +830,26 @@ class TestBlockDrawExact:
         assert np.any(prod == 0.0)
 
     @pytest.mark.parametrize("weights", [
-        # x = u * total rounds to the total itself when it is subnormal
-        (3 * 5e-324, 0.0),
+        # a float32-subnormal total: x = u * total rounds to it
+        (3 * 2.0**-149, 0.0),
         # x - (mass before the block) rounds up to the block's total
-        (0.06989350580634457, 3.598241648459089),
+        # (found by a search over random float32 pairs)
+        (0.3609714210033417, 0.5769076347351074),
     ])
     def test_rounding_never_reaches_a_zero_mass_tail(self, weights):
         """Both edges would count past the last topic of mass into the
         zero tail (here padding) without the clamps."""
         k = _BLOCK + 1
-        prod = np.zeros((1, k))
+        prod = np.zeros((1, k), dtype=np.float32)
         prod[0, 0], prod[0, _BLOCK] = weights
         u = np.array([1.0 - 2.0**-53])
         total = prod[0, 0] + prod[0, _BLOCK]
-        x = u[0] * total
-        assert x == total or x - prod[0, 0] == prod[0, _BLOCK]
+        # In float32 the target u * total rounds to any total at this u;
+        # the first clamp then leaves a residual that can round up again.
+        x = np.float32(u[0] * np.float64(total))
+        rest = min(x, np.nextafter(total, np.float32(0))) - prod[0, 0]
+        assert x == total
+        assert weights[1] == 0.0 or rest == prod[0, _BLOCK]
         draw = inference._BlockDraw(Workspace(), 1, k)
         draw.prod[:, :k] = prod
         topic = np.empty(1, dtype=np.intp)
