@@ -645,19 +645,25 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+def _evaluate_defaults() -> dict:
+    from repro.model.inference import DEFAULT_BURN_IN, DEFAULT_SWEEPS
+
+    return {"sweeps": DEFAULT_SWEEPS, "burn_in": DEFAULT_BURN_IN}
+
+
 def _infer_defaults() -> dict:
     from repro.model.inference import DEFAULT_BATCH_DOCS
 
-    return {"batch_docs": DEFAULT_BATCH_DOCS}
+    return {**_evaluate_defaults(), "batch_docs": DEFAULT_BATCH_DOCS}
 
 
 def _serve_defaults() -> dict:
     from repro.serving.server import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
 
     return {
+        **_infer_defaults(),
         "sweeps": DEFAULT_SERVE_SWEEPS,
         "burn_in": DEFAULT_SERVE_BURN_IN,
-        **_infer_defaults(),
     }
 
 
@@ -762,10 +768,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_inference_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", required=True,
                        help="model .npz from 'repro train --output'")
-        p.add_argument("--sweeps", type=int, default=25,
-                       help="fold-in Gibbs sweeps per document")
-        p.add_argument("--burn-in", dest="burn_in", type=int, default=10,
-                       help="sweeps discarded before averaging theta")
+        p.add_argument("--sweeps", type=int,
+                       help="fold-in Gibbs sweeps per document "
+                            "(default %(default)s)")
+        p.add_argument("--burn-in", dest="burn_in", type=int,
+                       help="sweeps discarded before averaging theta "
+                            "(default %(default)s)")
         p.add_argument("--inference-seed", dest="inference_seed", type=int,
                        default=0,
                        help="seed of the fold-in draws (per-document "
@@ -806,6 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                         type=float, default=0.5,
                         help="fraction of each document folded in; the "
                              "rest is scored")
+    p_eval.lazy_defaults = _evaluate_defaults
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_serve = sub.add_parser(

@@ -15,7 +15,12 @@ does two things:
   is two levels deep, like the paper's Figure 5 index tree (Section
   6.1.2): block totals of ``_BLOCK`` topics pick the block, and only that
   block's prefix sums pick the topic (:class:`_BlockDraw`), so no token
-  walks a K-long prefix sum.
+  walks a K-long prefix sum.  The tile is plane-major (plane ``c`` holds
+  topic ``c`` of every block), so the block totals are contiguous adds.
+
+A batch ends at ``_BATCH_TILES`` tiles of tokens as well as at
+``batch_docs`` documents, and gathers its tokens' p* planes once for
+all its sweeps.
 
 The chain over (theta, z) has the exact fold-in posterior as its
 z-marginal: the partially collapsed move of Magnusson et al. (JCGS
@@ -26,8 +31,8 @@ length times a Python step.  The estimator averages the post-burn-in
 counts plus alpha.
 
 Precision: the tile is float32, the only dtype it has, because the draw
-is bound by the bytes it moves.  The session holds one ``p*``
-transpose, in float32, which the pool arena shares as is; each theta row
+is bound by the bytes it moves.  The session holds one float32 ``p*``
+in plane layout, which the pool arena shares as is; each theta row
 is summed in float64 and rounded once into float32.  A weight thus
 carries at most three float32 roundings (p*, theta, the product), and
 the block totals, block prefix sums and in-block prefix sums add a few
@@ -74,8 +79,14 @@ from repro.perf.workspace import Workspace
 
 __all__ = ["InferenceSession", "ScoreResult"]
 
-#: Default documents per fold-in batch; per-batch buffers scale with
-#: the batch's tokens and topics times ``_SWEEP_BLOCK``.
+#: Default Gibbs schedule of an offline fold-in (``InferenceSession``,
+#: ``repro infer``, ``repro evaluate``); a server keeps its own
+#: (``repro.serving.server.DEFAULT_SERVE_SWEEPS``).
+DEFAULT_SWEEPS = 30
+DEFAULT_BURN_IN = 10
+
+#: Default most documents per fold-in batch.  A batch also ends at
+#: ``_BATCH_TILES`` tiles of tokens, which bounds its buffers.
 DEFAULT_BATCH_DOCS = 256
 
 #: (token, topic) slots in one tile of the fold-in draw: 512 KB per
@@ -85,6 +96,12 @@ _TILE = 1 << 17
 #: Topics per block of the two-level draw (K=256: 16 blocks of 16).
 #: Measured against 8 and 32: docs/PERFORMANCE.md "The two-level draw".
 _BLOCK = 16
+
+#: Tiles of tokens at which a fold-in batch ends (``_fold_in``), so a
+#: batch's gathered p* planes and float64 randomness stay bounded
+#: whatever ``batch_docs`` is.  A constant chosen by measurement, not a
+#: knob: docs/PERFORMANCE.md "The plane-major tile".
+_BATCH_TILES = 4
 
 #: Fewest documents worth one worker's share of a call.  A call folds
 #: in ``min(num_workers, docs // _MIN_SHARE_DOCS)`` shares and stays
@@ -114,18 +131,49 @@ class ScoreResult:
     num_scored_tokens: int
 
 
+def _p_star_planes(p_star: np.ndarray) -> np.ndarray:
+    """The float32 plane layout ``(b, V, nb)`` of a ``(K, V)`` p* matrix:
+    plane ``c`` holds topic ``c`` of every block for every word, zero
+    past K, so a batch gathers its tokens' planes with one ``take``."""
+    k, v = p_star.shape
+    b = min(_BLOCK, k)
+    return _to_planes(p_star.T, np.empty((b, v, -(-k // b)), dtype=np.float32))
+
+
+def _to_planes(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``(n, K)`` rows into ``out`` in plane layout and return it.
+
+    ``out`` is ``(b, n, nb)``: plane ``c`` holds topic ``c`` of every one
+    of the ``nb`` blocks of ``b`` topics, for every row, so ``out[c, i, j]``
+    is ``rows[i, j * b + c]`` and topics past K are zero.  The copy casts
+    to ``out``'s dtype, rounding each value once.
+    """
+    b, n, nb = out.shape
+    k = rows.shape[1]
+    full = k // b
+    blocks = out.transpose(1, 2, 0)
+    np.copyto(blocks[:, :full], rows[:, : full * b].reshape(n, full, b))
+    if full < nb:
+        blocks[:, full, : k - full * b] = rows[:, full * b:]
+        blocks[:, full, k - full * b:] = 0.0
+    return out
+
+
 class _BlockDraw:
     """Inverse-CDF topic draws over a tile, one block of topics deep.
 
-    Callers write each token's float32 weights ``theta_d[k] * p*[k, w]``
-    into ``prod[:n, :K]``; the rest of every row is zero padding up to
-    ``nb`` whole blocks of ``b = min(_BLOCK, K)`` topics.  A call sums each
-    block left to right, finds the block holding ``u * total`` from the
-    ``nb`` block prefix sums, then the topic from that block's own ``b``
-    prefix sums.  No token walks a K-long chain of additions.  Every
-    operation is row-wise, so a token's draw depends only on its own
-    products and uniform.  Every sum and both targets are float32; the
-    float64 uniforms are rounded only through ``u * total``.
+    Topics form ``nb`` blocks of ``b = min(_BLOCK, K)``, the last one zero
+    padded.  Callers write each token's float32 weights
+    ``theta_d[k] * p*[k, w]`` into ``tile(n)``, in plane layout (see
+    :func:`_to_planes`), so plane ``c`` is topic ``c`` of every block for
+    every token.  A call sums the planes left to right into block totals,
+    finds the block holding ``u * total`` from the ``nb`` block prefix
+    sums, then the topic from that block's own ``b`` prefix sums.  No
+    token walks a K-long chain of additions, and every sum is over
+    contiguous planes.  Every operation is row-wise, so a token's draw
+    depends only on its own products and uniform.  Every sum and both
+    targets are float32; the float64 uniforms are rounded only through
+    ``u * total``.
 
     Both targets are clamped strictly below the total they split, so a
     zero-mass topic (an underflowed theta, or padding) is never drawn.
@@ -136,33 +184,39 @@ class _BlockDraw:
         nb = -(-k // b)
         self.b, self.nb = b, nb
         f, i = np.float32, np.intp
-        self.prod = ws.take("infer.prod", (step, nb * b), dtype=f)
-        self.prod[:, k:] = 0.0
+        # Flat, so the first n tokens of every buffer are one contiguous
+        # run whatever n is.
+        self._prod = ws.take("infer.prod", b * step * nb, dtype=f)
         self._tot = ws.take("infer.blocktot", (step, nb), dtype=f)
         # cum[:, j] is the mass before block j, so column 0 stays 0.
         self._cum = ws.take("infer.blockcum", (step, nb + 1), dtype=f)
         self._cum[:, 0] = 0.0
-        self._pick = ws.take("infer.pick", (step, b), dtype=f)
+        self._pick = ws.take("infer.pick", b * step, dtype=f)
         self._x = ws.take("infer.x", step, dtype=f)
         self._lim = ws.take("infer.lim", step, dtype=f)
         self._j = ws.take("infer.block", step, dtype=i)
         self._at = ws.take("infer.at", step, dtype=i)
         self._past_blocks = ws.take("infer.pastblocks", (step, nb - 1), dtype=np.bool_)
-        self._past = ws.take("infer.past", (step, b - 1), dtype=np.bool_)
+        self._past = ws.take("infer.past", (b - 1) * step, dtype=np.bool_)
         ramp = ws.arange(step)
         self._row_cum = ramp * (nb + 1)
         self._row_tot = ramp * nb
 
+    def tile(self, n: int) -> np.ndarray:
+        """The ``(b, n, nb)`` product tile of the first ``n`` tokens."""
+        return self._prod[: self.b * n * self.nb].reshape(self.b, n, self.nb)
+
     def __call__(self, n: int, u: np.ndarray, topic: np.ndarray) -> None:
-        """Draw ``topic[i]`` for the first ``n`` rows of ``prod``."""
+        """Draw ``topic[i]`` for the first ``n`` tokens of ``tile(n)``."""
         b, nb = self.b, self.nb
-        prod = self.prod[:n]
-        blocks = prod.reshape(n, nb, b)
-        tot, cum, pick = self._tot[:n], self._cum[:n], self._pick[:n]
+        prod = self.tile(n)
+        tot, cum = self._tot[:n], self._cum[:n]
+        pick = self._pick[: b * n].reshape(b, n)
+        past = self._past[: (b - 1) * n].reshape(b - 1, n)
         x, lim, j, at = self._x[:n], self._lim[:n], self._j[:n], self._at[:n]
-        np.copyto(tot, blocks[:, :, 0])
+        np.copyto(tot, prod[0])
         for c in range(1, b):
-            tot += blocks[:, :, c]
+            tot += prod[c]
         np.add.accumulate(tot, axis=1, out=cum[:, 1:])
         # x = u * total, formed at u's float64 and rounded once, lands on
         # the total itself for u within about 2**-25 of 1; below it, a
@@ -183,10 +237,12 @@ class _BlockDraw:
         tot.reshape(-1).take(at, out=lim, mode="clip")
         np.nextafter(lim, 0.0, out=lim)
         np.minimum(x, lim, out=x)
-        prod.reshape(n * nb, b).take(at, axis=0, out=pick, mode="clip")
-        np.add.accumulate(pick, axis=1, out=pick)
-        np.less_equal(pick[:, : b - 1], x[:, None], out=self._past[:n])
-        np.add.reduce(self._past[:n], axis=1, dtype=np.intp, out=topic)
+        # Block j's b products, one from each plane, prefix-summed down
+        # the planes in the same left-to-right order as the totals.
+        prod.reshape(b, n * nb).take(at, axis=1, out=pick, mode="clip")
+        np.add.accumulate(pick, axis=0, out=pick)
+        np.less_equal(pick[: b - 1], x, out=past)
+        np.add.reduce(past, axis=0, dtype=np.intp, out=topic)
         np.multiply(j, b, out=j)
         topic += j
 
@@ -215,8 +271,9 @@ class InferenceSession:
         Default Gibbs schedule per :meth:`transform` call; the mixture
         averages theta over the post-burn-in sweeps.
     batch_docs:
-        Documents processed per fold-in batch (memory/speed knob; does
-        not change results).
+        Most documents per fold-in batch; a batch also ends at
+        ``_BATCH_TILES`` tiles of tokens (memory/speed knob; does not
+        change results).
     workspace:
         Optional shared :class:`~repro.perf.Workspace`; by default the
         session owns one and reuses its buffers across calls.
@@ -235,8 +292,8 @@ class InferenceSession:
     def __init__(
         self,
         model: TopicModel,
-        num_sweeps: int = 30,
-        burn_in: int = 10,
+        num_sweeps: int = DEFAULT_SWEEPS,
+        burn_in: int = DEFAULT_BURN_IN,
         batch_docs: int = DEFAULT_BATCH_DOCS,
         workspace: Workspace | None = None,
         num_workers: int | None = None,
@@ -252,11 +309,7 @@ class InferenceSession:
         self.alpha = model.alpha
         self.num_topics = model.num_topics
         self.num_words = model.num_words
-        # (V, K) float32 transpose: token gathers become contiguous row
-        # reads of half the bytes.
-        self._p_star_t = np.ascontiguousarray(
-            model.word_given_topic().T, dtype=np.float32
-        )
+        self._p_planes = _p_star_planes(model.word_given_topic())
 
     def _configure(
         self,
@@ -290,16 +343,16 @@ class InferenceSession:
     @classmethod
     def _from_matrix(
         cls,
-        p_star_t: np.ndarray,
+        p_planes: np.ndarray,
         alpha: float,
         num_topics: int,
         num_words: int,
-        num_sweeps: int = 30,
-        burn_in: int = 10,
+        num_sweeps: int = DEFAULT_SWEEPS,
+        burn_in: int = DEFAULT_BURN_IN,
         batch_docs: int = DEFAULT_BATCH_DOCS,
     ) -> InferenceSession:
-        """Session over an externally owned float32 ``p*`` transpose
-        (no copy).
+        """Session over an externally owned float32 ``p*`` in plane
+        layout (no copy; see :func:`_p_star_planes`).
 
         Used by the parallel-inference workers, whose matrix is a view
         of the pool's shared read-only arena.  Such a session has no
@@ -311,7 +364,7 @@ class InferenceSession:
         obj.alpha = float(alpha)
         obj.num_topics = int(num_topics)
         obj.num_words = int(num_words)
-        obj._p_star_t = p_star_t
+        obj._p_planes = p_planes
         return obj
 
     # -- lifecycle ---------------------------------------------------------
@@ -321,7 +374,7 @@ class InferenceSession:
             from repro.model.parallel_inference import InferenceWorkerPool
 
             self._pool = InferenceWorkerPool(
-                self._p_star_t,
+                self._p_planes,
                 alpha=self.alpha,
                 num_topics=self.num_topics,
                 num_words=self.num_words,
@@ -474,10 +527,34 @@ class InferenceSession:
                 )
                 for i in batch
             ]
-            theta = self._fold_in_batch(
+            out[batch] = self._fold_in(
                 [arrays[i] for i in batch], seeds, sweeps, burn,
             )
-            out[batch] = theta
+
+    def _fold_in(
+        self,
+        docs: list[np.ndarray],
+        seeds: list[np.random.SeedSequence],
+        sweeps: int,
+        burn: int,
+    ) -> np.ndarray:
+        """Theta rows of non-empty ``docs``, folded in consecutive batches
+        that end at ``_BATCH_TILES`` tiles of tokens.
+
+        The budget bounds a batch's gathered p* planes and its float64
+        randomness whatever ``batch_docs`` is; a document longer than it
+        is a batch of its own.  Batch composition never moves a draw.
+        """
+        budget = _BATCH_TILES * max(1, _TILE // self.num_topics)
+        ends = np.cumsum([d.size for d in docs])
+        out = np.empty((len(docs), self.num_topics), dtype=np.float64)
+        lo = 0
+        while lo < len(docs):
+            start = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + budget, "right")))
+            out[lo:hi] = self._fold_in_batch(docs[lo:hi], seeds[lo:hi], sweeps, burn)
+            lo = hi
+        return out
 
     def _fold_in_batch(
         self,
@@ -488,7 +565,7 @@ class InferenceSession:
     ) -> np.ndarray:
         """Theta-explicit Gibbs over one batch of non-empty documents.
 
-        Also the parallel workers' entry point, which skips
+        The parallel workers reach it through ``_fold_in``, which skips
         ``_transform_into``'s vocabulary check, so a word id outside the
         vocabulary raises ``IndexError`` here, before any gather.
         """
@@ -502,21 +579,30 @@ class InferenceSession:
         # so the workspace sizes it once instead of regrowing it request
         # by request.
         draw = _BlockDraw(ws, step, k)
+        b, nb = draw.b, draw.nb
+        # The per-token state and the gathered p* planes are taken for
+        # a whole token budget too, so narrower batches reuse them
+        # rather than regrow them.
+        cap = max(total, _BATCH_TILES * step)
+
+        def per_token(role: str, width: int, dtype) -> np.ndarray:
+            return ws.take(role, width * cap, dtype=dtype)[: width * total]
+
         # Token-major state: document d's tokens are one contiguous run.
         # An assignment is its flat theta index ``row * K + topic``, so
         # one bincount gives every document's topic counts.
-        words = ws.take("infer.words", total, dtype=np.intp)
-        rows = ws.take("infer.rows", total, dtype=np.intp)
-        zflat = ws.take("infer.zflat", total, dtype=np.intp)
+        words = per_token("infer.words", 1, np.intp)
+        rows = per_token("infer.rows", 1, np.intp)
+        zflat = per_token("infer.zflat", 1, np.intp)
         # One sweep block of every document's randomness: Gamma(alpha)
         # per topic, and Exp(1) and a uniform per token.
         gammas = ws.take("infer.gammas", (a, block, k), dtype=np.float64)
         exps = ws.take("infer.exps", (block, total), dtype=np.float64)
         uniforms = ws.take("infer.uniforms", (block, total), dtype=np.float64)
-        # theta rows carry the draw's zero padding, so one gather fills
-        # whole rows of the product tile.
-        theta = ws.take("infer.theta", (a, draw.prod.shape[1]), dtype=np.float32)
-        theta[:, k:] = 0.0
+        # Each sweep's theta, summed in float64, then rounded once into
+        # the plane layout the product tile is gathered from.
+        theta64 = ws.take("infer.theta64", (a, k), dtype=np.float64)
+        theta = ws.take("infer.theta", (b, a, nb), dtype=np.float32)
         acc = ws.zeros("infer.acc", (a, k), dtype=np.float64)
         streams = []
         lo = 0
@@ -530,15 +616,12 @@ class InferenceSession:
             lo = hi
         if words.min() < 0 or words.max() >= self.num_words:
             raise IndexError("word id out of the trained vocabulary")
-        # The ids are checked above, so the gathers may write ``out=``
+        # phi is frozen, so the batch gathers its tokens' p* planes once.
+        # The ids are checked above, so the gather may write ``out=``
         # unchecked (a checked one stages a temporary).
-        pstar = ws.take("infer.pstar", (step, k), dtype=np.float32)
+        pstar = per_token("infer.pstar", b * nb, np.float32).reshape(b, total, nb)
+        self._p_planes.take(words, axis=1, out=pstar, mode="clip")
         topic = ws.take("infer.topic", step, dtype=np.intp)
-        p_star_t = self._p_star_t
-        # phi is frozen, so a batch that fits one tile gathers once.
-        hoisted = total <= step
-        if hoisted:
-            p_star_t.take(words, axis=0, out=pstar[:total], mode="clip")
         alpha = self.alpha
         for s in range(sweeps):
             j = s % block
@@ -553,10 +636,10 @@ class InferenceSession:
                     uniforms[:sb, lo:hi] = rng.random((sb, hi - lo))
             # theta_d ~ Gamma(alpha + n_d), as Gamma(alpha) plus one Exp(1)
             # per token in each topic.  bincount adds each document's
-            # exponentials in token order, whatever else is in the batch;
-            # the float64 sum is rounded once into the float32 row.
+            # exponentials in token order, whatever else is in the batch.
             weights = np.bincount(zflat, weights=exps[j], minlength=a * k)
-            np.add(gammas[:, j], weights.reshape(a, k), out=theta[:, :k])
+            np.add(gammas[:, j], weights.reshape(a, k), out=theta64)
+            _to_planes(theta64, theta)
             u = uniforms[j]
             # Given theta the tokens are independent: every token draws
             # z ∝ theta_d[k] * p*[k, w] at once.  The arithmetic is
@@ -565,11 +648,9 @@ class InferenceSession:
             for lo in range(0, total, step):
                 hi = min(lo + step, total)
                 n = hi - lo
-                g, prod, t, z = pstar[:n], draw.prod[:n], topic[:n], zflat[lo:hi]
-                if not hoisted:
-                    p_star_t.take(words[lo:hi], axis=0, out=g, mode="clip")
-                theta.take(rows[lo:hi], axis=0, out=prod, mode="clip")
-                np.multiply(prod[:, :k], g, out=prod[:, :k])
+                prod, t, z = draw.tile(n), topic[:n], zflat[lo:hi]
+                theta.take(rows[lo:hi], axis=1, out=prod, mode="clip")
+                np.multiply(prod, pstar[:, lo:hi], out=prod)
                 draw(n, u[lo:hi], t)
                 np.multiply(rows[lo:hi], k, out=z)
                 z += t

@@ -4,9 +4,10 @@ Training needs phi synchronization; serving does not — an
 :class:`~repro.model.inference.InferenceSession` folds documents in
 against a **frozen** model, so documents are embarrassingly parallel.
 :class:`InferenceWorkerPool` exploits that: the session's precomputed
-float32 ``p* = (phi + beta) / (N_k + beta V)`` transpose, the one matrix
-its fold-in tiles read, is published once into a read-only
-:class:`~repro.parallel.shm.ShmArena` (``V * K * 4`` bytes), persistent
+float32 ``p* = (phi + beta) / (N_k + beta V)`` in plane layout, the one
+matrix its fold-in tiles read, is published once into a read-only
+:class:`~repro.parallel.shm.ShmArena` (``V * nb * b * 4`` bytes: K zero
+padded to ``nb`` whole blocks of ``b`` topics), persistent
 OS workers map it, and every ``transform`` call wide enough to split (the session
 routes narrower ones in-process) round-robins its fold-in batches over
 the workers.  No count matrices travel per request — only the
@@ -95,7 +96,7 @@ class InferenceWorkerPool:
 
     def __init__(
         self,
-        p_star_t: np.ndarray,
+        p_planes: np.ndarray,
         alpha: float,
         num_topics: int,
         num_words: int,
@@ -106,7 +107,7 @@ class InferenceWorkerPool:
         if num_workers < 2:
             raise ValueError("a pool needs at least 2 workers")
         self.num_workers = int(num_workers)
-        self._p_star_t = p_star_t
+        self._p_planes = p_planes
         self._alpha = float(alpha)
         self._num_topics = int(num_topics)
         self._num_words = int(num_words)
@@ -129,9 +130,9 @@ class InferenceWorkerPool:
         if self.started:
             return
         arena = ShmArena.create(
-            {"pstar": (self._p_star_t.shape, self._p_star_t.dtype)}
+            {"pstar": (self._p_planes.shape, self._p_planes.dtype)}
         )
-        arena.view("pstar")[...] = self._p_star_t
+        arena.view("pstar")[...] = self._p_planes
         plans = [
             _InferencePlan(
                 layout=arena.layout,
@@ -287,7 +288,7 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
                     )
                     for entropy, spawn in specs
                 ]
-                theta = session._fold_in_batch(docs, seeds, sweeps, burn)
+                theta = session._fold_in(docs, seeds, sweeps, burn)
                 replies.append((indices, theta))
             conn.send(("theta", replies))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - shutdown races
@@ -303,7 +304,7 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
             # never scores) before unmapping, so the mmap close does not
             # see exported buffer pointers (keeps worker exit silent
             # instead of leaving a BufferError for __del__).
-            session._p_star_t = None
+            session._p_planes = None
         if arena is not None:
             arena.close()
         conn.close()

@@ -22,6 +22,8 @@ import asyncio
 import json
 import struct
 
+import numpy as np
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
@@ -47,11 +49,56 @@ class FrameError(ValueError):
     """A malformed, truncated, or oversized frame."""
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+def _is_rows(value) -> bool:
+    return (
+        isinstance(value, np.ndarray) and value.ndim == 2
+        and value.dtype == np.float64
+    )
+
+
+def _render_rows(rows: np.ndarray) -> str:
+    """``_dumps(rows.tolist())`` of a 2-D float64 array, with each distinct
+    value's ``repr`` formed once.
+
+    A theta block repeats few values (its rows are count averages), so
+    this costs a fraction of a ``repr`` per element.  Values are distinct
+    by their bits, so ``0.0`` and ``-0.0`` keep their own text; a
+    non-finite value raises ``ValueError`` as ``allow_nan=False`` does.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    k = rows.shape[1]
+    if not k:
+        return _dumps(rows.tolist())
+    bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    items = list(map(text.__getitem__, inverse.ravel().tolist()))
+    return "[" + ",".join(
+        "[" + ",".join(items[lo: lo + k]) + "]"
+        for lo in range(0, len(items), k)
+    ) + "]"
+
+
 def encode_frame(message: dict) -> bytes:
-    """Serialize one message to its on-wire bytes (header + JSON)."""
-    payload = json.dumps(
-        message, separators=(",", ":"), allow_nan=False
-    ).encode()
+    """Serialize one message to its on-wire bytes (header + JSON).
+
+    A 2-D float64 array value (a reply's theta block) is written exactly
+    as ``json.dumps`` writes its ``tolist()``, only faster
+    (:func:`_render_rows`).  Keys are strings, as in every protocol
+    message.
+    """
+    if any(_is_rows(v) for v in message.values()):
+        payload = "{" + ",".join(
+            _dumps(key) + ":" + (_render_rows(v) if _is_rows(v) else _dumps(v))
+            for key, v in message.items()
+        ) + "}"
+    else:
+        payload = _dumps(message)
+    payload = payload.encode()
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame of {len(payload)} bytes exceeds the "

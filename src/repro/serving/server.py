@@ -37,13 +37,14 @@ protocol of :mod:`repro.serving.protocol`:
   until a half-open probe succeeds.  Overload and degraded workers are
   states the protocol speaks, not crashes.
 
-Inference runs on an executor thread, so the event loop keeps accepting,
-answering and swapping while the engine computes.
+Inference runs on its generation's own thread, so the event loop keeps
+accepting, answering and swapping while the engine computes.
 """
 
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -102,6 +103,18 @@ class ModelGeneration:
     index: int
     inflight: int = 0
     retired: bool = False
+    #: The one thread this generation's dispatches run on.  Dispatches
+    #: never overlap, so one is enough while the generation is healthy;
+    #: a generation the watchdog retires keeps its wedged thread, and
+    #: its successor gets a thread of its own.  One thread also keeps
+    #: the fold-in's transient allocations in one malloc arena, where
+    #: the default executor would spread them over whichever threads it
+    #: happened to start.
+    executor: ThreadPoolExecutor = field(
+        default_factory=lambda: ThreadPoolExecutor(
+            1, thread_name_prefix="repro-dispatch"
+        )
+    )
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -234,6 +247,7 @@ class ServingServer:
         for gen in self._retired:
             if gen.inflight == 0:
                 gen.session.close()
+                gen.executor.shutdown(wait=False)
             else:
                 still.append(gen)
         self._retired = still
@@ -483,15 +497,24 @@ class ServingServer:
                     "invalid_request", "each document must be a list of "
                     "token ids",
                 )
-            try:
-                arr = np.asarray(d, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
+            kinds = set(map(type, d))
+            if list in kinds:
+                return refuse(
+                    "invalid_request", "each document must be a flat list"
+                )
+            # Exactly int: a float, string or bool id would otherwise
+            # convert to some word silently.
+            if not kinds <= {int}:
                 return refuse(
                     "invalid_request", "token ids must be integers"
                 )
-            if arr.ndim != 1:
+            try:
+                arr = np.asarray(d, dtype=np.int64)
+            except OverflowError:
                 return refuse(
-                    "invalid_request", "each document must be a flat list"
+                    "invalid_request",
+                    f"word id out of the served vocabulary "
+                    f"(V={num_words})",
                 )
             if arr.size and (arr.min() < 0 or arr.max() >= num_words):
                 return refuse(
@@ -752,7 +775,7 @@ class ServingServer:
                 return
             dispatched_at = loop.time()
             fut = loop.run_in_executor(
-                None, partial(self._compute, gen, requests)
+                gen.executor, partial(self._compute, gen, requests)
             )
             try:
                 thetas = await asyncio.wait_for(
@@ -811,7 +834,7 @@ class ServingServer:
                 self._stats.record(queue_wait_s, service_s)
                 req.future.set_result({
                     "type": "result", "id": req.request_id,
-                    "theta": theta.tolist(),
+                    "theta": theta,
                     "generation": gen.generation,
                     "lineage": gen.lineage,
                     "queue_wait_s": queue_wait_s,

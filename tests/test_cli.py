@@ -440,6 +440,26 @@ class TestServeQuery:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"default {DEFAULT_BATCH_DOCS})" in help_text
 
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    def test_offline_schedule_is_the_session_default(self, command):
+        """``repro infer``/``evaluate`` fold in on the schedule an
+        ``InferenceSession`` gets when none is given."""
+        import inspect
+
+        from repro.model import InferenceSession
+
+        params = inspect.signature(InferenceSession).parameters
+        args = build_parser().parse_args([command, "--model", "m.npz"])
+        assert (args.sweeps, args.burn_in) == (
+            params["num_sweeps"].default, params["burn_in"].default,
+        )
+        args = build_parser().parse_args(
+            [command, "--model", "m.npz", "--burn-in", "2"]
+        )
+        assert (args.sweeps, args.burn_in) == (
+            params["num_sweeps"].default, 2,
+        )
+
     def test_query_parser_defaults(self):
         args = build_parser().parse_args(["query", "--port", "7"])
         assert args.op == "infer"

@@ -25,6 +25,7 @@ from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import InferenceSession, ScoreResult, TopicModel
 from repro.model import inference
 from repro.model.inference import (
+    _BATCH_TILES,
     _BLOCK,
     _MIN_SHARE_DOCS,
     _SWEEP_BLOCK,
@@ -168,7 +169,7 @@ class TestConsumption:
     ):
         _, test = trained
         sess = InferenceSession(model, num_sweeps=6, burn_in=2)
-        assert sess._p_star_t.dtype == np.float32
+        assert sess._p_planes.dtype == np.float32
         theta = sess.transform(test, seed=0)
         sess.top_topics(test, theta=theta)
         assert sess._p_star_t64 is None
@@ -341,10 +342,12 @@ class TestParallelInference:
             session.transform([np.array([0, 1]), np.array([2])], seed=0)
             view = session._pool._arena.view("pstar")
             assert view.dtype == np.float32
-            assert np.array_equal(view, session._p_star_t)
+            assert np.array_equal(view, session._p_planes)
             del view  # closing unmaps the arena
             arena_bytes = session.describe()["pool"]["arena_bytes"]
-            assert arena_bytes == model.num_words * model.num_topics * 4
+            b = min(_BLOCK, model.num_topics)
+            nb = -(-model.num_topics // b)
+            assert arena_bytes == model.num_words * nb * b * 4
 
     def test_rejects_bad_worker_count(self, model):
         with pytest.raises(ValueError, match="num_workers"):
@@ -764,6 +767,26 @@ class TestFoldInBatchEdges:
 
         assert nbytes(1000) - nbytes(2) <= (_SWEEP_BLOCK - 2) * per_sweep
 
+    def test_workspace_stops_growing_at_one_token_budget(self):
+        """Batches end at ``_BATCH_TILES`` tiles of tokens, so a call of
+        256 equal-length documents holds the buffers of the one batch
+        that fills a budget, whatever ``batch_docs`` is."""
+        k, length = 256, 40
+        model = _golden_model(k)
+        per_batch = _BATCH_TILES * (inference._TILE // k) // length
+        rng = np.random.default_rng(2)
+        docs = [rng.integers(0, _G_V, size=length) for _ in range(256)]
+
+        def nbytes(d: int) -> int:
+            session = InferenceSession(model, num_sweeps=3, burn_in=1)
+            session.transform(docs[:d], seed=0)
+            return session.describe()["workspace"]["nbytes"]
+
+        one = nbytes(per_batch)
+        assert 256 > 4 * per_batch
+        assert nbytes(256) == nbytes(2 * per_batch + 1) == one
+        assert nbytes(per_batch // 2) < one
+
 
 # ---------------------------------------------------------------------------
 # The tile draw against exact arithmetic (the single-draw form of the
@@ -806,6 +829,24 @@ def _exact_inverse_cdf(row: np.ndarray, u: float) -> tuple[int, float]:
     return topic, float(min(abs(target - c) for c in prefix) / prefix[-1])
 
 
+class TestPlaneLayout:
+    @pytest.mark.parametrize("k", [1, 16, 40])
+    def test_p_star_planes_hold_each_topic_once(self, k):
+        """Plane ``c``, block ``j`` is topic ``j * b + c``; topics past K
+        are zero."""
+        p_star = _golden_model(k).word_given_topic()
+        planes = inference._p_star_planes(p_star)
+        b = min(_BLOCK, k)
+        nb = -(-k // b)
+        assert planes.shape == (b, _G_V, nb) and planes.dtype == np.float32
+        for c, j in itertools.product(range(b), range(nb)):
+            want = (
+                p_star[j * b + c].astype(np.float32) if j * b + c < k
+                else np.zeros(_G_V, dtype=np.float32)
+            )
+            assert np.array_equal(planes[c, :, j], want)
+
+
 class TestBlockDrawExact:
     @pytest.mark.parametrize("k", [2, 3, 15, 16, 17, 33, 256])
     def test_matches_exact_inverse_cdf(self, k):
@@ -815,7 +856,7 @@ class TestBlockDrawExact:
         u = rng.random(n)  # uniforms stay float64
         u[:3] = [0.0, 0.5, 1.0 - 2.0**-53]  # both ends of [0, 1)
         draw = inference._BlockDraw(Workspace(), n, k)
-        draw.prod[:, :k] = prod
+        inference._to_planes(prod, draw.tile(n))
         topic = np.empty(n, dtype=np.intp)
         draw(n, u, topic)
         assert np.all(topic < k)
@@ -851,7 +892,7 @@ class TestBlockDrawExact:
         assert x == total
         assert weights[1] == 0.0 or rest == prod[0, _BLOCK]
         draw = inference._BlockDraw(Workspace(), 1, k)
-        draw.prod[:, :k] = prod
+        inference._to_planes(prod, draw.tile(1))
         topic = np.empty(1, dtype=np.intp)
         draw(1, u, topic)
         want = 0 if weights[1] == 0.0 else _BLOCK
@@ -864,10 +905,10 @@ class TestBlockDrawExact:
         prod, u = _draw_products(k, n, rng), rng.random(n)
         ws = Workspace()
         wide = inference._BlockDraw(ws, 2 * n, k)
-        wide.prod[:, :k] = rng.random((2 * n, k))
+        inference._to_planes(rng.random((2 * n, k)), wide.tile(2 * n))
         wide(2 * n, rng.random(2 * n), np.empty(2 * n, dtype=np.intp))
         draw = inference._BlockDraw(ws, 2 * n, k)
-        draw.prod[:n, :k] = prod
+        inference._to_planes(prod, draw.tile(n))
         got = np.empty(n, dtype=np.intp)
         draw(n, u, got)
         assert np.array_equal(got, two_level_draw(prod, u))

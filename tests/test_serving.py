@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import create_trainer
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
@@ -97,6 +99,34 @@ class TestFrames:
             np.asarray(vals, dtype=np.float64),
             np.asarray(back, dtype=np.float64),
         )
+
+    @pytest.mark.parametrize("case", ["random", "tied", "distinct", "zeros"])
+    def test_theta_rows_render_like_tolist(self, case):
+        """A reply's theta array is written byte for byte as
+        ``json.dumps`` writes its ``tolist()``."""
+        rng = np.random.default_rng(5)
+        rows = {
+            "random": rng.dirichlet(np.full(16, 0.3), size=4),
+            "tied": np.resize([0.25, 1 / 3, 1e-300, 5e-324], (3, 16)),
+            "distinct": rng.random((2, 256)) * 10.0 ** rng.integers(
+                -300, 300, size=(2, 256)
+            ),
+            "zeros": np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 2.5]]),
+        }[case]
+        reply = {"type": "result", "id": 3, "theta": rows,
+                 "lineage": {"parent": None}, "service_s": 0.25}
+        listed = {**reply, "theta": rows.tolist()}
+        assert encode_frame(reply) == encode_frame(listed)
+        assert encode_frame({"theta": rows[:, :0]}) == encode_frame(
+            {"theta": [[]] * len(rows)}
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_raises(self, bad):
+        rows = np.full((2, 3), 0.5)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError):
+            encode_frame({"theta": rows})
 
     def test_rejects_non_object(self):
         with pytest.raises(FrameError, match="JSON object"):
@@ -1344,6 +1374,90 @@ class TestSwapIntegrity:
                     assert (
                         stats["model"]["integrity"]["status"] == "verified"
                     )
+
+        run(scenario())
+
+
+_V = 150  # the stack fixture's vocabulary
+
+_token = st.one_of(
+    st.integers(0, _V - 1),
+    st.integers(min_value=_V),
+    st.integers(max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, _V - 1), max_size=2),
+)
+_doc = st.one_of(
+    st.lists(st.integers(0, _V - 1), max_size=6),
+    st.lists(_token, max_size=4),
+    st.integers(0, _V - 1),
+    st.text(max_size=2),
+)
+_docs = st.one_of(
+    st.lists(_doc, max_size=3),
+    st.lists(st.lists(st.integers(0, _V - 1), max_size=0), min_size=1, max_size=2),
+    st.none(),
+    st.integers(),
+)
+
+
+def _servable(docs) -> bool:
+    return isinstance(docs, list) and len(docs) > 0 and all(
+        isinstance(d, list)
+        and all(type(t) is int and 0 <= t < _V for t in d)
+        for d in docs
+    )
+
+
+class TestInferEdgeInputs:
+    """Odd ``infer`` requests: each gets exactly one typed reply, and the
+    connection keeps serving."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(requests=st.lists(
+        st.tuples(_docs, st.integers(0, 2**16)), min_size=1, max_size=4
+    ))
+    def test_one_typed_reply_each(self, stack, requests):
+        assert stack["m1"].num_words == _V
+        good = [d.tolist() for d in stack["docs"][:2]]
+
+        async def scenario():
+            async with make_server(stack, num_workers=1) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for rid, (docs, seed) in enumerate(
+                        [*requests, (good, 1)]
+                    ):
+                        await write_frame(writer, {
+                            "op": "infer", "id": rid, "docs": docs,
+                            "seed": seed,
+                        })
+                        reply = await asyncio.wait_for(read_frame(reader), 30)
+                        assert reply["id"] == rid
+                        if not _servable(docs):
+                            assert reply["type"] == "error"
+                            assert reply["error"] == "invalid_request"
+                            continue
+                        assert reply["type"] == "result", reply
+                        want = stack["ref1"].transform(
+                            [np.asarray(d, dtype=np.int64) for d in docs],
+                            seed=seed,
+                        )
+                        got = np.asarray(reply["theta"], dtype=np.float64)
+                        assert np.array_equal(got, want)
+                        for d, row in zip(docs, got):
+                            if not d:
+                                assert np.all(row == 1.0 / want.shape[1])
+                    await write_frame(writer, {"op": "ping", "id": "last"})
+                    reply = await asyncio.wait_for(read_frame(reader), 30)
+                    assert (reply["type"], reply["id"]) == ("pong", "last")
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
 
         run(scenario())
 
