@@ -41,7 +41,6 @@ def _resolve_platform(platform):
         "use_l1_for_indices": "route sparse-index loads via L1 (default True)",
         "overlap_transfers": "pipeline transfers with compute (default True)",
         "tokens_per_block": "token cap per thread block (default 1024)",
-        "compute_dtype": "kernel float dtype: float64 (default) or float32",
         "execution": "device-loop executor: serial (default) or process "
                      "(real OS workers over shared memory; same draws)",
         "num_workers": "OS worker processes for execution=process "
@@ -71,7 +70,6 @@ def _make_culda(
     use_l1_for_indices: bool = True,
     overlap_transfers: bool = True,
     tokens_per_block: int = 1024,
-    compute_dtype: str = "float64",
     execution: str = "serial",
     num_workers: int | None = None,
     sync_mode: str = "barrier",
@@ -91,7 +89,6 @@ def _make_culda(
         use_l1_for_indices=use_l1_for_indices,
         overlap_transfers=overlap_transfers,
         tokens_per_block=tokens_per_block,
-        compute_dtype=compute_dtype,
         execution=execution,
         num_workers=num_workers,
         sync_mode=sync_mode,

@@ -175,7 +175,6 @@ class LdaStarTrainer:
                 alpha=self.config.effective_alpha,
                 beta=self.config.effective_beta,
                 compress=self.config.compress,
-                compute_dtype=self.config.compute_dtype,
                 seed=self.config.seed,
                 num_workers=self.config.num_workers,
                 worker_affinity=self.config.worker_affinity,

@@ -70,7 +70,6 @@ _ALGO_FLAG_DEFAULTS = {
     "gpus": 1,
     "platform": "Volta",
     "chunks_per_gpu": 1,
-    "compute_dtype": "float64",
     "execution": "serial",
     "num_workers": None,
     "sync_mode": "barrier",
@@ -699,13 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--chunks-per-gpu", type=int,
                          default=_ALGO_FLAG_DEFAULTS["chunks_per_gpu"])
     p_train.add_argument("--platform", default=_ALGO_FLAG_DEFAULTS["platform"])
-    p_train.add_argument(
-        "--compute-dtype", dest="compute_dtype",
-        choices=("float64", "float32"),
-        default=_ALGO_FLAG_DEFAULTS["compute_dtype"],
-        help="sampling-kernel float dtype (float32 = half bandwidth, "
-             "different but statistically equivalent chain)",
-    )
     p_train.add_argument(
         "--execution", choices=("serial", "process"),
         default=_ALGO_FLAG_DEFAULTS["execution"],

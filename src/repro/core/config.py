@@ -46,12 +46,6 @@ class TrainerConfig:
         Pipeline transfers with compute in WorkSchedule2 (Section 5.1).
     tokens_per_block:
         Upper bound on tokens per thread block (Figure 6 splitting).
-    compute_dtype:
-        Floating dtype of the sampling kernel: ``"float64"`` (default;
-        its draws agree with exact arithmetic away from knife edges, and
-        the float64 goldens pin the chain under a fixed seed) or
-        ``"float32"`` (half the bandwidth; a different but statistically
-        equivalent chain — see docs/PERFORMANCE.md).
     execution:
         ``"serial"`` (default) runs the device loop in-process;
         ``"process"`` runs each simulated device's per-iteration work on
@@ -108,7 +102,6 @@ class TrainerConfig:
     use_l1_for_indices: bool = True
     overlap_transfers: bool = True
     tokens_per_block: int = 1024
-    compute_dtype: str = "float64"
     execution: str = "serial"
     num_workers: int | None = None
     sync_mode: str = "barrier"
@@ -129,11 +122,6 @@ class TrainerConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.compute_dtype not in ("float32", "float64"):
-            raise ValueError(
-                f"compute_dtype must be 'float32' or 'float64', "
-                f"got {self.compute_dtype!r}"
-            )
         if self.execution not in ("serial", "process"):
             raise ValueError(
                 f"execution must be 'serial' or 'process', "

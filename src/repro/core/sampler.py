@@ -59,8 +59,8 @@ rounding error is relative to its own row; ``tests/test_sampler.py``
 checks every draw on small instances against exact rational arithmetic
 on the same uniforms.
 
-Workspace reuse and compute dtype
----------------------------------
+Workspace reuse
+---------------
 The K x Wp shared trees and the per-token vectors are drawn from a
 :class:`repro.perf.Workspace` when one is passed, so steady-state
 iterations reuse buffers instead of reallocating them — the NumPy
@@ -77,12 +77,13 @@ with sum-Kd.  The gathers are bounds-checked ``np.take`` results over
 ``intp`` copy first and stages a checked take into an ``out=`` buffer
 through a temporary.  Chunk-invariant data (present words, token->word-column map,
 pair boundaries) is memoised per chunk inside the workspace, mirroring
-the paper's one-time CPU preprocessing.  With ``workspace=None`` (or any
-float64 workspace) the arithmetic is identical to the float64 workspace
-kernel (asserted by tests/test_golden_regression.py); the tile size
-never changes a draw.  A float32 workspace selects the opt-in
-reduced-precision path: same algorithm, half the bandwidth, a different
-but statistically equivalent chain.
+the paper's one-time CPU preprocessing.  The kernel computes in
+float64 only: the p2 search adds each word's integer column offset to
+its normalised CDF, which would leave float32 12-13 bits for the CDF
+near column 2000 (docs/PERFORMANCE.md, "One training dtype").  With
+``workspace=None`` the arithmetic is identical to the workspace kernel
+(asserted by tests/test_golden_regression.py); the tile size never
+changes a draw.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def sample_chunk(
         Per-(iteration, chunk) generator from :class:`~repro.core.rng.RngPool`.
     workspace:
         Optional :class:`~repro.perf.Workspace` supplying reusable
-        buffers and the compute dtype.  ``None`` allocates fresh float64
-        buffers (identical results, more allocator churn).
+        buffers.  ``None`` allocates fresh ones (identical results, more
+        allocator churn).
 
     Returns
     -------

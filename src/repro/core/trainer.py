@@ -166,7 +166,7 @@ class CuLdaTrainer:
 
         # One kernel arena for every device: the devices of one process
         # run one after another, so no buffer is live across devices.
-        workspace = Workspace(config.compute_dtype)
+        workspace = Workspace()
         self.devices: list[DeviceState] = []
         for g in range(config.num_gpus):
             gpu = SimulatedGPU(g, spec)
@@ -266,7 +266,6 @@ class CuLdaTrainer:
                 alpha=self.config.effective_alpha,
                 beta=self.config.effective_beta,
                 compress=self.config.compress,
-                compute_dtype=self.config.compute_dtype,
                 seed=self.config.seed,
                 num_workers=self.config.num_workers,
                 worker_affinity=self.config.worker_affinity,
@@ -545,7 +544,6 @@ class CuLdaTrainer:
             "chunks_per_gpu": self.config.chunks_per_gpu,
             "alpha": self.config.effective_alpha,
             "beta": self.config.effective_beta,
-            "compute_dtype": self.config.compute_dtype,
             "execution": self.config.execution,
             "num_workers": (
                 self._engine.num_workers if self._engine is not None

@@ -79,11 +79,14 @@ def read_npz(path: str | Path) -> dict[str, np.ndarray]:
     ...")``; a missing one raises ``FileNotFoundError``.
     """
     try:
-        loaded = np.load(Path(path), allow_pickle=False)
-        if not isinstance(loaded, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with loaded as z:
-            return {k: z[k] for k in z.files}
+        # Our own handle: np.load(path) leaves its handle to the garbage
+        # collector when the archive fails to open.
+        with open(path, "rb") as fh:
+            loaded = np.load(fh, allow_pickle=False)
+            if not isinstance(loaded, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with loaded as z:
+                return {k: z[k] for k in z.files}
     except FileNotFoundError:
         raise
     except (

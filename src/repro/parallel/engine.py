@@ -136,7 +136,6 @@ class ProcessEngine:
         alpha: float,
         beta: float,
         compress: bool,
-        compute_dtype: str = "float64",
         seed: int = 0,
         num_workers: int | None = None,
         worker_affinity=None,
@@ -162,7 +161,6 @@ class ProcessEngine:
         self._alpha = alpha
         self._beta = beta
         self._compress = compress
-        self._compute_dtype = compute_dtype
         self._seed = seed
         self.num_workers = resolve_num_workers(num_workers, len(groups))
         self._arena: ShmArena | None = None
@@ -279,7 +277,6 @@ class ProcessEngine:
                     alpha=self._alpha,
                     beta=self._beta,
                     compress=self._compress,
-                    compute_dtype=self._compute_dtype,
                     seed=self._seed,
                     worker_index=w,
                     affinity=self.worker_affinity,

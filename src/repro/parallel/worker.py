@@ -75,7 +75,6 @@ class WorkerPlan:
     alpha: float
     beta: float
     compress: bool
-    compute_dtype: str
     seed: int
     worker_index: int = 0
     #: optional CPU ids; this worker pins itself to
@@ -188,7 +187,7 @@ def worker_main(conn, plan: WorkerPlan) -> None:
         pool = RngPool(plan.seed)
         # One kernel arena for every owned group: the groups run one
         # after another, so no buffer is live across groups.
-        workspace = Workspace(plan.compute_dtype)
+        workspace = Workspace()
         model_phi = arena.view("model/phi")
         model_totals = arena.view("model/totals")
         # The worker's one replica, refreshed from the model per group.

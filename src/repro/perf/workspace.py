@@ -17,6 +17,8 @@ Contract
   role.
 - Returned arrays are **uninitialised** (like ``np.empty``); use
   :meth:`Workspace.zeros` when the kernel relies on zero-fill.
+- A take without a dtype is ``float64``, the training kernel's one
+  dtype; fold-in names its own dtypes.
 - ``memo`` caches immutable derived data (e.g. a chunk's present-word
   list) keyed by caller-chosen hashables; it is the workspace-scoped
   equivalent of the CPU-side preprocessing the paper performs once per
@@ -33,29 +35,13 @@ import numpy as np
 
 __all__ = ["Workspace"]
 
-_ALLOWED_COMPUTE = (np.dtype(np.float32), np.dtype(np.float64))
+_F64 = np.dtype(np.float64)
 
 
 class Workspace:
-    """Grow-only arena of named scratch buffers.
+    """Grow-only arena of named scratch buffers."""
 
-    Parameters
-    ----------
-    compute_dtype:
-        Floating dtype the owning kernel should compute in; ``take``
-        uses it when no explicit dtype is passed.  ``float64`` (the
-        default) is bit-identical to the workspace-free kernels;
-        ``float32`` halves bandwidth at the cost of a different (still
-        valid) sampling chain.
-    """
-
-    def __init__(self, compute_dtype: np.dtype | str = np.float64):
-        dt = np.dtype(compute_dtype)
-        if dt not in _ALLOWED_COMPUTE:
-            raise ValueError(
-                f"compute_dtype must be float32 or float64, got {dt}"
-            )
-        self.compute_dtype = dt
+    def __init__(self):
         self._pool: dict[tuple[str, str], np.ndarray] = {}
         self._memo: dict[Hashable, Any] = {}
         self._arange = np.arange(0, dtype=np.int64)
@@ -69,7 +55,7 @@ class Workspace:
         self,
         role: str,
         shape: int | tuple[int, ...],
-        dtype: np.dtype | str | None = None,
+        dtype: np.dtype | str = _F64,
     ) -> np.ndarray:
         """Uninitialised array of ``shape`` for ``role`` (pool-backed).
 
@@ -82,12 +68,7 @@ class Workspace:
             n = prod(shape)
         else:
             n = shape = int(shape)
-        if dtype is None:
-            dt = self.compute_dtype
-        elif type(dtype) is np.dtype:
-            dt = dtype
-        else:
-            dt = np.dtype(dtype)
+        dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         key = (role, dt)
         buf = self._pool.get(key)
         if buf is None or buf.size < n:
@@ -105,7 +86,7 @@ class Workspace:
         self,
         role: str,
         shape: int | tuple[int, ...],
-        dtype: np.dtype | str | None = None,
+        dtype: np.dtype | str = _F64,
     ) -> np.ndarray:
         """Like :meth:`take` but zero-filled."""
         out = self.take(role, shape, dtype)
@@ -142,7 +123,6 @@ class Workspace:
     def describe(self) -> dict:
         """Pool occupancy and reuse counters (for perf reports)."""
         return {
-            "compute_dtype": self.compute_dtype.name,
             "roles": len(self._pool),
             "nbytes": self.nbytes,
             "hits": self.hits,
@@ -151,7 +131,7 @@ class Workspace:
         }
 
     def clear(self) -> None:
-        """Drop every buffer and memo (frees memory; keeps dtype)."""
+        """Drop every buffer and memo (frees memory)."""
         self._pool.clear()
         self._memo.clear()
         self._arange = np.arange(0, dtype=np.int64)

@@ -318,6 +318,43 @@ class TestCliResume:
         assert len(err) == 1
         assert err[0].startswith("error:") and "'prereduce'" in err[0]
 
+    def test_cli_resume_rejects_removed_compute_dtype(self, tmp_path, capsys):
+        """culda runs recorded ``compute_dtype="float64"`` until float64
+        became the only kernel dtype.  Such a checkpoint fails cleanly:
+        exit 2 and one error line naming the option."""
+        import json
+
+        from repro.cli import main
+
+        ck = tmp_path / "dtype.npz"
+        rc = main([
+            "train", "--topics", "8", "--iterations", "1",
+            "--likelihood-every", "0", "--checkpoint", str(ck),
+        ])
+        assert rc == 0
+        with np.load(ck, allow_pickle=False) as z:
+            data = {k: z[k] for k in z.files}
+        meta = json.loads(str(data["metadata_json"]))
+        meta["run"]["trainer_kwargs"]["compute_dtype"] = "float64"
+        data["metadata_json"] = json.dumps(meta)
+        np.savez_compressed(ck, **data)
+        capsys.readouterr()
+        rc = main(["train", "--resume", str(ck), "--iterations", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "compute_dtype" in err[0]
+        # docs/API.md's way on: the state re-saved without a run record
+        from repro.cli import _load_corpus, build_parser
+
+        corpus = _load_corpus(build_parser().parse_args(["train"]))
+        state_only = save_checkpoint(
+            load_checkpoint_full(ck, corpus).state, tmp_path / "state.npz"
+        )
+        rc = main(["train", "--topics", "8", "--resume", str(state_only),
+                   "--iterations", "1", "--likelihood-every", "0"])
+        assert rc == 0 and "(state only)" in capsys.readouterr().out
+
     def test_cli_resume_v1_state_only(self, tmp_path, capsys):
         """A checkpoint saved without a run record resumes state only,
         onto a trainer built from the flags."""

@@ -1,4 +1,4 @@
-"""Fold-in against the exact posterior, by enumeration.
+"""Fold-in and training against the exact posterior, by enumeration.
 
 With phi frozen, one document of N tokens has K^N topic assignments, so
 on a small instance the fold-in posterior over the document's topic
@@ -31,6 +31,10 @@ variance of ``n_k / N``.
 
 The K=3 instance runs a second time at alpha = 0.02, where the chain
 needs far more sweeps to mix, with its own wrong-target companion.
+
+Training has its own five-token instance (the last section): plain CGS
+matches the posterior there, and culda sits at the exact distance its
+chunk-snapshot update puts it from the posterior.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from math import lgamma, log
 import numpy as np
 import pytest
 
+from repro.api import create_trainer
+from repro.corpus.document import Corpus
 from repro.model import InferenceSession, TopicModel
 from repro.model.inference import _BLOCK
 
@@ -226,3 +232,162 @@ def test_small_alpha_rejects_a_wrong_target(small_alpha_model, small_alpha_count
     wrong = _exact_counts_posterior(p_star, 0.025, _DOC)
     assert 0.5 * sum(abs(wrong[n] - target[n]) for n in target) < 0.07
     assert _tv(small_alpha_counts, wrong, _CHAINS) > _bound(wrong, _CHAINS)
+
+
+# ---------------------------------------------------------------------------
+# Training.  docs [[0, 1, 2], [2, 0]], V=3, K=2, alpha = beta = 0.5: the
+# 2^5 assignments of the five tokens are enumerated outright.  The
+# statistic is phi's counts with their rows sorted, which relabelling
+# the two topics leaves alone.  Each trainer runs one chain through the
+# registry, one sample per iteration.  Successive samples are
+# correlated, so the bound above takes M / tau effective samples, tau
+# being the largest integrated autocorrelation time of a statistic
+# value's indicator under the chain's exact transition matrix.
+
+_TRAIN_DOCS = [[0, 1, 2], [2, 0]]
+_TRAIN_K, _TRAIN_V, _TRAIN_PRIOR = 2, 3, 0.5
+_TRAIN_SAMPLES = 6000
+_TOKENS = [(d, w) for d, doc in enumerate(_TRAIN_DOCS) for w in doc]
+_STATES = list(itertools.product(range(_TRAIN_K), repeat=len(_TOKENS)))
+
+
+def _train_counts(z) -> tuple[np.ndarray, np.ndarray]:
+    """The (theta, phi) counts of one assignment of the tokens."""
+    theta = np.zeros((len(_TRAIN_DOCS), _TRAIN_K), dtype=np.int64)
+    phi = np.zeros((_TRAIN_K, _TRAIN_V), dtype=np.int64)
+    for (d, w), k in zip(_TOKENS, z):
+        theta[d, k] += 1
+        phi[k, w] += 1
+    return theta, phi
+
+
+def _phi_key(phi) -> tuple:
+    return tuple(sorted(map(tuple, np.asarray(phi).tolist())))
+
+
+_KEYS = [_phi_key(_train_counts(z)[1]) for z in _STATES]
+
+
+def _conditionals(z) -> np.ndarray:
+    """Each token's CGS conditional (Eq. 1, own count excluded), (N, K)."""
+    theta, phi = _train_counts(z)
+    prior = _TRAIN_PRIOR
+    out = np.empty((len(_TOKENS), _TRAIN_K))
+    for i, ((d, w), k) in enumerate(zip(_TOKENS, z)):
+        own = np.arange(_TRAIN_K) == k
+        q = (theta[d] - own + prior) * (phi[:, w] - own + prior)
+        q /= phi.sum(axis=1) - own + _TRAIN_V * prior
+        out[i] = q / q.sum()
+    return out
+
+
+def _kernels() -> tuple[np.ndarray, np.ndarray]:
+    """Exact transition matrices over the assignments: plain CGS's scan
+    in token order, and culda's chunk-snapshot update (one chunk), which
+    draws every token from its conditional at the iteration-start counts."""
+    s, n = len(_STATES), len(_TOKENS)
+    index = {z: i for i, z in enumerate(_STATES)}
+    conds = [_conditionals(z) for z in _STATES]
+    snapshot = np.array(
+        [[np.prod(c[np.arange(n), z]) for z in _STATES] for c in conds]
+    )
+    scan = np.eye(s)
+    for t in range(n):
+        step = np.zeros((s, s))
+        for i, z in enumerate(_STATES):
+            for k in range(_TRAIN_K):
+                step[i, index[z[:t] + (k,) + z[t + 1:]]] = conds[i][t, k]
+        scan = scan @ step
+    return scan, snapshot
+
+
+def _train_posterior() -> np.ndarray:
+    """p(z | w) for every assignment, from the collapsed joint."""
+    prior = _TRAIN_PRIOR
+    logp = []
+    for z in _STATES:
+        theta, phi = _train_counts(z)
+        lp = sum(lgamma(prior + c) for c in theta.ravel())
+        lp += sum(lgamma(prior + c) for c in phi.ravel())
+        lp -= sum(lgamma(_TRAIN_V * prior + c) for c in phi.sum(axis=1))
+        logp.append(lp)
+    p = np.exp(np.array(logp) - max(logp))
+    return p / p.sum()
+
+
+def _law(weights: np.ndarray) -> dict:
+    law: dict[tuple, float] = {}
+    for key, p in zip(_KEYS, weights):
+        law[key] = law.get(key, 0.0) + float(p)
+    return law
+
+
+def _tau(kernel: np.ndarray, pi: np.ndarray) -> float:
+    """Largest integrated autocorrelation time of a statistic value's
+    indicator, from the fundamental matrix ``(I - P + 1 pi)^-1``."""
+    fundamental = np.linalg.inv(np.eye(len(pi)) - kernel + pi)
+    worst = 1.0
+    for key in set(_KEYS):
+        f = np.array([k == key for k in _KEYS], dtype=np.float64)
+        f -= pi @ f
+        var = pi @ (f * f)
+        worst = max(worst, (2 * pi @ (f * (fundamental @ f)) - var) / var)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def train_laws() -> dict:
+    scan, snapshot = _kernels()
+    post = _train_posterior()
+    stationary = np.linalg.matrix_power(snapshot, 256)[0]
+    return {
+        "posterior": _law(post), "snapshot": _law(stationary),
+        "scan_is_exact": float(np.abs(post @ scan - post).max()),
+        "tau": max(_tau(scan, post), _tau(snapshot, stationary)),
+    }
+
+
+def _chain_histogram(algo: str) -> dict:
+    corpus = Corpus.from_token_lists(_TRAIN_DOCS, num_words=_TRAIN_V)
+    trainer = create_trainer(
+        algo, corpus, topics=_TRAIN_K, alpha=_TRAIN_PRIOR,
+        beta=_TRAIN_PRIOR, seed=1,
+    )
+    trainer.partial_fit(20, compute_likelihood=False)  # burn-in
+    hist: dict[tuple, int] = {}
+    for _ in range(_TRAIN_SAMPLES):
+        trainer.partial_fit(1, compute_likelihood=False)
+        key = _phi_key(trainer.state.phi)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def test_snapshot_update_band_is_exact(train_laws):
+    """culda's documented band, 0.24, is the TV between the posterior and
+    the stationary law of its chunk-snapshot update: a Jacobi sweep,
+    where every token sees the others' counts from the iteration start."""
+    assert train_laws["scan_is_exact"] < 1e-12  # the kernels' self-check
+    band = _tv(train_laws["snapshot"], train_laws["posterior"], 1)
+    assert 0.23 < band < 0.245
+    assert train_laws["tau"] < 2
+
+
+def test_plain_cgs_matches_exact_posterior(train_laws):
+    """The noise floor: the exact sampler at the same sample count."""
+    post = train_laws["posterior"]
+    m = _TRAIN_SAMPLES
+    hist = _chain_histogram("plain_cgs")
+    assert set(hist) <= set(post)
+    assert _tv(hist, post, m) < _bound(post, m / train_laws["tau"])
+
+
+def test_culda_sits_in_its_snapshot_band(train_laws):
+    post, snap = train_laws["posterior"], train_laws["snapshot"]
+    m, m_eff = _TRAIN_SAMPLES, _TRAIN_SAMPLES / train_laws["tau"]
+    hist = _chain_histogram("culda")
+    assert set(hist) <= set(post)
+    assert _tv(hist, snap, m) < _bound(snap, m_eff)
+    band = _tv(snap, post, 1)
+    assert abs(_tv(hist, post, m) - band) < _bound(snap, m_eff)
+    # the bound tells culda's law from the posterior
+    assert _tv(hist, post, m) > _bound(post, m_eff)

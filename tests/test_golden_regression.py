@@ -9,8 +9,6 @@ the same runs on the current tree and assert the draws are
 - culda under both work schedules (workspace-backed kernel), in serial
   and process execution — the latter under both phi sync modes
   (barrier / overlap: communication hiding must not touch the chain);
-- culda's float32 kernel chain (2 GPUs x 2 chunks; pinned on the PR-4
-  tree after verifying serial == process), closing the ROADMAP item;
 - culda's kernel with ``workspace=None`` against the pooled capture;
 - plain CGS (hoisted sequential loop);
 - WarpLDA (vectorised MH passes) and SaberLDA (shared CuLDA core on the
@@ -119,30 +117,6 @@ class TestCuLdaGolden:
         finally:
             trainer.close()
         assert_golden(z, case)
-
-    @pytest.mark.parametrize("execution", ["serial", "process"])
-    def test_float32_chain_pinned(self, golden_corpus, execution):
-        """The float32 kernel chain is pinned too (ROADMAP item): serial
-        and process execution must both reproduce the capture."""
-        m = meta("culda_ws2_float32")
-        kwargs = dict(
-            topics=m["topics"], seed=m["seed"], gpus=m["gpus"],
-            chunks_per_gpu=m["chunks_per_gpu"],
-            compute_dtype=m["compute_dtype"],
-        )
-        if execution == "process":
-            kwargs.update(execution="process", num_workers=2)
-        trainer = create_trainer("culda", golden_corpus, **kwargs)
-        try:
-            trainer.fit(m["iterations"], likelihood_every=0)
-            z = np.concatenate(
-                [cs.topics.astype(np.int64) for cs in trainer.state.chunks]
-            )
-        finally:
-            close = getattr(trainer, "close", None)
-            if callable(close):
-                close()
-        assert_golden(z, "culda_ws2_float32")
 
     def test_workspace_free_kernel_matches_golden(
         self, golden_corpus, monkeypatch

@@ -99,14 +99,15 @@ class TestEquivalence:
         assert theta[1].max() > 1.0 / model.num_topics
 
     def test_float32_workspace_does_not_poison_results(self, trained, model):
-        """An externally shared float32 workspace must not change draws."""
+        """An externally shared workspace, whose untyped takes are
+        float64, must not change the float32 tile's draws."""
         _, test = trained
         base = InferenceSession(model, num_sweeps=6, burn_in=2).transform(
             test, seed=1
         )
         shared = InferenceSession(
             model, num_sweeps=6, burn_in=2,
-            workspace=Workspace(compute_dtype=np.float32),
+            workspace=Workspace(),
         ).transform(test, seed=1)
         assert np.array_equal(base, shared)
 

@@ -17,8 +17,11 @@ The integrity half of the self-healing serving PR:
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
+import sys
+import warnings
 import zipfile
 
 import numpy as np
@@ -33,6 +36,7 @@ from repro.integrity import (
     DIGEST_ALGORITHM,
     digest_arrays,
     integrity_record,
+    read_npz,
     verify_artifact,
     verify_payload,
 )
@@ -322,6 +326,19 @@ class TestUnreadableAndUndigestedFiles:
         with pytest.raises(ValueError, match="unreadable"):
             load_checkpoint_full(checkpoint_path, corpus)
         assert verify_artifact(checkpoint_path)["status"] == "corrupt"
+
+    def test_truncated_archive_closes_its_handle(self, model_path, monkeypatch):
+        """A leaked handle warns from its ``__del__``, where an error
+        filter turns the warning into an unraisable exception."""
+        _truncate(model_path)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ValueError, match="unreadable"):
+                read_npz(model_path)
+            gc.collect()
+        assert [u.exc_type for u in unraisable] == []
 
     def test_missing_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -88,13 +88,11 @@ class TestWorkspace:
         assert ws.nbytes == 0
         assert ws.describe()["memo_entries"] == 0
 
-    def test_rejects_non_float_compute_dtype(self):
-        with pytest.raises(ValueError):
-            Workspace(np.int32)
-
     def test_compute_dtype_drives_default_take(self):
-        assert Workspace("float32").take("x", 4).dtype == np.float32
-        assert Workspace().take("x", 4).dtype == np.float64
+        """An untyped take is the training kernel's one dtype, float64."""
+        ws = Workspace()
+        assert ws.take("x", 4).dtype == np.float64
+        assert ws.take("x", 4, np.float32).dtype == np.float32
 
 
 class TestLnGammaTables:
@@ -173,32 +171,6 @@ class TestSamplerWorkspaceEquivalence:
         sample_chunk(*args, np.random.default_rng(1), workspace=ws)
         # identical shapes on the second pass: every take is a pool hit
         assert ws.misses == misses_after_first
-
-    def test_float32_workspace_valid_draws(self, perf_corpus):
-        cs, state, config = _chunk_inputs(perf_corpus, 12, seed=5)
-        res = sample_chunk(
-            cs.chunk, cs.topics, cs.theta, state.phi, state.topic_totals,
-            config.effective_alpha, config.effective_beta,
-            np.random.default_rng(0), workspace=Workspace("float32"),
-        )
-        z = np.asarray(res.new_topics, dtype=np.int64)
-        assert z.shape[0] == cs.chunk.num_tokens
-        assert z.min() >= 0 and z.max() < 12
-        assert res.stats.num_p1_draws + res.stats.num_p2_draws == z.shape[0]
-
-
-class TestComputeDtypeConfig:
-    def test_config_rejects_unknown_dtype(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(num_topics=8, compute_dtype="float16")
-
-    def test_float32_training_conserves_tokens(self, perf_corpus):
-        config = TrainerConfig(num_topics=8, compute_dtype="float32", seed=2)
-        trainer = CuLdaTrainer(perf_corpus, config)
-        trainer.train(3, compute_likelihood_every=0)
-        trainer.state.validate()
-        assert trainer.devices[0].workspace.compute_dtype == np.float32
-        assert trainer.describe()["compute_dtype"] == "float32"
 
 
 class TestSerialArena:

@@ -1568,25 +1568,25 @@ class TestServeSigterm:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
+        # The with block closes the stdout pipe and reaps the process.
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--model", stack["m1_path"], "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            ready = ""
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if "serving" in line:
-                    ready = line
-                    break
-            assert "generation=" in ready, f"no ready line: {ready!r}"
-            proc.send_signal(_signal.SIGTERM)
-            rc = proc.wait(timeout=30)
-            assert rc == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                ready = ""
+                while time.monotonic() < deadline:
+                    line = proc.stdout.readline()
+                    if "serving" in line:
+                        ready = line
+                        break
+                assert "generation=" in ready, f"no ready line: {ready!r}"
+                proc.send_signal(_signal.SIGTERM)
+                rc = proc.wait(timeout=30)
+                assert rc == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
