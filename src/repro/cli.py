@@ -302,7 +302,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
         model,
         num_sweeps=args.sweeps,
         burn_in=args.burn_in,
-        batch_docs=args.batch_docs,
         num_workers=args.num_workers,
         worker_affinity=_parse_affinity(args.worker_affinity),
     ) as session:
@@ -380,7 +379,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         num_sweeps=args.sweeps,
         burn_in=args.burn_in,
-        batch_docs=args.batch_docs,
         num_workers=args.num_workers,
         worker_affinity=_parse_affinity(args.worker_affinity),
         max_pending=args.max_pending,
@@ -650,20 +648,10 @@ def _evaluate_defaults() -> dict:
     return {"sweeps": DEFAULT_SWEEPS, "burn_in": DEFAULT_BURN_IN}
 
 
-def _infer_defaults() -> dict:
-    from repro.model.inference import DEFAULT_BATCH_DOCS
-
-    return {**_evaluate_defaults(), "batch_docs": DEFAULT_BATCH_DOCS}
-
-
 def _serve_defaults() -> dict:
     from repro.serving.server import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
 
-    return {
-        **_infer_defaults(),
-        "sweeps": DEFAULT_SERVE_SWEEPS,
-        "burn_in": DEFAULT_SERVE_BURN_IN,
-    }
+    return {"sweeps": DEFAULT_SERVE_SWEEPS, "burn_in": DEFAULT_SERVE_BURN_IN}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -772,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "streams; --seed shapes the corpus)")
         p.add_argument("--num-workers", dest="num_workers", type=int,
                        default=None,
-                       help="fan batches out over this many OS worker "
+                       help="deal documents out over this many OS worker "
                             "processes sharing one read-only model arena "
                             "(phi is frozen — results identical for any "
                             "worker count)")
@@ -790,11 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="top topics shown per document")
     p_infer.add_argument("--show-docs", dest="show_docs", type=int, default=10,
                          help="documents to print (all are inferred)")
-    p_infer.add_argument("--batch-docs", dest="batch_docs", type=int,
-                         help="documents per fold-in batch (memory knob; "
-                              "results are identical for any value; "
-                              "default %(default)s)")
-    p_infer.lazy_defaults = _infer_defaults
+    p_infer.lazy_defaults = _evaluate_defaults
     p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser(
@@ -823,8 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "coalesced requests share one schedule; "
                               "default %(default)s)")
     p_serve.add_argument("--burn-in", dest="burn_in", type=int,
-                         help="default %(default)s")
-    p_serve.add_argument("--batch-docs", dest="batch_docs", type=int,
                          help="default %(default)s")
     p_serve.lazy_defaults = _serve_defaults
     p_serve.add_argument("--num-workers", dest="num_workers", type=int,

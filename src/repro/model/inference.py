@@ -18,9 +18,8 @@ does two things:
   walks a K-long prefix sum.  The tile is plane-major (plane ``c`` holds
   topic ``c`` of every block), so the block totals are contiguous adds.
 
-A batch ends at ``_BATCH_TILES`` tiles of tokens as well as at
-``batch_docs`` documents, and gathers its tokens' p* planes once for
-all its sweeps.
+A batch ends at ``_BATCH_TILES`` tiles of tokens, and gathers its
+tokens' p* planes once for all its sweeps.
 
 The chain over (theta, z) has the exact fold-in posterior as its
 z-marginal: the partially collapsed move of Magnusson et al. (JCGS
@@ -85,10 +84,6 @@ __all__ = ["InferenceSession", "ScoreResult"]
 DEFAULT_SWEEPS = 30
 DEFAULT_BURN_IN = 10
 
-#: Default most documents per fold-in batch.  A batch also ends at
-#: ``_BATCH_TILES`` tiles of tokens, which bounds its buffers.
-DEFAULT_BATCH_DOCS = 256
-
 #: (token, topic) slots in one tile of the fold-in draw: 512 KB per
 #: float32 scratch buffer whatever the batch width.
 _TILE = 1 << 17
@@ -99,8 +94,8 @@ _BLOCK = 16
 
 #: Tiles of tokens at which a fold-in batch ends (``_fold_in``), so a
 #: batch's gathered p* planes and float64 randomness stay bounded
-#: whatever ``batch_docs`` is.  A constant chosen by measurement, not a
-#: knob: docs/PERFORMANCE.md "The plane-major tile".
+#: however many documents a call holds.  A constant chosen by
+#: measurement, not a knob: docs/PERFORMANCE.md "The plane-major tile".
 _BATCH_TILES = 4
 
 #: Fewest documents worth one worker's share of a call.  A call folds
@@ -258,6 +253,16 @@ def _as_doc_arrays(docs: Corpus | Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.asarray(d, dtype=np.int64).ravel() for d in docs]
 
 
+def _check_schedule(num_sweeps: int, burn_in: int) -> tuple[int, int]:
+    """A validated ``(num_sweeps, burn_in)`` Gibbs schedule."""
+    sweeps, burn = int(num_sweeps), int(burn_in)
+    if burn < 0:
+        raise ValueError("burn_in must be non-negative")
+    if sweeps <= burn:
+        raise ValueError("num_sweeps must exceed burn_in")
+    return sweeps, burn
+
+
 class InferenceSession:
     """Vectorised batched fold-in against one frozen :class:`TopicModel`.
 
@@ -270,21 +275,14 @@ class InferenceSession:
     num_sweeps / burn_in:
         Default Gibbs schedule per :meth:`transform` call; the mixture
         averages theta over the post-burn-in sweeps.
-    batch_docs:
-        Most documents per fold-in batch; a batch also ends at
-        ``_BATCH_TILES`` tiles of tokens (memory/speed knob; does not
-        change results).
-    workspace:
-        Optional shared :class:`~repro.perf.Workspace`; by default the
-        session owns one and reuses its buffers across calls.
     num_workers:
-        Fan batches out over up to this many persistent OS worker
-        processes sharing one read-only model arena (phi is frozen, so
-        serving needs **no** synchronization — see
-        :mod:`repro.model.parallel_inference`).  ``None``/1 stays
-        in-process, and so does any call too small for two shares of
-        ``_MIN_SHARE_DOCS`` documents.  Results are bit-identical for
-        any worker count.
+        Deal each call's documents out over up to this many persistent
+        OS worker processes, one share per worker, sharing one read-only
+        model arena (phi is frozen, so serving needs **no**
+        synchronization — see :mod:`repro.model.parallel_inference`).
+        ``None``/1 stays in-process, and so does any call too small for
+        two shares of ``_MIN_SHARE_DOCS`` documents.  Results are
+        bit-identical for any worker count.
     worker_affinity:
         Optional CPU ids to pin inference workers to (round-robin).
     """
@@ -294,8 +292,6 @@ class InferenceSession:
         model: TopicModel,
         num_sweeps: int = DEFAULT_SWEEPS,
         burn_in: int = DEFAULT_BURN_IN,
-        batch_docs: int = DEFAULT_BATCH_DOCS,
-        workspace: Workspace | None = None,
         num_workers: int | None = None,
         worker_affinity=None,
     ):
@@ -303,7 +299,7 @@ class InferenceSession:
             raise TypeError("model must be a TopicModel")
         self.model = model
         self._configure(
-            num_sweeps, burn_in, batch_docs, workspace,
+            num_sweeps, burn_in,
             num_workers=num_workers, worker_affinity=worker_affinity,
         )
         self.alpha = model.alpha
@@ -315,24 +311,14 @@ class InferenceSession:
         self,
         num_sweeps: int,
         burn_in: int,
-        batch_docs: int,
-        workspace: Workspace | None,
         num_workers: int | None = None,
         worker_affinity=None,
     ) -> None:
         """Validated scalar setup shared by ``__init__`` and ``_from_matrix``."""
         from repro.model.parallel_inference import resolve_inference_workers
 
-        if num_sweeps <= burn_in:
-            raise ValueError("num_sweeps must exceed burn_in")
-        if burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if batch_docs < 1:
-            raise ValueError("batch_docs must be >= 1")
-        self.num_sweeps = int(num_sweeps)
-        self.burn_in = int(burn_in)
-        self.batch_docs = int(batch_docs)
-        self._ws = workspace if workspace is not None else Workspace()
+        self.num_sweeps, self.burn_in = _check_schedule(num_sweeps, burn_in)
+        self._ws = Workspace()
         self.num_workers = resolve_inference_workers(num_workers)
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._pool = None
@@ -347,9 +333,6 @@ class InferenceSession:
         alpha: float,
         num_topics: int,
         num_words: int,
-        num_sweeps: int = DEFAULT_SWEEPS,
-        burn_in: int = DEFAULT_BURN_IN,
-        batch_docs: int = DEFAULT_BATCH_DOCS,
     ) -> InferenceSession:
         """Session over an externally owned float32 ``p*`` in plane
         layout (no copy; see :func:`_p_star_planes`).
@@ -360,7 +343,7 @@ class InferenceSession:
         """
         obj = cls.__new__(cls)
         obj.model = None
-        obj._configure(num_sweeps, burn_in, batch_docs, None)
+        obj._configure(DEFAULT_SWEEPS, DEFAULT_BURN_IN)
         obj.alpha = float(alpha)
         obj.num_topics = int(num_topics)
         obj.num_words = int(num_words)
@@ -379,7 +362,6 @@ class InferenceSession:
                 num_topics=self.num_topics,
                 num_words=self.num_words,
                 num_workers=self.num_workers,
-                batch_docs=self.batch_docs,
                 worker_affinity=self.worker_affinity,
             )
         return self._pool
@@ -403,17 +385,6 @@ class InferenceSession:
 
     # -- inference ---------------------------------------------------------
 
-    def _resolve_schedule(
-        self, num_sweeps: int | None, burn_in: int | None
-    ) -> tuple[int, int]:
-        sweeps = self.num_sweeps if num_sweeps is None else int(num_sweeps)
-        burn = self.burn_in if burn_in is None else int(burn_in)
-        if burn < 0:
-            raise ValueError("burn_in must be non-negative")
-        if sweeps <= burn:
-            raise ValueError("num_sweeps must exceed burn_in")
-        return sweeps, burn
-
     def transform(
         self,
         docs: Corpus | Sequence[np.ndarray],
@@ -424,19 +395,12 @@ class InferenceSession:
         """Posterior-mean topic mixtures for every document: ``float64[D, K]``.
 
         Rows are probability vectors in the input document order; empty
-        documents receive the prior mean.  Deterministic in ``seed`` and
-        invariant to ``batch_docs``.
+        documents receive the prior mean.  Deterministic in ``seed``.
+        Document i draws from ``SeedSequence(seed, spawn_key=(i,))``, the
+        stream child i of ``spawn(D)`` would get, so this is the
+        one-request case of :meth:`transform_many`.
         """
-        sweeps, burn = self._resolve_schedule(num_sweeps, burn_in)
-        arrays = _as_doc_arrays(docs)
-        out = np.empty((len(arrays), self.num_topics), dtype=np.float64)
-        # Document i draws from SeedSequence(seed, spawn_key=(i,)) — the
-        # same stream spawn(D) child i would get, derived without O(D)
-        # setup, and the exact spec the serving tier reproduces when it
-        # coalesces this request with others (see transform_many).
-        specs = [(int(seed), i) for i in range(len(arrays))]
-        self._transform_into(arrays, specs, sweeps, burn, out)
-        return out
+        return self.transform_many([(docs, seed)], num_sweeps, burn_in)[0]
 
     def transform_many(
         self,
@@ -446,16 +410,19 @@ class InferenceSession:
     ) -> list[np.ndarray]:
         """Coalesced inference for many independent ``(docs, seed)`` requests.
 
-        All documents across all requests fold in together — one set of
-        batches sized for the worker pool, so a burst of small
-        requests keeps every worker as busy as one large request would.
-        Each document's RNG stream is keyed by its **own request's** seed
-        and its index *within that request*, so every returned theta
-        block is bit-identical to ``transform(docs, seed=seed)`` called
-        alone — the property the serving tier's batch coalescer rests on
+        All documents across all requests fold in together — one call,
+        split once over the worker pool, so a burst of small requests
+        keeps every worker as busy as one large request would.  Each
+        document's RNG stream is keyed by its **own request's** seed and
+        its index *within that request*, so every returned theta block
+        is bit-identical to ``transform(docs, seed=seed)`` called alone —
+        the property the serving tier's batch coalescer rests on
         (asserted by tests/test_inference_session.py).
         """
-        sweeps, burn = self._resolve_schedule(num_sweeps, burn_in)
+        sweeps, burn = _check_schedule(
+            self.num_sweeps if num_sweeps is None else num_sweeps,
+            self.burn_in if burn_in is None else burn_in,
+        )
         arrays: list[np.ndarray] = []
         specs: list[tuple[int, int]] = []
         slices: list[tuple[int, int]] = []
@@ -477,12 +444,12 @@ class InferenceSession:
         burn: int,
         out: np.ndarray,
     ) -> None:
-        """Fold ``arrays`` in and scatter theta rows into ``out``.
+        """Fold ``arrays`` in and write document i's theta row to ``out[i]``.
 
         ``specs[i] = (entropy, spawn_index)`` names document i's RNG
-        stream ``SeedSequence(entropy, spawn_key=(spawn_index,))``;
-        keeping the stream key explicit (rather than positional) is what
-        lets coalesced requests keep their stand-alone draws.
+        stream (see :meth:`_fold_in`); keeping the stream key explicit
+        rather than positional is what lets coalesced requests keep
+        their stand-alone draws.
         """
         k = self.num_topics
         for w in arrays:
@@ -494,67 +461,58 @@ class InferenceSession:
         # out in turn and give every share nearly the same tokens.
         order = np.argsort(-lengths, kind="stable")
         order = order[lengths[order] > 0]
-        n = order.shape[0]
-        shares = min(self.num_workers, n // _MIN_SHARE_DOCS)
+        shares = min(self.num_workers, order.shape[0] // _MIN_SHARE_DOCS)
         if shares >= 2:
-            # Frozen phi: batches are independent, so scatter them over
-            # the worker pool.  Workers derive each document's stream
-            # from its spec, so any split is bit-identical to the
-            # in-process path below.  Batches hold at most
-            # ceil(docs / shares) documents, so every share's worker is
-            # busy even below batch_docs * shares.  A batch costs its
-            # tokens, so each round of ``shares`` batches deals its span
-            # of the longest-first order out in turn and its batches
-            # match in tokens.  Smaller calls stay in-process, where a
-            # pool's round trip costs more than the second core earns.
+            # Frozen phi: documents are independent, so each worker folds
+            # in one share, dealt from the longest-first order in turn.
+            # Smaller calls stay in-process, where a pool's round trip
+            # costs more than the second core earns.
             self._routed["pool"] += 1
-            span = shares * min(self.batch_docs, -(-n // shares))
-            batches = []
-            for lo in range(0, n, span):
-                for s in range(min(shares, n - lo)):
-                    idx = order[lo + s: lo + span: shares]
-                    batches.append(
-                        (idx, [arrays[i] for i in idx], [specs[i] for i in idx])
-                    )
-            self._ensure_pool().transform_batches(batches, sweeps, burn, out)
+            self._ensure_pool().transform_shares(
+                [order[s::shares] for s in range(shares)],
+                arrays, specs, sweeps, burn, out,
+            )
             return
         self._routed["in_process"] += 1
-        for lo in range(0, n, self.batch_docs):
-            batch = order[lo: lo + self.batch_docs]
-            seeds = [
-                np.random.SeedSequence(
-                    entropy=specs[i][0], spawn_key=(specs[i][1],)
-                )
-                for i in batch
-            ]
-            out[batch] = self._fold_in(
-                [arrays[i] for i in batch], seeds, sweeps, burn,
-            )
+        self._fold_in(arrays, specs, order, sweeps, burn, out)
 
     def _fold_in(
         self,
-        docs: list[np.ndarray],
-        seeds: list[np.random.SeedSequence],
+        docs: Sequence[np.ndarray],
+        specs: Sequence[tuple[int, int]],
+        order: np.ndarray,
         sweeps: int,
         burn: int,
-    ) -> np.ndarray:
-        """Theta rows of non-empty ``docs``, folded in consecutive batches
-        that end at ``_BATCH_TILES`` tiles of tokens.
+        out: np.ndarray,
+    ) -> None:
+        """Fold the non-empty documents ``docs[i]``, ``i`` in ``order``,
+        in consecutive batches that end at ``_BATCH_TILES`` tiles of
+        tokens, and write each theta row to ``out[i]``.
 
-        The budget bounds a batch's gathered p* planes and its float64
-        randomness whatever ``batch_docs`` is; a document longer than it
-        is a batch of its own.  Batch composition never moves a draw.
+        Document i draws from ``SeedSequence(entropy, spawn_key=(spawn,))``
+        with ``(entropy, spawn) = specs[i]``: child ``spawn`` of
+        ``SeedSequence(entropy).spawn(D)``, built here one batch at a
+        time and nowhere else.  A document longer than the budget is a
+        batch of its own.  Batch composition never moves a draw.
         """
         budget = _BATCH_TILES * max(1, _TILE // self.num_topics)
-        ends = np.cumsum([d.size for d in docs])
-        out = np.empty((len(docs), self.num_topics), dtype=np.float64)
         lo = 0
-        while lo < len(docs):
-            start = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, start + budget, "right")))
-            out[lo:hi] = self._fold_in_batch(docs[lo:hi], seeds[lo:hi], sweeps, burn)
+        while lo < len(order):
+            hi, tokens = lo + 1, docs[order[lo]].size
+            while hi < len(order) and tokens + docs[order[hi]].size <= budget:
+                tokens += docs[order[hi]].size
+                hi += 1
+            batch = order[lo:hi]
+            seeds = [
+                np.random.SeedSequence(
+                    entropy=specs[i][0], spawn_key=(int(specs[i][1]),)
+                )
+                for i in batch
+            ]
+            out[batch] = self._fold_in_batch(
+                [docs[i] for i in batch], seeds, sweeps, burn
+            )
             lo = hi
-        return out
 
     def _fold_in_batch(
         self,
@@ -768,7 +726,6 @@ class InferenceSession:
             "num_words": self.num_words,
             "num_sweeps": self.num_sweeps,
             "burn_in": self.burn_in,
-            "batch_docs": self.batch_docs,
             "num_workers": self.num_workers,
             "worker_affinity": self.worker_affinity,
             **self.pool_stats(),

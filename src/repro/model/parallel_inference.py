@@ -7,20 +7,20 @@ against a **frozen** model, so documents are embarrassingly parallel.
 float32 ``p* = (phi + beta) / (N_k + beta V)`` in plane layout, the one
 matrix its fold-in tiles read, is published once into a read-only
 :class:`~repro.parallel.shm.ShmArena` (``V * nb * b * 4`` bytes: K zero
-padded to ``nb`` whole blocks of ``b`` topics), persistent
-OS workers map it, and every ``transform`` call wide enough to split (the session
-routes narrower ones in-process) round-robins its fold-in batches over
-the workers.  No count matrices travel per request — only the
-request documents and the resulting ``(docs, K)`` theta blocks cross the
-pipes — so serving throughput scales with cores (near-linear until the
-pipes saturate).
+padded to ``nb`` whole blocks of ``b`` topics), persistent OS workers
+map it, and every ``transform`` call wide enough to split (the session
+routes narrower ones in-process) sends each worker at most one share of
+its documents, in one message.  No count matrices travel per request —
+only the request documents and the resulting ``(docs, K)`` theta blocks
+cross the pipes — so serving throughput scales with cores (near-linear
+until the pipes saturate).
 
 Determinism: each document travels with an explicit seed spec
 ``(entropy, spawn_index)`` naming its RNG stream
 ``SeedSequence(entropy, spawn_key=(spawn_index,))`` — exactly the
 stream the in-process path derives — so the pooled result is
 **bit-identical per document** to ``num_workers=1`` for any worker
-count, batch size, or batch-to-worker assignment, and coalesced
+count or share-to-worker assignment, and coalesced
 multi-request calls (``transform_many``) keep every request's
 stand-alone draws (asserted by tests/test_inference_session.py).
 
@@ -81,7 +81,6 @@ class _InferencePlan:
     alpha: float
     num_topics: int
     num_words: int
-    batch_docs: int
     worker_index: int
     affinity: tuple[int, ...] | None = None
     #: Fault spec (see :mod:`repro.faults`) re-armed inside the worker.
@@ -101,7 +100,6 @@ class InferenceWorkerPool:
         num_topics: int,
         num_words: int,
         num_workers: int,
-        batch_docs: int,
         worker_affinity=None,
     ):
         if num_workers < 2:
@@ -111,7 +109,6 @@ class InferenceWorkerPool:
         self._alpha = float(alpha)
         self._num_topics = int(num_topics)
         self._num_words = int(num_words)
-        self._batch_docs = int(batch_docs)
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._arena: ShmArena | None = None
         self._procs: list = []
@@ -139,7 +136,6 @@ class InferenceWorkerPool:
                 alpha=self._alpha,
                 num_topics=self._num_topics,
                 num_words=self._num_words,
-                batch_docs=self._batch_docs,
                 worker_index=w,
                 affinity=self.worker_affinity,
                 faults=faults.active_spec(),
@@ -173,33 +169,34 @@ class InferenceWorkerPool:
 
     # -- serving ----------------------------------------------------------
 
-    def transform_batches(
+    def transform_shares(
         self,
-        batches: list[
-            tuple[np.ndarray, list[np.ndarray], list[tuple[int, int]]]
-        ],
+        shares: list[np.ndarray],
+        docs: list[np.ndarray],
+        specs: list[tuple[int, int]],
         sweeps: int,
         burn: int,
         out: np.ndarray,
     ) -> None:
-        """Scatter ``batches`` over the workers; gather theta into ``out``.
+        """Fold share ``w`` in on worker ``w``; write theta into ``out``.
 
-        ``batches`` are ``(original-index array, [token arrays],
-        [seed specs])`` triples of non-empty documents; every document
-        carries its own ``(entropy, spawn_index)`` stream key, so
-        batch-to-worker assignment cannot move a draw.
+        ``shares`` holds at most ``num_workers`` arrays of indices into
+        ``docs``, all non-empty; document i travels with its
+        ``(entropy, spawn_index)`` stream key ``specs[i]``, so
+        share-to-worker assignment cannot move a draw.  Each worker gets
+        one message and answers with one theta block.
         """
         self.start()
-        assigned = [[] for _ in range(self.num_workers)]
-        for j, batch in enumerate(batches):
-            assigned[j % self.num_workers].append(batch)
         try:
-            active = []
-            for w, conn in enumerate(self._conns):
-                if not assigned[w]:
-                    continue
+            for w, share in enumerate(shares):
                 try:
-                    conn.send(("infer", assigned[w], sweeps, burn))
+                    self._conns[w].send((
+                        "infer",
+                        [docs[i] for i in share],
+                        [specs[i] for i in share],
+                        sweeps,
+                        burn,
+                    ))
                 except (BrokenPipeError, ConnectionError, OSError) as exc:
                     # A worker that died between requests surfaces as a
                     # broken pipe on send; name the worker instead of
@@ -207,13 +204,11 @@ class InferenceWorkerPool:
                     raise WorkerDied(
                         "inference", w, self._procs[w].exitcode
                     ) from exc
-                active.append(w)
-            for w in active:
-                kind, payload = self._recv(w, self._conns[w])
+            for w, share in enumerate(shares):
+                kind, theta = self._recv(w, self._conns[w])
                 if kind != "theta":  # pragma: no cover - protocol misuse
                     raise RuntimeError(f"unexpected worker reply {kind!r}")
-                for indices, theta in payload:
-                    out[indices] = theta
+                out[share] = theta
         except Exception:
             # A failed request leaves dead workers and/or unread replies
             # behind; tear the pool down so the owning session rebuilds a
@@ -245,10 +240,10 @@ class InferenceWorkerPool:
 def _inference_worker_main(conn, plan: _InferencePlan) -> None:
     """Worker loop: attach the p* arena, serve fold-in requests.
 
-    Protocol: ``("infer", batches, sweeps, burn)`` — with each batch a
-    ``(indices, docs, seed specs)`` triple — answers
-    ``("theta", [(indices, theta block), ...])``; ``("stop",)`` exits;
-    any exception answers ``("error", traceback)`` and exits.
+    Protocol: ``("infer", docs, seed specs, sweeps, burn)`` — one share
+    of a call — answers ``("theta", theta block)`` with one row per
+    document; ``("stop",)`` exits; any exception answers
+    ``("error", traceback)`` and exits.
     """
     from repro.model.inference import InferenceSession
 
@@ -266,7 +261,6 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
             alpha=plan.alpha,
             num_topics=plan.num_topics,
             num_words=plan.num_words,
-            batch_docs=plan.batch_docs,
         )
         while True:
             msg = conn.recv()
@@ -274,23 +268,15 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
                 break
             if msg[0] != "infer":  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown worker command {msg[0]!r}")
-            _, batches, sweeps, burn = msg
-            replies = []
-            for indices, docs, specs in batches:
-                # Each document's spec names its stream outright —
-                # child i of SeedSequence(e).spawn(D) is exactly
-                # SeedSequence(e, spawn_key=(i,)) — so each worker
-                # derives only its *own* documents' streams, and
-                # coalesced requests keep their stand-alone draws.
-                seeds = [
-                    np.random.SeedSequence(
-                        entropy=entropy, spawn_key=(int(spawn),)
-                    )
-                    for entropy, spawn in specs
-                ]
-                theta = session._fold_in(docs, seeds, sweeps, burn)
-                replies.append((indices, theta))
-            conn.send(("theta", replies))
+            _, docs, specs, sweeps, burn = msg
+            # Each spec names its document's stream outright, so a worker
+            # derives only its own documents' streams, and coalesced
+            # requests keep their stand-alone draws.
+            theta = np.empty((len(docs), plan.num_topics), dtype=np.float64)
+            session._fold_in(
+                docs, specs, np.arange(len(docs)), sweeps, burn, theta
+            )
+            conn.send(("theta", theta))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - shutdown races
         pass
     except Exception:

@@ -138,7 +138,7 @@ class ServingServer:
     host / port:
         Bind address; ``port=0`` picks a free port (see
         :attr:`address` after :meth:`start`).
-    num_sweeps / burn_in / batch_docs / num_workers / worker_affinity:
+    num_sweeps / burn_in / num_workers / worker_affinity:
         Forwarded to every generation's
         :class:`~repro.model.InferenceSession`.  ``num_workers=None``
         sizes the inference pool to the CPUs this process may run on
@@ -164,7 +164,6 @@ class ServingServer:
         port: int = 0,
         num_sweeps: int = DEFAULT_SERVE_SWEEPS,
         burn_in: int = DEFAULT_SERVE_BURN_IN,
-        batch_docs: int | None = None,
         num_workers: int | None = None,
         worker_affinity=None,
         max_pending: int = DEFAULT_MAX_PENDING,
@@ -184,8 +183,6 @@ class ServingServer:
             ),
             "worker_affinity": worker_affinity,
         }
-        if batch_docs is not None:
-            self._session_kwargs["batch_docs"] = batch_docs
         self._dispatch_timeout_s = (
             float(dispatch_timeout_s) if dispatch_timeout_s else None
         )
@@ -247,7 +244,9 @@ class ServingServer:
         for gen in self._retired:
             if gen.inflight == 0:
                 gen.session.close()
-                gen.executor.shutdown(wait=False)
+                # Its last dispatch has returned, so the thread is idle
+                # or finishing that call's future bookkeeping: join it.
+                gen.executor.shutdown()
             else:
                 still.append(gen)
         self._retired = still
@@ -300,6 +299,11 @@ class ServingServer:
         self._gen.retired = True
         self._retired.append(self._gen)
         self._reap_retired()
+        # What is still in flight now runs on a thread the watchdog
+        # abandoned, whose done-callback may find no loop left to reap
+        # it: let the thread exit once its call returns.
+        for gen in self._retired:
+            gen.executor.shutdown(wait=False)
 
     async def run(self, on_ready=None) -> None:
         """Serve until a ``shutdown`` request (or cancellation), then stop."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+import threading
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,33 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def _shm_segments() -> set[str]:
+    """The POSIX shared-memory segments a pool arena may have left."""
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+@pytest.fixture
+def shm_segments():
+    """The function listing ``/dev/shm`` segments, for before/after
+    leak checks inside one test."""
+    return _shm_segments
+
+
+@pytest.fixture(scope="session", autouse=True)
+def leak_census():
+    """At session end: no shared-memory segment, child process or
+    non-daemon thread that the suite started is left behind."""
+    before = _shm_segments()
+    yield
+    assert _shm_segments() <= before, "leaked /dev/shm segments"
+    assert multiprocessing.active_children() == [], "leaked child processes"
+    threads = [
+        t for t in threading.enumerate()
+        if t is not threading.main_thread() and not t.daemon
+    ]
+    assert threads == [], "leaked non-daemon threads"
 
 
 @pytest.fixture

@@ -382,7 +382,7 @@ class TestParallelFlags:
         assert rc == 0
         rc = main(["infer", "--model", str(model), "--sweeps", "5",
                    "--burn-in", "1", "--output", str(b),
-                   "--num-workers", "2", "--batch-docs", "8"])
+                   "--num-workers", "2"])
         assert rc == 0
         capsys.readouterr()
         ta = np.load(a)["theta"]
@@ -412,33 +412,16 @@ class TestServeQuery:
         assert args.sweeps == 20 and args.burn_in == 8
 
     def test_serve_defaults_are_the_serving_constants(self):
-        from repro.model.inference import DEFAULT_BATCH_DOCS
         from repro.serving import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
 
         args = build_parser().parse_args(["serve", "--model", "m.npz"])
-        assert (args.sweeps, args.burn_in, args.batch_docs) == (
-            DEFAULT_SERVE_SWEEPS, DEFAULT_SERVE_BURN_IN, DEFAULT_BATCH_DOCS,
+        assert (args.sweeps, args.burn_in) == (
+            DEFAULT_SERVE_SWEEPS, DEFAULT_SERVE_BURN_IN,
         )
         args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--sweeps", "9", "--batch-docs", "3"]
+            ["serve", "--model", "m.npz", "--sweeps", "9"]
         )
-        assert (args.sweeps, args.burn_in, args.batch_docs) == (
-            9, DEFAULT_SERVE_BURN_IN, 3,
-        )
-
-    def test_infer_batch_docs_default_is_the_session_constant(self, capsys):
-        from repro.model.inference import DEFAULT_BATCH_DOCS
-
-        args = build_parser().parse_args(["infer", "--model", "m.npz"])
-        assert args.batch_docs == DEFAULT_BATCH_DOCS
-        args = build_parser().parse_args(
-            ["infer", "--model", "m.npz", "--batch-docs", "3"]
-        )
-        assert args.batch_docs == 3
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["infer", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert f"default {DEFAULT_BATCH_DOCS})" in help_text
+        assert (args.sweeps, args.burn_in) == (9, DEFAULT_SERVE_BURN_IN)
 
     @pytest.mark.parametrize("command", ["infer", "evaluate"])
     def test_offline_schedule_is_the_session_default(self, command):

@@ -3,8 +3,8 @@
 The load-bearing property is the determinism contract: batched
 ``transform`` must reproduce the sequential one-document-at-a-time
 chain of tests/fold_in_oracle.py **bit-for-bit** per document under the
-same seed, for any batch size, tiling and worker count.  Everything else
-(top_topics, score, validation) builds on that.
+same seed, for any batch composition, tiling and worker count.
+Everything else (top_topics, score, validation) builds on that.
 """
 
 from __future__ import annotations
@@ -61,15 +61,19 @@ class TestEquivalence:
         )
         assert np.array_equal(ref, got)
 
-    @pytest.mark.parametrize("batch_docs", [1, 3, 1000])
-    def test_batch_size_invariant(self, trained, model, batch_docs):
+    @pytest.mark.parametrize("batch_tiles", [0, 1, 3, 1000])
+    def test_batch_size_invariant(self, trained, model, batch_tiles):
+        """Token budgets of one document each (0 tiles), of about one
+        or three ~30-token documents (tiles of 32 tokens at K=10), or of
+        the whole call, against the default's single batch."""
         _, test = trained
         base = InferenceSession(model, num_sweeps=7, burn_in=2).transform(
             test, seed=3
         )
-        got = InferenceSession(
-            model, num_sweeps=7, burn_in=2, batch_docs=batch_docs
-        ).transform(test, seed=3)
+        session = InferenceSession(model, num_sweeps=7, burn_in=2)
+        with mock.patch.object(inference, "_TILE", 32 * model.num_topics), \
+                mock.patch.object(inference, "_BATCH_TILES", batch_tiles):
+            got = session.transform(test, seed=3)
         assert np.array_equal(base, got)
 
     def test_deterministic_under_seed(self, trained, model):
@@ -97,19 +101,6 @@ class TestEquivalence:
         assert np.allclose(theta[0], 1.0 / model.num_topics)
         # the non-empty neighbour still folds in normally
         assert theta[1].max() > 1.0 / model.num_topics
-
-    def test_float32_workspace_does_not_poison_results(self, trained, model):
-        """An externally shared workspace, whose untyped takes are
-        float64, must not change the float32 tile's draws."""
-        _, test = trained
-        base = InferenceSession(model, num_sweeps=6, burn_in=2).transform(
-            test, seed=1
-        )
-        shared = InferenceSession(
-            model, num_sweeps=6, burn_in=2,
-            workspace=Workspace(),
-        ).transform(test, seed=1)
-        assert np.array_equal(base, shared)
 
 
 class TestConsumption:
@@ -243,16 +234,18 @@ class TestValidation:
 
 
 def test_large_doc_exceeding_batch_layout():
-    """Documents of very different lengths batch correctly (ragged tails)."""
+    """Documents of very different lengths batch correctly (ragged tails):
+    64-token budgets hold the 200- and 57-token documents alone and the
+    short ones together."""
     phi = np.ones((4, 30), dtype=np.int64) * 2
     model = TopicModel(phi, phi.sum(axis=1), 0.5, 0.1)
     rng = np.random.default_rng(0)
     docs = [rng.integers(0, 30, size=n) for n in (1, 200, 3, 57, 9)]
     corpus = Corpus.from_token_lists([d.tolist() for d in docs], num_words=30)
     ref = fold_in(model, corpus, num_sweeps=6, burn_in=2, seed=3)
-    got = InferenceSession(model, num_sweeps=6, burn_in=2, batch_docs=2).transform(
-        corpus, seed=3
-    )
+    session = InferenceSession(model, num_sweeps=6, burn_in=2)
+    with mock.patch.object(inference, "_TILE", 64):
+        got = session.transform(corpus, seed=3)
     assert np.array_equal(ref, got)
 
 
@@ -270,8 +263,7 @@ class TestParallelInference:
         )
         with InferenceSession(
             model, num_sweeps=7, burn_in=2, num_workers=num_workers,
-            batch_docs=8,
-        ) as session:
+        ) as session, mock.patch.object(inference, "_BATCH_TILES", 0):
             got = session.transform(test, seed=3)
         assert np.array_equal(ref, got)
 
@@ -368,18 +360,46 @@ class TestParallelInference:
         assert ref == got
 
     def test_small_request_keeps_every_worker_busy(self, trained, model):
-        """A request smaller than batch_docs * workers is split into
-        ceil(docs / workers)-sized batches — parallelism without any
-        change to the per-document draws."""
+        """A 40-document request is dealt into one share per worker —
+        parallelism without any change to the per-document draws."""
         _, test = trained
         ref = InferenceSession(model, num_sweeps=7, burn_in=2).transform(
             test, seed=3
         )
-        # default batch_docs (256) exceeds the 40-doc request
         with InferenceSession(
             model, num_sweeps=7, burn_in=2, num_workers=4
         ) as session:
             got = session.transform(test, seed=3)
+        assert np.array_equal(ref, got)
+
+    def test_each_worker_gets_at_most_one_share(self, trained, model):
+        """A pooled call sends one message per active worker, however
+        many token batches its share folds (here one per document)."""
+        from multiprocessing.connection import Connection
+
+        _, test = trained
+        docs = _as_doc_arrays(test)
+        ref = InferenceSession(model, num_sweeps=6, burn_in=1).transform(
+            docs, seed=4
+        )
+        with InferenceSession(
+            model, num_sweeps=6, burn_in=1, num_workers=3
+        ) as session, mock.patch.object(inference, "_BATCH_TILES", 0):
+            session.transform(docs[:2], seed=4)  # starts the pool
+            conns = session._pool._conns
+            with mock.patch.object(
+                Connection, "send", autospec=True, side_effect=Connection.send
+            ) as send:
+                got = session.transform(docs, seed=4)
+                session.transform(docs[:2], seed=4)
+            routed = session.describe()["routed"]
+        shares = [
+            (conns.index(call.args[0]), len(call.args[1][1]))
+            for call in send.call_args_list
+        ]
+        assert [call.args[1][0] for call in send.call_args_list] == ["infer"] * 5
+        assert shares == [(0, 14), (1, 13), (2, 13), (0, 1), (1, 1)]
+        assert routed == {"in_process": 0, "pool": 3}
         assert np.array_equal(ref, got)
 
 
@@ -432,15 +452,16 @@ class TestRouting:
     @pytest.mark.usefixtures("pool_routed")
     @pytest.mark.parametrize("num_docs", [7, 40])
     def test_ragged_rounds_bit_identical(self, trained, model, num_docs):
-        """Rounds of 3 batches of 2 documents; the last round is short."""
+        """Shares of unequal size on 3 workers, each folded one document
+        per batch."""
         _, test = trained
         docs = self._docs(test, num_docs)
         ref = InferenceSession(model, num_sweeps=6, burn_in=1).transform(
             docs, seed=2
         )
         with InferenceSession(
-            model, num_sweeps=6, burn_in=1, num_workers=3, batch_docs=2
-        ) as session:
+            model, num_sweeps=6, burn_in=1, num_workers=3
+        ) as session, mock.patch.object(inference, "_BATCH_TILES", 0):
             got = session.transform(docs, seed=2)
             assert session.describe()["routed"]["pool"] == 1
         assert np.array_equal(ref, got)
@@ -489,8 +510,8 @@ class TestTransformMany:
             model, num_sweeps=7, burn_in=2
         ).transform_many(requests)
         with InferenceSession(
-            model, num_sweeps=7, burn_in=2, num_workers=2, batch_docs=4
-        ) as pooled:
+            model, num_sweeps=7, burn_in=2, num_workers=2
+        ) as pooled, mock.patch.object(inference, "_BATCH_TILES", 0):
             par = pooled.transform_many(requests)
         for a, b in zip(serial, par):
             assert np.array_equal(a, b)
@@ -629,28 +650,30 @@ def _sha(theta: np.ndarray) -> str:
 
 
 class TestServedGolden:
-    @pytest.mark.parametrize("batch_docs", [1, None])
-    def test_transform_pinned(self, batch_docs):
-        kw = {} if batch_docs is None else {"batch_docs": batch_docs}
+    @pytest.mark.parametrize("batch_tiles", [0, None])
+    def test_transform_pinned(self, batch_tiles):
+        """``batch_tiles=0`` folds every document as a batch of its own;
+        ``None`` keeps the default token budget."""
+        tiles = _BATCH_TILES if batch_tiles is None else batch_tiles
         for k, ((topic, value), digest, _) in _G_PINS.items():
-            session = InferenceSession(
-                _golden_model(k), num_sweeps=8, burn_in=3, **kw
-            )
-            theta = session.transform(_golden_docs(), seed=7)
+            session = InferenceSession(_golden_model(k), num_sweeps=8, burn_in=3)
+            with mock.patch.object(inference, "_BATCH_TILES", tiles):
+                theta = session.transform(_golden_docs(), seed=7)
             assert theta[6, topic].hex() == value, k
             assert _sha(theta) == digest, k
 
-    @pytest.mark.parametrize("batch_docs", [1, None])
-    def test_transform_many_pinned(self, batch_docs):
-        kw = {} if batch_docs is None else {"batch_docs": batch_docs}
+    @pytest.mark.parametrize("batch_tiles", [0, None])
+    def test_transform_many_pinned(self, batch_tiles):
+        """``batch_tiles=0`` folds every document as a batch of its own;
+        ``None`` keeps the default token budget."""
+        tiles = _BATCH_TILES if batch_tiles is None else batch_tiles
         docs = _golden_docs()
         for k, (_, _, digests) in _G_PINS.items():
-            session = InferenceSession(
-                _golden_model(k), num_sweeps=8, burn_in=3, **kw
-            )
-            blocks = session.transform_many(
-                [(docs[:5], 11), (docs[5:], 2), (docs[3:9], 11)]
-            )
+            session = InferenceSession(_golden_model(k), num_sweeps=8, burn_in=3)
+            with mock.patch.object(inference, "_BATCH_TILES", tiles):
+                blocks = session.transform_many(
+                    [(docs[:5], 11), (docs[5:], 2), (docs[3:9], 11)]
+                )
             assert tuple(_sha(b) for b in blocks) == digests, k
 
 
@@ -682,21 +705,22 @@ class TestOracleProperties:
     @given(
         lengths=_ragged_lengths,
         k=st.sampled_from([1, 2, 3, 16, 17, 33, 40]),
-        batch_docs=st.sampled_from([1, 2, 256]),
+        batch_tiles=st.sampled_from([0, _BATCH_TILES]),
         seed=st.integers(0, 2**16),
     )
-    def test_bitwise_equal_to_oracle(self, lengths, k, batch_docs, seed):
+    def test_bitwise_equal_to_oracle(self, lengths, k, batch_tiles, seed):
+        """With no token budget every document is a batch of its own."""
         model, corpus = _random_case(k, lengths, seed)
         ref = fold_in(model, corpus, num_sweeps=4, burn_in=1, seed=seed)
-        session = InferenceSession(
-            model, num_sweeps=4, burn_in=1, batch_docs=batch_docs
-        )
-        got = session.transform(corpus, seed=seed)
+        session = InferenceSession(model, num_sweeps=4, burn_in=1)
+        with mock.patch.object(inference, "_BATCH_TILES", batch_tiles):
+            got = session.transform(corpus, seed=seed)
+            # coalesced with a second request, the first block keeps its
+            # bits
+            first, _ = session.transform_many(
+                [(corpus, seed), (corpus, seed + 1)]
+            )
         assert np.array_equal(ref, got)
-        # coalesced with a second request, the first block keeps its bits
-        first, _ = session.transform_many(
-            [(corpus, seed), (corpus, seed + 1)]
-        )
         assert np.array_equal(first, got)
 
     @pytest.mark.usefixtures("pool_routed")
@@ -704,8 +728,8 @@ class TestOracleProperties:
         model, corpus = _random_case(3, [9, 1, 0, 4, 4, 12, 2], 5)
         ref = fold_in(model, corpus, num_sweeps=4, burn_in=1, seed=5)
         with InferenceSession(
-            model, num_sweeps=4, burn_in=1, num_workers=2, batch_docs=2
-        ) as pooled:
+            model, num_sweeps=4, burn_in=1, num_workers=2
+        ) as pooled, mock.patch.object(inference, "_BATCH_TILES", 0):
             got = pooled.transform(corpus, seed=5)
         assert np.array_equal(ref, got)
 
@@ -771,7 +795,7 @@ class TestFoldInBatchEdges:
     def test_workspace_stops_growing_at_one_token_budget(self):
         """Batches end at ``_BATCH_TILES`` tiles of tokens, so a call of
         256 equal-length documents holds the buffers of the one batch
-        that fills a budget, whatever ``batch_docs`` is."""
+        that fills a budget."""
         k, length = 256, 40
         model = _golden_model(k)
         per_batch = _BATCH_TILES * (inference._TILE // k) // length
@@ -930,26 +954,25 @@ class TestEdgeShapes:
         k=st.sampled_from([1, 2, 3, 50]),
         alpha=st.sampled_from([1e-3, 0.1, 2.0]),
         requests=_edge_requests,
-        batch_docs=st.sampled_from([1, 256]),
+        batch_tiles=st.sampled_from([0, _BATCH_TILES]),
         seed=st.integers(0, 2**16),
     )
     def test_rows_are_probability_vectors(
-        self, k, alpha, requests, batch_docs, seed
+        self, k, alpha, requests, batch_tiles, seed
     ):
         rng = np.random.default_rng(seed)
         v = 5
         phi = rng.integers(0, 4, size=(k, v)).astype(np.int64)
         model = TopicModel(phi, phi.sum(axis=1), alpha, 0.05)
-        session = InferenceSession(
-            model, num_sweeps=4, burn_in=1, batch_docs=batch_docs
-        )
+        session = InferenceSession(model, num_sweeps=4, burn_in=1)
         reqs = [
             ([rng.integers(0, v, size=n) for n in lengths], seed + i)
             for i, lengths in enumerate(requests)
         ]
-        blocks = session.transform_many(reqs)
-        for (docs, s), block in zip(reqs, blocks):
-            theta = session.transform(docs, seed=s)
+        with mock.patch.object(inference, "_BATCH_TILES", batch_tiles):
+            blocks = session.transform_many(reqs)
+            thetas = [session.transform(docs, seed=s) for docs, s in reqs]
+        for (docs, _), block, theta in zip(reqs, blocks, thetas):
             assert theta.shape == (len(docs), k)
             assert np.all(np.isfinite(theta)) and np.all(theta >= 0)
             assert np.allclose(theta.sum(axis=1), 1.0)

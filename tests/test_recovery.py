@@ -18,8 +18,6 @@ The tentpole contract of the robustness PR, as executable checks:
 
 from __future__ import annotations
 
-import glob
-
 import numpy as np
 import pytest
 
@@ -53,10 +51,6 @@ def disarm():
     faults.reset()
     yield
     faults.reset()
-
-
-def shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def run_culda(corpus, spec=None, iterations=3, **cfg_kwargs):
@@ -117,7 +111,9 @@ class TestCuldaCrashRecovery:
 
     @pytest.mark.parametrize("sync_mode", ["barrier", "overlap"])
     @pytest.mark.parametrize("phase", ["sample", "merge"])
-    def test_crash_recovers_bit_identically(self, corpus, sync_mode, phase):
+    def test_crash_recovers_bit_identically(
+        self, corpus, sync_mode, phase, shm_segments
+    ):
         before = shm_segments()
         golden = run_culda(
             corpus, num_gpus=2, execution="process", num_workers=2,
@@ -184,7 +180,9 @@ class TestCuldaCrashRecovery:
         assert np.array_equal(golden[0], hurt[0])
         assert golden[2] == hurt[2]
 
-    def test_budget_exhaustion_raises_recovery_failed(self, corpus):
+    def test_budget_exhaustion_raises_recovery_failed(
+        self, corpus, shm_segments
+    ):
         before = shm_segments()
         faults.install("worker_crash@phase=sample,worker=0,"
                        "attempt=any,times=any")
@@ -301,7 +299,9 @@ class TestMergeFaults:
 
 class TestLdaStarCrashRecovery:
     @pytest.mark.parametrize("sync_mode", ["barrier", "overlap"])
-    def test_crash_recovers_bit_identically(self, corpus, sync_mode):
+    def test_crash_recovers_bit_identically(
+        self, corpus, sync_mode, shm_segments
+    ):
         before = shm_segments()
         golden = run_ldastar(
             corpus, execution="process", num_processes=2,
@@ -321,7 +321,7 @@ class TestLdaStarCrashRecovery:
 
 
 class TestInferencePoolFaults:
-    def test_shm_attach_death_surfaces_and_cleans_up(self):
+    def test_shm_attach_death_surfaces_and_cleans_up(self, shm_segments):
         from repro.model.parallel_inference import InferenceWorkerPool
 
         before = shm_segments()
@@ -330,7 +330,7 @@ class TestInferencePoolFaults:
         faults.install("shm_attach@worker=0")
         pool = InferenceWorkerPool(
             p_star_t, alpha=0.1, num_topics=6, num_words=40,
-            num_workers=2, batch_docs=8,
+            num_workers=2,
         )
         try:
             pool.start()
@@ -338,8 +338,8 @@ class TestInferencePoolFaults:
             specs = [(123, d) for d in range(len(docs))]
             out = np.empty((len(docs), 6), dtype=np.float64)
             with pytest.raises(WorkerDied):
-                pool.transform_batches(
-                    [(np.arange(len(docs)), docs, specs)], 4, 2, out
+                pool.transform_shares(
+                    [np.arange(len(docs))], docs, specs, 4, 2, out
                 )
         finally:
             pool.close()

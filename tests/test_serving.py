@@ -16,6 +16,7 @@ The acceptance criteria of the serving PR, as executable checks:
 from __future__ import annotations
 
 import asyncio
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,16 @@ def stack(tmp_path_factory):
         "ref1": InferenceSession(m1, num_sweeps=SWEEPS, burn_in=BURN),
         "ref2": InferenceSession(m2, num_sweeps=SWEEPS, burn_in=BURN),
     }
+
+
+def join_dispatch_threads() -> None:
+    """Wait out a ``serve_hang`` wedge the watchdog abandoned: once its
+    server has stopped, the thread must end when the wedged call
+    returns, and so it ends with the test that wedged it."""
+    for thread in threading.enumerate():
+        if thread.name.startswith("repro-dispatch"):
+            thread.join(timeout=30.0)
+            assert not thread.is_alive(), "dispatch thread outlived its server"
 
 
 def make_server(stack, **kwargs):
@@ -991,6 +1002,7 @@ class TestDeadlinesAndWatchdog:
                     assert stats["latency"]["deadline_exceeded"] >= 1
 
         run(scenario())
+        join_dispatch_threads()
 
 
     def test_dispatch_bound_heals_deadline_less_requests(self, stack):
@@ -1027,6 +1039,7 @@ class TestDeadlinesAndWatchdog:
                     assert stats["latency"]["watchdog_fired"] == 1
 
         run(scenario())
+        join_dispatch_threads()
 
     def test_all_riders_expired_pre_dispatch_skips_the_heal(self, stack):
         """Deadlines that lapse between batch assembly and the watchdog
