@@ -649,9 +649,25 @@ def _evaluate_defaults() -> dict:
 
 
 def _serve_defaults() -> dict:
-    from repro.serving.server import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
+    from repro.serving.breaker import (
+        DEFAULT_FAILURE_THRESHOLD,
+        DEFAULT_RESET_TIMEOUT_S,
+    )
+    from repro.serving.coalescer import DEFAULT_MAX_PENDING
+    from repro.serving.server import (
+        DEFAULT_DISPATCH_TIMEOUT_S,
+        DEFAULT_SERVE_BURN_IN,
+        DEFAULT_SERVE_SWEEPS,
+    )
 
-    return {"sweeps": DEFAULT_SERVE_SWEEPS, "burn_in": DEFAULT_SERVE_BURN_IN}
+    return {
+        "sweeps": DEFAULT_SERVE_SWEEPS,
+        "burn_in": DEFAULT_SERVE_BURN_IN,
+        "max_pending": DEFAULT_MAX_PENDING,
+        "breaker_threshold": DEFAULT_FAILURE_THRESHOLD,
+        "breaker_reset": DEFAULT_RESET_TIMEOUT_S,
+        "dispatch_timeout": DEFAULT_DISPATCH_TIMEOUT_S,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -818,21 +834,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--affinity", dest="worker_affinity", default=None,
                          help="comma-separated CPU ids for inference workers")
     p_serve.add_argument("--max-pending", dest="max_pending", type=int,
-                         default=64,
                          help="queued requests beyond which clients get a "
                               "typed 'busy' response")
     p_serve.add_argument(
-        "--breaker-threshold", dest="breaker_threshold", type=int, default=5,
+        "--breaker-threshold", dest="breaker_threshold", type=int,
         help="consecutive dispatch failures that open the circuit breaker "
              "(typed 'circuit_open' refusals; 0 disables)",
     )
     p_serve.add_argument(
-        "--breaker-reset", dest="breaker_reset", type=float, default=2.0,
+        "--breaker-reset", dest="breaker_reset", type=float,
         help="seconds an open breaker waits before its half-open probe",
     )
     p_serve.add_argument(
         "--dispatch-timeout", dest="dispatch_timeout", type=float,
-        default=300.0,
         help="watchdog bound (seconds) over any single dispatch, even "
              "one carrying deadline-less requests; a wedged inference "
              "past it is abandoned and the generation healed (0 disables)",

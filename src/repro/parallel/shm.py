@@ -18,7 +18,6 @@ leak ``/dev/shm`` segments for the life of the machine.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import weakref
 from dataclasses import dataclass
 from math import prod
@@ -33,12 +32,8 @@ def pick_context() -> mp.context.BaseContext:
     """Start-method context shared by every arena-backed worker pool.
 
     ``fork`` where available (cheap start; no inherited state is relied
-    on — workers get everything via a pickled plan), else ``spawn``;
-    ``REPRO_MP_START`` overrides.
+    on — workers get everything via a pickled plan), else ``spawn``.
     """
-    method = os.environ.get("REPRO_MP_START")
-    if method:
-        return mp.get_context(method)
     if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     return mp.get_context("spawn")  # pragma: no cover - non-POSIX

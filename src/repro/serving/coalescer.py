@@ -12,19 +12,17 @@ accumulated, which is exactly the batch-narrowing sweet spot — the
 engine splits the coalesced document set evenly over its workers.
 
 Admission control is a bounded queue: :meth:`BatchCoalescer.submit`
-refuses (returns False) once ``max_pending`` requests are waiting, and
+refuses (returns False) once ``max_pending`` unanswered requests wait, and
 the server turns that refusal into a typed ``busy`` response.  Overload
 therefore degrades into fast, explicit rejections instead of unbounded
 buffering — degraded service is a first-class state, not a crash.
 
-Deadline-aware load shedding: a request may carry an absolute
-``deadline_at`` (event-loop clock).  Entries whose deadline has already
-passed are evicted **oldest first** — before each dispatch (no inference
-work is wasted on an answer nobody is waiting for) and, under pressure,
-at admission time (expired entries make room for a fresh request instead
-of bouncing it with ``busy``).  Evicted requests go to the server's
-``on_expired`` callback, which answers them with a typed
-``deadline_exceeded`` response.
+A queued request can be answered before it is dispatched: the server's
+admission timer answers a request whose ``deadline_at`` lapses while it
+waits.  An answered request frees its slot at once — :attr:`depth`
+counts only unanswered entries, a full :meth:`submit` forgets answered
+ones before it refuses, and the drain loop never dispatches them.  The
+coalescer itself knows nothing of deadlines.
 """
 
 from __future__ import annotations
@@ -77,25 +75,18 @@ class BatchCoalescer:
         coalesced inference at a time and pending work accumulates
         behind it.
     max_pending:
-        Queue depth above which :meth:`submit` refuses.
-    on_expired:
-        ``(PendingRequest) -> None`` invoked for every queue entry shed
-        because its ``deadline_at`` passed; must resolve the request's
-        future.  ``None`` disables shedding (deadlines then only bound
-        the dispatch itself).
+        Unanswered queued requests at which :meth:`submit` refuses.
     """
 
     def __init__(
         self,
         dispatch: Callable[[list[PendingRequest]], Awaitable[None]],
         max_pending: int = DEFAULT_MAX_PENDING,
-        on_expired: Callable[[PendingRequest], None] | None = None,
     ):
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
         self._dispatch = dispatch
         self.max_pending = int(max_pending)
-        self._on_expired = on_expired
         self._pending: deque[PendingRequest] = deque()
         self._wakeup = asyncio.Event()
         self._task: asyncio.Task | None = None
@@ -105,46 +96,26 @@ class BatchCoalescer:
 
     @property
     def depth(self) -> int:
-        """Requests currently queued (excludes the dispatch in flight)."""
-        return len(self._pending)
+        """Unanswered requests queued (excludes the dispatch in flight)."""
+        return sum(not req.future.done() for req in self._pending)
 
     def submit(self, request: PendingRequest) -> bool:
-        """Enqueue; False when the queue is at ``max_pending`` (busy).
+        """Enqueue; False when ``max_pending`` unanswered requests wait (busy).
 
-        A full queue first sheds already-expired entries: a fresh
-        request displacing work whose deadline has passed is strictly
-        better than bouncing it while dead work occupies the queue.
+        A full queue first forgets its answered entries: a request
+        answered while queued holds no slot.
         """
         if self._closed:
             raise RuntimeError("coalescer is closed")
         if len(self._pending) >= self.max_pending:
-            self.shed_expired()
+            self._pending = deque(
+                req for req in self._pending if not req.future.done()
+            )
         if len(self._pending) >= self.max_pending:
             return False
         self._pending.append(request)
         self._wakeup.set()
         return True
-
-    def shed_expired(self) -> int:
-        """Evict queued entries whose deadline passed, oldest first.
-
-        Each evicted request is handed to ``on_expired`` (which answers
-        it); returns how many were shed.  No-op without the callback.
-        """
-        if self._on_expired is None or not self._pending:
-            return 0
-        now = asyncio.get_running_loop().time()
-        shed = 0
-        survivors: deque[PendingRequest] = deque()
-        while self._pending:
-            req = self._pending.popleft()  # oldest first
-            if req.expired(now) and not req.future.done():
-                self._on_expired(req)
-                shed += 1
-            else:
-                survivors.append(req)
-        self._pending = survivors
-        return shed
 
     # -- drain loop ---------------------------------------------------------
 
@@ -171,11 +142,10 @@ class BatchCoalescer:
             await self._wakeup.wait()
             self._wakeup.clear()
             while self._pending:
-                # Shed dead work before spending inference on it: anyone
-                # whose deadline lapsed while queued gets the typed
-                # answer now and never rides a dispatch.
-                self.shed_expired()
-                batch = list(self._pending)
+                # A request answered while queued rides no dispatch.
+                batch = [
+                    req for req in self._pending if not req.future.done()
+                ]
                 self._pending.clear()
                 if not batch:
                     continue

@@ -21,10 +21,10 @@ protocol of :mod:`repro.serving.protocol`:
   while in-flight batches drain on the old one — zero dropped requests;
   a corrupt or invalid artifact is a typed ``swap_rejected`` and the
   current generation keeps serving (last-good rollback);
-- requests may carry a ``deadline_ms``: entries whose deadline passes
-  while queued are **shed** before wasting inference work, a dispatched
-  request is answered ``deadline_exceeded`` at its own deadline, and
-  every dispatch runs under a watchdog bounded by the riders' latest
+- requests may carry a ``deadline_ms``: a timer armed at admission
+  answers the request ``deadline_exceeded`` at its own deadline, queued
+  (**shed**: it then rides no dispatch) or dispatched, and every
+  dispatch runs under a watchdog bounded by the riders' latest
   deadline and the server-level ``dispatch_timeout_s`` (so a batch
   carrying deadline-less requests is still bounded) — if the inference
   call is still wedged when the bound passes, the generation is retired
@@ -191,9 +191,7 @@ class ServingServer:
         self._gen = self._make_generation(*self._load_session(model))
         self._stats = LatencyStats()
         self._breaker = CircuitBreaker(breaker_threshold, breaker_reset_s)
-        self._coalescer = BatchCoalescer(
-            self._dispatch, max_pending, on_expired=self._shed_request
-        )
+        self._coalescer = BatchCoalescer(self._dispatch, max_pending)
         self._server: asyncio.AbstractServer | None = None
         self._connections: dict[asyncio.StreamWriter, asyncio.Future] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -237,6 +235,14 @@ class ServingServer:
             source=source,
             index=self._gen_counter,
         )
+
+    def _retire(self, gen: ModelGeneration) -> None:
+        """Retire ``gen``: it closes once its in-flight dispatches drain."""
+        if gen.retired:
+            return
+        gen.retired = True
+        self._retired.append(gen)
+        self._reap_retired()
 
     def _reap_retired(self) -> None:
         """Close retired generations whose in-flight batches have drained."""
@@ -296,9 +302,7 @@ class ServingServer:
             await asyncio.gather(
                 *self._connections.values(), return_exceptions=True
             )
-        self._gen.retired = True
-        self._retired.append(self._gen)
-        self._reap_retired()
+        self._retire(self._gen)
         # What is still in flight now runs on a thread the watchdog
         # abandoned, whose done-callback may find no loop left to reap
         # it: let the thread exit once its call returns.
@@ -536,8 +540,8 @@ class ServingServer:
             deadline_at=deadline_at,
         )
         if is_probe:
-            # Queued as the probe: if it is shed before dispatch, the
-            # shed path hands it back to the breaker (_probe_lost).
+            # Queued as the probe: if its deadline sheds it before
+            # dispatch, _expire_request hands it back (_probe_lost).
             request.meta["breaker_probe"] = True
         try:
             accepted = self._coalescer.submit(request)
@@ -594,29 +598,19 @@ class ServingServer:
         A probe answered before it reached a dispatch outcome (shed by
         its deadline while queued, or bounced at dispatch admission)
         proved nothing; reverting the breaker to open re-arms the next
-        request as a fresh probe.  Once dispatched, the dispatch itself
-        records success or failure, so the mark is left alone.
+        request as a fresh probe.  Only undispatched requests come here:
+        a dispatched probe's dispatch records success or failure.
         """
-        if req.meta.get("dispatched"):
-            return
         if req.meta.pop("breaker_probe", None):
-            loop = self._loop or asyncio.get_event_loop()
-            self._breaker.probe_aborted(loop.time())
-
-    def _shed_request(self, req: PendingRequest) -> None:
-        """Coalescer shed hook: answer an expired *queued* request."""
-        if req.future.done():
-            return
-        self._probe_lost(req)
-        self._stats.record_shed()
-        loop = self._loop or asyncio.get_event_loop()
-        req.future.set_result(self._expire_reply(req, loop.time()))
+            self._breaker.probe_aborted(self._loop.time())
 
     def _expire_request(self, req: PendingRequest) -> None:
         """Deadline timer: answer a request the moment its deadline passes.
 
-        Counted as *shed* while the request is still queued (no inference
-        was spent on it) and as *deadline_exceeded* once dispatched.
+        The one place a lapsed request is answered.  Counted as *shed*
+        while the request is still queued (no inference was spent on it;
+        the coalescer then never dispatches it) and as
+        *deadline_exceeded* once dispatched.
         """
         if req.future.done():
             return
@@ -625,8 +619,7 @@ class ServingServer:
         else:
             self._probe_lost(req)
             self._stats.record_shed()
-        loop = self._loop or asyncio.get_event_loop()
-        req.future.set_result(self._expire_reply(req, loop.time()))
+        req.future.set_result(self._expire_reply(req, self._loop.time()))
 
     def _compute(self, gen: ModelGeneration, requests: list) -> list:
         """The executor-thread side of a dispatch.
@@ -651,13 +644,10 @@ class ServingServer:
         dispatch (the PR-6 failure lifecycle), so one wedged worker
         cannot poison subsequent requests.
         """
-        if gen.retired:
-            return  # an intervening swap already replaced it
-        gen.retired = True
-        self._retired.append(gen)
-        if self._gen is gen:
+        if self._gen is gen:  # else an intervening swap replaced it
             session = InferenceSession(gen.model, **self._session_kwargs)
             self._gen = self._make_generation(gen.model, session, gen.source)
+        self._retire(gen)
 
     async def _dispatch(self, batch: list[PendingRequest]) -> None:
         """Run one coalesced inference for everything pending.
@@ -670,28 +660,23 @@ class ServingServer:
         Deadline handling: each deadlined request was given a timer at
         admission that answers it (typed ``deadline_exceeded``) the
         moment its deadline passes — queued, riding this dispatch, or
-        mid-compute, no client ever blocks past its deadline.  The
-        executor call runs under ``asyncio.wait_for`` bounded by the
-        riders' latest deadline (when every rider has one) and by the
-        server-level ``dispatch_timeout_s`` — so a batch carrying
-        deadline-less requests is still bounded and one wedged thread
-        cannot stall the drain loop forever.  The watchdog firing means
-        the inference thread is wedged, so the generation is retired and
-        healed (:meth:`_heal_generation`) and the thread's eventual
-        result discarded.
+        mid-compute, no client ever blocks past its deadline.  One lapse
+        check just before the watchdog is armed answers a rider whose
+        deadline passed before its timer ran, and computes only the
+        riders still unanswered.  The executor call runs under
+        ``asyncio.wait_for`` bounded by the riders' latest deadline
+        (when every rider has one) and by the server-level
+        ``dispatch_timeout_s`` — so a batch carrying deadline-less
+        requests is still bounded and one wedged thread cannot stall the
+        drain loop forever.  The watchdog firing means the inference
+        thread is wedged, so the generation is retired and healed
+        (:meth:`_heal_generation`) and the thread's eventual result
+        discarded.
         """
-        loop = self._loop if self._loop is not None else (
-            asyncio.get_running_loop()
-        )
+        loop = self._loop
         gen = self._gen
         valid: list[PendingRequest] = []
-        now = loop.time()
         for req in batch:
-            if req.future.done():
-                continue  # already answered (shed raced the drain)
-            if req.expired(now):
-                self._expire_request(req)
-                continue
             # Re-check vocabulary bounds against the generation actually
             # answering: a swap between enqueue and dispatch may have
             # shrunk V.
@@ -733,9 +718,6 @@ class ServingServer:
             gen.inflight -= 1
             self._reap_retired()
 
-        # Deadline timers were armed at admission (each request answers
-        # at its own deadline even mid-compute); here only the watchdog
-        # bound over the whole dispatch remains to compute.
         fut: asyncio.Future | None = None
         timed_out = False
         try:
@@ -747,12 +729,20 @@ class ServingServer:
             if delay:
                 await asyncio.sleep(delay)
             faults.raise_if("serve_error", op="infer")
-            if all(req.future.done() for req in valid):
-                # Every rider's deadline lapsed during the delay: the
-                # timers already answered them — nothing left to compute,
-                # but the dispatch still counts as a timeout against the
-                # breaker (the server is too slow for its clients).
-                self._breaker.record_failure(loop.time())
+            # The lapse check.  A deadline can pass in the tick its timer
+            # is due, before the timer runs: answer that rider now.
+            # Answered riders are not computed; each theta depends only
+            # on its own docs and seed, so the others keep their bits.
+            dispatched_at = loop.time()
+            for req in valid:
+                if req.expired(dispatched_at):
+                    self._expire_request(req)
+            valid = [req for req in valid if not req.future.done()]
+            if not valid:
+                # Nothing left to compute, and arming a ~0 watchdog would
+                # retire a healthy generation.  Still a timeout against
+                # the breaker: the server was too slow for its clients.
+                self._breaker.record_failure(dispatched_at)
                 return
             requests = [(req.docs, req.seed) for req in valid]
             deadlines = [
@@ -760,24 +750,11 @@ class ServingServer:
                 if req.deadline_at is not None
             ]
             guards = []
-            if deadlines and len(deadlines) == len(valid):
-                guards.append(max(deadlines) - loop.time())
+            if len(deadlines) == len(valid):
+                guards.append(max(deadlines) - dispatched_at)
             if self._dispatch_timeout_s is not None:
                 guards.append(self._dispatch_timeout_s)
             hang_guard = min(guards) if guards else None
-            if hang_guard is not None and hang_guard <= 0.0:
-                # Every rider's deadline lapsed while the batch was
-                # being assembled (no await ran, so the admission timers
-                # haven't fired yet).  Answer them and skip the dispatch
-                # entirely: arming a ~0 watchdog here would retire a
-                # perfectly healthy generation.  Still a timeout against
-                # the breaker — the server was too slow for its clients.
-                self._breaker.record_failure(loop.time())
-                for req in valid:
-                    if not req.future.done():
-                        self._expire_request(req)
-                return
-            dispatched_at = loop.time()
             fut = loop.run_in_executor(
                 gen.executor, partial(self._compute, gen, requests)
             )
@@ -797,26 +774,22 @@ class ServingServer:
             # thread.  Tear the generation down so the next dispatch
             # gets a clean one.
             self._stats.record_watchdog()
-            now_wd = loop.time()
-            self._breaker.record_failure(now_wd)
+            self._breaker.record_failure(loop.time())
             for req in valid:
                 if req.future.done():
                     continue
-                if req.expired(now_wd):
-                    self._expire_request(req)
-                else:
-                    self._stats.record_error()
-                    req.future.set_result({
-                        "type": "error", "id": req.request_id,
-                        "error": "inference_failed",
-                        "message": (
-                            f"dispatch watchdog fired after "
-                            f"{hang_guard:.1f}s: inference is wedged; "
-                            f"the generation was retired and a fresh "
-                            f"session installed"
-                        ),
-                        "generation": gen.generation,
-                    })
+                self._stats.record_error()
+                req.future.set_result({
+                    "type": "error", "id": req.request_id,
+                    "error": "inference_failed",
+                    "message": (
+                        f"dispatch watchdog fired after "
+                        f"{hang_guard:.1f}s: inference is wedged; "
+                        f"the generation was retired and a fresh "
+                        f"session installed"
+                    ),
+                    "generation": gen.generation,
+                })
             self._heal_generation(gen)
         except Exception as exc:
             self._breaker.record_failure(loop.time())
@@ -914,9 +887,7 @@ class ServingServer:
         new_gen = self._make_generation(model, session, source)
         old = self._gen
         self._gen = new_gen  # atomic repoint: later dispatches use new_gen
-        old.retired = True
-        self._retired.append(old)
-        self._reap_retired()  # close now if nothing is in flight on it
+        self._retire(old)  # closes now if nothing is in flight on it
         self._stats.record_swap()
         await self._write(writer, lock, {
             "type": "swapped", "id": rid,

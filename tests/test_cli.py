@@ -412,11 +412,27 @@ class TestServeQuery:
         assert args.sweeps == 20 and args.burn_in == 8
 
     def test_serve_defaults_are_the_serving_constants(self):
-        from repro.serving import DEFAULT_SERVE_BURN_IN, DEFAULT_SERVE_SWEEPS
+        from repro.serving import (
+            DEFAULT_MAX_PENDING,
+            DEFAULT_SERVE_BURN_IN,
+            DEFAULT_SERVE_SWEEPS,
+        )
+        from repro.serving.breaker import (
+            DEFAULT_FAILURE_THRESHOLD,
+            DEFAULT_RESET_TIMEOUT_S,
+        )
+        from repro.serving.server import DEFAULT_DISPATCH_TIMEOUT_S
 
         args = build_parser().parse_args(["serve", "--model", "m.npz"])
         assert (args.sweeps, args.burn_in) == (
             DEFAULT_SERVE_SWEEPS, DEFAULT_SERVE_BURN_IN,
+        )
+        assert (
+            args.max_pending, args.breaker_threshold, args.breaker_reset,
+            args.dispatch_timeout,
+        ) == (
+            DEFAULT_MAX_PENDING, DEFAULT_FAILURE_THRESHOLD,
+            DEFAULT_RESET_TIMEOUT_S, DEFAULT_DISPATCH_TIMEOUT_S,
         )
         args = build_parser().parse_args(
             ["serve", "--model", "m.npz", "--sweeps", "9"]

@@ -319,61 +319,56 @@ class TestCoalescer:
         with pytest.raises(ValueError, match="max_pending"):
             BatchCoalescer(lambda batch: None, max_pending=-1)
 
-    def test_shed_expired_answers_oldest_first(self):
+    def test_answered_entry_frees_its_slot(self):
         async def scenario():
-            shed = []
+            dispatched = []
 
             async def dispatch(batch):
                 for req in batch:
+                    dispatched.append(req.seed)
                     req.future.set_result("ok")
 
-            def on_expired(req):
-                shed.append(req.seed)
-                req.future.set_result("expired")
-
-            loop = asyncio.get_running_loop()
-            c = BatchCoalescer(dispatch, max_pending=8,
-                               on_expired=on_expired)
-            now = loop.time()
-            dead1 = _pending(seed=1)
-            dead1.deadline_at = now - 0.5
-            dead2 = _pending(seed=2)
-            dead2.deadline_at = now - 0.1
-            live = _pending(seed=3)
-            live.deadline_at = now + 60.0
-            for r in (dead1, dead2, live):
-                assert c.submit(r)
-            assert c.shed_expired() == 2
-            assert shed == [1, 2]  # queue order: oldest evicted first
+            c = BatchCoalescer(dispatch, max_pending=1)
+            answered = _pending(seed=1)
+            assert c.submit(answered)
             assert c.depth == 1
-            assert await dead1.future == "expired"
+            assert not c.submit(_pending(seed=2))  # full -> busy
+            # Answered while queued (say, by its deadline timer): the
+            # entry holds no slot, so a fresh request is admitted.
+            answered.future.set_result("expired")
+            assert c.depth == 0
+            live = _pending(seed=3)
+            assert c.submit(live)
             c.start()
             assert await live.future == "ok"
             await c.close()
+            assert dispatched == [3]
 
         run(scenario())
 
-    def test_full_queue_sheds_expired_before_refusing(self):
+    def test_drain_loop_never_dispatches_an_answered_entry(self):
         async def scenario():
+            batches = []
+
             async def dispatch(batch):
+                batches.append([req.seed for req in batch])
                 for req in batch:
-                    req.future.set_result(None)
+                    req.future.set_result("ok")
 
-            def on_expired(req):
-                req.future.set_result("expired")
-
-            loop = asyncio.get_running_loop()
-            c = BatchCoalescer(dispatch, max_pending=1,
-                               on_expired=on_expired)
-            stale = _pending(seed=1)
-            stale.deadline_at = loop.time() - 1.0
-            assert c.submit(stale)
-            # Queue is at depth: the expired entry is shed to make room
-            # rather than refusing a live request.
-            assert c.submit(_pending(seed=2))
-            assert await stale.future == "expired"
+            c = BatchCoalescer(dispatch, max_pending=8)
+            reqs = [_pending(seed=i) for i in range(3)]
+            for req in reqs:
+                assert c.submit(req)
+            reqs[1].future.set_result("expired")
             c.start()
+            assert await reqs[2].future == "ok"
+            # A queue holding only answered entries dispatches nothing.
+            lone = _pending(seed=3)
+            assert c.submit(lone)
+            lone.future.set_result("expired")
             await c.close()
+            assert batches == [[0, 2]]
+            assert await reqs[1].future == "expired"
 
         run(scenario())
 
@@ -1076,6 +1071,86 @@ class TestDeadlinesAndWatchdog:
 
         run(scenario())
 
+    def test_lapse_check_computes_only_unanswered_riders(self, stack):
+        """A rider whose deadline lapses during the dispatch delay is
+        answered and left out of the computed batch; the other rider
+        keeps its bits."""
+        from repro.serving import PendingRequest
+
+        from repro import faults
+
+        async def scenario():
+            async with make_server(stack) as server:
+                loop = asyncio.get_running_loop()
+                faults.install("serve_slow@op=infer,delay_ms=150")
+                docs = stack["docs"][:2]
+                lapsing, live = (
+                    PendingRequest(
+                        docs=[np.asarray(docs[i], dtype=np.int64)],
+                        seed=i,
+                        future=loop.create_future(),
+                        enqueued_at=loop.time(),
+                        request_id=i,
+                        deadline_at=deadline_at,
+                    )
+                    for i, deadline_at in enumerate(
+                        (loop.time() + 0.05, None)
+                    )
+                )
+                await server._dispatch([lapsing, live])
+                assert lapsing.future.result()["error"] == (
+                    "deadline_exceeded"
+                )
+                reply = live.future.result()
+                assert reply["coalesced_requests"] == 1
+                assert np.array_equal(
+                    reply["theta"],
+                    stack["ref1"].transform(docs[1:], seed=1),
+                )
+                assert server._stats.snapshot()["deadline_exceeded"] == 1
+
+        run(scenario())
+
+    def test_answered_requests_free_their_queue_slots(self, stack):
+        """Requests answered by their deadline while queued hold no
+        slot: the queue reads empty and fresh work is admitted, not
+        refused ``busy`` behind answered entries."""
+        from repro.serving import DeadlineExceeded
+
+        from repro import faults
+
+        async def scenario():
+            async with make_server(stack, max_pending=2) as server:
+                host, port = server.address
+                faults.install("serve_slow@op=infer,delay_ms=800")
+                async with await ServingClient.connect(
+                    host, port
+                ) as c0, await ServingClient.connect(host, port) as c:
+                    slow = asyncio.ensure_future(
+                        c0.infer(stack["docs"][:1], seed=0)
+                    )
+                    while server._gen.inflight == 0:  # dispatch in flight
+                        await asyncio.sleep(0.005)
+                    for seed in (1, 2):
+                        with pytest.raises(DeadlineExceeded):
+                            await c.infer(
+                                stack["docs"][:1], seed=seed, deadline_ms=50
+                            )
+                    stats = await c.stats()
+                    assert stats["pending"] == 0
+                    assert stats["latency"]["shed_expired"] == 2
+                    r = await c.infer(stack["docs"][:2], seed=4)
+                    assert np.array_equal(
+                        r.theta,
+                        stack["ref1"].transform(stack["docs"][:2], seed=4),
+                    )
+                    assert np.array_equal(
+                        (await slow).theta,
+                        stack["ref1"].transform(stack["docs"][:1], seed=0),
+                    )
+
+        run(scenario())
+
 
 class TestCircuitBreakerServing:
     """Overload protection: failing dispatches open the circuit."""
@@ -1214,9 +1289,10 @@ class TestCircuitBreakerServing:
                 assert reply is None
                 assert req.meta.get("breaker_probe")
                 assert server._breaker.state == "half_open"
-                # Shed before any dispatch touches it (no await between
-                # the admit above and this call, so the race is closed).
-                server._shed_request(req)
+                # Its deadline timer fires before any dispatch touches it
+                # (no await between the admit above and this call, so
+                # the race is closed).
+                server._expire_request(req)
                 assert req.future.done()
                 assert server._breaker.state == "open"
                 # The next caller is immediately admitted as a new probe.
