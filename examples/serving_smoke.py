@@ -10,8 +10,9 @@ harness:
    line,
 3. run 8 concurrent clients, each verifying its responses are
    **bit-identical** to in-process inference on the served generation,
-4. send one wide request, which the server splits over its worker pool
-   when the host has more than one CPU, and check it the same way,
+4. send one wide request and check it the same way; on a host with more
+   than one CPU the server folds every request on its worker pool, and
+   none in-process,
 5. hot-swap to the second model while traffic flows (zero drops
    asserted),
 6. shut the server down over the protocol and assert a clean exit.
@@ -40,8 +41,7 @@ from repro.serving import ServingClient
 
 NUM_CLIENTS = 8
 REQUESTS_PER_CLIENT = 4
-#: Documents in the wide request: two shares of the session's minimum,
-#: so a server with two or more workers folds it on the pool.
+#: Documents in the wide request, dealt over every worker of the pool.
 WIDE_DOCS = 64
 SWEEPS, BURN = 8, 3
 READY = re.compile(r"generation=(\S+) on (\S+):(\d+)")
@@ -108,6 +108,9 @@ async def drive(host: str, port: int, m1: Path, m2: Path) -> None:
         stats = await c.stats()
     routed = stats["inference"]["routed"]
     if stats["num_workers"] > 1:
+        assert routed["in_process"] == 0, (
+            f"a pooled server folded in-process: routed {routed}"
+        )
         assert routed["pool"] >= 1, "the wide request did not reach the pool"
     print(f"wide request of {WIDE_DOCS} documents bit-identical "
           f"({stats['num_workers']} workers, routed {routed})")

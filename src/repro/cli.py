@@ -829,8 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="inference worker processes per generation "
                               "(default: the CPUs this process may run "
-                              "on; 1 serves in-process). Requests too "
-                              "small to split fold in-process either way")
+                              "on; 1 serves in-process). With 2 or more, "
+                              "every request folds in on the workers, "
+                              "which start with the server")
     p_serve.add_argument("--affinity", dest="worker_affinity", default=None,
                          help="comma-separated CPU ids for inference workers")
     p_serve.add_argument("--max-pending", dest="max_pending", type=int,

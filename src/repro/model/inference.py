@@ -30,8 +30,9 @@ length times a Python step.  The estimator averages the post-burn-in
 counts plus alpha.
 
 Precision: the tile is float32, the only dtype it has, because the draw
-is bound by the bytes it moves.  The session holds one float32 ``p*``
-in plane layout, which the pool arena shares as is; each theta row
+is bound by the bytes it moves.  The fold-in reads one float32 ``p*``
+in plane layout, held by the session or, for a pooled session, only by
+its pool's shared arena; each theta row
 is summed in float64 and rounded once into float32.  A weight thus
 carries at most three float32 roundings (p*, theta, the product), and
 the block totals, block prefix sums and in-block prefix sums add a few
@@ -98,13 +99,6 @@ _BLOCK = 16
 #: measurement, not a knob: docs/PERFORMANCE.md "The plane-major tile".
 _BATCH_TILES = 4
 
-#: Fewest documents worth one worker's share of a call.  A call folds
-#: in ``min(num_workers, docs // _MIN_SHARE_DOCS)`` shares and stays
-#: in-process below two, so 4-document serving requests never pay a
-#: pool round trip.  Measured on a 2-CPU host at K=256, V=2400 and 20
-#: sweeps: docs/PERFORMANCE.md "Serving on every core".
-_MIN_SHARE_DOCS = 24
-
 #: Sweeps of randomness a document draws per RNG call, so a schedule
 #: of S sweeps costs ``1 + 3 * ceil(S / _SWEEP_BLOCK)`` calls per
 #: document and scratch stays ``_SWEEP_BLOCK * (K + 2 n) * 8`` bytes per
@@ -126,13 +120,22 @@ class ScoreResult:
     num_scored_tokens: int
 
 
-def _p_star_planes(p_star: np.ndarray) -> np.ndarray:
-    """The float32 plane layout ``(b, V, nb)`` of a ``(K, V)`` p* matrix:
-    plane ``c`` holds topic ``c`` of every block for every word, zero
-    past K, so a batch gathers its tokens' planes with one ``take``."""
-    k, v = p_star.shape
+def _plane_shape(k: int, v: int) -> tuple[int, int, int]:
+    """Shape ``(b, V, nb)`` of the p* planes of ``K = k`` topics."""
     b = min(_BLOCK, k)
-    return _to_planes(p_star.T, np.empty((b, v, -(-k // b)), dtype=np.float32))
+    return b, v, -(-k // b)
+
+
+def _p_star_planes(
+    p_star: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The float32 plane layout ``(b, V, nb)`` of a ``(K, V)`` p* matrix,
+    written into ``out`` when given: plane ``c`` holds topic ``c`` of
+    every block for every word, zero past K, so a batch gathers its
+    tokens' planes with one ``take``."""
+    if out is None:
+        out = np.empty(_plane_shape(*p_star.shape), dtype=np.float32)
+    return _to_planes(p_star.T, out)
 
 
 def _to_planes(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -270,18 +273,21 @@ class InferenceSession:
     ----------
     model:
         The trained artifact; its ``p* = (phi + beta) / (N_k + beta V)``
-        matrix is precomputed once per session, in float32 for the
-        fold-in tiles (scoring builds a float64 copy on first use).
+        matrix is precomputed in float32 for the fold-in tiles, once per
+        in-process session or pool start (scoring builds a float64 copy
+        on first use).
     num_sweeps / burn_in:
         Default Gibbs schedule per :meth:`transform` call; the mixture
         averages theta over the post-burn-in sweeps.
     num_workers:
-        Deal each call's documents out over up to this many persistent
-        OS worker processes, one share per worker, sharing one read-only
-        model arena (phi is frozen, so serving needs **no**
-        synchronization — see :mod:`repro.model.parallel_inference`).
-        ``None``/1 stays in-process, and so does any call too small for
-        two shares of ``_MIN_SHARE_DOCS`` documents.  Results are
+        With 2 or more, every call deals its non-empty documents out
+        over ``min(num_workers, documents)`` persistent OS worker
+        processes, one share per worker, sharing one read-only model
+        arena (phi is frozen, so serving needs **no** synchronization —
+        see :mod:`repro.model.parallel_inference`); the session itself
+        then holds no fold-in matrix and folds nothing in-process.  The
+        pool starts on the first call, or at :meth:`start_pool`.
+        ``None``/1 folds every call in-process.  Results are
         bit-identical for any worker count.
     worker_affinity:
         Optional CPU ids to pin inference workers to (round-robin).
@@ -305,7 +311,11 @@ class InferenceSession:
         self.alpha = model.alpha
         self.num_topics = model.num_topics
         self.num_words = model.num_words
-        self._p_planes = _p_star_planes(model.word_given_topic())
+        # A pooled session's p* lives only in its pool's arena.
+        self._p_planes = (
+            None if self.num_workers >= 2
+            else _p_star_planes(model.word_given_topic())
+        )
 
     def _configure(
         self,
@@ -357,21 +367,25 @@ class InferenceSession:
             from repro.model.parallel_inference import InferenceWorkerPool
 
             self._pool = InferenceWorkerPool(
-                self._p_planes,
-                alpha=self.alpha,
-                num_topics=self.num_topics,
-                num_words=self.num_words,
-                num_workers=self.num_workers,
-                worker_affinity=self.worker_affinity,
+                self.model, self.num_workers, self.worker_affinity
             )
         return self._pool
+
+    def start_pool(self) -> None:
+        """Start the worker pool now instead of on the first call.
+
+        Builds p* into the pool's arena and spawns the workers; a no-op
+        for in-process sessions and for a pool already running.
+        """
+        if self.num_workers >= 2:
+            self._ensure_pool().start()
 
     def close(self) -> None:
         """Stop parallel-inference workers and release their shared arena.
 
-        The session stays fully usable: the next parallel ``transform``
-        builds a fresh pool (phi is frozen, so there is no state to
-        migrate).  No-op for in-process sessions.
+        The session stays fully usable: its next call builds a fresh
+        pool (phi is frozen, so there is no state to migrate).  No-op
+        for in-process sessions.
         """
         if self._pool is not None:
             self._pool.close()
@@ -461,20 +475,18 @@ class InferenceSession:
         # out in turn and give every share nearly the same tokens.
         order = np.argsort(-lengths, kind="stable")
         order = order[lengths[order] > 0]
-        shares = min(self.num_workers, order.shape[0] // _MIN_SHARE_DOCS)
-        if shares >= 2:
+        if self.num_workers < 2:
+            self._routed["in_process"] += 1
+            self._fold_in(arrays, specs, order, sweeps, burn, out)
+        elif order.size:
             # Frozen phi: documents are independent, so each worker folds
             # in one share, dealt from the longest-first order in turn.
-            # Smaller calls stay in-process, where a pool's round trip
-            # costs more than the second core earns.
+            shares = min(self.num_workers, order.size)
             self._routed["pool"] += 1
             self._ensure_pool().transform_shares(
                 [order[s::shares] for s in range(shares)],
                 arrays, specs, sweeps, burn, out,
             )
-            return
-        self._routed["in_process"] += 1
-        self._fold_in(arrays, specs, order, sweeps, burn, out)
 
     def _fold_in(
         self,

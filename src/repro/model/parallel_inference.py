@@ -1,16 +1,16 @@
-"""Process-parallel serving: fan fold-in batches over OS workers.
+"""Process-parallel serving: fan fold-in calls over OS workers.
 
 Training needs phi synchronization; serving does not — an
 :class:`~repro.model.inference.InferenceSession` folds documents in
 against a **frozen** model, so documents are embarrassingly parallel.
-:class:`InferenceWorkerPool` exploits that: the session's precomputed
+:class:`InferenceWorkerPool` exploits that: it builds the model's
 float32 ``p* = (phi + beta) / (N_k + beta V)`` in plane layout, the one
-matrix its fold-in tiles read, is published once into a read-only
+matrix the fold-in tiles read, straight into a read-only
 :class:`~repro.parallel.shm.ShmArena` (``V * nb * b * 4`` bytes: K zero
-padded to ``nb`` whole blocks of ``b`` topics), persistent OS workers
-map it, and every ``transform`` call wide enough to split (the session
-routes narrower ones in-process) sends each worker at most one share of
-its documents, in one message.  No count matrices travel per request —
+padded to ``nb`` whole blocks of ``b`` topics), the only copy a pooled
+session has.  Persistent OS workers map it, and every ``transform``
+call of a pooled session sends each worker at most one share of its
+documents, in one message.  No count matrices travel per request —
 only the request documents and the resulting ``(docs, K)`` theta blocks
 cross the pipes — so serving throughput scales with cores (near-linear
 until the pipes saturate).
@@ -24,9 +24,11 @@ count or share-to-worker assignment, and coalesced
 multi-request calls (``transform_many``) keep every request's
 stand-alone draws (asserted by tests/test_inference_session.py).
 
-Lifecycle mirrors the training engine: lazy start, idempotent
-``close()`` (a closed pool can be rebuilt by its owning session), and a
-finalizer backstop so abandoned sessions cannot leak shared-memory
+Lifecycle mirrors the training engine: the pool starts on its first
+call unless its owner starts it sooner (the serving tier does, when it
+installs a generation), ``close()`` is idempotent, a closed or failed
+pool rebuilds its arena from the model on the next ``start()``, and a
+finalizer backstop keeps abandoned sessions from leaking shared-memory
 segments or worker processes.
 """
 
@@ -39,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults
+from repro.model.artifact import TopicModel
+from repro.model.inference import InferenceSession, _p_star_planes, _plane_shape
 from repro.parallel.pool import (
     WorkerDied,
     normalize_affinity,
@@ -95,20 +99,14 @@ class InferenceWorkerPool:
 
     def __init__(
         self,
-        p_planes: np.ndarray,
-        alpha: float,
-        num_topics: int,
-        num_words: int,
+        model: TopicModel,
         num_workers: int,
         worker_affinity=None,
     ):
         if num_workers < 2:
             raise ValueError("a pool needs at least 2 workers")
         self.num_workers = int(num_workers)
-        self._p_planes = p_planes
-        self._alpha = float(alpha)
-        self._num_topics = int(num_topics)
-        self._num_words = int(num_words)
+        self._model = model
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._arena: ShmArena | None = None
         self._procs: list = []
@@ -123,19 +121,19 @@ class InferenceWorkerPool:
         return self._arena is not None
 
     def start(self) -> None:
-        """Publish p* into shared memory and spawn the workers."""
+        """Build p* into shared memory and spawn the workers."""
         if self.started:
             return
-        arena = ShmArena.create(
-            {"pstar": (self._p_planes.shape, self._p_planes.dtype)}
-        )
-        arena.view("pstar")[...] = self._p_planes
+        model = self._model
+        shape = _plane_shape(model.num_topics, model.num_words)
+        arena = ShmArena.create({"pstar": (shape, np.float32)})
+        _p_star_planes(model.word_given_topic(), arena.view("pstar"))
         plans = [
             _InferencePlan(
                 layout=arena.layout,
-                alpha=self._alpha,
-                num_topics=self._num_topics,
-                num_words=self._num_words,
+                alpha=model.alpha,
+                num_topics=model.num_topics,
+                num_words=model.num_words,
                 worker_index=w,
                 affinity=self.worker_affinity,
                 faults=faults.active_spec(),
@@ -155,8 +153,8 @@ class InferenceWorkerPool:
         )
 
     def close(self) -> None:
-        """Stop workers, unlink the arena (idempotent; pool can be rebuilt
-        by constructing a new one — the owning session does exactly that)."""
+        """Stop workers and unlink the arena (idempotent); the next
+        :meth:`start` rebuilds both from the model."""
         if not self.started:
             return
         if self._finalizer is not None:
@@ -245,8 +243,6 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
     document; ``("stop",)`` exits; any exception answers
     ``("error", traceback)`` and exits.
     """
-    from repro.model.inference import InferenceSession
-
     arena = None
     session = None
     try:

@@ -142,8 +142,10 @@ class ServingServer:
         Forwarded to every generation's
         :class:`~repro.model.InferenceSession`.  ``num_workers=None``
         sizes the inference pool to the CPUs this process may run on
-        (one CPU stays in-process); the session still folds calls too
-        small to split in-process.
+        (one CPU stays in-process).  With a pool, every request folds in
+        on its workers, which start when their generation is installed:
+        a pooled server holds its workers from :meth:`start` on, even
+        while idle.
     max_pending:
         Admission-control depth: queued (not yet dispatched) requests
         beyond which ``infer`` answers ``busy``.
@@ -269,10 +271,18 @@ class ServingServer:
         if self._server is not None:
             return self.address
         self._loop = asyncio.get_running_loop()
+        # The first generation's workers fork here, on the loop thread
+        # before any dispatch thread exists, so the first request does
+        # not pay for them and the ready line means they are up.
+        self._gen.session.start_pool()
         self._coalescer.start()
-        self._server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client, self._host, self._port
+            )
+        except BaseException:
+            self._gen.session.close()
+            raise
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
@@ -640,9 +650,8 @@ class ServingServer:
         — the inflight refcount keeps it alive until the thread drains,
         and :meth:`_reap_retired` then closes it, tearing down any
         wedged worker pool — and install a fresh session over the same
-        model.  The new session's pool is built lazily on the next
-        dispatch (the PR-6 failure lifecycle), so one wedged worker
-        cannot poison subsequent requests.
+        model.  The new session's pool starts on its first dispatch, so
+        one wedged worker cannot poison subsequent requests.
         """
         if self._gen is gen:  # else an intervening swap replaced it
             session = InferenceSession(gen.model, **self._session_kwargs)
@@ -864,12 +873,14 @@ class ServingServer:
         loop = asyncio.get_running_loop()
         try:
             # Artifact load (digest-verified) + invariant check + session
-            # build, all off the event loop: the old generation keeps
-            # answering while the candidate warms up — and keeps serving
-            # (last-good rollback) if the candidate is rejected.
+            # build + pool start, all off the event loop: the old
+            # generation keeps answering while the candidate warms up —
+            # and keeps serving (last-good rollback) if the candidate is
+            # rejected.  Only a candidate that passed forks its workers.
             def load_and_check():
                 loaded = self._load_session(path)
                 self._check_swap_invariants(loaded[0])
+                loaded[1].start_pool()
                 return loaded
 
             model, session, source = await loop.run_in_executor(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,22 +50,6 @@ def leak_census():
         if t is not threading.main_thread() and not t.daemon
     ]
     assert threads == [], "leaked non-daemon threads"
-
-
-@pytest.fixture
-def pool_routed():
-    """Send every call of two or more documents down the pool path.
-
-    ``InferenceSession`` folds calls below two shares of
-    ``_MIN_SHARE_DOCS`` documents in-process; shrinking the constant to
-    1, the way tests/test_sampler.py shrinks ``_TILE``, lets small
-    fixtures drive the worker pool.  ``mock.patch`` rather than
-    ``monkeypatch``, so a test's own ``monkeypatch.undo()`` keeps it.
-    """
-    from repro.model import inference
-
-    with mock.patch.object(inference, "_MIN_SHARE_DOCS", 1):
-        yield
 
 
 @pytest.fixture(scope="session")

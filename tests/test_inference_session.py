@@ -27,7 +27,6 @@ from repro.model import inference
 from repro.model.inference import (
     _BATCH_TILES,
     _BLOCK,
-    _MIN_SHARE_DOCS,
     _SWEEP_BLOCK,
     _as_doc_arrays,
 )
@@ -249,7 +248,6 @@ def test_large_doc_exceeding_batch_layout():
     assert np.array_equal(ref, got)
 
 
-@pytest.mark.usefixtures("pool_routed")
 class TestParallelInference:
     """Process-parallel serving: frozen phi, zero sync, identical bits."""
 
@@ -332,10 +330,13 @@ class TestParallelInference:
         with InferenceSession(
             model, num_sweeps=6, burn_in=1, num_workers=2
         ) as session:
-            session.transform([np.array([0, 1]), np.array([2])], seed=0)
+            # A pooled session keeps p* only in its pool's arena.
+            assert session._p_planes is None
+            session.start_pool()
             view = session._pool._arena.view("pstar")
             assert view.dtype == np.float32
-            assert np.array_equal(view, session._p_planes)
+            in_process = InferenceSession(model, num_sweeps=6, burn_in=1)
+            assert np.array_equal(view, in_process._p_planes)
             del view  # closing unmaps the arena
             arena_bytes = session.describe()["pool"]["arena_bytes"]
             b = min(_BLOCK, model.num_topics)
@@ -404,52 +405,53 @@ class TestParallelInference:
 
 
 class TestRouting:
-    """Calls below two shares of ``_MIN_SHARE_DOCS`` fold in-process."""
+    """A pooled session folds every call on its pool; one worker, none."""
 
     @staticmethod
     def _docs(test, n):
         docs = _as_doc_arrays(test)
         return (docs * (-(-n // len(docs))))[:n]
 
-    def test_below_threshold_leaves_pool_unstarted(self, trained, model):
+    def test_every_call_folds_on_the_pool(self, trained, model):
+        """1-, 3- and 4-document calls each go to the pool, and each
+        keeps the bits of a one-worker session."""
         _, test = trained
+        ref = InferenceSession(model, num_sweeps=6, burn_in=1)
         with InferenceSession(
             model, num_sweeps=6, burn_in=1, num_workers=2
         ) as session:
-            session.transform(self._docs(test, 2 * _MIN_SHARE_DOCS - 1))
+            for n in (1, 3, 4):
+                docs = self._docs(test, n)
+                got = session.transform(docs, seed=n)
+                assert np.array_equal(got, ref.transform(docs, seed=n)), n
             desc = session.describe()
-        assert desc["pool"] is None
-        assert desc["routed"] == {"in_process": 1, "pool": 0}
+        assert desc["routed"] == {"in_process": 0, "pool": 3}
+        assert desc["pool"]["started"] is True
+        assert len(desc["pool"]["worker_peak_rss_mb"]) == 2
+        assert desc["workspace"]["nbytes"] == 0
 
-    def test_at_threshold_starts_pool(self, trained, model):
-        _, test = trained
+    def test_start_pool_before_any_call(self, model):
         with InferenceSession(
             model, num_sweeps=6, burn_in=1, num_workers=2
         ) as session:
-            session.transform(self._docs(test, 2 * _MIN_SHARE_DOCS))
+            session.start_pool()
+            session.start_pool()  # idempotent
             desc = session.describe()
         assert desc["pool"]["started"] is True
-        assert desc["routed"] == {"in_process": 0, "pool": 1}
-        assert len(desc["pool"]["worker_peak_rss_mb"]) == 2
+        assert desc["routed"] == {"in_process": 0, "pool": 0}
 
-    def test_both_sides_of_threshold_bit_identical(self, trained, model):
-        _, test = trained
-        docs = self._docs(test, 2 * _MIN_SHARE_DOCS)
+    def test_empty_documents_only_touch_no_path(self, model):
+        """A call with no token to fold writes the prior mean and sends
+        nothing to the pool."""
         with InferenceSession(
             model, num_sweeps=6, burn_in=1, num_workers=2
         ) as session:
-            wide = session.transform(docs, seed=5)
-            narrow = session.transform(docs[:-1], seed=5)
-            assert session.describe()["routed"] == {
-                "in_process": 1, "pool": 1,
-            }
-        assert np.array_equal(wide[:-1], narrow)
-        ref = InferenceSession(model, num_sweeps=6, burn_in=1).transform(
-            docs, seed=5
-        )
-        assert np.array_equal(wide, ref)
+            theta = session.transform([np.array([], dtype=np.int64)] * 2)
+            desc = session.describe()
+        assert np.allclose(theta, 1.0 / model.num_topics)
+        assert desc["routed"] == {"in_process": 0, "pool": 0}
+        assert desc["pool"] is None
 
-    @pytest.mark.usefixtures("pool_routed")
     @pytest.mark.parametrize("num_docs", [7, 40])
     def test_ragged_rounds_bit_identical(self, trained, model, num_docs):
         """Shares of unequal size on 3 workers, each folded one document
@@ -469,7 +471,8 @@ class TestRouting:
     def test_one_worker_never_starts_a_pool(self, trained, model):
         _, test = trained
         session = InferenceSession(model, num_sweeps=6, burn_in=1)
-        session.transform(self._docs(test, 4 * _MIN_SHARE_DOCS))
+        session.start_pool()
+        session.transform(self._docs(test, 96))
         assert session.describe()["pool"] is None
 
 
@@ -498,7 +501,6 @@ class TestTransformMany:
                 theta, session.transform(docs, seed=seed)
             ), "coalescing changed a request's draws"
 
-    @pytest.mark.usefixtures("pool_routed")
     def test_pooled_matches_in_process(self, trained, model):
         _, test = trained
         requests = [
@@ -534,7 +536,6 @@ class TestTransformMany:
             )
 
 
-@pytest.mark.usefixtures("pool_routed")
 class TestInferencePoolFailure:
     """Crash injection through the serving pool (PR-5 idiom extended)."""
 
@@ -723,7 +724,6 @@ class TestOracleProperties:
         assert np.array_equal(ref, got)
         assert np.array_equal(first, got)
 
-    @pytest.mark.usefixtures("pool_routed")
     def test_pooled_bitwise_equal_to_oracle(self):
         model, corpus = _random_case(3, [9, 1, 0, 4, 4, 12, 2], 5)
         ref = fold_in(model, corpus, num_sweeps=4, burn_in=1, seed=5)

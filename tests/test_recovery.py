@@ -322,16 +322,15 @@ class TestLdaStarCrashRecovery:
 
 class TestInferencePoolFaults:
     def test_shm_attach_death_surfaces_and_cleans_up(self, shm_segments):
+        from repro.model import TopicModel
         from repro.model.parallel_inference import InferenceWorkerPool
 
         before = shm_segments()
         rng = np.random.default_rng(0)
-        p_star_t = rng.random((6, 40))
+        phi = rng.integers(0, 9, size=(6, 40))
+        model = TopicModel(phi, phi.sum(axis=1), 0.1, 0.01)
         faults.install("shm_attach@worker=0")
-        pool = InferenceWorkerPool(
-            p_star_t, alpha=0.1, num_topics=6, num_words=40,
-            num_workers=2,
-        )
+        pool = InferenceWorkerPool(model, num_workers=2)
         try:
             pool.start()
             docs = [np.array([0, 1, 2], dtype=np.int64)]

@@ -575,7 +575,6 @@ class TestServing:
 
         run(scenario())
 
-    @pytest.mark.usefixtures("pool_routed")
     def test_stop_is_idempotent_and_releases_sessions(self, stack):
         import glob
 
@@ -600,13 +599,9 @@ class TestServing:
     def test_default_pool_size_follows_cpu_affinity(self, stack, monkeypatch):
         import os
 
-        from repro.model.inference import _MIN_SHARE_DOCS
-
-        wide = (stack["docs"] * 4)[: 4 * _MIN_SHARE_DOCS]
-
         def pool_size(**kwargs):
             session = make_server(stack, **kwargs)._gen.session
-            session.transform(wide)
+            session.transform(stack["docs"][:4])
             started = session.describe()["pool"] is not None
             session.close()
             return session.num_workers, started
@@ -620,9 +615,7 @@ class TestServing:
         assert pool_size(num_workers=1) == (1, False)
 
     def test_stats_report_routing_and_worker_memory(self, stack):
-        from repro.model.inference import _MIN_SHARE_DOCS
-
-        wide = (stack["docs"] * 2)[: 2 * _MIN_SHARE_DOCS]
+        wide = stack["docs"] * 2
 
         async def scenario():
             async with make_server(stack, num_workers=2) as server:
@@ -636,16 +629,87 @@ class TestServing:
                     return (await c.stats())["inference"]
 
         inference = run(scenario())
-        assert inference["routed"] == {"in_process": 1, "pool": 1}
+        assert inference["routed"] == {"in_process": 0, "pool": 2}
         rss = inference["pool"]["worker_peak_rss_mb"]
         assert len(rss) == 2
         assert all(mb is None or mb > 0 for mb in rss)
 
 
+class TestPooledServing:
+    """A pooled server folds every request on its workers, which start
+    when their generation is installed; the server folds nothing."""
+
+    def test_pool_starts_before_the_first_request(self, stack):
+        async def scenario():
+            async with make_server(stack, num_workers=2) as server:
+                host, port = server.address
+                async with await ServingClient.connect(host, port) as c:
+                    return (await c.stats())["inference"]
+
+        inference = run(scenario())
+        assert inference["pool"]["started"] is True
+        assert inference["routed"] == {"in_process": 0, "pool": 0}
+
+    def test_every_request_folds_on_the_pool(self, stack):
+        docs = stack["docs"]
+
+        async def one(host, port, lo, seed):
+            async with await ServingClient.connect(host, port) as c:
+                return await c.infer(docs[lo: lo + 2], seed=seed)
+
+        async def scenario():
+            async with make_server(stack, num_workers=2) as server:
+                host, port = server.address
+                async with await ServingClient.connect(host, port) as c:
+                    r = await c.infer(docs[:4], seed=0)
+                    assert np.array_equal(
+                        r.theta, stack["ref1"].transform(docs[:4], seed=0)
+                    )
+                    burst = await asyncio.gather(*[
+                        one(host, port, 2 * i, 10 + i) for i in range(8)
+                    ])
+                    for i, r in enumerate(burst):
+                        assert np.array_equal(
+                            r.theta,
+                            stack["ref1"].transform(
+                                docs[2 * i: 2 * i + 2], seed=10 + i
+                            ),
+                        )
+                    assert max(r.coalesced_requests for r in burst) > 1
+                    stats = await c.stats()
+                    return stats["inference"], server._gen.session.describe()
+
+        inference, desc = run(scenario())
+        assert inference["routed"]["in_process"] == 0
+        assert inference["routed"]["pool"] >= 2
+        # The server process never folded in: its workspace is untouched.
+        assert desc["workspace"]["nbytes"] == 0
+
+    def test_swap_starts_the_new_pool_before_its_reply(self, stack):
+        async def scenario():
+            async with make_server(stack, num_workers=2) as server:
+                host, port = server.address
+                async with await ServingClient.connect(host, port) as c:
+                    swapped = await c.swap(stack["m2_path"])
+                    assert swapped["generation"] == stack["m2"].generation
+                    # No request has reached the new generation yet.
+                    inference = server._gen.session.pool_stats()
+                    assert inference["pool"]["started"] is True
+                    assert inference["routed"] == {
+                        "in_process": 0, "pool": 0,
+                    }
+                    r = await c.infer(stack["docs"][:2], seed=3)
+                    assert np.array_equal(
+                        r.theta,
+                        stack["ref2"].transform(stack["docs"][:2], seed=3),
+                    )
+
+        run(scenario())
+
+
 class TestServerWorkerFailure:
     """The PR-5 crash-injection idiom, extended through the server."""
 
-    @pytest.mark.usefixtures("pool_routed")
     def test_worker_failure_mid_request_surfaces_and_recovers(
         self, stack, monkeypatch
     ):
@@ -661,12 +725,12 @@ class TestServerWorkerFailure:
             raise RuntimeError("injected inference failure")
 
         async def scenario():
+            # Patched before the server starts, so the workers it forks
+            # at start inherit the failure.
+            monkeypatch.setattr(InferenceSession, "_fold_in_batch", boom)
             async with make_server(stack, num_workers=2) as server:
                 host, port = server.address
                 async with await ServingClient.connect(host, port) as c:
-                    monkeypatch.setattr(
-                        InferenceSession, "_fold_in_batch", boom
-                    )
                     # affected client gets a typed error, not a hang
                     with pytest.raises(
                         ServingError, match="inference_failed"
@@ -1449,6 +1513,57 @@ class TestSwapIntegrity:
                     )
 
         run(scenario())
+
+    def test_rejected_candidate_forks_no_worker(
+        self, stack, tmp_path, monkeypatch
+    ):
+        """A candidate that builds a session but fails its invariants is
+        refused before its pool starts: only the first generation ever
+        spawned workers, and the server's children are still its two."""
+        import json as _json
+        import multiprocessing
+
+        from repro.integrity import integrity_record
+        from repro.model import parallel_inference
+
+        spawns = []
+        spawn = parallel_inference.spawn_workers
+
+        def counted(*args, **kwargs):
+            spawns.append(len(args[1]))
+            return spawn(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_inference, "spawn_workers", counted)
+
+        def poison(data):
+            data["alpha"] = np.float64(np.inf)
+            meta = _json.loads(str(data.pop("metadata_json")))
+            meta["integrity"] = integrity_record(data)
+            data["metadata_json"] = _json.dumps(
+                meta, default=str, sort_keys=True
+            )
+
+        bad = self._corrupted_copy(stack, tmp_path, poison)
+
+        def children() -> set[int]:
+            return {p.pid for p in multiprocessing.active_children()}
+
+        async def scenario():
+            async with make_server(stack, num_workers=2) as server:
+                host, port = server.address
+                workers = children()
+                assert len(workers) == 2
+                async with await ServingClient.connect(host, port) as c:
+                    with pytest.raises(
+                        ServingError, match="swap_rejected"
+                    ):
+                        await c.swap(str(bad))
+                    assert children() == workers
+                    r = await c.infer(stack["docs"][:1], seed=9)
+                    assert r.generation == stack["m1"].generation
+
+        run(scenario())
+        assert spawns == [2]
 
     def test_successful_swap_reports_verified_integrity(self, stack):
         async def scenario():
