@@ -10,9 +10,8 @@ harness:
    line,
 3. run 8 concurrent clients, each verifying its responses are
    **bit-identical** to in-process inference on the served generation,
-4. send one wide request and check it the same way; on a host with more
-   than one CPU the server folds every request on its worker pool, and
-   none in-process,
+4. send one wide request and check it the same way; the server folds
+   every request on its worker pool, and none in-process,
 5. hot-swap to the second model while traffic flows (zero drops
    asserted),
 6. shut the server down over the protocol and assert a clean exit.
@@ -97,7 +96,7 @@ async def drive(host: str, port: int, m1: Path, m2: Path) -> None:
     # concurrent clients against generation 1
     await asyncio.gather(*[client(c, "pre") for c in range(NUM_CLIENTS)])
 
-    # one wide request, split over the worker pool on a multi-CPU host
+    # one wide request, dealt over the worker pool
     wide = [rng.integers(0, 200, size=n) for n in
             rng.integers(5, 40, size=WIDE_DOCS)]
     async with await ServingClient.connect(host, port) as c:
@@ -107,11 +106,10 @@ async def drive(host: str, port: int, m1: Path, m2: Path) -> None:
         )
         stats = await c.stats()
     routed = stats["inference"]["routed"]
-    if stats["num_workers"] > 1:
-        assert routed["in_process"] == 0, (
-            f"a pooled server folded in-process: routed {routed}"
-        )
-        assert routed["pool"] >= 1, "the wide request did not reach the pool"
+    assert routed["in_process"] == 0, (
+        f"the server folded in-process: routed {routed}"
+    )
+    assert routed["pool"] >= 1, "the wide request did not reach the pool"
     print(f"wide request of {WIDE_DOCS} documents bit-identical "
           f"({stats['num_workers']} workers, routed {routed})")
 

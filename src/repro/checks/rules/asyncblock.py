@@ -1,18 +1,19 @@
 """RPR3xx — asyncio-blocking detector.
 
-The serving tier (PR 6/8) is a single-threaded asyncio event loop: one
-blocking call inside an ``async def`` stalls every in-flight request and
-defeats the deadline/circuit-breaker machinery.  Heavy work must go through
-``loop.run_in_executor`` (as ``InferenceServer._compute`` does).
+The serving tier is a single-threaded asyncio event loop: one blocking
+call inside an ``async def`` stalls every in-flight request and defeats
+the deadline/circuit-breaker machinery.  Fold-in runs on the worker pool,
+and the loop only awaits the replies (``ServingServer._fold``); other
+heavy work leaves the loop for a thread.
 
 RPR301  ``time.sleep`` inside ``async def`` — use ``await asyncio.sleep``
 RPR302  blocking I/O call inside ``async def`` (sync sockets, subprocess,
         file reads/writes, ``os.replace``, ...; list in checks.toml)
 RPR303  direct inference call (``.transform`` / ``.transform_many``) inside
-        ``async def`` — route through the executor instead
+        ``async def`` — fold in on the worker pool and await the replies
 
 Only code lexically inside an ``async def`` is flagged; a nested synchronous
-``def`` (e.g. a closure handed to ``run_in_executor``) resets the context.
+``def`` (e.g. a closure run on another thread) resets the context.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class _AsyncVisitor(ast.NodeVisitor):
                     node,
                     "RPR303",
                     f"direct inference call .{node.func.attr}() inside async def; "
-                    "route through the executor (see InferenceServer._compute)",
+                    "fold in on the worker pool and await its replies "
+                    "(see ServingServer._fold)",
                 )
         self.generic_visit(node)
 

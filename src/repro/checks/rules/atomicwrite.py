@@ -1,7 +1,9 @@
 """RPR5xx — atomic-write lint.
 
-PR 7 introduced crash-safe artifact persistence: write to a tmp sibling,
-fsync, then ``os.replace`` into place (``repro.core.snapshot.atomic_savez``).
+Artifact persistence is crash-safe: write a tmp sibling, then
+``os.replace`` it into place (``repro.core.snapshot.atomic_savez``), so a
+reader sees the old file or the new one, never a half-written one.  The
+writers do not fsync, so a power loss can still lose the new content.
 A direct ``np.savez_compressed(path)`` anywhere else can leave a torn file
 behind on crash, which the serving tier would then refuse (integrity digest
 mismatch) or, worse, load partially.

@@ -829,9 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="inference worker processes per generation "
                               "(default: the CPUs this process may run "
-                              "on; 1 serves in-process). With 2 or more, "
-                              "every request folds in on the workers, "
-                              "which start with the server")
+                              "on; at least 1). Every request folds in "
+                              "on the workers, which start with the "
+                              "server")
     p_serve.add_argument("--affinity", dest="worker_affinity", default=None,
                          help="comma-separated CPU ids for inference workers")
     p_serve.add_argument("--max-pending", dest="max_pending", type=int,
@@ -849,8 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--dispatch-timeout", dest="dispatch_timeout", type=float,
         help="watchdog bound (seconds) over any single dispatch, even "
-             "one carrying deadline-less requests; a wedged inference "
-             "past it is abandoned and the generation healed (0 disables)",
+             "one carrying deadline-less requests; workers wedged "
+             "past it are killed and the pool restarted (0 disables)",
     )
     p_serve.set_defaults(func=cmd_serve)
 

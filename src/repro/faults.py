@@ -57,10 +57,11 @@ Points currently wired (see docs/ROBUSTNESS.md):
 ``serve_error``     serving dispatch raises -> typed
                     ``inference_failed`` response
 ``serve_slow``      serving dispatch sleeps ``delay_ms`` first
-``serve_hang``      serving dispatch **wedges on the executor thread**
+``serve_hang``      an inference worker **wedges in its fold-in loop**
                     for ``delay_ms`` (default one hour — effectively
-                    forever), past the event loop's reach: only the
-                    deadline watchdog can answer the affected clients
+                    forever) on pool start ``attempt`` (0 unless
+                    named): only the dispatch watchdog, which kills and
+                    restarts the pool, answers the affected clients
 ``artifact_corrupt``  flips one phi count after an artifact read so the
                     digest verification sees a genuinely corrupted
                     payload (matches ``op=load`` and ``path=<name>``)
@@ -118,7 +119,7 @@ POINTS = {
     "merge_fail": "transient exception in the master's phi reconciliation",
     "serve_error": "serving dispatch raises -> typed inference_failed response",
     "serve_slow": "serving dispatch sleeps delay_ms before answering",
-    "serve_hang": "serving dispatch wedges on the executor thread for delay_ms",
+    "serve_hang": "inference worker wedges in its fold-in loop for delay_ms",
     "artifact_corrupt": "flips one phi count after an artifact read (op=load)",
     "shard_read_error": "corpus store shard read raises before touching bytes",
     "shard_corrupt": "flips one token id after a shard read (digest catches it)",
@@ -332,14 +333,13 @@ def delay_if(point: str, **context) -> float:
 
 
 def sleep_if(point: str, **context) -> None:
-    """**Blocking** sleep if a matching fault is armed (thread wedge).
+    """**Blocking** sleep if a matching fault is armed (a wedge).
 
     Unlike :func:`delay_if` (whose caller awaits cooperatively), this
-    blocks the calling thread outright — on an executor thread it
-    simulates a wedged inference dispatch that the event loop cannot
-    interrupt, which is exactly what the serving deadline watchdog must
-    survive.  With no ``delay_ms`` the wedge lasts
-    :data:`DEFAULT_HANG_SECONDS`.
+    blocks the calling process outright — in an inference worker it
+    simulates a wedged fold-in that never replies, which is exactly what
+    the serving dispatch watchdog must survive.  With no ``delay_ms``
+    the wedge lasts :data:`DEFAULT_HANG_SECONDS`.
     """
     fault = check(point, **context)
     if fault is not None:

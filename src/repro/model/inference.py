@@ -77,7 +77,7 @@ from repro.model.artifact import TopicModel
 from repro.parallel.pool import normalize_affinity
 from repro.perf.workspace import Workspace
 
-__all__ = ["InferenceSession", "ScoreResult"]
+__all__ = ["FoldInCall", "InferenceSession", "ScoreResult", "check_schedule"]
 
 #: Default Gibbs schedule of an offline fold-in (``InferenceSession``,
 #: ``repro infer``, ``repro evaluate``); a server keeps its own
@@ -256,7 +256,7 @@ def _as_doc_arrays(docs: Corpus | Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.asarray(d, dtype=np.int64).ravel() for d in docs]
 
 
-def _check_schedule(num_sweeps: int, burn_in: int) -> tuple[int, int]:
+def check_schedule(num_sweeps: int, burn_in: int) -> tuple[int, int]:
     """A validated ``(num_sweeps, burn_in)`` Gibbs schedule."""
     sweeps, burn = int(num_sweeps), int(burn_in)
     if burn < 0:
@@ -264,6 +264,47 @@ def _check_schedule(num_sweeps: int, burn_in: int) -> tuple[int, int]:
     if sweeps <= burn:
         raise ValueError("num_sweeps must exceed burn_in")
     return sweeps, burn
+
+
+class FoldInCall:
+    """One ``transform_many`` call, flattened for a fold-in path.
+
+    Document i of the call carries its stream key ``specs[i] =
+    (entropy, spawn_index)``: its own request's seed and its index
+    within that request, so coalesced requests keep their stand-alone
+    draws.  ``out`` holds one theta row per document, the prior mean
+    already in place for empty ones, and ``order`` lists the non-empty
+    documents longest first, so a pool can deal them out in turn and
+    give every share nearly the same tokens.
+    """
+
+    def __init__(
+        self,
+        requests: Sequence[tuple[Corpus | Sequence[np.ndarray], int]],
+        num_topics: int,
+        num_words: int,
+    ):
+        self.docs: list[np.ndarray] = []
+        self.specs: list[tuple[int, int]] = []
+        self._slices: list[tuple[int, int]] = []
+        for docs, seed in requests:
+            arrays = _as_doc_arrays(docs)
+            lo = len(self.docs)
+            self.docs.extend(arrays)
+            self.specs.extend((int(seed), i) for i in range(len(arrays)))
+            self._slices.append((lo, lo + len(arrays)))
+        for w in self.docs:
+            if w.size and (w.min() < 0 or w.max() >= num_words):
+                raise ValueError("word id out of the trained vocabulary")
+        lengths = np.array([w.size for w in self.docs], dtype=np.int64)
+        self.out = np.empty((len(self.docs), num_topics), dtype=np.float64)
+        self.out[lengths == 0] = 1.0 / num_topics
+        order = np.argsort(-lengths, kind="stable")
+        self.order = order[lengths[order] > 0]
+
+    def thetas(self) -> list[np.ndarray]:
+        """Each request's theta block, in request order."""
+        return [self.out[lo:hi] for lo, hi in self._slices]
 
 
 class InferenceSession:
@@ -286,7 +327,7 @@ class InferenceSession:
         arena (phi is frozen, so serving needs **no** synchronization —
         see :mod:`repro.model.parallel_inference`); the session itself
         then holds no fold-in matrix and folds nothing in-process.  The
-        pool starts on the first call, or at :meth:`start_pool`.
+        pool starts on the first call.
         ``None``/1 folds every call in-process.  Results are
         bit-identical for any worker count.
     worker_affinity:
@@ -325,11 +366,11 @@ class InferenceSession:
         worker_affinity=None,
     ) -> None:
         """Validated scalar setup shared by ``__init__`` and ``_from_matrix``."""
-        from repro.model.parallel_inference import resolve_inference_workers
-
-        self.num_sweeps, self.burn_in = _check_schedule(num_sweeps, burn_in)
+        if num_workers is not None and num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        self.num_sweeps, self.burn_in = check_schedule(num_sweeps, burn_in)
         self._ws = Workspace()
-        self.num_workers = resolve_inference_workers(num_workers)
+        self.num_workers = 1 if num_workers is None else int(num_workers)
         self.worker_affinity = normalize_affinity(worker_affinity)
         self._pool = None
         self._p_star_t64: np.ndarray | None = None
@@ -370,15 +411,6 @@ class InferenceSession:
                 self.model, self.num_workers, self.worker_affinity
             )
         return self._pool
-
-    def start_pool(self) -> None:
-        """Start the worker pool now instead of on the first call.
-
-        Builds p* into the pool's arena and spawns the workers; a no-op
-        for in-process sessions and for a pool already running.
-        """
-        if self.num_workers >= 2:
-            self._ensure_pool().start()
 
     def close(self) -> None:
         """Stop parallel-inference workers and release their shared arena.
@@ -433,60 +465,22 @@ class InferenceSession:
         the property the serving tier's batch coalescer rests on
         (asserted by tests/test_inference_session.py).
         """
-        sweeps, burn = _check_schedule(
+        sweeps, burn = check_schedule(
             self.num_sweeps if num_sweeps is None else num_sweeps,
             self.burn_in if burn_in is None else burn_in,
         )
-        arrays: list[np.ndarray] = []
-        specs: list[tuple[int, int]] = []
-        slices: list[tuple[int, int]] = []
-        for docs, seed in requests:
-            req_arrays = _as_doc_arrays(docs)
-            lo = len(arrays)
-            arrays.extend(req_arrays)
-            specs.extend((int(seed), i) for i in range(len(req_arrays)))
-            slices.append((lo, lo + len(req_arrays)))
-        out = np.empty((len(arrays), self.num_topics), dtype=np.float64)
-        self._transform_into(arrays, specs, sweeps, burn, out)
-        return [out[lo:hi] for lo, hi in slices]
-
-    def _transform_into(
-        self,
-        arrays: list[np.ndarray],
-        specs: list[tuple[int, int]],
-        sweeps: int,
-        burn: int,
-        out: np.ndarray,
-    ) -> None:
-        """Fold ``arrays`` in and write document i's theta row to ``out[i]``.
-
-        ``specs[i] = (entropy, spawn_index)`` names document i's RNG
-        stream (see :meth:`_fold_in`); keeping the stream key explicit
-        rather than positional is what lets coalesced requests keep
-        their stand-alone draws.
-        """
-        k = self.num_topics
-        for w in arrays:
-            if w.size and (w.min() < 0 or w.max() >= self.num_words):
-                raise ValueError("word id out of the trained vocabulary")
-        lengths = np.array([w.size for w in arrays], dtype=np.int64)
-        out[lengths == 0] = 1.0 / k
-        # Longest-first order, so the pool path below can deal documents
-        # out in turn and give every share nearly the same tokens.
-        order = np.argsort(-lengths, kind="stable")
-        order = order[lengths[order] > 0]
+        call = FoldInCall(requests, self.num_topics, self.num_words)
         if self.num_workers < 2:
             self._routed["in_process"] += 1
-            self._fold_in(arrays, specs, order, sweeps, burn, out)
-        elif order.size:
-            # Frozen phi: documents are independent, so each worker folds
-            # in one share, dealt from the longest-first order in turn.
-            shares = min(self.num_workers, order.size)
-            self._routed["pool"] += 1
-            self._ensure_pool().transform_shares(
-                [order[s::shares] for s in range(shares)],
-                arrays, specs, sweeps, burn, out,
+            self._fold_in(
+                call.docs, call.specs, call.order, sweeps, burn, call.out
             )
+        elif call.order.size:
+            # Frozen phi: documents are independent, so the pool deals
+            # them out over its workers, one share each.
+            self._routed["pool"] += 1
+            self._ensure_pool().transform(call, sweeps, burn)
+        return call.thetas()
 
     def _fold_in(
         self,
@@ -536,7 +530,7 @@ class InferenceSession:
         """Theta-explicit Gibbs over one batch of non-empty documents.
 
         The parallel workers reach it through ``_fold_in``, which skips
-        ``_transform_into``'s vocabulary check, so a word id outside the
+        :class:`FoldInCall`'s vocabulary check, so a word id outside the
         vocabulary raises ``IndexError`` here, before any gather.
         """
         k = self.num_topics
@@ -720,19 +714,10 @@ class InferenceSession:
 
     # -- introspection -----------------------------------------------------
 
-    def pool_stats(self) -> dict[str, Any]:
-        """Calls routed in-process vs. to the pool, and the pool's state.
-
-        Reads only counters and one pool snapshot, so the serving tier's
-        ``stats`` op may call it while a dispatch is running.
-        """
-        pool = self._pool
-        return {
-            "routed": dict(self._routed),
-            "pool": pool.describe() if pool is not None else None,
-        }
-
     def describe(self) -> dict[str, Any]:
+        """The session's setup, the calls ``routed`` in-process and to
+        the pool, the pool's state (``None`` before it starts) and the
+        fold-in workspace."""
         return {
             "num_topics": self.num_topics,
             "num_words": self.num_words,
@@ -740,6 +725,7 @@ class InferenceSession:
             "burn_in": self.burn_in,
             "num_workers": self.num_workers,
             "worker_affinity": self.worker_affinity,
-            **self.pool_stats(),
+            "routed": dict(self._routed),
+            "pool": self._pool.describe() if self._pool is not None else None,
             "workspace": self._ws.describe(),
         }

@@ -24,16 +24,22 @@ count or share-to-worker assignment, and coalesced
 multi-request calls (``transform_many``) keep every request's
 stand-alone draws (asserted by tests/test_inference_session.py).
 
+A call is a ``send`` then one ``receive`` per share: a library
+session runs them in turn, and the serving tier receives each share
+when its worker's pipe turns readable.
+
 Lifecycle mirrors the training engine: the pool starts on its first
 call unless its owner starts it sooner (the serving tier does, when it
-installs a generation), ``close()`` is idempotent, a closed or failed
-pool rebuilds its arena from the model on the next ``start()``, and a
-finalizer backstop keeps abandoned sessions from leaking shared-memory
-segments or worker processes.
+installs a generation), ``close()`` is idempotent, ``kill()`` ends
+failed or wedged workers at once, a closed or killed pool rebuilds its
+arena from the model on the next ``start()``, and a finalizer backstop
+keeps abandoned owners from leaking shared-memory segments or worker
+processes.
 """
 
 from __future__ import annotations
 
+import signal
 import traceback
 import weakref
 from dataclasses import dataclass
@@ -42,7 +48,12 @@ import numpy as np
 
 from repro import faults
 from repro.model.artifact import TopicModel
-from repro.model.inference import InferenceSession, _p_star_planes, _plane_shape
+from repro.model.inference import (
+    FoldInCall,
+    InferenceSession,
+    _p_star_planes,
+    _plane_shape,
+)
 from repro.parallel.pool import (
     WorkerDied,
     normalize_affinity,
@@ -50,19 +61,11 @@ from repro.parallel.pool import (
     set_worker_affinity,
     shutdown_pool,
     spawn_workers,
+    stop_workers,
 )
 from repro.parallel.shm import ArenaLayout, ShmArena
 
-__all__ = ["InferenceWorkerPool", "resolve_inference_workers"]
-
-
-def resolve_inference_workers(requested: int | None) -> int:
-    """Effective pool size: ``None``/1 means in-process (no pool)."""
-    if requested is None:
-        return 1
-    if requested < 1:
-        raise ValueError(f"num_workers must be >= 1, got {requested}")
-    return int(requested)
+__all__ = ["InferenceWorkerPool"]
 
 
 def _peak_rss_mb(pid: int) -> float | None:
@@ -103,8 +106,8 @@ class InferenceWorkerPool:
         num_workers: int,
         worker_affinity=None,
     ):
-        if num_workers < 2:
-            raise ValueError("a pool needs at least 2 workers")
+        if num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(num_workers)
         self._model = model
         self.worker_affinity = normalize_affinity(worker_affinity)
@@ -165,73 +168,76 @@ class InferenceWorkerPool:
         self._procs = []
         self._conns = []
 
+    def kill(self) -> None:
+        """:meth:`close` without asking the workers to stop: after a
+        failed or wedged call, they are terminated at once."""
+        stop_workers(self._procs, self._conns)
+        self.close()
+
     # -- serving ----------------------------------------------------------
 
-    def transform_shares(
-        self,
-        shares: list[np.ndarray],
-        docs: list[np.ndarray],
-        specs: list[tuple[int, int]],
-        sweeps: int,
-        burn: int,
-        out: np.ndarray,
-    ) -> None:
-        """Fold share ``w`` in on worker ``w``; write theta into ``out``.
-
-        ``shares`` holds at most ``num_workers`` arrays of indices into
-        ``docs``, all non-empty; document i travels with its
-        ``(entropy, spawn_index)`` stream key ``specs[i]``, so
-        share-to-worker assignment cannot move a draw.  Each worker gets
-        one message and answers with one theta block.
+    def send(
+        self, call: FoldInCall, sweeps: int, burn: int
+    ) -> list[np.ndarray]:
+        """Deal the longest-first ``call.order`` in turn into
+        ``min(num_workers, documents)`` shares of nearly equal tokens,
+        send worker ``w`` share ``w`` and return the shares.  Each
+        document travels with its stream key, so the deal moves no draw.
+        Starts the pool if it is not running.
         """
         self.start()
+        n = min(self.num_workers, call.order.size)
+        shares = [call.order[s::n] for s in range(n)]
+        for w, share in enumerate(shares):
+            try:
+                self._conns[w].send((
+                    "infer",
+                    [call.docs[i] for i in share],
+                    [call.specs[i] for i in share],
+                    sweeps,
+                    burn,
+                ))
+            except (BrokenPipeError, ConnectionError, OSError) as exc:
+                # A worker that died between calls surfaces as a broken
+                # pipe on send; name the worker instead of leaking the
+                # raw OS error.
+                raise WorkerDied(
+                    "inference", w, self._procs[w].exitcode
+                ) from exc
+        return shares
+
+    def receive(self, w: int, share: np.ndarray, call: FoldInCall) -> None:
+        """Read worker ``w``'s theta block into ``call.out[share]``; a
+        worker that died or failed raises (see ``recv_reply``)."""
+        kind, theta = recv_reply("inference", w, self._procs[w], self._conns[w])
+        if kind != "theta":  # pragma: no cover - protocol misuse
+            raise RuntimeError(f"unexpected worker reply {kind!r}")
+        call.out[share] = theta
+
+    def transform(self, call: FoldInCall, sweeps: int, burn: int) -> None:
+        """Fold ``call`` in and wait for every share.  A failed call
+        leaves dead workers or unread replies, so it kills the pool; the
+        next call starts a clean one."""
         try:
-            for w, share in enumerate(shares):
-                try:
-                    self._conns[w].send((
-                        "infer",
-                        [docs[i] for i in share],
-                        [specs[i] for i in share],
-                        sweeps,
-                        burn,
-                    ))
-                except (BrokenPipeError, ConnectionError, OSError) as exc:
-                    # A worker that died between requests surfaces as a
-                    # broken pipe on send; name the worker instead of
-                    # leaking the raw OS error.
-                    raise WorkerDied(
-                        "inference", w, self._procs[w].exitcode
-                    ) from exc
-            for w, share in enumerate(shares):
-                kind, theta = self._recv(w, self._conns[w])
-                if kind != "theta":  # pragma: no cover - protocol misuse
-                    raise RuntimeError(f"unexpected worker reply {kind!r}")
-                out[share] = theta
+            for w, share in enumerate(self.send(call, sweeps, burn)):
+                self.receive(w, share, call)
         except Exception:
-            # A failed request leaves dead workers and/or unread replies
-            # behind; tear the pool down so the owning session rebuilds a
-            # clean one on its next call instead of reading stale theta.
-            self.close()
+            self.kill()
             raise
 
-    # -- internals --------------------------------------------------------
-
-    def _recv(self, w: int, conn) -> tuple:
-        return recv_reply("inference", w, self._procs[w], conn)
+    def fileno(self, w: int) -> int:
+        """Worker ``w``'s pipe, readable once its reply (or EOF) is in."""
+        return self._conns[w].fileno()
 
     def describe(self) -> dict:
-        """Pool state; ``worker_peak_rss_mb`` is each live worker's VmHWM.
-
-        Safe to call from another thread while a dispatch runs: it reads
-        one snapshot of the arena and process list.
-        """
-        arena, procs = self._arena, self._procs
+        """Pool state; ``worker_peak_rss_mb`` is each live worker's VmHWM."""
+        arena = self._arena
         return {
             "num_workers": self.num_workers,
             "worker_affinity": self.worker_affinity,
             "started": arena is not None,
             "arena_bytes": arena.nbytes if arena is not None else 0,
-            "worker_peak_rss_mb": [_peak_rss_mb(p.pid) for p in procs],
+            "worker_peak_rss_mb": [_peak_rss_mb(p.pid) for p in self._procs],
         }
 
 
@@ -243,6 +249,13 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
     document; ``("stop",)`` exits; any exception answers
     ``("error", traceback)`` and exits.
     """
+    # A worker forked from a serving event loop inherits its signal
+    # handling: SIGTERM would run the loop's no-op handler and write the
+    # signal into the server's own wakeup pipe, which the server reads
+    # as its own SIGTERM.  Restore the defaults, so a terminate ends
+    # this worker, and only it.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     arena = None
     session = None
     try:
@@ -265,6 +278,7 @@ def _inference_worker_main(conn, plan: _InferencePlan) -> None:
             if msg[0] != "infer":  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown worker command {msg[0]!r}")
             _, docs, specs, sweeps, burn = msg
+            faults.sleep_if("serve_hang", op="infer", attempt=plan.attempt)
             # Each spec names its document's stream outright, so a worker
             # derives only its own documents' streams, and coalesced
             # requests keep their stand-alone draws.

@@ -1,8 +1,8 @@
 """The batch coalescer: fold concurrent requests into one dispatch.
 
-The serving engine (:meth:`~repro.model.InferenceSession.transform_many`)
-is fastest when it folds many documents in per call — one set of
-batches sized for the worker pool.  Concurrent clients each
+The serving engine (a generation's
+:class:`~repro.model.InferenceWorkerPool`) is fastest when it folds
+many documents in per call — one share per worker.  Concurrent clients each
 bring a handful of documents, so the server queues them here and a
 single drain loop dispatches **everything currently pending as one
 coalesced call**: requests that arrive while a dispatch is running

@@ -1,15 +1,14 @@
 """The asyncio inference server: coalesced serving with hot model swap.
 
-One :class:`ServingServer` wraps one long-lived
-:class:`~repro.model.InferenceSession` behind the length-prefixed JSON
-protocol of :mod:`repro.serving.protocol`:
+One :class:`ServingServer` serves one long-lived frozen model behind
+the length-prefixed JSON protocol of :mod:`repro.serving.protocol`:
 
 - concurrent clients submit ``infer`` requests; a
   :class:`~repro.serving.coalescer.BatchCoalescer` folds everything
-  pending into one ``transform_many`` call (batches sized for the
-  worker pool), so serving throughput under concurrency matches one
-  big batched request — and every response is **bit-identical** to the
-  client calling ``InferenceSession.transform`` itself, because each
+  pending into one call on the worker pool, so serving throughput
+  under concurrency matches one big batched request — and every
+  response is **bit-identical** to the client calling
+  ``InferenceSession.transform`` itself, because each
   request's documents keep their own seed streams through coalescing;
 - every response records ``queue_wait_s`` (coalescer hold time) and
   ``service_s`` (the inference span it rode), aggregated by
@@ -26,10 +25,10 @@ protocol of :mod:`repro.serving.protocol`:
   (**shed**: it then rides no dispatch) or dispatched, and every
   dispatch runs under a watchdog bounded by the riders' latest
   deadline and the server-level ``dispatch_timeout_s`` (so a batch
-  carrying deadline-less requests is still bounded) — if the inference
-  call is still wedged when the bound passes, the generation is retired
-  and a fresh session (lazily rebuilt worker pool) installed, so one
-  hung worker cannot poison later requests;
+  carrying deadline-less requests is still bounded) — if a worker is
+  still wedged when the bound passes, the generation's workers are
+  killed and its pool restarted in place, so one hung worker cannot
+  poison later requests;
 - admission control bounds the queue (typed ``busy`` past
   ``max_pending``) and a :class:`~repro.serving.breaker.CircuitBreaker`
   bounds *failure*: consecutive dispatch failures/timeouts open the
@@ -37,23 +36,29 @@ protocol of :mod:`repro.serving.protocol`:
   until a half-open probe succeeds.  Overload and degraded workers are
   states the protocol speaks, not crashes.
 
-Inference runs on its generation's own thread, so the event loop keeps
-accepting, answering and swapping while the engine computes.
+The server computes nothing itself.  Every generation holds an
+:class:`~repro.model.InferenceWorkerPool` of at least one worker
+process; a dispatch sends the pool its shares and the event loop
+awaits the replies, reading each worker's pipe when it turns readable,
+so the loop keeps accepting, answering and swapping while the workers
+fold.  A worker that dies makes its pipe readable at EOF, which fails
+the dispatch at once.  The only other thread is a swap's one-shot
+artifact loader, and it has ended before any worker forks.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro import faults
-from repro.model import InferenceSession, TopicModel
+from repro.model import InferenceWorkerPool, TopicModel
+from repro.model.inference import FoldInCall, check_schedule
 from repro.parallel.pool import usable_cpus
 from repro.serving.breaker import (
     DEFAULT_FAILURE_THRESHOLD,
@@ -85,17 +90,17 @@ DEFAULT_SERVE_BURN_IN = 8
 #: Server-level bound on one coalesced dispatch (seconds).  Applies to
 #: every batch — including ones carrying deadline-less requests, which
 #: per-request deadlines alone would leave unbounded: without it, one
-#: wedged executor thread under a no-deadline request blocks the drain
-#: loop forever.  Generous next to real fold-in times (well under a
+#: wedged worker under a no-deadline request blocks the drain loop
+#: forever.  Generous next to real fold-in times (well under a
 #: second); 0 disables the bound.
 DEFAULT_DISPATCH_TIMEOUT_S = 300.0
 
 
 @dataclass
 class ModelGeneration:
-    """One deployed model: a session plus the lineage that names it."""
+    """One deployed model: its worker pool plus the lineage that names it."""
 
-    session: InferenceSession
+    pool: InferenceWorkerPool
     model: TopicModel
     generation: str
     lineage: dict[str, Any] | None
@@ -103,18 +108,8 @@ class ModelGeneration:
     index: int
     inflight: int = 0
     retired: bool = False
-    #: The one thread this generation's dispatches run on.  Dispatches
-    #: never overlap, so one is enough while the generation is healthy;
-    #: a generation the watchdog retires keeps its wedged thread, and
-    #: its successor gets a thread of its own.  One thread also keeps
-    #: the fold-in's transient allocations in one malloc arena, where
-    #: the default executor would spread them over whichever threads it
-    #: happened to start.
-    executor: ThreadPoolExecutor = field(
-        default_factory=lambda: ThreadPoolExecutor(
-            1, thread_name_prefix="repro-dispatch"
-        )
-    )
+    #: Dispatches the pool answered: the ``stats`` op's ``routed.pool``.
+    folded: int = 0
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -138,14 +133,15 @@ class ServingServer:
     host / port:
         Bind address; ``port=0`` picks a free port (see
         :attr:`address` after :meth:`start`).
-    num_sweeps / burn_in / num_workers / worker_affinity:
-        Forwarded to every generation's
-        :class:`~repro.model.InferenceSession`.  ``num_workers=None``
-        sizes the inference pool to the CPUs this process may run on
-        (one CPU stays in-process).  With a pool, every request folds in
-        on its workers, which start when their generation is installed:
-        a pooled server holds its workers from :meth:`start` on, even
-        while idle.
+    num_sweeps / burn_in:
+        The fold-in schedule every request is served with.
+    num_workers / worker_affinity:
+        Inference worker processes per generation, and optional CPU ids
+        to pin them to.  ``num_workers=None`` gives one worker per CPU
+        this process may run on; 1 is one worker process.  Every
+        request folds in on the workers, which start when their
+        generation is installed, so a server holds its workers from
+        :meth:`start` on, even while idle.
     max_pending:
         Admission-control depth: queued (not yet dispatched) requests
         beyond which ``infer`` answers ``busy``.
@@ -177,20 +173,17 @@ class ServingServer:
             raise ValueError("dispatch_timeout_s must be >= 0")
         self._host = host
         self._port = port
-        self._session_kwargs: dict[str, Any] = {
-            "num_sweeps": num_sweeps,
-            "burn_in": burn_in,
-            "num_workers": (
-                usable_cpus() if num_workers is None else num_workers
-            ),
-            "worker_affinity": worker_affinity,
-        }
+        self._schedule = check_schedule(num_sweeps, burn_in)
+        self._num_workers = (
+            usable_cpus() if num_workers is None else num_workers
+        )
+        self._worker_affinity = worker_affinity
         self._dispatch_timeout_s = (
             float(dispatch_timeout_s) if dispatch_timeout_s else None
         )
         self._gen_counter = 0
         self._retired: list[ModelGeneration] = []
-        self._gen = self._make_generation(*self._load_session(model))
+        self._gen = self._make_generation(*self._load(model))
         self._stats = LatencyStats()
         self._breaker = CircuitBreaker(breaker_threshold, breaker_reset_s)
         self._coalescer = BatchCoalescer(self._dispatch, max_pending)
@@ -203,34 +196,28 @@ class ServingServer:
 
     # -- generations --------------------------------------------------------
 
-    def _load_session(
-        self, model: TopicModel | str | Path
-    ) -> tuple[TopicModel, InferenceSession, str]:
-        """Build a session for ``model`` (artifact load + session setup).
-
-        Runs on an executor thread during ``swap`` so the event loop
-        keeps serving the old generation while the new one loads.
-        """
+    @staticmethod
+    def _load(model: TopicModel | str | Path) -> tuple[TopicModel, str]:
+        """The model to serve, loaded if given as a path, and its source."""
         if isinstance(model, (str, Path)):
-            source = str(model)
-            model = TopicModel.load(model)
-        elif isinstance(model, TopicModel):
-            source = "<memory>"
-        else:
-            raise TypeError("model must be a TopicModel or a path")
-        session = InferenceSession(model, **self._session_kwargs)
-        return model, session, source
+            return TopicModel.load(model), str(model)
+        if isinstance(model, TopicModel):
+            return model, "<memory>"
+        raise TypeError("model must be a TopicModel or a path")
 
     def _make_generation(
-        self, model: TopicModel, session: InferenceSession, source: str
+        self, model: TopicModel, source: str
     ) -> ModelGeneration:
+        """A generation over ``model``; its pool starts when installed."""
         self._gen_counter += 1
         lineage = model.lineage
         generation = (lineage or {}).get("generation") or (
             f"gen-{self._gen_counter}"
         )
         return ModelGeneration(
-            session=session,
+            pool=InferenceWorkerPool(
+                model, self._num_workers, self._worker_affinity
+            ),
             model=model,
             generation=str(generation),
             lineage=lineage,
@@ -251,10 +238,7 @@ class ServingServer:
         still = []
         for gen in self._retired:
             if gen.inflight == 0:
-                gen.session.close()
-                # Its last dispatch has returned, so the thread is idle
-                # or finishing that call's future bookkeeping: join it.
-                gen.executor.shutdown()
+                gen.pool.close()
             else:
                 still.append(gen)
         self._retired = still
@@ -271,17 +255,16 @@ class ServingServer:
         if self._server is not None:
             return self.address
         self._loop = asyncio.get_running_loop()
-        # The first generation's workers fork here, on the loop thread
-        # before any dispatch thread exists, so the first request does
-        # not pay for them and the ready line means they are up.
-        self._gen.session.start_pool()
+        # The first generation's workers fork here, so the first request
+        # does not pay for them and the ready line means they are up.
+        self._gen.pool.start()
         self._coalescer.start()
         try:
             self._server = await asyncio.start_server(
                 self._handle_client, self._host, self._port
             )
         except BaseException:
-            self._gen.session.close()
+            self._gen.pool.close()
             raise
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
@@ -296,7 +279,7 @@ class ServingServer:
         self._shutdown_requested.set()
 
     async def stop(self) -> None:
-        """Stop accepting, drain queued requests, release every session."""
+        """Stop accepting, drain queued requests, release every pool."""
         if self._stopped:
             return
         self._stopped = True
@@ -313,11 +296,6 @@ class ServingServer:
                 *self._connections.values(), return_exceptions=True
             )
         self._retire(self._gen)
-        # What is still in flight now runs on a thread the watchdog
-        # abandoned, whose done-callback may find no loop left to reap
-        # it: let the thread exit once its call returns.
-        for gen in self._retired:
-            gen.executor.shutdown(wait=False)
 
     async def run(self, on_ready=None) -> None:
         """Serve until a ``shutdown`` request (or cancellation), then stop."""
@@ -419,10 +397,15 @@ class ServingServer:
                 "model": self._gen.describe(),
                 "pending": self._coalescer.depth,
                 "max_pending": self._coalescer.max_pending,
-                "num_sweeps": self._session_kwargs["num_sweeps"],
-                "burn_in": self._session_kwargs["burn_in"],
-                "num_workers": self._gen.session.num_workers,
-                "inference": self._gen.session.pool_stats(),
+                "num_sweeps": self._schedule[0],
+                "burn_in": self._schedule[1],
+                "num_workers": self._gen.pool.num_workers,
+                "inference": {
+                    # The server folds nothing in-process; the field
+                    # keeps the reply's shape.
+                    "routed": {"in_process": 0, "pool": self._gen.folded},
+                    "pool": self._gen.pool.describe(),
+                },
                 "latency": self._stats.snapshot(),
                 "breaker": self._breaker.snapshot(),
             })
@@ -631,39 +614,52 @@ class ServingServer:
             self._stats.record_shed()
         req.future.set_result(self._expire_reply(req, self._loop.time()))
 
-    def _compute(self, gen: ModelGeneration, requests: list) -> list:
-        """The executor-thread side of a dispatch.
+    async def _fold(
+        self, gen: ModelGeneration, call: FoldInCall
+    ) -> None:
+        """Fold ``call`` in on ``gen``'s pool; the loop awaits the replies.
 
-        The ``serve_hang`` chaos hook wedges *here* — on the thread,
-        past the event loop's reach — so only the deadline watchdog can
-        answer the affected clients.
+        The shares go out at once, and each worker's reply is read when
+        its pipe turns readable: a dead worker's pipe reads EOF, so a
+        death fails the call at once rather than at a liveness poll.  A
+        call that fails, or that the watchdog cancels, kills the pool:
+        its workers may be wedged or hold unread replies.  The next
+        dispatch starts a fresh one.
         """
-        faults.sleep_if("serve_hang", op="infer")
-        return gen.session.transform_many(requests)
+        loop = self._loop
+        pool = gen.pool
+        done = loop.create_future()
+        readers: dict[int, int] = {}
 
-    def _heal_generation(self, gen: ModelGeneration) -> None:
-        """Replace a generation whose dispatch the watchdog abandoned.
+        def on_readable(w: int, share: np.ndarray) -> None:
+            loop.remove_reader(readers.pop(w))
+            try:
+                pool.receive(w, share, call)
+            except Exception as exc:
+                if not done.done():
+                    done.set_exception(exc)
+            else:
+                if not readers and not done.done():
+                    done.set_result(None)
 
-        The abandoned executor thread may still be inside
-        ``transform_many`` on ``gen``'s session (its fold-in workspace
-        is not thread-safe), so the session cannot be reused: retire it
-        — the inflight refcount keeps it alive until the thread drains,
-        and :meth:`_reap_retired` then closes it, tearing down any
-        wedged worker pool — and install a fresh session over the same
-        model.  The new session's pool starts on its first dispatch, so
-        one wedged worker cannot poison subsequent requests.
-        """
-        if self._gen is gen:  # else an intervening swap replaced it
-            session = InferenceSession(gen.model, **self._session_kwargs)
-            self._gen = self._make_generation(gen.model, session, gen.source)
-        self._retire(gen)
+        try:
+            for w, share in enumerate(pool.send(call, *self._schedule)):
+                readers[w] = pool.fileno(w)
+                loop.add_reader(readers[w], on_readable, w, share)
+            if readers:
+                await done
+        except BaseException:
+            for fd in readers.values():
+                loop.remove_reader(fd)
+            pool.kill()
+            raise
 
     async def _dispatch(self, batch: list[PendingRequest]) -> None:
         """Run one coalesced inference for everything pending.
 
         Snapshots the current generation once: a swap that lands while
         this dispatch computes only affects later dispatches, and the
-        generation's inflight count keeps its arena alive until the
+        generation's inflight count keeps its pool alive until the
         batch drains.
 
         Deadline handling: each deadlined request was given a timer at
@@ -672,15 +668,14 @@ class ServingServer:
         mid-compute, no client ever blocks past its deadline.  One lapse
         check just before the watchdog is armed answers a rider whose
         deadline passed before its timer ran, and computes only the
-        riders still unanswered.  The executor call runs under
+        riders still unanswered.  The fold runs under
         ``asyncio.wait_for`` bounded by the riders' latest deadline
         (when every rider has one) and by the server-level
         ``dispatch_timeout_s`` — so a batch carrying deadline-less
-        requests is still bounded and one wedged thread cannot stall the
-        drain loop forever.  The watchdog firing means the inference
-        thread is wedged, so the generation is retired and healed
-        (:meth:`_heal_generation`) and the thread's eventual result
-        discarded.
+        requests is still bounded and one wedged worker cannot stall the
+        drain loop forever.  The watchdog firing means a worker is
+        wedged: the cancelled fold kills the generation's workers, and
+        the pool restarts in place at once.
         """
         loop = self._loop
         gen = self._gen
@@ -711,29 +706,11 @@ class ServingServer:
         if not valid:
             return
         gen.inflight += 1
-        released = False
-
-        def release(_fut=None) -> None:
-            # Runs exactly once — directly when the dispatch owns the
-            # executor future's lifetime, or from its done-callback when
-            # the watchdog abandoned it (the thread may outlive us, and
-            # the retired session must not be closed under it).
-            nonlocal released
-            if released:
-                return
-            released = True
-            if _fut is not None and not _fut.cancelled():
-                _fut.exception()  # retrieved: no "never retrieved" noise
-            gen.inflight -= 1
-            self._reap_retired()
-
-        fut: asyncio.Future | None = None
-        timed_out = False
         try:
             # Chaos hooks (no-ops unless armed; see repro.faults):
             # serve_slow injects tail latency, serve_error exercises the
             # typed inference_failed path end-to-end (serve_hang lives
-            # in _compute, on the executor thread).
+            # in the workers' fold-in loop).
             delay = faults.delay_if("serve_slow", op="infer")
             if delay:
                 await asyncio.sleep(delay)
@@ -749,11 +726,10 @@ class ServingServer:
             valid = [req for req in valid if not req.future.done()]
             if not valid:
                 # Nothing left to compute, and arming a ~0 watchdog would
-                # retire a healthy generation.  Still a timeout against
-                # the breaker: the server was too slow for its clients.
+                # kill a healthy pool.  Still a timeout against the
+                # breaker: the server was too slow for its clients.
                 self._breaker.record_failure(dispatched_at)
                 return
-            requests = [(req.docs, req.seed) for req in valid]
             deadlines = [
                 req.deadline_at for req in valid
                 if req.deadline_at is not None
@@ -764,24 +740,17 @@ class ServingServer:
             if self._dispatch_timeout_s is not None:
                 guards.append(self._dispatch_timeout_s)
             hang_guard = min(guards) if guards else None
-            fut = loop.run_in_executor(
-                gen.executor, partial(self._compute, gen, requests)
+            call = FoldInCall(
+                [(req.docs, req.seed) for req in valid],
+                gen.model.num_topics, gen.model.num_words,
             )
-            try:
-                thetas = await asyncio.wait_for(
-                    asyncio.shield(fut), hang_guard
-                )
-            except asyncio.TimeoutError:
-                timed_out = True
-                raise
+            await asyncio.wait_for(self._fold(gen, call), hang_guard)
             service_s = loop.time() - dispatched_at
         except asyncio.TimeoutError:
-            # Watchdog: the inference thread is wedged past the dispatch
-            # bound.  Deadlined riders were answered by their admission
-            # timers; anyone left (no deadline, or a deadline beyond the
-            # server bound) fails typed rather than waiting on a wedged
-            # thread.  Tear the generation down so the next dispatch
-            # gets a clean one.
+            # Watchdog: a worker is wedged past the dispatch bound.
+            # Deadlined riders were answered by their admission timers;
+            # anyone left (no deadline, or a deadline beyond the server
+            # bound) fails typed rather than waiting on a wedged worker.
             self._stats.record_watchdog()
             self._breaker.record_failure(loop.time())
             for req in valid:
@@ -793,13 +762,13 @@ class ServingServer:
                     "error": "inference_failed",
                     "message": (
                         f"dispatch watchdog fired after "
-                        f"{hang_guard:.1f}s: inference is wedged; "
-                        f"the generation was retired and a fresh "
-                        f"session installed"
+                        f"{hang_guard:.1f}s: a worker is wedged; the "
+                        f"generation's workers were killed and restarted"
                     ),
                     "generation": gen.generation,
                 })
-            self._heal_generation(gen)
+            if not gen.retired:
+                gen.pool.start()
         except Exception as exc:
             self._breaker.record_failure(loop.time())
             for req in valid:
@@ -813,7 +782,8 @@ class ServingServer:
                 })
         else:
             self._breaker.record_success()
-            for req, theta in zip(valid, thetas):
+            gen.folded += 1
+            for req, theta in zip(valid, call.thetas()):
                 if req.future.done():
                     continue  # its deadline passed mid-compute
                 queue_wait_s = dispatched_at - req.enqueued_at
@@ -828,10 +798,8 @@ class ServingServer:
                     "coalesced_requests": len(valid),
                 })
         finally:
-            if timed_out and fut is not None:
-                fut.add_done_callback(release)
-            else:
-                release()
+            gen.inflight -= 1
+            self._reap_retired()
 
     # -- hot swap -----------------------------------------------------------
 
@@ -871,21 +839,36 @@ class ServingServer:
             })
             return
         loop = asyncio.get_running_loop()
-        try:
-            # Artifact load (digest-verified) + invariant check + session
-            # build + pool start, all off the event loop: the old
-            # generation keeps answering while the candidate warms up —
-            # and keeps serving (last-good rollback) if the candidate is
-            # rejected.  Only a candidate that passed forks its workers.
-            def load_and_check():
-                loaded = self._load_session(path)
-                self._check_swap_invariants(loaded[0])
-                loaded[1].start_pool()
-                return loaded
+        loaded = asyncio.Event()
+        outcome: list = []
 
-            model, session, source = await loop.run_in_executor(
-                None, load_and_check
-            )
+        def load_and_check() -> None:
+            try:
+                model, source = self._load(path)
+                self._check_swap_invariants(model)
+                outcome.append((model, source))
+            except Exception as exc:
+                outcome.append(exc)
+            finally:
+                loop.call_soon_threadsafe(loaded.set)
+
+        # The artifact load (digest-verified) and the invariant check run
+        # on a one-shot thread, so the old generation keeps answering
+        # while the candidate loads — and keeps serving (last-good
+        # rollback) if it is rejected.
+        loader = threading.Thread(target=load_and_check, name="repro-swap-load")
+        loader.start()
+        try:
+            await loaded.wait()
+        finally:
+            loader.join()
+        try:
+            if isinstance(outcome[0], Exception):
+                raise outcome[0]
+            new_gen = self._make_generation(*outcome[0])
+            # Only a candidate that passed forks its workers: here, on
+            # the loop thread, once the load thread has ended.
+            new_gen.pool.start()
         except Exception as exc:
             self._stats.record_swap_rejected()
             await self._write(writer, lock, {
@@ -895,7 +878,6 @@ class ServingServer:
                 "generation": self._gen.generation,
             })
             return
-        new_gen = self._make_generation(model, session, source)
         old = self._gen
         self._gen = new_gen  # atomic repoint: later dispatches use new_gen
         self._retire(old)  # closes now if nothing is in flight on it
@@ -907,3 +889,4 @@ class ServingServer:
             "lineage": new_gen.lineage,
             "model": new_gen.describe(),
         })
+

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import glob
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, settings
 from repro.core import TrainerConfig
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
+from repro.parallel.shm import ShmArena
 
 # Property tests touch numerics whose runtime varies across machines;
 # disable deadlines to keep the suite deterministic.
@@ -25,25 +26,42 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+#: Names of the shared-memory segments ``ShmArena.create`` made in this
+#: process.  The leak checks look only at these, so a concurrent pytest
+#: session's segments in the machine-wide ``/dev/shm`` never fail them.
+_created: set[str] = set()
+
+
 def _shm_segments() -> set[str]:
-    """The POSIX shared-memory segments a pool arena may have left."""
-    return set(glob.glob("/dev/shm/psm_*"))
+    """The segments this process created that still exist."""
+    return {
+        name for name in _created if os.path.exists(f"/dev/shm/{name}")
+    }
 
 
 @pytest.fixture
 def shm_segments():
-    """The function listing ``/dev/shm`` segments, for before/after
-    leak checks inside one test."""
+    """The function listing this process's live shared-memory segments,
+    for before/after leak checks inside one test."""
     return _shm_segments
 
 
 @pytest.fixture(scope="session", autouse=True)
 def leak_census():
-    """At session end: no shared-memory segment, child process or
-    non-daemon thread that the suite started is left behind."""
-    before = _shm_segments()
-    yield
-    assert _shm_segments() <= before, "leaked /dev/shm segments"
+    """Records every arena this process creates and, at session end,
+    checks that no such segment, child process or non-daemon thread is
+    left behind."""
+    create = ShmArena.create.__func__
+
+    def recording_create(cls, specs):
+        arena = create(cls, specs)
+        _created.add(arena.layout.shm_name)
+        return arena
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShmArena, "create", classmethod(recording_create))
+        yield
+    assert _shm_segments() == set(), "leaked /dev/shm segments"
     assert multiprocessing.active_children() == [], "leaked child processes"
     threads = [
         t for t in threading.enumerate()

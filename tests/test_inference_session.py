@@ -265,6 +265,28 @@ class TestParallelInference:
             got = session.transform(test, seed=3)
         assert np.array_equal(ref, got)
 
+    def test_one_worker_pool_matches_in_process(self, trained, model):
+        """The serving tier's smallest pool: one worker, every document
+        in one share, the same bits as folding in-process."""
+        from repro.model import InferenceWorkerPool
+
+        _, test = trained
+        requests = [(test, 3), ([np.array([], dtype=np.int64)], 4)]
+        ref = InferenceSession(model, num_sweeps=7, burn_in=2).transform_many(
+            requests
+        )
+        call = inference.FoldInCall(requests, model.num_topics, model.num_words)
+        pool = InferenceWorkerPool(model, num_workers=1)
+        try:
+            shares = pool.send(call, 7, 2)
+            assert len(shares) == 1
+            assert np.array_equal(shares[0], call.order)
+            pool.receive(0, shares[0], call)
+        finally:
+            pool.close()
+        for want, got in zip(ref, call.thetas()):
+            assert np.array_equal(want, got)
+
     def test_score_and_top_topics_ride_the_pool(self, trained, model):
         _, test = trained
         serial = InferenceSession(model, num_sweeps=7, burn_in=2)
@@ -292,17 +314,15 @@ class TestParallelInference:
         session.close()
         assert np.array_equal(a, b)
 
-    def test_no_leaked_segments(self, trained, model):
-        import glob
-
+    def test_no_leaked_segments(self, trained, model, shm_segments):
         _, test = trained
-        before = set(glob.glob("/dev/shm/psm_*"))
+        before = shm_segments()
         session = InferenceSession(
             model, num_sweeps=6, burn_in=1, num_workers=2
         )
         session.transform(test, seed=1)
         session.close()
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
 
     def test_empty_and_tiny_inputs(self, model):
         with InferenceSession(
@@ -332,7 +352,7 @@ class TestParallelInference:
         ) as session:
             # A pooled session keeps p* only in its pool's arena.
             assert session._p_planes is None
-            session.start_pool()
+            session.transform([np.array([0, 1])], seed=0)
             view = session._pool._arena.view("pstar")
             assert view.dtype == np.float32
             in_process = InferenceSession(model, num_sweeps=6, burn_in=1)
@@ -430,16 +450,6 @@ class TestRouting:
         assert len(desc["pool"]["worker_peak_rss_mb"]) == 2
         assert desc["workspace"]["nbytes"] == 0
 
-    def test_start_pool_before_any_call(self, model):
-        with InferenceSession(
-            model, num_sweeps=6, burn_in=1, num_workers=2
-        ) as session:
-            session.start_pool()
-            session.start_pool()  # idempotent
-            desc = session.describe()
-        assert desc["pool"]["started"] is True
-        assert desc["routed"] == {"in_process": 0, "pool": 0}
-
     def test_empty_documents_only_touch_no_path(self, model):
         """A call with no token to fold writes the prior mean and sends
         nothing to the pool."""
@@ -471,7 +481,6 @@ class TestRouting:
     def test_one_worker_never_starts_a_pool(self, trained, model):
         _, test = trained
         session = InferenceSession(model, num_sweeps=6, burn_in=1)
-        session.start_pool()
         session.transform(self._docs(test, 96))
         assert session.describe()["pool"] is None
 
@@ -540,16 +549,14 @@ class TestInferencePoolFailure:
     """Crash injection through the serving pool (PR-5 idiom extended)."""
 
     def test_worker_exception_surfaces_no_leak_restartable(
-        self, trained, model, monkeypatch
+        self, trained, model, monkeypatch, shm_segments
     ):
-        import glob
-
         from repro.parallel.shm import pick_context
 
         if pick_context().get_start_method() != "fork":
             pytest.skip("fault injection needs fork inheritance")
         _, test = trained
-        before = set(glob.glob("/dev/shm/psm_*"))
+        before = shm_segments()
 
         def boom(self, *args, **kwargs):
             raise RuntimeError("injected inference failure")
@@ -561,7 +568,7 @@ class TestInferencePoolFailure:
         with pytest.raises(RuntimeError, match="injected inference failure"):
             session.transform(test, seed=1)
         # the failed call tore the pool down and unlinked its arena
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
         monkeypatch.undo()
         got = session.transform(test, seed=1)  # rebuilds a clean pool
         session.close()
@@ -569,7 +576,7 @@ class TestInferencePoolFailure:
             test, seed=1
         )
         assert np.array_equal(ref, got)
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
 
     def test_worker_death_between_requests_is_named(self, trained, model):
         from repro.parallel.pool import WorkerDied

@@ -9,7 +9,6 @@ config/registry surface.
 
 from __future__ import annotations
 
-import glob
 
 import numpy as np
 import pytest
@@ -248,14 +247,14 @@ class TestCuLdaProcessExecution:
         assert t._engine is not engine
         t.close()
 
-    def test_no_leaked_segments(self, corpus):
-        before = set(glob.glob("/dev/shm/psm_*"))
+    def test_no_leaked_segments(self, corpus, shm_segments):
+        before = shm_segments()
         cfg = TrainerConfig(num_topics=12, num_gpus=2, seed=5,
                             execution="process", num_workers=2)
         t = CuLdaTrainer(corpus, cfg)
         t.train(1, compute_likelihood_every=0)
         t.close()
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
 
 
 class TestSyncModes:
@@ -344,18 +343,16 @@ class TestSyncModes:
         assert ll == serial[3]
 
     def test_worker_exception_mid_iteration_no_leak_and_restartable(
-        self, corpus, monkeypatch
+        self, corpus, monkeypatch, shm_segments
     ):
         """A worker crash mid-iteration must surface the traceback, leave
         no shared-memory segment behind, and leave the trainer able to
         build a fresh engine."""
-        import glob as _glob
-
         from repro.parallel.shm import pick_context
 
         if pick_context().get_start_method() != "fork":
             pytest.skip("fault injection needs fork inheritance")
-        before = set(_glob.glob("/dev/shm/psm_*"))
+        before = shm_segments()
         import repro.core.scheduler as scheduler_mod
 
         def boom(*args, **kwargs):
@@ -369,7 +366,7 @@ class TestSyncModes:
         with pytest.raises(RuntimeError, match="injected failure"):
             t.train(1, compute_likelihood_every=0)
         t.close()
-        assert set(_glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
         # close() is restartable: the healthy kernel trains a fresh engine
         monkeypatch.undo()
         t.train(3, compute_likelihood_every=0)
@@ -377,7 +374,7 @@ class TestSyncModes:
             [cs.topics.astype(np.int64) for cs in t.state.chunks]
         )
         t.close()
-        assert set(_glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
         assert np.array_equal(z, _run_culda(corpus, "serial", num_gpus=2)[0])
 
     def test_interrupt_mid_pipeline_leaves_consistent_state(

@@ -323,6 +323,7 @@ class TestLdaStarCrashRecovery:
 class TestInferencePoolFaults:
     def test_shm_attach_death_surfaces_and_cleans_up(self, shm_segments):
         from repro.model import TopicModel
+        from repro.model.inference import FoldInCall
         from repro.model.parallel_inference import InferenceWorkerPool
 
         before = shm_segments()
@@ -333,13 +334,11 @@ class TestInferencePoolFaults:
         pool = InferenceWorkerPool(model, num_workers=2)
         try:
             pool.start()
-            docs = [np.array([0, 1, 2], dtype=np.int64)]
-            specs = [(123, d) for d in range(len(docs))]
-            out = np.empty((len(docs), 6), dtype=np.float64)
+            call = FoldInCall(
+                [([np.array([0, 1, 2], dtype=np.int64)], 123)], 6, 40
+            )
             with pytest.raises(WorkerDied):
-                pool.transform_shares(
-                    [np.arange(len(docs))], docs, specs, 4, 2, out
-                )
+                pool.transform(call, 4, 2)
         finally:
             pool.close()
             faults.reset()

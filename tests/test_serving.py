@@ -81,16 +81,6 @@ def stack(tmp_path_factory):
     }
 
 
-def join_dispatch_threads() -> None:
-    """Wait out a ``serve_hang`` wedge the watchdog abandoned: once its
-    server has stopped, the thread must end when the wedged call
-    returns, and so it ends with the test that wedged it."""
-    for thread in threading.enumerate():
-        if thread.name.startswith("repro-dispatch"):
-            thread.join(timeout=30.0)
-            assert not thread.is_alive(), "dispatch thread outlived its server"
-
-
 def make_server(stack, **kwargs):
     kwargs.setdefault("num_sweeps", SWEEPS)
     kwargs.setdefault("burn_in", BURN)
@@ -575,10 +565,10 @@ class TestServing:
 
         run(scenario())
 
-    def test_stop_is_idempotent_and_releases_sessions(self, stack):
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
+    def test_stop_is_idempotent_and_releases_sessions(
+        self, stack, shm_segments
+    ):
+        before = shm_segments()
 
         async def scenario():
             server = make_server(stack, num_workers=2)
@@ -594,25 +584,40 @@ class TestServing:
             await server.stop()  # idempotent
 
         run(scenario())
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
 
     def test_default_pool_size_follows_cpu_affinity(self, stack, monkeypatch):
+        """One worker process per usable CPU, at least one: a 1-CPU host
+        and ``num_workers=1`` serve on one worker, never in-process."""
         import os
 
         def pool_size(**kwargs):
-            session = make_server(stack, **kwargs)._gen.session
-            session.transform(stack["docs"][:4])
-            started = session.describe()["pool"] is not None
-            session.close()
-            return session.num_workers, started
+            async def scenario():
+                async with make_server(stack, **kwargs) as server:
+                    host, port = server.address
+                    async with await ServingClient.connect(host, port) as c:
+                        r = await c.infer(stack["docs"][:4], seed=0)
+                        assert np.array_equal(
+                            r.theta,
+                            stack["ref1"].transform(stack["docs"][:4], seed=0),
+                        )
+                        stats = await c.stats()
+                return stats["num_workers"], stats["inference"]
+
+            return run(scenario())
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        assert pool_size() == (1, False)
+        for kwargs in ({}, {"num_workers": 1}):
+            workers, inference = pool_size(**kwargs)
+            assert workers == 1
+            assert inference["routed"] == {"in_process": 0, "pool": 1}
+            assert len(inference["pool"]["worker_peak_rss_mb"]) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        assert pool_size() == (2, True)
-        assert pool_size(num_workers=1) == (1, False)
+        assert pool_size()[0] == 2
+        with pytest.raises(ValueError, match="num_workers"):
+            make_server(stack, num_workers=0)
 
     def test_stats_report_routing_and_worker_memory(self, stack):
         wide = stack["docs"] * 2
@@ -677,13 +682,11 @@ class TestPooledServing:
                         )
                     assert max(r.coalesced_requests for r in burst) > 1
                     stats = await c.stats()
-                    return stats["inference"], server._gen.session.describe()
+                    return stats["inference"]
 
-        inference, desc = run(scenario())
+        inference = run(scenario())
         assert inference["routed"]["in_process"] == 0
         assert inference["routed"]["pool"] >= 2
-        # The server process never folded in: its workspace is untouched.
-        assert desc["workspace"]["nbytes"] == 0
 
     def test_swap_starts_the_new_pool_before_its_reply(self, stack):
         async def scenario():
@@ -693,7 +696,7 @@ class TestPooledServing:
                     swapped = await c.swap(stack["m2_path"])
                     assert swapped["generation"] == stack["m2"].generation
                     # No request has reached the new generation yet.
-                    inference = server._gen.session.pool_stats()
+                    inference = (await c.stats())["inference"]
                     assert inference["pool"]["started"] is True
                     assert inference["routed"] == {
                         "in_process": 0, "pool": 0,
@@ -711,15 +714,13 @@ class TestServerWorkerFailure:
     """The PR-5 crash-injection idiom, extended through the server."""
 
     def test_worker_failure_mid_request_surfaces_and_recovers(
-        self, stack, monkeypatch
+        self, stack, monkeypatch, shm_segments
     ):
         from repro.parallel.shm import pick_context
 
         if pick_context().get_start_method() != "fork":
             pytest.skip("fault injection needs fork inheritance")
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
+        before = shm_segments()
 
         def boom(self, *args, **kwargs):
             raise RuntimeError("injected inference failure")
@@ -748,7 +749,63 @@ class TestServerWorkerFailure:
                     assert stats["latency"]["completed"] == 1
 
         run(scenario(), timeout=180.0)
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
+        assert shm_segments() <= before
+
+    def test_killed_worker_fails_the_dispatch_at_once(
+        self, stack, shm_segments
+    ):
+        """A worker killed mid-dispatch: its pipe reads EOF, which wakes
+        the loop's reader, so the riders hear ``inference_failed`` long
+        before a liveness poll would notice; the next request restarts
+        the pool and keeps its bits."""
+        import os
+        import signal
+
+        from repro import faults
+        from repro.parallel.pool import POLL_SECONDS
+
+        before = shm_segments()
+        # Both workers wedge in their first fold-in, so the dispatch is
+        # still in flight when the kill lands; the restarted pool's
+        # workers (attempt 1) fold normally.
+        faults.install("serve_hang@op=infer,delay_ms=5000")
+
+        async def scenario():
+            async with make_server(stack, num_workers=2) as server:
+                host, port = server.address
+                pool = server._gen.pool
+                async with await ServingClient.connect(host, port) as c:
+                    pending = asyncio.ensure_future(
+                        c.infer(stack["docs"][:2], seed=0)
+                    )
+                    while server._gen.inflight == 0:
+                        await asyncio.sleep(0.005)
+                    loop = asyncio.get_running_loop()
+                    t0 = loop.time()
+                    os.kill(pool._procs[0].pid, signal.SIGKILL)
+                    with pytest.raises(
+                        ServingError, match="inference_failed"
+                    ):
+                        await pending
+                    waited = loop.time() - t0
+                    assert pool.describe()["started"] is False
+                    r = await c.infer(stack["docs"][:2], seed=0)
+                    assert np.array_equal(
+                        r.theta,
+                        stack["ref1"].transform(stack["docs"][:2], seed=0),
+                    )
+                    assert pool.describe()["started"] is True
+                    stats = await c.stats()
+                    assert stats["latency"]["watchdog_fired"] == 0
+                    assert stats["inference"]["routed"]["pool"] == 1
+                    return waited
+
+        try:
+            waited = run(scenario())
+        finally:
+            faults.reset()
+        assert waited < POLL_SECONDS / 4
+        assert shm_segments() <= before
 
 
 class TestServingRobustness:
@@ -1036,12 +1093,13 @@ class TestDeadlinesAndWatchdog:
         from repro import faults
 
         async def scenario():
+            # A bounded hang (the real default is an hour): long enough
+            # that only the watchdog can answer.  Armed before the
+            # server starts, so its workers fork with it.
+            faults.install("serve_hang@op=infer,delay_ms=2000")
             async with make_server(stack) as server:
                 host, port = server.address
                 async with await ServingClient.connect(host, port) as c:
-                    # a bounded hang (the real default is an hour): long
-                    # enough that only the watchdog can answer.
-                    faults.install("serve_hang@op=infer,delay_ms=2000")
                     loop = asyncio.get_running_loop()
                     t0 = loop.time()
                     with pytest.raises(DeadlineExceeded):
@@ -1049,9 +1107,11 @@ class TestDeadlinesAndWatchdog:
                             stack["docs"][:1], seed=3, deadline_ms=250
                         )
                     assert loop.time() - t0 < 1.5  # not the 2s hang
-                    # the wedged generation was retired; the next request
-                    # runs on a fresh session and is still bit-exact.
+                    # The wedged workers were killed and the pool
+                    # restarted in place: the same generation answers the
+                    # next request, still bit-exact.
                     r = await c.infer(stack["docs"][:2], seed=4)
+                    assert r.generation == stack["m1"].generation
                     assert np.array_equal(
                         r.theta,
                         stack["ref1"].transform(stack["docs"][:2], seed=4),
@@ -1061,7 +1121,6 @@ class TestDeadlinesAndWatchdog:
                     assert stats["latency"]["deadline_exceeded"] >= 1
 
         run(scenario())
-        join_dispatch_threads()
 
 
     def test_dispatch_bound_heals_deadline_less_requests(self, stack):
@@ -1073,12 +1132,12 @@ class TestDeadlinesAndWatchdog:
         from repro import faults
 
         async def scenario():
+            faults.install("serve_hang@op=infer,delay_ms=2000")
             async with make_server(
                 stack, dispatch_timeout_s=0.3
             ) as server:
                 host, port = server.address
                 async with await ServingClient.connect(host, port) as c:
-                    faults.install("serve_hang@op=infer,delay_ms=2000")
                     loop = asyncio.get_running_loop()
                     t0 = loop.time()
                     with pytest.raises(
@@ -1087,8 +1146,10 @@ class TestDeadlinesAndWatchdog:
                         await c.infer(stack["docs"][:1], seed=3)
                     # answered at the dispatch bound, not the 2s hang
                     assert loop.time() - t0 < 1.5
-                    # healed: the next request runs on a fresh session
-                    # and is still bit-exact.
+                    # The watchdog restarted the pool before answering.
+                    assert server._gen.pool.describe()["started"] is True
+                    # healed: the next request runs on the restarted
+                    # pool and is still bit-exact.
                     r = await c.infer(stack["docs"][:2], seed=4)
                     assert np.array_equal(
                         r.theta,
@@ -1098,7 +1159,39 @@ class TestDeadlinesAndWatchdog:
                     assert stats["latency"]["watchdog_fired"] == 1
 
         run(scenario())
-        join_dispatch_threads()
+
+    def test_watchdog_kill_spares_a_server_with_signal_handlers(self, stack):
+        """``repro serve`` installs loop signal handlers before its
+        workers fork.  The watchdog's terminate must end the wedged
+        workers at once and must not reach the server as its own
+        SIGTERM."""
+        import signal
+
+        from repro import faults
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = make_server(stack, dispatch_timeout_s=0.3)
+            loop.add_signal_handler(signal.SIGTERM, server.request_shutdown)
+            faults.install("serve_hang@op=infer,delay_ms=5000")
+            async with server:
+                host, port = server.address
+                async with await ServingClient.connect(host, port) as c:
+                    t0 = loop.time()
+                    with pytest.raises(
+                        ServingError, match="inference_failed"
+                    ):
+                        await c.infer(stack["docs"][:2], seed=3)
+                    assert loop.time() - t0 < 1.5  # not a 2 s join each
+                    await asyncio.sleep(0.05)
+                    assert not server._shutdown_requested.is_set()
+                    r = await c.infer(stack["docs"][:2], seed=4)
+                    assert np.array_equal(
+                        r.theta,
+                        stack["ref1"].transform(stack["docs"][:2], seed=4),
+                    )
+
+        run(scenario())
 
     def test_all_riders_expired_pre_dispatch_skips_the_heal(self, stack):
         """Deadlines that lapse between batch assembly and the watchdog
@@ -1517,12 +1610,15 @@ class TestSwapIntegrity:
     def test_rejected_candidate_forks_no_worker(
         self, stack, tmp_path, monkeypatch
     ):
-        """A candidate that builds a session but fails its invariants is
-        refused before its pool starts: only the first generation ever
-        spawned workers, and the server's children are still its two."""
+        """A candidate that fails its invariants is refused before its
+        pool starts, and every fork happens on the loop thread: at
+        ``start()``, after a good swap's load thread has ended, and at a
+        watchdog restart."""
         import json as _json
         import multiprocessing
+        import threading
 
+        from repro import faults
         from repro.integrity import integrity_record
         from repro.model import parallel_inference
 
@@ -1530,10 +1626,23 @@ class TestSwapIntegrity:
         spawn = parallel_inference.spawn_workers
 
         def counted(*args, **kwargs):
-            spawns.append(len(args[1]))
+            spawns.append((
+                len(args[1]),
+                threading.current_thread() is threading.main_thread(),
+                [t.name for t in threading.enumerate()
+                 if t.name == "repro-swap-load"],
+            ))
             return spawn(*args, **kwargs)
 
         monkeypatch.setattr(parallel_inference, "spawn_workers", counted)
+        loads = []
+        load = ServingServer._load
+
+        def spied_load(model):
+            loads.append(threading.current_thread().name)
+            return load(model)
+
+        monkeypatch.setattr(ServingServer, "_load", staticmethod(spied_load))
 
         def poison(data):
             data["alpha"] = np.float64(np.inf)
@@ -1549,7 +1658,9 @@ class TestSwapIntegrity:
             return {p.pid for p in multiprocessing.active_children()}
 
         async def scenario():
-            async with make_server(stack, num_workers=2) as server:
+            async with make_server(
+                stack, num_workers=2, dispatch_timeout_s=0.3
+            ) as server:
                 host, port = server.address
                 workers = children()
                 assert len(workers) == 2
@@ -1561,9 +1672,29 @@ class TestSwapIntegrity:
                     assert children() == workers
                     r = await c.infer(stack["docs"][:1], seed=9)
                     assert r.generation == stack["m1"].generation
+                    # Armed now, the fault rides only the swapped pool's
+                    # plans: its first workers wedge, and the watchdog
+                    # kills them and restarts the pool.
+                    faults.install("serve_hang@op=infer,delay_ms=5000")
+                    await c.swap(stack["m2_path"])
+                    with pytest.raises(
+                        ServingError, match="inference_failed"
+                    ):
+                        await c.infer(stack["docs"][:1], seed=9)
+                    r = await c.infer(stack["docs"][:1], seed=9)
+                    assert np.array_equal(
+                        r.theta,
+                        stack["ref2"].transform(stack["docs"][:1], seed=9),
+                    )
 
-        run(scenario())
-        assert spawns == [2]
+        try:
+            run(scenario())
+        finally:
+            faults.reset()
+        assert loads == [
+            "MainThread", "repro-swap-load", "repro-swap-load",
+        ]
+        assert spawns == [(2, True, [])] * 3
 
     def test_successful_swap_reports_verified_integrity(self, stack):
         async def scenario():
