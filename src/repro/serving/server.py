@@ -614,9 +614,7 @@ class ServingServer:
             self._stats.record_shed()
         req.future.set_result(self._expire_reply(req, self._loop.time()))
 
-    async def _fold(
-        self, gen: ModelGeneration, call: FoldInCall
-    ) -> None:
+    async def _fold(self, gen: ModelGeneration, call: FoldInCall) -> None:
         """Fold ``call`` in on ``gen``'s pool; the loop awaits the replies.
 
         The shares go out at once, and each worker's reply is read when

@@ -1616,7 +1616,6 @@ class TestSwapIntegrity:
         watchdog restart."""
         import json as _json
         import multiprocessing
-        import threading
 
         from repro import faults
         from repro.integrity import integrity_record
