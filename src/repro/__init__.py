@@ -13,13 +13,13 @@ Quick start — every algorithm in the repo trains through one surface::
 
     corpus = generate_synthetic_corpus(small_spec(), seed=0)
     trainer = repro.create_trainer("culda", corpus, topics=64)
-    result = trainer.fit(50, callbacks=[repro.EarlyStopping(patience=5)])
+    result = trainer.fit(50, likelihood_every=5)
     print(result.summary())
 
 ``repro.algorithm_names()`` lists the registered systems (CuLDA_CGS and
 the four comparison baselines); ``python -m repro algorithms`` prints
-their options.  See docs/API.md for the protocol, registry, and
-callback contracts.
+their options.  See docs/API.md for the protocol and registry
+contracts.
 """
 
 from repro._lazy import lazy_exports
@@ -36,11 +36,6 @@ _EXPORTS = {
     "LdaTrainer": "repro.api",
     "TrainResult": "repro.api",
     "IterationRecord": "repro.api",
-    "Callback": "repro.api",
-    "LikelihoodCadence": "repro.api",
-    "EarlyStopping": "repro.api",
-    "Checkpointer": "repro.api",
-    "ProgressLogger": "repro.api",
     # model artifacts + inference
     "TopicModel": "repro.model",
     "InferenceSession": "repro.model",

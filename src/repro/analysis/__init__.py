@@ -15,9 +15,7 @@ _EXPORTS = {
     "warmup_ratio": "repro.analysis.metrics",
     "scaling_table": "repro.analysis.metrics",
     "ScalingPoint": "repro.analysis.metrics",
-    "table5_fractions": "repro.analysis.breakdown",
     "full_fractions": "repro.analysis.breakdown",
-    "TABLE5_KERNELS": "repro.analysis.breakdown",
     "render_table": "repro.analysis.reporting",
     "render_series": "repro.analysis.reporting",
     "render_sparkline": "repro.analysis.reporting",

@@ -3,26 +3,15 @@
 Table 5 reports the share of GPU execution time spent in the three
 kernels — sampling, update-theta, update-phi — on NYTimes per platform
 (sampling dominates at 79-88%).  The trainers' cost ledgers record per
--kernel simulated seconds; this module normalises them the way the paper
-does (over the three kernels, excluding transfers/sync which Table 5
-does not show).
+-kernel simulated seconds (``kernel_breakdown()``); this module turns
+every ledger entry, transfers and sync included, into a share of the
+total.  Table 5's own rows normalise ``kernel_breakdown()`` over the
+three kernels only.
 """
 
 from __future__ import annotations
 
 from repro.core.trainer import CuLdaTrainer
-
-#: The Table 5 kernel names in row order.
-TABLE5_KERNELS = ("sampling", "update_theta", "update_phi")
-
-
-def table5_fractions(trainer: CuLdaTrainer) -> dict[str, float]:
-    """Kernel time shares normalised over the three Table 5 kernels."""
-    merged = trainer.kernel_breakdown()
-    total = sum(merged.get(k, 0.0) for k in TABLE5_KERNELS)
-    if total <= 0:
-        raise ValueError("trainer has no recorded kernel time yet")
-    return {k: merged.get(k, 0.0) / total for k in TABLE5_KERNELS}
 
 
 def full_fractions(trainer: CuLdaTrainer) -> dict[str, float]:

@@ -1,34 +1,25 @@
 """repro.api — the unified public training surface.
 
-One protocol (:class:`LdaTrainer` / :class:`TrainResult`), one
-constructor (:func:`create_trainer`), one callback system — for every
-LDA algorithm in the repo::
+One protocol (:class:`LdaTrainer` / :class:`TrainResult`) and one
+constructor (:func:`create_trainer`) for every LDA algorithm in the
+repo::
 
-    from repro.api import create_trainer, EarlyStopping
+    from repro.api import create_trainer
 
     trainer = create_trainer("culda", corpus, topics=128, gpus=2)
-    result = trainer.fit(100, callbacks=[EarlyStopping(patience=5)])
+    result = trainer.fit(100, likelihood_every=5)
     print(result.summary())
 
 See docs/API.md for the full contract.
 """
 
-from repro.api.callbacks import (
-    Callback,
-    Checkpointer,
-    EarlyStopping,
-    LikelihoodCadence,
-    ProgressLogger,
-)
 from repro.api.protocol import IterationRecord, LdaTrainer, TrainResult
 from repro.api.registry import (
     AlgorithmSpec,
     algorithm_names,
     create_trainer,
     get_algorithm,
-    load_entry_points,
     register_algorithm,
-    unregister_algorithm,
 )
 
 __all__ = [
@@ -37,14 +28,7 @@ __all__ = [
     "IterationRecord",
     "create_trainer",
     "register_algorithm",
-    "unregister_algorithm",
     "algorithm_names",
     "get_algorithm",
-    "load_entry_points",
     "AlgorithmSpec",
-    "Callback",
-    "LikelihoodCadence",
-    "EarlyStopping",
-    "Checkpointer",
-    "ProgressLogger",
 ]

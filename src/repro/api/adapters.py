@@ -61,25 +61,12 @@ class HistoryTrainerAdapter(LdaTrainer):
         return list(self.inner.history)
 
     @property
-    def iterations_done(self) -> int:
-        # Avoid the defensive history copy when only the length is needed
-        # (the fit loop reads this every iteration).
-        return len(self.inner.history)
-
-    @property
     def state(self) -> Any:
         return self.inner.state
 
     @property
     def num_tokens(self) -> int:
         return int(self.inner.corpus.num_tokens)
-
-    def partial_fit(
-        self, num_iterations: int = 1, compute_likelihood: bool = True
-    ) -> list[IterationRecord]:
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        return self._fit_span(num_iterations, 1 if compute_likelihood else 0)
 
     def _fit_span(
         self, num_iterations: int, likelihood_every: int

@@ -6,7 +6,8 @@ Every concrete trainer appends one
 module defines the single contract the registry puts in front of them:
 
 - :class:`LdaTrainer` — the abstract trainer: ``fit`` / ``partial_fit`` /
-  ``state`` / ``describe``;
+  ``state`` / ``describe``; both ``fit`` and ``partial_fit`` are one
+  span call;
 - :class:`TrainResult` — what ``fit`` returns for *every* algorithm: the
   per-iteration :class:`~repro.core.trainer.IterationRecord` list
   (throughput, LL/token, sparsity) plus summary helpers.
@@ -19,11 +20,10 @@ The one wrapper over the concrete trainers lives in
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.api.callbacks import Callback, likelihood_needed
 from repro.core.trainer import IterationRecord, mean_tokens_per_sec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,13 +43,10 @@ class TrainResult:
     records:
         One :class:`~repro.core.trainer.IterationRecord` per completed
         iteration, in order.
-    early_stopped:
-        True when a callback ended training before ``num_iterations``.
     """
 
     algorithm: str
     records: list[IterationRecord] = field(default_factory=list)
-    early_stopped: bool = False
 
     @property
     def num_iterations(self) -> int:
@@ -81,7 +78,6 @@ class TrainResult:
                 self.average_tokens_per_sec() if self.records else None
             ),
             "log_likelihood_per_token": self.final_log_likelihood,
-            "early_stopped": self.early_stopped,
         }
 
 
@@ -89,9 +85,9 @@ class LdaTrainer(abc.ABC):
     """Abstract LDA trainer: the single public training surface.
 
     Implementations wrap one concrete algorithm and translate its native
-    loop into the shared contract.  Subclasses provide
-    :meth:`partial_fit`, :attr:`state` and :meth:`describe`; the
-    callback-driven :meth:`fit` loop is shared.
+    loop into the shared contract.  Subclasses provide :meth:`_fit_span`,
+    :attr:`state` and :meth:`describe`; :meth:`fit` and
+    :meth:`partial_fit` are each one :meth:`_fit_span` call.
     """
 
     #: Registry name (e.g. ``"warplda"``); set by the adapter/factory.
@@ -102,10 +98,16 @@ class LdaTrainer(abc.ABC):
     # -- to be provided by adapters ------------------------------------------
 
     @abc.abstractmethod
-    def partial_fit(
-        self, num_iterations: int = 1, compute_likelihood: bool = True
+    def _fit_span(
+        self, num_iterations: int, likelihood_every: int
     ) -> list[IterationRecord]:
-        """Advance training; return the records of the *new* iterations."""
+        """Run ``num_iterations`` as ONE underlying call; return their records.
+
+        LL/token is computed on every ``likelihood_every``-th completed
+        iteration (0 = never).  One call per span is what lets
+        cross-iteration optimizations — the process engine's
+        ``sync_mode="overlap"`` — pipeline across the whole span.
+        """
 
     @property
     @abc.abstractmethod
@@ -173,81 +175,27 @@ class LdaTrainer(abc.ABC):
         )
 
     def fit(
-        self,
-        num_iterations: int,
-        callbacks: Iterable[Callback] | None = None,
-        likelihood_every: int = 1,
+        self, num_iterations: int, likelihood_every: int = 1
     ) -> TrainResult:
-        """Run the callback-driven training loop.
+        """Run ``num_iterations`` iterations as one span.
 
-        Parameters
-        ----------
-        num_iterations:
-            Upper bound on iterations (callbacks may stop earlier).
-        callbacks:
-            :class:`~repro.api.callbacks.Callback` instances.  A
-            ``LikelihoodCadence`` callback overrides ``likelihood_every``;
-            any callback returning True from ``on_iteration_end`` stops
-            training.
-        likelihood_every:
-            Default LL/token cadence when no cadence callback is given;
-            0 disables (unless a callback needs likelihoods).
+        ``likelihood_every`` is the LL/token cadence: every
+        ``likelihood_every``-th completed iteration carries LL/token;
+        0 disables it.
         """
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
         if likelihood_every < 0:
             raise ValueError("likelihood_every must be non-negative")
-        cbs = list(callbacks or [])
-        for cb in cbs:
-            cb.on_train_begin(self, num_iterations)
-        records: list[IterationRecord] = []
-        stopped = False
-        if not cbs:
-            # No per-iteration observers: run the whole span as ONE
-            # underlying call, so optimizations that pipeline across the
-            # iterations of a single call — the process engine's
-            # sync_mode="overlap" — engage on this surface (and the CLI
-            # built on it) too.  Records are identical either way.
-            records = list(self._fit_span(num_iterations, likelihood_every))
-        else:
-            for _ in range(num_iterations):
-                it = self.iterations_done
-                need_ll = likelihood_needed(cbs, it, likelihood_every)
-                new = self.partial_fit(1, compute_likelihood=need_ll)
-                records.extend(new)
-                for rec in new:
-                    for cb in cbs:
-                        if cb.on_iteration_end(self, rec):
-                            stopped = True
-                if stopped:
-                    break
-        result = TrainResult(
-            algorithm=self.name, records=records, early_stopped=stopped
+        return TrainResult(
+            algorithm=self.name,
+            records=self._fit_span(num_iterations, likelihood_every),
         )
-        for cb in cbs:
-            cb.on_train_end(self, result)
-        return result
 
-    def _fit_span(
-        self, num_iterations: int, likelihood_every: int
+    def partial_fit(
+        self, num_iterations: int = 1, compute_likelihood: bool = True
     ) -> list[IterationRecord]:
-        """Run a callback-free span with the modulus likelihood cadence.
-
-        Default: one ``partial_fit(1)`` per iteration (correct for any
-        conforming trainer).  Adapters whose inner trainer accepts a
-        multi-iteration call override this so the whole span runs in one
-        ``train`` invocation — a requirement for cross-iteration
-        optimizations like the overlapped phi sync.
-        """
-        from repro.core.likelihood import likelihood_due
-
-        records: list[IterationRecord] = []
-        for _ in range(num_iterations):
-            it = self.iterations_done
-            records.extend(
-                self.partial_fit(
-                    1,
-                    compute_likelihood=likelihood_due(it, likelihood_every),
-                )
-            )
-        return records
+        """Advance training; return the records of the *new* iterations."""
+        if num_iterations < 0:
+            raise ValueError("num_iterations must be non-negative")
+        return self._fit_span(num_iterations, 1 if compute_likelihood else 0)

@@ -8,10 +8,8 @@ benchmarks, the examples — construct any of them the same way::
     trainer = create_trainer("warplda", corpus, topics=128, mh_rounds=2)
     result = trainer.fit(50)
 
-Third-party packages can contribute algorithms without touching this
-repo via the ``repro.algorithms`` entry-point group (see
-:func:`load_entry_points`) or by calling :func:`register_algorithm`
-directly at import time.
+:func:`register_algorithm` adds an algorithm of your own under a new
+name; the built-ins use it as a decorator.
 """
 
 from __future__ import annotations
@@ -24,14 +22,10 @@ from repro.api.protocol import LdaTrainer
 __all__ = [
     "AlgorithmSpec",
     "register_algorithm",
-    "unregister_algorithm",
     "create_trainer",
     "algorithm_names",
     "get_algorithm",
-    "load_entry_points",
 ]
-
-ENTRY_POINT_GROUP = "repro.algorithms"
 
 #: Options every algorithm accepts (normalized across the five configs).
 COMMON_OPTIONS: dict[str, str] = {
@@ -89,28 +83,25 @@ def register_algorithm(
     *,
     summary: str = "",
     options: Mapping[str, str] | None = None,
-    replace: bool = False,
 ):
     """Register ``factory`` under ``name``; usable as a decorator.
 
     The factory signature is ``factory(corpus, **kwargs) -> LdaTrainer``;
     ``kwargs`` are validated against ``options`` (plus the common set)
-    before the factory is invoked.
+    before the factory is invoked.  A name already registered raises
+    ``ValueError``.
     """
 
     def _register(fn: Callable[..., LdaTrainer]):
-        # Load the built-ins first so a plugin registering a clashing
+        # Load the built-ins first so a caller registering a clashing
         # name fails here, at its own call site, instead of corrupting
         # the registry when the built-in import trips over it later.
         _ensure_builtins()
         key = name.lower()
         if not key or any(c.isspace() for c in key):
             raise ValueError(f"invalid algorithm name {name!r}")
-        if key in _REGISTRY and not replace:
-            raise ValueError(
-                f"algorithm {key!r} is already registered; "
-                f"pass replace=True to override"
-            )
+        if key in _REGISTRY:
+            raise ValueError(f"algorithm {key!r} is already registered")
         doc_lines = (fn.__doc__ or "").strip().splitlines()
         _REGISTRY[key] = AlgorithmSpec(
             name=key,
@@ -123,12 +114,6 @@ def register_algorithm(
     if factory is not None:
         return _register(factory)
     return _register
-
-
-def unregister_algorithm(name: str) -> None:
-    """Remove a registration (primarily for tests and plugins)."""
-    _ensure_builtins()
-    _REGISTRY.pop(name.lower(), None)
 
 
 def algorithm_names() -> list[str]:
@@ -175,32 +160,3 @@ def create_trainer(name: str, corpus, **kwargs) -> LdaTrainer:
         )
     return trainer
 
-
-def load_entry_points(group: str = ENTRY_POINT_GROUP) -> int:
-    """Discover third-party algorithms advertised as entry points.
-
-    Each entry point must load to a callable invoked with no arguments;
-    the callable registers its algorithms via :func:`register_algorithm`.
-    Returns the number of entry points loaded.  Absent or partial
-    packaging metadata is tolerated (returns what could be loaded).
-    """
-    from importlib.metadata import entry_points
-
-    _ensure_builtins()
-    loaded = 0
-    for ep in entry_points(group=group):
-        try:
-            hook = ep.load()
-            hook()
-        except Exception as exc:  # one broken plugin must not block the rest
-            import warnings
-
-            warnings.warn(
-                f"failed to load repro algorithm entry point "
-                f"{ep.name!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        loaded += 1
-    return loaded

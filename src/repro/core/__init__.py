@@ -21,7 +21,6 @@ _EXPORTS = {
     "ChunkState": "repro.core.model",
     "RngPool": "repro.core.rng",
     "save_checkpoint": "repro.core.snapshot",
-    "load_checkpoint": "repro.core.snapshot",
     "load_checkpoint_full": "repro.core.snapshot",
     "CheckpointBundle": "repro.core.snapshot",
     "run_info": "repro.core.snapshot",

@@ -38,8 +38,8 @@ class NumericalError(ArithmeticError):
 
     A non-finite LL/token means the chain's counts are broken (overflow,
     corrupted state, a kernel bug) — silently propagating ``nan`` would
-    poison callbacks (early stopping compares against it and never
-    stops) and get persisted into checkpoints.  Raised by
+    poison every comparison made against it (a convergence check never
+    sees it improve) and get persisted into checkpoints.  Raised by
     :func:`ensure_finite`, naming the iteration when the caller knows it.
     """
 
@@ -57,7 +57,7 @@ def ensure_finite(value: float, *, iteration: int | None = None) -> float:
     """Pass ``value`` through, raising :class:`NumericalError` on NaN/inf.
 
     The guard every LL producer wraps its result in before the number
-    reaches records, callbacks or checkpoints.
+    reaches records or checkpoints.
     """
     if not np.isfinite(value):
         raise NumericalError(float(value), iteration)
@@ -67,10 +67,9 @@ def ensure_finite(value: float, *, iteration: int | None = None) -> float:
 def likelihood_due(iteration: int, every: int) -> bool:
     """The default LL cadence: every ``every``-th completed iteration.
 
-    The single definition of the modulus rule — the trainers' loops and
-    the callback fallback (:func:`repro.api.callbacks.likelihood_needed`)
-    all call this, so the ``want_ll`` a worker is dispatched with can
-    never desynchronize from the record the master writes.
+    The single definition of the modulus rule — every trainer's loop
+    calls this, so the ``want_ll`` a worker is dispatched with can never
+    desynchronize from the record the master writes.
     """
     return bool(every) and (iteration + 1) % every == 0
 

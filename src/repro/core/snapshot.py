@@ -204,18 +204,12 @@ def save_checkpoint(
     return atomic_savez(path, payload)
 
 
-def load_checkpoint(path: str | Path, corpus: Corpus) -> LdaState:
-    """Rebuild a resumable :class:`LdaState` from a checkpoint + corpus.
-
-    For the vocabulary, lineage and run record use
-    :func:`load_checkpoint_full`.  The corpus must be the one the
-    checkpoint was trained on (token counts per chunk are verified).
-    """
-    return load_checkpoint_full(path, corpus).state
-
-
 def load_checkpoint_full(path: str | Path, corpus: Corpus) -> CheckpointBundle:
-    """Load a checkpoint with its metadata (vocabulary/lineage/run)."""
+    """Load a checkpoint with its metadata (vocabulary/lineage/run).
+
+    The corpus must be the one the checkpoint was trained on (token
+    counts per chunk are verified).
+    """
     data = read_npz(path)
     if "version" not in data:
         raise ValueError("not a repro snapshot (no version field)")

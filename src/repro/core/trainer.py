@@ -327,9 +327,7 @@ class CuLdaTrainer:
         """Crash-recovery / merge-retry events recorded so far.
 
         One dict per incident (``iteration``, ``attempt``, ``error``,
-        ``backoff_s``); empty for an undisturbed run.  The
-        :class:`~repro.api.callbacks.Checkpointer` watches this to
-        autosave after a recovery.
+        ``backoff_s``); empty for an undisturbed run.
         """
         return self._recovery_log
 
@@ -411,9 +409,8 @@ class CuLdaTrainer:
     ) -> list[IterationRecord]:
         """Run ``num_iterations`` Gibbs iterations; returns their records.
 
-        Callbacks (likelihood cadence, early stopping, checkpoints) run
-        in ``repro.create_trainer("culda", ...).fit(...)``, which drives
-        this loop.
+        ``repro.create_trainer("culda", ...).fit(n, likelihood_every=e)``
+        is one ``train(n, compute_likelihood_every=e)`` call.
         """
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
@@ -582,8 +579,8 @@ class CuLdaTrainer:
         """Aggregated share of simulated time per kernel (Table 5 rows).
 
         Transfers and sync are included under their own keys; the paper's
-        table normalises over the three kernels only, which
-        :func:`repro.analysis.breakdown.table5_fractions` does.
+        table normalises over the three kernels only (``sampling``,
+        ``update_theta``, ``update_phi``).
         """
         merged: dict[str, float] = {}
         for dev in self.devices:

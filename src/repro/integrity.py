@@ -19,8 +19,7 @@ data forced C-contiguous, and ``metadata_json`` itself is excluded
 array bytes exactly, so save-time and load-time digests agree.
 
 :func:`verify_artifact` checks a file **offline** — no corpus, no model
-construction — which is what ``repro verify-artifact PATH`` and the
-:class:`~repro.api.callbacks.Checkpointer`'s verify-before-prune use.
+construction — which is what ``repro verify-artifact PATH`` uses.
 """
 
 from __future__ import annotations

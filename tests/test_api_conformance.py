@@ -62,8 +62,12 @@ class TestConformance:
         _, result = fitted
         assert isinstance(result, TrainResult)
         assert result.num_iterations == ITERATIONS
-        assert not result.early_stopped
         assert len(result.records) == ITERATIONS
+
+    def test_fit_takes_no_callbacks(self, fitted):
+        trainer, _ = fitted
+        with pytest.raises(TypeError):
+            trainer.fit(3, callbacks=[])
 
     def test_final_likelihood_finite(self, fitted):
         _, result = fitted

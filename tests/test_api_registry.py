@@ -1,4 +1,4 @@
-"""Algorithm registry: lookup, validation, registration, discovery."""
+"""Algorithm registry: lookup, validation, registration."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from repro.api import (
     create_trainer,
     get_algorithm,
     register_algorithm,
-    unregister_algorithm,
 )
+from repro.api import registry
 from repro.api.registry import COMMON_OPTIONS
 from repro.corpus.document import Corpus
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
@@ -137,8 +137,18 @@ class TestCreateTrainer:
             create_trainer("ldastar", small, topics=2, workers=5)
 
 
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """Registrations a test makes vanish with it: it registers into a
+    copy of the registry (built-ins loaded) that is dropped afterwards."""
+    algorithm_names()
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+
+@pytest.mark.usefixtures("scratch_registry")
 class TestRegistration:
     def test_register_and_unregister(self, corpus):
+        """Registered, the name constructs; ``scratch_registry`` drops it."""
         calls = []
 
         def factory(c, topics=4, alpha=None, beta=None, seed=0):
@@ -146,39 +156,28 @@ class TestRegistration:
             return create_trainer("plain_cgs", c, topics=topics)
 
         register_algorithm("custom_test_algo", factory, summary="test-only")
-        try:
-            assert "custom_test_algo" in algorithm_names()
-            trainer = create_trainer("custom_test_algo", corpus, topics=4)
-            assert calls == [4]
-            assert isinstance(trainer, LdaTrainer)
-        finally:
-            unregister_algorithm("custom_test_algo")
-        assert "custom_test_algo" not in algorithm_names()
+        assert "custom_test_algo" in algorithm_names()
+        trainer = create_trainer("custom_test_algo", corpus, topics=4)
+        assert calls == [4]
+        assert isinstance(trainer, LdaTrainer)
 
     def test_decorator_form(self):
         @register_algorithm("custom_deco_algo", summary="decorated")
         def factory(c, **kw):  # pragma: no cover - never constructed
             raise NotImplementedError
 
-        try:
-            assert get_algorithm("custom_deco_algo").summary == "decorated"
-        finally:
-            unregister_algorithm("custom_deco_algo")
+        assert get_algorithm("custom_deco_algo").summary == "decorated"
 
-    def test_duplicate_rejected_unless_replace(self):
+    def test_duplicate_rejected(self):
         def factory(c, **kw):  # pragma: no cover - never constructed
             raise NotImplementedError
 
         register_algorithm("custom_dup_algo", factory, summary="v1")
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_algorithm("custom_dup_algo", factory, summary="v2")
-            register_algorithm(
-                "custom_dup_algo", factory, summary="v2", replace=True
-            )
-            assert get_algorithm("custom_dup_algo").summary == "v2"
-        finally:
-            unregister_algorithm("custom_dup_algo")
+        with pytest.raises(ValueError, match="already registered"):
+            register_algorithm("custom_dup_algo", factory, summary="v2")
+        assert get_algorithm("custom_dup_algo").summary == "v1"
+        with pytest.raises(ValueError, match="already registered"):
+            register_algorithm("culda", factory)
 
     def test_invalid_names_rejected(self):
         def factory(c, **kw):  # pragma: no cover - never constructed
@@ -193,16 +192,5 @@ class TestRegistration:
         register_algorithm(
             "custom_bad_algo", lambda c, **kw: object(), summary="broken"
         )
-        try:
-            with pytest.raises(TypeError, match="not an LdaTrainer"):
-                create_trainer("custom_bad_algo", corpus)
-        finally:
-            unregister_algorithm("custom_bad_algo")
-
-
-class TestEntryPoints:
-    def test_load_entry_points_tolerates_absence(self):
-        from repro.api import load_entry_points
-
-        # No third-party packages advertise the group in this env.
-        assert load_entry_points() == 0
+        with pytest.raises(TypeError, match="not an LdaTrainer"):
+            create_trainer("custom_bad_algo", corpus)

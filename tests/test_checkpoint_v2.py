@@ -8,9 +8,7 @@ The checkpoint half of the robustness PR:
   checkpoint nor leave temp litter;
 - a run resumed from a checkpoint continues **bit-identically**: same
   assignments, phi, likelihoods and simulated clocks as the
-  uninterrupted golden, across culda serial/process and LDA*;
-- the :class:`~repro.api.callbacks.Checkpointer` prunes to ``keep_last``
-  and autosaves after a recovery incident.
+  uninterrupted golden, across culda serial/process and LDA*.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ import pytest
 
 from repro import faults
 from repro.api import create_trainer
-from repro.api.callbacks import Checkpointer
 from repro.core.snapshot import (
     FORMAT_VERSION,
-    load_checkpoint,
     load_checkpoint_full,
     run_info,
     save_checkpoint,
@@ -143,7 +139,7 @@ class TestV2Schema:
         data["version"] = 1
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError, match="version 1 not supported"):
-            load_checkpoint(path, corpus)
+            load_checkpoint_full(path, corpus)
 
     def test_run_info_none_for_non_resumable(self, corpus):
         t = create_trainer("plain_cgs", corpus, topics=8, seed=1)
@@ -208,44 +204,6 @@ class TestBitIdenticalResume:
         other = create_trainer("culda", corpus, topics=16, seed=3)
         with pytest.raises(ValueError, match="topics"):
             other.restore(bundle.state)
-
-
-class TestCheckpointerCallback:
-    def test_keep_last_prunes_old_files(self, corpus, tmp_path):
-        t = create_trainer("culda", corpus, topics=8, seed=1)
-        cb = Checkpointer(
-            tmp_path / "ck-{iteration}.npz", every=1, keep_last=2
-        )
-        t.fit(5, likelihood_every=0, callbacks=[cb])
-        kept = sorted(p.name for p in tmp_path.iterdir())
-        assert kept == ["ck-3.npz", "ck-4.npz"]
-        assert [p.name for p in cb.saved] == ["ck-3.npz", "ck-4.npz"]
-        # The newest checkpoint is a valid resumable v2 file.
-        bundle = load_checkpoint_full(tmp_path / "ck-4.npz", corpus)
-        assert bundle.run["algorithm"] == "culda"
-        assert bundle.run["iterations_done"] == 5
-
-    def test_autosave_on_recovery(self, corpus, tmp_path):
-        # A transient merge failure at iteration 0 trips the trainer's
-        # retry machinery; the Checkpointer must notice recovery_events
-        # growing and save immediately, cadence notwithstanding.
-        faults.install("merge_fail@sync=barrier")
-        t = create_trainer("culda", corpus, topics=8, seed=1, gpus=2)
-        cb = Checkpointer(tmp_path / "ck-{iteration}.npz", every=100)
-        t.fit(2, likelihood_every=0, callbacks=[cb])
-        assert len(t.recovery_events) == 1
-        assert [p.name for p in cb.saved] == ["ck-0.npz"]
-
-    def test_autosave_can_be_disabled(self, corpus, tmp_path):
-        faults.install("merge_fail@sync=barrier")
-        t = create_trainer("culda", corpus, topics=8, seed=1, gpus=2)
-        cb = Checkpointer(
-            tmp_path / "ck-{iteration}.npz", every=100,
-            save_on_recovery=False,
-        )
-        t.fit(2, likelihood_every=0, callbacks=[cb])
-        assert len(t.recovery_events) == 1
-        assert cb.saved == []
 
 
 class TestCliResume:

@@ -275,29 +275,26 @@ class TestSyncModes:
         assert serial[2] == proc[2]  # simulated clocks
         assert serial[3] == proc[3]  # likelihood trajectory
 
-    def test_overlap_with_callbacks_drains_pipeline(self, corpus):
-        """Callbacks may stop training, so ``fit`` runs one iteration per
-        call and overlap never speculates past it — and the chain must
-        still match serial exactly."""
-        from repro.api.callbacks import EarlyStopping
-
-        ref = CuLdaTrainer(
-            corpus, TrainerConfig(num_topics=12, num_gpus=2, seed=5)
-        )
-        ref.train(3, compute_likelihood_every=1)
+    def test_overlap_partial_fit_drains_pipeline(self, corpus):
+        """One ``partial_fit(1)`` per call gives overlap nothing to
+        speculate past: each call drains its pipeline, and the chain
+        must still match serial exactly."""
+        serial = _run_culda(corpus, "serial", num_gpus=2)
 
         t = create_trainer(
             "culda", corpus, topics=12, gpus=2, seed=5, execution="process",
             num_workers=2, sync_mode="overlap",
         )
         try:
-            # patience large enough to never trigger: exercises the
-            # callback path without changing the schedule
-            result = t.fit(3, callbacks=[EarlyStopping(patience=100)])
-            assert np.array_equal(t.state.phi, ref.state.phi)
-            assert [r.log_likelihood_per_token for r in result.records] == [
-                r.log_likelihood_per_token for r in ref.history
-            ]
+            for _ in range(3):
+                t.partial_fit(1)
+            z = np.concatenate(
+                [cs.topics.astype(np.int64) for cs in t.state.chunks]
+            )
+            assert np.array_equal(z, serial[0])
+            assert np.array_equal(t.state.phi, serial[1])
+            assert [r.sim_seconds for r in t.history] == serial[2]
+            assert [r.log_likelihood_per_token for r in t.history] == serial[3]
         finally:
             t.close()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CuLdaTrainer, TrainerConfig
-from repro.core.snapshot import load_checkpoint, save_checkpoint
+from repro.core.snapshot import load_checkpoint_full, save_checkpoint
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.model import TopicModel
 
@@ -25,7 +25,7 @@ class TestCheckpoint:
         corpus, cfg, t = trained
         path = tmp_path / "ck.npz"
         save_checkpoint(t.state, path)
-        state = load_checkpoint(path, corpus)
+        state = load_checkpoint_full(path, corpus).state
         assert np.array_equal(state.phi, t.state.phi)
         for a, b in zip(state.chunks, t.state.chunks):
             assert np.array_equal(a.topics, b.topics)
@@ -39,7 +39,7 @@ class TestCheckpoint:
             small_spec(num_docs=100, num_words=200, mean_doc_len=30), seed=99
         )
         with pytest.raises(ValueError):
-            load_checkpoint(path, other)
+            load_checkpoint_full(path, other)
 
     def test_wrong_vocab_detected(self, trained, tmp_path):
         corpus, cfg, t = trained
@@ -49,21 +49,21 @@ class TestCheckpoint:
             small_spec(num_docs=100, num_words=300, mean_doc_len=30), seed=6
         )
         with pytest.raises(ValueError, match="V="):
-            load_checkpoint(path, other)
+            load_checkpoint_full(path, other)
 
     def test_rejects_model_kind(self, trained, tmp_path):
         corpus, _, t = trained
         path = tmp_path / "m.npz"
         TopicModel.from_state(t.state).save(path)
         with pytest.raises(ValueError, match="not a checkpoint"):
-            load_checkpoint(path, corpus)
+            load_checkpoint_full(path, corpus)
 
     def test_training_continues_after_resume(self, trained, tmp_path):
         """A resumed state trains identically to a never-saved one."""
         corpus, cfg, t = trained
         path = tmp_path / "ck.npz"
         save_checkpoint(t.state, path)
-        state = load_checkpoint(path, corpus)
+        state = load_checkpoint_full(path, corpus).state
         from repro.core.likelihood import log_likelihood_per_token
 
         before = log_likelihood_per_token(state)
