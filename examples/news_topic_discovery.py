@@ -14,6 +14,7 @@ import numpy as np
 
 import repro
 from repro.analysis.reporting import render_table
+from repro.analysis.topics import top_words_matrix
 from repro.corpus.document import Corpus
 from repro.corpus.vocab import Vocabulary
 
@@ -65,11 +66,12 @@ def main() -> None:
     trainer = repro.create_trainer("culda", corpus, topics=8, seed=3)
     trainer.fit(40, likelihood_every=5)
 
+    top_words = top_words_matrix(trainer.state, 6)
     rows = []
     for k in range(trainer.config.num_topics):
         if trainer.state.topic_totals[k] < 0.02 * corpus.num_tokens:
             continue  # skip near-empty topics
-        top = corpus.vocabulary.terms_of(trainer.state.top_words(k, n=6))
+        top = corpus.vocabulary.terms_of(top_words[k])
         rows.append([k, int(trainer.state.topic_totals[k]), " ".join(top)])
     print("\n" + render_table(["topic", "#tokens", "top words"], rows,
                               title="Inferred topics"))

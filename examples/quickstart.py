@@ -12,6 +12,7 @@ same result type.  Runs in well under a minute on any machine.
 
 import repro
 from repro.analysis.reporting import render_sparkline, render_table
+from repro.analysis.topics import top_words_matrix
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 
 
@@ -45,9 +46,10 @@ def main() -> None:
     )
 
     # 4. Inspect topics: the highest-count words per topic.
+    top = top_words_matrix(trainer.state, 6)
     rows = []
     for k in range(5):
-        words = corpus.vocabulary.terms_of(trainer.state.top_words(k, n=6))
+        words = corpus.vocabulary.terms_of(top[k])
         rows.append([k, " ".join(words)])
     print("\n" + render_table(["topic", "top words"], rows))
 

@@ -17,17 +17,13 @@ import numpy as np
 
 from repro.corpus.document import Corpus
 from repro.core.model import LdaState
+from repro.model.artifact import top_word_ids
 
 
-def top_words_matrix(state: LdaState, top_n: int = 10) -> np.ndarray:
-    """``int64[K, top_n]`` word ids, descending count per topic."""
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    k = state.num_topics
-    out = np.empty((k, min(top_n, state.num_words)), dtype=np.int64)
-    for t in range(k):
-        out[t] = state.top_words(t, n=out.shape[1])
-    return out
+def top_words_matrix(state, top_n: int = 10) -> np.ndarray:
+    """``[K, min(top_n, V)]`` word ids per topic of any state with a
+    ``phi`` (:func:`~repro.model.artifact.top_word_ids`'s rule)."""
+    return top_word_ids(state.phi, top_n)
 
 
 def umass_coherence(

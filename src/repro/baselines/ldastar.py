@@ -33,6 +33,7 @@ from repro.core.likelihood import (
 from repro.core.model import LdaState
 from repro.core.rng import RngPool
 from repro.core.scheduler import chunk_pass
+from repro.core.sync import sync_with_retry, synchronize_prereduced
 from repro.core.trainer import IterationRecord, iteration_record
 from repro.corpus.document import Corpus
 from repro.corpus.partition import partition_by_tokens
@@ -86,7 +87,8 @@ class LdaStarTrainer:
         likelihoods and simulated clocks, less host wall-clock.
         ``worker_affinity`` pins OS workers to the given CPU ids
         round-robin.  ``recovery_retries``/``recovery_backoff``
-        bound process-mode crash recovery (see docs/ROBUSTNESS.md).
+        bound process-mode crash recovery and, in both modes, the
+        ``merge_fail`` retry of the delta merge (see docs/ROBUSTNESS.md).
         """
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -196,17 +198,23 @@ class LdaStarTrainer:
             if self._engine.started and self._engine.drain() is not None:
                 # Separate frame: the delta views must be dead before
                 # engine.close() unmaps the arena.
-                self._apply_deltas(self._engine.worker_deltas())
+                self._merge(self._engine.worker_deltas())
             self._engine.close()
             self._engine = None
 
-    def _apply_deltas(self, deltas) -> None:
-        """The parameter-server merge: add ``(delta_phi, delta_totals)``
-        pushes into the master model in place."""
-        for dphi, dtot in deltas:
-            np.add(self.state.phi, dphi, out=self.state.phi,
-                   casting="unsafe")
-            self.state.topic_totals += dtot
+    def _merge(self, deltas) -> None:
+        """The parameter-server merge: fold the ``(delta_phi,
+        delta_totals)`` pushes into the master model — culda's
+        pre-reduced merge, under the same ``merge_fail`` retry."""
+        phi_new, totals_new = sync_with_retry(
+            partial(
+                synchronize_prereduced,
+                self.state.phi, self.state.topic_totals, deltas,
+            ),
+            self.config, self._recovery_log, self._iterations_done,
+        )
+        self.state.phi[...] = phi_new
+        self.state.topic_totals[...] = totals_new
 
     def __enter__(self) -> LdaStarTrainer:
         return self
@@ -272,7 +280,7 @@ class LdaStarTrainer:
                 self.config.compress, self._workspace,
                 accum_phi=dphi, accum_totals=dtot,
             ))
-        self._apply_deltas([self._deltas])
+        self._merge([self._deltas])
         return self._fold_results(results)
 
     def _fold_results(self, results) -> tuple[list, int, int]:
@@ -329,7 +337,7 @@ class LdaStarTrainer:
                     self._dispatch_process(engine, it, need_ll)
                 results = engine.collect_iteration()
                 inflight = None
-                self._apply_deltas(engine.worker_deltas())
+                self._merge(engine.worker_deltas())
                 worker_times, changed_total, sum_kd = self._fold_results(
                     [results[w] for w in range(self.num_workers)]
                 )

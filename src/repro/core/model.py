@@ -141,17 +141,6 @@ class LdaState:
             out[cs.chunk.spec.doc_lo : cs.chunk.spec.doc_hi] += dense
         return out
 
-    def top_words(self, topic: int, n: int = 10) -> np.ndarray:
-        """Word ids with the highest count under ``topic``."""
-        if not (0 <= topic < self.num_topics):
-            raise IndexError(f"topic {topic} out of range")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        row = self.phi[topic]
-        n = min(n, row.shape[0])
-        part = np.argpartition(row, -n)[-n:]
-        return part[np.argsort(row[part])[::-1]]
-
     # -- invariants -----------------------------------------------------------
 
     def validate(self) -> None:

@@ -18,12 +18,19 @@ applied exactly once globally, so ``phi_new.sum() == T`` always (tested).
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro import faults
 from repro.gpusim.clock import KernelCost
 from repro.gpusim.device import SimulatedGPU, p2p_copy
 from repro.gpusim.interconnect import broadcast_pairs, tree_reduce_pairs
+
+if TYPE_CHECKING:
+    from repro.core.config import TrainerConfig
 
 
 def reconcile_phi(
@@ -73,6 +80,42 @@ def reconcile_prereduced(
     if np.any(out < 0):
         raise AssertionError("negative count after reconciliation")
     return out.astype(phi_ref.dtype)
+
+
+def sync_with_retry(
+    sync: Callable[[], tuple[np.ndarray, np.ndarray]],
+    config: TrainerConfig,
+    recovery_log: list[dict],
+    iteration: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a phi merge, retrying injected transient merge failures.
+
+    ``merge_fail`` raises *before* any mutation or simulated-clock
+    charge, so the retry replays the merge bit-identically.  Budget and
+    backoff are ``config``'s crash-recovery knobs
+    (``recovery_retries``/``recovery_backoff``); each retried failure
+    appends one event to ``recovery_log``.  culda's merges and LDA*'s
+    parameter-server merge both run through here.
+    """
+    attempt = 0
+    while True:
+        try:
+            return sync()
+        except faults.FaultInjected as exc:
+            attempt += 1
+            if attempt > config.recovery_retries:
+                raise
+            backoff = config.recovery_backoff * (2 ** (attempt - 1))
+            recovery_log.append(
+                {
+                    "iteration": iteration,
+                    "attempt": attempt,
+                    "error": str(exc),
+                    "backoff_s": backoff,
+                }
+            )
+            if backoff:
+                time.sleep(backoff)
 
 
 def synchronize_prereduced(

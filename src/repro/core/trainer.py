@@ -21,14 +21,12 @@ Typical use::
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from repro.faults import FaultInjected
 from repro.corpus.document import Corpus
 from repro.corpus.encoding import topic_dtype_for
 from repro.corpus.partition import assign_round_robin, partition_by_tokens
@@ -47,7 +45,12 @@ from repro.core.scheduler import (
     replay_parallel_accounting,
     run_iteration,
 )
-from repro.core.sync import simulate_phi_sync, synchronize, synchronize_prereduced
+from repro.core.sync import (
+    simulate_phi_sync,
+    sync_with_retry,
+    synchronize,
+    synchronize_prereduced,
+)
 from repro.core.updates import verify_phi_consistency
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.platform import Platform, VOLTA_PLATFORM
@@ -331,33 +334,6 @@ class CuLdaTrainer:
         """
         return self._recovery_log
 
-    def _sync_with_retry(self, fn, *args, **kwargs):
-        """Run a phi sync, retrying injected transient merge failures.
-
-        ``merge_fail`` raises *before* any mutation or simulated-clock
-        charge, so the retry replays the sync bit-identically.  Budget
-        and backoff are the crash-recovery knobs.
-        """
-        attempt = 0
-        while True:
-            try:
-                return fn(*args, **kwargs)
-            except FaultInjected as exc:
-                attempt += 1
-                if attempt > self.config.recovery_retries:
-                    raise
-                backoff = self.config.recovery_backoff * (2 ** (attempt - 1))
-                self._recovery_log.append(
-                    {
-                        "iteration": self._iterations_done,
-                        "attempt": attempt,
-                        "error": str(exc),
-                        "backoff_s": backoff,
-                    }
-                )
-                if backoff:
-                    time.sleep(backoff)
-
     def resume_state(self) -> dict:
         """Progress counters a resumable checkpoint must carry."""
         return {
@@ -448,24 +424,30 @@ class CuLdaTrainer:
                 outcome = run_iteration(
                     self.devices, self.state, self.config, it, self.pool
                 )
-                phi_new, totals_new = self._sync_with_retry(
-                    synchronize,
-                    self.state.phi,
-                    [d.phi for d in self.devices],
-                    [d.totals for d in self.devices],
-                    gpus=[d.gpu for d in self.devices],
-                    phi_bytes=phi_bytes,
+                phi_new, totals_new = sync_with_retry(
+                    partial(
+                        synchronize,
+                        self.state.phi,
+                        [d.phi for d in self.devices],
+                        [d.totals for d in self.devices],
+                        gpus=[d.gpu for d in self.devices],
+                        phi_bytes=phi_bytes,
+                    ),
+                    self.config, self._recovery_log, it,
                 )
                 self.state.phi[...] = phi_new
                 self.state.topic_totals[...] = totals_new
             else:
                 # Pre-reduced functional merge first — O(W*K*V) — then
                 # one write of the model the workers refresh from.
-                phi_new, totals_new = self._sync_with_retry(
-                    synchronize_prereduced,
-                    self.state.phi,
-                    self.state.topic_totals,
-                    engine.worker_deltas(),
+                phi_new, totals_new = sync_with_retry(
+                    partial(
+                        synchronize_prereduced,
+                        self.state.phi,
+                        self.state.topic_totals,
+                        engine.worker_deltas(),
+                    ),
+                    self.config, self._recovery_log, it,
                 )
                 self.state.phi[...] = phi_new
                 self.state.topic_totals[...] = totals_new

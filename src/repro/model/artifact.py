@@ -6,7 +6,9 @@ for every algorithm in the repo: the topic-word count matrix ``phi``,
 its row sums, the Dirichlet hyper-parameters, and (optionally) the
 vocabulary that maps word ids back to terms.  :class:`TopicModel` is
 that contract — immutable, invariant-checked at construction, and
-independent of which of the five trainers produced it.
+independent of which of the five trainers produced it.  Its top words
+are ranked from ``phi`` by :func:`top_word_ids`, the repo's one
+top-words rule, so they read the same before a save and after a load.
 
 Persistence lives in :mod:`repro.model.serialize` (versioned ``.npz``);
 batched fold-in inference over the artifact lives in
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.corpus.vocab import Vocabulary
 
-__all__ = ["TopicModel", "DEFAULT_TOP_INDEX_WIDTH", "make_lineage"]
+__all__ = ["TopicModel", "make_lineage", "top_word_ids"]
 
 
 def make_lineage(parent: str | None = None) -> dict[str, Any]:
@@ -47,10 +49,19 @@ def make_lineage(parent: str | None = None) -> dict[str, Any]:
         ),
     }
 
-#: Default width of the precomputed per-topic top-word index: enough for
-#: every realistic ``topics``/``top_terms`` query while keeping the
-#: artifact overhead at K * 32 int64s.
-DEFAULT_TOP_INDEX_WIDTH = 32
+
+def top_word_ids(phi: np.ndarray, n: int) -> np.ndarray:
+    """Ids of the ``n`` highest-count words of each topic row of ``phi``.
+
+    The one ranking rule of the repo: count descending, ties by
+    ascending word id — a stable sort, so the cut at ``n`` is fully
+    specified too.  ``phi`` is one topic row (``[V]``) or the whole
+    matrix (``[K, V]``); the result has the same rank with its last
+    axis cut to ``min(n, V)``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.argsort(-np.asarray(phi), axis=-1, kind="stable")[..., :n]
 
 
 @dataclass(frozen=True)
@@ -107,8 +118,6 @@ class TopicModel:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "metadata", dict(self.metadata))
-        # Lazily built / loader-adopted serving index (see top_word_index).
-        object.__setattr__(self, "_top_word_index", None)
 
     # -- construction ------------------------------------------------------
 
@@ -163,100 +172,12 @@ class TopicModel:
 
     # -- topic inspection ---------------------------------------------------
 
-    def top_word_index(self, width: int = DEFAULT_TOP_INDEX_WIDTH) -> np.ndarray:
-        """Precomputed ``(K, min(width, V))`` top-word-id index, cached.
-
-        Row ``k`` holds the word ids with the highest count under topic
-        ``k``, descending, ties ordered by ascending word id.  (When
-        several words share the count at the index *boundary*, which of
-        them make the cut is unspecified but deterministic.)  Built once
-        per artifact — :meth:`save` serializes it, so a loaded serving
-        model answers :meth:`top_words` with one row slice instead of an
-        ``np.argpartition`` over V per query.  Requesting a wider index
-        than cached rebuilds it.
-        """
-        if width < 1:
-            raise ValueError("width must be >= 1")
-        width = min(int(width), self.num_words)
-        cached = self._top_word_index
-        if cached is None or cached.shape[1] < width:
-            v = self.num_words
-            if width >= v:
-                cand = np.argsort(-self.phi, axis=1, kind="stable")
-            else:
-                # O(K*V) selection of the top-width candidates, then the
-                # expensive sorting only on the (K, width) slice: order
-                # candidates by ascending id first so the stable
-                # descending-count sort breaks ties by ascending word id.
-                cand = np.argpartition(self.phi, v - width, axis=1)[:, v - width:]
-                cand = np.sort(cand, axis=1)
-                counts = np.take_along_axis(self.phi, cand, axis=1)
-                by_count = np.argsort(-counts, axis=1, kind="stable")
-                cand = np.take_along_axis(cand, by_count, axis=1)
-            idx = np.ascontiguousarray(cand[:, :width].astype(np.int64))
-            idx.setflags(write=False)
-            object.__setattr__(self, "_top_word_index", idx)
-        cached = self._top_word_index
-        # honour the documented (K, width) shape when the cache is wider
-        return cached if cached.shape[1] == width else cached[:, :width]
-
-    def _adopt_top_word_index(self, idx: np.ndarray) -> None:
-        """Install a deserialized index after validating it against phi."""
-        idx = np.asarray(idx)
-        if (
-            idx.ndim != 2
-            or idx.shape[0] != self.num_topics
-            or not (1 <= idx.shape[1] <= self.num_words)
-        ):
-            raise ValueError("top-word index has an inconsistent shape")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError("top-word index must hold integer word ids")
-        if idx.min() < 0 or idx.max() >= self.num_words:
-            raise ValueError("top-word index refers to out-of-range word ids")
-        idx = idx.astype(np.int64)
-        if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
-            raise ValueError("top-word index repeats a word within a topic")
-        counts = np.take_along_axis(self.phi, idx, axis=1)
-        if np.any(np.diff(counts, axis=1) > 0):
-            raise ValueError("top-word index rows are not count-descending")
-        # Membership, not just ordering: each row's count sequence must
-        # equal the row's true top-width counts exactly (a shifted or
-        # tie-straddling window is count-descending yet omits a
-        # higher-count word).  One O(K*V) partition at load time; words
-        # swapped among equal counts are legitimately interchangeable.
-        width = idx.shape[1]
-        kth = self.num_words - width
-        if kth == 0:
-            top = np.sort(self.phi, axis=1)[:, ::-1]
-        else:
-            part = np.partition(self.phi, kth, axis=1)[:, kth:]
-            top = np.sort(part, axis=1)[:, ::-1]
-        if not np.array_equal(counts, top):
-            raise ValueError("top-word index omits higher-count words")
-        idx = np.ascontiguousarray(idx)
-        idx.setflags(write=False)
-        object.__setattr__(self, "_top_word_index", idx)
-
     def top_words(self, topic: int, n: int = 10) -> np.ndarray:
-        """Word ids with the highest count under ``topic``, descending.
-
-        Served from the precomputed :meth:`top_word_index` when one is
-        present and wide enough (every model loaded from a current-format
-        artifact); otherwise falls back to a one-off
-        ``np.argpartition`` over the topic row, which may order tied
-        counts differently.
-        """
+        """Word ids with the highest count under ``topic``, by
+        :func:`top_word_ids`'s rule (ties by ascending word id)."""
         if not (0 <= topic < self.num_topics):
             raise IndexError(f"topic {topic} out of range")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        row = self.phi[topic]
-        n = min(n, row.shape[0])
-        idx = self._top_word_index
-        if idx is not None and idx.shape[1] >= n:
-            return idx[topic, :n].copy()
-        part = np.argpartition(row, -n)[-n:]
-        return part[np.argsort(row[part])[::-1]]
+        return top_word_ids(self.phi[topic], n)
 
     def top_terms(self, topic: int, n: int = 10) -> list[str]:
         """Top words as strings (``w<id>`` placeholders without a vocab)."""

@@ -9,13 +9,14 @@ kind      ``"model"`` (checkpoints use ``"checkpoint"``; see
 ========  =======================================================
 
 A v2 file holds ``phi``, ``topic_totals``, ``alpha``, ``beta``,
-``num_topics``, ``num_words``, the precomputed per-topic top-word-id
-serving index ``top_word_index``, an optional ``vocab`` (one term per
-word id) and ``metadata_json``: JSON provenance (algorithm, iterations,
+``num_topics``, ``num_words``, an optional ``vocab`` (one term per word
+id) and ``metadata_json``: JSON provenance (algorithm, iterations,
 options, the ``lineage`` model-generation record —
 generation/parent/created_at — that hot swap and rollback key on) and
 the ``integrity`` record, a sha256 digest over the payload arrays that
-every load recomputes and compares (see :mod:`repro.integrity`).
+every load recomputes and compares (see :mod:`repro.integrity`).  Older
+v2 files also carry a serialized top-word index: the digest covers it,
+and the loader never reads it (top words are ranked from ``phi``).
 
 Loaders validate invariants (shapes, non-negative counts, totals
 matching phi) and reject other versions, wrong kinds and files without
@@ -48,7 +49,6 @@ SCHEMA_VERSION = 2
 #: Fields every model artifact carries (``vocab`` is optional).
 _REQUIRED_FIELDS = (
     "phi", "topic_totals", "alpha", "beta", "num_topics", "num_words",
-    "top_word_index",
 )
 
 
@@ -68,10 +68,6 @@ def save_topic_model(model: TopicModel, path: str | Path) -> None:
         "beta": model.beta,
         "num_topics": model.num_topics,
         "num_words": model.num_words,
-        # Precompute the serving index at save time: models are written
-        # once and served many times, and the index lets top_words answer
-        # without an argpartition over V per query.
-        "top_word_index": model.top_word_index(),
     }
     if model.vocabulary is not None:
         payload["vocab"] = np.asarray(list(model.vocabulary), dtype=np.str_)
@@ -132,7 +128,7 @@ def load_topic_model(path: str | Path) -> TopicModel:
     if "vocab" in data:
         vocabulary = Vocabulary([str(t) for t in data["vocab"]])
     try:
-        model = TopicModel(
+        return TopicModel(
             phi=phi,
             topic_totals=data["topic_totals"],
             alpha=float(data["alpha"]),
@@ -140,7 +136,5 @@ def load_topic_model(path: str | Path) -> TopicModel:
             vocabulary=vocabulary,
             metadata=metadata,
         )
-        model._adopt_top_word_index(data["top_word_index"])
-        return model
     except ValueError as exc:
         raise ValueError(f"model artifact corrupted: {exc}") from exc

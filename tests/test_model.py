@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.topics import top_words_matrix
 from repro.core import TrainerConfig
 from repro.core.model import LdaState
+from repro.model import TopicModel
 
 
 class TestInitialize:
@@ -49,17 +51,17 @@ class TestAccessors:
         return LdaState.initialize(small_corpus, TrainerConfig(num_topics=10, seed=1))
 
     def test_top_words(self, state):
-        top = state.top_words(0, n=5)
-        assert top.shape == (5,)
+        top = top_words_matrix(state, 5)
+        assert top.shape == (10, 5)
         row = state.phi[0]
-        assert row[top[0]] == row.max()
-        assert np.all(np.diff(row[top]) <= 0)
+        assert row[top[0, 0]] == row.max()
+        assert np.all(np.diff(row[top[0]]) <= 0)
 
     def test_top_words_bad_topic(self, state):
         with pytest.raises(IndexError):
-            state.top_words(99)
+            TopicModel.from_state(state).top_words(99)
         with pytest.raises(ValueError):
-            state.top_words(0, n=0)
+            top_words_matrix(state, 0)
 
     def test_doc_topic_matrix(self, state, small_corpus):
         m = state.doc_topic_matrix()

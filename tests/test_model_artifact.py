@@ -20,7 +20,9 @@ from repro.api import algorithm_names, create_trainer
 from repro.corpus.synthetic import generate_synthetic_corpus, small_spec
 from repro.corpus.vocab import Vocabulary
 from repro.integrity import integrity_record
+from repro.analysis.topics import top_words_matrix
 from repro.model import SCHEMA_VERSION, TopicModel
+from repro.model.artifact import top_word_ids
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,7 @@ class TestPersistence:
         with np.load(path, allow_pickle=False) as z:
             assert int(z["version"]) == SCHEMA_VERSION == 2
             assert str(z["kind"]) == "model"
+            assert "top_word_index" not in z.files
 
     def test_rejects_missing_version(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -208,163 +211,90 @@ class TestPersistence:
             TopicModel.load(path)
 
 
-class TestTopWordIndex:
-    """The precomputed serving index: built, cached, serialized, validated."""
+def assert_ranked(row: np.ndarray, ids: np.ndarray) -> None:
+    """``ids`` are ``row``'s top ``len(ids)`` words by the one rule:
+    count descending, ties by ascending word id — the cut included."""
+    rest = np.setdiff1d(np.arange(row.size), ids)
+    keys = [(-int(row[i]), int(i)) for i in ids]
+    assert keys == sorted(keys)
+    assert all((-int(row[i]), int(i)) > keys[-1] for i in rest)
 
-    def test_build_shape_and_order(self):
-        m = tiny_model()
-        idx = m.top_word_index(width=4)
-        assert idx.shape == (2, 4)
-        counts = np.take_along_axis(np.asarray(m.phi), idx, axis=1)
-        assert np.all(np.diff(counts, axis=1) <= 0)
-        assert not idx.flags.writeable
 
-    def test_cached_and_rebuilt_when_wider(self):
-        m = tiny_model()
-        first = m.top_word_index(width=2)
-        assert m.top_word_index(width=2) is first  # cached
-        wider = m.top_word_index(width=5)
-        assert wider.shape[1] == 5
-        assert np.array_equal(wider[:, :2], first)
+def with_legacy_index(path, index) -> dict:
+    """Rewrite the artifact at ``path`` as a file written before the
+    top-word index was retired: the extra ``top_word_index`` array,
+    covered by the digest.  Returns the payload."""
+    with np.load(path) as z:
+        data = {k: z[k] for k in z.files}
+    data["top_word_index"] = np.asarray(index, dtype=np.int64)
+    meta = json.loads(str(data.pop("metadata_json")))
+    meta["integrity"] = integrity_record(data)
+    data["metadata_json"] = json.dumps(meta, default=str, sort_keys=True)
+    np.savez_compressed(path, **data)
+    return data
 
-    def test_top_words_served_from_index(self):
-        m = tiny_model()
-        slow = [m.top_words(k, 2).tolist() for k in range(m.num_topics)]
-        m.top_word_index()
-        fast = [m.top_words(k, 2).tolist() for k in range(m.num_topics)]
-        assert slow == fast
 
-    def test_roundtrip_carries_index(self, tmp_path):
-        m = tiny_model()
-        path = tmp_path / "m.npz"
-        m.save(path)
-        with np.load(path) as z:
-            assert "top_word_index" in z.files
-        loaded = TopicModel.load(path)
-        assert loaded._top_word_index is not None
-        assert np.array_equal(
-            loaded._top_word_index, m.top_word_index()
+class TestTopWords:
+    """One ranking rule (``repro.model.artifact.top_word_ids``) behind
+    ``TopicModel.top_words`` and ``top_words_matrix``."""
+
+    def test_all_ones_rank_by_id(self):
+        phi = np.ones((3, 7), dtype=np.int64)
+        m = TopicModel(phi, phi.sum(axis=1), 0.5, 0.01)
+        for k in range(3):
+            assert m.top_words(k, 4).tolist() == [0, 1, 2, 3]
+        assert top_word_ids(phi, 9).shape == (3, 7)
+        with pytest.raises(ValueError, match="n must be"):
+            m.top_words(0, 0)
+        with pytest.raises(IndexError):
+            m.top_words(3)
+
+    def test_tie_heavy_lists_agree_across_paths(self, tmp_path):
+        """A sparse model (most counts 0, 1 or 2) ranks identically
+        before save, after load and through ``top_words_matrix``."""
+        corpus = generate_synthetic_corpus(
+            small_spec(num_docs=40, num_words=400, mean_doc_len=10), seed=3
         )
+        trainer = create_trainer("culda", corpus, topics=8, seed=0)
+        trainer.fit(2, likelihood_every=0)
+        model = trainer.export_model()
+        model.save(tmp_path / "m.npz")
+        loaded = TopicModel.load(tmp_path / "m.npz")
+        matrix = top_words_matrix(trainer.state, 10)
+        for k in range(model.num_topics):
+            before = model.top_words(k, 10)
+            assert_ranked(model.phi[k], before)
+            assert loaded.top_words(k, 10).tolist() == before.tolist()
+            assert matrix[k].tolist() == before.tolist()
 
-    def test_v1_artifact_builds_index_lazily(self):
-        """Loaded files always carry the index; a model built in memory
-        has none until asked, and top_words works without it."""
-        m = tiny_model(vocab_size=6)
-        assert m._top_word_index is None
-        assert m.top_words(0, 2).tolist() == [0, 2]
-        assert m._top_word_index is None  # the slow path builds nothing
-        m.top_word_index()
-        assert m._top_word_index is not None
-        assert m.top_words(0, 2).tolist() == [0, 2]
 
-    def test_file_without_index_rejected(self, tmp_path):
-        """Every writer that records a digest also writes the index, so
-        a digested file without one is malformed, not old."""
-        path = tmp_path / "m.npz"
-        tiny_model().save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files if k != "top_word_index"}
-        meta = json.loads(str(data.pop("metadata_json")))
-        meta["integrity"] = integrity_record(data)
-        data["metadata_json"] = json.dumps(meta)
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match="top_word_index"):
-            TopicModel.load(path)
-
-    def test_corrupted_index_rejected(self, tmp_path):
-        m = tiny_model()
-        path = tmp_path / "m.npz"
-        m.save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        data["top_word_index"] = np.array([[99, 0], [1, 2]])  # out of range
-        bad = tmp_path / "bad.npz"
-        np.savez_compressed(bad, **data)
-        with pytest.raises(ValueError, match="corrupted"):
-            TopicModel.load(bad)
-
-    def test_non_descending_index_rejected(self, tmp_path):
-        m = tiny_model()
-        path = tmp_path / "m.npz"
-        m.save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        # word 1 has count 0 under topic 0; claiming it tops the list lies
-        data["top_word_index"] = np.array([[1, 0], [1, 3]])
-        bad = tmp_path / "bad.npz"
-        np.savez_compressed(bad, **data)
-        with pytest.raises(ValueError, match="corrupted"):
-            TopicModel.load(bad)
-
-    def test_width_validation(self):
-        m = tiny_model()
-        with pytest.raises(ValueError, match="width"):
-            m.top_word_index(width=0)
-
-    def test_shifted_window_index_rejected(self, tmp_path):
-        """Count-descending but wrong-membership rows must not load."""
-        m = tiny_model()
-        path = tmp_path / "m.npz"
-        m.save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        # descending counts, valid ids, no duplicates — but not the top-2
-        data["top_word_index"] = np.array([[2, 1], [3, 4]])
-        bad = tmp_path / "bad.npz"
-        np.savez_compressed(bad, **data)
-        with pytest.raises(ValueError, match="corrupted"):
-            TopicModel.load(bad)
-
-    def test_duplicate_index_entries_rejected(self, tmp_path):
-        m = tiny_model()
-        path = tmp_path / "m.npz"
-        m.save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        data["top_word_index"] = np.array([[0, 0], [1, 3]])
-        bad = tmp_path / "bad.npz"
-        np.savez_compressed(bad, **data)
-        with pytest.raises(ValueError, match="corrupted"):
-            TopicModel.load(bad)
-
-    def test_tie_straddling_window_rejected(self, tmp_path):
-        """A window whose weakest entry merely ties the true boundary
-        count can still omit a strictly-higher word — must not load."""
-        phi = np.array([[5, 3, 3, 0], [1, 2, 3, 4]], dtype=np.int64)
-        m = TopicModel(phi=phi, topic_totals=phi.sum(axis=1),
-                       alpha=0.5, beta=0.01)
-        path = tmp_path / "m.npz"
-        m.save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        # row 0 claims words 1,2 (counts 3,3) — omits word 0 (count 5)
-        data["top_word_index"] = np.array([[1, 2], [3, 2]])
-        bad = tmp_path / "bad.npz"
-        np.savez_compressed(bad, **data)
-        with pytest.raises(ValueError, match="corrupted"):
-            TopicModel.load(bad)
+class TestTopWordIndex:
+    """Files written before the serialized top-word index was retired
+    carry a ``top_word_index`` array: the digest still covers it, and
+    the loader never reads it."""
 
     def test_equal_count_word_swap_is_accepted(self, tmp_path):
-        """Ties are interchangeable: an index listing a different word of
-        the same count is semantically valid and must load."""
+        """A legacy index listing a tied word in another order loads;
+        ``top_words`` follows the rule, not the file."""
         phi = np.array([[5, 3, 3, 0], [1, 2, 3, 4]], dtype=np.int64)
         m = TopicModel(phi=phi, topic_totals=phi.sum(axis=1),
                        alpha=0.5, beta=0.01)
         path = tmp_path / "m.npz"
         m.save(path)
-        with np.load(path) as z:
-            data = {k: z[k] for k in z.files}
-        # row 0: word 2 instead of word 1 — same count 3
-        data["top_word_index"] = np.array([[0, 2], [3, 2]])
-        # keep the integrity digest consistent with the rewritten index:
-        # this test is about *semantic* index validation, not bit rot
-        meta = json.loads(str(data.pop("metadata_json")))
-        meta["integrity"] = integrity_record(data)
-        data["metadata_json"] = json.dumps(meta, default=str, sort_keys=True)
-        bad = tmp_path / "ok.npz"
-        np.savez_compressed(bad, **data)
-        loaded = TopicModel.load(bad)
-        assert loaded.top_words(0, 2).tolist() == [0, 2]
+        with_legacy_index(path, [[0, 2], [3, 2]])
+        loaded = TopicModel.load(path)
+        assert np.array_equal(loaded.phi, phi)
+        assert loaded.top_words(0, 2).tolist() == [0, 1]
+        assert loaded.top_words(1, 3).tolist() == [3, 2, 1]
+
+    def test_corrupted_index_rejected(self, tmp_path):
+        path = tmp_path / "m.npz"
+        tiny_model().save(path)
+        data = with_legacy_index(path, [[0, 2], [1, 3]])
+        data["top_word_index"] = np.array([[99, 0], [1, 2]])  # not digested
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match="corrupted"):
+            TopicModel.load(path)
 
 
 class TestLineage:

@@ -273,22 +273,29 @@ class TestRecoverySnapshot:
 class TestMergeFaults:
     """Transient master-side sync failures are retried deterministically."""
 
-    @pytest.mark.parametrize("execution,point_ctx", [
-        # serial execution keeps the replica-differencing merge; process
-        # execution always merges the workers' pre-reduced deltas
-        ("serial", "sync=barrier"),
-        ("process", "sync=prereduce"),
+    @pytest.mark.parametrize("run,kwargs,point_ctx", [
+        # serial culda keeps the replica-differencing merge; process
+        # culda merges the workers' pre-reduced deltas, and so does
+        # LDA*'s parameter server in both execution modes
+        (run_culda, {"num_gpus": 2, "execution": "serial", "num_workers": 2},
+         "sync=barrier"),
+        (run_culda, {"num_gpus": 2, "execution": "process", "num_workers": 2},
+         "sync=prereduce"),
+        (run_ldastar, {}, "sync=prereduce"),
+        (run_ldastar, {"execution": "process", "num_processes": 2},
+         "sync=prereduce"),
+    ], ids=[
+        "serial-sync=barrier",
+        "process-sync=prereduce",
+        "ldastar-serial-sync=prereduce",
+        "ldastar-process-sync=prereduce",
     ])
     def test_merge_fail_retried_bit_identically(
-        self, corpus, execution, point_ctx
+        self, corpus, run, kwargs, point_ctx
     ):
-        golden = run_culda(
-            corpus, num_gpus=2, execution=execution, num_workers=2,
-        )
-        hurt = run_culda(
-            corpus, spec=f"merge_fail@{point_ctx}",
-            num_gpus=2, execution=execution, num_workers=2,
-        )
+        golden = run(corpus, **kwargs)
+        hurt = run(corpus, spec=f"merge_fail@{point_ctx}", **kwargs)
+        assert golden[4] == []
         assert len(hurt[4]) == 1
         assert hurt[4][0]["error"].startswith("injected fault")
         assert np.array_equal(golden[0], hurt[0])

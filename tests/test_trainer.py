@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.breakdown import full_fractions
 from repro.core import CuLdaTrainer, TrainerConfig
 from repro.core.trainer import mean_tokens_per_sec
 from repro.gpusim.platform import (
@@ -142,3 +143,16 @@ class TestBreakdown:
         assert not any(
             merged.get(k) for k in ("sampling", "update_theta", "update_phi")
         )
+
+    def test_full_fractions_requires_training(self, medium_corpus):
+        """Construction charges the initial upload as ``transfer``; the
+        shares are refused until the kernels have run."""
+        t = CuLdaTrainer(medium_corpus, TrainerConfig(num_topics=12, seed=0),
+                         platform=VOLTA_PLATFORM)
+        assert t.kernel_breakdown().get("transfer", 0.0) > 0
+        with pytest.raises(ValueError, match="no recorded kernel time"):
+            full_fractions(t)
+        t.train(1, compute_likelihood_every=0)
+        shares = full_fractions(t)
+        assert sum(shares.values()) == pytest.approx(1.0)
+        assert shares["sampling"] > 0
