@@ -269,9 +269,26 @@ class TestTopWords:
 
 
 class TestTopWordIndex:
-    """Files written before the serialized top-word index was retired
-    carry a ``top_word_index`` array: the digest still covers it, and
-    the loader never reads it."""
+    """The top-word index of a whole model is ``top_word_ids(phi, n)``,
+    computed on demand.  Files written before the serialized index was
+    retired carry a ``top_word_index`` array: the digest still covers
+    it, and the loader never reads it."""
+
+    def test_build_shape_and_order(self):
+        m = tiny_model()
+        idx = top_word_ids(m.phi, 4)
+        assert idx.shape == (2, 4)
+        counts = np.take_along_axis(np.asarray(m.phi), idx, axis=1)
+        assert np.all(np.diff(counts, axis=1) <= 0)
+        for k in range(m.num_topics):
+            assert idx[k].tolist() == m.top_words(k, 4).tolist()
+
+    def test_width_validation(self):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="n must be"):
+            top_word_ids(m.phi, 0)
+        with pytest.raises(ValueError, match="n must be"):
+            m.top_words(0, 0)
 
     def test_equal_count_word_swap_is_accepted(self, tmp_path):
         """A legacy index listing a tied word in another order loads;
