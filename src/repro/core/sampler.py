@@ -61,25 +61,30 @@ on the same uniforms.
 
 Workspace reuse
 ---------------
-The K x Wp shared trees and the per-token vectors are drawn from a
+The K x Wp shared trees and the few chunk-wide vectors are drawn from a
 :class:`repro.perf.Workspace` when one is passed, so steady-state
 iterations reuse buffers instead of reallocating them — the NumPy
 analogue of the static device buffers a real GPU kernel would use.  The
-trees take three K x Wp float buffers besides the gathered phi columns:
-``cdf_sub`` holds p* and then, in place, its prefix sums over k (its
-last row is P_w); ``p_star_wm`` is the word-major copy of p*; and
-``flat_cdf`` is the transposed CDF normalised by P_w.  The row-by-row
-prefix adds are the same float operations as ``np.cumsum`` over axis 0.
-The pair walk never materialises chunk-wide: a tile's gathers, products
-and prefix sums are fresh tile-sized arrays, and nothing pooled scales
-with sum-Kd.  The gathers are bounds-checked ``np.take`` results over
-``intp`` indices, because NumPy converts any other index dtype to an
-``intp`` copy first and stages a checked take into an ``out=`` buffer
-through a temporary.  Chunk-invariant data (present words, token->word-column map,
-pair boundaries) is memoised per chunk inside the workspace, mirroring
-the paper's one-time CPU preprocessing.  The kernel computes in
-float64 only: the p2 search adds each word's integer column offset to
-its normalised CDF, which would leave float32 12-13 bits for the CDF
+trees take two K x Wp float buffers, both word-major: ``p_star_wm``
+holds p*, and ``cdf_wm`` its prefix sums over k (its last column is
+P_w).  The p2 search normalises each CDF entry it reads on the fly
+(``entry / P_w + column``), so no normalised copy is kept.
+
+Only four token-sized vectors are chunk-wide, all pooled: the three
+uniform streams, drawn up front in their stream order, and each token's
+own theta position, looked up (and checked for desync) before any tile.
+Everything else a token needs — its exclusion scalars, bucket choice
+and both draws — is computed inside the tile that walks its pair, in
+walk order, so a tile's gathers, products, prefix sums and per-token
+scalars are fresh tile-sized arrays and nothing else scales with the
+chunk.  The gathers are bounds-checked ``np.take`` results over ``intp``
+indices, because NumPy converts any other index dtype to an ``intp``
+copy first and stages a checked take into an ``out=`` buffer through a
+temporary.  Chunk-invariant data (present words, pair boundaries and
+their word columns) is memoised per chunk inside the workspace,
+mirroring the paper's one-time CPU preprocessing.  The kernel computes
+in float64 only: the p2 search adds each word's integer column offset
+to its normalised CDF, which would leave float32 12-13 bits for the CDF
 near column 2000 (docs/PERFORMANCE.md, "One training dtype").  With
 ``workspace=None`` the arithmetic is identical to the workspace kernel
 (asserted by tests/test_golden_regression.py); the tile size never
@@ -97,15 +102,15 @@ from repro.core.sparse import CsrCounts
 from repro.corpus.encoding import DeviceChunk
 from repro.perf import Workspace
 
-#: dtype instances for hot-path Workspace.take calls (no per-call np.dtype())
-_I64 = np.dtype(np.int64)
-_BOOL = np.dtype(np.bool_)
+#: dtype instance for hot-path Workspace.take calls (no per-call np.dtype())
 _INTP = np.dtype(np.intp)
-_F64 = np.dtype(np.float64)
 
-#: pair-walk slots per tile of the theta walk (chosen by measurement:
-#: a tile's temporaries stay in L2)
-_TILE = 1 << 16
+#: pair-walk slots per tile of the theta walk (chosen by measurement,
+#: docs/PERFORMANCE.md "Per-token state per tile")
+_TILE = 1 << 17
+
+#: tokens per block of the own-slot lookup, which runs before any tile
+_LOOKUP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,25 @@ def _fill_random(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """``rng.random`` into a preallocated buffer (dtype-matched)."""
     rng.random(out=out, dtype=out.dtype.type)
     return out
+
+
+def _count_le(flat, first, span, target, scale=None, offset=None):
+    """Per element, how many of ``flat[first + 1 .. first + span]`` are
+    <= ``target``, each run nondecreasing: a branchless binary search
+    (the SIMD index-tree descent).  With ``scale``, each entry read is
+    compared as ``entry / scale + offset``."""
+    found = first.copy()
+    last = first + span
+    step = 1 << (span.bit_length() - 1) if span else 0
+    while step:
+        cand = np.minimum(found + step, last)
+        v = flat.take(cand)
+        if scale is not None:
+            np.divide(v, scale, out=v)
+            np.add(v, offset, out=v, casting="same_kind")
+        np.copyto(found, cand, where=v <= target)
+        step >>= 1
+    return np.subtract(found, first, out=found)
 
 
 def sample_chunk(
@@ -180,99 +204,59 @@ def sample_chunk(
 
     # ---- chunk-invariant data (CPU preprocessing, done once per chunk) ---
     def _build_static():
-        words64 = chunk.token_words.astype(np.int64)
-        docs64 = chunk.token_docs.astype(np.int64)
-        spans = np.diff(chunk.word_offsets)
-        present = np.nonzero(spans)[0]
-        counts_present = spans[present]
-        # token -> present-word column index (tokens are word-first sorted).
-        wcol = np.repeat(
-            np.arange(present.shape[0], dtype=np.int64), counts_present
-        )
-        for a in (words64, docs64, present, wcol):
-            a.setflags(write=False)
-        return words64, docs64, present, wcol
-
-    words, docs, present, wcol = ws.memo(
-        ("chunk-static", int(chunk.spec.chunk_id)), _build_static
-    )
-    wp = present.shape[0]
-
-    def _build_pairs():
         # A pair is a run of adjacent tokens sharing a word and a document
         # (the stable word-first sort keeps document order within a word).
         # Pairs are listed grouped by document; doc_ptr is a CSR over them.
+        words, docs = chunk.token_words, chunk.token_docs
+        num_docs = chunk.num_local_docs
+        present = np.flatnonzero(np.diff(chunk.word_offsets))
         first = np.ones(n, dtype=bool)
         np.not_equal(words[1:], words[:-1], out=first[1:])
         first[1:] |= docs[1:] != docs[:-1]
         first = np.flatnonzero(first)
-        ntok = np.diff(first, append=n)
         by_doc = np.argsort(docs[first], kind="stable")
-        ptr = np.zeros(chunk.num_local_docs + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(docs[first], minlength=chunk.num_local_docs), out=ptr[1:]
-        )
-        out = (first[by_doc], ntok[by_doc], wcol[first][by_doc], ptr)
+        pair_first = first[by_doc]
+        pair_ntok = np.diff(first, append=n)[by_doc]
+        # each pair's present-word column
+        pair_wcol = np.searchsorted(present, words[pair_first])
+        doc_ptr = np.zeros(num_docs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(docs[first], minlength=num_docs), out=doc_ptr[1:])
+        doc_ntok = np.bincount(docs, minlength=num_docs)
+        out = (present, pair_first, pair_ntok, pair_wcol, doc_ptr, doc_ntok)
         for a in out:
             a.setflags(write=False)
         return out
 
-    pair_first, pair_ntok, pair_wcol, doc_ptr = ws.memo(
-        ("chunk-pairs", int(chunk.spec.chunk_id)), _build_pairs
+    present, pair_first, pair_ntok, pair_wcol, doc_ptr, doc_ntok = ws.memo(
+        ("chunk-static", int(chunk.spec.chunk_id)), _build_static
     )
+    wp = present.shape[0]
     num_pairs = pair_first.shape[0]
-
-    z_old = ws.take("z_old", n, _I64)
-    np.copyto(z_old, topics, casting="safe")
 
     # ---- per-word shared structures (the block-shared p* tree) ----------
     denom = ws.take("denom", num_topics)
     np.add(topic_totals, beta_v, out=denom, casting="same_kind")  # K
-    phi_g = ws.take("phi_gather", (num_topics, wp), phi.dtype)
-    np.take(phi, present, axis=1, out=phi_g)
-    # cdf_sub[k, c] = p*(k) for present word c; one column per word.
-    cdf_sub = ws.take("cdf_sub", (num_topics, wp))
-    np.add(phi_g, beta, out=cdf_sub, casting="same_kind")
-    np.divide(cdf_sub, denom[:, None], out=cdf_sub)
-    # word-major copy: a token's theta walk reads one contiguous K-row
+    denom_excl = ws.take("denom_excl", num_topics)  # less one own count
+    np.subtract(topic_totals, 1.0, out=denom_excl, casting="same_kind")
+    np.add(denom_excl, beta_v, out=denom_excl)
+    # p_wm[c, k] = p*(k) for present word c, word-major: a pair's theta
+    # walk reads one contiguous K-row.
     p_wm = ws.take("p_star_wm", (wp, num_topics))
-    np.copyto(p_wm, cdf_sub.T)
-    # K x Wp prefix sums over k, in place: the same row-by-row adds as
-    # np.cumsum(axis=0); the last row is the per-word total
-    # P = sum_k p*(k).
-    for k in range(1, num_topics):
-        np.add(cdf_sub[k - 1], cdf_sub[k], out=cdf_sub[k])
-    p_w = cdf_sub[num_topics - 1]
-    # Column-major flattened, per-column normalised CDF for one-shot
-    # vectorised per-column searches (the SIMD index-tree descent).
-    flat2d = ws.take("flat_cdf", (wp, num_topics))
-    np.divide(cdf_sub.T, p_w[:, None], out=flat2d)
-    np.add(flat2d, ws.arange(wp)[:, None], out=flat2d, casting="same_kind")
-    flat_cdf = flat2d.reshape(-1)
-
-    # ---- per-token exclusion scalars ------------------------------------
-    tokflat = ws.take("tok_flat_idx", n, _I64)
-    np.multiply(z_old, num_words, out=tokflat)
-    np.add(tokflat, words, out=tokflat)
-    phi_zv = ws.take("phi_zv", n, phi.dtype)
-    np.take(phi.reshape(-1), tokflat, out=phi_zv)
-    tot_z = ws.take("tot_z", n, topic_totals.dtype)
-    np.take(topic_totals, z_old, out=tot_z)
-    p_star_z = ws.take("p_star_z", n)
-    den_z = ws.take("den_z", n)
-    np.add(phi_zv, beta, out=p_star_z, casting="same_kind")
-    np.add(tot_z, beta_v, out=den_z, casting="same_kind")
-    np.divide(p_star_z, den_z, out=p_star_z)
-    p_z_excl = ws.take("p_z_excl", n)
-    np.subtract(phi_zv, 1.0, out=p_z_excl, casting="same_kind")
-    np.add(p_z_excl, beta, out=p_z_excl)
-    np.subtract(tot_z, 1.0, out=den_z, casting="same_kind")
-    np.add(den_z, beta_v, out=den_z)
-    np.divide(p_z_excl, den_z, out=p_z_excl)
+    np.add(np.take(phi, present, axis=1).T, beta, out=p_wm, casting="same_kind")
+    np.divide(p_wm, denom, out=p_wm)
+    # cdf_wm[c, k]: its prefix sums over k (sequential adds, as the index
+    # tree's); the last column is the per-word total P = sum_k p*(k).
+    cdf_wm = ws.take("cdf_wm", (wp, num_topics))
+    np.cumsum(p_wm, axis=1, out=cdf_wm)
+    p_w = cdf_wm[:, num_topics - 1]
+    cdf_flat = cdf_wm.reshape(-1)
+    p_wm_flat = p_wm.reshape(-1)
+    phi_flat = phi.reshape(-1)
 
     # ---- locate each token's own (d, z_old) entry in theta --------------
     # A dense (local document, topic) -> theta position table: theta-nnz
-    # bounds-checked writes and one n-sized gather, no search.
+    # bounds-checked writes, then checked gathers in blocks of
+    # _LOOKUP_BLOCK tokens, so no temporary scales with the chunk.
     indptr = theta.indptr
     tkeys = np.repeat(
         np.arange(theta.num_rows, dtype=np.intp) * num_topics, np.diff(indptr)
@@ -281,196 +265,223 @@ def sample_chunk(
     theta_at = ws.take("theta_at", theta.num_rows * num_topics, _INTP)
     theta_at.fill(-1)
     theta_at[tkeys] = ws.arange(theta.nnz)
-    targets_z = ws.take("targets_z", n, _I64)
-    np.multiply(docs, num_topics, out=targets_z)
-    np.add(targets_z, z_old, out=targets_z)
-    tpos = np.take(theta_at, targets_z)
-    if tpos.min() < 0:
+    own_pos = ws.take("own_pos", n, _INTP)
+    for lo in range(0, n, _LOOKUP_BLOCK):
+        hi = min(lo + _LOOKUP_BLOCK, n)
+        key = np.multiply(chunk.token_docs[lo:hi], num_topics, dtype=_INTP)
+        np.add(key, topics[lo:hi], out=key, casting="same_kind")
+        own_pos[lo:hi] = np.take(theta_at, key)
+    if own_pos.min() < 0:
         raise AssertionError(
             "token's current topic missing from its theta row — theta is "
             "out of sync with the topic assignments"
         )
-
-    # ---- compute Q (shared P with O(1) exclusion fix) --------------------
-    pw_tok = ws.take("pw_tok", n)
-    np.take(p_w, wcol, out=pw_tok)
-    w2 = ws.take("w2", n)
-    np.subtract(pw_tok, p_star_z, out=w2)
-    np.add(w2, p_z_excl, out=w2)
-    q = ws.take("q", n)
-    np.multiply(w2, alpha, out=q)
 
     # The three uniform streams, drawn up front in their stream order.
     u_sel = _fill_random(rng, ws.take("u_sel", n))
     t1 = _fill_random(rng, ws.take("t1", n))
     t2 = _fill_random(rng, ws.take("t2", n))
 
-    # ---- the own entry's p1 term, with and without its own count --------
     # theta's entries widened once (theta-nnz work), so the walk's ufuncs
     # need no casts.
     cols = ws.take("theta_cols", theta.nnz, _INTP)
     np.copyto(cols, theta.indices, casting="safe")
     vals = ws.take("theta_vals", theta.nnz)
     np.copyto(vals, theta.data, casting="same_kind")
-    theta_z = ws.take("theta_z", n)
-    np.take(vals, tpos, out=theta_z)
-    adj = ws.take("p1_own_excl", n)  # (theta[d, z] - 1) * p*_excl(z)
-    np.subtract(theta_z, 1.0, out=adj)
-    np.multiply(adj, p_z_excl, out=adj)
-    # the walk's own term theta[d, z] * p*(z), less its excluded value
-    delta = np.multiply(theta_z, p_star_z, out=theta_z)
-    np.subtract(delta, adj, out=delta)
-    slot = np.subtract(tpos, np.take(indptr, docs), out=tpos)  # own slot
 
-    # ---- walk each (word, document) pair's theta row once ---------------
-    # Pairs are walked document by document, documents ordered by row
-    # length, so a tile is a dense block of pair rows: row p holds pair p's theta row
-    # (padded with zero terms to the tile's widest row) times its word's
-    # p* row, and one row-wise prefix sum per pair, started at 0, serves
-    # every token of the pair.  Per-token inputs are permuted into that
-    # order once, so a tile's tokens are one contiguous slice.
+    # ---- the walk order: documents by row length, pairs within each -----
+    # Everything here is per document; a tile derives its pairs and
+    # tokens from it.  Walk position p of document r holds pair
+    # pair0[r] + p.
     row_len = np.diff(indptr)
     doc_npairs = np.diff(doc_ptr)
     doc_rank = np.argsort(row_len, kind="stable")
     doc_rank = doc_rank[np.take(doc_npairs, doc_rank) > 0]  # docs with tokens
     npd = np.take(doc_npairs, doc_rank)
-    ramp = ws.arange(max(n, num_topics))
-    order = np.repeat(np.take(doc_ptr, doc_rank) - (np.cumsum(npd) - npd), npd)
-    np.add(order, ramp[:num_pairs], out=order)
-    order_len = np.repeat(np.take(row_len, doc_rank), npd)
-    order_doc = np.repeat(ramp[:doc_rank.shape[0]], npd)  # index into doc_rank
-    ntok = np.take(pair_ntok, order)
-    tok_ptr = np.zeros(num_pairs + 1, dtype=np.int64)
-    np.cumsum(ntok, out=tok_ptr[1:])
-    tok_order = np.repeat(np.take(pair_first, order) - tok_ptr[:-1], ntok)
-    np.add(tok_order, ramp[:n], out=tok_order)
-    tok_row = np.repeat(ramp[:num_pairs], ntok)  # the token's pair row
-    kd_o = np.repeat(order_len, ntok)
-    delta_o, adj_o = np.take(delta, tok_order), np.take(adj, tok_order)
-    q_o, u_o = np.take(q, tok_order), np.take(u_sel, tok_order)
-    t1_o, slot_o = np.take(t1, tok_order), np.take(slot, tok_order)
-    take_o = np.empty(n, dtype=bool)
-    z_o = np.empty(n, dtype=np.intp)
+    kd_r = np.take(row_len, doc_rank)
+    rs_r = np.take(indptr, doc_rank)
+    pcum = np.zeros(doc_rank.shape[0] + 1, dtype=np.int64)
+    np.cumsum(npd, out=pcum[1:])
+    pair0 = np.take(doc_ptr, doc_rank) - pcum[:-1]
+    walk_r = np.multiply(npd, kd_r)  # pair-walk slots per document
+    walk_end = np.cumsum(walk_r)
 
     # Tile t ends at the pair whose row holds slot t*_TILE of the
     # (unpadded) pair-walk space.
-    walk_ends = np.cumsum(order_len)
-    num_tiles = -(-int(walk_ends[-1]) // _TILE)
-    cuts = np.searchsorted(walk_ends, np.arange(1, num_tiles) * _TILE) + 1
-    cuts = np.unique(np.concatenate(([0], cuts, [num_pairs]))).tolist()
-    pair_wk = np.multiply(np.take(pair_wcol, order), num_topics)
-    p_wm_flat = p_wm.reshape(-1)
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    num_tiles = -(-int(walk_end[-1]) // _TILE)
+    bound = np.arange(1, num_tiles, dtype=np.int64) * _TILE
+    r = np.searchsorted(walk_end, bound)
+    cuts = np.take(pcum, r) - (
+        (np.take(walk_end, r) - np.take(walk_r, r) - bound) // np.take(kd_r, r)
+    )
+    cuts = np.unique(np.concatenate(([0], cuts, [num_pairs])))
+    # each tile's documents r0..r1-1, and the pairs it leaves out of the
+    # first and the last
+    r0 = np.searchsorted(pcum, cuts[:-1], side="right") - 1
+    r1 = np.searchsorted(pcum, cuts[1:])
+    tiles = zip(
+        cuts[:-1].tolist(), cuts[1:].tolist(), r0.tolist(), r1.tolist(),
+        (cuts[:-1] - np.take(pcum, r0)).tolist(),
+        (np.take(pcum, r1) - cuts[1:]).tolist(),
+    )
+
+    z_new = np.empty(n, dtype=topics.dtype)  # fresh: this is the output
+    num_p1 = sum_kd_p1 = 0
+    # The loop gathers with the ``take`` method rather than ``np.take``:
+    # the same bounds-checked gather without the Python-level wrapper,
+    # which costs more than a small tile's gather itself.
+    for a, b, r0, r1, head, tail in tiles:
+        # ---- the tile's pairs and tokens, in walk order -----------------
         rows = b - a
-        width = int(order_len[b - 1])
+        width = int(kd_r[r1 - 1])
         span = width + 1
-        # the tile's documents: each one's theta row once, padded to the
-        # tile width with its last entry and a zero count
-        d0, d1 = int(order_doc[a]), int(order_doc[b - 1]) + 1
-        rdoc = order_doc[a:b] - d0
-        udoc = doc_rank[d0:d1]
-        rs = np.take(indptr, udoc)
-        kd_doc = np.take(row_len, udoc)
+        ramp = ws.arange(max(rows, span))
+        cnt = npd[r0:r1].copy()  # the tile's pairs of each document
+        cnt[0] -= head
+        cnt[-1] -= tail
+        rdoc = ramp[:r1 - r0].repeat(cnt)
+        order = (pair0[r0:r1] + a).take(rdoc)
+        np.add(order, ramp[:rows], out=order)
+        ntok = pair_ntok.take(order)
+        tend = ntok.cumsum()
+        trow = ramp[:rows].repeat(ntok)  # each token's pair row
+        tok = (pair_first.take(order) - tend + ntok).take(trow)
+        np.add(tok, ws.arange(int(tend[-1])), out=tok)
+        wcol = pair_wcol.take(order)
+
+        # ---- walk each (word, document) pair's theta row once -----------
+        # A tile is a dense block of pair rows: row p holds pair p's theta
+        # row (padded with zero terms to the tile's widest row) times its
+        # word's p* row, and one row-wise prefix sum per pair, started at
+        # 0, serves every token of the pair.  Each document's theta row is
+        # read once and broadcast over its pairs.
+        rs, kd_doc = rs_r[r0:r1], kd_r[r0:r1]
         pos = np.minimum(
             np.add.outer(rs, ramp[:width]), (rs + kd_doc - 1)[:, None]
         )
-        dvals = np.take(vals, pos)
+        dvals = vals.take(pos)
         dvals[np.less_equal(kd_doc[:, None], ramp[:width])] = 0.0
-        flat = np.take(np.take(cols, pos), rdoc, axis=0)
-        np.add(flat, pair_wk[a:b, None], out=flat)
+        flat = cols.take(pos).take(rdoc, axis=0)
+        np.add(flat, np.multiply(wcol, num_topics)[:, None], out=flat)
         # Bounds-checked gathers without ``out=``: a ``mode='raise'``
         # take into an out buffer is staged through a temporary copy.
-        r = np.take(p_wm_flat, flat)
-        np.multiply(r, np.take(dvals, rdoc, axis=0), out=r)
+        # Each slot-sized array is dropped once dead, so no more than two
+        # are live at once, and none outlives its tile.
+        rp = p_wm_flat.take(flat)
+        del flat
+        np.multiply(rp, dvals.take(rdoc, axis=0), out=rp)
         # c[p, j]: pair p's prefix sum before slot j (c[p, 0] = 0)
-        c = np.empty((rows, span), r.dtype)
+        c = np.empty((rows, span), rp.dtype)
         c[:, 0] = 0.0
-        np.cumsum(r, axis=1, out=c[:, 1:])
+        np.cumsum(rp, axis=1, out=c[:, 1:])
+        del rp
         c_flat = c.reshape(-1)
+
+        # ---- each token's exclusion scalars -----------------------------
+        z = topics.take(tok)
+        wc = wcol.take(trow)
+        zv = np.multiply(z, num_words, dtype=_INTP)  # (z_old, word) in phi
+        np.add(zv, present.take(wc), out=zv)
+        phi_zv = phi_flat.take(zv)
+        p_star_z = np.add(phi_zv, beta)
+        np.divide(p_star_z, denom.take(z), out=p_star_z)
+        p_z_excl = np.subtract(phi_zv, 1.0)
+        np.add(p_z_excl, beta, out=p_z_excl)
+        np.divide(p_z_excl, denom_excl.take(z), out=p_z_excl)
+        # Q: the word's shared total P with the O(1) exclusion fix
+        pw = p_w.take(wc)
+        w2 = np.subtract(pw, p_star_z)
+        np.add(w2, p_z_excl, out=w2)
+        q = np.multiply(w2, alpha)
+        # the own entry's p1 term, with and without its own count:
+        # adj = (theta[d, z] - 1) * p*_excl(z), and the walk's own term
+        # theta[d, z] * p*(z) less adj
+        own = own_pos.take(tok)
+        theta_z = vals.take(own)
+        adj = np.subtract(theta_z, 1.0)
+        np.multiply(adj, p_z_excl, out=adj)
+        delta = np.multiply(theta_z, p_star_z, out=theta_z)
+        np.subtract(delta, adj, out=delta)
 
         # Each token's S: its pair's total with the own term swapped for
         # its count-excluded value.
-        ta, tb = int(tok_ptr[a]), int(tok_ptr[b])
-        trow = np.multiply(tok_row[ta:tb] - a, span)
-        s_t = np.take(c_flat, trow + width)
-        np.subtract(s_t, delta_o[ta:tb], out=s_t)
+        base = np.multiply(trow, span)
+        s_t = c_flat.take(base + width)
+        np.subtract(s_t, delta, out=s_t)
         np.maximum(s_t, 0.0, out=s_t)  # guard cancellation noise
         # bucket choice: u < S / (S + Q)  (Algorithm 2 line 6)
-        sel = np.add(s_t, q_o[ta:tb])
-        np.multiply(sel, u_o[ta:tb], out=sel)
-        take_t = np.less(sel, s_t, out=take_o[ta:tb])
+        sel = np.add(s_t, q)
+        np.multiply(sel, u_sel.take(tok), out=sel)
+        take_t = np.less(sel, s_t)
 
-        # p1 draw, for the tokens that take the p1 bucket: the same
-        # three-case shifted-CDF search as the p2 draw, over the pair's
-        # prefix sums.
-        k = np.flatnonzero(take_t)
-        kbase = np.take(trow, k)
-        kslot = np.take(slot_o[ta:tb], k)
-        target = np.take(t1_o[ta:tb], k)
-        np.multiply(target, np.take(s_t, k), out=target)
-        cbz = np.take(c_flat, kbase + kslot)
+        # ---- p1 draw, for the tokens that take the p1 bucket ------------
+        # The same three-case shifted-CDF search as the p2 draw, over the
+        # pair's prefix sums.
+        k = take_t.nonzero()[0]
+        kbase = base.take(k)
+        kdoc = rdoc.take(trow.take(k))
+        krs = rs.take(kdoc)
+        kslot = np.subtract(own.take(k), krs)  # own slot in the row
+        target = t1.take(tok.take(k))
+        np.multiply(target, s_t.take(k), out=target)
+        cbz = c_flat.take(kbase + kslot)
         case_a = np.less(target, cbz)
-        np.add(cbz, np.take(adj_o[ta:tb], k), out=cbz)
+        np.add(cbz, adj.take(k), out=cbz)
         case_b = np.less(target, cbz)
-        shifted = np.add(target, np.take(delta_o[ta:tb], k))
+        shifted = np.add(target, delta.take(k))
         np.copyto(shifted, target, where=case_a)
-        # branchless search of the row: how many of c[p, 1..width] are
-        # <= the target
-        found = kbase.copy()
-        last = kbase + width
-        step = 1 << (width.bit_length() - 1)
-        while step:
-            cand = np.minimum(found + step, last)
-            np.copyto(found, cand, where=np.take(c_flat, cand) <= shifted)
-            step >>= 1
-        np.subtract(found, kbase, out=found)
-        np.minimum(found, np.take(kd_o[ta:tb], k) - 1, out=found)
+        # how many of the row's prefix sums c[p, 1..width] are <= the
+        # target
+        found = _count_le(c_flat, kbase, width, shifted)
+        kd = kd_doc.take(kdoc)
+        np.minimum(found, kd - 1, out=found)
         np.copyto(found, kslot, where=case_b & ~case_a)
-        np.add(found, np.take(rs, np.take(rdoc, kbase // span)), out=found)
-        z_o[ta + k] = np.take(cols, found)
+        np.add(found, krs, out=found)
+        z_new[tok.take(k)] = cols.take(found)
+        num_p1 += k.shape[0]
+        sum_kd_p1 += int(kd.sum())
+        del c, c_flat
 
-    take_p1 = ws.take("take_p1", n, _BOOL)
-    take_p1[tok_order] = take_o
-    z_new = np.empty(n, dtype=topics.dtype)  # fresh: this is the output
-    z_new[tok_order] = z_o
-    sum_kd = int(kd_o.sum())
-    sum_kd_p1 = int(kd_o[take_o].sum())
+        # ---- p2 draw, for the p2 tokens: shifted-CDF search -------------
+        # The exclusion changes one atom (z_old: p_star_z -> p_z_excl),
+        # which shifts the CDF by delta for all k >= z_old.  Split the
+        # target into three cases instead of rebuilding the shared tree
+        # per token.
+        k = (~take_t).nonzero()[0]
+        if k.shape[0]:
+            psz, pze = p_star_z.take(k), p_z_excl.take(k)
+            z2, wc2, pw2 = z.take(k), wc.take(k), pw.take(k)
+            t2s = t2.take(tok.take(k))
+            np.multiply(t2s, w2.take(k), out=t2s)
+            # the CDF entry at z_old, less p*(z_old)
+            first = np.multiply(wc2, num_topics)
+            cbz = cdf_flat.take(np.add(first, z2))
+            np.subtract(cbz, psz, out=cbz)
+            case_a = np.less(t2s, cbz)
+            np.add(cbz, pze, out=cbz)
+            case_b = np.less(t2s, cbz)
+            np.logical_and(case_b, ~case_a, out=case_b)
+            target = np.subtract(t2s, pze)
+            np.add(target, psz, out=target)
+            np.copyto(target, t2s, where=case_a)
+            # guard: keep targets strictly inside (0, P) for the
+            # normalised search
+            np.minimum(target, np.nextafter(pw2, 0.0), out=target)
+            np.maximum(target, 0.0, out=target)
+            np.divide(target, pw2, out=target)
+            np.add(target, wc2, out=target, casting="same_kind")
+            # how many of the word's first K - 1 CDF entries, normalised
+            # the same way, are <= the target
+            np.subtract(first, 1, out=first)
+            pos2 = _count_le(
+                cdf_flat, first, num_topics - 1, target, scale=pw2, offset=wc2
+            )
+            np.copyto(pos2, z2, where=case_b)
+            z_new[tok.take(k)] = pos2
 
-    # ---- draw from p2, for the p2 tokens: shifted-CDF search -------------
-    # The exclusion changes one atom (z_old: p_star_z -> p_z_excl), which
-    # shifts the CDF by delta for all k >= z_old.  Split the target into
-    # three cases instead of rebuilding the shared tree per token.
-    p2 = np.flatnonzero(~take_p1)
-    if p2.shape[0]:
-        z2, wc2 = np.take(z_old, p2), np.take(wcol, p2)
-        psz, pze = np.take(p_star_z, p2), np.take(p_z_excl, p2)
-        pw2 = np.take(pw_tok, p2)
-        t2s = np.take(t2, p2)
-        np.multiply(t2s, np.take(w2, p2), out=t2s)
-        cbz = np.take(cdf_sub.reshape(-1), z2 * wp + wc2)
-        np.subtract(cbz, psz, out=cbz)
-        case_a = np.less(t2s, cbz)
-        np.add(cbz, pze, out=cbz)
-        case_b = np.less(t2s, cbz)
-        np.logical_and(case_b, ~case_a, out=case_b)
-        target = np.subtract(t2s, pze)
-        np.add(target, psz, out=target)
-        np.copyto(target, t2s, where=case_a)
-        # guard: keep targets strictly inside (0, P) for the normalised search
-        np.minimum(target, np.nextafter(pw2, 0.0), out=target)
-        np.maximum(target, 0.0, out=target)
-        np.divide(target, pw2, out=target)
-        np.add(target, wc2, out=target, casting="same_kind")
-        pos2 = np.searchsorted(flat_cdf, target, side="right")
-        np.subtract(pos2, wc2 * num_topics, out=pos2)
-        np.clip(pos2, 0, num_topics - 1, out=pos2)
-        np.copyto(pos2, z2, where=case_b)
-        z_new[p2] = pos2
-
-    num_p1 = int(take_p1.sum())
     stats = SamplingStats(
         num_tokens=n,
-        sum_kd=sum_kd,
+        sum_kd=int(np.dot(doc_ntok, row_len)),
         sum_kd_p1=sum_kd_p1,
         num_p1_draws=num_p1,
         num_p2_draws=n - num_p1,

@@ -36,45 +36,40 @@ def apply_phi_update(
     """In-place phi/topic_totals update; returns the changed-token count.
 
     Only tokens whose topic actually changed contribute (an unchanged
-    token's decrement and increment cancel).  The changed tokens are
-    histogrammed into one signed dense delta over the flattened
-    ``(topic, word)`` grid, ``bincount(new) - bincount(old)``, which is
-    added to phi in a single pass — integer arithmetic, so the result is
-    identical to per-token decrements and increments.
+    token's decrement and increment cancel).  Their flat ``(topic, word)``
+    keys are histogrammed one side at a time: ``bincount(new)`` is added
+    to phi and freed, then ``bincount(old)`` is subtracted, so one dense
+    K x V histogram is live at a time — integer arithmetic, so the result
+    is identical to per-token decrements and increments.
 
     ``accum_phi``/``accum_totals``, when given, receive the *same* signed
     update a second time — the pre-reduced per-worker delta of the
     Section 6.2 sync path: a worker folds every chunk's updates into one
     accumulator so the master's merge is one add per worker instead of
-    one subtract-and-add per device replica.  The delta is computed once
-    and shared between the two targets.
+    one subtract-and-add per device replica.  Each histogram is computed
+    once and shared between the two targets.
     """
     if not (words.shape == z_old.shape == z_new.shape):
         raise ValueError("words/z_old/z_new must have identical shapes")
-    zo = z_old.astype(np.int64)
-    zn = z_new.astype(np.int64)
-    changed = zo != zn
-    if not np.any(changed):
+    changed = np.flatnonzero(z_old != z_new)
+    if changed.shape[0] == 0:
         return 0
-    w = words.astype(np.int64)[changed]
-    zo = zo[changed]
-    zn = zn[changed]
     k, num_words = phi.shape
-    dec = np.bincount(zo, minlength=k)
-    inc = np.bincount(zn, minlength=k)
-    size = k * num_words
-    delta = np.bincount(zn * num_words + w, minlength=size)
-    delta -= np.bincount(zo * num_words + w, minlength=size)
-    delta = delta.reshape(k, num_words)
-    np.add(phi, delta, out=phi, casting="same_kind")
-    topic_totals -= dec.astype(topic_totals.dtype)
-    topic_totals += inc.astype(topic_totals.dtype)
-    if accum_phi is not None:
-        np.add(accum_phi, delta, out=accum_phi, casting="same_kind")
-    if accum_totals is not None:
-        accum_totals -= dec.astype(accum_totals.dtype)
-        accum_totals += inc.astype(accum_totals.dtype)
-    return int(changed.sum())
+    w = words.take(changed).astype(np.int64)
+    for topics, sign in ((z_new, np.add), (z_old, np.subtract)):
+        z = topics.take(changed).astype(np.int64)
+        per_topic = np.bincount(z, minlength=k)
+        np.multiply(z, num_words, out=z)
+        np.add(z, w, out=z)
+        hist = np.bincount(z, minlength=k * num_words).reshape(k, num_words)
+        sign(phi, hist, out=phi, casting="same_kind")
+        sign(topic_totals, per_topic, out=topic_totals, casting="same_kind")
+        if accum_phi is not None:
+            sign(accum_phi, hist, out=accum_phi, casting="same_kind")
+        if accum_totals is not None:
+            sign(accum_totals, per_topic, out=accum_totals, casting="same_kind")
+        del hist
+    return int(changed.shape[0])
 
 
 def verify_phi_consistency(

@@ -14,7 +14,6 @@ machinery, once.
 
 from __future__ import annotations
 
-import gc
 import os
 
 from repro.parallel.shm import ShmArena, pick_context
@@ -179,11 +178,5 @@ def shutdown_pool(arena: ShmArena, procs: list, conns: list) -> None:
             conn.close()
         except Exception:
             pass
-    # An exception that unwound out of the owner (e.g. an interrupted
-    # overlapped train) can leave arena views alive in traceback cycles;
-    # closing the mapping then raises a silently-swallowed BufferError
-    # and the pages stay mapped for the life of the process.  Collect
-    # those cycles first so the unmap actually happens.
-    gc.collect()
     arena.close()
     arena.unlink()

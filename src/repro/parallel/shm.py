@@ -17,6 +17,7 @@ leak ``/dev/shm`` segments for the life of the machine.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import weakref
 from dataclasses import dataclass
@@ -142,10 +143,22 @@ class ShmArena:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Drop this process's mapping (views become invalid)."""
+        """Drop this process's mapping (views become invalid).
+
+        An exception that unwound out of the owner (e.g. an interrupted
+        overlapped train) can leave arena views alive in traceback
+        cycles, and the unmap then raises ``BufferError``.  Only then are
+        those cycles collected and the unmap tried once more.
+        """
         self._views.clear()
         try:
             self._shm.close()
+        except BufferError:
+            gc.collect()
+            try:
+                self._shm.close()
+            except Exception:  # pragma: no cover - still exported
+                pass
         except Exception:  # pragma: no cover - double close is harmless
             pass
 

@@ -411,11 +411,12 @@ class TestTiledFootprint:
         assert ws.misses == misses  # warm: every buffer came from the pool
         assert np.array_equal(first.new_topics, second.new_topics)
         assert max(b.size for b in ws._pool.values()) < sum_kd
-        # ~30 n-sized and 4 K x Wp roles, one tile-sized buffer + ramp
+        # the chunk-wide kernel's bound: ~30 n-sized and 4 K x Wp roles, one
+        # tile-sized buffer + ramp
         bound = 8 * (48 * (n + 1) + 4 * num_topics * wp + 4 * tile)
         assert ws.nbytes < bound < ws.nbytes + 8 * sum_kd
 
-    def test_trees_take_three_float_buffers_and_the_gather(self):
+    def test_trees_take_two_float_buffers(self):
         # K * Wp dwarfs every token-sized buffer: 10 documents of 40
         # distinct words each, all 400 words present.
         num_topics, wp = 256, 400
@@ -428,8 +429,52 @@ class TestTiledFootprint:
         ws = Workspace()
         _draw(cs, state, cfg, workspace=ws)
         trees = [b for b in ws._pool.values() if b.size >= num_topics * wp]
-        assert state.phi.dtype == np.int32
-        assert sum(b.nbytes for b in trees) <= (3 * 8 + 4) * num_topics * wp
+        assert sum(b.nbytes for b in trees) == 2 * 8 * num_topics * wp
+
+    @staticmethod
+    def _long_docs(num_docs, doc_len, num_words=400, num_topics=32):
+        gen = np.random.default_rng(7)
+        docs = [gen.integers(0, num_words, doc_len).tolist() for _ in range(num_docs)]
+        corpus = Corpus.from_token_lists(docs, num_words=num_words)
+        return make_state(corpus, num_topics=num_topics, seed=3)
+
+    def test_token_sized_pool_is_at_most_six_words_per_token(self):
+        state, cfg = self._long_docs(12, 1500)
+        cs = state.chunks[0]
+        n, num_topics = cs.chunk.num_tokens, cfg.num_topics
+        wp = int(np.count_nonzero(np.diff(cs.chunk.word_offsets)))
+        ws = Workspace()
+        _draw(cs, state, cfg, workspace=ws)
+        _draw(cs, state, cfg, workspace=ws, seed=1)
+        trees = sum(b.nbytes for b in ws._pool.values() if b.size == num_topics * wp)
+        assert trees == 2 * 8 * num_topics * wp
+        assert ws.nbytes - trees <= 6 * 8 * n
+
+    def test_warm_call_transient_grows_with_the_tile_not_with_n(self):
+        import tracemalloc
+
+        tile = 1 << 10
+        peaks = {}
+        for num_docs in (5, 20):
+            state, cfg = self._long_docs(num_docs, 2000)
+            cs = state.chunks[0]
+            assert cs.chunk.num_tokens >= 8 * tile
+            ws = Workspace()
+            # the own-slot lookup's blocks are cut to the tile as well
+            with mock.patch.object(sampler_mod, "_TILE", tile), mock.patch.object(
+                sampler_mod, "_LOOKUP_BLOCK", tile
+            ):
+                _draw(cs, state, cfg, workspace=ws)
+                tracemalloc.start()
+                try:
+                    res = _draw(cs, state, cfg, workspace=ws, seed=1)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            peaks[num_docs] = peak - res.new_topics.nbytes
+        # 30,000 more tokens: one n-sized float temporary would add 240 KB
+        assert peaks[20] < peaks[5] + 8 * 8 * tile
+        assert peaks[20] < 24 * 8 * tile
 
 
 class TestStatisticalCorrectness:
@@ -794,6 +839,23 @@ class TestExactOracle:
         state, cfg = mixed
         assert _sum_kd(state.chunks[0]) > 4 * tile
         self._check(state, cfg, seed=11, tile=tile)
+
+    @pytest.mark.parametrize("tile", [1, 7, None])
+    @pytest.mark.parametrize("alpha", [1e12, 1e-12])
+    def test_tiles_all_p2_or_all_p1(self, mixed, tile, alpha):
+        """Large alpha sends every token to p2; tiny alpha sends every
+        token to p1 except a single-token document's, whose S is 0."""
+        state, cfg = mixed
+        cfg = TrainerConfig(num_topics=cfg.num_topics, seed=cfg.seed, alpha=alpha)
+        res = self._check(state, cfg, seed=5, tile=tile)
+        cs = state.chunks[0]
+        n = cs.chunk.num_tokens
+        if alpha > 1:
+            assert res.stats.num_p2_draws == n
+        else:
+            lone = int(np.count_nonzero(np.bincount(cs.chunk.token_docs) == 1))
+            assert 0 < lone < n
+            assert res.stats.num_p1_draws == n - lone
 
     def test_workspace_free_kernel(self, mixed):
         state, cfg = mixed
